@@ -12,6 +12,7 @@ import random
 
 from repro.bench.costs import MicroCost
 from repro.bench.harness import run_sirep
+from repro.core import ClusterConfig
 from repro.core.validation import Certifier, WsRecord
 from repro.gcs import GcsConfig
 from repro.storage.writeset import UPDATE, WriteOp, WriteSet
@@ -27,12 +28,14 @@ def test_ablation_hole_sync_cost(benchmark):
         out = {}
         for load, tag in ((50, "light"), (175, "heavy")):
             rep = run_sirep(
-                workload, load, n_replicas=5, hole_sync=True,
-                cost_model=MicroCost, duration=6.0, warmup=1.5,
+                workload, load,
+                ClusterConfig(n_replicas=5, hole_sync=True, cost_model=MicroCost),
+                duration=6.0, warmup=1.5,
             )
             opt = run_sirep(
-                workload, load, n_replicas=5, hole_sync=False,
-                cost_model=MicroCost, duration=6.0, warmup=1.5,
+                workload, load,
+                ClusterConfig(n_replicas=5, hole_sync=False, cost_model=MicroCost),
+                duration=6.0, warmup=1.5,
             )
             out[tag] = (rep, opt)
         return out
@@ -54,7 +57,7 @@ def test_ablation_gcs_latency_hits_rt_not_throughput(benchmark):
     workload = micro.make_workload()
 
     def run():
-        from repro.core import ClusterConfig, SIRepCluster
+        from repro.core import SIRepCluster
         from repro.workloads import ClientPool
 
         out = {}
@@ -87,21 +90,25 @@ def test_ablation_commit_latency_breakdown(benchmark):
     """Where update-transaction latency goes (§6.3's overhead story):
     at light load it is execution + one GCS multicast; at heavy load
     queueing at the replicas dominates, not the GCS."""
-    from repro.client import Driver
-    from repro.core import ClusterConfig, SIRepCluster
-    from repro.workloads import ClientPool, micro
 
     def measure(load):
-        cluster = SIRepCluster(
-            ClusterConfig(
-                n_replicas=5, seed=1, trace=True,
-                cost_model=lambda _i: MicroCost(),
-            )
+        point = run_sirep(
+            micro.make_workload(), load,
+            ClusterConfig(n_replicas=5, seed=1, cost_model=MicroCost),
+            duration=6.0, warmup=1.5, n_clients=40, profile=True,
         )
-        micro.make_workload().install(cluster)
-        pool = ClientPool(cluster, micro.make_workload(), 40, load, 6.0, warmup=1.5)
-        pool.run()
-        return cluster.trace.breakdown()
+        phases = point.extras["profile"]["updates"]["phases"]
+
+        def mean_s(*names):
+            # a phase no transaction spent time in is absent from the report
+            return sum(
+                phases[name]["mean_ms"] for name in names if name in phases
+            ) / 1000.0
+
+        return {
+            "execution": mean_s("local_execution"),
+            "gcs_and_certification": mean_s("sequencing", "fanout", "certify"),
+        }
 
     def run():
         return measure(25), measure(175)
@@ -121,7 +128,7 @@ def test_ablation_tpcw_mix_sensitivity(benchmark):
     cluster outruns a single server: reads fan out, only writesets are
     replicated.  browsing (~5% upd) > shopping (~20%) > ordering (50%)."""
     from repro.bench.costs import TpcwCost
-    from repro.bench.harness import run_centralized, run_sirep
+    from repro.bench.harness import run_centralized
     from repro.workloads import tpcw
 
     def run():
@@ -131,7 +138,7 @@ def test_ablation_tpcw_mix_sensitivity(benchmark):
         for mix in ("ordering", "browsing"):
             workload = tpcw.make_workload(mix=mix)
             rep = run_sirep(
-                workload, 500, n_replicas=5, cost_model=TpcwCost,
+                workload, 500, ClusterConfig(n_replicas=5, cost_model=TpcwCost),
                 duration=6.0, warmup=1.5,
             )
             cen = run_centralized(
@@ -154,7 +161,7 @@ def test_ablation_replication_factor_scales_update_throughput(benchmark):
         out = {}
         for n in (2, 5, 8):
             point = run_sirep(
-                workload, 250, n_replicas=n, cost_model=MicroCost,
+                workload, 250, ClusterConfig(n_replicas=n, cost_model=MicroCost),
                 duration=6.0, warmup=1.5,
             )
             out[n] = point.throughput
@@ -170,7 +177,7 @@ def test_ablation_failover_downtime_fig3b_vs_fig3c(benchmark):
     immediately, while the primary/backup system (b) is down for the
     failure-detection timeout plus takeover."""
     from repro.client import Driver
-    from repro.core import ClusterConfig, SIRepCluster
+    from repro.core import SIRepCluster
     from repro.core.primary_backup import PrimaryBackupSystem
 
     def commit_gap(system, crash, crash_at=2.0, horizon=8.0):

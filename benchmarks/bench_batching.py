@@ -12,12 +12,11 @@ disk modelled), a 5 ms sequencer service time that caps the unbatched
 bus at ~200 writesets/s, and a 70/30 update/read mix offered well above
 that cap.  Sweep batch_max_messages; everything else fixed.
 
-The sweep runs with the full repro.obs surface attached (metrics
-registry, gauge sampler, trace): each measured point carries queue-depth
-and hole-age time-series in ``extras["metrics"]["obs"]["series"]`` and
-the commit-latency breakdown in ``extras["metrics"]["trace"]``; the
-time-series are also written standalone to ``results/batching_series.json``
-(the CI artifact).  Monitoring only *reads* simulator state, so the
+The sweep runs with the repro.obs surface attached (metrics registry,
+gauge sampler, event log): each measured point carries queue-depth and
+hole-age time-series in ``extras["metrics"]["obs"]["series"]``, also
+written standalone to ``results/batching_series.json`` (the CI
+artifact).  Monitoring only *reads* simulator state, so the
 measured throughput is identical with and without it — asserted below
 against a metrics-off control run at batch 8.
 """
@@ -27,6 +26,7 @@ import pathlib
 
 from repro.bench.costs import BatchMicroCost
 from repro.bench.harness import run_sirep
+from repro.core import ClusterConfig
 from repro.gcs import GcsConfig
 from repro.workloads.micro import make_mixed_workload
 
@@ -62,11 +62,10 @@ def _slim(extras: dict) -> dict:
     return extras
 
 
-def _run_point(batch: int, obs: bool, span_trace: bool = False):
-    workload = make_mixed_workload(read_weight=READ_WEIGHT)
-    return run_sirep(
-        workload,
-        OFFERED_TPS,
+def _config(batch: int, gcs_knobs=None, **knobs) -> ClusterConfig:
+    """The sweep's deployment at one batch size; ``gcs_knobs`` / ``knobs``
+    are the GcsConfig / ClusterConfig fields a point varies on top of it."""
+    return ClusterConfig(
         n_replicas=N_REPLICAS,
         cost_model=BatchMicroCost,
         with_disk=True,
@@ -74,16 +73,24 @@ def _run_point(batch: int, obs: bool, span_trace: bool = False):
             batch_max_messages=batch,
             batch_window=BATCH_WINDOW,
             bus_service_time=BUS_SERVICE_TIME,
+            **(gcs_knobs or {}),
         ),
         group_commit=True,
+        seed=0,
+        sampler_interval=SAMPLER_INTERVAL,
+        **knobs,
+    )
+
+
+def _run_point(batch: int, obs: bool, span_trace: bool = False):
+    workload = make_mixed_workload(read_weight=READ_WEIGHT)
+    return run_sirep(
+        workload,
+        OFFERED_TPS,
+        _config(batch, obs=obs, span_trace=span_trace),
         duration=6.0,
         warmup=1.5,
-        seed=0,
         label=f"batch={batch}",
-        obs=obs,
-        sampler_interval=SAMPLER_INTERVAL,
-        trace=obs,
-        span_trace=span_trace,
     )
 
 
@@ -168,9 +175,6 @@ def test_batching_throughput(benchmark):
     assert len(series) >= 10
     assert "R0.tocommit_depth" in series[0]
     assert "R0.oldest_hole_age" in series[0]
-    # the migrated trace breakdown kept its keys
-    trace = points[8].extras["metrics"]["trace"]
-    assert trace["n"] > 0 and "commit_queue_p95" in trace
     # monitoring is read-only: within 5% of the metrics-off control run
     assert abs(_update_tps(points[8]) - _update_tps(control)) <= (
         0.05 * _update_tps(control)
@@ -209,16 +213,12 @@ CONTENTION_CPU_SERVERS = 2
 def _run_contention_point(
     knobs_on: bool, duration: float, warmup: float, profile: bool = False
 ):
-    gcs = dict(
-        batch_max_messages=8,
-        batch_window=BATCH_WINDOW,
-        bus_service_time=BUS_SERVICE_TIME,
-    )
+    gcs_knobs = None
     if knobs_on:
         # adaptive window floors at the static window: it only ever
         # WIDENS under a contention signal, so the idle behaviour is
         # identical to the before side's fixed window
-        gcs.update(
+        gcs_knobs = dict(
             reorder=True,
             adaptive_window=True,
             batch_window_min=BATCH_WINDOW,
@@ -228,17 +228,12 @@ def _run_contention_point(
     return run_sirep(
         workload,
         OFFERED_TPS,
-        n_replicas=N_REPLICAS,
-        cost_model=BatchMicroCost,
-        with_disk=True,
-        gcs=GcsConfig(**gcs),
-        group_commit=True,
+        _config(
+            8, gcs_knobs, salvage=knobs_on, cpu_servers=CONTENTION_CPU_SERVERS
+        ),
         duration=duration,
         warmup=warmup,
-        seed=0,
         label="after" if knobs_on else "before",
-        salvage=knobs_on,
-        cpu_servers=CONTENTION_CPU_SERVERS,
         profile=profile,
     )
 
@@ -376,21 +371,10 @@ def canonical_point(quick: bool = True) -> dict:
     point = run_sirep(
         workload,
         OFFERED_TPS,
-        n_replicas=N_REPLICAS,
-        cost_model=BatchMicroCost,
-        with_disk=True,
-        gcs=GcsConfig(
-            batch_max_messages=CANONICAL_BATCH,
-            batch_window=BATCH_WINDOW,
-            bus_service_time=BUS_SERVICE_TIME,
-        ),
-        group_commit=True,
+        _config(CANONICAL_BATCH, obs=True),
         duration=duration,
         warmup=warmup,
-        seed=0,
         label=f"batch={CANONICAL_BATCH}",
-        obs=True,
-        sampler_interval=SAMPLER_INTERVAL,
         profile=True,
     )
     return {

@@ -39,6 +39,7 @@ def test_postgres_r_si_comparison(benchmark):
     while the principal transaction execution is similar." """
     from repro.bench.costs import MicroCost
     from repro.bench.harness import run_kernel, run_sirep
+    from repro.core import ClusterConfig
     from repro.workloads import micro
 
     def run():
@@ -46,7 +47,7 @@ def test_postgres_r_si_comparison(benchmark):
         out = []
         for load in (50, 125):
             rep = run_sirep(
-                workload, load, n_replicas=5, cost_model=MicroCost,
+                workload, load, ClusterConfig(n_replicas=5, cost_model=MicroCost),
                 duration=6.0, warmup=1.5,
             )
             kern = run_kernel(

@@ -22,6 +22,7 @@ import json
 import tempfile
 
 from repro.bench.harness import run_sirep
+from repro.core import ClusterConfig
 from repro.gcs import GcsConfig
 from repro.workloads.micro import make_workload
 
@@ -52,15 +53,17 @@ def run_wall_point(duration: float, warmup: float, seed: int = 0):
         return run_sirep(
             make_workload(),
             OFFERED_TPS,
-            n_replicas=N_REPLICAS,
-            gcs=GcsConfig(batch_max_messages=4, batch_window=0.002),
+            ClusterConfig(
+                n_replicas=N_REPLICAS,
+                gcs=GcsConfig(batch_max_messages=4, batch_window=0.002),
+                seed=seed,
+                runtime="wall",
+                durability=DurabilityConfig(log_dir=tmp),
+            ),
             duration=duration,
             warmup=warmup,
-            seed=seed,
             label="wall",
             n_clients=N_CLIENTS,
-            runtime="wall",
-            durability=DurabilityConfig(log_dir=tmp),
         )
 
 

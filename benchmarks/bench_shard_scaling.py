@@ -17,7 +17,9 @@ import json
 import pathlib
 
 from repro.bench.costs import MicroCost
-from repro.bench.harness import run_sharded
+from repro.bench.harness import run_sirep
+from repro.core import ClusterConfig
+from repro.shard import ShardConfig
 from repro.workloads.sharded import make_partitioned_workload, make_table_map
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -29,6 +31,17 @@ ROWS_PER_TABLE = 5000
 OFFERED_TPS = 600.0
 
 
+def _config(n_groups: int) -> ShardConfig:
+    return ShardConfig(
+        n_groups=n_groups,
+        group=ClusterConfig(
+            n_replicas=REPLICAS_PER_GROUP, cost_model=MicroCost, seed=0
+        ),
+        partition="explicit",
+        table_map=make_table_map(n_groups, TABLES_PER_GROUP),
+    )
+
+
 def _sweep():
     points = {}
     for n_groups in GROUP_COUNTS:
@@ -37,16 +50,8 @@ def _sweep():
             tables_per_group=TABLES_PER_GROUP,
             rows_per_table=ROWS_PER_TABLE,
         )
-        points[n_groups] = run_sharded(
-            workload,
-            OFFERED_TPS,
-            n_groups=n_groups,
-            replicas_per_group=REPLICAS_PER_GROUP,
-            cost_model=MicroCost,
-            table_map=make_table_map(n_groups, TABLES_PER_GROUP),
-            duration=5.0,
-            warmup=1.0,
-            seed=0,
+        points[n_groups] = run_sirep(
+            workload, OFFERED_TPS, _config(n_groups), duration=5.0, warmup=1.0
         )
     return points
 
@@ -68,7 +73,7 @@ def test_shard_scaling(benchmark):
         json.dumps(
             {
                 "offered_tps": OFFERED_TPS,
-                "replicas_per_group": REPLICAS_PER_GROUP,
+                "n_replicas": REPLICAS_PER_GROUP,
                 "points": {
                     str(g): {
                         "throughput": points[g].throughput,
@@ -109,22 +114,18 @@ def canonical_point(quick: bool = True) -> dict:
         tables_per_group=TABLES_PER_GROUP,
         rows_per_table=rows_per_table,
     )
-    point = run_sharded(
+    point = run_sirep(
         workload,
         OFFERED_TPS,
-        n_groups=CANONICAL_GROUPS,
-        replicas_per_group=REPLICAS_PER_GROUP,
-        cost_model=MicroCost,
-        table_map=make_table_map(CANONICAL_GROUPS, TABLES_PER_GROUP),
+        _config(CANONICAL_GROUPS),
         duration=duration,
         warmup=warmup,
-        seed=0,
         profile=True,
     )
     return {
         "config": {
             "n_groups": CANONICAL_GROUPS,
-            "replicas_per_group": REPLICAS_PER_GROUP,
+            "n_replicas": REPLICAS_PER_GROUP,
             "tables_per_group": TABLES_PER_GROUP,
             "rows_per_table": rows_per_table,
             "offered_tps": OFFERED_TPS,

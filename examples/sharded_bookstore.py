@@ -10,6 +10,7 @@ vector, and rejects a multi-group update outright.
 Run:  python examples/sharded_bookstore.py
 """
 
+from repro.core import ClusterConfig
 from repro.errors import CrossShardWriteError
 from repro.shard import ShardConfig, ShardedCluster
 
@@ -32,8 +33,7 @@ def main() -> None:
     cluster = ShardedCluster(
         ShardConfig(
             n_groups=2,
-            replicas_per_group=3,
-            seed=42,
+            group=ClusterConfig(n_replicas=3, seed=42),
             partition="explicit",
             table_map=PLACEMENT,
         )

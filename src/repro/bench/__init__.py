@@ -10,7 +10,6 @@ from repro.bench.harness import (
     LoadPoint,
     per_replica_cost,
     run_centralized,
-    run_sharded,
     run_sirep,
     run_tablelock,
     run_until_confident,
@@ -21,7 +20,6 @@ __all__ = [
     "per_replica_cost",
     "run_sirep",
     "run_centralized",
-    "run_sharded",
     "run_tablelock",
     "run_until_confident",
 ]

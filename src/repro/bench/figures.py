@@ -18,6 +18,7 @@ from repro.bench.costs import (
 )
 from repro.bench.harness import LoadPoint, run_centralized, run_sirep, run_tablelock
 from repro.bench.tables import render_series
+from repro.core import ClusterConfig
 from repro.workloads import largedb, micro, tpcw
 
 FIG5_LOADS = (10, 25, 50, 75, 100, 125, 150)
@@ -50,9 +51,12 @@ def fig5_tpcw(
     for load in loads:
         points.append(
             run_sirep(
-                workload, load, n_replicas=5, cost_model=TpcwCost,
+                workload, load,
+                ClusterConfig(
+                    n_replicas=5, cost_model=TpcwCost,
+                    read_replicas=read_replicas,
+                ),
                 duration=duration, warmup=warmup,
-                read_replicas=read_replicas,
             )
         )
         points.append(
@@ -75,16 +79,16 @@ def fig6_largedb(fast: bool = False, quiet: bool = False) -> list[LoadPoint]:
     for load in loads:
         points.append(
             run_sirep(
-                workload, load, n_replicas=5, cost_model=LargeDbCost,
-                with_disk=True, duration=duration, warmup=warmup,
-                label="5 replicas",
+                workload, load,
+                ClusterConfig(n_replicas=5, cost_model=LargeDbCost, with_disk=True),
+                duration=duration, warmup=warmup, label="5 replicas",
             )
         )
         points.append(
             run_sirep(
-                workload, load, n_replicas=10, cost_model=LargeDbCost,
-                with_disk=True, duration=duration, warmup=warmup,
-                label="10 replicas",
+                workload, load,
+                ClusterConfig(n_replicas=10, cost_model=LargeDbCost, with_disk=True),
+                duration=duration, warmup=warmup, label="10 replicas",
             )
         )
     if not quiet:
@@ -115,14 +119,16 @@ def fig7_update_intensive(fast: bool = False, quiet: bool = False) -> list[LoadP
     for load in loads:
         points.append(
             run_sirep(
-                workload, load, n_replicas=5, hole_sync=True,
-                cost_model=MicroCost, duration=duration, warmup=warmup,
+                workload, load,
+                ClusterConfig(n_replicas=5, hole_sync=True, cost_model=MicroCost),
+                duration=duration, warmup=warmup,
             )
         )
         points.append(
             run_sirep(
-                workload, load, n_replicas=5, hole_sync=False,
-                cost_model=MicroCost, duration=duration, warmup=warmup,
+                workload, load,
+                ClusterConfig(n_replicas=5, hole_sync=False, cost_model=MicroCost),
+                duration=duration, warmup=warmup,
             )
         )
         points.append(
@@ -169,7 +175,8 @@ def claim_tpcw_abort_rate(fast: bool = False) -> dict:
     """§6.1: TPC-W conflict rates small, aborts far below 1%."""
     duration, warmup = _horizon(fast)
     point = run_sirep(
-        tpcw.make_workload(), 75, n_replicas=5, cost_model=TpcwCost,
+        tpcw.make_workload(), 75,
+        ClusterConfig(n_replicas=5, cost_model=TpcwCost),
         duration=duration, warmup=warmup,
     )
     return {"abort_rate": point.abort_rate, "load_tps": 75}
@@ -179,7 +186,8 @@ def claim_hole_frequency(fast: bool = False) -> dict:
     """§6.3: holes at ~4-8% of transaction starts under heavy updates."""
     duration, warmup = _horizon(fast)
     point = run_sirep(
-        micro.make_workload(), 175, n_replicas=5, cost_model=MicroCost,
+        micro.make_workload(), 175,
+        ClusterConfig(n_replicas=5, cost_model=MicroCost),
         duration=duration, warmup=warmup,
     )
     return {

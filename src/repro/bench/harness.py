@@ -1,7 +1,12 @@
 """One experiment = system + workload + offered load -> measured point.
 
-Cost-model factories: :class:`~repro.core.cluster.ClusterConfig` takes
-the **canonical** per-replica-index signature ``Callable[[int],
+The replicated system is described by the config object the deployment
+itself takes — a :class:`~repro.core.cluster.ClusterConfig` or a
+:class:`~repro.shard.ShardConfig` — so every knob a cluster has is
+reachable from a benchmark without the harness re-declaring it.
+
+Cost-model factories: ``ClusterConfig.cost_model`` takes the
+**canonical** per-replica-index signature ``Callable[[int],
 CostModel]`` (heterogeneous replicas need the index).  The ``run_*``
 entry points here accept the friendlier zero-arg ``Callable[[],
 CostModel]`` as well and adapt it via :func:`per_replica_cost`.
@@ -10,16 +15,14 @@ CostModel]`` as well and adapt it via :func:`per_replica_cost`.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Union
 
 from repro.client import RoutedDriver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.baselines import CentralizedSystem, TableLockSystem
-from repro.durable.store import DurabilityConfig
-from repro.gcs import GcsConfig
 from repro.obs import profile_run, sanitize
-from repro.reader import ReaderConfig
+from repro.shard import ShardConfig, ShardedCluster
 from repro.storage.engine import CostModel
 from repro.workloads import ClientPool, ProcClientPool, Workload
 from repro.workloads.stats import Stats
@@ -118,126 +121,111 @@ def _collect(name: str, load: float, stats: Stats, **extras) -> LoadPoint:
 def run_sirep(
     workload: Workload,
     load: float,
-    n_replicas: int = 5,
-    hole_sync: bool = True,
-    cost_model: Optional[Callable[[], CostModel]] = None,
-    with_disk: bool = False,
-    gcs: Optional[GcsConfig] = None,
-    group_commit: bool = False,
+    config: Union[ClusterConfig, ShardConfig],
+    *,
     duration: float = 10.0,
     warmup: float = 2.0,
-    seed: int = 0,
     label: Optional[str] = None,
-    obs: bool = False,
-    sampler_interval: float = 0.25,
-    trace: bool = False,
-    span_trace: bool = False,
-    monitor: bool = False,
-    read_replicas: int = 0,
-    reader: Optional["ReaderConfig"] = None,
     n_clients: Optional[int] = None,
-    salvage: bool = False,
-    salvage_defer_depth: int = 16,
-    cpu_servers: int = 1,
     profile: bool = False,
-    runtime: str = "sim",
-    durability: Optional["DurabilityConfig"] = None,
 ) -> LoadPoint:
-    """Measure SRCA-Rep (or SRCA-Opt with hole_sync=False) at one load.
+    """Measure the SI-Rep deployment ``config`` describes at one load.
 
-    ``runtime`` selects the execution backend: ``"sim"`` measures in
-    virtual time on the discrete-event kernel; ``"wall"`` runs the same
-    protocol on :class:`repro.runtime.AsyncioRuntime` — real timers,
-    real TCP sockets, real elapsed seconds.  The measured point's
-    ``extras["metrics"]["runtime"]`` carries the tag so downstream
-    tooling never compares the two clocks against each other.
+    A :class:`ClusterConfig` is one replication group (SRCA-Rep, or
+    SRCA-Opt with ``hole_sync=False``); a :class:`ShardConfig` is
+    several behind the router, whose workload must respect the
+    single-group-write rule or its transactions surface as aborts.
+    ``config.cost_model`` may be a zero-arg factory (see
+    :func:`per_replica_cost`).
 
-    ``gcs`` overrides the GCS timing/batching knobs (batching sweeps);
-    ``group_commit`` turns on per-replica commit-cost coalescing;
-    ``obs`` attaches the repro.obs surface (registry + gauge sampler +
-    event log — the measured point's ``extras["metrics"]["obs"]`` then
-    carries the queue-depth/hole-age time-series) and ``trace`` the
-    commit-milestone TraceLog (``extras["metrics"]["trace"]``).
-    ``span_trace`` attaches the causal span Tracer and ``monitor`` the
-    online 1-copy-SI monitor.  Monitoring only reads simulator state, so
-    the measured numbers are identical with and without it.
+    ``runtime="wall"`` runs the same protocol on
+    :class:`repro.runtime.AsyncioRuntime` — real timers, real TCP
+    sockets, real elapsed seconds; ``extras["metrics"]["runtime"]``
+    carries the tag so downstream tooling never compares the two clocks
+    against each other.  With ``obs`` the point's
+    ``extras["metrics"]["obs"]`` carries the queue-depth/hole-age
+    time-series.  Monitoring only reads simulator state, so the measured
+    numbers are identical with and without it.
 
-    ``read_replicas``/``reader`` attach the lazy read tier; the client
-    pool then drives a :class:`~repro.client.RoutedDriver` so read-only
+    With a read tier (``read_replicas``/``reader``) the client pool
+    drives a :class:`~repro.client.RoutedDriver`, so read-only
     transactions are routed (with session tokens and admission control)
-    instead of served in place, and the measured point's extras carry
-    the read/update split plus the routing counters.
+    instead of served in place, and the extras carry the read/update
+    split plus the routing counters.
 
     ``profile`` turns on span tracing and folds the run's span trees
     into ``extras["profile"]`` — the critical-path phase attribution of
     :mod:`repro.obs.profile` (per-phase p50/p95, tail-dominant phase,
-    queueing diagnostics when ``obs`` sampled gauges too).
+    queueing diagnostics when ``obs`` sampled gauges too; on a sharded
+    deployment the router spans stitched to their per-group branches).
     """
-    cluster = SIRepCluster(
-        ClusterConfig(
-            n_replicas=n_replicas,
-            hole_sync=hole_sync,
-            group_commit=group_commit,
-            seed=seed,
-            gcs=gcs if gcs is not None else GcsConfig(),
-            cost_model=per_replica_cost(cost_model),
-            with_disk=with_disk,
-            obs=obs,
-            sampler_interval=sampler_interval,
-            trace=trace,
-            span_trace=span_trace or profile,
-            monitor=monitor,
-            read_replicas=read_replicas,
-            reader=reader,
-            salvage=salvage,
-            salvage_defer_depth=salvage_defer_depth,
-            cpu_servers=cpu_servers,
-            runtime=runtime,
-            durability=durability,
-        )
+    sharded = isinstance(config, ShardConfig)
+    group = config.group if sharded else config
+    group = replace(
+        group,
+        cost_model=per_replica_cost(group.cost_model),
+        span_trace=group.span_trace or profile,
     )
+    if sharded:
+        cluster = ShardedCluster(replace(config, group=group))
+        driver = cluster.router
+    else:
+        cluster = SIRepCluster(group)
+        routed = group.read_replicas > 0 or group.reader is not None
+        driver = (
+            RoutedDriver(
+                cluster.network, cluster.discovery,
+                reader_config=cluster.reader_config,
+                tracer=cluster.tracer,
+            )
+            if routed
+            else None
+        )
     workload.install(cluster)
-    routed = read_replicas > 0 or reader is not None
-    driver = (
-        RoutedDriver(
-            cluster.network, cluster.discovery,
-            reader_config=cluster.reader_config,
-            tracer=cluster.tracer,
-        )
-        if routed
-        else None
-    )
     pool = ClientPool(
         cluster, workload, n_clients or _n_clients(load), load, duration,
         warmup=warmup, driver=driver,
     )
     stats = pool.run()
-    name = label or ("SRCA-Rep" if hole_sync else "SRCA-Opt")
-    group_logs = [
-        r.manager.group_log for r in cluster.replicas if r.manager.group_log
-    ]
     measured = max(duration - warmup, 1e-9)
     split = {
         category: data.commits / measured
         for category, data in stats.categories.items()
     }
+    if sharded:
+        name = label or f"sharded x{config.n_groups}"
+        extras = dict(
+            n_groups=config.n_groups,
+            update_commits=cluster.total_update_commits(),
+            certification_aborts=cluster.total_certification_aborts(),
+            cross_shard_readonly=cluster.router.stats_cross_shard_readonly,
+            rejected_cross_shard_writes=cluster.router.stats_rejected_writes,
+        )
+    else:
+        name = label or ("SRCA-Rep" if group.hole_sync else "SRCA-Opt")
+        group_logs = [
+            r.manager.group_log for r in cluster.replicas if r.manager.group_log
+        ]
+        extras = dict(
+            hole_wait_fraction=cluster.hole_wait_fraction(),
+            certification_aborts=cluster.total_certification_aborts(),
+            gcs_batches=cluster.bus.delivered_batches,
+            gcs_mean_batch_size=cluster.bus.mean_batch_size,
+            group_commit_mean_size=(
+                sum(log.synced_entries for log in group_logs)
+                / max(1, sum(log.flushes for log in group_logs))
+                if group_logs
+                else 0.0
+            ),
+            read_tps=split.get("read-only", 0.0),
+            update_tps=split.get("update", 0.0),
+            routing=driver.metrics() if driver is not None else None,
+        )
     point = _collect(
         name,
         load,
         stats,
-        hole_wait_fraction=cluster.hole_wait_fraction(),
-        certification_aborts=cluster.total_certification_aborts(),
-        gcs_batches=cluster.bus.delivered_batches,
-        gcs_mean_batch_size=cluster.bus.mean_batch_size,
-        group_commit_mean_size=(
-            sum(log.synced_entries for log in group_logs)
-            / max(1, sum(log.flushes for log in group_logs))
-            if group_logs
-            else 0.0
-        ),
-        read_tps=split.get("read-only", 0.0),
-        update_tps=split.get("update", 0.0),
-        routing=driver.metrics() if driver is not None else None,
+        **extras,
         profile=(
             _profile_extras(cluster, split.get("update", 0.0))
             if profile
@@ -245,7 +233,7 @@ def run_sirep(
         ),
         metrics=sanitize(cluster.metrics()),
     )
-    if cluster.clock == "wall":
+    if cluster.sim.clock == "wall":
         cluster.stop()  # free the loop, sockets, and timers of this run
     return point
 
@@ -343,80 +331,6 @@ def run_until_confident(
         extras={"seeds": len(points), "rel_ci": achieved},
     )
     return averaged, achieved
-
-
-def run_sharded(
-    workload: Workload,
-    load: float,
-    n_groups: int = 2,
-    replicas_per_group: int = 3,
-    hole_sync: bool = True,
-    cost_model: Optional[Callable[..., CostModel]] = None,
-    table_map: Optional[dict[str, int]] = None,
-    gcs: Optional[GcsConfig] = None,
-    group_commit: bool = False,
-    duration: float = 10.0,
-    warmup: float = 2.0,
-    seed: int = 0,
-    label: Optional[str] = None,
-    obs: bool = False,
-    sampler_interval: float = 0.25,
-    span_trace: bool = False,
-    monitor: bool = False,
-    profile: bool = False,
-) -> LoadPoint:
-    """Measure a sharded deployment (router entry point) at one load.
-
-    With ``table_map`` the partition is explicit; otherwise tables are
-    hash-placed.  The workload's transactions must respect the
-    single-group-write rule, or they surface as aborts.  ``obs``
-    attaches one shared repro.obs surface across the groups;
-    ``span_trace`` one shared Tracer (router hops included) and
-    ``monitor`` per-group online 1-copy-SI monitors.  ``profile`` turns
-    on the shared Tracer and folds the phase attribution (router spans
-    stitched to their per-group branch trees) into ``extras["profile"]``.
-    """
-    from repro.shard import ShardClientPool, ShardConfig, ShardedCluster
-
-    cluster = ShardedCluster(
-        ShardConfig(
-            n_groups=n_groups,
-            replicas_per_group=replicas_per_group,
-            hole_sync=hole_sync,
-            seed=seed,
-            cost_model=per_replica_cost(cost_model),
-            partition="explicit" if table_map else "hash",
-            table_map=table_map,
-            gcs=gcs if gcs is not None else GcsConfig(),
-            group_commit=group_commit,
-            obs=obs,
-            sampler_interval=sampler_interval,
-            span_trace=span_trace or profile,
-            monitor=monitor,
-        )
-    )
-    workload.install(cluster)
-    pool = ShardClientPool(
-        cluster, workload, _n_clients(load), load, duration, warmup=warmup
-    )
-    stats = pool.run()
-    name = label or f"sharded x{n_groups}"
-    measured = max(duration - warmup, 1e-9)
-    update_tps = stats.categories["update"].commits / measured if (
-        "update" in stats.categories
-    ) else 0.0
-    return _collect(
-        name,
-        load,
-        stats,
-        n_groups=n_groups,
-        update_commits=cluster.total_update_commits(),
-        certification_aborts=cluster.total_certification_aborts(),
-        cross_shard_readonly=cluster.router.stats_cross_shard_readonly,
-        rejected_cross_shard_writes=cluster.router.stats_rejected_writes,
-        profile=_profile_extras(cluster, update_tps) if profile else None,
-        metrics=sanitize(cluster.metrics()),
-    )
 
 
 def run_tablelock(

@@ -9,8 +9,8 @@ consistency example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core.replica import ReplicaNode
 from repro.core.srca_rep import MiddlewareReplica
@@ -76,8 +76,6 @@ class ClusterConfig:
     #: create a disk resource per replica (I/O-bound workloads, Fig. 6)
     with_disk: bool = False
     cpu_servers: int = 1
-    #: attach a TraceLog recording per-transaction commit milestones
-    trace: bool = False
     #: attach the repro.obs surface: metrics registry + per-replica gauge
     #: sampler + protocol event log (monitoring never perturbs the sim)
     obs: bool = False
@@ -106,8 +104,9 @@ class ClusterConfig:
     #: a replica at its cap declines discovery until a session closes
     max_sessions: Optional[int] = None
     #: replica names are ``f"{replica_prefix}{index}"``; a sharded
-    #: deployment gives each group a distinct prefix (e.g. ``"G1-R"``) so
-    #: hosts, GCS members, and gids stay unique on a shared network.
+    #: deployment (``ShardConfig.group``) overrides this per group
+    #: (``"G1-R"``) so hosts, GCS members, and gids stay unique on the
+    #: shared network.
     #: Must not contain ``"."`` or ``":"`` (reserved by the gid format).
     replica_prefix: str = "R"
     #: attach the durability subsystem (repro.durable): per-replica
@@ -131,15 +130,82 @@ class ClusterConfig:
     runtime: str = "sim"
 
 
-class SIRepCluster:
-    """A running SI-Rep deployment inside one simulator.
+class Surface(NamedTuple):
+    """What a deployment has exactly one of, however many replication
+    groups run on it: the clock, the LAN, the monitoring surface, the
+    span tracer, the flight recorder and the durability store.  The
+    field names are :class:`SIRepCluster`'s keyword names, so a sharded
+    deployment hands its surface to every group as ``**_asdict()``."""
 
-    By default the cluster owns its whole world: it creates the
-    simulator, the LAN, the GCS bus, and the discovery service.  A
-    sharded deployment (:class:`repro.shard.ShardedCluster`) instead
-    passes ``sim``/``network`` (shared: one clock, one LAN) and
-    per-group ``bus``/``discovery`` instances, so several replication
-    groups coexist in one simulation.
+    sim: Any
+    network: Any
+    obs: Optional[Observability]
+    tracer: Optional[Tracer]
+    flight: Optional[FlightRecorder]
+    durability: Optional[DurabilityStore]
+
+
+def build_surface(
+    cfg: ClusterConfig, durability: Optional[DurabilityStore] = None
+) -> Surface:
+    """Build the :class:`Surface` ``cfg`` asks for.  Pass an external
+    ``durability`` store to make durable state outlive the deployment
+    (cold restart)."""
+    from repro.runtime.api import make_runtime
+
+    sim = make_runtime(cfg.runtime, seed=cfg.seed)
+    durability_cfg = cfg.durability
+    if sim.clock == "wall":
+        from repro.runtime import TcpNetwork
+
+        network = TcpNetwork(sim)
+        if (
+            durability_cfg is not None
+            and durability_cfg.log_dir is not None
+            and not durability_cfg.fsync
+        ):
+            # on real hardware a disk-backed log pays for its durability
+            durability_cfg = replace(durability_cfg, fsync=True)
+    else:
+        network = Network(
+            sim,
+            latency=LatencyModel(
+                base=cfg.net_base_latency,
+                jitter=cfg.net_jitter,
+                rng=sim.rng("net"),
+            ),
+        )
+    obs = (
+        Observability(sim, sampler_interval=cfg.sampler_interval)
+        if cfg.obs
+        else None
+    )
+    tracer = Tracer(sim) if cfg.span_trace else None
+    flight = (
+        FlightRecorder(
+            sim,
+            tracer=tracer,
+            events=obs.events if obs is not None else None,
+            directory=cfg.flight_dir,
+        )
+        if cfg.flight
+        else None
+    )
+    if durability is None and (cfg.durable or durability_cfg is not None):
+        durability = DurabilityStore(durability_cfg)
+    return Surface(sim, network, obs, tracer, flight, durability)
+
+
+class SIRepCluster:
+    """A running SI-Rep deployment on one runtime.
+
+    By default the cluster owns its whole world: :func:`build_surface`
+    gives it the runtime, the LAN and the monitoring surface, and it
+    creates the GCS bus and the discovery service.  A sharded deployment
+    (:class:`repro.shard.ShardedCluster`) instead builds one
+    :class:`Surface` and passes it (``sim`` ... ``durability``) to every
+    group together with per-group ``bus``/``discovery`` instances, so
+    several replication groups coexist on one clock and one LAN.
     """
 
     def __init__(
@@ -164,33 +230,30 @@ class SIRepCluster:
             )
         if cfg.runtime not in ("sim", "wall"):
             raise ValueError(f"unknown runtime {cfg.runtime!r} ('sim' or 'wall')")
-        self._owns_runtime = sim is None
-        if sim is not None:
-            self.sim = sim
-        else:
-            from repro.runtime.api import make_runtime
-
-            self.sim = make_runtime(cfg.runtime, seed=cfg.seed)
+        #: a group of a sharded deployment runs on its owner's surface:
+        #: the owner snapshots it in metrics() and tears it down in stop()
+        self._owns_surface = sim is None
+        if self._owns_surface:
+            sim, network, obs, tracer, flight, durability = build_surface(
+                cfg, durability
+            )
+        self.sim = sim
         #: which clock this deployment runs on ("sim" | "wall"); tags
         #: metrics and bench envelopes so the two are never conflated
-        self.clock = getattr(self.sim, "clock", "sim")
-        if self.clock == "wall":
-            from repro.runtime import TcpGroupBus, TcpNetwork
+        self.clock = getattr(sim, "clock", "sim")
+        self.network = network
+        self.obs = obs
+        self.tracer = tracer
+        self.flight = flight
+        self.durable_store = durability
+        if bus is not None:
+            self.bus = bus
+        elif self.clock == "wall":
+            from repro.runtime import TcpGroupBus
 
-            self.network = network if network is not None else TcpNetwork(self.sim)
-            self.bus = bus if bus is not None else TcpGroupBus(
-                self.sim, config=cfg.gcs, network=self.network
-            )
+            self.bus = TcpGroupBus(self.sim, config=cfg.gcs, network=self.network)
         else:
-            self.network = network if network is not None else Network(
-                self.sim,
-                latency=LatencyModel(
-                    base=cfg.net_base_latency,
-                    jitter=cfg.net_jitter,
-                    rng=self.sim.rng("net"),
-                ),
-            )
-            self.bus = bus if bus is not None else GroupBus(self.sim, config=cfg.gcs)
+            self.bus = GroupBus(self.sim, config=cfg.gcs)
         #: adaptive batch windows: point the bus at this cluster's
         #: contention estimate unless a sharded deployment wired its own
         self._signal_prev = (0, 0)
@@ -200,58 +263,13 @@ class SIRepCluster:
         self.discovery = (
             discovery if discovery is not None else DiscoveryService(self.sim)
         )
-        #: durable state shared across incarnations; pass an external
-        #: DurabilityStore to make it outlive the cluster (cold restart)
-        durability_cfg = cfg.durability
-        if (
-            self.clock == "wall"
-            and durability_cfg is not None
-            and durability_cfg.log_dir is not None
-            and not durability_cfg.fsync
-        ):
-            # on real hardware a disk-backed log pays for its durability
-            from dataclasses import replace as _dc_replace
-
-            durability_cfg = _dc_replace(durability_cfg, fsync=True)
-        self.durable_store = durability if durability is not None else (
-            DurabilityStore(durability_cfg)
-            if (cfg.durable or durability_cfg is not None)
-            else None
-        )
         self._cold_start = cold_start
         self.stability: Optional[StabilityTracker] = None
         if self.durable_store is not None:
             self.stability = StabilityTracker(self.durable_store.config.truncation)
             self.bus.stability = self.stability
-        #: shared in a sharded deployment (one registry/sampler/event log
-        #: across the groups), otherwise owned by this cluster when
-        #: ``config.obs`` asks for it
-        self.obs = obs if obs is not None else (
-            Observability(self.sim, sampler_interval=cfg.sampler_interval)
-            if cfg.obs
-            else None
-        )
-        #: a shared (sharded) Observability is snapshotted by its owner,
-        #: not duplicated into every group's metrics()
-        self._owns_obs = obs is None and self.obs is not None
-        from repro.core.tracing import TraceLog
-
-        # the trace aggregates onto the shared registry when one exists,
-        # so breakdown histograms appear next to the sampler gauges
-        self.trace = (
-            TraceLog(registry=self.obs.registry if self.obs else None)
-            if cfg.trace
-            else None
-        )
         if self.obs is not None:
             self._register_bus_gauges()
-        #: shared across groups in a sharded deployment (one trace store,
-        #: so cross-shard router hops stitch into one trace), otherwise
-        #: owned here when ``config.span_trace`` asks for it
-        self.tracer = tracer if tracer is not None else (
-            Tracer(self.sim) if cfg.span_trace else None
-        )
-        self._owns_tracer = tracer is None and self.tracer is not None
         self.monitor = (
             OneCopyMonitor(
                 self.sim,
@@ -264,17 +282,6 @@ class SIRepCluster:
         )
         if self.monitor is not None:
             self.monitor.start()
-        self.flight = flight if flight is not None else (
-            FlightRecorder(
-                self.sim,
-                tracer=self.tracer,
-                events=self.obs.events if self.obs is not None else None,
-                directory=cfg.flight_dir,
-            )
-            if cfg.flight
-            else None
-        )
-        self._owns_flight = flight is None and self.flight is not None
         self.nodes: list[ReplicaNode] = []
         self.replicas: list[MiddlewareReplica] = []
         self._client_count = 0
@@ -352,7 +359,6 @@ class SIRepCluster:
             feed=self.feed,
             salvage=cfg.salvage,
         )
-        replica.trace = self.trace
         replica.tracer = self.tracer
         replica.manager.tracer = self.tracer
         replica.manager.commit_pipeline = (
@@ -1050,10 +1056,7 @@ class SIRepCluster:
             out["feed"] = self.feed.metrics()
         if self.stability is not None:
             out["stable_watermark"] = self.stability.stable_seq()
-        if self.trace is not None:
-            out["trace"] = self.trace.breakdown()
-            out["trace_batches"] = self.trace.batch_breakdown()
-        if self.tracer is not None and self._owns_tracer:
+        if self.tracer is not None and self._owns_surface:
             out["span_trace"] = {
                 "started": self.tracer.started,
                 "finished": self.tracer.finished_count,
@@ -1061,7 +1064,7 @@ class SIRepCluster:
             }
         if self.monitor is not None:
             out["monitor"] = self.monitor.summary()
-        if self.obs is not None and self._owns_obs:
+        if self.obs is not None and self._owns_surface:
             out["obs"] = self.obs.snapshot()
         # strict JSON: results/*.json must never contain literal NaN
         return sanitize(out)
@@ -1075,14 +1078,14 @@ class SIRepCluster:
         for reader in self.readers:
             if reader.alive:
                 reader.crash()
-        if self.tracer is not None and self._owns_tracer:
+        if self.tracer is not None and self._owns_surface:
             self.tracer.close_open(status="shutdown")
-        if self.obs is not None and self._owns_obs:
-            for replica in self.replicas:
-                self.obs.registry.unregister_prefix(f"{replica.name}.")
-            for reader in self.readers:
-                self.obs.registry.unregister_prefix(f"{reader.name}.")
-        if self.clock == "wall" and self._owns_runtime:
+        if self.obs is not None:
+            # on a shared registry too: the names carry this group's
+            # replica prefix, so only this group's gauges go
+            for member in (*self.replicas, *self.readers):
+                self.obs.registry.unregister_prefix(f"{member.name}.")
+        if self.clock == "wall" and self._owns_surface:
             # wall runtime holds real resources (sockets, timers, an
             # event loop); sweep them so repeated runs never leak
             self.sim.stop()

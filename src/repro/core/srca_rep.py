@@ -147,8 +147,6 @@ class MiddlewareReplica:
         self.crashed_seen: set[str] = set()
         self.view_gate = Gate(name=f"{name}.view-gate")
         self.alive = True
-        #: optional TraceLog for commit-latency breakdowns
-        self.trace = None
         #: optional causal-span Tracer (repro.obs.trace), set by the cluster
         self.tracer = None
         #: gid -> the open "gcs" span of an in-flight local commit, closed
@@ -587,12 +585,6 @@ class MiddlewareReplica:
     def _count(self, name: str, n: int = 1) -> None:
         if self.obs is not None:
             self.obs.registry.counter(name).inc(n)
-
-    def _trace_discard(self, gid: Optional[str]) -> None:
-        """Drop the trace stamps of a transaction that will never reach
-        ``committed`` (abort, rollback, lost session, read-only)."""
-        if self.trace is not None and gid is not None:
-            self.trace.discard(gid)
 
     def _spans_abort(self, session: _Session, status: str = "aborted") -> None:
         """Close (never leak) the session's spans on any abort path."""
@@ -1140,15 +1132,6 @@ class MiddlewareReplica:
                 protocol.SALVAGED if entry.record.salvaged else protocol.COMMITTED
             )
             waiter.resolve((outcome, entry))
-        if self.trace is not None:
-            self.trace.record_batch(
-                batch.seq,
-                len(batch),
-                opened_at=batch.opened_at,
-                sequenced_at=batch.sequenced_at,
-                delivered_at=self.sim.now,
-                replica=self.name,
-            )
 
     def _on_ddl(self, payload: tuple) -> None:
         _kind, ddl_id, sender, sql = payload
@@ -1194,7 +1177,6 @@ class MiddlewareReplica:
                 except ChannelClosed:
                     if session.txn is not None and session.txn.active:
                         self.db.abort(session.txn)
-                        self._trace_discard(session.gid)
                         self._spans_abort(session, status="lost-session")
                     return
                 if isinstance(request, (protocol.StateTransfer, protocol.DeltaTransfer)):
@@ -1210,7 +1192,6 @@ class MiddlewareReplica:
                     response = self._error_response(request, err)
                     if session.txn is not None and session.txn.active:
                         self.db.abort(session.txn)
-                        self._trace_discard(session.gid)
                     self._spans_abort(session)
                     session.txn = None
                 chan.send(response)
@@ -1243,7 +1224,6 @@ class MiddlewareReplica:
         if isinstance(request, protocol.RollbackReq):
             if session.txn is not None and session.txn.active:
                 self.db.abort(session.txn)
-                self._trace_discard(session.gid)
             self._spans_abort(session, status="rolled-back")
             session.txn = None
             return protocol.RollbackResp(request.seq)
@@ -1323,8 +1303,6 @@ class MiddlewareReplica:
                     "local_execution", session.gid,
                     parent=session.root_span.span_id, replica=self.name,
                 )
-            if self.trace is not None:
-                self.trace.record(session.gid, "begin", self.sim.now)
         result = yield from self.db.execute(session.txn, request.sql, request.params)
         return protocol.ExecuteResp(
             request.seq,
@@ -1358,7 +1336,6 @@ class MiddlewareReplica:
         self.db.abort(txn)
         self.stats_aborts += 1
         self.outcomes[txn.gid] = protocol.ABORTED
-        self._trace_discard(txn.gid)
         self._count("validation.local_abort")
         if root_span is not None:
             self.tracer.record(
@@ -1383,8 +1360,6 @@ class MiddlewareReplica:
         if txn is None or not txn.active:
             # commit with no statements: trivially committed (empty txn)
             return protocol.CommitResp(request.seq, protocol.COMMITTED)
-        if self.trace is not None:
-            self.trace.record(txn.gid, "commit_request", self.sim.now)
         if exec_span is not None:
             self.tracer.finish(exec_span)
         writeset = self.db.get_writeset(txn)
@@ -1397,9 +1372,6 @@ class MiddlewareReplica:
         if not writeset:
             yield from self.db.commit(txn)
             self.stats_readonly_commits += 1
-            # read-only: no replication milestones follow — drop the
-            # begin/commit_request stamps instead of leaking them
-            self._trace_discard(txn.gid)
             if root_span is not None:
                 self.tracer.finish(root_span, readonly=True)
             return protocol.CommitResp(request.seq, protocol.COMMITTED)
@@ -1472,13 +1444,10 @@ class MiddlewareReplica:
              rehome, self._ws_sends, self._ws_acked),
             batchable=True,
         )
-        if self.trace is not None:
-            self.trace.record(txn.gid, "multicast", self.sim.now)
         outcome, entry = yield waiter.wait()
         if outcome == protocol.ABORTED:
             self.db.abort(txn)
             self.stats_aborts += 1
-            self._trace_discard(txn.gid)
             if root_span is not None:
                 self.tracer.finish(root_span, status="aborted")
             return protocol.CommitResp(
@@ -1491,11 +1460,7 @@ class MiddlewareReplica:
             # aborted our local txn handle and re-homed the entry as a
             # remote-style apply; from here the wait is identical
             self._count("validation.salvage_commits")
-        if self.trace is not None:
-            self.trace.record(txn.gid, "certified", self.sim.now)
         yield entry.done.wait()
-        if self.trace is not None:
-            self.trace.record(txn.gid, "committed", self.sim.now)
         if root_span is not None:
             self.tracer.finish(root_span)
         self.stats_commits += 1

@@ -5,8 +5,8 @@ communication vs certification-queue waits vs hole-induced stalls — and
 Cecchet et al. note that middleware replication prototypes rarely expose
 the metrics surface a deployment needs.  This module is that surface's
 foundation: a :class:`MetricsRegistry` every component hangs its
-instruments on, with one quantile implementation shared by histograms and
-the commit-latency trace (factored out of ``repro.core.tracing``).
+instruments on, with one quantile implementation shared by histograms,
+the workload statistics and the phase profiler.
 
 All instruments are plain in-process objects — reading them never blocks
 and never perturbs the simulation (no yields, no RNG draws), so a run

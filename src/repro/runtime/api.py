@@ -82,7 +82,7 @@ class Runtime(Protocol):
     def _record_failure(self, process, exc: BaseException) -> None: ...
 
 
-def make_runtime(kind: str, seed: int = 0, trace=None):
+def make_runtime(kind: str, seed: int = 0):
     """Build a runtime by name: ``"sim"`` or ``"wall"``.
 
     ``seed`` feeds the named RNG streams identically on both backends
@@ -92,9 +92,9 @@ def make_runtime(kind: str, seed: int = 0, trace=None):
     if kind == "sim":
         from repro.sim import Simulator
 
-        return Simulator(seed=seed, trace=trace)
+        return Simulator(seed=seed)
     if kind in ("wall", "asyncio"):
         from repro.runtime.asyncio_rt import AsyncioRuntime
 
-        return AsyncioRuntime(seed=seed, trace=trace)
+        return AsyncioRuntime(seed=seed)
     raise ReproError(f"unknown runtime {kind!r} (expected 'sim' or 'wall')")

@@ -86,13 +86,12 @@ class AsyncioRuntime:
 
     clock = "wall"
 
-    def __init__(self, seed: int = 0, trace: Optional[Callable[..., None]] = None):
+    def __init__(self, seed: int = 0):
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
         self._failure: Optional[tuple[Any, BaseException]] = None
-        self._trace = trace
         self.processes: list[Process] = []
         #: strong pending work: non-weak timers + in-flight I/O tokens
         self._strong = 0
@@ -222,8 +221,6 @@ class AsyncioRuntime:
         process = Process(self, gen, name, daemon)
         self.processes.append(process)
         self._schedule(0.0, process._step_if_alive, None)
-        if self._trace:
-            self._trace("spawn", self.now, name)
         return process
 
     # -- running -------------------------------------------------------------

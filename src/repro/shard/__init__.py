@@ -13,11 +13,11 @@ one simulator, each owning a disjoint table partition:
 * :class:`ShardedCluster` — the orchestrator mirroring
   :class:`~repro.core.SIRepCluster`'s API, with per-group 1-copy-SI
   audits plus a cross-shard snapshot-freshness audit.
-* :class:`ShardClientPool` — closed-loop workload clients entering
-  through the router.
+
+Closed-loop workload clients enter through the router:
+``ClientPool(cluster, ..., driver=cluster.router)``.
 """
 
-from repro.shard.clients import ShardClientPool
 from repro.shard.cluster import ShardConfig, ShardedCluster, ShardedReport, SnapshotStamp
 from repro.shard.partition import Partitioner
 from repro.shard.router import RouterConnection, ShardRouter, referenced_tables
@@ -30,6 +30,5 @@ __all__ = [
     "ShardedCluster",
     "ShardedReport",
     "SnapshotStamp",
-    "ShardClientPool",
     "referenced_tables",
 ]

@@ -17,77 +17,39 @@ with a group-CSN vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Generator, Iterable, Optional
 
-from repro.core.cluster import ClusterConfig, SIRepCluster
-from repro.durable.store import DurabilityConfig, DurabilityStore
+from repro.core.cluster import ClusterConfig, SIRepCluster, build_surface
+from repro.durable.store import DurabilityStore
 from repro.errors import PlacementError, SQLError
-from repro.gcs import DiscoveryService, GcsConfig, GroupBus
-from repro.net import LatencyModel, Network
-from repro.obs import FlightRecorder, Observability, Tracer, sanitize
-from repro.reader import ReaderConfig
+from repro.gcs import DiscoveryService, GroupBus
+from repro.obs import sanitize
 from repro.shard.partition import Partitioner
 from repro.shard.router import ShardRouter
 from repro.si.onecopy import OneCopyReport
-from repro.sim import Simulator
 from repro.sql.parser import parse_cached
-from repro.storage.engine import CostModel
 
 
 @dataclass
 class ShardConfig:
-    """Shape of one sharded deployment."""
+    """Shape of one sharded deployment: ``n_groups`` copies of one
+    replication group over a table partition."""
 
     n_groups: int = 2
-    replicas_per_group: int = 3
-    #: True = SRCA-Rep within each group; False = SRCA-Opt
-    hole_sync: bool = True
-    #: per-replica group commit within each group (see GroupCommitLog)
-    group_commit: bool = False
-    #: SCAR-style abort salvage within each group (see ClusterConfig)
-    salvage: bool = False
-    seed: int = 0
-    gcs: GcsConfig = field(default_factory=GcsConfig)
-    net_base_latency: float = 0.0002
-    net_jitter: float = 0.0001
-    #: canonical per-replica-index factory (see ClusterConfig.cost_model);
-    #: the index is the replica's position within its group
-    cost_model: Optional[Callable[[int], CostModel]] = None
-    with_disk: bool = False
-    cpu_servers: int = 1
-    trace: bool = False
-    #: one shared repro.obs surface across every group: the groups write
-    #: into a single registry/event log, one sampler probes all gauges
-    obs: bool = False
-    sampler_interval: float = 0.25
-    #: one shared causal-span Tracer across the groups AND the router,
-    #: so a cross-shard transaction's router hops and per-group branches
-    #: stitch into a single trace
-    span_trace: bool = False
-    #: per-group online 1-copy-SI monitors (certification order is
-    #: per-group, so each group gets its own streaming Def. 3 check)
-    monitor: bool = False
-    monitor_interval: float = 0.05
-    #: one shared crash flight recorder across the groups
-    flight: bool = False
-    flight_dir: Optional[str] = None
-    max_sessions: Optional[int] = None
+    #: what every group looks like.  Its ``seed``, network latencies,
+    #: ``obs`` / ``span_trace`` / ``flight`` and ``durable`` /
+    #: ``durability`` describe the ONE surface all groups share (one
+    #: registry/sampler/event log, one Tracer so router hops and
+    #: per-group branches stitch into a single trace, one store — replica
+    #: names are globally unique, so every group's logs coexist under one
+    #: directory); ``monitor`` gives each group its own streaming Def. 3
+    #: check (certification order is per-group); ``replica_prefix`` is
+    #: overridden with ``G<i>-R``; ``runtime`` must stay ``"sim"``.
+    group: ClusterConfig = field(default_factory=ClusterConfig)
     #: "hash" (balanced, deterministic) or "explicit" (requires table_map)
     partition: str = "hash"
     table_map: Optional[dict[str, int]] = None
-    #: attach the durability subsystem to every group: per-replica
-    #: writeset logs (names are globally unique via the group prefix),
-    #: per-group stability watermarks, delta catch-up recovery
-    durable: bool = False
-    #: durability knobs shared by all groups (implies ``durable``)
-    durability: Optional[DurabilityConfig] = None
-    #: lazy read replicas attached to each group's certified feed
-    #: (named ``G<i>-Rr<j>``), registered under ``role="read"`` on that
-    #: group's discovery service
-    read_replicas_per_group: int = 0
-    #: read-tier knobs shared by every group's readers
-    reader: Optional[ReaderConfig] = None
 
 
 @dataclass
@@ -142,81 +104,32 @@ class ShardedCluster:
     ):
         self.config = config or ShardConfig()
         cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
-        self.network = Network(
-            self.sim,
-            latency=LatencyModel(
-                base=cfg.net_base_latency,
-                jitter=cfg.net_jitter,
-                rng=self.sim.rng("net"),
-            ),
-        )
+        if cfg.group.runtime != "sim":
+            raise ValueError(
+                f"a sharded deployment is simulator-only, not {cfg.group.runtime!r}"
+            )
+        shared = build_surface(cfg.group, durability)
+        self.sim, self.network, self.obs = shared.sim, shared.network, shared.obs
+        self.tracer, self.flight = shared.tracer, shared.flight
+        self.durable_store = shared.durability
         self.partitioner = Partitioner(
             cfg.n_groups,
             policy=cfg.partition,
             table_map=cfg.table_map,
-            seed=cfg.seed,
+            seed=cfg.group.seed,
         )
-        self.obs = (
-            Observability(self.sim, sampler_interval=cfg.sampler_interval)
-            if cfg.obs
-            else None
-        )
-        self.tracer = Tracer(self.sim) if cfg.span_trace else None
-        self.flight = (
-            FlightRecorder(
-                self.sim,
-                tracer=self.tracer,
-                events=self.obs.events if self.obs is not None else None,
-                directory=cfg.flight_dir,
+        self.groups: list[SIRepCluster] = [
+            SIRepCluster(
+                replace(cfg.group, replica_prefix=f"G{index}-R"),
+                bus=GroupBus(
+                    self.sim, config=cfg.group.gcs, rng_stream=f"gcs-G{index}"
+                ),
+                discovery=DiscoveryService(self.sim),
+                cold_start=cold_start,
+                **shared._asdict(),
             )
-            if cfg.flight
-            else None
-        )
-        #: ONE store shared by every group — replica names are globally
-        #: unique (group prefix), so each group's logs coexist under one
-        #: directory and a single handle suffices for cold restart
-        self.durable_store = durability if durability is not None else (
-            DurabilityStore(cfg.durability)
-            if (cfg.durable or cfg.durability is not None)
-            else None
-        )
-        self.groups: list[SIRepCluster] = []
-        for index in range(cfg.n_groups):
-            group_cfg = ClusterConfig(
-                n_replicas=cfg.replicas_per_group,
-                hole_sync=cfg.hole_sync,
-                group_commit=cfg.group_commit,
-                salvage=cfg.salvage,
-                seed=cfg.seed,
-                gcs=cfg.gcs,
-                cost_model=cfg.cost_model,
-                with_disk=cfg.with_disk,
-                cpu_servers=cfg.cpu_servers,
-                trace=cfg.trace,
-                monitor=cfg.monitor,
-                monitor_interval=cfg.monitor_interval,
-                max_sessions=cfg.max_sessions,
-                replica_prefix=f"G{index}-R",
-                read_replicas=cfg.read_replicas_per_group,
-                reader=cfg.reader,
-            )
-            self.groups.append(
-                SIRepCluster(
-                    group_cfg,
-                    sim=self.sim,
-                    network=self.network,
-                    bus=GroupBus(
-                        self.sim, config=cfg.gcs, rng_stream=f"gcs-G{index}"
-                    ),
-                    discovery=DiscoveryService(self.sim),
-                    obs=self.obs,
-                    tracer=self.tracer,
-                    flight=self.flight,
-                    durability=self.durable_store,
-                    cold_start=cold_start,
-                )
-            )
+            for index in range(cfg.n_groups)
+        ]
         self.router = ShardRouter(self)
         self._snapshot_log: list[SnapshotStamp] = []
 

@@ -227,7 +227,7 @@ class Simulator:
     #: with it so wall-clock numbers never compare against sim baselines.
     clock = "sim"
 
-    def __init__(self, seed: int = 0, trace: Optional[Callable[..., None]] = None):
+    def __init__(self, seed: int = 0):
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, Any, bool]] = []
         self._seq = 0
@@ -237,7 +237,6 @@ class Simulator:
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
         self._failure: Optional[tuple[Process, BaseException]] = None
-        self._trace = trace
         self.processes: list[Process] = []
 
     # -- time & randomness ---------------------------------------------------
@@ -315,8 +314,6 @@ class Simulator:
         process = Process(self, gen, name, daemon)
         self.processes.append(process)
         self._schedule(0.0, process._step_if_alive, None)
-        if self._trace:
-            self._trace("spawn", self._now, name)
         return process
 
     # -- running ---------------------------------------------------------------

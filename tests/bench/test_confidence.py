@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import run_sirep, run_until_confident
 from repro.bench.harness import LoadPoint
+from repro.core import ClusterConfig
 from repro.workloads import micro
 
 
@@ -43,7 +44,8 @@ def test_run_until_confident_on_real_simulation():
 
     def point(seed):
         return run_sirep(
-            workload, 20, n_replicas=3, duration=4.0, warmup=1.0, seed=seed
+            workload, 20, ClusterConfig(n_replicas=3, seed=seed),
+            duration=4.0, warmup=1.0,
         )
 
     averaged, achieved = run_until_confident(

@@ -12,6 +12,7 @@ from repro.bench.costs import (
 )
 from repro.bench.harness import LoadPoint, run_centralized, run_sirep, run_tablelock
 from repro.bench.tables import render_series
+from repro.core import ClusterConfig
 from repro.workloads import micro
 
 
@@ -33,7 +34,8 @@ def test_apply_fraction_is_about_20_percent():
 
 def test_run_sirep_returns_load_point():
     point = run_sirep(
-        micro.make_workload(), 20, n_replicas=3, cost_model=MicroCost,
+        micro.make_workload(), 20,
+        ClusterConfig(n_replicas=3, cost_model=MicroCost),
         duration=3.0, warmup=0.5,
     )
     assert isinstance(point, LoadPoint)
@@ -45,7 +47,8 @@ def test_run_sirep_returns_load_point():
 
 def test_run_sirep_opt_label():
     point = run_sirep(
-        micro.make_workload(), 10, n_replicas=2, hole_sync=False,
+        micro.make_workload(), 10,
+        ClusterConfig(n_replicas=2, hole_sync=False),
         duration=2.0, warmup=0.5,
     )
     assert point.system == "SRCA-Opt"

@@ -241,15 +241,15 @@ def test_micro_ops_canonical_point_for_real():
 def test_run_sirep_profile_extras():
     """``profile=True`` folds the phase attribution into extras."""
     from repro.bench.harness import run_sirep
+    from repro.core import ClusterConfig
     from repro.workloads.micro import make_mixed_workload
 
     point = run_sirep(
         make_mixed_workload(read_weight=0.3),
         80.0,
-        n_replicas=3,
+        ClusterConfig(n_replicas=3),
         duration=2.0,
         warmup=0.5,
-        seed=0,
         profile=True,
     )
     updates = point.extras["profile"]["updates"]

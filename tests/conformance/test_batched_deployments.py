@@ -67,10 +67,9 @@ def test_sharded_batched_cluster_audit_passes():
     cluster = ShardedCluster(
         ShardConfig(
             n_groups=2,
-            replicas_per_group=3,
-            seed=4,
-            gcs=BATCHED_GCS,
-            group_commit=True,
+            group=ClusterConfig(
+                n_replicas=3, seed=4, gcs=BATCHED_GCS, group_commit=True
+            ),
             partition="explicit",
             table_map=table_map,
         )

@@ -108,13 +108,10 @@ def test_harness_output_round_trips_as_strict_json(tmp_path):
     point = run_sirep(
         make_mixed_workload(read_weight=0.3),
         40.0,
-        n_replicas=3,
+        ClusterConfig(n_replicas=3, seed=2, obs=True, sampler_interval=0.1),
         duration=1.5,
         warmup=0.3,
-        seed=2,
-        obs=True,
-        sampler_interval=0.1,
-        trace=True,
+        profile=True,
     )
     path = tmp_path / "point.json"
     blob = {
@@ -124,8 +121,9 @@ def test_harness_output_round_trips_as_strict_json(tmp_path):
     }
     path.write_text(json.dumps(blob, allow_nan=False))  # NaN would raise here
     loaded = json.loads(path.read_text())
+    updates = loaded["extras"]["profile"]["updates"]
+    assert updates["n"] > 0
+    assert "p95_ms" in updates["phases"]["sequencing"]
     metrics = loaded["extras"]["metrics"]
-    assert metrics["trace"]["n"] > 0
-    assert "commit_queue_p95" in metrics["trace"]
     assert len(metrics["obs"]["series"]) >= 5
     assert "R0.tocommit_depth" in metrics["obs"]["series"][0]

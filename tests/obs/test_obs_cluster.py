@@ -84,8 +84,10 @@ def test_sampler_gauges_under_batched_deployment():
 def test_sharded_deployment_shares_one_surface():
     cluster = ShardedCluster(
         ShardConfig(
-            n_groups=2, replicas_per_group=2, seed=3, obs=True,
-            sampler_interval=0.1,
+            n_groups=2,
+            group=ClusterConfig(
+                n_replicas=2, seed=3, obs=True, sampler_interval=0.1
+            ),
         )
     )
     # one registry across the groups; names disambiguated by prefix
@@ -210,6 +212,23 @@ def test_crash_unregisters_gauges_recovery_restores_them():
     cluster.stop()
 
 
+def test_stop_unregisters_every_groups_gauges_on_the_shared_surface():
+    """``stop()`` leaves no replica or reader callback gauge behind,
+    whether the cluster owns the registry or is one group of a sharded
+    deployment writing into its owner's."""
+    group = ClusterConfig(n_replicas=2, read_replicas=1, seed=9, obs=True)
+    for cluster, prefixes in (
+        (SIRepCluster(group), ("R",)),
+        (ShardedCluster(ShardConfig(n_groups=2, group=group)), ("G0-R", "G1-R")),
+    ):
+        gauges = cluster.obs.registry.gauges
+        for prefix in prefixes:
+            assert f"{prefix}1.tocommit_depth" in gauges
+            assert f"{prefix}r0.reader.lag" in gauges
+        cluster.stop()
+        assert not [name for name in gauges if name.startswith(prefixes)]
+
+
 READER_GAUGES = (
     "reader.watermark",
     "reader.lag",
@@ -265,15 +284,12 @@ def test_monitoring_is_read_only():
         return run_sirep(
             make_mixed_workload(read_weight=0.3),
             60.0,
-            n_replicas=3,
+            ClusterConfig(
+                n_replicas=3, seed=4, obs=obs, sampler_interval=0.1,
+                span_trace=obs, monitor=obs,
+            ),
             duration=2.0,
             warmup=0.5,
-            seed=4,
-            obs=obs,
-            sampler_interval=0.1,
-            trace=obs,
-            span_trace=obs,
-            monitor=obs,
         )
 
     on, off = measure(True), measure(False)

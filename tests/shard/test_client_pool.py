@@ -5,13 +5,22 @@ Regression guard: the read-scaling tier taught ``ClientPool`` to pass
 not accept the keyword — every sharded client died on its first
 statement with a ``TypeError`` the simulator swallowed, and the
 benchmark silently measured zero throughput.  This pins the pool ->
-router -> group path end to end, and the ``profile`` fold with it.
+router -> group path end to end, and the harness entry point with it.
+
+Also pins what makes that entry point one: a sharded deployment is
+described by the group's own :class:`ClusterConfig`, never by a copy.
 """
 
+from dataclasses import fields
+
 from repro.bench.costs import MicroCost
-from repro.bench.harness import per_replica_cost, run_sharded
-from repro.gcs import GcsConfig
-from repro.shard import ShardClientPool, ShardConfig, ShardedCluster
+from repro.bench.harness import per_replica_cost, run_sirep
+from repro.core import ClusterConfig
+from repro.core.tocommit import Entry
+from repro.core.validation import WsRecord
+from repro.shard import ShardConfig, ShardedCluster
+from repro.storage.writeset import UPDATE, WriteOp, WriteSet
+from repro.workloads import ClientPool
 from repro.workloads.sharded import make_partitioned_workload, make_table_map
 
 
@@ -21,44 +30,71 @@ def _workload(n_groups=2, rows=300):
     )
 
 
+def _config(**group):
+    return ShardConfig(
+        n_groups=2,
+        group=ClusterConfig(n_replicas=3, seed=0, **group),
+        partition="explicit",
+        table_map=make_table_map(2, 4),
+    )
+
+
 def test_shard_client_pool_commits():
     workload = _workload()
-    cluster = ShardedCluster(
-        ShardConfig(
-            n_groups=2,
-            replicas_per_group=3,
-            seed=0,
-            cost_model=per_replica_cost(MicroCost),
-            partition="explicit",
-            table_map=make_table_map(2, 4),
-            gcs=GcsConfig(),
-        )
-    )
+    cluster = ShardedCluster(_config(cost_model=per_replica_cost(MicroCost)))
     workload.install(cluster)
-    pool = ShardClientPool(cluster, workload, 20, 100.0, 2.0, warmup=0.5)
+    pool = ClientPool(
+        cluster, workload, 20, 100.0, 2.0, warmup=0.5, driver=cluster.router
+    )
     stats = pool.run()
     # the sim must run the full duration (dead clients drain the queue)
     assert cluster.sim.now >= 2.0
     assert stats.categories["update"].commits > 0
 
 
-def test_run_sharded_profile_extras():
-    point = run_sharded(
+def test_run_sirep_measures_a_shard_config():
+    point = run_sirep(
         _workload(),
         100.0,
-        n_groups=2,
-        replicas_per_group=3,
-        cost_model=MicroCost,
-        table_map=make_table_map(2, 4),
+        _config(cost_model=MicroCost),
         duration=2.0,
         warmup=0.5,
-        seed=0,
         profile=True,
     )
-    assert point.throughput > 0
+    assert point.system == "sharded x2"
+    assert point.extras["commits"]["update"] > 0
+    assert point.extras["update_commits"] > 0
     profile = point.extras["profile"]
     updates = profile["updates"]
     assert updates["n"] > 0
     assert updates["phases"]
     # attribution sums to end-to-end within the 1% acceptance bound
     assert updates["max_attribution_error"] <= 0.01
+
+
+def test_shard_config_redeclares_no_cluster_field():
+    shard = {f.name for f in fields(ShardConfig)}
+    assert shard == {"n_groups", "group", "partition", "table_map"}
+    assert not shard & {f.name for f in fields(ClusterConfig)}
+
+
+def test_every_group_knob_reaches_every_replica():
+    """Knobs the field-by-field copy never forwarded (unreachable on a
+    sharded deployment before ``ShardConfig.group``)."""
+    cluster = ShardedCluster(
+        _config(salvage=True, salvage_defer_depth=4, commit_pipeline=False)
+    )
+    replicas = [r for group in cluster.groups for r in group.replicas]
+    assert [r.name for r in replicas] == [
+        f"G{g}-R{i}" for g in range(2) for i in range(3)
+    ]
+    for replica in replicas:
+        assert replica.salvage and replica.db.defer_blind_ww
+        assert replica.manager.commit_pipeline is False
+        # blind-write deferral stays open up to salvage_defer_depth entries
+        queue = replica.manager.queue
+        for i in range(5):
+            assert replica.db.defer_gate() == (len(queue) <= 4)
+            op = WriteOp("t", i, UPDATE, {"k": i})
+            queue.append(Entry(WsRecord(f"g{i}", WriteSet([op]), cert=0)))
+        assert not replica.db.defer_gate()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ClusterConfig
 from repro.errors import (
     CrossShardStatementError,
     CrossShardWriteError,
@@ -14,14 +15,12 @@ TABLE_MAP = {"x0": 0, "y0": 0, "x1": 1, "y1": 1}
 DDL = [f"CREATE TABLE {t} (k INT PRIMARY KEY, v INT)" for t in TABLE_MAP]
 
 
-def make_cluster(seed=0, **overrides):
+def make_cluster(seed=0):
     config = ShardConfig(
         n_groups=2,
-        replicas_per_group=2,
-        seed=seed,
+        group=ClusterConfig(n_replicas=2, seed=seed),
         partition="explicit",
         table_map=TABLE_MAP,
-        **overrides,
     )
     cluster = ShardedCluster(config)
     cluster.load_schema(DDL)
@@ -125,7 +124,9 @@ def test_cross_shard_readonly_scatter_gather_vector():
 
 
 def test_ddl_rejected_inside_transaction():
-    cluster = ShardedCluster(ShardConfig(n_groups=2, replicas_per_group=2))
+    cluster = ShardedCluster(
+        ShardConfig(n_groups=2, group=ClusterConfig(n_replicas=2))
+    )
     cluster.load_schema(["CREATE TABLE base (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("base", [{"k": 1, "v": 0}])
 
@@ -160,7 +161,7 @@ def test_rollback_spans_groups():
 
 def test_schema_and_load_placement_validation():
     cluster = ShardedCluster(
-        ShardConfig(n_groups=2, replicas_per_group=2,
+        ShardConfig(n_groups=2, group=ClusterConfig(n_replicas=2),
                     partition="explicit", table_map=TABLE_MAP)
     )
     with pytest.raises(SQLError):

@@ -5,6 +5,7 @@ nor the cross-shard snapshot-freshness audit."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ClusterConfig
 from repro.errors import DatabaseError
 from repro.shard import ShardConfig, ShardedCluster
 from repro.testing import query
@@ -16,8 +17,7 @@ def build_cluster(seed):
     cluster = ShardedCluster(
         ShardConfig(
             n_groups=2,
-            replicas_per_group=3,
-            seed=seed,
+            group=ClusterConfig(n_replicas=3, seed=seed),
             partition="explicit",
             table_map=TABLE_MAP,
         )

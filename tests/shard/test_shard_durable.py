@@ -2,6 +2,7 @@
 watermarks, delta recovery within a group, elastic group growth, and
 cold restart of the whole deployment."""
 
+from repro.core import ClusterConfig
 from repro.durable import DurabilityConfig, DurabilityStore
 from repro.shard import ShardConfig, ShardedCluster
 from repro.testing import query
@@ -12,11 +13,9 @@ TABLE_MAP = {"kv0": 0, "kv1": 1}
 def build_cluster(seed=1, store=None, cold=False):
     config = ShardConfig(
         n_groups=2,
-        replicas_per_group=3,
-        seed=seed,
+        group=ClusterConfig(n_replicas=3, seed=seed, durable=True),
         partition="explicit",
         table_map=TABLE_MAP,
-        durable=True,
     )
     if cold:
         return ShardedCluster.cold_restart(config, store)
