@@ -4,6 +4,8 @@
 * :mod:`repro.core.tocommit` — per-replica to-commit queues.
 * :mod:`repro.core.holes` — adjustment 3's start/commit synchronization.
 * :mod:`repro.core.replica` — one DB replica + its committer machinery.
+* :mod:`repro.core.session` — Fig. 4's session-handling stage: the one
+  server side of the client protocol, shared by every system of §6.
 * :mod:`repro.core.srca` — the centralized SRCA of Fig. 1 (three modes).
 * :mod:`repro.core.srca_rep` — the decentralized SRCA-Rep of Fig. 4
   (and SRCA-Opt, adjustments 1+2 only).

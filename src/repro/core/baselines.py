@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.core import protocol
-from repro.errors import ReproError
+from repro.core.session import Session, accept_loop, session_loop
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
 from repro.net import LatencyModel, Network
-from repro.net.network import ChannelClosed
 from repro.sim import Event, Resource, Simulator
 from repro.sim.sync import OneShot
 from repro.storage import Database
@@ -50,6 +49,7 @@ class CentralizedSystem:
         net_base_latency: float = 0.0002,
         net_jitter: float = 0.0001,
     ):
+        self.name = "central"
         self.sim = Simulator(seed=seed)
         self.network = Network(
             self.sim,
@@ -70,8 +70,10 @@ class CentralizedSystem:
         self.host = self.network.register("central")
         self.discovery.register(self.host.address)
         self._gids = itertools.count(1)
-        self._client_count = 0
-        self.sim.spawn(self._accept_loop(), name="central.accept", daemon=True)
+        self.active_sessions = 0
+        self._processes = [
+            self.sim.spawn(self._accept_loop(), name="central.accept", daemon=True)
+        ]
 
     def load_schema(self, ddl_statements: Iterable[str]) -> None:
         for sql in ddl_statements:
@@ -81,67 +83,37 @@ class CentralizedSystem:
         self.db.bulk_load(table, rows)
 
     def new_client_host(self, name: Optional[str] = None):
-        self._client_count += 1
-        return self.network.register(name or f"client-{self._client_count}")
+        return self.network.register(name or self.network.unique_address("client"))
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            chan = yield self.host.accept()
-            self.sim.spawn(self._session(chan), name="central.session", daemon=True)
+    _accept_loop = accept_loop
+    _session_loop = session_loop
 
-    def _session(self, chan) -> Generator[Any, Any, None]:
-        txn = None
-        while True:
-            try:
-                request = yield from chan.recv()
-            except ChannelClosed:
-                if txn is not None and txn.active:
-                    self.db.abort(txn)
-                return
-            try:
-                if isinstance(request, protocol.ExecuteReq):
-                    if request.sql.lstrip().upper().startswith("CREATE"):
-                        self.db.run_ddl(request.sql)
-                        chan.send(protocol.ExecuteResp(request.seq, ok=True))
-                        continue
-                    if txn is None or not txn.active:
-                        txn = self.db.begin(gid=f"central:g{next(self._gids)}")
-                    result = yield from self.db.execute(
-                        txn, request.sql, request.params
-                    )
-                    chan.send(
-                        protocol.ExecuteResp(
-                            request.seq,
-                            ok=True,
-                            gid=txn.gid,
-                            rows=result.rows,
-                            columns=result.columns,
-                            rowcount=result.rowcount,
-                        )
-                    )
-                elif isinstance(request, protocol.CommitReq):
-                    if txn is not None and txn.active:
-                        yield from self.db.commit(txn)
-                    txn = None
-                    chan.send(protocol.CommitResp(request.seq, protocol.COMMITTED))
-                elif isinstance(request, protocol.RollbackReq):
-                    if txn is not None and txn.active:
-                        self.db.abort(txn)
-                    txn = None
-                    chan.send(protocol.RollbackResp(request.seq))
-                else:
-                    raise ReproError(f"unsupported request {request!r}")
-            except Exception as err:  # noqa: BLE001 - marshal to client
-                if txn is not None and txn.active:
-                    self.db.abort(txn)
-                txn = None
-                info = protocol.marshal_error(err)
-                if isinstance(request, protocol.ExecuteReq):
-                    chan.send(protocol.ExecuteResp(request.seq, ok=False, error=info))
-                else:
-                    chan.send(
-                        protocol.CommitResp(request.seq, protocol.ABORTED, error=info)
-                    )
+    def _execute(
+        self, session: Session, request: protocol.ExecuteReq
+    ) -> Generator[Any, Any, protocol.ExecuteResp]:
+        if request.sql.lstrip().upper().startswith("CREATE"):
+            self.db.run_ddl(request.sql)
+            return protocol.ExecuteResp(request.seq, ok=True)
+        if session.txn is None or not session.txn.active:
+            session.txn = self.db.begin(gid=f"central:g{next(self._gids)}")
+        txn = session.txn
+        result = yield from self.db.execute(txn, request.sql, request.params)
+        return protocol.ExecuteResp(
+            request.seq,
+            ok=True,
+            gid=txn.gid,
+            rows=result.rows,
+            columns=result.columns,
+            rowcount=result.rowcount,
+        )
+
+    def _commit(
+        self, session: Session, request: protocol.CommitReq
+    ) -> Generator[Any, Any, protocol.CommitResp]:
+        txn = session.txn
+        if txn is not None and txn.active:
+            yield from self.db.commit(txn)
+        return protocol.CommitResp(request.seq, protocol.COMMITTED)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +219,11 @@ class _TableLockReplica:
         #: rid -> writeset waiter at remote replicas
         self._ws_events: dict[str, Event] = {}
         self._requests: dict[str, _LockRequest] = {}
-        self.sim.spawn(self._deliver_loop(), name=f"{self.name}.deliver", daemon=True)
-        self.sim.spawn(self._accept_loop(), name=f"{self.name}.accept", daemon=True)
+        self.active_sessions = 0
+        self._processes = [
+            self.sim.spawn(self._deliver_loop(), name=f"{self.name}.deliver", daemon=True),
+            self.sim.spawn(self._accept_loop(), name=f"{self.name}.accept", daemon=True),
+        ]
 
     # -- GCS side -----------------------------------------------------------------
 
@@ -311,31 +286,8 @@ class _TableLockReplica:
 
     # -- client side ----------------------------------------------------------------
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            chan = yield self.host.accept()
-            self.sim.spawn(
-                self._session(chan), name=f"{self.name}.session", daemon=True
-            )
-
-    def _session(self, chan) -> Generator[Any, Any, None]:
-        while True:
-            try:
-                request = yield from chan.recv()
-            except ChannelClosed:
-                return
-            assert isinstance(request, protocol.ProcRequest)
-            try:
-                rows = yield from self._handle_proc(request)
-                chan.send(protocol.ProcResp(request.seq, protocol.COMMITTED, rows))
-            except Exception as err:  # noqa: BLE001
-                chan.send(
-                    protocol.ProcResp(
-                        request.seq,
-                        protocol.ABORTED,
-                        error=protocol.marshal_error(err),
-                    )
-                )
+    _accept_loop = accept_loop
+    _session_loop = session_loop
 
     def _handle_proc(self, request: protocol.ProcRequest) -> Generator[Any, Any, Any]:
         proc = self.system.procedures[request.proc]
@@ -383,7 +335,6 @@ class TableLockSystem:
         self.cost_model = cost_model
         self.with_disk = with_disk
         self._rids = itertools.count(1)
-        self._client_count = 0
         self.replicas = [_TableLockReplica(self, i) for i in range(n_replicas)]
 
     def load_schema(self, ddl_statements: Iterable[str]) -> None:
@@ -396,8 +347,7 @@ class TableLockSystem:
             replica.db.bulk_load(table, rows)
 
     def new_client_host(self, name: Optional[str] = None):
-        self._client_count += 1
-        return self.network.register(name or f"client-{self._client_count}")
+        return self.network.register(name or self.network.unique_address("client"))
 
 
 class ProcClient:

@@ -284,7 +284,6 @@ class SIRepCluster:
             self.monitor.start()
         self.nodes: list[ReplicaNode] = []
         self.replicas: list[MiddlewareReplica] = []
-        self._client_count = 0
         self._schema_ddl: list[str] = []
         self._incarnations: dict[str, int] = {}
         self._recovered: set[str] = set()
@@ -686,7 +685,6 @@ class SIRepCluster:
     # ----------------------------------------------------------------- clients
 
     def new_client_host(self, name: Optional[str] = None):
-        self._client_count += 1
         label = name or self.network.unique_address("client")
         return self.network.register(label)
 

@@ -24,11 +24,12 @@ from typing import Any, Generator, Iterable, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaManager, ReplicaNode
+from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
+from repro.errors import TransactionAborted
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
 from repro.net import LatencyModel, Network
-from repro.net.network import ChannelClosed
 from repro.sim import Resource, Simulator
 from repro.sim.sync import OneShot
 from repro.storage import Database
@@ -60,8 +61,11 @@ class _KernelNode:
         system.discovery.register(self.host.address)
         self._pending: dict[str, tuple[Any, OneShot]] = {}
         self._gids = itertools.count(1)
-        self.sim.spawn(self._deliver_loop(), name=f"{self.name}.deliver", daemon=True)
-        self.sim.spawn(self._accept_loop(), name=f"{self.name}.accept", daemon=True)
+        self.active_sessions = 0
+        self._processes = [
+            self.sim.spawn(self._deliver_loop(), name=f"{self.name}.deliver", daemon=True),
+            self.sim.spawn(self._accept_loop(), name=f"{self.name}.accept", daemon=True),
+        ]
         self.local_aborts_by_remote = 0
 
     # ----------------------------------------------------------- replication
@@ -104,69 +108,34 @@ class _KernelNode:
 
     # ------------------------------------------------------------ client side
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            chan = yield self.host.accept()
-            self.sim.spawn(
-                self._session(chan), name=f"{self.name}.session", daemon=True
+    _accept_loop = accept_loop
+    _session_loop = session_loop
+
+    def _execute(
+        self, session: Session, request: protocol.ExecuteReq
+    ) -> Generator[Any, Any, protocol.ExecuteResp]:
+        if session.txn is not None and not session.txn.active:
+            # killed by a conflicting replicated writeset between client
+            # statements: surface it once
+            session.txn = None
+            raise TransactionAborted(
+                "transaction aborted by a conflicting replicated writeset"
             )
+        if session.txn is None:
+            yield from self.manager.wait_local_start()
+            session.txn = self.db.begin(gid=f"{self.name}:g{next(self._gids)}")
+        txn = session.txn
+        result = yield from self.db.execute(txn, request.sql, request.params)
+        return protocol.ExecuteResp(
+            request.seq, ok=True, gid=txn.gid,
+            rows=result.rows, columns=result.columns,
+            rowcount=result.rowcount,
+        )
 
-    def _session(self, chan) -> Generator[Any, Any, None]:
-        txn = None
-        while True:
-            try:
-                request = yield from chan.recv()
-            except ChannelClosed:
-                if txn is not None and txn.active:
-                    self.db.abort(txn)
-                return
-            try:
-                if isinstance(request, protocol.ExecuteReq):
-                    if txn is not None and not txn.active:
-                        # killed by a conflicting replicated writeset
-                        # between client statements: surface it once
-                        txn = None
-                        from repro.errors import TransactionAborted
-
-                        raise TransactionAborted(
-                            "transaction aborted by a conflicting "
-                            "replicated writeset"
-                        )
-                    if txn is None:
-                        yield from self.manager.wait_local_start()
-                        txn = self.db.begin(gid=f"{self.name}:g{next(self._gids)}")
-                    result = yield from self.db.execute(
-                        txn, request.sql, request.params
-                    )
-                    chan.send(
-                        protocol.ExecuteResp(
-                            request.seq, ok=True, gid=txn.gid,
-                            rows=result.rows, columns=result.columns,
-                            rowcount=result.rowcount,
-                        )
-                    )
-                elif isinstance(request, protocol.CommitReq):
-                    response = yield from self._commit(request, txn)
-                    txn = None
-                    chan.send(response)
-                elif isinstance(request, protocol.RollbackReq):
-                    if txn is not None and txn.active:
-                        self.db.abort(txn)
-                    txn = None
-                    chan.send(protocol.RollbackResp(request.seq))
-            except Exception as err:  # noqa: BLE001
-                if txn is not None and txn.active:
-                    self.db.abort(txn)
-                txn = None
-                info = protocol.marshal_error(err)
-                if isinstance(request, protocol.ExecuteReq):
-                    chan.send(protocol.ExecuteResp(request.seq, ok=False, error=info))
-                else:
-                    chan.send(
-                        protocol.CommitResp(request.seq, protocol.ABORTED, error=info)
-                    )
-
-    def _commit(self, request, txn) -> Generator[Any, Any, Any]:
+    def _commit(
+        self, session: Session, request: protocol.CommitReq
+    ) -> Generator[Any, Any, protocol.CommitResp]:
+        txn = session.txn
         if txn is None or not txn.active:
             return protocol.CommitResp(request.seq, protocol.COMMITTED)
         writeset = self.db.get_writeset(txn)
@@ -208,7 +177,6 @@ class KernelReplicatedSystem:
         self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
         self.discovery = DiscoveryService(self.sim)
         self.cost_model = cost_model
-        self._client_count = 0
         self.nodes = [_KernelNode(self, i) for i in range(n_replicas)]
 
     def load_schema(self, ddl_statements: Iterable[str]) -> None:
@@ -221,5 +189,4 @@ class KernelReplicatedSystem:
             node.db.bulk_load(table, rows)
 
     def new_client_host(self, name: Optional[str] = None):
-        self._client_count += 1
-        return self.network.register(name or f"kr-client-{self._client_count}")
+        return self.network.register(name or self.network.unique_address("kr-client"))

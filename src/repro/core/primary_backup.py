@@ -32,11 +32,11 @@ from typing import Any, Generator, Iterable, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaManager, ReplicaNode
+from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
 from repro.net import LatencyModel, Network
-from repro.net.network import ChannelClosed
 from repro.sim import Gate, Resource, Simulator, wait_until
 from repro.sim.sync import OneShot
 from repro.storage import Database
@@ -75,6 +75,7 @@ class _Middleware:
         self.view_gate = Gate(name=f"{name}.view-gate")
         self.member = system.bus.join(name)
         self.host = system.network.register(name)
+        self.active_sessions = 0
         self._processes = [
             self.sim.spawn(self._deliver_loop(), name=f"{name}.deliver", daemon=True),
             self.sim.spawn(self._accept_loop(), name=f"{name}.accept", daemon=True),
@@ -148,65 +149,25 @@ class _Middleware:
 
     # ---------------------------------------------------------- client side
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            chan = yield self.host.accept()
-            self._processes.append(
-                self.sim.spawn(
-                    self._session_loop(chan), name=f"{self.name}.session", daemon=True
-                )
-            )
+    _accept_loop = accept_loop
+    _session_loop = session_loop
 
-    def _session_loop(self, chan) -> Generator[Any, Any, None]:
-        txn = None
-        while True:
-            try:
-                request = yield from chan.recv()
-            except ChannelClosed:
-                if txn is not None and txn.active:
-                    txn.db.abort(txn)
-                return
-            try:
-                if isinstance(request, protocol.ExecuteReq):
-                    if txn is None or not txn.active:
-                        db = self._pick_db()
-                        txn = db.begin(gid=f"{self.name}:g{next(self._gids)}")
-                    result = yield from txn.db.execute(
-                        txn, request.sql, request.params
-                    )
-                    chan.send(
-                        protocol.ExecuteResp(
-                            request.seq,
-                            ok=True,
-                            gid=txn.gid,
-                            rows=result.rows,
-                            columns=result.columns,
-                            rowcount=result.rowcount,
-                        )
-                    )
-                elif isinstance(request, protocol.CommitReq):
-                    response = yield from self._commit(request, txn)
-                    txn = None
-                    chan.send(response)
-                elif isinstance(request, protocol.RollbackReq):
-                    if txn is not None and txn.active:
-                        txn.db.abort(txn)
-                    txn = None
-                    chan.send(protocol.RollbackResp(request.seq))
-                elif isinstance(request, protocol.InquireReq):
-                    outcome = yield from self._inquire(request.gid, request.crashed)
-                    chan.send(protocol.InquireResp(request.seq, outcome))
-            except Exception as err:  # noqa: BLE001
-                if txn is not None and txn.active:
-                    txn.db.abort(txn)
-                txn = None
-                info = protocol.marshal_error(err)
-                if isinstance(request, protocol.ExecuteReq):
-                    chan.send(protocol.ExecuteResp(request.seq, ok=False, error=info))
-                else:
-                    chan.send(
-                        protocol.CommitResp(request.seq, protocol.ABORTED, error=info)
-                    )
+    def _execute(
+        self, session: Session, request: protocol.ExecuteReq
+    ) -> Generator[Any, Any, protocol.ExecuteResp]:
+        if session.txn is None or not session.txn.active:
+            db = self._pick_db()
+            session.txn = db.begin(gid=f"{self.name}:g{next(self._gids)}")
+        txn = session.txn
+        result = yield from txn.db.execute(txn, request.sql, request.params)
+        return protocol.ExecuteResp(
+            request.seq,
+            ok=True,
+            gid=txn.gid,
+            rows=result.rows,
+            columns=result.columns,
+            rowcount=result.rowcount,
+        )
 
     def _pick_db(self) -> Database:
         db = self.system.nodes[self._next_db % len(self.system.nodes)].db
@@ -216,7 +177,10 @@ class _Middleware:
     def _manager_of(self, db: Database) -> ReplicaManager:
         return next(m for m in self.managers if m.db is db)
 
-    def _commit(self, request: protocol.CommitReq, txn) -> Generator[Any, Any, Any]:
+    def _commit(
+        self, session: Session, request: protocol.CommitReq
+    ) -> Generator[Any, Any, protocol.CommitResp]:
+        txn = session.txn
         if txn is None or not txn.active:
             return protocol.CommitResp(request.seq, protocol.COMMITTED)
         writeset = txn.db.get_writeset(txn)
@@ -292,7 +256,6 @@ class PrimaryBackupSystem:
         self.active_name = self.primary_name
         self.primary = _Middleware(self, self.primary_name, primary=True)
         self.backup = _Middleware(self, self.backup_name, primary=False)
-        self._client_count = 0
 
     def load_schema(self, ddl_statements: Iterable[str]) -> None:
         for sql in ddl_statements:
@@ -304,8 +267,7 @@ class PrimaryBackupSystem:
             node.db.bulk_load(table, rows)
 
     def new_client_host(self, name: Optional[str] = None):
-        self._client_count += 1
-        return self.network.register(name or f"pb-client-{self._client_count}")
+        return self.network.register(name or self.network.unique_address("pb-client"))
 
     def crash_primary(self) -> None:
         """Kill the primary middleware; the databases stay up (their own

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaManager, ReplicaNode
+from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.durable import log as durable_log
@@ -33,17 +33,6 @@ from repro.sim import Gate, Simulator, wait_until
 from repro.sim.sync import OneShot
 from repro.storage.writeset import DELETE as DELETE_OP
 from repro.storage.writeset import UPDATE as UPDATE_OP
-
-
-@dataclass
-class _Session:
-    """Server-side state of one client connection."""
-
-    txn: Any = None  # active engine Transaction (or None)
-    gid: Optional[str] = None
-    #: causal-trace spans of the active transaction (repro.obs.trace)
-    root_span: Any = None
-    exec_span: Any = None
 
 
 class MiddlewareReplica:
@@ -585,17 +574,6 @@ class MiddlewareReplica:
     def _count(self, name: str, n: int = 1) -> None:
         if self.obs is not None:
             self.obs.registry.counter(name).inc(n)
-
-    def _spans_abort(self, session: _Session, status: str = "aborted") -> None:
-        """Close (never leak) the session's spans on any abort path."""
-        if self.tracer is None:
-            return
-        if session.exec_span is not None:
-            self.tracer.finish(session.exec_span, status=status)
-            session.exec_span = None
-        if session.root_span is not None:
-            self.tracer.finish(session.root_span, status=status)
-            session.root_span = None
 
     # ------------------------------------------------------------------ GCS side
 
@@ -1152,88 +1130,20 @@ class MiddlewareReplica:
 
     # --------------------------------------------------------------- client side
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            channel_end = yield self.host.accept()
-            # reap finished session handles before tracking a new one:
-            # under churny clients the list would otherwise grow without
-            # bound (crash() only needs the still-alive processes)
-            self._processes = [p for p in self._processes if p.alive]
-            self._processes.append(
-                self.sim.spawn(
-                    self._session_loop(channel_end),
-                    name=f"{self.name}.session",
-                    daemon=True,
-                )
-            )
+    # Fig. 4's session-handling stage is the shared front-end; bound on
+    # this class itself (not inherited) because benchmarks/e2e/trace.py
+    # shims ``vars(MiddlewareReplica)`` entries by name
+    _accept_loop = accept_loop
+    _session_loop = session_loop
 
-    def _session_loop(self, chan) -> Generator[Any, Any, None]:
-        session = _Session()
-        self.active_sessions += 1
-        try:
-            while True:
-                try:
-                    request = yield from chan.recv()
-                except ChannelClosed:
-                    if session.txn is not None and session.txn.active:
-                        self.db.abort(session.txn)
-                        self._spans_abort(session, status="lost-session")
-                    return
-                if isinstance(request, (protocol.StateTransfer, protocol.DeltaTransfer)):
-                    # inbound recovery state from a donor, not a client;
-                    # feed it into the GCS inbox so the recovery phase
-                    # sees state, markers, and view changes as one
-                    # ordered stream
-                    self.member.inbox.put(request)
-                    return
-                try:
-                    response = yield from self._dispatch(session, request)
-                except Exception as err:  # noqa: BLE001 - marshal to the client
-                    response = self._error_response(request, err)
-                    if session.txn is not None and session.txn.active:
-                        self.db.abort(session.txn)
-                    self._spans_abort(session)
-                    session.txn = None
-                chan.send(response)
-        finally:
-            self.active_sessions -= 1
-
-    def _error_response(self, request, err):
-        info = protocol.marshal_error(err)
-        if isinstance(request, protocol.ExecuteReq):
-            return protocol.ExecuteResp(request.seq, ok=False, error=info)
-        if isinstance(request, protocol.CommitReq):
-            return protocol.CommitResp(request.seq, protocol.ABORTED, error=info)
-        if isinstance(request, protocol.InquireReq):
-            # a failed inquiry must still answer with an InquireResp — a
-            # RollbackResp here would derail the driver's in-doubt
-            # failover path (it reads ``outcome``/``error`` off the
-            # response); the outcome stays unresolved, so mark the error
-            return protocol.InquireResp(
-                request.seq, protocol.ABORTED, error=info
-            )
-        return protocol.RollbackResp(request.seq)
-
-    def _dispatch(self, session: _Session, request) -> Generator[Any, Any, Any]:
-        if isinstance(request, protocol.ExecuteReq):
-            result = yield from self._execute(session, request)
-            return result
-        if isinstance(request, protocol.CommitReq):
-            result = yield from self._commit(session, request)
-            return result
-        if isinstance(request, protocol.RollbackReq):
-            if session.txn is not None and session.txn.active:
-                self.db.abort(session.txn)
-            self._spans_abort(session, status="rolled-back")
-            session.txn = None
-            return protocol.RollbackResp(request.seq)
-        if isinstance(request, protocol.InquireReq):
-            outcome = yield from self._inquire(request.gid, request.crashed)
-            return protocol.InquireResp(request.seq, outcome)
-        raise ValueError(f"unknown request {request!r}")
+    def _accept_transfer(self, state) -> None:
+        """Recovery state arrives on a client channel; feed it into the
+        GCS inbox so the recovery phase sees state, markers, and view
+        changes as one ordered stream."""
+        self.member.inbox.put(state)
 
     def _execute(
-        self, session: _Session, request: protocol.ExecuteReq
+        self, session: Session, request: protocol.ExecuteReq
     ) -> Generator[Any, Any, protocol.ExecuteResp]:
         if self.recover_from is not None and not self.recovered:
             raise CertificationAborted(
@@ -1351,7 +1261,7 @@ class MiddlewareReplica:
         )
 
     def _commit(
-        self, session: _Session, request: protocol.CommitReq
+        self, session: Session, request: protocol.CommitReq
     ) -> Generator[Any, Any, protocol.CommitResp]:
         txn = session.txn
         session.txn = None

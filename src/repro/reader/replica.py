@@ -10,9 +10,10 @@ Def. 3 order (just possibly at an older csn — the **watermark**, which
 is the certification tid of the last applied writeset and equals the
 csn token full replicas return on commit).
 
-Serving mirrors the middleware session loop, restricted to SELECTs:
-anything else raises :class:`~repro.errors.ReadOnlyViolation`.  A
-session token (``ExecuteReq.min_csn``) delays the snapshot until the
+Clients are served through the shared session front-end
+(:mod:`repro.core.session`), SELECTs only: anything else raises
+:class:`~repro.errors.ReadOnlyViolation`.  A session token
+(``ExecuteReq.min_csn``) delays the snapshot until the
 watermark reaches it (read-your-writes / monotonic reads); a configured
 ``staleness_bound`` delays *every* new snapshot — and declines
 discovery — while the reader lags the certified tip by more than that
@@ -22,27 +23,19 @@ many transactions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaNode
+from repro.core.session import Session, accept_loop, session_loop
 from repro.durable import log as durable_log
 from repro.errors import ReadOnlyViolation
 from repro.gcs import DiscoveryService
-from repro.net.network import ChannelClosed, Host
+from repro.net.network import Host
 from repro.reader.config import ReaderConfig
 from repro.reader.feed import CertifiedFeed
 from repro.sim import Gate, Simulator, wait_until
 from repro.storage.writeset import WriteSet
-
-
-@dataclass
-class _Session:
-    """Server-side state of one read-only client connection."""
-
-    txn: Any = None
-    gid: Optional[str] = None
 
 
 class ReadReplica:
@@ -225,64 +218,11 @@ class ReadReplica:
 
     # ---------------------------------------------------------- serving side
 
-    def _accept_loop(self) -> Generator[Any, Any, None]:
-        while True:
-            channel_end = yield self.host.accept()
-            self._processes = [p for p in self._processes if p.alive]
-            self._processes.append(
-                self.sim.spawn(
-                    self._session_loop(channel_end),
-                    name=f"{self.name}.session",
-                    daemon=True,
-                )
-            )
-
-    def _session_loop(self, chan) -> Generator[Any, Any, None]:
-        session = _Session()
-        self.active_sessions += 1
-        try:
-            while True:
-                try:
-                    request = yield from chan.recv()
-                except ChannelClosed:
-                    if session.txn is not None and session.txn.active:
-                        self.db.abort(session.txn)
-                    return
-                try:
-                    response = yield from self._dispatch(session, request)
-                except Exception as err:  # noqa: BLE001 - marshal to the client
-                    response = self._error_response(request, err)
-                    if session.txn is not None and session.txn.active:
-                        self.db.abort(session.txn)
-                    session.txn = None
-                chan.send(response)
-        finally:
-            self.active_sessions -= 1
-
-    def _error_response(self, request, err):
-        info = protocol.marshal_error(err)
-        if isinstance(request, protocol.ExecuteReq):
-            return protocol.ExecuteResp(request.seq, ok=False, error=info)
-        if isinstance(request, protocol.CommitReq):
-            return protocol.CommitResp(request.seq, protocol.ABORTED, error=info)
-        return protocol.RollbackResp(request.seq)
-
-    def _dispatch(self, session: _Session, request) -> Generator[Any, Any, Any]:
-        if isinstance(request, protocol.ExecuteReq):
-            result = yield from self._execute(session, request)
-            return result
-        if isinstance(request, protocol.CommitReq):
-            result = yield from self._commit(session, request)
-            return result
-        if isinstance(request, protocol.RollbackReq):
-            if session.txn is not None and session.txn.active:
-                self.db.abort(session.txn)
-            session.txn = None
-            return protocol.RollbackResp(request.seq)
-        raise ValueError(f"read replica cannot serve {request!r}")
+    _accept_loop = accept_loop
+    _session_loop = session_loop
 
     def _execute(
-        self, session: _Session, request: protocol.ExecuteReq
+        self, session: Session, request: protocol.ExecuteReq
     ) -> Generator[Any, Any, protocol.ExecuteResp]:
         verb = request.sql.lstrip().split(None, 1)[0].upper() if request.sql.strip() else ""
         if verb != "SELECT":
@@ -331,7 +271,7 @@ class ReadReplica:
         )
 
     def _commit(
-        self, session: _Session, request: protocol.CommitReq
+        self, session: Session, request: protocol.CommitReq
     ) -> Generator[Any, Any, protocol.CommitResp]:
         txn = session.txn
         session.txn = None

@@ -12,8 +12,8 @@ import pytest
 
 from repro.bench.harness import run_sirep
 from repro.client import Driver
-from repro.core import ClusterConfig, MiddlewareReplica, SIRepCluster
-from repro.core import protocol
+from repro.core import ClusterConfig, SIRepCluster
+from repro.core import protocol, session
 from repro.errors import DatabaseError
 from repro.workloads.micro import make_mixed_workload
 
@@ -30,9 +30,7 @@ def make_cluster(n=3, seed=1, **kwargs):
 
 def test_error_response_answers_inquire_with_inquire_resp():
     request = protocol.InquireReq(9, "gid-1", "R0")
-    response = MiddlewareReplica._error_response(
-        None, request, RuntimeError("boom")
-    )
+    response = session._error_response(request, RuntimeError("boom"))
     assert isinstance(response, protocol.InquireResp)
     assert response.seq == 9
     assert response.error == ("RuntimeError", "boom")
