@@ -1013,6 +1013,8 @@ class SIRepCluster:
                     "log_depth": replica.wslog.retained_records,
                     "log_bytes": replica.wslog.durable_bytes,
                     "log_flushes": replica.wslog.flushes,
+                    "log_fsyncs": replica.wslog.fsyncs,
+                    "log_file_opens": replica.wslog.opens,
                     "checkpoints": (
                         replica.checkpoints.saved
                         if replica.checkpoints is not None
@@ -1073,6 +1075,8 @@ class SIRepCluster:
         for replica in self.replicas:
             if replica.alive:
                 replica.crash()
+            if replica.wslog is not None:
+                replica.wslog.close()
         for reader in self.readers:
             if reader.alive:
                 reader.crash()

@@ -186,7 +186,7 @@ class MiddlewareReplica:
         ]
         if durable is not None:
             self._processes.append(
-                sim.spawn(self._log_flusher(), name=f"{name}.log-flush", daemon=True)
+                sim.spawn(self._log_flusher(), name=f"{name}.log-flush")
             )
             interval = durable.config.checkpoint_interval
             if interval is not None:
@@ -263,10 +263,23 @@ class MiddlewareReplica:
 
     def _log_flusher(self) -> Generator[Any, Any, None]:
         """Make appended log records durable, group-commit style: one
-        disk charge per run of records staged when the flush starts."""
+        disk charge, and on disk one ``write`` + one ``fsync``, per run
+        of records staged when the flush starts.
+
+        Off the reply path: a commit is acknowledged once certified, and
+        durability travels as the ``durable_seq`` watermark on our next
+        multicast.  The ``fsync`` runs through ``sim.run_blocking`` (the
+        wall runtime's I/O thread), so it does not stall the loop that
+        every other replica and client shares; ``durable_seq`` advances
+        only once it returns.  A failing force kills this process, which
+        is not a daemon, so the run aborts instead of going on without
+        durability.
+        """
         while True:
             yield from wait_until(self._flush_gate, lambda: bool(self.wslog.tail))
-            flushed = yield from self.wslog.flush(self._charge_disk)
+            flushed = yield from self.wslog.flush(
+                self._charge_disk, self.sim.run_blocking
+            )
             if flushed and self.member.alive:
                 # the ack piggybacks on our next multicast and feeds the
                 # stability watermark that gates log truncation

@@ -14,13 +14,18 @@ Durability is two-staged, mirroring a WAL:
 * :meth:`WritesetLog.append` puts a record in the in-memory **tail**
   (cheap, synchronous — called from the delivery loop);
 * a flush (driven by the replica's flusher daemon through
-  :meth:`flush`) makes the tail durable, paying one fsync-equivalent
-  disk charge per *group* of records — the same coalescing idea as
-  :class:`repro.core.tocommit.GroupCommitLog`.  A crash loses the tail
+  :meth:`flush`) makes the tail durable as a **group**: one disk charge,
+  and on disk one ``write`` plus one ``fsync`` — the same coalescing
+  idea as :class:`repro.core.tocommit.GroupCommitLog`.  The ``fsync``
+  goes through the runtime's ``run_blocking`` (an I/O thread on the wall
+  clock), so the loop keeps serving while it runs; records appended
+  meanwhile form the next group.  The durable watermark (``durable_seq``)
+  moves only after the force returns.  A crash loses the tail
   (``drop_tail``), never flushed records.
 
-With ``directory`` set, durable records are additionally written as
-JSONL segment files, so a cold restart can rebuild the cluster from
+With ``directory`` set, durable records are additionally written to
+segment files — one line per record, a one-letter kind tag followed by
+the record's JSON text — so a cold restart can rebuild the cluster from
 disk; without it the segments live in memory and survive replica
 incarnations through the owning :class:`repro.durable.store.DurabilityStore`.
 """
@@ -29,23 +34,30 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Generator, Optional
 
+from repro.errors import ReproError
 from repro.storage.writeset import WriteOp
 
 WS = "ws"
 DDL = "ddl"
 LOAD = "load"
 
+#: segment-file line tag of a genesis DDL record (the other kinds are
+#: tagged by their first letter)
+_GENESIS_DDL_TAG = "g"
+
 
 @dataclass(frozen=True)
 class LogRecord:
     """One replayable log entry.
 
-    ``seq`` is the log position (identical across replicas); ``nbytes``
-    the serialized size used for disk-charge and transfer accounting.
+    ``seq`` is the log position (identical across replicas); ``line`` the
+    record's JSON text, encoded once when the record is built and written
+    to disk as is; ``nbytes`` its length, used for disk-charge and
+    transfer accounting.
     """
 
     seq: int
@@ -63,74 +75,95 @@ class LogRecord:
     #: *replicated* records advance the certified-feed position that the
     #: read tier subscribes at.
     genesis: bool = False
+    line: str = field(default="", compare=False, repr=False)
 
     @classmethod
     def ws(cls, seq: int, gid: str, tid: int, sender: str, ops) -> "LogRecord":
         ops = tuple(ops)
-        size = len(json.dumps([seq, gid, tid, sender] + _encode_ops(ops)))
+        line = json.dumps([seq, gid, tid, sender] + _encode_ops(ops))
         return cls(seq=seq, kind=WS, gid=gid, tid=tid, sender=sender,
-                   ops=ops, nbytes=size)
+                   ops=ops, nbytes=len(line), line=line)
 
     @classmethod
     def ddl(cls, seq: int, sql: str, genesis: bool = False) -> "LogRecord":
+        line = json.dumps([seq, sql])
         return cls(seq=seq, kind=DDL, sql=sql, genesis=genesis,
-                   nbytes=len(json.dumps([seq, sql])))
+                   nbytes=len(line), line=line)
 
     @classmethod
     def load(cls, seq: int, table: str, rows) -> "LogRecord":
         rows = tuple(dict(row) for row in rows)
-        size = len(json.dumps([seq, table, list(rows)]))
-        return cls(seq=seq, kind=LOAD, table=table, rows=rows, nbytes=size,
-                   genesis=True)
+        line = json.dumps([seq, table, list(rows)])
+        return cls(seq=seq, kind=LOAD, table=table, rows=rows,
+                   nbytes=len(line), line=line, genesis=True)
 
     @property
     def keys(self) -> frozenset:
         """The (table, pk) identifiers a ws record touches."""
         return frozenset(op.key for op in self.ops)
 
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {"seq": self.seq, "kind": self.kind}
-        if self.kind == WS:
-            out.update(gid=self.gid, tid=self.tid, sender=self.sender,
-                       ops=_encode_ops(self.ops))
-        elif self.kind == DDL:
-            out["sql"] = self.sql
-            if self.genesis:
-                out["genesis"] = True
-        else:
-            out.update(table=self.table, rows=list(self.rows))
-        return out
+    def to_line(self) -> str:
+        """The segment-file line: kind tag, JSON text, newline."""
+        tag = _GENESIS_DDL_TAG if self.genesis and self.kind == DDL else self.kind[0]
+        return f"{tag}{self.line}\n"
 
     @classmethod
-    def from_json(cls, data: dict) -> "LogRecord":
-        kind = data["kind"]
-        if kind == WS:
-            ops = tuple(
-                WriteOp(table, pk, op, values)
-                for table, pk, op, values in data["ops"]
-            )
-            return cls.ws(data["seq"], data["gid"], data["tid"],
-                          data["sender"], ops)
-        if kind == DDL:
-            return cls.ddl(data["seq"], data["sql"],
-                           genesis=data.get("genesis", False))
-        return cls.load(data["seq"], data["table"], data["rows"])
+    def from_line(cls, text: str) -> "LogRecord":
+        tag, data = text[:1], json.loads(text[1:])
+        if tag == WS[0]:
+            seq, gid, tid, sender, *ops = data
+            return cls.ws(seq, gid, tid, sender, (WriteOp(*op) for op in ops))
+        if tag in (DDL[0], _GENESIS_DDL_TAG):
+            seq, sql = data
+            return cls.ddl(seq, sql, genesis=tag == _GENESIS_DDL_TAG)
+        if tag == LOAD[0]:
+            seq, table, rows = data
+            return cls.load(seq, table, rows)
+        raise ValueError(f"unknown log record tag {tag!r}")
 
 
 def _encode_ops(ops: tuple) -> list:
     return [[op.table, op.pk, op.op, op.values] for op in ops]
 
 
+def _run_inline(fn: Callable[[], Any]) -> Generator[Any, Any, Any]:
+    """``run_blocking`` for callers without a runtime: call ``fn`` now."""
+    return fn()
+    yield  # pragma: no cover - makes this a generator
+
+
+def _force(fd: int) -> Callable[[], None]:
+    """The blocking half of a group flush.  It owns ``fd`` (a duplicate
+    of the log's handle), so the log may close its own handle — seal,
+    rebase, crash, ``close()`` — while the force is still running."""
+
+    def force() -> None:
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    return force
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 class Segment:
     """A run of consecutive durable records (one file when disk-backed)."""
 
-    __slots__ = ("base_seq", "records", "sealed", "path")
+    __slots__ = ("base_seq", "records", "sealed", "path", "size")
 
     def __init__(self, base_seq: int, path: Optional[Path] = None):
         self.base_seq = base_seq
         self.records: list[LogRecord] = []
         self.sealed = False
         self.path = path
+        #: bytes of the segment file that hold durable records
+        self.size = 0
 
     @property
     def last_seq(self) -> int:
@@ -155,9 +188,13 @@ class WritesetLog:
         #: durability is paid for, not just accounted); needs ``directory``
         self.fsync = fsync
         self.fsyncs = 0
+        #: segment files opened for appending (one per segment touched
+        #: per incarnation, not one per record)
+        self.opens = 0
         #: durable records, oldest first; the last segment is the active one
         self.segments: list[Segment] = []
-        #: appended but not yet durable (lost on crash)
+        #: appended but not yet durable (lost on crash); a flush in
+        #: progress takes its group off the front only once it is durable
         self.tail: list[LogRecord] = []
         #: seq of the oldest *retained* durable record (truncation floor + 1)
         self.start_seq = 1
@@ -170,6 +207,10 @@ class WritesetLog:
         self.durable_bytes = 0
         #: set when a full-state recovery discarded the prefix (see rebase)
         self.rebased_at: Optional[int] = None
+        #: O_APPEND handle on the file the next group goes to: opened on
+        #: first write, closed when that segment seals (or on rebase,
+        #: crash and close), so it never points at another file
+        self._fd: Optional[int] = None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._load_from_disk()
@@ -205,56 +246,105 @@ class WritesetLog:
             raise AssertionError(f"{self.name}: durable append behind a tail")
         self.append(record)
         self.tail = []
-        self._commit_flush([record], record.nbytes)
+        written = 0
+        if self.directory is not None:
+            written = self._write([record])
+            if self.fsync:
+                os.fsync(self._fd)
+                self.fsyncs += 1
+        self._commit_flush([record], record.nbytes, written)
 
     # ------------------------------------------------------------------- flush
 
-    def flush(self, charge: Callable[[float], Generator]) -> Generator[Any, Any, int]:
-        """Make the tail durable; ``charge(seconds)`` is a sim generator
-        that bills the replica's disk resource.
+    def flush(
+        self,
+        charge: Callable[[float], Generator],
+        run_blocking: Callable[[Callable[[], Any]], Generator] = _run_inline,
+    ) -> Generator[Any, Any, int]:
+        """Make the tail durable, one group at a time.
 
-        One charge covers the whole group of records staged when the
-        flush starts (group commit); records appended *during* the
-        charge are flushed by the next loop iteration.  The move from
-        tail to segment happens atomically after the charge, so a crash
-        mid-flush loses the records (they were never durable).
+        ``charge(seconds)`` bills the replica's disk resource (virtual
+        time); ``run_blocking(fn)`` is the runtime's hook for a blocking
+        call (``Runtime.run_blocking``), through which the group's
+        ``fsync`` runs.
+
+        A group is the tail as it stands when the flush of it starts —
+        on a disk-backed log capped at the active segment's free room,
+        so that a group is one file.  It costs one charge, and on disk
+        one ``write`` (on the caller's thread) plus one ``fsync``.
+        Records appended during the charge or the force are flushed by
+        the next iteration.  The group leaves the tail for a segment,
+        and ``durable_seq`` advances, only after the force returned: a
+        crash meanwhile loses the records (``drop_tail`` also cuts their
+        bytes off the file), and a force that raises leaves them in the
+        tail and the exception propagates.
         """
         flushed_total = 0
         while self.tail:
-            group_len = len(self.tail)
-            nbytes = sum(record.nbytes for record in self.tail[:group_len])
+            group_len = self._group_len()
+            group = self.tail[:group_len]
+            nbytes = sum(record.nbytes for record in group)
             yield from charge(self.fsync_time + nbytes * self.byte_time)
-            group, self.tail = self.tail[:group_len], self.tail[group_len:]
-            self._commit_flush(group, nbytes)
+            written = 0
+            if self.directory is not None:
+                written = self._write(group)
+                if self.fsync:
+                    yield from run_blocking(_force(os.dup(self._fd)))
+                    self.fsyncs += 1
+            del self.tail[:group_len]
+            self._commit_flush(group, nbytes, written)
             flushed_total += group_len
         return flushed_total
 
-    def _commit_flush(self, group: list[LogRecord], nbytes: int) -> None:
+    def _group_len(self) -> int:
+        if self.directory is None:
+            return len(self.tail)
+        active = self._active()
+        room = self.segment_records - (len(active) if active is not None else 0)
+        return min(len(self.tail), room)
+
+    def _write(self, group: list[LogRecord]) -> int:
+        """Append ``group``'s lines to its segment file with one
+        ``os.write``; returns the bytes written."""
+        if self._fd is None:
+            active = self._active()
+            path = active.path if active is not None else self._segment_path(group[0].seq)
+            self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            self.opens += 1
+        data = "".join([record.to_line() for record in group]).encode()
+        _write_all(self._fd, data)
+        return len(data)
+
+    def _commit_flush(self, group: list[LogRecord], nbytes: int, written: int) -> None:
         for record in group:
             segment = self._active_segment(record.seq)
             segment.records.append(record)
-            if self.directory is not None and segment.path is not None:
-                with open(segment.path, "a") as fh:
-                    fh.write(json.dumps(record.to_json()) + "\n")
-                    if self.fsync:
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                        self.fsyncs += 1
             if len(segment) >= self.segment_records:
                 segment.sealed = True
+        # a disk-backed group is one file: the segment it filled
+        segment.size += written
+        if segment.sealed:
+            self._close_fd()
         self.durable_seq = group[-1].seq
         self.durable_bytes += nbytes
         self.flushes += 1
 
-    def _active_segment(self, seq: int) -> Segment:
+    def _active(self) -> Optional[Segment]:
         if self.segments and not self.segments[-1].sealed:
             return self.segments[-1]
-        path = None
-        if self.directory is not None:
-            path = self.directory / f"seg-{seq:08d}.jsonl"
+        return None
+
+    def _active_segment(self, seq: int) -> Segment:
+        active = self._active()
+        if active is not None:
+            return active
+        path = self._segment_path(seq) if self.directory is not None else None
         segment = Segment(base_seq=seq, path=path)
         self.segments.append(segment)
         return segment
+
+    def _segment_path(self, base_seq: int) -> Path:
+        return self.directory / f"seg-{base_seq:08d}.jsonl"
 
     # ------------------------------------------------------------------- reads
 
@@ -292,21 +382,23 @@ class WritesetLog:
                 break
             dropped += len(segment)
             if segment.path is not None:
-                try:
-                    segment.path.unlink()
-                except FileNotFoundError:
-                    pass
+                segment.path.unlink(missing_ok=True)
             self.segments.pop(0)
             self.start_seq = segment.last_seq + 1
         self.truncated_records += dropped
         return dropped
 
     def drop_tail(self) -> int:
-        """Crash semantics: records never flushed are gone."""
+        """Crash semantics: records never flushed are gone — from memory,
+        and (disk-backed) from the segment file a pending force had
+        already written them to, so they are not reloaded later at
+        sequence numbers a new incarnation appends again.  The file
+        handle dies with the process too; the next write reopens it."""
         lost = len(self.tail)
         self.tail = []
         self.tip_seq = self.durable_seq
         self.dropped_tail_records += lost
+        self._discard_undurable_bytes()
         return lost
 
     def rebase(self, seq: int) -> None:
@@ -318,12 +410,10 @@ class WritesetLog:
         discarded prefix is unavailable locally afterwards (``rebased_at``
         records the gap).
         """
+        self._close_fd()
         for segment in self.segments:
             if segment.path is not None:
-                try:
-                    segment.path.unlink()
-                except FileNotFoundError:
-                    pass
+                segment.path.unlink(missing_ok=True)
         self.segments = []
         self.tail = []
         self.start_seq = seq + 1
@@ -331,20 +421,58 @@ class WritesetLog:
         self.tip_seq = seq
         self.rebased_at = seq
 
+    def close(self) -> None:
+        """Release the segment file handle; the next write reopens it.
+
+        A force still running keeps its own duplicate of the handle, so
+        closing never pulls the descriptor from under an ``fsync``."""
+        self._close_fd()
+
+    def _close_fd(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def _discard_undurable_bytes(self) -> None:
+        """Cut the file a group was written to back to its durable
+        length: the active segment's, or nothing for a group that was
+        opening a new segment file."""
+        if self.directory is None:
+            return
+        self._close_fd()
+        active = self._active()
+        if active is None:
+            self._segment_path(self.durable_seq + 1).unlink(missing_ok=True)
+        else:
+            os.truncate(active.path, active.size)
+
     # -------------------------------------------------------------------- disk
 
     def _load_from_disk(self) -> None:
         paths = sorted(self.directory.glob("seg-*.jsonl"))
         for path in paths:
-            records = [
-                LogRecord.from_json(json.loads(line))
-                for line in path.read_text().splitlines()
-                if line.strip()
-            ]
+            data = path.read_bytes()
+            size = len(data)
+            if path == paths[-1] and not data.endswith(b"\n"):
+                # a crash between a group's write and its fsync can cut
+                # the final record short: it was never durable, drop it
+                size = data.rfind(b"\n") + 1
+                os.truncate(path, size)
+            records = []
+            for number, line in enumerate(data[:size].decode().splitlines(), 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(LogRecord.from_line(line))
+                except (ValueError, TypeError) as err:
+                    raise ReproError(
+                        f"{path}:{number}: corrupt log record"
+                    ) from err
             if not records:
                 continue
             segment = Segment(base_seq=records[0].seq, path=path)
             segment.records = records
+            segment.size = size
             segment.sealed = len(records) >= self.segment_records
             self.segments.append(segment)
         if self.segments:

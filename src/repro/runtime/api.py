@@ -34,6 +34,12 @@ Behavioral contract (pinned by ``tests/runtime/test_kernel_contract.py``):
 * ``Queue.close`` fails blocked getters but still drains queued items.
 * A broken channel delivers :class:`~repro.net.network.ChannelClosed`
   *behind* in-flight FIFO data, for simulated hops and TCP alike.
+* ``result = yield from run_blocking(fn)`` returns ``fn()`` or raises
+  what it raised.  The simulator calls ``fn`` inline and schedules
+  nothing (virtual time bills I/O through resources, not host waits);
+  the wall runtime runs it on a runtime-owned I/O thread so a blocking
+  syscall (the writeset log's ``fsync``) never stalls the loop, and
+  ``run()`` does not return while such a call is pending.
 
 Known divergence: ``call_at`` with a target in the past raises on the
 simulator (it would reorder the deterministic heap) but clamps to
@@ -43,7 +49,7 @@ computing a target and scheduling it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Generator, Optional, Protocol, runtime_checkable
 
 from repro.errors import ReproError
 
@@ -74,6 +80,8 @@ class Runtime(Protocol):
     def run_process(self, gen, name: str = "main") -> Any: ...
 
     def stop(self) -> None: ...
+
+    def run_blocking(self, fn: Callable[[], Any]) -> Generator[Any, Any, Any]: ...
 
     def _schedule(
         self, delay: float, callback: Callable, arg: Any, weak: bool = False

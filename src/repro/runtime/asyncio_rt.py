@@ -19,12 +19,21 @@ The loop is private to the runtime and never runs concurrently with
 protocol code: ``run``/``run_process`` drive it with
 ``run_until_complete`` on a wake future that fires on strong-count
 exhaustion, recorded failure, or the watched process finishing.
+
+Blocking host calls (:meth:`AsyncioRuntime.run_blocking` — the writeset
+log's ``fsync``) go to one runtime-owned I/O thread, started on first
+use.  Each pending call holds an I/O token; the thread runs every call
+queued when it wakes and posts the whole batch back to the loop with a
+single ``call_soon_threadsafe``, where each waiter's :class:`OneShot`
+is resolved (or failed with the call's exception).
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import threading
+from collections import deque
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.errors import (
@@ -34,6 +43,7 @@ from repro.errors import (
     SimulationStalled,
 )
 from repro.sim.kernel import ALIVE, DONE, FAILED, KILLED, Delay, Process
+from repro.sim.sync import OneShot
 
 #: Safety-net poll while parked in ``run_until_complete`` — every wake
 #: condition is event-driven, this only bounds lost-wakeup bugs.
@@ -102,6 +112,11 @@ class AsyncioRuntime:
         self._wake: Optional[asyncio.Future] = None
         self._watch: Optional[Process] = None
         self._stopped = False
+        #: run_blocking calls not yet taken by the I/O thread
+        self._blocking: deque[tuple[Callable[[], Any], OneShot]] = deque()
+        self._io_wake = threading.Event()
+        self._io_thread: Optional[threading.Thread] = None
+        self._io_closing = False
 
     # -- time & randomness ---------------------------------------------------
 
@@ -164,6 +179,59 @@ class AsyncioRuntime:
     def _io_end(self) -> None:
         self._strong -= 1
         self._check_wake()
+
+    # -- blocking calls off the loop (see module docstring) ------------------
+
+    def run_blocking(self, fn: Callable[[], Any]) -> Generator[Any, Any, Any]:
+        """``result = yield from rt.run_blocking(fn)``: run ``fn`` on the
+        I/O thread while the loop keeps serving every other process."""
+        if self._stopped:
+            raise RuntimeStopped("runtime stopped")
+        slot = OneShot()
+        self._io_begin()
+        self._blocking.append((fn, slot))
+        if self._io_thread is None:
+            self._io_thread = threading.Thread(
+                target=self._io_worker, name="repro-io", daemon=True
+            )
+            self._io_thread.start()
+        self._io_wake.set()
+        return (yield slot.wait())
+
+    def _io_worker(self) -> None:
+        pending, wake = self._blocking, self._io_wake
+        while True:
+            wake.wait()
+            wake.clear()
+            done = []
+            while pending:
+                fn, slot = pending.popleft()
+                try:
+                    done.append((slot, True, fn()))
+                except BaseException as err:  # noqa: BLE001 - re-raised in the waiter
+                    done.append((slot, False, err))
+            if done:
+                self._loop.call_soon_threadsafe(self._io_complete, done)
+            if self._io_closing:
+                return
+
+    def _io_complete(self, done: list) -> None:
+        for slot, ok, value in done:
+            if ok:
+                slot.resolve(value)
+            else:
+                slot.fail(value)
+            self._io_end()
+
+    def _join_io_thread(self) -> None:
+        """Finish every pending blocking call; its completion is queued
+        on the loop, which must therefore still be open."""
+        if self._io_thread is None:
+            return
+        self._io_closing = True
+        self._io_wake.set()
+        self._io_thread.join()
+        self._io_thread = None
 
     # -- asyncio plumbing ----------------------------------------------------
 
@@ -276,13 +344,16 @@ class AsyncioRuntime:
     def stop(self) -> None:
         """Tear the runtime down without leaking sockets, timers, or FDs.
 
-        Sweep order: (1) fail every blocked ``Event``/``OneShot`` waiter
-        with :class:`~repro.errors.RuntimeStopped` — the ``OneShot.fail``
-        path — and let the loop drain so generators unwind; (2) kill any
-        process still alive; (3) cancel all outstanding timers; (4) run
-        registered closers (listening sockets, channel transports) and
-        drain their FIN handshakes; (5) cancel remaining asyncio tasks
-        and close the loop.  Idempotent.
+        Sweep order: (0) let the I/O thread finish the blocking calls
+        already handed to it and join it; (1) fail every blocked
+        ``Event``/``OneShot`` waiter with
+        :class:`~repro.errors.RuntimeStopped` — the ``OneShot.fail``
+        path — and let the loop drain so generators unwind (and the
+        I/O completions land); (2) kill any process still alive; (3)
+        cancel all outstanding timers; (4) run registered closers
+        (listening sockets, channel transports) and drain their FIN
+        handshakes; (5) cancel remaining asyncio tasks and close the
+        loop.  Idempotent.
         """
         if self._stopped:
             return
@@ -290,6 +361,7 @@ class AsyncioRuntime:
         loop = self._loop
         if loop.is_closed():
             return
+        self._join_io_thread()
         stop_exc = RuntimeStopped("runtime stopped")
         for process in list(self.processes):
             if process.state != ALIVE:

@@ -354,6 +354,18 @@ class Simulator:
         ``runtime.stop()`` uniformly across backends.
         """
 
+    def run_blocking(self, fn: Callable[[], Any]) -> Coroutine:
+        """``result = yield from sim.run_blocking(fn)``: a blocking host
+        call made on behalf of a process.
+
+        Virtual time has no host wait to overlap — what the call costs
+        is billed through resources (the replica's disk) — so ``fn``
+        runs inline and nothing is scheduled: the event stream is the
+        one the call site would produce without it.
+        """
+        return fn()
+        yield  # pragma: no cover - makes this a generator
+
     def run_process(self, gen: Coroutine, name: str = "main") -> Any:
         """Spawn ``gen`` and run the loop until it finishes.
 

@@ -1,9 +1,15 @@
 """Unit tests for the segmented writeset log (repro.durable.log)."""
 
+import json
+
 import pytest
 
-from repro.durable import LogRecord, WritesetLog
+from repro.client import Driver
+from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig, DurabilityStore, LogRecord, WritesetLog
+from repro.errors import ReproError, SimulationError
 from repro.storage.writeset import WriteOp
+from repro.testing import query
 
 
 def ws(seq, key=1):
@@ -153,9 +159,290 @@ def test_disk_backed_truncation_unlinks_segment_files(tmp_path):
 
 def test_record_json_round_trip():
     record = ws(7, key=3)
-    again = LogRecord.from_json(record.to_json())
+    again = LogRecord.from_line(record.to_line())
     assert again == record
     ddl = LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY)")
-    assert LogRecord.from_json(ddl.to_json()) == ddl
+    assert LogRecord.from_line(ddl.to_line()) == ddl
+    genesis = LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY)", genesis=True)
+    assert LogRecord.from_line(genesis.to_line()).genesis
     load = LogRecord.load(2, "t", [{"id": 1, "v": "x"}])
-    assert LogRecord.from_json(load.to_json()) == load
+    assert LogRecord.from_line(load.to_line()) == load
+
+
+def test_each_record_is_encoded_once_and_nbytes_is_that_line():
+    """``nbytes`` is the length of the carried line, and it is the same
+    figure as before the line was carried (disk charges and transfer
+    accounting must not move)."""
+    record = ws(7, key=3)
+    assert record.nbytes == len(record.line) == len(json.dumps(
+        [7, "R0:g7", 7, "R0", ["kv", 3, "update", {"k": 3, "v": 7}]]
+    ))
+    assert record.to_line() == f"w{record.line}\n"
+    ddl = LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY)")
+    assert ddl.nbytes == len(json.dumps([1, "CREATE TABLE t (id INT PRIMARY KEY)"]))
+    load = LogRecord.load(2, "t", [{"id": 1}])
+    assert load.nbytes == len(json.dumps([2, "t", [{"id": 1}]]))
+
+
+# -------------------------------------------------------------- group commit
+
+
+class HeldForce:
+    """A ``run_blocking`` stub that parks the flush on its force until
+    the test resumes it (``next(flush)``), then runs the force."""
+
+    def __init__(self):
+        self.forces = []
+
+    def __call__(self, fn):
+        self.forces.append(fn)
+        yield "force"
+        return fn()
+
+
+def test_records_staged_before_the_force_share_one_fsync(tmp_path):
+    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log.append(ws(1))
+    log.append(ws(2))
+    held = HeldForce()
+    flush = log.flush(charge_free, held)
+    assert next(flush) == "force"
+    assert drain(flush) == 2
+    assert log.fsyncs == log.flushes == 1
+    assert len(held.forces) == 1
+    assert log.durable_seq == 2
+    assert log.opens == 1
+
+
+def test_record_appended_during_the_force_lands_in_the_next_group(tmp_path):
+    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log.append(ws(1))
+    log.append(ws(2))
+    flush = log.flush(charge_free, HeldForce())
+    assert next(flush) == "force"
+    log.append(ws(3))
+    assert next(flush) == "force"  # the first group is durable, 3 forcing
+    assert log.durable_seq == 2
+    assert [r.seq for r in log.tail] == [3]
+    assert drain(flush) == 3
+    assert log.fsyncs == log.flushes == 2
+    assert log.durable_seq == 3
+    assert log.opens == 1  # one handle for the active segment, not per record
+    log.close()
+
+
+def test_durable_seq_waits_for_the_force_to_return(tmp_path):
+    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log.append(ws(1))
+    flush = log.flush(charge_free, HeldForce())
+    next(flush)
+    # written, not yet forced: nothing is durable and nothing is counted
+    assert (tmp_path / "R0" / "seg-00000001.jsonl").stat().st_size > 0
+    assert log.durable_seq == 0
+    assert [r.seq for r in log.tail] == [1]
+    assert log.fsyncs == log.flushes == 0
+    drain(flush)
+    assert log.durable_seq == 1
+    assert log.tail == []
+    log.close()
+
+
+def test_a_failing_force_keeps_the_group_in_the_tail_and_raises(tmp_path):
+    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log.append(ws(1))
+    log.append(ws(2))
+
+    def failing(fn):
+        fn()
+        raise OSError(5, "fsync failed")
+        yield  # pragma: no cover
+
+    with pytest.raises(OSError):
+        drain(log.flush(charge_free, failing))
+    assert [r.seq for r in log.tail] == [1, 2]
+    assert log.durable_seq == 0
+    assert log.fsyncs == log.flushes == 0
+    log.close()
+
+
+def test_failing_force_aborts_the_run_instead_of_going_on_undurable(tmp_path):
+    """The replica's flusher is not a daemon: an fsync error surfaces
+    from ``run()`` rather than leaving the replica silently undurable."""
+    cluster = SIRepCluster(ClusterConfig(
+        n_replicas=2, seed=3, durable=True,
+        durability=DurabilityConfig(log_dir=tmp_path / "wal", fsync=True),
+    ))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+
+    def failing(fn):
+        fn()
+        raise OSError(5, "fsync failed")
+        yield  # pragma: no cover
+
+    cluster.sim.run_blocking = failing
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def writer():
+        conn = yield from driver.connect(cluster.new_client_host())
+        yield from conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
+        yield from conn.commit()
+
+    cluster.sim.spawn(writer(), name="writer")
+    with pytest.raises(SimulationError, match="log-flush") as info:
+        cluster.sim.run()
+    assert isinstance(info.value.__cause__, OSError)
+    cluster.stop()
+
+
+def test_segment_files_are_opened_once_per_segment(tmp_path):
+    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0", fsync=True)
+    for seq in range(1, 6):
+        log.append(ws(seq))
+        drain(log.flush(charge_free))  # one record per group
+    assert log.flushes == log.fsyncs == 5
+    assert log.opens == 3  # [1,2] [3,4] [5]
+    log.close()
+    log.append(ws(6))
+    drain(log.flush(charge_free))
+    assert log.opens == 4  # closing drops the handle; the next write reopens
+    log.close()
+    assert [r.seq for r in WritesetLog("R0", directory=tmp_path / "R0").records_after(0)] == [
+        1, 2, 3, 4, 5, 6,
+    ]
+
+
+def test_group_is_capped_at_the_active_segment(tmp_path):
+    """A disk-backed group never spans two files: one write, one fsync."""
+    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0", fsync=True)
+    log.append(ws(1))
+    drain(log.flush(charge_free))
+    for seq in range(2, 6):
+        log.append(ws(seq))
+    assert drain(log.flush(charge_free)) == 4
+    # groups [1] | [2] (the room left) | [3, 4] | [5]
+    assert log.flushes == log.fsyncs == 4
+    assert [len(s) for s in log.segments] == [2, 2, 1]
+    log.close()
+
+
+# ---------------------------------------------------------- crash and reload
+
+
+def test_kill_between_write_and_force_then_reload(tmp_path):
+    """A crash while a group's force is pending: the bytes were written
+    but the group never became durable.  ``drop_tail`` cuts them off the
+    file, so a reload does not resurrect them under sequence numbers the
+    next incarnation appends again."""
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", directory=directory, fsync=True)
+    log.append(ws(1))
+    log.append(ws(2))
+    drain(log.flush(charge_free))
+    log.append(ws(3))
+    log.append(ws(4))
+    held = HeldForce()
+    flush = log.flush(charge_free, held)
+    assert next(flush) == "force"
+    flush.close()  # the flusher process is killed mid-force
+    assert log.drop_tail() == 2
+    held.forces[0]()  # the I/O thread finishes the orphaned force late
+    assert WritesetLog("R0", directory=directory).durable_seq == 2
+    # the next incarnation certifies a different writeset at seq 3
+    log.append(ws(3, key=9))
+    drain(log.flush(charge_free))
+    log.close()
+    reloaded = WritesetLog("R0", directory=directory)
+    assert [r.seq for r in reloaded.records_after(0)] == [1, 2, 3]
+    assert reloaded.records_after(2)[0].ops[0].pk == 9
+
+
+def test_kill_while_forcing_a_new_segment_removes_its_file(tmp_path):
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", segment_records=2, directory=directory, fsync=True)
+    log.append(ws(1))
+    log.append(ws(2))
+    drain(log.flush(charge_free))  # [1,2] sealed
+    log.append(ws(3))
+    held = HeldForce()
+    flush = log.flush(charge_free, held)
+    next(flush)
+    assert (directory / "seg-00000003.jsonl").exists()
+    flush.close()
+    log.drop_tail()
+    held.forces[0]()
+    assert not (directory / "seg-00000003.jsonl").exists()
+    assert WritesetLog("R0", segment_records=2, directory=directory).durable_seq == 2
+
+
+def test_cold_restart_drops_a_torn_final_record(tmp_path):
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", directory=directory)
+    log.append_durable(LogRecord.ddl(1, "CREATE TABLE kv (k INT PRIMARY KEY)"))
+    for seq in range(2, 5):
+        log.append(ws(seq))
+    drain(log.flush(charge_free))
+    log.close()
+    path = directory / "seg-00000001.jsonl"
+    intact = path.stat().st_size
+    with open(path, "ab") as fh:  # crash between write and fsync
+        fh.write(ws(5).to_line().encode()[:20])
+    reloaded = WritesetLog("R0", directory=directory)
+    assert reloaded.durable_seq == 4
+    assert path.stat().st_size == intact  # truncated to the last record
+    reloaded.append(ws(5))
+    drain(reloaded.flush(charge_free))
+    reloaded.close()
+    again = WritesetLog("R0", directory=directory)
+    assert [r.seq for r in again.records_after(0)] == [1, 2, 3, 4, 5]
+
+
+def test_a_bad_line_before_the_tail_still_raises(tmp_path):
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", directory=directory)
+    for seq in range(1, 3):
+        log.append(ws(seq))
+    drain(log.flush(charge_free))
+    log.close()
+    path = directory / "seg-00000001.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0][:10] + "\n" + lines[1])
+    with pytest.raises(ReproError, match="corrupt log record"):
+        WritesetLog("R0", directory=directory)
+
+
+def test_cluster_cold_restart_survives_a_torn_log_tail(tmp_path):
+    config = DurabilityConfig(log_dir=tmp_path / "wal")
+    cluster = SIRepCluster(
+        ClusterConfig(n_replicas=3, seed=5, durable=True),
+        durability=DurabilityStore(config),
+    )
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 4)])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def writer():
+        conn = yield from driver.connect(cluster.new_client_host())
+        for value in range(1, 4):
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = 1", (value,))
+            yield from conn.commit()
+
+    cluster.sim.run_process(writer())
+    cluster.sim.run()
+    cluster.stop()
+    # R1 died halfway through appending its next record
+    segment = sorted((tmp_path / "wal" / "R1" / "log").glob("seg-*.jsonl"))[-1]
+    with open(segment, "ab") as fh:
+        fh.write(b'w[99, "R0:')
+
+    restarted = SIRepCluster.cold_restart(
+        ClusterConfig(n_replicas=3, seed=6, durable=True),
+        DurabilityStore(config),
+    )
+    rows = {
+        replica.name: query(restarted.sim, replica.node.db, "SELECT v FROM kv WHERE k = 1")
+        for replica in restarted.replicas
+    }
+    assert all(result == [{"v": 3}] for result in rows.values())
+    assert restarted.one_copy_report().ok
+    restarted.stop()

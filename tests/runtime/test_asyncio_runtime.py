@@ -8,6 +8,8 @@ file descriptors or hanging.
 """
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -107,19 +109,24 @@ def test_stop_is_idempotent_and_cancels_timers():
     assert not rt._timers
 
 
-def test_twenty_cluster_cycles_leak_nothing():
+def test_twenty_cluster_cycles_leak_nothing(tmp_path):
     """Regression for shutdown hygiene: start and stop a wall-clock
-    cluster 20 times in one process.  No leaked listening sockets or
-    event loops (file-descriptor count stays flat) and no hangs."""
+    cluster 20 times in one process.  No leaked listening sockets, event
+    loops or writeset-log handles (file-descriptor count stays flat), no
+    I/O thread left behind by the fsync'd log, and no hangs."""
     from repro.client import Driver
     from repro.core import ClusterConfig, SIRepCluster
-    from repro.testing import run_txn
+    from repro.durable import DurabilityConfig
 
     # a warmup cycle lets lazy imports/caches allocate their fds
     baseline = None
+    threads = threading.active_count()
     for cycle in range(20):
         cluster = SIRepCluster(
-            ClusterConfig(n_replicas=2, seed=cycle, runtime="wall")
+            ClusterConfig(
+                n_replicas=2, seed=cycle, runtime="wall",
+                durability=DurabilityConfig(log_dir=tmp_path / f"wal{cycle}"),
+            )
         )
         sim = cluster.sim
         cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
@@ -135,13 +142,48 @@ def test_twenty_cluster_cycles_leak_nothing():
             return True
 
         assert sim.run_process(one_commit()) is True
+        sim.run()  # the commit's log record is forced on the I/O thread
+        assert all(r.wslog.durable_seq == r.wslog.tip_seq for r in cluster.replicas)
+        assert threading.active_count() > threads
         cluster.stop()
+        assert threading.active_count() == threads
         if cycle == 0:
             baseline = open_fds()
     assert baseline is not None
     # allow a little slack for interpreter-internal churn, but leaked
     # sockets/pipes/loops would add several fds per cycle
     assert open_fds() <= baseline + 4
+
+
+def test_blocking_calls_survive_thread_switch_stress():
+    """Many processes hand calls to the I/O thread while the interpreter
+    switches threads as often as it can: no call is lost, none runs
+    twice, and no wake-up is missed (a lost one would hang until the
+    watchdog fires)."""
+    rt = AsyncioRuntime(seed=0)
+    results = []
+
+    def worker(index):
+        for step in range(25):
+            results.append((yield from rt.run_blocking(lambda: (index, step))))
+
+    def main():
+        workers = [rt.spawn(worker(i), name=f"w{i}") for i in range(8)]
+        for process in workers:
+            yield process.join()
+
+    def watchdog():
+        raise TimeoutError("blocking calls did not complete")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rt.call_at(20.0, watchdog)
+        rt.run_process(main())
+    finally:
+        sys.setswitchinterval(interval)
+        rt.stop()
+    assert sorted(results) == [(i, s) for i in range(8) for s in range(25)]
 
 
 def test_queue_survives_stop_without_leak_warnings():

@@ -189,6 +189,63 @@ def test_one_shot_round_trip(rt):
     assert rt.run_process(consumer()) == 42
 
 
+# ------------------------------------------------------------ blocking calls
+
+
+def test_run_blocking_returns_the_result_and_raises_the_error(rt):
+    def proc():
+        value = yield from rt.run_blocking(lambda: 41 + 1)
+        with pytest.raises(ZeroDivisionError):
+            yield from rt.run_blocking(lambda: 1 / 0)
+        return value
+
+    assert rt.run_process(proc()) == 42
+
+
+def test_run_blocking_schedules_nothing_on_the_simulator():
+    """Inline on the simulator: no event, so the event stream of a run
+    is the same as if the call were not made."""
+    from repro.sim import Simulator
+
+    sim = Simulator(seed=0)
+    call = sim.run_blocking(lambda: "done")
+    with pytest.raises(StopIteration) as stop:
+        next(call)
+    assert stop.value.value == "done"
+    assert sim._heap == [] and sim._seq == 0
+
+
+def test_run_does_not_return_while_a_blocking_call_is_pending():
+    """On the wall runtime the call runs on the I/O thread; it holds an
+    I/O token, so ``run()`` cannot mistake the wait for quiescence."""
+    import threading
+
+    from repro.runtime import AsyncioRuntime
+
+    rt = AsyncioRuntime(seed=0)
+    release = threading.Event()
+    got = []
+
+    def proc(index):
+        got.append((yield from rt.run_blocking(
+            lambda: release.wait(10.0) and index
+        )))
+
+    try:
+        for index in range(3):
+            rt.spawn(proc(index), name=f"p{index}", daemon=True)
+        timer = threading.Timer(0.1, release.set)
+        timer.start()
+        started = time.monotonic()
+        rt.run()
+        assert time.monotonic() - started >= 0.1
+        assert sorted(got) == [0, 1, 2]
+        timer.join(10.0)
+        assert not timer.is_alive()
+    finally:
+        rt.stop()
+
+
 # ------------------------------------------------------------------ channels
 
 
