@@ -3,8 +3,13 @@
 :class:`AsyncioRuntime` implements the :mod:`repro.runtime.api` surface
 on wall-clock time.  The same generator :class:`~repro.sim.kernel.Process`
 objects and FIFO sync primitives run unchanged; only the scheduler
-differs — ``_schedule`` maps to ``loop.call_later`` instead of a heap
-push, and ``now`` is real elapsed seconds since the runtime was built.
+differs — ``_schedule`` maps to the loop instead of a heap push, and
+``now`` is real elapsed seconds since the runtime was built.  A timed
+callback goes on the loop's timer heap (``loop.call_later``); a
+zero-delay one — every process resume, spawn and join wake-up — goes
+straight on the ready queue (``loop.call_soon``), so waking a process
+costs no heap push and pop, and resumes run in exactly the order they
+were scheduled, which is the FIFO the sync primitives promise.
 
 Strong/weak accounting mirrors the simulator: ``run()`` without a
 horizon returns once no strong timer is pending.  Real I/O adds one
@@ -60,7 +65,7 @@ class _Timer:
         self.callback = callback
         self.arg = arg
         self.weak = weak
-        self.handle: Optional[asyncio.TimerHandle] = None
+        self.handle: Optional[asyncio.Handle] = None
 
     def fire(self) -> None:
         rt = self.runtime
@@ -147,7 +152,10 @@ class AsyncioRuntime:
         if self._loop.is_closed():
             return  # post-stop stragglers (joiner resumes, etc.) are moot
         timer = _Timer(self, callback, arg, weak)
-        timer.handle = self._loop.call_later(delay, timer.fire)
+        if delay:
+            timer.handle = self._loop.call_later(delay, timer.fire)
+        else:
+            timer.handle = self._loop.call_soon(timer.fire)
         self._timers.add(timer)
         if not weak:
             self._strong += 1
@@ -236,7 +244,7 @@ class AsyncioRuntime:
     # -- asyncio plumbing ----------------------------------------------------
 
     def spawn_task(self, coro) -> asyncio.Task:
-        """Run a raw coroutine (socket pump, server) on the private loop."""
+        """Run a raw coroutine (socket setup, server) on the private loop."""
         task = self._loop.create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)

@@ -10,15 +10,27 @@ loop.  The protocol-visible contract is identical to the simulated one:
 * a crash delivers :class:`~repro.net.network.ChannelClosed` to the
   survivor **behind** in-flight data — implemented by closing the dead
   end's transport gracefully (FIN, not RST), so the kernel drains what
-  was already on the wire before the pump sees EOF;
+  was already on the wire before the receiving socket sees EOF;
 * ``connect`` raises ``ChannelClosed`` synchronously when the server is
   missing or dead, and the server end lands in ``Host.accept()``
   immediately (socket establishment happens in the background — sends
   buffer inside the end until the transport attaches).
 
-Frames are 4-byte big-endian length-prefixed pickles.  Each in-flight
-frame holds a runtime I/O token so ``run()`` treats wire-buffered data
-exactly like the simulator treats in-flight ``call_at`` hops.
+Frames are 4-byte big-endian length-prefixed pickles.  Each socket is
+driven by one :class:`_FrameProtocol`: ``data_received`` splits every
+complete frame out of what has arrived and puts each decoded message
+straight into the receiving end's inbox — no reader task, no coroutine
+resume per frame.  On the server side the first frame is the channel-id
+hello that binds the socket to its channel.  Decoding fails closed: a
+length header over :data:`MAX_FRAME_BYTES` (refused before any of its
+body is buffered) or a body that raises anything while unpickling breaks
+the channel exactly like a peer FIN, so both ends see
+``ChannelClosed`` behind the frames already delivered.
+
+Each in-flight frame holds a runtime I/O token so ``run()`` treats
+wire-buffered data exactly like the simulator treats in-flight
+``call_at`` hops; the receiver releases it right after the put, and a
+break releases every token still held for frames that will never land.
 """
 
 from __future__ import annotations
@@ -32,6 +44,16 @@ from repro.errors import ReproError
 from repro.net.network import BREAK, ChannelClosed
 from repro.sim import Queue
 
+#: Largest frame body a receiver accepts; a longer length header breaks
+#: the channel before any of the body is buffered.  The largest frame
+#: measured is a donor's state transfer, which travels as one frame: a
+#: whole-log delta of 1 344 120 bytes (a full state transfer is 336 026)
+#: after one 10 s ``wall-update`` episode.  Protocol traffic stays far
+#: below that: at most 1 055 bytes (a writeset ``Message`` on
+#: ``wall-tpcw``) across the test suite and the benchmark workloads.
+#: 32 MiB is 25x the largest.
+MAX_FRAME_BYTES = 32 << 20
+
 
 def _frame(obj: Any) -> bytes:
     data = pickle.dumps(obj)
@@ -39,9 +61,99 @@ def _frame(obj: Any) -> bytes:
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> Any:
+    """Read one frame off a stream.
+
+    Nothing in the package calls this any more — sockets are parsed by
+    :class:`_FrameProtocol` — it stays only as an entry point the
+    outside-in benchmark tracer resolves by name, until ROADMAP 6b
+    replaces that tracer with native counters and removes it.
+    """
     header = await reader.readexactly(4)
     length = int.from_bytes(header, "big")
     return pickle.loads(await reader.readexactly(length))
+
+
+class _FrameProtocol(asyncio.Protocol):
+    """One socket's receive side: complete frames go straight to an inbox.
+
+    A client socket is bound to its end from the start; a server socket
+    learns its end from the first frame, the channel-id hello.
+    """
+
+    def __init__(self, host: "TcpHost", end: Optional["TcpChannelEnd"] = None):
+        self.host = host
+        self.end = end
+        self.transport: Optional[asyncio.Transport] = None
+        #: bytes of an incomplete frame, and how many it needs in all
+        self._partial = bytearray()
+        self._need = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        partial = self._partial
+        if partial:
+            partial += data
+            if len(partial) < self._need:
+                return
+            data = bytes(partial)
+            partial.clear()
+        pos, size, need = 0, len(data), 4
+        while size - pos >= 4:
+            length = int.from_bytes(data[pos:pos + 4], "big")
+            if length > MAX_FRAME_BYTES:
+                self._shut()
+                return
+            stop = pos + 4 + length
+            if stop > size:
+                need = stop - pos
+                break
+            try:
+                message = pickle.loads(data[pos + 4:stop])
+            except Exception:  # noqa: BLE001 - any undecodable frame breaks the channel
+                self._shut()
+                return
+            pos = stop
+            end = self.end
+            if end is None:
+                if not self._bind(message):
+                    return
+                continue
+            end._deliver(message)
+            # deliver-then-release: the resumption this put scheduled is
+            # already strong, so the count never transits zero mid-frame
+            end.peer._token_release()
+        if pos < size:
+            partial += data[pos:]
+            self._need = need
+
+    def _bind(self, chan_id: Any) -> bool:
+        """Server side: attach the socket to the channel its hello names."""
+        host = self.host
+        channel = (
+            host.network._handshakes.pop(chan_id, None)
+            if isinstance(chan_id, int)
+            else None
+        )
+        if channel is None or not host.alive:
+            self.transport.close()
+            return False
+        self.end = channel.server_end
+        return channel._attach(self.end, self.transport)
+
+    def _shut(self) -> None:
+        """EOF, a lost connection or an undecodable frame: the break."""
+        if self.end is not None:
+            self.end.channel._on_eof(self.end)
+        else:
+            self.transport.close()
+
+    def eof_received(self) -> None:
+        self._shut()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._shut()
 
 
 class TcpNetwork:
@@ -137,9 +249,10 @@ class TcpHost:
         network.runtime.spawn_task(self._serve())
 
     async def _serve(self) -> None:
+        loop = self.network.runtime._loop
         try:
-            server = await asyncio.start_server(
-                self._on_connection, "127.0.0.1", 0
+            server = await loop.create_server(
+                lambda: _FrameProtocol(self), "127.0.0.1", 0
             )
         except OSError:
             if not self._port.done():
@@ -153,22 +266,6 @@ class TcpHost:
         self._server = server
         if not self._port.done():
             self._port.set_result(server.sockets[0].getsockname()[1])
-
-    async def _on_connection(self, reader, writer) -> None:
-        try:
-            chan_id = await _read_frame(reader)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            writer.close()
-            return
-        channel = self.network._handshakes.pop(chan_id, None)
-        if channel is None or not self.alive:
-            writer.close()
-            return
-        if channel._refuse:
-            writer.close()
-            channel.server_end._end_of_stream()
-            return
-        channel._attach(channel.server_end, reader, writer)
 
     def accept(self):
         """Awaitable: the server end of the next inbound channel."""
@@ -200,6 +297,7 @@ class TcpChannel:
         server.channels.append(self)
 
     async def _establish(self) -> None:
+        client_host = self.client_end.host
         server_host = self.server_end.host
         try:
             port = await server_host._port
@@ -209,36 +307,40 @@ class TcpChannel:
             port is None
             or self._refuse
             or not server_host.alive
-            or not self.client_end.host.alive
+            or not client_host.alive
         ):
             self.network._handshakes.pop(self.id, None)
             self._fail_establish()
             return
         try:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            transport, _ = await self.network.runtime._loop.create_connection(
+                lambda: _FrameProtocol(client_host, self.client_end),
+                "127.0.0.1",
+                port,
+            )
         except OSError:
             self.network._handshakes.pop(self.id, None)
             self._fail_establish()
             return
-        writer.write(_frame(self.id))
-        self._attach(self.client_end, reader, writer)
+        transport.write(_frame(self.id))
+        self._attach(self.client_end, transport)
 
-    def _attach(self, end: "TcpChannelEnd", reader, writer) -> None:
-        """Bind the real socket to ``end``: flush buffered sends, pump."""
+    def _attach(self, end: "TcpChannelEnd", transport) -> bool:
+        """Bind the real socket to ``end`` and flush its buffered sends;
+        False when a crash refused the socket instead."""
         if self._refuse:
-            writer.close()
+            transport.close()
             end._end_of_stream()
-            return
-        end._reader = reader
-        end._writer = writer
+            return False
+        end._transport = transport
         buffered, end._buffer = end._buffer, None
         for frame_bytes in buffered:
-            writer.write(frame_bytes)
+            transport.write(frame_bytes)
         if self.broken:
             # orderly close raced establishment: FIN behind the flush so
             # the peer still drains the buffered frames first
-            writer.close()
-        self.network.runtime.spawn_task(end._pump())
+            transport.close()
+        return True
 
     def _fail_establish(self) -> None:
         """The socket never came up: synthesize the break on both ends."""
@@ -257,7 +359,7 @@ class TcpChannel:
 
         Graceful close (not RST) is what preserves the simulator's
         "break notice travels behind in-flight data" guarantee — the
-        peer's pump drains everything already written before hitting
+        peer's socket delivers everything already written before hitting
         EOF and delivering :data:`BREAK`.
         """
         if self._refuse:
@@ -267,18 +369,19 @@ class TcpChannel:
         self.network._handshakes.pop(self.id, None)
         self._detach_hosts()
         for end in (self.client_end, self.server_end):
-            if end._writer is not None:
-                _safe_close(end._writer)
+            if end._transport is not None:
+                _safe_close(end._transport)
             else:
                 # no socket on this side, so no EOF will ever arrive:
                 # deliver the in-band break (and free its peer's tokens)
                 end._end_of_stream()
 
-    def _on_pump_eof(self, end: "TcpChannelEnd") -> None:
+    def _on_eof(self, end: "TcpChannelEnd") -> None:
+        """``end``'s socket reached EOF, was lost, or sent a bad frame."""
         self.broken = True
         self._detach_hosts()
-        if end._writer is not None:
-            _safe_close(end._writer)
+        if end._transport is not None:
+            _safe_close(end._transport)
         end._end_of_stream()
 
     def close(self) -> None:
@@ -288,15 +391,15 @@ class TcpChannel:
         self.broken = True
         self._detach_hosts()
         for end in (self.client_end, self.server_end):
-            if end._writer is not None:
-                _safe_close(end._writer)
+            if end._transport is not None:
+                _safe_close(end._transport)
             # unattached ends flush-and-FIN when _attach runs (or break
             # via _fail_establish if the socket never comes up)
 
 
-def _safe_close(writer) -> None:
+def _safe_close(transport) -> None:
     try:
-        writer.close()
+        transport.close()
     except RuntimeError:  # pragma: no cover - loop already closed
         pass
 
@@ -311,8 +414,7 @@ class TcpChannelEnd:
         self.peer: "TcpChannelEnd" = None  # type: ignore[assignment]
         self._inbox: Queue = Queue(name=f"chan{channel.id}@{host.address}")
         self._closed = False
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._transport: Optional[asyncio.Transport] = None
         #: frames sent before the transport attached
         self._buffer: Optional[list[bytes]] = []
         #: frames this end has sent that the peer has not yet received;
@@ -337,7 +439,7 @@ class TcpChannelEnd:
             self._buffer.append(frame_bytes)
         else:
             try:
-                self._writer.write(frame_bytes)
+                self._transport.write(frame_bytes)
             except (RuntimeError, OSError):
                 pass  # racing teardown; tokens freed by the break path
 
@@ -351,26 +453,6 @@ class TcpChannelEnd:
             self._token_release()
 
     # -- receiving ---------------------------------------------------------------
-
-    async def _pump(self) -> None:
-        reader = self._reader
-        while True:
-            try:
-                message = await _read_frame(reader)
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                OSError,
-                pickle.PickleError,
-                EOFError,
-                asyncio.CancelledError,
-            ):
-                break
-            self._deliver(message)
-            # deliver-then-release: the resumption this put scheduled is
-            # already strong, so the count never transits zero mid-frame
-            self.peer._token_release()
-        self.channel._on_pump_eof(self)
 
     def _deliver(self, message: Any) -> None:
         if self._closed or not self.host.alive:

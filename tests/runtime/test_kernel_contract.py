@@ -15,7 +15,7 @@ from repro.errors import ProcessKilled, QueueClosed
 from repro.net import ChannelClosed
 from repro.runtime import make_runtime
 from repro.sim.kernel import KILLED
-from repro.sim.sync import OneShot, Queue
+from repro.sim.sync import Event, Gate, OneShot, Queue
 
 
 @pytest.fixture(params=["sim", "wall"])
@@ -172,6 +172,76 @@ def test_queue_close_wakes_blocked_getter(rt):
 
     rt.run_process(closer())
     assert got == ["closed-while-blocked"]
+
+
+@pytest.mark.parametrize("primitive", ["event", "queue", "gate"])
+def test_waiters_resume_in_the_order_they_blocked(rt, primitive):
+    """FIFO wake-up: processes parked on one primitive resume in the
+    order they blocked, whichever queue the scheduler puts them on."""
+    event, queue, gate = Event(), Queue("q"), Gate("g")
+    blocked, resumed = [], []
+
+    def waiter(index):
+        blocked.append(index)
+        if primitive == "event":
+            yield event.wait()
+        elif primitive == "queue":
+            assert (yield queue.get()) == len(resumed)
+        else:
+            yield gate.wait()
+        resumed.append(index)
+
+    def main():
+        for index in (3, 0, 7, 1, 6, 2, 5, 4):
+            rt.spawn(waiter(index), name=f"w{index}")
+            yield rt.sleep(0.001)  # it has blocked before the next spawns
+        if primitive == "event":
+            event.set()
+        elif primitive == "queue":
+            for item in range(len(blocked)):
+                queue.put(item)
+        else:
+            gate.notify_all()
+        yield rt.sleep(0.01)
+        return resumed
+
+    assert rt.run_process(main()) == blocked
+
+
+def test_zero_delay_schedule_skips_the_timer_heap(monkeypatch):
+    """On the wall runtime a resume (``_schedule`` with delay 0) goes on
+    the loop's ready queue, never through ``loop.call_later``."""
+    from repro.runtime import AsyncioRuntime
+
+    rt = AsyncioRuntime(seed=0)
+    delays = []
+    call_later = rt._loop.call_later
+
+    def spy(delay, *args, **kwargs):
+        delays.append(delay)
+        return call_later(delay, *args, **kwargs)
+
+    monkeypatch.setattr(rt._loop, "call_later", spy)
+    inbox = Queue("inbox")
+
+    def consumer():
+        got = []
+        for _ in range(3):
+            got.append((yield inbox.get()))
+        return got
+
+    def main():
+        worker = rt.spawn(consumer(), name="consumer")
+        for item in range(3):
+            inbox.put(item)
+        rt.call_at(rt.now - 1.0, lambda: None)  # clamped to "now"
+        return (yield worker.join())
+
+    try:
+        assert rt.run_process(main()) == [0, 1, 2]
+        assert all(delay > 0 for delay in delays)
+    finally:
+        rt.stop()
 
 
 def test_one_shot_round_trip(rt):
