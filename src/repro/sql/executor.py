@@ -16,7 +16,8 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.expressions import equality_lookups, evaluate
+from repro.sql.expressions import compile_expr, evaluate
+from repro.sql.plan import Plan, build_plan, column_matcher, plan_for
 
 
 @dataclass
@@ -40,23 +41,39 @@ class Result:
 
 
 def execute(db, txn, statement, params: tuple) -> Generator[Any, Any, Result]:
-    """Dispatch one parsed statement."""
+    """Dispatch one parsed statement.
+
+    DML runs from the statement's plan (:mod:`repro.sql.plan`).  Every
+    ``?`` must have a value before any row is read, whichever access
+    path the statement takes.
+    """
     examined_before = txn.rows_examined
-    statement = _bind_statement_subqueries(db, txn, statement, params)
-    if statement.kind == "select":
-        result = _select(db, txn, statement, params)
-    elif statement.kind == "insert":
-        result = yield from _insert(db, txn, statement, params)
-    elif statement.kind == "update":
-        result = yield from _update(db, txn, statement, params)
-    elif statement.kind == "delete":
-        result = yield from _delete(db, txn, statement, params)
-    elif statement.kind == "create_table":
+    kind = statement.kind
+    if kind == "create_table":
         result = _create_table(db, statement)
-    elif statement.kind == "create_index":
+    elif kind == "create_index":
         result = _create_index(db, statement)
+    elif kind in ("select", "insert", "update", "delete"):
+        table = db.catalog.table(statement.table)
+        plan = plan_for(statement, table.schema)
+        if len(params) < plan.n_params:
+            raise SQLError(
+                f"statement has parameter ?{len(params)} but only "
+                f"{len(params)} values were supplied"
+            )
+        if plan.binds_subqueries:
+            statement = _bind_statement_subqueries(db, txn, statement, params)
+            plan = build_plan(statement, table.schema)
+        if kind == "select":
+            result = _select(db, txn, table, statement, plan, params)
+        elif kind == "insert":
+            result = yield from _insert(db, txn, table, plan, params)
+        elif kind == "update":
+            result = yield from _update(db, txn, table, plan, params)
+        else:
+            result = yield from _delete(db, txn, table, plan, params)
     else:
-        raise SQLError(f"unsupported statement kind {statement.kind!r}")
+        raise SQLError(f"unsupported statement kind {kind!r}")
     result.rows_examined = txn.rows_examined - examined_before
     return result
 
@@ -149,7 +166,8 @@ def _bind_expr(db, txn, expr: Any, params: tuple) -> Any:
 def _run_subquery(db, txn, select: "ast.Select", params: tuple) -> list:
     """Run an uncorrelated single-column subquery; returns its values."""
     bound = _bind_statement_subqueries(db, txn, select, params)
-    result = _select(db, txn, bound, params)
+    table = db.catalog.table(bound.table)
+    result = _select(db, txn, table, bound, build_plan(bound, table.schema), params)
     if len(result.columns) != 1:
         raise SQLError("subquery must return exactly one column")
     column = result.columns[0]
@@ -161,49 +179,34 @@ def _run_subquery(db, txn, select: "ast.Select", params: tuple) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _column_matcher(table, alias: Optional[str]) -> Callable[[ast.Column], Optional[str]]:
-    names = set(table.schema.column_names)
-    aliases = {table.name}
-    if alias:
-        aliases.add(alias)
-
-    def match(col: ast.Column) -> Optional[str]:
-        if col.table is not None and col.table not in aliases:
-            return None
-        return col.name if col.name in names else None
-
-    return match
-
-
-def choose_path(table, alias, where, params) -> tuple:
+def choose_path(table, plan: Plan, params: tuple) -> tuple:
     """The access path ``_candidate_rows`` will take (EXPLAIN surface).
 
     Returns ``("pk", n_keys)``, ``("index", column, n_keys)``, or
     ``("scan",)``.
     """
-    lookups = equality_lookups(where, params, _column_matcher(table, alias))
-    pk_column = table.schema.pk_column
-    if pk_column in lookups:
-        return ("pk", len(set(lookups[pk_column])))
+    lookups = plan.lookups(params)
+    if plan.pk_column in lookups:
+        return ("pk", len(set(lookups[plan.pk_column])))
     for column, values in lookups.items():
         if all(table.index_candidates(column, v) is not None for v in values):
             return ("index", column, len(values))
     return ("scan",)
 
 
-def _candidate_rows(db, txn, table, alias, where, params, locating=False):
-    """Yield (pk, values) via the best access path for ``where``.
+def _candidate_rows(db, txn, table, plan: Plan, params, locating=False):
+    """Yield (pk, values) via the best access path for the plan's WHERE.
 
     ``locating`` (pk path only) marks the reads as target lookups rather
     than value dependencies — see :meth:`Database.read_row`.  Index and
     scan paths ignore it: rows they surface were chosen by examining
     values, so they stay ordinary (dependent) reads.
     """
-    lookups = equality_lookups(where, params, _column_matcher(table, alias))
-    pk_column = table.schema.pk_column
-    if pk_column in lookups:
+    lookups = plan.lookups(params)
+    pks = lookups.get(plan.pk_column)
+    if pks is not None:
         seen = set()
-        for pk in lookups[pk_column]:
+        for pk in pks:
             if pk in seen:
                 continue
             seen.add(pk)
@@ -232,32 +235,31 @@ def _candidate_rows(db, txn, table, alias, where, params, locating=False):
     yield from db.scan(txn, table)
 
 
-def _single_table_matches(db, txn, table, alias, where, params, locating=False):
+def _single_table_matches(db, txn, table, plan: Plan, params, locating=False):
     """Materialise matching (pk, values) pairs of one table.
 
     With ``locating`` set, a residual predicate that examines a non-pk
     column value demotes that row back to a dependent read: the match
     decision then hinges on row content, so the write is not blind.
     """
-    matcher = _column_matcher(table, alias)
-    pk_column = table.schema.pk_column
+    where = plan.where
+    rows = _candidate_rows(db, txn, table, plan, params, locating=locating)
+    if where is None:
+        return list(rows)
+    match = plan.match
+    pk_column = plan.pk_column
     matches = []
-    for pk, values in _candidate_rows(
-        db, txn, table, alias, where, params, locating=locating
-    ):
-        if where is None:
-            matches.append((pk, values))
-            continue
+    for pk, values in rows:
 
         def lookup(col: ast.Column, _pk=pk, _values=values) -> Any:
-            name = matcher(col)
+            name = match(col)
             if name is None:
                 raise SQLError(f"unknown column {col.display!r}")
             if locating and name != pk_column:
                 txn.dependent_reads.add((table.name, _pk))
             return _values[name]
 
-        if evaluate(where, lookup, params):
+        if where(lookup, params):
             matches.append((pk, values))
     return matches
 
@@ -291,16 +293,13 @@ class _JoinedRow:
         return hits[0][col.name]
 
 
-def _select(db, txn, statement: ast.Select, params: tuple) -> Result:
-    table = db.catalog.table(statement.table)
+def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) -> Result:
     base_key = statement.alias or statement.table
 
     if not statement.joins:
         joined = [
             _JoinedRow({base_key: values})
-            for _pk, values in _single_table_matches(
-                db, txn, table, statement.alias, statement.where, params
-            )
+            for _pk, values in _single_table_matches(db, txn, table, plan, params)
         ]
     else:
         # Equality conjuncts on the base table narrow the scan; they give
@@ -308,26 +307,20 @@ def _select(db, txn, statement: ast.Select, params: tuple) -> Result:
         # joins.
         joined = [
             _JoinedRow({base_key: values})
-            for _pk, values in _candidate_rows(
-                db, txn, table, statement.alias, statement.where, params
-            )
+            for _pk, values in _candidate_rows(db, txn, table, plan, params)
         ]
         for join in statement.joins:
             joined = _apply_join(db, txn, joined, join)
-        if statement.where is not None:
-            joined = [
-                row
-                for row in joined
-                if evaluate(statement.where, row.lookup, params)
-            ]
+        if plan.where is not None:
+            joined = [row for row in joined if plan.where(row.lookup, params)]
 
-    if statement.is_aggregate or statement.group_by:
-        return _aggregate(statement, joined, params)
+    if plan.aggregates is not None:
+        return _aggregate(statement, plan, joined, params)
 
     if statement.distinct:
         # SQL semantics: project, dedupe, then ORDER BY (on output
         # columns) and LIMIT.
-        columns, rows = _project(statement, joined, params)
+        columns, rows = _project(plan, joined, params)
         seen = set()
         unique = []
         for row in rows:
@@ -344,7 +337,7 @@ def _select(db, txn, statement: ast.Select, params: tuple) -> Result:
                 )
             rows.sort(key=lambda r, n=name: _sort_key(r[n]), reverse=item.descending)
         if statement.limit is not None:
-            limit = evaluate(statement.limit, lambda c: None, params)
+            limit = evaluate(statement.limit, _no_row, params)
             rows = rows[: int(limit)]
         return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
 
@@ -355,11 +348,16 @@ def _select(db, txn, statement: ast.Select, params: tuple) -> Result:
                 reverse=item.descending,
             )
     if statement.limit is not None:
-        limit = evaluate(statement.limit, lambda c: None, params)
+        limit = evaluate(statement.limit, _no_row, params)
         joined = joined[: int(limit)]
 
-    columns, rows = _project(statement, joined, params)
+    columns, rows = _project(plan, joined, params)
     return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
+
+
+def _no_row(col: ast.Column) -> Any:
+    """Row lookup for expressions evaluated without a row (LIMIT, VALUES)."""
+    return None
 
 
 def _sort_key(value: Any) -> tuple:
@@ -370,7 +368,7 @@ def _sort_key(value: Any) -> tuple:
 def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     inner = db.catalog.table(join.table)
     inner_key = join.alias or join.table
-    inner_matcher = _column_matcher(inner, join.alias)
+    inner_matcher = column_matcher(inner.schema, join.alias)
     # Decide which side of ON refers to the inner table.
     if inner_matcher(join.on_right) is not None:
         outer_col, inner_col = join.on_left, join.on_right
@@ -381,7 +379,7 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     inner_name = inner_matcher(inner_col)
     out = []
     use_pk = inner_name == inner.schema.pk_column
-    null_frame = {name: None for name in inner.schema.column_names}
+    null_frame = dict.fromkeys(inner.schema.column_names)
     for row in joined:
         value = row.lookup(outer_col)
         if value is None:
@@ -406,8 +404,8 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     return out
 
 
-def _project(statement: ast.Select, joined: list, params: tuple):
-    if statement.columns == ("*",):
+def _project(plan: Plan, joined: list, params: tuple):
+    if plan.projection is None:
         rows = []
         for row in joined:
             flat: dict = {}
@@ -417,29 +415,20 @@ def _project(statement: ast.Select, joined: list, params: tuple):
             rows.append(flat)
         columns = tuple(rows[0].keys()) if rows else ()
         return columns, rows
-    columns = []
-    for clause in statement.columns:
-        if clause.alias:
-            columns.append(clause.alias)
-        elif isinstance(clause.expr, ast.Column):
-            columns.append(clause.expr.name)
-        else:
-            columns.append(f"col{len(columns)}")
-    rows = []
-    for row in joined:
-        rows.append(
-            {
-                name: evaluate(clause.expr, row.lookup, params)
-                for name, clause in zip(columns, statement.columns)
-            }
-        )
-    return tuple(columns), rows
+    projection = plan.projection
+    rows = [
+        {name: fn(row.lookup, params) for name, fn in projection} for row in joined
+    ]
+    return plan.columns, rows
 
 
-def _eval_aggregate(expr: ast.Aggregate, members: list, params: tuple) -> Any:
+def _eval_aggregate(
+    expr: ast.Aggregate, arg: Callable, members: list, params: tuple
+) -> Any:
+    """``expr`` over ``members``; ``arg`` is its compiled argument."""
     if expr.func == "COUNT" and expr.arg is None:
         return len(members)
-    samples = [evaluate(expr.arg, row.lookup, params) for row in members]
+    samples = [arg(row.lookup, params) for row in members]
     samples = [s for s in samples if s is not None]
     if expr.func == "COUNT":
         return len(samples)
@@ -459,7 +448,8 @@ def _eval_aggregate(expr: ast.Aggregate, members: list, params: tuple) -> Any:
 def _fold_aggregates(expr: Any, members: list, params: tuple) -> Any:
     """Replace Aggregate nodes by their computed value (for HAVING)."""
     if isinstance(expr, ast.Aggregate):
-        return ast.Literal(_eval_aggregate(expr, members, params))
+        arg = compile_expr(expr.arg)
+        return ast.Literal(_eval_aggregate(expr, arg, members, params))
     if isinstance(expr, ast.BinOp):
         return ast.BinOp(
             expr.op,
@@ -471,7 +461,7 @@ def _fold_aggregates(expr: Any, members: list, params: tuple) -> Any:
     return expr
 
 
-def _aggregate(statement: ast.Select, joined: list, params: tuple) -> Result:
+def _aggregate(statement: ast.Select, plan: Plan, joined: list, params: tuple) -> Result:
     """Aggregates, with or without GROUP BY, plus HAVING/ORDER BY/LIMIT."""
     if statement.group_by:
         groups: dict[tuple, list] = {}
@@ -486,31 +476,14 @@ def _aggregate(statement: ast.Select, joined: list, params: tuple) -> Result:
     else:
         grouped = [((), joined)]
 
-    grouped_names = {col.name for col in statement.group_by}
-    specs: list[tuple[str, str, Any]] = []
-    for i, clause in enumerate(statement.columns):
-        expr = clause.expr
-        if isinstance(expr, ast.Aggregate):
-            specs.append((clause.alias or f"{expr.func.lower()}{i}", "agg", expr))
-        elif isinstance(expr, ast.Column):
-            if expr.name not in grouped_names:
-                raise SQLError(
-                    f"column {expr.display!r} must appear in GROUP BY "
-                    "or be inside an aggregate"
-                )
-            specs.append((clause.alias or expr.name, "group", expr))
-        else:
-            raise SQLError("projection must be a column or an aggregate here")
-    columns = tuple(name for name, _k, _e in specs)
-
     rows = []
     for _key, members in grouped:
         out: dict = {}
-        for name, kind, expr in specs:
-            if kind == "group":
-                out[name] = evaluate(expr, members[0].lookup, params)
+        for name, expr, fn in plan.aggregates:
+            if isinstance(expr, ast.Aggregate):
+                out[name] = _eval_aggregate(expr, fn, members, params)
             else:
-                out[name] = _eval_aggregate(expr, members, params)
+                out[name] = fn(members[0].lookup, params)
         if statement.having is not None:
             folded = _fold_aggregates(statement.having, members, params)
 
@@ -532,9 +505,9 @@ def _aggregate(statement: ast.Select, joined: list, params: tuple) -> Result:
                 )
             rows.sort(key=lambda r, n=name: _sort_key(r[n]), reverse=item.descending)
     if statement.limit is not None:
-        limit = evaluate(statement.limit, lambda c: None, params)
+        limit = evaluate(statement.limit, _no_row, params)
         rows = rows[: int(limit)]
-    return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
+    return Result(kind="select", rows=rows, columns=plan.columns, rowcount=len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -542,35 +515,26 @@ def _aggregate(statement: ast.Select, joined: list, params: tuple) -> Result:
 # ---------------------------------------------------------------------------
 
 
-def _insert(db, txn, statement: ast.Insert, params: tuple):
-    table = db.catalog.table(statement.table)
+def _insert(db, txn, table, plan: Plan, params: tuple):
     written = 0
-    for row_exprs in statement.rows:
-        values = {
-            column: evaluate(expr, lambda c: None, params)
-            for column, expr in zip(statement.columns, row_exprs)
-        }
+    for row in plan.rows:
+        values = {column: fn(_no_row, params) for column, fn in row}
         yield from db.stage_insert(txn, table, values)
         written += 1
     return Result(kind="insert", rowcount=written, rows_written=written)
 
 
-def _update(db, txn, statement: ast.Update, params: tuple):
-    table = db.catalog.table(statement.table)
-    pk_column = table.schema.pk_column
+def _update(db, txn, table, plan: Plan, params: tuple):
     # A write is *blind* when the after image owes nothing to the row:
-    # every non-pk column assigned (no old values survive into it), the
-    # target reachable without examining values (pk path — checked by
-    # _candidate_rows), and no assignment expression reading the row
-    # (checked per row below).  Blind keys stay out of dependent_reads,
-    # which is what certification salvage keys off.
-    assigned = {column for column, _expr in statement.assignments}
-    covers = assigned >= {
-        name for name in table.schema.column_names if name != pk_column
-    }
-    matches = _single_table_matches(
-        db, txn, table, None, statement.where, params, locating=covers
-    )
+    # every non-pk column assigned (no old values survive into it —
+    # ``plan.covers``), the target reachable without examining values
+    # (pk path — checked by _candidate_rows), and no assignment
+    # expression reading the row (checked per row below).  Blind keys
+    # stay out of dependent_reads, which is what certification salvage
+    # keys off.  Assigning the primary key is refused when the plan is
+    # built.
+    covers = plan.covers
+    matches = _single_table_matches(db, txn, table, plan, params, locating=covers)
     written = 0
     for pk, values in matches:
         reads_row = False
@@ -583,10 +547,8 @@ def _update(db, txn, statement: ast.Update, params: tuple):
             return _values[col.name]
 
         new_values = dict(values)
-        for column, expr in statement.assignments:
-            if column == pk_column:
-                raise SQLError("updating the primary key is not supported")
-            new_values[column] = evaluate(expr, lookup, params)
+        for column, fn in plan.assignments:
+            new_values[column] = fn(lookup, params)
         if reads_row and covers:
             txn.dependent_reads.add((table.name, pk))
         yield from db.stage_update(
@@ -596,9 +558,8 @@ def _update(db, txn, statement: ast.Update, params: tuple):
     return Result(kind="update", rowcount=written, rows_written=written)
 
 
-def _delete(db, txn, statement: ast.Delete, params: tuple):
-    table = db.catalog.table(statement.table)
-    matches = _single_table_matches(db, txn, table, None, statement.where, params)
+def _delete(db, txn, table, plan: Plan, params: tuple):
+    matches = _single_table_matches(db, txn, table, plan, params)
     written = 0
     for pk, _values in matches:
         yield from db.stage_delete(txn, table, pk)

@@ -1,12 +1,20 @@
-"""Expression evaluation with SQL-ish NULL semantics.
+"""Expression compilation with SQL-ish NULL semantics.
 
 Comparisons involving NULL are false; arithmetic with NULL yields NULL;
 ``IS [NOT] NULL`` tests explicitly.  This is a pragmatic two-valued
 simplification of SQL's three-valued logic, sufficient for the workloads.
+
+:func:`compile_expr` turns an expression tree into one closure
+``fn(lookup, params)`` and is the only implementation of these
+semantics.  Statement plans (:mod:`repro.sql.plan`) compile each
+expression once; :func:`evaluate` compiles and calls, for the cold paths
+that meet a tree once (HAVING after aggregate folding, LIMIT, statements
+rewritten by subquery binding).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Iterator, Optional
 
@@ -14,105 +22,234 @@ from repro.errors import SQLError
 from repro.sql import ast
 
 RowLookup = Callable[[ast.Column], Any]
+Compiled = Callable[[RowLookup, tuple], Any]
 
 
 def evaluate(expr: Any, lookup: RowLookup, params: tuple) -> Any:
     """Evaluate ``expr`` against one row (via ``lookup``) and parameters."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        if expr.index >= len(params):
+    return compile_expr(expr)(lookup, params)
+
+
+def compile_expr(expr: Any) -> Compiled:
+    """Compile ``expr`` to ``fn(lookup, params)``.
+
+    Never raises: a node that cannot be evaluated compiles to a closure
+    raising the evaluation-time error, so errors surface exactly when a
+    row (or the parameters) reach the node.
+    """
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        return _cannot_evaluate(expr)
+    return compiler(expr)
+
+
+def _cannot_evaluate(expr: Any) -> Compiled:
+    def cannot_evaluate(lookup, params):
+        raise SQLError(f"cannot evaluate expression {expr!r}")
+
+    return cannot_evaluate
+
+
+def _literal(expr: ast.Literal) -> Compiled:
+    value = expr.value
+
+    def literal(lookup, params):
+        return value
+
+    return literal
+
+
+def _param(expr: ast.Param) -> Compiled:
+    index = expr.index
+
+    def param(lookup, params):
+        if index >= len(params):
             raise SQLError(
-                f"statement has parameter ?{expr.index} but only "
+                f"statement has parameter ?{index} but only "
                 f"{len(params)} values were supplied"
             )
-        return params[expr.index]
-    if isinstance(expr, ast.Column):
+        return params[index]
+
+    return param
+
+
+def _column(expr: ast.Column) -> Compiled:
+    def column(lookup, params):
         return lookup(expr)
-    if isinstance(expr, ast.BinOp):
-        return _binop(expr, lookup, params)
-    if isinstance(expr, ast.UnaryOp):
-        value = evaluate(expr.operand, lookup, params)
-        if expr.op == "NOT":
-            return not _truthy(value)
-        if expr.op == "NEG":
+
+    return column
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _binop(expr: ast.BinOp) -> Compiled:
+    op = expr.op
+    left = compile_expr(expr.left)
+    right = compile_expr(expr.right)
+    if op == "AND":
+
+        def conjunction(lookup, params):
+            return bool(left(lookup, params)) and bool(right(lookup, params))
+
+        return conjunction
+    if op == "OR":
+
+        def disjunction(lookup, params):
+            return bool(left(lookup, params)) or bool(right(lookup, params))
+
+        return disjunction
+    if op == "/":
+
+        def divide(lookup, params):
+            lhs = left(lookup, params)
+            rhs = right(lookup, params)
+            if lhs is None or rhs is None:
+                return None
+            if rhs == 0:
+                raise SQLError("division by zero")
+            return lhs / rhs
+
+        return divide
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+
+        def arithmetic_op(lookup, params):
+            lhs = left(lookup, params)
+            rhs = right(lookup, params)
+            if lhs is None or rhs is None:
+                return None
+            return arithmetic(lhs, rhs)
+
+        return arithmetic_op
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+
+        def unknown(lookup, params):
+            lhs = left(lookup, params)
+            rhs = right(lookup, params)
+            if lhs is None or rhs is None:
+                return False
+            raise SQLError(f"unknown operator {op!r}")
+
+        return unknown
+
+    def comparison(lookup, params):
+        lhs = left(lookup, params)
+        rhs = right(lookup, params)
+        if lhs is None or rhs is None:
+            return False
+        try:
+            return compare(lhs, rhs)
+        except TypeError as err:
+            raise SQLError(f"type error comparing {lhs!r} {op} {rhs!r}") from err
+
+    return comparison
+
+
+def _unary(expr: ast.UnaryOp) -> Compiled:
+    op = expr.op
+    operand = compile_expr(expr.operand)
+    if op == "NOT":
+
+        def negation(lookup, params):
+            return not bool(operand(lookup, params))
+
+        return negation
+    if op == "NEG":
+
+        def minus(lookup, params):
+            value = operand(lookup, params)
             return None if value is None else -value
-        raise SQLError(f"unknown unary op {expr.op!r}")
-    if isinstance(expr, ast.InList):
-        value = evaluate(expr.expr, lookup, params)
+
+        return minus
+
+    def unknown(lookup, params):
+        operand(lookup, params)
+        raise SQLError(f"unknown unary op {op!r}")
+
+    return unknown
+
+
+def _in_list(expr: ast.InList) -> Compiled:
+    subject = compile_expr(expr.expr)
+    items = tuple(compile_expr(item) for item in expr.items)
+    negated = expr.negated
+
+    def in_list(lookup, params):
+        value = subject(lookup, params)
         if value is None:
             return False
-        members = [evaluate(item, lookup, params) for item in expr.items]
-        result = value in members
-        return not result if expr.negated else result
-    if isinstance(expr, ast.Between):
-        value = evaluate(expr.expr, lookup, params)
-        low = evaluate(expr.low, lookup, params)
-        high = evaluate(expr.high, lookup, params)
-        if value is None or low is None or high is None:
+        result = value in [item(lookup, params) for item in items]
+        return not result if negated else result
+
+    return in_list
+
+
+def _between(expr: ast.Between) -> Compiled:
+    subject = compile_expr(expr.expr)
+    low = compile_expr(expr.low)
+    high = compile_expr(expr.high)
+    negated = expr.negated
+
+    def between(lookup, params):
+        value = subject(lookup, params)
+        lo = low(lookup, params)
+        hi = high(lookup, params)
+        if value is None or lo is None or hi is None:
             return False
-        result = low <= value <= high
-        return not result if expr.negated else result
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.expr, lookup, params)
-        result = value is None
-        return not result if expr.negated else result
-    if isinstance(expr, ast.Like):
-        value = evaluate(expr.expr, lookup, params)
-        pattern = evaluate(expr.pattern, lookup, params)
+        result = lo <= value <= hi
+        return not result if negated else result
+
+    return between
+
+
+def _is_null(expr: ast.IsNull) -> Compiled:
+    subject = compile_expr(expr.expr)
+    negated = expr.negated
+
+    def is_null(lookup, params):
+        result = subject(lookup, params) is None
+        return not result if negated else result
+
+    return is_null
+
+
+def _like(expr: ast.Like) -> Compiled:
+    subject = compile_expr(expr.expr)
+    pattern_of = compile_expr(expr.pattern)
+    negated = expr.negated
+
+    def like(lookup, params):
+        value = subject(lookup, params)
+        pattern = pattern_of(lookup, params)
         if value is None or pattern is None:
             return False
         result = bool(_like_regex(pattern).match(str(value)))
-        return not result if expr.negated else result
-    raise SQLError(f"cannot evaluate expression {expr!r}")
+        return not result if negated else result
+
+    return like
 
 
-def _binop(expr: ast.BinOp, lookup: RowLookup, params: tuple) -> Any:
-    op = expr.op
-    if op == "AND":
-        return _truthy(evaluate(expr.left, lookup, params)) and _truthy(
-            evaluate(expr.right, lookup, params)
-        )
-    if op == "OR":
-        return _truthy(evaluate(expr.left, lookup, params)) or _truthy(
-            evaluate(expr.right, lookup, params)
-        )
-    left = evaluate(expr.left, lookup, params)
-    right = evaluate(expr.right, lookup, params)
-    if op in ("+", "-", "*", "/"):
-        if left is None or right is None:
-            return None
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            raise SQLError("division by zero")
-        return left / right
-    if left is None or right is None:
-        return False
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as err:
-        raise SQLError(f"type error comparing {left!r} {op} {right!r}") from err
-    raise SQLError(f"unknown operator {op!r}")
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value)
+_COMPILERS: dict[type, Callable[[Any], Compiled]] = {
+    ast.Literal: _literal,
+    ast.Param: _param,
+    ast.Column: _column,
+    ast.BinOp: _binop,
+    ast.UnaryOp: _unary,
+    ast.InList: _in_list,
+    ast.Between: _between,
+    ast.IsNull: _is_null,
+    ast.Like: _like,
+}
 
 
 _LIKE_CACHE: dict[str, re.Pattern] = {}
@@ -155,41 +292,3 @@ def constant_value(expr: Any, params: tuple) -> tuple[bool, Any]:
             return True, -value
         return False, None
     return False, None
-
-
-def equality_lookups(
-    where: Optional[Any], params: tuple, matches_column: Callable[[ast.Column], Optional[str]]
-) -> dict[str, list[Any]]:
-    """Constant equality constraints per column name.
-
-    ``matches_column`` maps an AST column reference to the canonical
-    column name if it refers to the scanned table, else None.  IN-lists of
-    constants contribute multi-value lookups.
-    """
-    found: dict[str, list[Any]] = {}
-    for term in conjuncts(where):
-        if isinstance(term, ast.BinOp) and term.op == "=":
-            for col_side, other in ((term.left, term.right), (term.right, term.left)):
-                if isinstance(col_side, ast.Column):
-                    name = matches_column(col_side)
-                    if name is None:
-                        continue
-                    ok, value = constant_value(other, params)
-                    if ok:
-                        found.setdefault(name, []).append(value)
-        elif isinstance(term, ast.InList) and not term.negated:
-            if isinstance(term.expr, ast.Column):
-                name = matches_column(term.expr)
-                if name is None:
-                    continue
-                values = []
-                for item in term.items:
-                    ok, value = constant_value(item, params)
-                    if not ok:
-                        break
-                    values.append(value)
-                else:
-                    existing = found.get(name)
-                    if existing is None:
-                        found[name] = values
-    return found

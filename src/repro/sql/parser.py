@@ -380,6 +380,10 @@ def parse(sql: str) -> Any:
 
 _CACHE: dict[str, Any] = {}
 _CACHE_LIMIT = 4096
+#: id(statement) -> (statement, plans) for every statement in ``_CACHE``.
+#: ``plans`` is filled lazily by :func:`repro.sql.plan.plan_for`; the slots
+#: are cleared with the cache, so plans never outnumber or outlive it.
+_PLAN_SLOTS: dict[int, tuple[Any, dict]] = {}
 
 
 def parse_cached(sql: str) -> Any:
@@ -389,5 +393,7 @@ def parse_cached(sql: str) -> Any:
         statement = parse(sql)
         if len(_CACHE) >= _CACHE_LIMIT:
             _CACHE.clear()
+            _PLAN_SLOTS.clear()
         _CACHE[sql] = statement
+        _PLAN_SLOTS[id(statement)] = (statement, {})
     return statement

@@ -8,7 +8,7 @@ maintenance trivially correct under MVCC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.errors import CatalogError, IntegrityError
@@ -63,13 +63,24 @@ class ColumnDef:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """A table definition with a single-column primary key."""
+    """A table definition with a single-column primary key.
+
+    The derived fields are computed once here: the schema is immutable,
+    and statement plans and every staged row read them.
+    """
 
     name: str
     columns: tuple[ColumnDef, ...]
+    pk_column: str = field(init=False, repr=False, compare=False)
+    column_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    column_set: frozenset = field(init=False, repr=False, compare=False)
+    #: (column, referenced table) pairs declared on this table
+    foreign_keys: tuple[tuple[str, str], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
+        names = tuple(c.name for c in self.columns)
         if len(set(names)) != len(names):
             raise CatalogError(f"duplicate column in table {self.name!r}")
         pks = [c for c in self.columns if c.primary_key]
@@ -77,21 +88,16 @@ class TableSchema:
             raise CatalogError(
                 f"table {self.name!r} needs exactly one PRIMARY KEY column"
             )
-
-    @property
-    def pk_column(self) -> str:
-        return next(c.name for c in self.columns if c.primary_key)
-
-    @property
-    def foreign_keys(self) -> tuple[tuple[str, str], ...]:
-        """(column, referenced table) pairs declared on this table."""
-        return tuple(
-            (c.name, c.references) for c in self.columns if c.references
-        )
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+        derived = {
+            "pk_column": pks[0].name,
+            "column_names": names,
+            "column_set": frozenset(names),
+            "foreign_keys": tuple(
+                (c.name, c.references) for c in self.columns if c.references
+            ),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
 
     def column(self, name: str) -> ColumnDef:
         for col in self.columns:
@@ -101,8 +107,8 @@ class TableSchema:
 
     def validate_row(self, values: dict[str, Any]) -> dict[str, Any]:
         """Check a full row against the schema, filling missing with None."""
-        unknown = set(values) - set(self.column_names)
-        if unknown:
+        if not self.column_set.issuperset(values):
+            unknown = set(values) - self.column_set
             raise CatalogError(
                 f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
             )

@@ -31,6 +31,7 @@ from repro.storage.versions import Version
 from repro.storage.writeset import DELETE, INSERT, UPDATE, WriteOp, WriteSet
 from repro.sql import executor as sql_executor
 from repro.sql.parser import parse_cached
+from repro.sql.plan import plan_for
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -222,9 +223,8 @@ class Database:
         if statement.kind == "insert":
             return ("pk", len(statement.rows))
         table = self.catalog.table(statement.table)
-        alias = getattr(statement, "alias", None)
-        where = statement.where
-        return sql_executor.choose_path(table, alias, where, params)
+        plan = plan_for(statement, table.schema)
+        return sql_executor.choose_path(table, plan, params)
 
     def has_committed(self, gid: str) -> bool:
         """Did a transaction with this global id commit here?  Used by a

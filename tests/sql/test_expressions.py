@@ -4,13 +4,19 @@ import pytest
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.expressions import (
-    conjuncts,
-    constant_value,
-    equality_lookups,
-    evaluate,
-)
+from repro.sql.expressions import conjuncts, constant_value, evaluate
 from repro.sql.parser import parse
+from repro.sql.plan import build_plan
+from repro.storage.catalog import ColumnDef, TableSchema
+
+SCHEMA = TableSchema(
+    "t",
+    (
+        ColumnDef("id", "INT", primary_key=True),
+        ColumnDef("v", "TEXT"),
+        ColumnDef("other_col", "INT"),
+    ),
+)
 
 
 def where_of(sql_where):
@@ -111,34 +117,30 @@ def test_constant_value():
     assert constant_value(ast.Column("a"), ())[0] is False
 
 
-def match_plain(col):
-    return col.name if col.table in (None, "t") else None
+def equality_lookups(sql_where, params=()):
+    """The plan's constant equality constraints on table ``t``."""
+    statement = parse(f"SELECT * FROM t WHERE {sql_where}")
+    return build_plan(statement, SCHEMA).lookups(params)
 
 
 def test_equality_lookups_simple():
-    found = equality_lookups(where_of("id = 7 AND v = 'x'"), (), match_plain)
+    found = equality_lookups("id = 7 AND v = 'x'")
     assert found["id"] == [7]
     assert found["v"] == ["x"]
 
 
 def test_equality_lookups_params_and_in():
-    found = equality_lookups(where_of("id IN (1, ?, 3)"), (2,), match_plain)
+    found = equality_lookups("id IN (1, ?, 3)", (2,))
     assert found["id"] == [1, 2, 3]
 
 
 def test_equality_lookups_ignores_or_branches():
-    found = equality_lookups(where_of("id = 1 OR id = 2"), (), match_plain)
-    assert found == {}
+    assert equality_lookups("id = 1 OR id = 2") == {}
 
 
 def test_equality_lookups_ignores_other_tables():
-    def matcher(col):
-        return col.name if col.table == "t" else None
-
-    found = equality_lookups(where_of("u.id = 1 AND t.id = 2"), (), matcher)
-    assert found == {"id": [2]}
+    assert equality_lookups("u.id = 1 AND t.id = 2") == {"id": [2]}
 
 
 def test_equality_lookups_non_constant_side_ignored():
-    found = equality_lookups(where_of("id = other_col"), (), match_plain)
-    assert found == {}
+    assert equality_lookups("id = other_col") == {}
