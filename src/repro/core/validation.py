@@ -189,6 +189,13 @@ class Certifier:
         self.gc_collected += len(dead)
         return len(dead)
 
+    #: everything :meth:`clone` copies, in :meth:`to_wire` order
+    _STATE = (
+        "salvage", "last_validated_tid", "_last_writer", "_deleted",
+        "floor", "validated", "rejected", "salvaged", "salvage_rejects",
+        "gc_runs", "gc_collected", "floor_aborts",
+    )
+
     def clone(self) -> "Certifier":
         """Snapshot for recovery state transfer: a recovering replica
         resumes certification from the donor's exact decision state —
@@ -197,16 +204,17 @@ class Certifier:
         reported certification metrics match the donor's (a joiner that
         zeroed ``validated``/``rejected`` would diverge from every peer's
         monitoring surface)."""
-        other = Certifier(salvage=self.salvage)
-        other.last_validated_tid = self.last_validated_tid
-        other._last_writer = dict(self._last_writer)
-        other._deleted = set(self._deleted)
-        other.floor = self.floor
-        other.validated = self.validated
-        other.rejected = self.rejected
-        other.salvaged = self.salvaged
-        other.salvage_rejects = self.salvage_rejects
-        other.gc_runs = self.gc_runs
-        other.gc_collected = self.gc_collected
-        other.floor_aborts = self.floor_aborts
+        return Certifier.from_wire(self.to_wire())
+
+    def to_wire(self) -> tuple:
+        """The decision state as builtins (the wire codec's form)."""
+        return tuple(getattr(self, name) for name in self._STATE)
+
+    @classmethod
+    def from_wire(cls, state: tuple) -> "Certifier":
+        other = cls()
+        for name, value in zip(cls._STATE, state, strict=True):
+            setattr(other, name, value)
+        other._last_writer = dict(other._last_writer)
+        other._deleted = set(other._deleted)
         return other

@@ -73,6 +73,20 @@ class GcsConfig:
 
 
 @dataclass(frozen=True)
+class Multicast:
+    """A payload on its way from a member to the sequencer.
+
+    The simulated bus carries the sender→bus hop in a timer closure; a
+    bus reached over a channel (``repro.runtime.tcpbus``) sends this
+    record instead.
+    """
+
+    payload: Any
+    batchable: bool
+    sent_at: float
+
+
+@dataclass(frozen=True)
 class Message:
     """A totally ordered multicast delivery.
 

@@ -62,8 +62,6 @@ class Runtime(Protocol):
     #: bench envelopes carry this tag so the two are never conflated.
     clock: str
 
-    processes: list
-
     @property
     def now(self) -> float: ...
 

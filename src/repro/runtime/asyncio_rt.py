@@ -96,6 +96,20 @@ def _timer_pseudo_process(callback) -> _TimerProcess:
     return _TimerProcess(f"timer:{getattr(callback, '__qualname__', callback)!r}")
 
 
+class _Process(Process):
+    """A process that leaves its runtime's live set when it ends."""
+
+    __slots__ = ()
+
+    def _finish(self, state, result=None, exception=None) -> None:
+        self.sim.processes.pop(self, None)
+        super()._finish(state, result, exception)
+
+    def kill(self) -> None:
+        super().kill()
+        self.sim.processes.pop(self, None)
+
+
 class AsyncioRuntime:
     """Wall-clock implementation of the protocol kernel interface."""
 
@@ -107,7 +121,9 @@ class AsyncioRuntime:
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
         self._failure: Optional[tuple[Any, BaseException]] = None
-        self.processes: list[Process] = []
+        #: the live processes, in spawn order (a dict used as an ordered
+        #: set): ``stop()`` sweeps them, and each leaves as it ends
+        self.processes: dict[Process, None] = {}
         #: strong pending work: non-weak timers + in-flight I/O tokens
         self._strong = 0
         self._timers: set[_Timer] = set()
@@ -294,8 +310,8 @@ class AsyncioRuntime:
         """Create a process and schedule its first step immediately."""
         if isinstance(gen, Iterator) and not isinstance(gen, Generator):
             raise SimulationError(f"spawn needs a generator, got {type(gen)!r}")
-        process = Process(self, gen, name, daemon)
-        self.processes.append(process)
+        process = _Process(self, gen, name, daemon)
+        self.processes[process] = None
         self._schedule(0.0, process._step_if_alive, None)
         return process
 

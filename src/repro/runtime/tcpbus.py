@@ -4,12 +4,14 @@
 :class:`repro.gcs.multicast.GroupBus` — total ordering, batching,
 reordering, view changes, serial occupancy, the stability watermark —
 and swaps the message transport: every member gets a dedicated loopback
-TCP channel to the bus host, multicasts travel member→bus as pickled
-frames, and ordered items (``Message`` / ``Batch`` / ``ViewChange``)
-fan out bus→member the same way.  TCP's FIFO replaces the simulated
-per-member monotone-delivery clamp; each member receives a pickled
-*copy* of every ordered item, which is stricter than the simulator's
-shared references (replicas correlate by gid, never by identity).
+TCP channel to the bus host, a multicast travels member→bus as one
+:class:`~repro.gcs.multicast.Multicast` frame, and each ordered item
+(``Message`` / ``Batch`` / ``ViewChange``) is encoded once and the same
+frame is written to every member's channel.  TCP's FIFO replaces the
+simulated per-member monotone-delivery clamp; each member decodes its
+own *copy* of every ordered item, which is stricter than the
+simulator's shared references (replicas correlate by gid, never by
+identity).
 
 The membership trick that makes joins race-free: both channel ends
 exist in-process the moment ``connect`` returns, so the bus registers
@@ -23,8 +25,15 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.errors import GcsError, NotAMember
-from repro.gcs.multicast import GcsConfig, GroupBus, GroupMember, ViewChange
+from repro.gcs.multicast import (
+    GcsConfig,
+    GroupBus,
+    GroupMember,
+    Multicast,
+    ViewChange,
+)
 from repro.net.network import ChannelClosed
+from repro.runtime import tcpnet
 from repro.runtime.tcpnet import TcpChannelEnd, TcpNetwork
 
 
@@ -39,7 +48,7 @@ class TcpGroupMember(GroupMember):
     def multicast(self, payload: Any, batchable: bool = False) -> None:
         if not self.alive:
             raise NotAMember(f"{self.member_id!r} is not in the view")
-        self._end.send(("mc", payload, batchable, self.bus.sim.now))
+        self._end.send(Multicast(payload, batchable, self.bus.sim.now))
 
 
 class TcpGroupBus(GroupBus):
@@ -112,13 +121,14 @@ class TcpGroupBus(GroupBus):
         """Bus-side pump: sequence each multicast frame as it arrives."""
         while True:
             try:
-                frame = yield from end.recv()
+                multicast = yield from end.recv()
             except ChannelClosed:
                 return
-            if not (isinstance(frame, tuple) and frame and frame[0] == "mc"):
-                continue
-            _, payload, batchable, sent_at = frame
-            self._sequence(member, payload, batchable, sent_at)
+            if isinstance(multicast, Multicast):
+                self._sequence(
+                    member, multicast.payload, multicast.batchable,
+                    multicast.sent_at,
+                )
 
     def _member_pump(self, member: TcpGroupMember, end: TcpChannelEnd):
         """Member-side pump: ordered items off the wire into the inbox."""
@@ -132,10 +142,14 @@ class TcpGroupBus(GroupBus):
     def _fanout(self, item: Any, extra_delay: float) -> None:
         # TCP's per-channel FIFO is the monotone-delivery guarantee the
         # simulated clamp provides; extra_delay (sequencer occupancy) was
-        # already applied by _dispatch's call_at.
+        # already applied by _dispatch's call_at.  The item is encoded
+        # once, on the first live member, and every send writes those bytes.
+        frame = None
         for member_id, member in self._members.items():
             if not member.alive:
                 continue
             end = self._member_ends.get(member_id)
             if end is not None:
-                end.send(item)
+                if frame is None:
+                    frame = tcpnet._frame(item)
+                end.send(item, frame)

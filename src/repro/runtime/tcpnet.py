@@ -16,15 +16,19 @@ loop.  The protocol-visible contract is identical to the simulated one:
   immediately (socket establishment happens in the background — sends
   buffer inside the end until the transport attaches).
 
-Frames are 4-byte big-endian length-prefixed pickles.  Each socket is
-driven by one :class:`_FrameProtocol`: ``data_received`` splits every
-complete frame out of what has arrived and puts each decoded message
-straight into the receiving end's inbox — no reader task, no coroutine
-resume per frame.  On the server side the first frame is the channel-id
-hello that binds the socket to its channel.  Decoding fails closed: a
-length header over :data:`MAX_FRAME_BYTES` (refused before any of its
-body is buffered) or a body that raises anything while unpickling breaks
-the channel exactly like a peer FIN, so both ends see
+Frames are built by :mod:`repro.runtime.codec`: a 4-byte big-endian
+length, a version byte, and a record of builtins (registered protocol
+types travel as tagged tuples).  :func:`_frame` is the one encoder; a
+fan-out may encode once and hand the same bytes to every member's
+``send``.  Each socket is driven by one :class:`_FrameProtocol`:
+``data_received`` splits every complete frame out of what has arrived
+and puts each decoded message straight into the receiving end's inbox —
+no reader task, no coroutine resume per frame.  On the server side the
+first frame is the channel-id hello that binds the socket to its
+channel.  Decoding fails closed: a length header over
+:data:`MAX_FRAME_BYTES` (refused before any of its body is buffered), an
+unknown version or tag, a global, or a body that raises anything while
+decoding breaks the channel exactly like a peer FIN, so both ends see
 ``ChannelClosed`` behind the frames already delivered.
 
 Each in-flight frame holds a runtime I/O token so ``run()`` treats
@@ -37,27 +41,26 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import pickle
 from typing import Any, Generator, Optional
 
 from repro.errors import ReproError
 from repro.net.network import BREAK, ChannelClosed
+from repro.runtime import codec
 from repro.sim import Queue
 
 #: Largest frame body a receiver accepts; a longer length header breaks
 #: the channel before any of the body is buffered.  The largest frame
 #: measured is a donor's state transfer, which travels as one frame: a
-#: whole-log delta of 1 344 120 bytes (a full state transfer is 336 026)
+#: whole-log delta of 709 334 bytes (a full state transfer is 335 716)
 #: after one 10 s ``wall-update`` episode.  Protocol traffic stays far
-#: below that: at most 1 055 bytes (a writeset ``Message`` on
-#: ``wall-tpcw``) across the test suite and the benchmark workloads.
-#: 32 MiB is 25x the largest.
+#: below that: at most 749 bytes (an ``ExecuteResp`` on ``wall-tpcw``;
+#: a writeset ``Message`` there is at most 723) across the test suite
+#: and the benchmark workloads.  32 MiB is 47x the largest.
 MAX_FRAME_BYTES = 32 << 20
 
 
-def _frame(obj: Any) -> bytes:
-    data = pickle.dumps(obj)
-    return len(data).to_bytes(4, "big") + data
+#: the one encoder: ``obj`` as a whole frame, length header included
+_frame = codec.frame
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> Any:
@@ -70,7 +73,7 @@ async def _read_frame(reader: asyncio.StreamReader) -> Any:
     """
     header = await reader.readexactly(4)
     length = int.from_bytes(header, "big")
-    return pickle.loads(await reader.readexactly(length))
+    return codec.unframe(await reader.readexactly(length))
 
 
 class _FrameProtocol(asyncio.Protocol):
@@ -110,7 +113,7 @@ class _FrameProtocol(asyncio.Protocol):
                 need = stop - pos
                 break
             try:
-                message = pickle.loads(data[pos + 4:stop])
+                message = codec.unframe(data[pos + 4:stop])
             except Exception:  # noqa: BLE001 - any undecodable frame breaks the channel
                 self._shut()
                 return
@@ -424,15 +427,17 @@ class TcpChannelEnd:
 
     # -- sending ----------------------------------------------------------------
 
-    def send(self, message: Any) -> None:
+    def send(self, message: Any, frame: Optional[bytes] = None) -> None:
         """Write ``message`` to the peer (buffered until the socket is up).
 
-        Sends on a broken channel are silently dropped, matching the
-        simulated network (and writes racing a dead TCP peer).
+        ``frame`` is ``message`` already encoded by :func:`_frame`, for a
+        sender that writes one message to several peers.  Sends on a
+        broken channel are silently dropped, matching the simulated
+        network (and writes racing a dead TCP peer).
         """
         if self.channel.broken or not self.peer_host.alive:
             return
-        frame_bytes = _frame(message)
+        frame_bytes = _frame(message) if frame is None else frame
         self._outstanding += 1
         self.channel.network.runtime._io_begin()
         if self._buffer is not None:

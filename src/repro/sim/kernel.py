@@ -237,7 +237,6 @@ class Simulator:
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
         self._failure: Optional[tuple[Process, BaseException]] = None
-        self.processes: list[Process] = []
 
     # -- time & randomness ---------------------------------------------------
 
@@ -312,7 +311,6 @@ class Simulator:
         if isinstance(gen, Iterator) and not isinstance(gen, Generator):
             raise SimulationError(f"spawn needs a generator, got {type(gen)!r}")
         process = Process(self, gen, name, daemon)
-        self.processes.append(process)
         self._schedule(0.0, process._step_if_alive, None)
         return process
 

@@ -12,6 +12,7 @@ images at a remote replica.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, FrozenSet, Iterator, Optional
 
 INSERT = "insert"
@@ -31,6 +32,23 @@ class WriteOp:
     @property
     def key(self) -> tuple[str, Any]:
         return (self.table, self.pk)
+
+
+_op_fields = attrgetter("table", "pk", "op", "values")
+
+
+def _op_from_fields(fields: tuple, _new=object.__new__) -> WriteOp:
+    """``WriteOp(*fields)``, filling the instance dict directly: half the
+    cost of the frozen ``__init__``, which matters for a writeset decoded
+    on every replica."""
+    table, pk, kind, values = fields
+    op = _new(WriteOp)
+    attrs = op.__dict__
+    attrs["table"] = table
+    attrs["pk"] = pk
+    attrs["op"] = kind
+    attrs["values"] = values
+    return op
 
 
 class WriteSet:
@@ -62,6 +80,15 @@ class WriteSet:
 
     def tables(self) -> FrozenSet[str]:
         return frozenset(op.table for op in self.ops)
+
+    def to_wire(self) -> tuple:
+        """The ops as ``(table, pk, op, values)`` tuples (the wire codec's
+        form of a writeset)."""
+        return tuple(map(_op_fields, self.ops))
+
+    @classmethod
+    def from_wire(cls, ops: tuple) -> "WriteSet":
+        return cls(list(map(_op_from_fields, ops)))
 
     def __len__(self) -> int:
         return len(self.ops)

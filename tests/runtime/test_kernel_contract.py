@@ -7,6 +7,7 @@ the contract tests must not be able to either.  Timings use small wall
 delays; assertions are about *ordering and semantics*, never latency.
 """
 
+import gc
 import time
 
 import pytest
@@ -91,6 +92,62 @@ def test_kill_while_blocked_on_sleep(rt):
     assert victim.state == KILLED
     # the victim's 60s timer must not keep the run alive
     assert time.monotonic() - started < 30.0
+
+
+@pytest.mark.parametrize("kind", ["sim", "wall"])
+def test_ended_processes_are_not_retained(kind):
+    """Every update transaction spawns processes that end with it (one
+    ``_run_entry`` per replica).  Over 500 transactions the live process
+    count stays flat, and no ended process stays reachable — neither
+    through the runtime's bookkeeping nor anywhere else."""
+    from repro.client import Driver
+    from repro.core import ClusterConfig, SIRepCluster
+    from repro.sim.kernel import Process
+
+    cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=0, runtime=kind))
+    rt = cluster.sim
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(10)])
+    driver = Driver(cluster.network, cluster.discovery)
+    spawned = []
+    spawn = rt.spawn
+
+    def counting_spawn(gen, name="?", daemon=False):
+        spawned.append(name)
+        return spawn(gen, name=name, daemon=daemon)
+
+    rt.spawn = counting_spawn
+    counts = {}
+
+    def census():
+        """(live, still reachable) processes of this runtime."""
+        gc.collect()
+        reachable = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Process) and obj.sim is rt
+        ]
+        live = sum(1 for process in reachable if process.alive)
+        if kind == "wall":
+            assert len(rt.processes) == live
+        else:
+            assert not hasattr(rt, "processes")
+        return live, len(reachable)
+
+    def client():
+        conn = yield from driver.connect(cluster.new_client_host())
+        for i in range(1, 501):
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (i, i % 10))
+            yield from conn.commit()
+            if i in (100, 500):
+                yield rt.sleep(0.05)  # the remote replicas finish applying
+                counts[i] = census()
+
+    try:
+        rt.run_process(client())
+    finally:
+        cluster.stop()
+    assert len(spawned) > 1500  # the transactions did spawn processes
+    assert counts[500] == counts[100]
 
 
 # -------------------------------------------------------------------- timers
