@@ -41,10 +41,13 @@ Behavioral contract (pinned by ``tests/runtime/test_kernel_contract.py``):
   syscall (the writeset log's ``fsync``) never stalls the loop, and
   ``run()`` does not return while such a call is pending.
 
-Known divergence: ``call_at`` with a target in the past raises on the
+Known divergences: ``call_at`` with a target in the past raises on the
 simulator (it would reorder the deterministic heap) but clamps to
 "now" on the wall clock, where real time necessarily advances between
-computing a target and scheduling it.
+computing a target and scheduling it.  A ``call_at`` callback that
+raises escapes ``run()`` as it is on the simulator; the wall clock
+raises :class:`~repro.errors.SimulationError` naming the callback
+(``timer:'boom'``), with the original error as its ``__cause__``.
 """
 
 from __future__ import annotations

@@ -5,11 +5,21 @@ on wall-clock time.  The same generator :class:`~repro.sim.kernel.Process`
 objects and FIFO sync primitives run unchanged; only the scheduler
 differs — ``_schedule`` maps to the loop instead of a heap push, and
 ``now`` is real elapsed seconds since the runtime was built.  A timed
-callback goes on the loop's timer heap (``loop.call_later``); a
-zero-delay one — every process resume, spawn and join wake-up — goes
-straight on the ready queue (``loop.call_soon``), so waking a process
-costs no heap push and pop, and resumes run in exactly the order they
-were scheduled, which is the FIFO the sync primitives promise.
+callback is a :class:`_Timer` on the loop's timer heap
+(``loop.call_later``).  A zero-delay one — every process resume, spawn
+and join wake-up — is a ``(callback, arg, weak)`` tuple appended to the
+runtime's own FIFO ready queue, drained by one ``loop.call_soon`` of
+:meth:`AsyncioRuntime._run_ready` per loop iteration.  Waking a process
+therefore costs no heap push and pop, resumes run in exactly the order
+they were scheduled (the FIFO the sync primitives promise), and it
+allocates no asyncio ``Handle`` or ``Context``.  Nor does it make a
+reference cycle (a timer holding a handle that holds the timer's bound
+``fire``), so refcounting frees every wake-up and the cyclic collector
+never has to; a timed ``_Timer`` drops its handle when it fires for the
+same reason.  A drain runs only the entries queued when it starts, so
+the socket callbacks the loop runs between iterations keep their turn.
+Only the loop thread touches the ready queue; the I/O thread posts its
+completions with ``call_soon_threadsafe``.
 
 Strong/weak accounting mirrors the simulator: ``run()`` without a
 horizon returns once no strong timer is pending.  Real I/O adds one
@@ -56,7 +66,8 @@ _POLL = 0.05
 
 
 class _Timer:
-    """One scheduled callback plus its strong/weak bookkeeping."""
+    """One timed callback (``loop.call_later``) plus its strong/weak
+    bookkeeping; kept in ``_timers`` so ``stop()`` can cancel it."""
 
     __slots__ = ("runtime", "callback", "arg", "weak", "handle")
 
@@ -65,9 +76,12 @@ class _Timer:
         self.callback = callback
         self.arg = arg
         self.weak = weak
-        self.handle: Optional[asyncio.Handle] = None
+        self.handle: Optional[asyncio.TimerHandle] = None
 
     def fire(self) -> None:
+        # the handle holds ``self.fire``, which holds this timer: letting
+        # go of it first leaves the pair to refcounting, not the collector
+        self.handle = None
         rt = self.runtime
         rt._timers.discard(self)
         if not self.weak:
@@ -75,12 +89,13 @@ class _Timer:
         try:
             self.callback(self.arg)
         except BaseException as err:  # noqa: BLE001 - surface via run()
-            # Process steps never raise (they record failures); a raw
-            # call_at callback that does must still abort the run loop
-            # instead of vanishing into the loop's exception handler.
-            if rt._failure is None:
-                rt._failure = (_timer_pseudo_process(self.callback), err)
+            rt._callback_failed(self.callback, self.arg, err)
         rt._check_wake()
+
+
+def _call(callback: Callable[[], None]) -> None:
+    """What ``call_at`` schedules: its argument is the user's callback."""
+    callback()
 
 
 class _TimerProcess:
@@ -90,10 +105,6 @@ class _TimerProcess:
 
     def __init__(self, name: str):
         self.name = name
-
-
-def _timer_pseudo_process(callback) -> _TimerProcess:
-    return _TimerProcess(f"timer:{getattr(callback, '__qualname__', callback)!r}")
 
 
 class _Process(Process):
@@ -127,6 +138,10 @@ class AsyncioRuntime:
         #: strong pending work: non-weak timers + in-flight I/O tokens
         self._strong = 0
         self._timers: set[_Timer] = set()
+        #: zero-delay callbacks, FIFO: ``(callback, arg, weak)``
+        self._ready: deque[tuple[Callable, Any, bool]] = deque()
+        #: a ``_run_ready`` is on the loop's own ready queue
+        self._ready_armed = False
         self._tasks: set[asyncio.Task] = set()
         #: teardown hooks registered by I/O layers (TcpNetwork etc.)
         self._closers: list[Callable[[], None]] = []
@@ -167,14 +182,49 @@ class AsyncioRuntime:
             raise SimulationError(f"negative delay: {delay}")
         if self._loop.is_closed():
             return  # post-stop stragglers (joiner resumes, etc.) are moot
-        timer = _Timer(self, callback, arg, weak)
-        if delay:
-            timer.handle = self._loop.call_later(delay, timer.fire)
-        else:
-            timer.handle = self._loop.call_soon(timer.fire)
-        self._timers.add(timer)
         if not weak:
             self._strong += 1
+        if delay:
+            timer = _Timer(self, callback, arg, weak)
+            timer.handle = self._loop.call_later(delay, timer.fire)
+            self._timers.add(timer)
+            return
+        self._ready.append((callback, arg, weak))
+        if not self._ready_armed:
+            self._ready_armed = True
+            self._loop.call_soon(self._run_ready)
+
+    def _run_ready(self) -> None:
+        """Run the zero-delay callbacks queued when this drain started.
+
+        What they schedule waits for the next drain, one loop iteration
+        later, so a process spinning on ``sleep(0)`` cannot starve the
+        socket callbacks the loop runs in between.
+        """
+        ready = self._ready
+        for _ in range(len(ready)):
+            callback, arg, weak = ready.popleft()
+            if not weak:
+                self._strong -= 1
+            try:
+                callback(arg)
+            except BaseException as err:  # noqa: BLE001 - surface via run()
+                self._callback_failed(callback, arg, err)
+        if ready:
+            self._loop.call_soon(self._run_ready)
+        else:
+            self._ready_armed = False
+        self._check_wake()
+
+    def _callback_failed(self, callback, arg, err: BaseException) -> None:
+        # Process steps never raise (they record failures); a raw
+        # call_at callback that does must still abort the run loop
+        # instead of vanishing into the loop's exception handler.
+        if self._failure is None:
+            if callback is _call:  # name call_at's callback, not its wrapper
+                callback = arg
+            name = f"timer:{getattr(callback, '__qualname__', callback)!r}"
+            self._failure = (_TimerProcess(name), err)
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute runtime ``time``.
@@ -182,9 +232,11 @@ class AsyncioRuntime:
         Unlike the simulator this *clamps* past targets to "now": real
         time advances between computing a target (e.g. the sequencer's
         ``max(now, busy_until)``) and scheduling it, so a small negative
-        delta is normal here, not a determinism bug.
+        delta is normal here, not a determinism bug.  If ``callback``
+        raises, ``run()`` raises :class:`SimulationError` naming it,
+        with the error as ``__cause__`` (the simulator lets it escape).
         """
-        self._schedule(max(0.0, time - self.now), lambda _arg: callback(), None)
+        self._schedule(max(0.0, time - self.now), _call, callback)
 
     def sleep(self, duration: float, weak: bool = False) -> Delay:
         """Awaitable: resume after ``duration`` real seconds."""
@@ -374,7 +426,8 @@ class AsyncioRuntime:
         :class:`~repro.errors.RuntimeStopped` — the ``OneShot.fail``
         path — and let the loop drain so generators unwind (and the
         I/O completions land); (2) kill any process still alive; (3)
-        cancel all outstanding timers; (4) run registered closers
+        cancel all outstanding timers and drop the zero-delay callbacks
+        still queued; (4) run registered closers
         (listening sockets, channel transports) and drain their FIN
         handshakes; (5) cancel remaining asyncio tasks and close the
         loop.  Idempotent.
@@ -397,10 +450,10 @@ class AsyncioRuntime:
         for process in list(self.processes):
             process.kill()
         self._drain(rounds=2)
-        for timer in list(self._timers):
-            if timer.handle is not None:
-                timer.handle.cancel()
+        for timer in self._timers:
+            timer.handle.cancel()
         self._timers.clear()
+        self._ready.clear()
         self._strong = 0
         for closer in self._closers:
             closer()

@@ -186,6 +186,65 @@ def test_blocking_calls_survive_thread_switch_stress():
     assert sorted(results) == [(i, s) for i in range(8) for s in range(25)]
 
 
+def test_scheduling_makes_no_cyclic_garbage():
+    """Resumes, a timed sleep and TCP round trips are freed by
+    refcounting alone: with the collector off and every unreachable
+    object saved, a collection finds no timer, asyncio handle or process
+    — none of them sits in a reference cycle."""
+    import asyncio
+    import gc
+
+    from repro.runtime import TcpNetwork
+    from repro.runtime.asyncio_rt import _Timer
+    from repro.sim.kernel import Process
+
+    rt = AsyncioRuntime(seed=0)
+    net = TcpNetwork(rt)
+    client = net.register("client")
+    server = net.register("server")
+    ping, pong = Queue("ping"), Queue("pong")
+
+    def echo():
+        end = yield server.accept()
+        for _ in range(200):
+            end.send((yield from end.recv()))
+
+    def ponger():
+        for _ in range(1000):
+            pong.put((yield ping.get()))
+
+    def main():
+        for i in range(1000):  # 2000 resumes
+            ping.put(i)
+            assert (yield pong.get()) == i
+        yield rt.sleep(0.01)
+        channel = net.connect(client, "server")
+        for i in range(200):
+            channel.client_end.send(i)
+            assert (yield from channel.client_end.recv()) == i
+        return True
+
+    rt.spawn(echo(), name="echo")
+    rt.spawn(ponger(), name="ponger")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert rt.run_process(main()) is True
+        gc.collect()
+        cyclic = [
+            type(obj).__name__
+            for obj in gc.garbage
+            if isinstance(obj, (_Timer, asyncio.Handle, Process))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+        rt.stop()
+    assert cyclic == []
+
+
 def test_queue_survives_stop_without_leak_warnings():
     """Processes blocked on queues at stop() are killed cleanly; a
     subsequent fresh runtime in the same process is unaffected."""

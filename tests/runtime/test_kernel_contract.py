@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import ProcessKilled, QueueClosed
+from repro.errors import ProcessKilled, QueueClosed, SimulationError
 from repro.net import ChannelClosed
 from repro.runtime import make_runtime
 from repro.sim.kernel import KILLED
@@ -185,6 +185,26 @@ def test_call_at_fires_in_order(rt):
     assert rt.run_process(main()) == ["early", "late"]
 
 
+def boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01])
+def test_raising_call_at_callback_surfaces_from_run(rt, delay):
+    """A ``call_at`` callback that raises aborts ``run()`` with its error
+    reachable: raw on the simulator, as the ``__cause__`` of a
+    :class:`SimulationError` that names the callback on the wall clock."""
+    rt.call_at(rt.now + delay, boom)
+    with pytest.raises(Exception) as info:
+        rt.run()
+    if rt.clock == "sim":
+        assert isinstance(info.value, ValueError)
+    else:
+        assert isinstance(info.value, SimulationError)
+        assert "timer:'boom'" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 # -------------------------------------------------------------------- queues
 
 
@@ -265,20 +285,61 @@ def test_waiters_resume_in_the_order_they_blocked(rt, primitive):
     assert rt.run_process(main()) == blocked
 
 
+def test_resumes_scheduled_while_draining_run_after_those_queued(rt):
+    """Zero-delay callbacks run in scheduling order, and one scheduled by
+    a running callback runs after every callback already queued: three
+    generations of a binary tree run breadth-first."""
+    order = []
+
+    def step(label):
+        order.append(label)
+        if len(label) < 3:
+            rt._schedule(0.0, step, label + "a")
+            rt._schedule(0.0, step, label + "b")
+
+    for label in "xyz":
+        rt._schedule(0.0, step, label)
+    rt.run()
+    generation, expected = ["x", "y", "z"], []
+    while generation:
+        expected += generation
+        generation = [g + c for g in generation if len(g) < 3 for c in "ab"]
+    assert order == expected
+
+
 def test_zero_delay_schedule_skips_the_timer_heap(monkeypatch):
     """On the wall runtime a resume (``_schedule`` with delay 0) goes on
-    the loop's ready queue, never through ``loop.call_later``."""
+    the runtime's ready queue, never through ``loop.call_later``, and the
+    loop is asked for one ``call_soon`` per drain, not one per resume."""
     from repro.runtime import AsyncioRuntime
 
     rt = AsyncioRuntime(seed=0)
-    delays = []
-    call_later = rt._loop.call_later
+    delays, resumes, arms, drains = [], [], [], []
+    call_later, call_soon = rt._loop.call_later, rt._loop.call_soon
+    schedule, run_ready = rt._schedule, rt._run_ready
 
-    def spy(delay, *args, **kwargs):
+    def spy_later(delay, *args, **kwargs):
         delays.append(delay)
         return call_later(delay, *args, **kwargs)
 
-    monkeypatch.setattr(rt._loop, "call_later", spy)
+    def spy_soon(callback, *args, **kwargs):
+        if callback is counted_drain:
+            arms.append(callback)
+        return call_soon(callback, *args, **kwargs)
+
+    def counted_schedule(delay, callback, arg, weak=False):
+        if not delay:
+            resumes.append(callback)
+        schedule(delay, callback, arg, weak)
+
+    def counted_drain():
+        drains.append(len(rt._ready))
+        run_ready()
+
+    monkeypatch.setattr(rt._loop, "call_later", spy_later)
+    monkeypatch.setattr(rt._loop, "call_soon", spy_soon)
+    monkeypatch.setattr(rt, "_schedule", counted_schedule)
+    monkeypatch.setattr(rt, "_run_ready", counted_drain)
     inbox = Queue("inbox")
 
     def consumer():
@@ -297,8 +358,86 @@ def test_zero_delay_schedule_skips_the_timer_heap(monkeypatch):
     try:
         assert rt.run_process(main()) == [0, 1, 2]
         assert all(delay > 0 for delay in delays)
+        # resumes: main's spawn, consumer's spawn, the clamped call_at,
+        # three gets, main's join; main's first step queues the next
+        # two together, so six drains each armed once
+        assert len(resumes) == 7
+        assert drains == [1, 2, 1, 1, 1, 1]
+        assert len(arms) == len(drains)
     finally:
         rt.stop()
+
+
+def test_spinning_process_does_not_starve_a_channel_round_trip():
+    """A drain runs only what was queued when it started, so the loop
+    still polls its sockets between the resumes of a process looping on
+    ``sleep(0)`` (the simulator would spin forever: virtual time never
+    advances past the spinner's next step)."""
+    from repro.runtime import AsyncioRuntime, TcpNetwork
+
+    rt = AsyncioRuntime(seed=0)
+    net = TcpNetwork(rt)
+    client = net.register("client")
+    server = net.register("server")
+    spins, done, cap = [0], [], 100_000
+
+    def spinner():
+        while not done and spins[0] < cap:
+            spins[0] += 1
+            yield rt.sleep(0)
+
+    def server_proc():
+        end = yield server.accept()
+        for _ in range(20):
+            end.send((yield from end.recv()))
+
+    def client_proc():
+        channel = net.connect(client, "server")
+        for i in range(20):
+            channel.client_end.send(i)
+            assert (yield from channel.client_end.recv()) == i
+        done.append(True)
+        return spins[0]
+
+    try:
+        rt.spawn(spinner(), name="spinner", daemon=True)
+        rt.spawn(server_proc(), name="server")
+        assert 0 < rt.run_process(client_proc()) < cap
+    finally:
+        rt.stop()
+
+
+def test_stop_drops_queued_resumes():
+    """``stop()`` with zero-delay resumes still queued drops them: no
+    strong work is left counted and nothing runs again — not a process
+    looping on ``sleep(0)``, and not a raw callback that re-schedules
+    itself, which no kill ends."""
+    from repro.runtime import AsyncioRuntime
+
+    rt = AsyncioRuntime(seed=0)
+    steps, ticks = [], []
+
+    def spinner():
+        while True:
+            steps.append(rt.now)
+            yield rt.sleep(0)
+
+    def tick(_arg):
+        ticks.append(rt.now)
+        rt._schedule(0.0, tick, None)
+
+    process = rt.spawn(spinner(), name="spinner", daemon=True)
+    rt._schedule(0.0, tick, None)
+    rt.run(until=0.01)
+    assert len(rt._ready) == rt._strong == 2
+    rt.stop()
+    assert process.state == KILLED
+    assert not rt._ready and rt._strong == 0
+    taken = len(steps), len(ticks)
+    rt._schedule(0.0, process._step_if_alive, None)
+    rt._schedule(0.0, tick, None)
+    assert not rt._ready and rt._strong == 0
+    assert (len(steps), len(ticks)) == taken
 
 
 def test_one_shot_round_trip(rt):
