@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-import networkx as nx
-
 from repro.si.schedule import BEGIN, COMMIT
 
 
@@ -110,6 +108,10 @@ class OneCopyMonitor:
     ):
         if interval <= 0:
             raise ValueError(f"monitor interval must be positive: {interval}")
+        # networkx is imported where the graph is used, so a deployment
+        # without a monitor never loads it
+        import networkx as nx
+
         self.sim = sim
         self.interval = interval
         self.loss_grace = loss_grace
@@ -392,6 +394,8 @@ class OneCopyMonitor:
         return added
 
     def _check_cycle(self) -> None:
+        import networkx as nx
+
         try:
             cycle = nx.find_cycle(self._graph)
         except nx.NetworkXNoCycle:
@@ -475,6 +479,8 @@ class OneCopyMonitor:
         Flagged-violation dedup sets and the cycle latch survive, so a
         rebuild never re-emits what was already reported.
         """
+        import networkx as nx
+
         self._graph = nx.DiGraph()
         self._update_ws = {}
         self._first_commit = {}

@@ -242,11 +242,12 @@ class _Unpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"global {module}.{name} refused")
 
 
-def unframe(body: bytes) -> Any:
-    """Decode one frame body (everything after the length header)."""
+def unframe(body) -> Any:
+    """Decode one frame body (everything after the length header), given
+    as any bytes-like object; nothing decoded refers to ``body``."""
     stream = io.BytesIO(body)
     if stream.read(1) != _VERSION_BYTE:
-        raise ValueError(f"unknown codec version {body[:1]!r}")
+        raise ValueError(f"unknown codec version {bytes(body[:1])!r}")
     record = _Unpickler(stream).load()
     if type(record) is tuple:
         return _DECODERS[record[0]](record)

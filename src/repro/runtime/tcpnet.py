@@ -20,10 +20,11 @@ Frames are built by :mod:`repro.runtime.codec`: a 4-byte big-endian
 length, a version byte, and a record of builtins (registered protocol
 types travel as tagged tuples).  :func:`_frame` is the one encoder; a
 fan-out may encode once and hand the same bytes to every member's
-``send``.  Each socket is driven by one :class:`_FrameProtocol`:
-``data_received`` splits every complete frame out of what has arrived
-and puts each decoded message straight into the receiving end's inbox —
-no reader task, no coroutine resume per frame.  On the server side the
+``send``.  Each socket is driven by one :class:`_FrameProtocol`, a
+buffered protocol: the socket is read into one reused buffer, every
+complete frame is decoded in place, and each message goes straight into
+the receiving end's inbox — no reader task, no coroutine resume per
+frame, no allocation per read.  On the server side the
 first frame is the channel-id hello that binds the socket to its
 channel.  Decoding fails closed: a length header over
 :data:`MAX_FRAME_BYTES` (refused before any of its body is buffered), an
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import struct
 from typing import Any, Generator, Optional
 
 from repro.errors import ReproError
@@ -58,6 +60,14 @@ from repro.sim import Queue
 #: and the benchmark workloads.  32 MiB is 47x the largest.
 MAX_FRAME_BYTES = 32 << 20
 
+#: Size of the buffer each socket is read into.  A read of asyncio's
+#: default size (256 KiB) allocates above glibc's default mmap threshold,
+#: so every read would cost an mmap, a munmap and page faults; one
+#: reused buffer costs none.  64 KiB holds every protocol frame with room
+#: to spare; only a state transfer grows it.
+BUFFER_BYTES = 64 << 10
+
+_LENGTH = struct.Struct(">I")
 
 #: the one encoder: ``obj`` as a whole frame, length header included
 _frame = codec.frame
@@ -76,8 +86,14 @@ async def _read_frame(reader: asyncio.StreamReader) -> Any:
     return codec.unframe(await reader.readexactly(length))
 
 
-class _FrameProtocol(asyncio.Protocol):
+class _FrameProtocol(asyncio.BufferedProtocol):
     """One socket's receive side: complete frames go straight to an inbox.
+
+    The socket is read into one reused buffer of :data:`BUFFER_BYTES`,
+    and frames are decoded in place from it.  Received bytes fill
+    ``[_start, _end)``; unparsed bytes move to the front only when the
+    buffer is full, and a frame longer than the buffer gets a buffer of
+    its own, dropped for the base one once the frame is consumed.
 
     A client socket is bound to its end from the start; a server socket
     learns its end from the first frame, the channel-id hello.
@@ -87,49 +103,58 @@ class _FrameProtocol(asyncio.Protocol):
         self.host = host
         self.end = end
         self.transport: Optional[asyncio.Transport] = None
-        #: bytes of an incomplete frame, and how many it needs in all
-        self._partial = bytearray()
-        self._need = 0
+        self._base = self._buf = memoryview(bytearray(BUFFER_BYTES))
+        #: first unparsed byte, and one past the last received byte
+        self._start = self._end = 0
 
     def connection_made(self, transport) -> None:
         self.transport = transport
 
-    def data_received(self, data: bytes) -> None:
-        partial = self._partial
-        if partial:
-            partial += data
-            if len(partial) < self._need:
-                return
-            data = bytes(partial)
-            partial.clear()
-        pos, size, need = 0, len(data), 4
-        while size - pos >= 4:
-            length = int.from_bytes(data[pos:pos + 4], "big")
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buf[self._end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buf = self._buf
+        pos, end = self._start, self._end + nbytes
+        while end - pos >= 4:
+            (length,) = _LENGTH.unpack_from(buf, pos)
             if length > MAX_FRAME_BYTES:
                 self._shut()
                 return
             stop = pos + 4 + length
-            if stop > size:
-                need = stop - pos
+            if stop > end:
                 break
             try:
-                message = codec.unframe(data[pos + 4:stop])
+                message = codec.unframe(buf[pos + 4:stop])
             except Exception:  # noqa: BLE001 - any undecodable frame breaks the channel
                 self._shut()
                 return
             pos = stop
-            end = self.end
-            if end is None:
+            channel_end = self.end
+            if channel_end is None:
                 if not self._bind(message):
                     return
                 continue
-            end._deliver(message)
+            channel_end._deliver(message)
             # deliver-then-release: the resumption this put scheduled is
             # already strong, so the count never transits zero mid-frame
-            end.peer._token_release()
-        if pos < size:
-            partial += data[pos:]
-            self._need = need
+            channel_end.peer._token_release()
+        if pos == end:
+            self._buf = self._base
+            self._start = self._end = 0
+        elif end < len(buf):
+            self._start, self._end = pos, end
+        else:
+            self._make_room(pos, end)
+
+    def _make_room(self, pos: int, end: int) -> None:
+        """The buffer is full: move the incomplete frame at ``pos`` to the
+        front, into a buffer of its own when it is longer than the base."""
+        rest = end - pos
+        need = 4 + _LENGTH.unpack_from(self._buf, pos)[0] if rest >= 4 else 4
+        target = self._base if need <= BUFFER_BYTES else memoryview(bytearray(need))
+        target[:rest] = self._buf[pos:end]
+        self._buf, self._start, self._end = target, 0, rest
 
     def _bind(self, chan_id: Any) -> bool:
         """Server side: attach the socket to the channel its hello names."""

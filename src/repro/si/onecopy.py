@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec, Violation
 
 
@@ -144,6 +142,9 @@ def check_one_copy_si(
     transactions = {**update_txns, **readonly_txns}
 
     # -- (ii.a): ww-conflicting commit orders must agree across replicas ----------
+    # imported here: only the audit needs networkx, never a running replica
+    import networkx as nx
+
     graph = nx.DiGraph()
     for tid in transactions:
         graph.add_edge((BEGIN, tid), (COMMIT, tid), reason="b<c")

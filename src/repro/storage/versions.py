@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a row."""
 

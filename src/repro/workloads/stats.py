@@ -11,14 +11,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-from scipy import stats as scipy_stats
-
 from repro.obs.metrics import quantile
 
 
 def mean_confidence_interval(samples, confidence: float = 0.95):
     """(mean, half_width) of the t-based confidence interval."""
+    # imported here, not at module level: no replica, client or sequencer
+    # computes an interval, so their processes never load numpy or scipy
+    import numpy as np
+    from scipy import stats as scipy_stats
+
     data = np.asarray(list(samples), dtype=float)
     if data.size == 0:
         return (float("nan"), float("nan"))

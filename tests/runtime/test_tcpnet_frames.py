@@ -11,9 +11,16 @@ like a crash, and frees every I/O token, so ``run()`` still quiesces.
 Each test has a watchdog on a weak timer: a parser that swallows the
 break instead would leave the receiver parked and the run alive, and
 the watchdog turns that hang into a failure.
+
+Each socket is read into one reused buffer of ``BUFFER_BYTES``.  The
+last tests hold that buffer to its edge cases: a frame larger than the
+buffer, frames that straddle its end under any read chunking, and a
+long exchange that must never allocate a new one.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import ChannelClosed
 from repro.runtime import AsyncioRuntime, TcpNetwork, tcpnet
@@ -165,3 +172,153 @@ def test_close_mid_frame_breaks_without_a_partial_message(rt):
     assert receive_all(rt, server) == ["whole"]
     rt.run()
     assert rt._strong == 0
+
+
+# -- the receive buffer --------------------------------------------------------
+
+BUFFER_BYTES = tcpnet.BUFFER_BYTES
+
+
+def receiver_of(end):
+    """The protocol that parses what ``end``'s socket receives."""
+    return end._transport.get_protocol()
+
+
+def test_one_mib_frame_arrives_whole_and_the_buffer_shrinks_back(rt):
+    channel, server = open_channel(rt)
+    watchdog(rt)
+    big = bytes(range(256)) * 4096
+
+    def reader():
+        end = yield server.accept()
+        got = [(yield from end.recv()), (yield from end.recv())]
+        return end, got
+
+    channel.client_end.send(big)
+    channel.client_end.send("after")
+    end, got = rt.run_process(reader(), name="reader")
+    assert got == [big, "after"]
+    receiver = receiver_of(end)
+    assert receiver._buf is receiver._base
+    assert len(receiver._buf) == BUFFER_BYTES
+
+
+def test_thousand_round_trips_reuse_one_buffer_per_socket(rt):
+    channel, server = open_channel(rt)
+    watchdog(rt)
+
+    def echo():
+        end = yield server.accept()
+        try:
+            while True:
+                end.send((yield from end.recv()))
+        except ChannelClosed:
+            return
+
+    def client():
+        end = channel.client_end
+        buffers = None
+        for i in range(1000):
+            message = ("ping", i, "x" * (i % 300))
+            end.send(message)
+            assert (yield from end.recv()) == message
+            if buffers is None:
+                receivers = [receiver_of(channel.client_end), receiver_of(channel.server_end)]
+                buffers = [receiver._buf for receiver in receivers]
+        channel.close()
+        return receivers, buffers
+
+    rt.spawn(echo(), name="echo")
+    receivers, buffers = rt.run_process(client(), name="client")
+    for receiver, buffer in zip(receivers, buffers):
+        assert receiver._buf is buffer is receiver._base
+        assert len(buffer) == BUFFER_BYTES
+
+
+class Inbox:
+    """Stands in for a bound channel end: keeps what the parser delivers."""
+
+    def __init__(self):
+        self.got = []
+        self.peer = self
+
+    def _deliver(self, message):
+        self.got.append(message)
+
+    def _token_release(self):
+        pass
+
+
+def feed(receiver, data: bytes, cuts) -> None:
+    """Hand ``data`` to ``receiver`` as the socket transport does, cut
+    into writes at ``cuts``: each write is read into the buffer's free
+    tail, in as many reads as it takes."""
+    pos = 0
+    for stop in [*sorted(cuts), len(data)]:
+        while pos < stop:
+            free = receiver.get_buffer(-1)
+            n = min(len(free), stop - pos)
+            free[:n] = data[pos:pos + n]
+            receiver.buffer_updated(n)
+            pos += n
+
+
+def padding(frame_bytes: int) -> bytes:
+    """A message whose frame is exactly ``frame_bytes`` long (< 64 KiB)."""
+    size = frame_bytes - (len(tcpnet._frame(b"x" * frame_bytes)) - frame_bytes)
+    assert len(tcpnet._frame(b"x" * size)) == frame_bytes
+    return b"x" * size
+
+
+def parse(messages, cuts=()):
+    """Feed the frames of ``messages`` to a fresh receiver; returns it,
+    what it delivered, and whether each ``_make_room`` call kept the base
+    buffer."""
+    receiver = tcpnet._FrameProtocol(None, Inbox())
+    moves = []
+    make_room = receiver._make_room
+
+    def spy(pos, end):
+        make_room(pos, end)
+        moves.append(receiver._buf is receiver._base)
+
+    receiver._make_room = spy
+    feed(receiver, b"".join(tcpnet._frame(m) for m in messages), cuts)
+    return receiver, receiver.end.got, moves
+
+
+@pytest.mark.parametrize("gap", [1, 3, 4, 40])
+def test_frame_straddling_the_buffer_end_moves_to_the_front(gap):
+    # the second frame starts ``gap`` bytes before the end of the buffer:
+    # its header (gap < 4) or its body (gap >= 4) straddles the end
+    messages = [padding(BUFFER_BYTES - gap), "straddles", "third"]
+    receiver, got, moves = parse(messages)
+    assert got == messages
+    assert moves == [True]
+    assert receiver._buf is receiver._base
+    assert receiver._start == receiver._end == 0
+
+
+frame_sizes = st.one_of(
+    st.integers(0, 300),
+    st.integers(300, BUFFER_BYTES // 2),
+    st.integers(BUFFER_BYTES, 2 * BUFFER_BYTES),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gap=st.integers(1, 12),
+    sizes=st.lists(frame_sizes, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_mixed_frames_arrive_whole_and_in_order_under_any_chunking(gap, sizes, data):
+    messages = [padding(BUFFER_BYTES - gap)] + [
+        (i, bytes([i]) * size) for i, size in enumerate(sizes)
+    ]
+    total = sum(len(tcpnet._frame(m)) for m in messages)
+    cuts = data.draw(st.lists(st.integers(0, total), max_size=24))
+    receiver, got, _moves = parse(messages, cuts)
+    assert got == messages
+    assert receiver._buf is receiver._base
+    assert receiver._start == receiver._end == 0
