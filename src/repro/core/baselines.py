@@ -233,22 +233,21 @@ class _TableLockReplica:
             if isinstance(item, ViewChange):
                 continue
             assert isinstance(item, Message)
-            kind = item.payload[0]
-            if kind == "req":
-                _k, rid, proc_name, params, origin = item.payload
-                proc = self.system.procedures[proc_name]
-                request = _LockRequest(rid, proc.locks_for(params))
+            payload = item.payload
+            if payload.kind == protocol.PROC:
+                rid = payload.rid
+                proc = self.system.procedures[payload.proc]
+                request = _LockRequest(rid, proc.locks_for(payload.params))
                 self._requests[rid] = request
                 self.locks.enqueue(request)  # in delivery order: deadlock-free
                 self.sim.spawn(
-                    self._run_transaction(rid, proc, params, origin),
+                    self._run_transaction(rid, proc, payload.params, payload.origin),
                     name=f"{self.name}.run({rid})",
                     daemon=True,
                 )
-            elif kind == "ws":
-                _k, rid, writeset = item.payload
-                event = self._ws_events.setdefault(rid, Event())
-                event.set(writeset)
+            elif payload.kind == protocol.WS:
+                event = self._ws_events.setdefault(payload.gid, Event())
+                event.set(payload.writeset)
 
     def _run_transaction(self, rid, proc, params, origin) -> Generator[Any, Any, None]:
         request = self._requests.pop(rid)
@@ -281,7 +280,9 @@ class _TableLockReplica:
         yield from self.db.commit(txn)
         # FIFO writeset propagation ([20] uses FIFO; total order is a
         # superset of that guarantee)
-        self.member.multicast(("ws", rid, writeset))
+        self.member.multicast(protocol.WritesetMessage(
+            gid=rid, writeset=writeset, sender=self.name
+        ))
         return rows
 
     # -- client side ----------------------------------------------------------------
@@ -310,7 +311,9 @@ class _TableLockReplica:
                 self.locks.release(lock_request)
         waiter = OneShot()
         self._pending[rid] = waiter
-        self.member.multicast(("req", rid, request.proc, request.params, self.name))
+        self.member.multicast(protocol.ProcMessage(
+            rid=rid, proc=request.proc, params=request.params, origin=self.name
+        ))
         rows = yield waiter.wait()
         return rows
 

@@ -76,10 +76,9 @@ class _KernelNode:
             if isinstance(item, ViewChange):
                 continue
             assert isinstance(item, Message)
-            _kind, gid, writeset, cert, sender = item.payload
-            record = WsRecord(gid, writeset, cert=cert, sender=sender)
+            record = item.payload.to_record()
             ok = self.certifier.validate(record)
-            local = self._pending.pop(gid, None)
+            local = self._pending.pop(record.gid, None)
             if not ok:
                 if local is not None:
                     local[1].resolve((protocol.ABORTED, None))
@@ -147,7 +146,9 @@ class _KernelNode:
         cert = self.certifier.last_validated_tid
         waiter = OneShot()
         self._pending[txn.gid] = (txn, waiter)
-        self.member.multicast(("ws", txn.gid, writeset, cert, self.name))
+        self.member.multicast(protocol.WritesetMessage(
+            gid=txn.gid, writeset=writeset, cert=cert, sender=self.name
+        ))
         outcome, entry = yield waiter.wait()
         if outcome == protocol.ABORTED or not txn.active:
             # certification failed — or a remote writeset killed us while

@@ -99,18 +99,17 @@ class _Middleware:
                     yield from self._take_over()
                 continue
             assert isinstance(item, Message)
-            if item.payload[0] == "ws":
+            if item.payload.kind == protocol.WS:
                 self._on_writeset(item.payload)
 
-    def _on_writeset(self, payload: tuple) -> None:
-        _kind, gid, writeset, cert, sender = payload
-        record = WsRecord(gid, writeset, cert=cert, sender=sender)
+    def _on_writeset(self, payload: protocol.WritesetMessage) -> None:
+        record = payload.to_record()
         ok = self.certifier.validate(record)
-        self.outcomes[gid] = protocol.COMMITTED if ok else protocol.ABORTED
+        self.outcomes[record.gid] = protocol.COMMITTED if ok else protocol.ABORTED
         self.view_gate.notify_all()
         if ok:
             self.certified.append(record)
-        local = self._local_pending.pop(gid, None)
+        local = self._local_pending.pop(record.gid, None)
         if not self.active:
             return  # the backup only mirrors metadata
         if not ok:
@@ -198,7 +197,9 @@ class _Middleware:
         cert = self.certifier.last_validated_tid
         waiter = OneShot()
         self._local_pending[txn.gid] = (txn, waiter)
-        self.member.multicast(("ws", txn.gid, writeset, cert, self.name))
+        self.member.multicast(protocol.WritesetMessage(
+            gid=txn.gid, writeset=writeset, cert=cert, sender=self.name
+        ))
         outcome, entry = yield waiter.wait()
         if outcome == protocol.ABORTED:
             txn.db.abort(txn)

@@ -8,14 +8,20 @@ The ``gid`` these messages carry doubles as the causal **trace id**
 (``repro.obs.trace``): commit and inquiry traffic already names the
 transaction, so its spans — including a survivor's in-doubt resolution
 after a failover — land in the right trace with no extra fields here.
+
+The replication messages at the end are the payloads of the total-order
+multicast: ``NamedTuple`` types dispatched on field 0, ``kind``.  They
+stay tuples because ``benchmarks/e2e/trace.py`` finds a writeset by
+field 0 == ``"ws"`` and takes its gid from field 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro import errors
+from repro.core.validation import WsRecord
 
 COMMITTED = "committed"
 ABORTED = "aborted"
@@ -180,6 +186,75 @@ class DeltaTransfer:
         if self.checkpoint is not None:
             size += self.checkpoint.nbytes
         return size
+
+
+# -- replication messages: the payloads of the total-order multicast ----------
+
+WS = "ws"
+SYNC = "sync"
+DDL = "ddl"
+PROC = "proc"
+
+
+class WritesetMessage(NamedTuple):
+    """A transaction's writeset, multicast for global validation (Fig. 4
+    step I.2.g).  ``readset``/``blind`` feed salvage (see ``WsRecord``);
+    ``rehome`` marks a deferred blind overlap; ``scount``/``acked`` are
+    the sender's send counter and acked horizon for the certifier GC
+    floor (0 = untracked).  The [20] comparator sends it with ``cert=0``."""
+
+    kind: str = WS
+    gid: str = ""
+    writeset: Any = None  # WriteSet
+    cert: int = 0
+    sender: str = ""
+    ctx: Optional[Any] = None  # TraceContext
+    readset: frozenset = frozenset()
+    blind: frozenset = frozenset()
+    rehome: bool = False
+    scount: int = 0
+    acked: int = 0
+
+    def to_record(self) -> WsRecord:
+        return WsRecord(
+            self.gid, self.writeset, cert=self.cert, sender=self.sender,
+            readset=self.readset, blind=self.blind,
+        )
+
+    def conflict_info(self) -> tuple:
+        """What the sequencer's reorder pass reads: (keys, cert)."""
+        return self.writeset.keys, self.cert
+
+
+class SyncMessage(NamedTuple):
+    """Recovery sync marker: ``target`` asks ``donor`` for its state at
+    this total-order point.  ``from_seq`` is the target's durable log tip
+    when it asks for a delta, None for a full state transfer."""
+
+    kind: str = SYNC
+    target: str = ""
+    donor: str = ""
+    from_seq: Optional[int] = None
+
+
+class DdlMessage(NamedTuple):
+    """A DDL statement every replica runs at the same total-order point."""
+
+    kind: str = DDL
+    ddl_id: int = 0
+    sender: str = ""
+    sql: str = ""
+
+
+class ProcMessage(NamedTuple):
+    """The [20] comparator's ordered procedure call: every replica
+    enqueues its table locks in delivery order, ``origin`` executes it."""
+
+    kind: str = PROC
+    rid: str = ""
+    proc: str = ""
+    params: tuple = ()
+    origin: str = ""
 
 
 #: exception class registry for (de)marshalling errors across the channel

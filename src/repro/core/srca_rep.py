@@ -19,7 +19,7 @@ from repro.core import protocol
 from repro.core.replica import ReplicaManager, ReplicaNode
 from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
-from repro.core.validation import Certifier, WsRecord
+from repro.core.validation import Certifier
 from repro.durable import log as durable_log
 from repro.durable import watermark as durable_watermark
 from repro.durable.checkpoint import Checkpoint
@@ -224,10 +224,10 @@ class MiddlewareReplica:
                 self._from_seq = self.wslog.tip_seq
             member.multicast(self._sync_payload(recover_from))
 
-    def _sync_payload(self, donor: str) -> tuple:
-        if self.wslog is not None and self.recovery_mode == "delta":
-            return ("sync", self.name, donor, self._from_seq)
-        return ("sync", self.name, donor)
+    def _sync_payload(self, donor: str) -> protocol.SyncMessage:
+        delta = self.wslog is not None and self.recovery_mode == "delta"
+        from_seq = self._from_seq if delta else None
+        return protocol.SyncMessage(target=self.name, donor=donor, from_seq=from_seq)
 
     def _accepts_load(self) -> bool:
         """'Replicas that are able to handle additional workload respond'
@@ -626,12 +626,12 @@ class MiddlewareReplica:
         self._handle_message(item)
 
     def _handle_message(self, item: Message) -> None:
-        kind = item.payload[0]
-        if kind == "ws":
+        kind = item.payload.kind
+        if kind == protocol.WS:
             self._on_writeset(item)
-        elif kind == "ddl":
+        elif kind == protocol.DDL:
             self._on_ddl(item.payload)
-        elif kind == "sync":
+        elif kind == protocol.SYNC:
             self._on_sync_request(item.payload)
 
     def _recovery_phase(self) -> Generator[Any, Any, None]:
@@ -718,9 +718,9 @@ class MiddlewareReplica:
             assert isinstance(item, Message)
             payload = item.payload
             if (
-                payload[0] == "sync"
-                and payload[1] == self.name
-                and payload[2] == donor
+                payload.kind == protocol.SYNC
+                and payload.target == self.name
+                and payload.donor == donor
             ):
                 awaiting_state = True
                 continue
@@ -730,22 +730,18 @@ class MiddlewareReplica:
                 buffered.append(item)
             # else: ordered before the sync point — in the donor snapshot
 
-    def _on_sync_request(self, payload: tuple) -> None:
+    def _on_sync_request(self, sync: protocol.SyncMessage) -> None:
         """Donor side: capture a consistent snapshot at this total-order
         point and ship it to the recovering replica (atomic: no yields).
 
-        A 4-tuple marker carries the rejoiner's durable log position and
-        asks for a delta; the 3-tuple form is the full-state handshake.
+        A marker with ``from_seq`` carries the rejoiner's durable log
+        position and asks for a delta; without it, the full state.
         """
-        if len(payload) == 4:
-            _kind, target, donor, from_seq = payload
-        else:
-            _kind, target, donor = payload
-            from_seq = None
-        if donor != self.name or target == self.name:
+        target = sync.target
+        if sync.donor != self.name or target == self.name:
             return
-        if from_seq is not None and self.wslog is not None:
-            state = self._build_delta(from_seq)
+        if sync.from_seq is not None and self.wslog is not None:
+            state = self._build_delta(sync.from_seq)
         else:
             state = self._build_full_state()
         if isinstance(state, protocol.DeltaTransfer):
@@ -914,7 +910,7 @@ class MiddlewareReplica:
 
     def _certify_writeset(
         self,
-        payload: tuple,
+        payload: protocol.WritesetMessage,
         sent_at: Optional[float] = None,
         sequenced_at: Optional[float] = None,
     ) -> tuple[Optional[Entry], Optional[OneShot]]:
@@ -928,25 +924,16 @@ class MiddlewareReplica:
         the local commit waiter still to be resolved *after* the entry is
         enqueued.
         """
-        _kind, gid, writeset, cert, sender = payload[:5]
-        ctx: Optional[TraceContext] = payload[5] if len(payload) > 5 else None
-        readset = payload[6] if len(payload) > 6 else frozenset()
-        blind = payload[7] if len(payload) > 7 else frozenset()
-        rehome = payload[8] if len(payload) > 8 else False
-        scount = payload[9] if len(payload) > 9 else 0
-        acked = payload[10] if len(payload) > 10 else 0
-        record = WsRecord(
-            gid, writeset, cert=cert, sender=sender,
-            readset=readset, blind=blind,
-        )
-        if scount:
-            self._note_delivered_cert(sender, cert, scount, acked)
+        gid, sender = payload.gid, payload.sender
+        record = payload.to_record()
+        if payload.scount:
+            self._note_delivered_cert(sender, payload.cert, payload.scount, payload.acked)
         ok = self.certifier.validate(record)
         if ok and self.wslog is not None:
             # one log record per certified writeset, in validation order;
             # every replica appends the identical record at the same seq
             log_record = LogRecord.ws(
-                self.wslog.next_seq, gid, record.tid, sender, tuple(writeset)
+                self.wslog.next_seq, gid, record.tid, sender, tuple(payload.writeset)
             )
             self.wslog.append(log_record)
             self._seq_of_gid[gid] = log_record.seq
@@ -958,12 +945,12 @@ class MiddlewareReplica:
             # feed keeps the first and drops the rest
             self.feed_seq += 1
             if self.feed is not None:
-                self.feed.publish(
-                    ("ws", self.feed_seq, record.tid, gid,
-                     tuple(writeset), sender)
-                )
+                self.feed.publish(LogRecord(
+                    self.feed_seq, durable_log.WS, gid=gid, tid=record.tid,
+                    sender=sender, ops=tuple(payload.writeset),
+                ))
         entry_ctx, deliver_span = self._trace_delivery(
-            gid, sender, ctx, ok, sent_at, sequenced_at
+            gid, sender, payload.ctx, ok, sent_at, sequenced_at
         )
         self._count("validation.pass" if ok else "validation.abort")
         if ok and record.salvaged:
@@ -992,7 +979,7 @@ class MiddlewareReplica:
             # remote: simply discard (Fig. 4 II.2)
             return None, None
         local_txn = local[0] if local is not None else None
-        if (record.salvaged or rehome) and local_txn is not None:
+        if (record.salvaged or payload.rehome) and local_txn is not None:
             # Salvage shifted the snapshot past a conflicting predecessor
             # this local transaction began *before* — or local validation
             # deferred a blind overlap whose predecessor the certifier
@@ -1105,7 +1092,7 @@ class MiddlewareReplica:
         entries: list[Entry] = []
         pending: list[tuple[OneShot, Entry]] = []
         for message in batch.entries:
-            assert message.payload[0] == "ws"  # only writesets are batchable
+            assert message.payload.kind == protocol.WS  # only writesets are batchable
             entry, waiter = self._certify_writeset(
                 message.payload,
                 sent_at=message.sent_at,
@@ -1124,20 +1111,20 @@ class MiddlewareReplica:
             )
             waiter.resolve((outcome, entry))
 
-    def _on_ddl(self, payload: tuple) -> None:
-        _kind, ddl_id, sender, sql = payload
+    def _on_ddl(self, payload: protocol.DdlMessage) -> None:
+        sql = payload.sql
         self.db.run_ddl(sql)
         self.ddl_log.append(sql)
         self.feed_seq += 1
         if self.feed is not None:
-            self.feed.publish(("ddl", self.feed_seq, sql))
+            self.feed.publish(LogRecord(self.feed_seq, durable_log.DDL, sql=sql))
         if self.wslog is not None:
             record = LogRecord.ddl(self.wslog.next_seq, sql)
             self.wslog.append(record)
             self._mark_applied(record.seq)
             self._flush_gate.notify_all()
-        if sender == self.name:
-            waiter = self._ddl_pending.pop(ddl_id, None)
+        if payload.sender == self.name:
+            waiter = self._ddl_pending.pop(payload.ddl_id, None)
             if waiter is not None:
                 waiter.resolve(None)
 
@@ -1241,7 +1228,9 @@ class MiddlewareReplica:
         ddl_id = next(self._ddl_ids)
         waiter = OneShot()
         self._ddl_pending[ddl_id] = waiter
-        self.member.multicast(("ddl", ddl_id, self.name, sql))
+        self.member.multicast(
+            protocol.DdlMessage(ddl_id=ddl_id, sender=self.name, sql=sql)
+        )
         yield waiter.wait()
 
     def _overlap_is_blind(self, writeset, blind: frozenset) -> bool:
@@ -1363,8 +1352,11 @@ class MiddlewareReplica:
             )
         self._ws_sends += 1
         self.member.multicast(
-            ("ws", txn.gid, writeset, cert, self.name, ctx, dependent, blind,
-             rehome, self._ws_sends, self._ws_acked),
+            protocol.WritesetMessage(
+                gid=txn.gid, writeset=writeset, cert=cert, sender=self.name,
+                ctx=ctx, readset=dependent, blind=blind, rehome=rehome,
+                scount=self._ws_sends, acked=self._ws_acked,
+            ),
             batchable=True,
         )
         outcome, entry = yield waiter.wait()

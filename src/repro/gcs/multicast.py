@@ -411,25 +411,6 @@ class GroupBus:
         )
         return self.current_window
 
-    @staticmethod
-    def _payload_conflict_info(payload: Any):
-        """(writeset keys, cert) of a writeset payload, else None.
-
-        The sequencer treats payload internals as opaque except for this
-        peek: replication writesets travel as ``("ws", gid, writeset,
-        cert, ...)`` tuples (see srca_rep).  Anything else in a batch
-        disables reordering for that batch — correctness first.
-        """
-        if (
-            isinstance(payload, tuple)
-            and len(payload) >= 4
-            and payload[0] == "ws"
-            and hasattr(payload[2], "keys")
-            and isinstance(payload[3], int)
-        ):
-            return payload[2].keys, payload[3]
-        return None
-
     def _reorder(
         self, live: list[tuple[GroupMember, Any, float]]
     ) -> list[tuple[GroupMember, Any, float]]:
@@ -443,10 +424,16 @@ class GroupBus:
         conflicting peers the freshest snapshot wins.  Arrival index
         breaks all remaining ties, so the permutation is a pure function
         of batch content.
+
+        Payloads stay opaque but for one method: a writeset's
+        ``conflict_info()`` returns its ``(keys, cert)``.  A batch that
+        holds any payload without one keeps arrival order — correctness
+        first.
         """
-        infos = [self._payload_conflict_info(payload) for _, payload, _ in live]
-        if any(info is None for info in infos):
+        getters = [getattr(payload, "conflict_info", None) for _, payload, _ in live]
+        if any(get is None for get in getters):
             return live  # non-writeset traffic in the batch: keep arrival order
+        infos = [get() for get in getters]
         keysets = [info[0] for info in infos]
         # one postings pass instead of the pairwise isdisjoint matrix;
         # identical numbers, so identical layouts (the reorder-equivalence

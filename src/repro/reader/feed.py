@@ -20,18 +20,18 @@ position without racing the in-flight fan-out.
 
 from __future__ import annotations
 
+from repro.durable.log import WS, LogRecord
 from repro.sim import Simulator
 from repro.sim.sync import Queue
-
-WS = "ws"
-DDL = "ddl"
 
 
 class CertifiedFeed:
     """Deduplicated, order-preserving pub/sub over the certified stream.
 
-    Items are tuples: ``("ws", seq, tid, gid, ops, sender)`` for a
-    certified writeset, ``("ddl", seq, sql)`` for replicated DDL.
+    Items are :class:`~repro.durable.log.LogRecord` objects whose ``seq``
+    is the feed sequence: a ``ws`` record for a certified writeset, a
+    ``ddl`` record for replicated DDL.  They are built with the plain
+    constructor, so no JSON text is encoded for them.
     """
 
     def __init__(self, sim: Simulator, fanout_delay: float = 0.0005):
@@ -43,7 +43,7 @@ class CertifiedFeed:
         #: reader's lag is measured against
         self.tip_tid = 0
         #: accepted items, ascending seq (subscriber backfill)
-        self.items: list[tuple] = []
+        self.items: list[LogRecord] = []
         self._subscribers: dict[str, Queue] = {}
         self.published = 0
         self.duplicates = 0
@@ -52,7 +52,7 @@ class CertifiedFeed:
     def subscriber_count(self) -> int:
         return len(self._subscribers)
 
-    def publish(self, item: tuple) -> bool:
+    def publish(self, item: LogRecord) -> bool:
         """Offer one certified item; returns True if this publish won.
 
         Publishers emit in increasing seq order, so anything at or below
@@ -61,20 +61,19 @@ class CertifiedFeed:
         records are never published — subscribers bootstrapped past
         them).
         """
-        seq = item[1]
-        if seq <= self.tip_seq:
+        if item.seq <= self.tip_seq:
             self.duplicates += 1
             return False
-        self.tip_seq = seq
-        if item[0] == WS:
-            self.tip_tid = item[2]
+        self.tip_seq = item.seq
+        if item.kind == WS:
+            self.tip_tid = item.tid
         self.items.append(item)
         self.published += 1
         for queue in self._subscribers.values():
             self._deliver(queue, item)
         return True
 
-    def _deliver(self, queue: Queue, item: tuple) -> None:
+    def _deliver(self, queue: Queue, item: LogRecord) -> None:
         if self.fanout_delay > 0:
             # strong timer: a pending fan-out keeps the simulation alive,
             # so sim.run() to quiescence drains the read tier
@@ -97,7 +96,7 @@ class CertifiedFeed:
         """
         queue = Queue(name=f"feed->{name}")
         for item in self.items:
-            if item[1] > from_seq:
+            if item.seq > from_seq:
                 queue.put(item)
         self._subscribers[name] = queue
         return queue

@@ -197,22 +197,20 @@ class ReadReplica:
         transaction per writeset — sequential, so applies never conflict
         and the local ww order is exactly the certification order."""
         while True:
-            item = yield self.inbox.get()
+            record = yield self.inbox.get()
             if self.config.apply_delay > 0:
                 yield self.sim.sleep(self.config.apply_delay)
-            if item[0] == "ws":
-                _kind, seq, tid, gid, ops, _sender = item
-                txn = self.db.begin(gid=gid, remote=True)
-                yield from self.db.apply_writeset(txn, WriteSet(list(ops)))
+            if record.kind == durable_log.WS:
+                txn = self.db.begin(gid=record.gid, remote=True)
+                yield from self.db.apply_writeset(txn, WriteSet(list(record.ops)))
                 yield from self.db.commit(txn)
-                self.watermark = tid
+                self.watermark = record.tid
                 self.applied += 1
             else:
-                _kind, seq, sql = item
-                self.db.run_ddl(sql)
-                self.ddl_log.append(sql)
+                self.db.run_ddl(record.sql)
+                self.ddl_log.append(record.sql)
                 self.applied_ddl += 1
-            self.feed_pos = seq
+            self.feed_pos = record.seq
             self.last_apply_t = self.sim.now
             self.apply_gate.notify_all()
 

@@ -18,9 +18,11 @@ sends all its fields in declaration order; the fields its entry names
 may hold registered types or tuples and are encoded in turn, every other
 field must hold builtins and travels as it is.  Decoding refills a new
 instance's ``__dict__`` from the fields, as pickle itself rebuilds a
-dataclass, without calling ``__init__``.  A type listed with a pair of
-functions instead sends the one builtin value the first returns and is
-rebuilt by the second; durable types reuse their text forms
+dataclass, without calling ``__init__``.  A ``NamedTuple`` sends each
+field as a tuple sends its items and is rebuilt by ``_make``, so a
+record with a field missing or extra raises.  A type listed with a pair
+of functions instead sends the one builtin value the first returns and
+is rebuilt by the second; durable types reuse their text forms
 (``LogRecord.to_line`` / ``Checkpoint.to_json``), so every type has
 exactly one encoding.  Sending anything else raises :class:`TypeError`
 at the sender — a non-builtin inside a list, dict or set as well, since
@@ -49,16 +51,20 @@ from typing import Any, Callable
 from repro.core.protocol import (
     CommitReq,
     CommitResp,
+    DdlMessage,
     DeltaTransfer,
     ExecuteReq,
     ExecuteResp,
     InquireReq,
     InquireResp,
+    ProcMessage,
     ProcRequest,
     ProcResp,
     RollbackReq,
     RollbackResp,
     StateTransfer,
+    SyncMessage,
+    WritesetMessage,
 )
 from repro.core.validation import Certifier, WsRecord
 from repro.durable.checkpoint import Checkpoint
@@ -69,14 +75,14 @@ from repro.storage.writeset import WriteOp, WriteSet
 
 #: format version carried by every frame; bump it when a tag or a
 #: type's fields change
-VERSION = 1
+VERSION = 2
 #: tag of a plain tuple
 TUPLE = 0
 
 #: Every type that crosses a channel: type -> (tag, fields).  A
-#: dataclass lists the fields that are encoded in turn; any other type
-#: lists its pair of to-builtin / from-builtin functions.  Tags are part
-#: of the format: never reuse one.
+#: dataclass lists the fields that are encoded in turn (a NamedTuple
+#: none: all are); any other type lists its pair of to-builtin /
+#: from-builtin functions.  Tags are part of the format: never reuse one.
 WIRE_TYPES: dict[type, tuple[int, tuple]] = {
     # the client protocol (core/protocol.py)
     ExecuteReq: (1, ("ctx",)),
@@ -96,6 +102,11 @@ WIRE_TYPES: dict[type, tuple[int, tuple]] = {
     Message: (21, ("payload",)),
     Batch: (22, ("entries",)),
     ViewChange: (23, ()),
+    # the replication messages they carry (core/protocol.py)
+    WritesetMessage: (24, ()),
+    SyncMessage: (25, ()),
+    DdlMessage: (26, ()),
+    ProcMessage: (27, ()),
     # inside payloads
     WriteSet: (30, (WriteSet.to_wire, WriteSet.from_wire)),
     WriteOp: (31, ()),
@@ -138,6 +149,14 @@ def _decode_tuple(record: tuple) -> tuple:
 
 def _codecs(cls: type, tag: int, fields: tuple) -> tuple[Callable, Callable]:
     """The encoder and decoder of one :data:`WIRE_TYPES` entry."""
+    if issubclass(cls, tuple):
+        make = cls._make
+        return (
+            lambda obj: (tag, *[
+                item if type(item) in _LEAVES else encode(item) for item in obj
+            ]),
+            lambda record: make(_decode_tuple(record)),
+        )
     if fields and callable(fields[0]):
         to_builtin, from_builtin = fields
         return (

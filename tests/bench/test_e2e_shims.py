@@ -25,6 +25,41 @@ def load_trace(monkeypatch):
     return module
 
 
+def test_the_benchmark_reads_the_gid_of_a_real_writeset_multicast(monkeypatch):
+    """The benchmark times ``gcs.order_ms`` by the gid it reads out of a
+    multicast payload (``trace._writeset_gid``); a payload shape it
+    cannot read would report 0.0 and fail nothing.  So read the payload
+    a one-transaction cluster really multicasts."""
+    from repro.client import Driver
+    from repro.core import ClusterConfig, SIRepCluster, protocol
+    from repro.gcs.multicast import GroupMember
+
+    trace = load_trace(monkeypatch)
+    sent = []
+    multicast = GroupMember.multicast
+
+    def spy(self, payload, batchable=False):
+        sent.append(payload)
+        return multicast(self, payload, batchable)
+
+    monkeypatch.setattr(GroupMember, "multicast", spy)
+    cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=1))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def transaction():
+        conn = yield from driver.connect(cluster.new_client_host())
+        yield from conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
+        yield from conn.commit()
+
+    cluster.sim.run_process(transaction())
+    (payload,) = sent
+    assert payload.kind == protocol.WS
+    (gid,) = cluster.replicas[0].committed_gids
+    assert trace._writeset_gid(payload) == gid
+
+
 def test_every_shim_resolves_on_its_owner(monkeypatch):
     trace = load_trace(monkeypatch)
     assert trace.SHIMS

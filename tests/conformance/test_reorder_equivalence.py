@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.core.protocol import WritesetMessage
 from repro.core.validation import Certifier, WsRecord
 from repro.gcs import GcsConfig
 from repro.gcs.multicast import GroupBus
@@ -70,10 +71,12 @@ def reorder_payloads(specs):
         sim, config=GcsConfig(batch_max_messages=16, reorder=True)
     )
     live = [
-        (None, ("ws", record.gid, record.writeset, record.cert, "X"), 0.0)
+        (None, WritesetMessage(
+            gid=record.gid, writeset=record.writeset, cert=record.cert, sender="X"
+        ), 0.0)
         for record in make_records(specs)
     ]
-    return [payload[1] for _sender, payload, _at in bus._reorder(live)]
+    return [payload.gid for _sender, payload, _at in bus._reorder(live)]
 
 
 @settings(max_examples=60, deadline=None)

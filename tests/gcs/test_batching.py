@@ -3,8 +3,10 @@ triggers), ordering against unbatchable traffic and view changes, the
 serial-sequencer service time, and entry-granular delivery metrics.
 """
 
+from repro.core.protocol import WritesetMessage
 from repro.gcs import Batch, GcsConfig, GroupBus, Message, ViewChange
 from repro.sim import Simulator
+from repro.storage.writeset import UPDATE, WriteOp, WriteSet
 
 
 def build_group(n, seed=1, **config):
@@ -116,6 +118,35 @@ def test_unbatchable_message_flushes_buffer_first():
     assert entry_payloads(out) == ["ws1", "ddl"]
     got = batches(out)
     assert len(got) == 1 and len(got[0]) == 1  # ws1 flushed as a 1-batch
+
+
+def writeset_message(gid, *keys):
+    ops = [WriteOp("t", k, UPDATE, {"k": k}) for k in keys]
+    return WritesetMessage(gid=gid, writeset=WriteSet(ops), sender="m0")
+
+
+def test_reorder_keeps_arrival_order_when_a_payload_is_not_a_writeset():
+    """The sequencer reorders a batch only when every payload has a
+    ``conflict_info``; one batchable payload without it keeps the whole
+    batch in arrival order."""
+    hub = writeset_message("hub", 1, 2)
+    left, right = writeset_message("left", 1), writeset_message("right", 2)
+
+    def sequenced(payloads):
+        sim, bus, members = build_group(
+            2, batch_max_messages=8, batch_window=0.05, reorder=True
+        )
+        out = drain(sim, members[1])
+        for payload in payloads:
+            members[0].multicast(payload, batchable=True)
+        sim.run(until=1.0)
+        assert len(batches(out)) == 1
+        return entry_payloads(out)
+
+    # the hub conflicts with both others, so it goes last...
+    assert sequenced([hub, left, right]) == [left, right, hub]
+    # ...unless the batch holds a payload the sequencer cannot read
+    assert sequenced([hub, "note", left, right]) == [hub, "note", left, right]
 
 
 def test_join_view_change_ordered_behind_held_batch():

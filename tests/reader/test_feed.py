@@ -1,11 +1,12 @@
 """Unit tests for the certified-stream fan-out (CertifiedFeed)."""
 
+from repro.durable.log import DDL, WS, LogRecord
 from repro.reader import CertifiedFeed
 from repro.sim import Simulator
 
 
 def ws(seq, tid, gid="g", ops=(), sender="R0"):
-    return ("ws", seq, tid, gid, tuple(ops), sender)
+    return LogRecord(seq, WS, gid=gid, tid=tid, sender=sender, ops=tuple(ops))
 
 
 def test_first_publisher_wins_dedup():
@@ -36,7 +37,7 @@ def test_ddl_advances_seq_not_tid():
     sim = Simulator(seed=1)
     feed = CertifiedFeed(sim, fanout_delay=0.0)
     feed.publish(ws(1, 1))
-    feed.publish(("ddl", 2, "CREATE TABLE t (k INT PRIMARY KEY)"))
+    feed.publish(LogRecord(2, DDL, sql="CREATE TABLE t (k INT PRIMARY KEY)"))
     assert feed.tip_seq == 2
     assert feed.tip_tid == 1
 
@@ -47,9 +48,9 @@ def test_subscribe_backfills_items_after_from_seq():
     for seq in range(1, 6):
         feed.publish(ws(seq, seq))
     queue = feed.subscribe("late", from_seq=3)
-    assert [item[1] for item in queue.peek_all()] == [4, 5]
+    assert [item.seq for item in queue.peek_all()] == [4, 5]
     feed.publish(ws(6, 6))
-    assert [item[1] for item in queue.peek_all()] == [4, 5, 6]
+    assert [item.seq for item in queue.peek_all()] == [4, 5, 6]
 
 
 def test_unsubscribe_stops_delivery():
@@ -59,7 +60,7 @@ def test_unsubscribe_stops_delivery():
     feed.publish(ws(1, 1))
     feed.unsubscribe("r")
     feed.publish(ws(2, 2))
-    assert [item[1] for item in queue.peek_all()] == [1]
+    assert [item.seq for item in queue.peek_all()] == [1]
     assert feed.subscriber_count == 0
 
 
@@ -71,7 +72,7 @@ def test_fanout_delay_is_one_strong_hop():
     assert len(queue) == 0  # in flight, not yet delivered
     sim.run()  # strong timer: quiescence waits for the fan-out
     assert sim.now >= 0.01
-    assert [item[1] for item in queue.peek_all()] == [1]
+    assert [item.seq for item in queue.peek_all()] == [1]
 
 
 def test_publish_without_subscribers_schedules_nothing():
@@ -94,9 +95,9 @@ def test_subscribers_get_independent_queues():
     got = []
     sim.run_process(iter_get(a, got))
     assert got == [1]
-    assert [item[1] for item in b.peek_all()] == [1]  # b unaffected by a's get
+    assert [item.seq for item in b.peek_all()] == [1]  # b unaffected by a's get
 
 
 def iter_get(queue, out):
     item = yield queue.get()
-    out.append(item[1])
+    out.append(item.seq)

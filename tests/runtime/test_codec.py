@@ -11,8 +11,10 @@ with an unpickler that resolves no global.  These tests hold it to that:
   value or break the channel, freeing every I/O token, and nothing
   raises into the loop;
 * a frame naming a global breaks the channel without the global ever
-  being resolved, and an unknown tag or version breaks it too;
-* a fan-out encodes its item once and writes those bytes to every member.
+  being resolved, and an unknown tag or version breaks it too, as does a
+  replication message with a field missing or extra;
+* a fan-out encodes its item once and writes those bytes to every
+  member, and every replication message arrives as its own type.
 """
 
 import dataclasses
@@ -161,9 +163,28 @@ checkpoints = st.builds(
     cert_deleted=st.lists(keys, max_size=2).map(tuple),
     cert_floor=st.integers(),
 )
+#: the replication messages (core/protocol.py), one strategy per type
+writeset_messages = st.builds(
+    protocol.WritesetMessage, gid=names, writeset=writesets, cert=st.integers(),
+    sender=names, ctx=st.none() | trace_contexts,
+    readset=st.frozensets(keys, max_size=3), blind=st.frozensets(keys, max_size=3),
+    rehome=st.booleans(), scount=st.integers(), acked=st.integers(),
+)
+sync_messages = st.builds(
+    protocol.SyncMessage, target=names, donor=names,
+    from_seq=st.none() | st.integers(),
+)
+ddl_messages = st.builds(
+    protocol.DdlMessage, ddl_id=st.integers(), sender=names, sql=st.text(max_size=30),
+)
+proc_messages = st.builds(
+    protocol.ProcMessage, rid=names, proc=names,
+    params=st.lists(scalars, max_size=3).map(tuple), origin=names,
+)
 #: what a multicast payload may hold: builtins, and wire types in tuples
 payloads = st.recursive(
-    builtins | writesets | trace_contexts,
+    builtins | writesets | trace_contexts | writeset_messages | sync_messages
+    | ddl_messages | proc_messages,
     lambda inner: st.lists(inner, max_size=4).map(tuple),
     max_leaves=8,
 )
@@ -218,6 +239,10 @@ WIRE_STRATEGIES = {
         st.dictionaries(names, names, max_size=2),
         st.lists(ws_records, max_size=2).map(tuple), st.none() | checkpoints,
     ),
+    protocol.WritesetMessage: writeset_messages,
+    protocol.SyncMessage: sync_messages,
+    protocol.DdlMessage: ddl_messages,
+    protocol.ProcMessage: proc_messages,
     Multicast: st.builds(
         Multicast, payloads, st.booleans(), st.floats(allow_nan=False)
     ),
@@ -248,10 +273,14 @@ def test_every_registered_type_has_a_strategy():
 
 
 def test_every_protocol_message_is_registered():
+    """Every class core/protocol.py declares — the client protocol's
+    dataclasses and the replication messages' NamedTuples — is a wire
+    type."""
     declared = {
         value for value in vars(protocol).values()
-        if dataclasses.is_dataclass(value) and value.__module__ == protocol.__name__
+        if isinstance(value, type) and value.__module__ == protocol.__name__
     }
+    assert protocol.WritesetMessage in declared
     assert declared <= set(codec.WIRE_TYPES)
 
 
@@ -460,8 +489,11 @@ def sample_frames() -> list:
         WriteOp("small4", 296, "update", {"k": 296, "v": 37}),
         WriteOp("small5", 1433, "insert", {"k": 1433, "v": 5732}),
     ])
-    payload = ("ws", "R0:g1", ws, 3, "R0", TraceContext("R0:g1", 7, 6),
-               frozenset(), frozenset({("small4", 296)}), False, 1, 0)
+    payload = protocol.WritesetMessage(
+        gid="R0:g1", writeset=ws, cert=3, sender="R0",
+        ctx=TraceContext("R0:g1", 7, 6), blind=frozenset({("small4", 296)}),
+        scount=1,
+    )
     message = Message(4, "R0", payload, 1, 0.30, 0.31)
     return [tcpnet._frame(obj) for obj in (
         7,
@@ -567,6 +599,27 @@ def test_unknown_tag_or_version_breaks_the_channel(rt, monkeypatch, body):
     assert deliver_raw(rt, monkeypatch, with_header(body)) == []
 
 
+REPLICATION_TYPES = [
+    protocol.WritesetMessage, protocol.SyncMessage, protocol.DdlMessage,
+    protocol.ProcMessage,
+]
+
+
+@pytest.mark.parametrize("wrong", ["missing", "extra"])
+@pytest.mark.parametrize(
+    "message_type", REPLICATION_TYPES, ids=lambda t: t.__name__
+)
+def test_a_typed_record_of_the_wrong_length_breaks_the_channel(
+    rt, monkeypatch, message_type, wrong
+):
+    record = codec.encode(message_type())
+    record = record[:-1] if wrong == "missing" else (*record, 0)
+    body = bytes([codec.VERSION]) + pickle.dumps(record, 5)
+    with pytest.raises(TypeError):
+        codec.unframe(body)
+    assert deliver_raw(rt, monkeypatch, with_header(body)) == []
+
+
 # -- (f) encode once ---------------------------------------------------------------
 
 
@@ -588,15 +641,11 @@ def test_a_fanout_encodes_once_for_every_member(rt, monkeypatch):
     monkeypatch.setattr(tcpnet, "_frame", frame_spy)
     monkeypatch.setattr(tcpnet.TcpChannelEnd, "send", send_spy)
 
-    def first_message(member):
-        while True:
-            item = yield member.deliver()
-            if isinstance(item, Message):
-                return item
-
     watchdog(rt)
     ws = WriteSet([WriteOp("kv", 1, "update", {"k": 1, "v": 2})])
-    members[0].multicast(("ws", "m0:g1", ws, 0, "m0"))
+    members[0].multicast(
+        protocol.WritesetMessage(gid="m0:g1", writeset=ws, sender="m0")
+    )
     got = [rt.run_process(first_message(member)) for member in members]
 
     # (the int frames are the channel-id hellos of the sockets coming up)
@@ -605,6 +654,38 @@ def test_a_fanout_encodes_once_for_every_member(rt, monkeypatch):
     ]
     assert [type(obj) for obj in sent] == [Multicast, Message, Message, Message]
     assert all(same(message, got[0]) for message in got)
-    assert got[0].payload[2].ops == ws.ops
+    assert got[0].payload.writeset.ops == ws.ops
     assert len({id(message) for message in got}) == 3
-    assert len({id(message.payload[2]) for message in got}) == 3
+    assert len({id(message.payload.writeset) for message in got}) == 3
+
+
+def first_message(member):
+    while True:
+        item = yield member.deliver()
+        if isinstance(item, Message):
+            return item
+
+
+@pytest.mark.parametrize("payload", [
+    protocol.WritesetMessage(
+        gid="m0:g1", writeset=WriteSet([WriteOp("kv", 1, "delete", None)]),
+        cert=2, sender="m0", ctx=TraceContext("m0:g1", 3, 1),
+        readset=frozenset({("kv", 2)}), blind=frozenset({("kv", 1)}),
+        rehome=True, scount=5, acked=4,
+    ),
+    protocol.SyncMessage(target="m0", donor="m1", from_seq=17),
+    protocol.SyncMessage(target="m0", donor="m1"),
+    protocol.DdlMessage(ddl_id=1, sender="m0", sql="CREATE TABLE t (k INT PRIMARY KEY)"),
+    protocol.ProcMessage(rid="m0:r1", proc="pay", params=(7, "x"), origin="m0"),
+], ids=["writeset", "sync-delta", "sync-full", "ddl", "proc"])
+def test_every_replication_message_crosses_a_bus_fanout(rt, payload):
+    bus = TcpGroupBus(rt)
+    members = [bus.join(f"m{i}") for i in range(3)]
+    watchdog(rt)
+    members[0].multicast(payload)
+    got = [rt.run_process(first_message(member)).payload for member in members]
+    for value in got:
+        assert type(value) is type(payload)
+        assert same(value, payload)
+        assert value is not payload
+    assert len({id(value) for value in got}) == 3
