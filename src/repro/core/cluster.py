@@ -10,10 +10,12 @@ consistency example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core.replica import ReplicaNode
 from repro.core.srca_rep import MiddlewareReplica
+from repro.durable.log import LogRecord
 from repro.durable.store import DurabilityConfig, DurabilityStore
 from repro.durable.watermark import StabilityTracker
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus
@@ -284,7 +286,6 @@ class SIRepCluster:
             self.monitor.start()
         self.nodes: list[ReplicaNode] = []
         self.replicas: list[MiddlewareReplica] = []
-        self._schema_ddl: list[str] = []
         self._incarnations: dict[str, int] = {}
         self._recovered: set[str] = set()
         #: read tier: the certified-stream fan-out and the lazy replicas.
@@ -298,8 +299,11 @@ class SIRepCluster:
         self.readers: list[ReadReplica] = []
         for index in range(cfg.n_replicas):
             self._add_replica(index)
-        for index in range(cfg.read_replicas):
-            self._add_reader(index)
+        for _ in range(cfg.read_replicas):
+            reader = self._spawn_reader()
+            # cold restart watches after leveling, once the covered set is known
+            if self.monitor is not None and not self._cold_start:
+                self._watch_reader(reader)
 
     def _spawn_replica(
         self,
@@ -308,27 +312,16 @@ class SIRepCluster:
         incarnation: int = 0,
         recover_from: Optional[str] = None,
         mode: Optional[str] = None,
-    ) -> tuple[ReplicaNode, MiddlewareReplica]:
-        """Build one middleware/DB pair (fresh, recovering, or joining)."""
+    ) -> MiddlewareReplica:
+        """Build and register one middleware/DB pair (fresh, recovering,
+        or joining) at ``index``."""
         cfg = self.config
         suffix = "" if incarnation == 0 else f"#{incarnation}"
-        cpu = Resource(self.sim, f"{name}.cpu{suffix}", servers=cfg.cpu_servers)
-        disk = (
-            Resource(self.sim, f"{name}.disk{suffix}") if cfg.with_disk else None
-        )
-        cost_model = cfg.cost_model(index) if cfg.cost_model else None
-        db = Database(
-            self.sim,
-            name=name,
-            conflict_detection="locking",
-            cost_model=cost_model,
-            cpu=cpu if cost_model else None,
-            disk=disk,
-        )
+        node = self._node(name, index, suffix, with_disk=cfg.with_disk)
+        db = node.db
         # salvage owns the fate of blind write-write conflicts: let them
         # reach certification instead of dying at the eager version check
         db.defer_blind_ww = cfg.salvage
-        node = ReplicaNode(name=name, db=db, cpu=cpu, disk=disk)
         member = self.bus.join(name)
         # The network address IS the replica name, so view changes and
         # driver-side crash observations speak about the same identifier.
@@ -372,43 +365,56 @@ class SIRepCluster:
                 lambda queue=replica.manager.queue,
                 cap=cfg.salvage_defer_depth: len(queue) <= cap
             )
-        return node, replica
-
-    def _add_replica(self, index: int) -> None:
-        name = f"{self.config.replica_prefix}{index}"
-        node, replica = self._spawn_replica(index, name)
-        self.nodes.append(node)
-        self.replicas.append(replica)
+        if index < len(self.replicas):
+            self.nodes[index], self.replicas[index] = node, replica
+        else:
+            self.nodes.append(node)
+            self.replicas.append(replica)
+        if recover_from is not None:
+            # out of the audits until its state is installed (see _admit)
+            self._recovered.add(name)
         self._register_replica_gauges(replica)
-        if self.stability is not None and replica.wslog is not None:
-            self.stability.register(name, replica.wslog.durable_seq)
-        # cold restart defers watching until catch-up leveling is done
-        # (see cold_restart); the covered set is only complete then
-        if self.monitor is not None and not self._cold_start:
-            self.monitor.watch(name, node.db)
+        return replica
 
-    # --------------------------------------------------------------- read tier
-
-    def _spawn_reader(self, index: int, name: str, from_seq: int = 0) -> ReadReplica:
-        """Build one lazy read replica: its own engine + cpu + host, a
-        feed subscription — but no group membership or durable log."""
+    def _node(
+        self, name: str, cost_index: int, suffix: str = "", with_disk: bool = False
+    ) -> ReplicaNode:
+        """One engine with its CPU (and disk) resources; ``cost_index``
+        picks its model from the per-index cost-model factory."""
         cfg = self.config
-        cpu = Resource(self.sim, f"{name}.cpu", servers=cfg.cpu_servers)
-        # readers index the cost-model factory after the voting replicas
-        # (heterogeneous tiers stay expressible; zero-arg adapters ignore it)
-        cost_model = (
-            cfg.cost_model(cfg.n_replicas + index) if cfg.cost_model else None
-        )
+        cpu = Resource(self.sim, f"{name}.cpu{suffix}", servers=cfg.cpu_servers)
+        disk = Resource(self.sim, f"{name}.disk{suffix}") if with_disk else None
+        cost_model = cfg.cost_model(cost_index) if cfg.cost_model else None
         db = Database(
             self.sim,
             name=name,
             conflict_detection="locking",
             cost_model=cost_model,
             cpu=cpu if cost_model else None,
+            disk=disk,
         )
-        node = ReplicaNode(name=name, db=db, cpu=cpu, disk=None)
+        return ReplicaNode(name=name, db=db, cpu=cpu, disk=disk)
+
+    def _add_replica(self, index: int) -> None:
+        replica = self._spawn_replica(index, f"{self.config.replica_prefix}{index}")
+        # cold restart admits everyone once catch-up leveling is done
+        # (see cold_restart); the covered sets are only complete then
+        if not self._cold_start:
+            self._admit(replica)
+
+    # --------------------------------------------------------------- read tier
+
+    def _spawn_reader(self, from_seq: int = 0) -> ReadReplica:
+        """Build and register the next lazy read replica: its own engine
+        + cpu + host, a feed subscription — but no group membership or
+        durable log."""
+        index = len(self.readers)
+        name = f"{self.config.replica_prefix}r{index}"
+        # readers index the cost-model factory after the voting replicas
+        # (heterogeneous tiers stay expressible; zero-arg adapters ignore it)
+        node = self._node(name, self.config.n_replicas + index)
         host = self.network.register(name)
-        return ReadReplica(
+        reader = ReadReplica(
             self.sim,
             name=name,
             node=node,
@@ -420,15 +426,8 @@ class SIRepCluster:
             from_seq=from_seq,
             tracer=self.tracer,
         )
-
-    def _add_reader(self, index: int) -> ReadReplica:
-        name = f"{self.config.replica_prefix}r{index}"
-        reader = self._spawn_reader(index, name)
         self.readers.append(reader)
         self._register_reader_gauges(reader)
-        # cold restart watches after leveling, once the covered set is known
-        if self.monitor is not None and not self._cold_start:
-            self._watch_reader(reader)
         return reader
 
     def _watch_reader(self, reader: ReadReplica) -> None:
@@ -455,40 +454,26 @@ class SIRepCluster:
         the donor's feed position; anything newer is backfilled or fans
         out normally, so no certified item is missed or applied twice.
         """
-        index = len(self.readers)
-        if donor_index is None:
-            donor_index = self._pick_donor(exclude=-1)
-        donor = self.replicas[donor_index]
-        if not donor.alive:
-            raise ValueError(f"donor replica {donor_index} is not alive")
-        name = f"{self.config.replica_prefix}r{index}"
-        reader = self._spawn_reader(index, name, from_seq=donor.feed_seq)
-        if donor.wslog is not None and donor.wslog.can_serve_from(0):
-            reader.bootstrap_replay(donor.wslog.records_after(0))
-        else:
-            from repro.core import protocol as _protocol
-
-            reader.bootstrap_snapshot(
-                ddl=tuple(donor.ddl_log),
-                rows=donor.db.export_committed(),
-                csn=donor.db.csn,
-                pending=tuple(entry.record for entry in donor.manager.queue),
-                cert_tid=donor.certifier.last_validated_tid,
-                committed_gids=[
-                    gid for gid, outcome in donor.outcomes.items()
-                    if outcome == _protocol.COMMITTED
-                ],
-            )
-        self.readers.append(reader)
-        self._register_reader_gauges(reader)
+        donor = self._donor(donor_index, exclude=-1)
+        reader = self._spawn_reader(from_seq=donor.feed_seq)
+        self._join_reader(reader, donor)
         if self.monitor is not None:
             self._watch_reader(reader)
         if self.flight is not None:
             self.flight.snapshot(
-                f"reader-joined:{name}", replica=name,
+                f"reader-joined:{reader.name}", replica=reader.name,
                 watermark=reader.watermark, feed_pos=reader.feed_pos,
             )
         return reader
+
+    def _join_reader(self, reader: ReadReplica, donor: MiddlewareReplica) -> None:
+        """Bootstrap a fresh reader from ``donor``, captured atomically:
+        replay the donor's whole log when it still starts at the first
+        record, otherwise install the donor's full state."""
+        if donor.wslog is not None and donor.wslog.can_serve_from(0):
+            reader.join_from_log(donor.wslog.records_after(0))
+        else:
+            reader.join_from_state(donor.full_state())
 
     def _teardown_reader(self, reader: ReadReplica) -> None:
         self.discovery.unregister(reader.host.address)
@@ -665,22 +650,20 @@ class SIRepCluster:
         rebuilds the schema before it replays any writeset).
         """
         for sql in ddl_statements:
-            self._schema_ddl.append(sql)
             for node, replica in zip(self.nodes, self.replicas):
                 node.db.run_ddl(sql)
-                replica.ddl_log.append(sql)
-                replica.log_genesis_ddl(sql)
+                replica.log_genesis(partial(LogRecord.ddl, sql=sql, genesis=True))
             for reader in self.readers:
                 # genesis never rides the feed: readers get it directly
-                reader.bootstrap_genesis_ddl(sql)
+                reader.db.run_ddl(sql)
 
     def bulk_load(self, table: str, rows: list[dict]) -> None:
         """Seed identical initial data on every replica (csn-0 versions)."""
         for node, replica in zip(self.nodes, self.replicas):
             node.db.bulk_load(table, rows)
-            replica.log_genesis_load(table, rows)
+            replica.log_genesis(partial(LogRecord.load, table=table, rows=rows))
         for reader in self.readers:
-            reader.bootstrap_rows(table, rows)
+            reader.db.bulk_load(table, rows)
 
     # ----------------------------------------------------------------- clients
 
@@ -747,6 +730,15 @@ class SIRepCluster:
 
         return min(candidates, key=score)
 
+    def _donor(self, donor_index: Optional[int], exclude: int) -> MiddlewareReplica:
+        """The named donor, or the best one; it must be alive."""
+        if donor_index is None:
+            donor_index = self._pick_donor(exclude=exclude)
+        donor = self.replicas[donor_index]
+        if not donor.alive:
+            raise ValueError(f"donor replica {donor_index} is not alive")
+        return donor
+
     def recover_replica(
         self,
         index: int,
@@ -770,25 +762,14 @@ class SIRepCluster:
         old = self.replicas[index]
         if old.alive:
             raise ValueError(f"replica {index} is still alive")
-        if donor_index is None:
-            donor_index = self._pick_donor(exclude=index)
-        donor = self.replicas[donor_index]
-        if not donor.alive:
-            raise ValueError(f"donor replica {donor_index} is not alive")
+        donor = self._donor(donor_index, exclude=index)
         name = old.name
         incarnation = self._incarnations.get(name, 0) + 1
         self._incarnations[name] = incarnation
-        node, replica = self._spawn_replica(
+        return self._spawn_replica(
             index, name, incarnation=incarnation,
             recover_from=donor.name, mode=mode,
         )
-        self.nodes[index] = node
-        self.replicas[index] = replica
-        # excluded from audits until recovery completes; a delta recovery
-        # re-admits it (see _on_replica_recovered)
-        self._recovered.add(name)
-        self._register_replica_gauges(replica)
-        return replica
 
     def add_replica(self, donor_index: Optional[int] = None) -> MiddlewareReplica:
         """Elastic online join: bootstrap replica N+1 while traffic
@@ -800,42 +781,37 @@ class SIRepCluster:
         a full state transfer.  Clients discover it once installed.
         """
         index = len(self.replicas)
-        if donor_index is None:
-            donor_index = self._pick_donor(exclude=index)
-        donor = self.replicas[donor_index]
-        if not donor.alive:
-            raise ValueError(f"donor replica {donor_index} is not alive")
+        donor = self._donor(donor_index, exclude=index)
         name = f"{self.config.replica_prefix}{index}"
-        node, replica = self._spawn_replica(
-            index, name, recover_from=donor.name,
-        )
-        self.nodes.append(node)
-        self.replicas.append(replica)
-        self._recovered.add(name)
-        self._register_replica_gauges(replica)
-        return replica
+        return self._spawn_replica(index, name, recover_from=donor.name)
 
     def _on_replica_recovered(self, replica: MiddlewareReplica) -> None:
-        """Recovery completed: rejoin the watermark and, if the whole
-        history is made of replayable transactions, the audits."""
+        """Recovery completed: re-admit the replica, then snapshot."""
         name = replica.name
-        if self.stability is not None and replica.wslog is not None:
-            self.stability.register(name, replica.wslog.durable_seq)
-            replica.member.ack_durable(replica.wslog.durable_seq)
-        if replica.audit_complete:
-            self._recovered.discard(name)
-            if self.monitor is not None:
-                # re-watch with the replayed prefix marked covered: those
-                # gids committed here via log replay, before any event
-                # the history will record
-                self.monitor.watch(
-                    name,
-                    replica.db,
-                    covered=frozenset(gid for gid, _keys in replica.replayed),
-                )
+        self._admit(replica)
         if self.flight is not None:
             self.flight.snapshot(
                 f"recovered:{name}", replica=name, stats=replica.recovery_stats
+            )
+
+    def _admit(self, replica: MiddlewareReplica) -> None:
+        """A replica whose state is installed rejoins the stability
+        watermark and, if its whole history is made of replayable
+        transactions, the audits."""
+        if self.stability is not None and replica.wslog is not None:
+            self.stability.register(replica.name, replica.wslog.durable_seq)
+            replica.member.ack_durable(replica.wslog.durable_seq)
+        if not replica.audit_complete:
+            self._recovered.add(replica.name)
+            return
+        self._recovered.discard(replica.name)
+        if self.monitor is not None:
+            # the replayed prefix is covered: those gids committed here
+            # via log replay, before any event the history will record
+            self.monitor.watch(
+                replica.name,
+                replica.db,
+                covered=frozenset(gid for gid, _keys in replica.replayed),
             )
 
     @classmethod
@@ -870,25 +846,12 @@ class SIRepCluster:
                     replica.catch_up(
                         best.wslog.records_after(replica.wslog.tip_seq)
                     )
-                if self.stability is not None:
-                    self.stability.register(
-                        replica.name, replica.wslog.durable_seq
-                    )
-                    replica.member.ack_durable(replica.wslog.durable_seq)
         for replica in self.replicas:
-            if not replica.audit_complete:
-                self._recovered.add(replica.name)
-            elif self.monitor is not None:
-                self.monitor.watch(
-                    replica.name,
-                    replica.db,
-                    covered=frozenset(gid for gid, _keys in replica.replayed),
-                )
+            self._admit(replica)
         # readers restart empty (no durable log of their own): bootstrap
-        # each from the leveled longest log, then admit to the monitor
+        # each from the leveled longest replica, then admit to the monitor
         for reader in self.readers:
-            if best.wslog is not None:
-                reader.bootstrap_replay(best.wslog.records_after(0))
+            self._join_reader(reader, best)
             if self.monitor is not None:
                 self._watch_reader(reader)
 

@@ -154,6 +154,10 @@ class StateTransfer:
     #: donor's certified-feed position at the sync point, so the new
     #: incarnation's publishes stay seq-aligned with the read tier
     feed_seq: int = 0
+    #: donor's engine csn, captured with ``rows``: the joiner's engine
+    #: resumes from it, so its csn keeps counting certified commits
+    #: (a session token names a certification tid)
+    csn: int = 0
 
     def nbytes(self) -> int:
         """Approximate transfer size (recovery accounting / benchmarks)."""
@@ -178,7 +182,6 @@ class DeltaTransfer:
     from_seq: int  # records start strictly after this sequence
     records: tuple  # LogRecords, ascending seq
     outcomes: dict  # gid -> committed/aborted (for in-doubt inquiries)
-    pending: tuple = ()  # WsRecords still in the donor's to-commit queue
     checkpoint: Any = None  # Checkpoint, when the delta alone is not enough
 
     def nbytes(self) -> int:

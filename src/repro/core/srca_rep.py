@@ -50,7 +50,6 @@ class MiddlewareReplica:
         discovery: Optional[DiscoveryService] = None,
         incarnation: int = 0,
         recover_from: Optional[str] = None,
-        base_ddl: tuple[str, ...] = (),
         max_sessions: Optional[int] = None,
         obs: Optional[Observability] = None,
         durable: Optional[ReplicaDurability] = None,
@@ -71,8 +70,6 @@ class MiddlewareReplica:
         self.gid_prefix = name if incarnation == 0 else f"{name}.{incarnation}"
         self.recover_from = recover_from
         self.recovered = False
-        #: replicated DDL this replica has applied, for recovery transfer
-        self.ddl_log: list[str] = list(base_ddl)
         #: opt-in SCAR-style abort salvage (cert refresh on blind-write
         #: conflicts); every replica of a deployment must agree on this
         self.salvage = salvage
@@ -300,7 +297,7 @@ class MiddlewareReplica:
             cert_seq=self.wslog.tip_seq,
             applied_beyond=self._applied_pending,
             csn=self.db.csn,
-            ddl=self.ddl_log,
+            ddl=self.db.ddl_log,
             rows=self.db.export_committed(),
             certifier=self.certifier,
             outcomes=self.outcomes,
@@ -460,29 +457,20 @@ class MiddlewareReplica:
         if swept:
             self._count("validation.gc_swept", swept)
 
-    def log_genesis_ddl(self, sql: str) -> None:
-        """Record bootstrap DDL so the log is replayable from seq 1."""
+    def log_genesis(self, make_record) -> None:
+        """Record bootstrap schema or rows so the log is replayable from
+        seq 1; ``make_record(seq)`` builds the record at our next seq."""
         if self.wslog is None:
             return
-        record = LogRecord.ddl(self.wslog.next_seq, sql, genesis=True)
+        record = make_record(self.wslog.next_seq)
         self.wslog.append_durable(record)
         self._mark_applied(record.seq)
 
-    def log_genesis_load(self, table: str, rows) -> None:
-        """Record bootstrap bulk-loaded rows (see log_genesis_ddl)."""
-        if self.wslog is None:
-            return
-        record = LogRecord.load(self.wslog.next_seq, table, rows)
-        self.wslog.append_durable(record)
-        self._mark_applied(record.seq)
-
-    def _restore_checkpoint(self, checkpoint: Checkpoint) -> None:
+    def _restore_checkpoint(self, checkpoint: Checkpoint) -> tuple[int, frozenset]:
         """Load a checkpoint into this (fresh) replica's engine and
-        certifier; replay continues from checkpoint.seq."""
-        for sql in checkpoint.ddl:
-            self.db.run_ddl(sql)
-        self.ddl_log = list(checkpoint.ddl)
-        self.db.load_checkpoint(checkpoint.rows, checkpoint.csn)
+        certifier; replay continues from checkpoint.seq, with the
+        ``(cert_floor, skip_install)`` returned here."""
+        self.db.install_snapshot(checkpoint.ddl, checkpoint.rows, checkpoint.csn)
         certifier = Certifier(salvage=self.salvage)
         certifier.last_validated_tid = checkpoint.cert_tid
         certifier._last_writer = dict(checkpoint.cert_last_writer)
@@ -498,6 +486,7 @@ class MiddlewareReplica:
         self._applied_pending = set(checkpoint.applied_beyond)
         self.feed_seq = checkpoint.feed_seq
         self.audit_complete = False
+        return checkpoint.cert_seq, frozenset(checkpoint.applied_beyond)
 
     def _replay_record(
         self, record: LogRecord, cert_floor: int = 0,
@@ -510,20 +499,14 @@ class MiddlewareReplica:
         below it skip the certifier/DDL transition.  ``skip_install``
         lists ws seqs whose row images the checkpoint already contains.
         """
-        if record.kind == durable_log.DDL:
+        if record.kind != durable_log.WS:
             if record.seq > cert_floor:
-                self.db.run_ddl(record.sql)
-                self.ddl_log.append(record.sql)
-                if not record.genesis:
+                record.install(self.db)
+                if record.kind == durable_log.DDL and not record.genesis:
                     # replicated DDL occupies a feed position; replay
                     # advances the counter silently (the survivors
                     # already published the item)
                     self.feed_seq += 1
-            self._mark_applied(record.seq)
-            return
-        if record.kind == durable_log.LOAD:
-            if record.seq > cert_floor:
-                self.db.bulk_load(record.table, [dict(r) for r in record.rows])
             self._mark_applied(record.seq)
             return
         if record.seq > cert_floor:
@@ -543,7 +526,7 @@ class MiddlewareReplica:
             self.certifier.validated += 1
             self.feed_seq += 1
         if record.seq not in skip_install:
-            self.db.install_writeset(record.gid, record.ops)
+            record.install(self.db)
         self.replayed.append((record.gid, record.keys))
         self.outcomes[record.gid] = protocol.COMMITTED
         self._mark_applied(record.seq)
@@ -552,13 +535,9 @@ class MiddlewareReplica:
         """Rebuild from our own durable state: newest checkpoint (if any)
         plus the log suffix above it.  Returns the replay start seq."""
         checkpoint = self.checkpoints.latest() if self.checkpoints else None
-        skip: frozenset = frozenset()
-        cert_floor = 0
-        start = 0
+        start, cert_floor, skip = 0, 0, frozenset()
         if checkpoint is not None:
-            self._restore_checkpoint(checkpoint)
-            skip = frozenset(checkpoint.applied_beyond)
-            cert_floor = checkpoint.cert_seq
+            cert_floor, skip = self._restore_checkpoint(checkpoint)
             start = checkpoint.seq
         for record in self.wslog.records_after(start):
             self._replay_record(record, cert_floor=cert_floor, skip_install=skip)
@@ -603,20 +582,23 @@ class MiddlewareReplica:
         while True:
             item = yield self.member.deliver()
             if isinstance(item, ViewChange):
-                self.crashed_seen.update(item.crashed)
-                self._note_view(item)
-                self.view_gate.notify_all()
-                self._emit(
-                    "view_change",
-                    view_id=item.view_id,
-                    members=list(item.members),
-                    crashed=list(item.crashed),
-                    joined=list(item.joined),
-                )
+                self._on_view_change(item)
                 continue
             if isinstance(item, (protocol.StateTransfer, protocol.DeltaTransfer)):
                 continue  # late transfer from an abandoned donor
             self._handle_item(item)
+
+    def _on_view_change(self, view: ViewChange) -> None:
+        self.crashed_seen.update(view.crashed)
+        self._note_view(view)
+        self.view_gate.notify_all()
+        self._emit(
+            "view_change",
+            view_id=view.view_id,
+            members=list(view.members),
+            crashed=list(view.crashed),
+            joined=list(view.joined),
+        )
 
     def _handle_item(self, item: Message | Batch) -> None:
         if isinstance(item, Batch):
@@ -686,16 +668,7 @@ class MiddlewareReplica:
                     return
                 continue  # stale transfer from an abandoned handshake
             if isinstance(item, ViewChange):
-                self.crashed_seen.update(item.crashed)
-                self._note_view(item)
-                self.view_gate.notify_all()
-                self._emit(
-                    "view_change",
-                    view_id=item.view_id,
-                    members=list(item.members),
-                    crashed=list(item.crashed),
-                    joined=list(item.joined),
-                )
+                self._on_view_change(item)
                 if donor in item.crashed:
                     candidates = [m for m in item.members if m != self.name]
                     if candidates:
@@ -743,7 +716,7 @@ class MiddlewareReplica:
         if sync.from_seq is not None and self.wslog is not None:
             state = self._build_delta(sync.from_seq)
         else:
-            state = self._build_full_state()
+            state = self.full_state()
         if isinstance(state, protocol.DeltaTransfer):
             self._emit(
                 "recovery_delta_sent",
@@ -766,16 +739,19 @@ class MiddlewareReplica:
             daemon=True,
         )
 
-    def _build_full_state(self) -> protocol.StateTransfer:
+    def full_state(self) -> protocol.StateTransfer:
+        """This replica's whole state, captured atomically (no yields):
+        what a full-state joiner or a snapshot-joined reader installs."""
         return protocol.StateTransfer(
             donor=self.name,
-            ddl=tuple(self.ddl_log),
+            ddl=tuple(self.db.ddl_log),
             rows=self.db.export_committed(),
             certifier=self.certifier.clone(),
             pending=tuple(entry.record for entry in self.manager.queue),
             outcomes=dict(self.outcomes),
             log_seq=self.wslog.tip_seq if self.wslog is not None else 0,
             feed_seq=self.feed_seq,
+            csn=self.db.csn,
         )
 
     def _build_delta(self, from_seq: int):
@@ -790,7 +766,7 @@ class MiddlewareReplica:
         if not self.wslog.can_serve_from(from_seq):
             checkpoint = self.checkpoints.latest() if self.checkpoints else None
             if checkpoint is None or not self.wslog.can_serve_from(checkpoint.seq):
-                return self._build_full_state()
+                return self.full_state()
             start = checkpoint.seq
         return protocol.DeltaTransfer(
             donor=self.name,
@@ -812,11 +788,7 @@ class MiddlewareReplica:
 
     def _install_state(self, state) -> None:
         """Recovering side: rebuild schema, data, and certification."""
-        for sql in state.ddl:
-            self.db.run_ddl(sql)
-        self.ddl_log = list(state.ddl)
-        for table, rows in state.rows.items():
-            self.db.bulk_load(table, rows)
+        self.db.install_snapshot(state.ddl, state.rows, state.csn)
         self.certifier = state.certifier
         self.outcomes.update(state.outcomes)
         self.feed_seq = state.feed_seq
@@ -831,27 +803,22 @@ class MiddlewareReplica:
         # full-state history arrives as row images, not transactions:
         # this incarnation stays out of the offline audit
         self.audit_complete = False
-        self.recovery_stats = {
-            "mode": "full",
-            "donor": state.donor,
-            "from_seq": state.log_seq,
-            "records": sum(len(rows) for rows in state.rows.values()),
-            "bytes": state.nbytes(),
-            "checkpoint": False,
-        }
         for record in state.pending:
             self.manager.enqueue(Entry(record, local_txn=None))
-        self.recovered = True
         self._emit(
             "recovery_state_installed",
             donor=state.donor,
             pending=len(state.pending),
             incarnation=self.incarnation,
         )
-        if self.discovery is not None:
-            self.discovery.register(self.host.address, accepts_load=self._accepts_load)
-        if self.on_recovered is not None:
-            self.on_recovered(self)
+        self._finish_recovery(
+            mode="full",
+            donor=state.donor,
+            from_seq=state.log_seq,
+            records=sum(len(rows) for rows in state.rows.values()),
+            bytes=state.nbytes(),
+            checkpoint=False,
+        )
 
     def _install_delta(self, delta: protocol.DeltaTransfer) -> None:
         """Recovering side, delta path: local replay + the shipped tail.
@@ -861,18 +828,15 @@ class MiddlewareReplica:
         replayable transactions — and the donor contributes only the
         records we missed, so the whole history stays auditable.
         """
-        cert_floor = 0
-        skip: frozenset = frozenset()
+        cert_floor, skip = 0, frozenset()
         if delta.checkpoint is not None:
             # our log was outrun by truncation: restart from the donor's
             # checkpoint instead of our own prefix
             checkpoint = delta.checkpoint
-            self._restore_checkpoint(checkpoint)
+            cert_floor, skip = self._restore_checkpoint(checkpoint)
             self.wslog.rebase(checkpoint.seq)
             if self.checkpoints is not None:
                 self.checkpoints.save(checkpoint)
-            cert_floor = checkpoint.cert_seq
-            skip = frozenset(checkpoint.applied_beyond)
         else:
             self._replay_local()
         transferred = 0
@@ -884,25 +848,31 @@ class MiddlewareReplica:
             transferred += 1
         self._flush_gate.notify_all()
         self.outcomes.update(delta.outcomes)
-        self.recovered = True
-        self.recovery_stats = {
-            "mode": "delta",
-            "donor": delta.donor,
-            "from_seq": delta.from_seq,
-            "records": transferred,
-            "bytes": delta.nbytes(),
-            "checkpoint": delta.checkpoint is not None,
-        }
+        nbytes = delta.nbytes()
         self._emit(
             "recovery_delta_installed",
             donor=delta.donor,
             from_seq=delta.from_seq,
             records=transferred,
-            nbytes=self.recovery_stats["bytes"],
+            nbytes=nbytes,
             checkpoint=delta.checkpoint is not None,
             incarnation=self.incarnation,
         )
         self._count("recovery.delta_records", transferred)
+        self._finish_recovery(
+            mode="delta",
+            donor=delta.donor,
+            from_seq=delta.from_seq,
+            records=transferred,
+            bytes=nbytes,
+            checkpoint=delta.checkpoint is not None,
+        )
+
+    def _finish_recovery(self, **stats) -> None:
+        """Both install paths end here: serve clients, answer discovery,
+        and let the cluster re-admit this incarnation."""
+        self.recovered = True
+        self.recovery_stats = stats
         if self.discovery is not None:
             self.discovery.register(self.host.address, accepts_load=self._accepts_load)
         if self.on_recovered is not None:
@@ -1114,7 +1084,6 @@ class MiddlewareReplica:
     def _on_ddl(self, payload: protocol.DdlMessage) -> None:
         sql = payload.sql
         self.db.run_ddl(sql)
-        self.ddl_log.append(sql)
         self.feed_seq += 1
         if self.feed is not None:
             self.feed.publish(LogRecord(self.feed_seq, durable_log.DDL, sql=sql))

@@ -102,6 +102,17 @@ class LogRecord:
         """The (table, pk) identifiers a ws record touches."""
         return frozenset(op.key for op in self.ops)
 
+    def install(self, db) -> None:
+        """Apply this record to a storage engine — the one way a log
+        record enters one: DDL runs, LOAD bulk-loads, WS installs its
+        after-images."""
+        if self.kind == DDL:
+            db.run_ddl(self.sql)
+        elif self.kind == LOAD:
+            db.bulk_load(self.table, [dict(row) for row in self.rows])
+        else:
+            db.install_writeset(self.gid, self.ops)
+
     def to_line(self) -> str:
         """The segment-file line: kind tag, JSON text, newline."""
         tag = _GENESIS_DDL_TAG if self.genesis and self.kind == DDL else self.kind[0]

@@ -75,8 +75,6 @@ class ReadReplica:
         self.feed_pos = from_seq
         #: sim time of the last apply (staleness-seconds gauge)
         self.last_apply_t = sim.now
-        #: replicated DDL applied (bootstrap + feed), join-donor ordering
-        self.ddl_log: list[str] = []
         #: (gid, writeset keys) installed at bootstrap — the Def. 3 audit
         #: synthesizes this reader's history prefix from these
         self.replayed: list[tuple[str, frozenset]] = []
@@ -137,56 +135,39 @@ class ReadReplica:
 
     # ------------------------------------------------------------- bootstrap
 
-    def bootstrap_genesis_ddl(self, sql: str) -> None:
-        """Apply bootstrap schema directly (genesis never rides the feed)."""
-        self.db.run_ddl(sql)
-        self.ddl_log.append(sql)
-
-    def bootstrap_rows(self, table: str, rows) -> None:
-        """Apply bootstrap bulk-loaded rows directly."""
-        self.db.bulk_load(table, [dict(row) for row in rows])
-
-    def bootstrap_replay(self, records) -> None:
-        """Durable-log catch-up on join: replay a donor's writeset log.
+    def join_from_log(self, records) -> None:
+        """Join by replaying a donor's writeset log from its first record.
 
         The log holds real replayable transactions, so the reader's
         prefix stays auditable (``replayed`` feeds the Def. 3 audit's
         prefix synthesis, exactly like a delta-recovered full replica).
         """
         for record in records:
+            record.install(self.db)
             if record.kind == durable_log.WS:
-                self.db.install_writeset(record.gid, record.ops)
                 self.replayed.append((record.gid, record.keys))
                 self.covered_gids.add(record.gid)
                 self.watermark = record.tid
-            elif record.kind == durable_log.DDL:
-                self.db.run_ddl(record.sql)
-                self.ddl_log.append(record.sql)
-            else:
-                self.db.bulk_load(record.table, [dict(r) for r in record.rows])
         self.last_apply_t = self.sim.now
 
-    def bootstrap_snapshot(self, ddl, rows: dict, csn: int, pending,
-                           cert_tid: int, committed_gids) -> None:
-        """Snapshot catch-up on join (no durable log): donor row images
-        plus the certified-but-uncommitted pending writesets.
+    def join_from_state(self, state: protocol.StateTransfer) -> None:
+        """Join from a donor's full state (no replayable log): its row
+        images plus the certified-but-uncommitted pending writesets.
 
         Row images are not replayable transactions, so this incarnation
         stays out of the offline audit (``audit_complete=False``); the
         online monitor covers the pre-join prefix via ``covered_gids``.
         """
-        for sql in ddl:
-            self.db.run_ddl(sql)
-        self.ddl_log = list(ddl)
-        self.db.load_checkpoint(
-            {table: [dict(r) for r in trows] for table, trows in rows.items()},
-            csn,
+        self.db.install_snapshot(
+            state.ddl, state.rows, state.csn,
+            [(record.gid, record.writeset) for record in state.pending],
         )
-        for record in pending:
-            self.db.install_writeset(record.gid, record.writeset)
-            self.covered_gids.add(record.gid)
-        self.covered_gids.update(committed_gids)
-        self.watermark = cert_tid
+        self.covered_gids.update(record.gid for record in state.pending)
+        self.covered_gids.update(
+            gid for gid, outcome in state.outcomes.items()
+            if outcome == protocol.COMMITTED
+        )
+        self.watermark = state.certifier.last_validated_tid
         self.audit_complete = False
         self.last_apply_t = self.sim.now
 
@@ -207,8 +188,7 @@ class ReadReplica:
                 self.watermark = record.tid
                 self.applied += 1
             else:
-                self.db.run_ddl(record.sql)
-                self.ddl_log.append(record.sql)
+                record.install(self.db)
                 self.applied_ddl += 1
             self.feed_pos = record.seq
             self.last_apply_t = self.sim.now

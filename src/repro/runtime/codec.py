@@ -75,7 +75,7 @@ from repro.storage.writeset import WriteOp, WriteSet
 
 #: format version carried by every frame; bump it when a tag or a
 #: type's fields change
-VERSION = 2
+VERSION = 3
 #: tag of a plain tuple
 TUPLE = 0
 
@@ -96,7 +96,7 @@ WIRE_TYPES: dict[type, tuple[int, tuple]] = {
     ProcRequest: (9, ()),
     ProcResp: (10, ()),
     StateTransfer: (11, ("certifier", "pending")),
-    DeltaTransfer: (12, ("records", "pending", "checkpoint")),
+    DeltaTransfer: (12, ("records", "checkpoint")),
     # group communication: member -> bus, and the ordered items back
     Multicast: (20, ("payload",)),
     Message: (21, ("payload",)),

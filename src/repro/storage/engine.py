@@ -145,6 +145,9 @@ class Database:
         self.catalog = Catalog()
         self.locks = LockManager(name=f"{name}.rowlocks")
         self.csn = 0
+        #: every CREATE this engine ran, in order: the schema a checkpoint
+        #: or a state transfer carries to a fresh engine
+        self.ddl_log: list[str] = []
         #: ordered begin/commit event log consumed by repro.si.recorder
         self.history: list[tuple] = []
         self.commits = 0
@@ -187,6 +190,7 @@ class Database:
             sql_executor._create_index(self, statement)
         else:
             raise SQLError(f"run_ddl only accepts CREATE statements: {sql!r}")
+        self.ddl_log.append(sql)
 
     def bulk_load(self, table_name: str, rows: Iterable[dict]) -> int:
         """Install initial rows outside any transaction (bootstrap only).
@@ -197,6 +201,11 @@ class Database:
         """
         if self.csn != 0:
             raise InvalidTransactionState("bulk_load only before first commit")
+        return self._install_rows(table_name, rows, 0, "bulk")
+
+    def _install_rows(self, table_name: str, rows: Iterable[dict], csn: int, writer: str) -> int:
+        """Install row images as single versions at ``csn``, labelled
+        ``writer`` (which a duplicate-key error names too)."""
         table = self.catalog.table(table_name)
         count = 0
         for values in rows:
@@ -204,8 +213,8 @@ class Database:
             pk = row[table.schema.pk_column]
             chain = table.ensure_chain(pk)
             if len(chain):
-                raise IntegrityError(f"duplicate bulk key {pk!r} in {table_name!r}")
-            chain.install(Version(0, row, writer="bulk"))
+                raise IntegrityError(f"duplicate {writer} key {pk!r} in {table_name!r}")
+            chain.install(Version(csn, row, writer=writer))
             table.index_insert(row)
             count += 1
         return count
@@ -338,18 +347,22 @@ class Database:
                 "load_checkpoint only into a fresh database"
             )
         for table_name, table_rows in rows.items():
-            table = self.catalog.table(table_name)
-            for values in table_rows:
-                row = table.schema.validate_row(values)
-                pk = row[table.schema.pk_column]
-                chain = table.ensure_chain(pk)
-                if len(chain):
-                    raise IntegrityError(
-                        f"duplicate checkpoint key {pk!r} in {table_name!r}"
-                    )
-                chain.install(Version(csn, row, writer="checkpoint"))
-                table.index_insert(row)
+            self._install_rows(table_name, table_rows, csn, "checkpoint")
         self.csn = csn
+
+    def install_snapshot(self, ddl: Iterable[str], rows: dict, csn: int, writesets=()) -> None:
+        """Load another engine's state into this fresh one: its DDL, its
+        committed row images at its ``csn``, then ``writesets`` — the
+        ``(gid, ops)`` it had certified but not yet applied — in order.
+
+        The one way a snapshot enters an engine: checkpoint restore, a
+        full state transfer and a reader's snapshot join all call it.
+        """
+        for sql in ddl:
+            self.run_ddl(sql)
+        self.load_checkpoint(rows, csn)
+        for gid, ops in writesets:
+            self.install_writeset(gid, ops)
 
     # ------------------------------------------------------- transaction API
 

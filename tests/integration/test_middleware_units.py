@@ -97,7 +97,7 @@ def test_ddl_log_grows_identically_on_all_replicas():
 
     sim.run_process(client())
     sim.run(until=sim.now + 1.0)
-    logs = {tuple(replica.ddl_log) for replica in cluster.replicas}
+    logs = {tuple(replica.db.ddl_log) for replica in cluster.replicas}
     assert len(logs) == 1
     log = logs.pop()
     assert log[-2:] == (

@@ -232,12 +232,12 @@ WIRE_STRATEGIES = {
         max_size=2).map(tuple), st.dictionaries(names, st.lists(rows, max_size=2),
         max_size=2), certifiers(), st.lists(ws_records, max_size=2).map(tuple),
         st.dictionaries(names, names, max_size=2), st.integers(), st.integers(),
+        st.integers(),
     ),
     protocol.DeltaTransfer: st.builds(
         protocol.DeltaTransfer, names, st.integers(),
         st.lists(log_records, max_size=3).map(tuple),
-        st.dictionaries(names, names, max_size=2),
-        st.lists(ws_records, max_size=2).map(tuple), st.none() | checkpoints,
+        st.dictionaries(names, names, max_size=2), st.none() | checkpoints,
     ),
     protocol.WritesetMessage: writeset_messages,
     protocol.SyncMessage: sync_messages,
