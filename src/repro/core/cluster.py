@@ -10,7 +10,7 @@ consistency example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core.replica import ReplicaNode
@@ -33,7 +33,7 @@ from repro.si.onecopy import OneCopyReport
 from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec
 from repro.sim import Resource, Simulator
 from repro.storage import Database
-from repro.storage.engine import CostModel
+from repro.storage.engine import CostModel, collector_paused
 
 
 @dataclass
@@ -659,11 +659,15 @@ class SIRepCluster:
 
     def bulk_load(self, table: str, rows: list[dict]) -> None:
         """Seed identical initial data on every replica (csn-0 versions)."""
-        for node, replica in zip(self.nodes, self.replicas):
-            node.db.bulk_load(table, rows)
-            replica.log_genesis(partial(LogRecord.load, table=table, rows=rows))
-        for reader in self.readers:
-            reader.db.bulk_load(table, rows)
+        # one record for every replica's log: they all append it at the
+        # same seq, so its row copy and JSON text are built once
+        genesis = cache(partial(LogRecord.load, table=table, rows=rows))
+        with collector_paused():
+            for node, replica in zip(self.nodes, self.replicas):
+                node.db.bulk_load(table, rows)
+                replica.log_genesis(genesis)
+            for reader in self.readers:
+                reader.db.bulk_load(table, rows)
 
     # ----------------------------------------------------------------- clients
 

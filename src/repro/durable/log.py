@@ -109,7 +109,7 @@ class LogRecord:
         if self.kind == DDL:
             db.run_ddl(self.sql)
         elif self.kind == LOAD:
-            db.bulk_load(self.table, [dict(row) for row in self.rows])
+            db.bulk_load(self.table, self.rows)
         else:
             db.install_writeset(self.gid, self.ops)
 

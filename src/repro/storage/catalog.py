@@ -9,12 +9,13 @@ maintenance trivially correct under MVCC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import CatalogError, IntegrityError
 from repro.storage.versions import VersionChain
 
-#: Supported column type names -> Python types accepted for the column.
+#: Supported column type names -> Python types accepted for the column;
+#: the first is the type a stored value has.
 COLUMN_TYPES: dict[str, tuple[type, ...]] = {
     "INT": (int,),
     "FLOAT": (float, int),
@@ -47,17 +48,17 @@ class ColumnDef:
             if self.not_null or self.primary_key:
                 raise IntegrityError(f"column {self.name!r} is NOT NULL")
             return None
-        accepted = COLUMN_TYPES[self.type]
-        if self.type == "FLOAT" and isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
-        if self.type == "BOOL" and not isinstance(value, bool):
-            raise IntegrityError(f"column {self.name!r} expects BOOL, got {value!r}")
-        if self.type == "INT" and isinstance(value, bool):
-            raise IntegrityError(f"column {self.name!r} expects INT, got bool")
-        if not isinstance(value, accepted):
+        if self.type == "BOOL":
+            if not isinstance(value, bool):
+                raise IntegrityError(f"column {self.name!r} expects BOOL, got {value!r}")
+            return value
+        # bool is an int subclass, but a number column refuses it
+        if isinstance(value, bool) or not isinstance(value, COLUMN_TYPES[self.type]):
             raise IntegrityError(
                 f"column {self.name!r} expects {self.type}, got {type(value).__name__}"
             )
+        if self.type == "FLOAT" and isinstance(value, int):
+            return float(value)
         return value
 
 
@@ -78,6 +79,12 @@ class TableSchema:
     foreign_keys: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False
     )
+    #: ``validate_row(values)``: check a full row against the schema,
+    #: filling missing columns with None; the dict it returns has the
+    #: schema's column order
+    validate_row: Callable[[dict], dict] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = tuple(c.name for c in self.columns)
@@ -88,13 +95,15 @@ class TableSchema:
             raise CatalogError(
                 f"table {self.name!r} needs exactly one PRIMARY KEY column"
             )
+        column_set = frozenset(names)
         derived = {
             "pk_column": pks[0].name,
             "column_names": names,
-            "column_set": frozenset(names),
+            "column_set": column_set,
             "foreign_keys": tuple(
                 (c.name, c.references) for c in self.columns if c.references
             ),
+            "validate_row": _row_validator(self.name, self.columns, column_set),
         }
         for attr, value in derived.items():
             object.__setattr__(self, attr, value)
@@ -105,17 +114,30 @@ class TableSchema:
                 return col
         raise CatalogError(f"table {self.name!r} has no column {name!r}")
 
-    def validate_row(self, values: dict[str, Any]) -> dict[str, Any]:
-        """Check a full row against the schema, filling missing with None."""
-        if not self.column_set.issuperset(values):
-            unknown = set(values) - self.column_set
+
+def _row_validator(
+    table: str, columns: tuple[ColumnDef, ...], column_set: frozenset
+) -> Callable[[dict], dict]:
+    """The row check of one schema, built once: every staged or
+    installed row goes through it.  A value of exactly its column's
+    type passes as is — ``ColumnDef.check`` would return it unchanged —
+    and anything else (None, a subclass, a coercion, an error) goes
+    through ``check``."""
+    plan = tuple((c.name, COLUMN_TYPES[c.type][0], c.check) for c in columns)
+
+    def validate_row(values: dict[str, Any]) -> dict[str, Any]:
+        if not column_set.issuperset(values):
+            unknown = set(values) - column_set
             raise CatalogError(
-                f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
+                f"unknown column(s) {sorted(unknown)} for table {table!r}"
             )
         row = {}
-        for col in self.columns:
-            row[col.name] = col.check(values.get(col.name))
+        for name, exact, check in plan:
+            value = values.get(name)
+            row[name] = value if type(value) is exact else check(value)
         return row
+
+    return validate_row
 
 
 class Table:

@@ -14,6 +14,7 @@ All potentially blocking entry points (``execute``, ``commit``,
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
@@ -27,7 +28,7 @@ from repro.sim import Simulator
 from repro.sim.resources import Resource
 from repro.storage.catalog import Catalog, Table, TableSchema
 from repro.storage.locks import LockManager
-from repro.storage.versions import Version
+from repro.storage.versions import Version, VersionChain
 from repro.storage.writeset import DELETE, INSERT, UPDATE, WriteOp, WriteSet
 from repro.sql import executor as sql_executor
 from repro.sql.parser import parse_cached
@@ -39,6 +40,31 @@ ABORTED = "aborted"
 
 LOCKING = "locking"
 DEFERRED = "deferred"
+
+
+class collector_paused:
+    """Holds CPython's cyclic collector off for one bulk install: a
+    ``bulk_load`` or a whole snapshot (``with collector_paused(): ...``).
+
+    An install allocates a row dict, a version and a chain per row and
+    frees nothing, so the collector would run every few hundred rows
+    and re-scan a heap in which nothing can be garbage: installed rows
+    hold no reference cycles, and nothing yields inside an install.
+    The caller's collector state comes back on the way out, error or
+    not; a pause nested in another leaves the collector off.  Giving it
+    back is the last thing the install does, so the one young-generation
+    pass over what it built runs at the caller's next allocation.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 class CostModel:
@@ -207,16 +233,24 @@ class Database:
         """Install row images as single versions at ``csn``, labelled
         ``writer`` (which a duplicate-key error names too)."""
         table = self.catalog.table(table_name)
+        validate_row = table.schema.validate_row
+        pk_column = table.schema.pk_column
+        chains = table.rows
+        index_insert = table.index_insert if table.indexes else None
         count = 0
-        for values in rows:
-            row = table.schema.validate_row(values)
-            pk = row[table.schema.pk_column]
-            chain = table.ensure_chain(pk)
-            if len(chain):
-                raise IntegrityError(f"duplicate {writer} key {pk!r} in {table_name!r}")
-            chain.install(Version(csn, row, writer=writer))
-            table.index_insert(row)
-            count += 1
+        with collector_paused():
+            for values in rows:
+                row = validate_row(values)
+                pk = row[pk_column]
+                chain = chains.get(pk)
+                if chain is None:
+                    chain = chains[pk] = VersionChain()
+                elif chain.versions:
+                    raise IntegrityError(f"duplicate {writer} key {pk!r} in {table_name!r}")
+                chain.versions.append(Version(csn, row, writer=writer))
+                if index_insert is not None:
+                    index_insert(row)
+                count += 1
         return count
 
     def explain(self, sql: str, params: tuple = ()) -> tuple:
@@ -358,11 +392,12 @@ class Database:
         The one way a snapshot enters an engine: checkpoint restore, a
         full state transfer and a reader's snapshot join all call it.
         """
-        for sql in ddl:
-            self.run_ddl(sql)
-        self.load_checkpoint(rows, csn)
-        for gid, ops in writesets:
-            self.install_writeset(gid, ops)
+        with collector_paused():
+            for sql in ddl:
+                self.run_ddl(sql)
+            self.load_checkpoint(rows, csn)
+            for gid, ops in writesets:
+                self.install_writeset(gid, ops)
 
     # ------------------------------------------------------- transaction API
 

@@ -9,17 +9,20 @@ such deadlock and aborts any of the transactions").
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Any, Generator, Hashable, Optional
 
-from repro.errors import DeadlockDetected
+from repro.errors import DeadlockDetected, TransactionAborted
 from repro.sim import Event
 
 
 class _Lock:
-    __slots__ = ("holder", "waiters")
+    __slots__ = ("stamp", "holder", "waiters")
 
-    def __init__(self) -> None:
+    def __init__(self, stamp: int) -> None:
+        #: creation order in the lock table: a release grants in this order
+        self.stamp = stamp
         self.holder: Optional[Any] = None
         self.waiters: deque[tuple[Any, Event]] = deque()
 
@@ -31,6 +34,10 @@ class LockManager:
     def __init__(self, name: str = "locks"):
         self.name = name
         self._locks: dict[Hashable, _Lock] = {}
+        self._stamps = itertools.count()
+        #: txn -> (lock stamp, key) of each lock it took or queued on,
+        #: until its release_all
+        self._keys: dict[Any, list[tuple[int, Hashable]]] = {}
         #: txn -> key it is currently waiting for (one at a time)
         self._waiting_for_key: dict[Any, Hashable] = {}
         self.deadlocks_detected = 0
@@ -86,10 +93,11 @@ class LockManager:
         """
         lock = self._locks.get(key)
         if lock is None:
-            lock = _Lock()
+            lock = _Lock(next(self._stamps))
             self._locks[key] = lock
         if lock.holder is None:
             lock.holder = txn
+            self._track(txn, lock, key)
             return
         if lock.holder is txn:
             return
@@ -100,6 +108,7 @@ class LockManager:
             )
         granted = Event()
         lock.waiters.append((txn, granted))
+        self._track(txn, lock, key)
         self._waiting_for_key[txn] = key
         try:
             yield granted.wait()
@@ -114,11 +123,18 @@ class LockManager:
         request is cancelled and the blocked process is woken with
         :class:`DeadlockDetected`-style failure so it can observe the
         abort.  Returns the released keys.
-        """
-        from repro.errors import TransactionAborted
 
+        Only ``txn``'s own keys are visited, in lock-table insertion
+        order, so its cost does not grow with other transactions' locks.
+        """
+        entries = self._keys.pop(txn, None)
+        if entries is None:
+            return []
+        entries.sort()
+        locks = self._locks
         released = []
-        for key, lock in list(self._locks.items()):
+        for _stamp, key in entries:
+            lock = locks[key]
             if lock.holder is txn:
                 released.append(key)
                 self._grant_next(key, lock)
@@ -137,8 +153,15 @@ class LockManager:
                         remaining.append((waiter, event))
                 lock.waiters = remaining
             if lock.holder is None and not lock.waiters:
-                del self._locks[key]
+                del locks[key]
         return released
+
+    def _track(self, txn: Any, lock: _Lock, key: Hashable) -> None:
+        entries = self._keys.get(txn)
+        if entries is None:
+            self._keys[txn] = [(lock.stamp, key)]
+        else:
+            entries.append((lock.stamp, key))
 
     def _grant_next(self, key: Hashable, lock: _Lock) -> None:
         if lock.waiters:

@@ -76,6 +76,15 @@ def test_type_checks_and_coercion():
         s.validate_row({"id": 1, "name": "x", "active": 1})
 
 
+def test_float_column_refuses_bool():
+    """Regression: FLOAT stored a bool unchanged, while INT refused it."""
+    with pytest.raises(IntegrityError, match="column 'x' expects FLOAT, got bool"):
+        ColumnDef("x", "FLOAT").check(True)
+    with pytest.raises(IntegrityError, match="column 'price' expects FLOAT, got bool"):
+        schema().validate_row({"id": 1, "name": "x", "price": False})
+    assert ColumnDef("x", "FLOAT").check(2) == 2.0
+
+
 def test_catalog_create_and_lookup():
     catalog = Catalog()
     catalog.create_table(schema())

@@ -226,3 +226,40 @@ def test_release_all_removes_from_wait_queue():
     sim.run()
     assert order == ["s"]
     assert locks.holder("k") == "s"
+
+
+def test_release_all_grants_in_lock_table_order():
+    """A release grants the waiters of its keys in the order the locks
+    were created, not the order the releasing transaction took them:
+    ``h`` takes ``second`` first, then ``first`` (created earlier by
+    ``o``), and ``first``'s waiter still resumes first."""
+    sim = Simulator()
+    locks = LockManager()
+    order = []
+
+    def owner():
+        yield from locks.acquire("o", "first")
+        yield sim.sleep(1.0)
+        locks.release_all("o")
+
+    def releaser():
+        yield sim.sleep(0.1)
+        yield from locks.acquire("h", "second")
+        yield sim.sleep(0.1)
+        yield from locks.acquire("h", "first")
+        yield sim.sleep(1.0)
+        assert locks.release_all("h") == ["first", "second"]
+
+    def waiter(name, key, delay):
+        yield sim.sleep(delay)
+        yield from locks.acquire(name, key)
+        order.append(name)
+        locks.release_all(name)
+
+    sim.spawn(owner(), name="o")
+    sim.spawn(releaser(), name="h")
+    sim.spawn(waiter("w-second", "second", 0.3), name="w-second")
+    sim.spawn(waiter("w-first", "first", 0.4), name="w-first")
+    sim.run()
+    assert order == ["w-first", "w-second"]
+    assert locks.held_count() == 0 and locks.waiting_count() == 0
