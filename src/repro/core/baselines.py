@@ -52,10 +52,7 @@ class CentralizedSystem:
         self.name = "central"
         self.sim = Simulator(seed=seed)
         self.network = Network(
-            self.sim,
-            latency=LatencyModel(
-                base=net_base_latency, jitter=net_jitter, rng=self.sim.rng("net")
-            ),
+            self.sim, latency=LatencyModel(base=net_base_latency, jitter=net_jitter)
         )
         self.discovery = DiscoveryService(self.sim)
         cpu = Resource(self.sim, "central.cpu")
@@ -331,7 +328,7 @@ class TableLockSystem:
         with_disk: bool = False,
     ):
         self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, latency=LatencyModel(rng=self.sim.rng("net")))
+        self.network = Network(self.sim)
         self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
         self.discovery = DiscoveryService(self.sim)
         self.procedures = procedures

@@ -171,11 +171,7 @@ def build_surface(
     else:
         network = Network(
             sim,
-            latency=LatencyModel(
-                base=cfg.net_base_latency,
-                jitter=cfg.net_jitter,
-                rng=sim.rng("net"),
-            ),
+            latency=LatencyModel(base=cfg.net_base_latency, jitter=cfg.net_jitter),
         )
     obs = (
         Observability(sim, sampler_interval=cfg.sampler_interval)

@@ -29,7 +29,7 @@ from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.errors import TransactionAborted
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
-from repro.net import LatencyModel, Network
+from repro.net import Network
 from repro.sim import Resource, Simulator
 from repro.sim.sync import OneShot
 from repro.storage import Database
@@ -174,7 +174,7 @@ class KernelReplicatedSystem:
         cost_model=None,
     ):
         self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, latency=LatencyModel(rng=self.sim.rng("net")))
+        self.network = Network(self.sim)
         self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
         self.discovery = DiscoveryService(self.sim)
         self.cost_model = cost_model

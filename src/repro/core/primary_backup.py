@@ -36,7 +36,7 @@ from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
-from repro.net import LatencyModel, Network
+from repro.net import Network
 from repro.sim import Gate, Resource, Simulator, wait_until
 from repro.sim.sync import OneShot
 from repro.storage import Database
@@ -238,7 +238,7 @@ class PrimaryBackupSystem:
         cost_model=None,
     ):
         self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim, latency=LatencyModel(rng=self.sim.rng("net")))
+        self.network = Network(self.sim)
         self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
         self.discovery = DiscoveryService(self.sim)
         self.nodes: list[ReplicaNode] = []

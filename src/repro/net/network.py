@@ -1,11 +1,24 @@
-"""A simulated LAN: hosts, reliable FIFO duplex channels, crash semantics.
+"""The channel state machine: hosts, reliable FIFO duplex channels, crashes.
 
 The client driver talks JDBC to a middleware replica over a
-:class:`Channel`.  Channels deliver messages reliably and in FIFO order
-with a configurable latency.  When a host crashes, every channel touching
-it *breaks*: the surviving end learns about it (after the messages the dead
-host had already put on the wire), which is what lets the driver implement
-the transparent failover of paper §5.4.
+:class:`Channel`.  Every network in the package runs the classes of this
+module, and every one keeps the same contract:
+
+* delivery is reliable and FIFO in each direction;
+* ``send`` on a broken channel, or to a dead host, is silently dropped;
+* ``connect`` raises :class:`ChannelClosed` at once when the server is
+  missing or dead, and otherwise returns both ends at once, the server
+  end landing in ``Host.accept()``;
+* when a host crashes, every channel touching it *breaks*: the survivor
+  receives :class:`ChannelClosed` behind the messages the dead host had
+  already put on the wire, and ``recv`` keeps raising after that.  This
+  is what lets the driver implement the transparent failover of paper
+  §5.4.
+
+These classes carry messages over simulated hops of a
+:class:`LatencyModel`.  :mod:`repro.runtime.tcpnet` subclasses all four
+and replaces only the transport (``send``, the break, ``close``) with
+loopback TCP sockets.
 """
 
 from __future__ import annotations
@@ -55,6 +68,10 @@ class LatencyModel:
 class Network:
     """Registry of hosts plus the crash switchboard."""
 
+    #: what :meth:`register` and :meth:`connect` build (bound at the end)
+    host_type: type[Host]
+    channel_type: type[Channel]
+
     def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None):
         self.sim = sim
         self.latency = latency or LatencyModel()
@@ -84,7 +101,7 @@ class Network:
             raise ReproError(f"duplicate host address {address!r}")
         # A dead host's address may be reused (a recovered replica comes
         # back under its old identity).
-        host = Host(self, address)
+        host = self.host_type(self, address)
         self.hosts[address] = host
         return host
 
@@ -96,7 +113,7 @@ class Network:
         server = self.hosts.get(server_address)
         if server is None or not server.alive or not client.alive:
             raise ChannelClosed(f"cannot connect to {server_address!r}")
-        channel = Channel(self, client, server)
+        channel = self.channel_type(self, client, server)
         server._pending.put(channel.server_end)
         return channel
 
@@ -106,6 +123,7 @@ class Network:
         if not host.alive:
             return
         host.alive = False
+        host._went_down()
         for channel in list(host.channels):
             channel._break(crashed=host)
 
@@ -124,21 +142,25 @@ class Host:
         """Awaitable: the server end of the next inbound channel."""
         return self._pending.get()
 
+    def _went_down(self) -> None:
+        """The host just crashed; a transport frees what it holds here."""
+
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
-        return f"<Host {self.address} {state}>"
+        return f"<{type(self).__name__} {self.address} {state}>"
 
 
 class Channel:
     """Reliable FIFO duplex pipe between two hosts."""
 
     _ids = itertools.count()
+    end_type: type[ChannelEnd]  # bound at the end of the module
 
     def __init__(self, network: Network, client: Host, server: Host):
         self.network = network
         self.id = next(self._ids)
-        self.client_end = ChannelEnd(self, client, server)
-        self.server_end = ChannelEnd(self, server, client)
+        self.client_end = self.end_type(self, client, server)
+        self.server_end = self.end_type(self, server, client)
         self.client_end.peer = self.server_end
         self.server_end.peer = self.client_end
         self.broken = False
@@ -154,6 +176,10 @@ class Channel:
                 # The break notice travels behind in-flight data (FIFO), so
                 # the survivor drains already-sent messages first.
                 end._schedule_break()
+        self._detach_hosts()
+
+    def _detach_hosts(self) -> None:
+        for end in (self.client_end, self.server_end):
             if self in end.host.channels:
                 end.host.channels.remove(self)
 
@@ -201,9 +227,7 @@ class ChannelEnd:
         sim.call_at(target, lambda msg=message: self.peer._deliver(msg))
 
     def _deliver(self, message: Any) -> None:
-        if self._closed:
-            return
-        if not self.host.alive:
+        if self._closed or not self.host.alive:
             return
         self._inbox.put(message)
 
@@ -231,3 +255,7 @@ class ChannelEnd:
     @property
     def closed(self) -> bool:
         return self._closed or self.channel.broken
+
+
+Network.host_type, Network.channel_type = Host, Channel
+Channel.end_type = ChannelEnd

@@ -1,20 +1,15 @@
-"""Real TCP sockets behind the simulator's Channel semantics.
+"""Loopback TCP sockets as the transport of :mod:`repro.net.network`.
 
-:class:`TcpNetwork` mirrors :class:`repro.net.network.Network` —
-``register`` / ``connect`` / ``crash`` / ``unique_address`` — but every
-channel is a real loopback TCP connection on the runtime's asyncio
-loop.  The protocol-visible contract is identical to the simulated one:
-
-* reliable FIFO duplex delivery (TCP gives us this for free);
-* ``send`` on a broken channel is silently dropped;
-* a crash delivers :class:`~repro.net.network.ChannelClosed` to the
-  survivor **behind** in-flight data — implemented by closing the dead
-  end's transport gracefully (FIN, not RST), so the kernel drains what
-  was already on the wire before the receiving socket sees EOF;
-* ``connect`` raises ``ChannelClosed`` synchronously when the server is
-  missing or dead, and the server end lands in ``Host.accept()``
-  immediately (socket establishment happens in the background — sends
-  buffer inside the end until the transport attaches).
+:class:`TcpNetwork`, :class:`TcpHost`, :class:`TcpChannel` and
+:class:`TcpChannelEnd` subclass the channel state machine of
+:mod:`repro.net.network`, which states the contract they keep.  What
+they add is the transport: every channel is a real loopback TCP
+connection on the runtime's asyncio loop.  ``connect`` returns both ends
+at once; the socket comes up in the background, and sends buffer inside
+the end until it attaches.  A crash closes the dead end's transport
+gracefully (FIN, not RST), so the kernel drains what was already on the
+wire before the receiving socket sees EOF and the survivor gets the
+break.
 
 Frames are built by :mod:`repro.runtime.codec`: a 4-byte big-endian
 length, a version byte, and a record of builtins (registered protocol
@@ -41,14 +36,11 @@ break releases every token still held for frames that will never land.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import struct
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
-from repro.errors import ReproError
-from repro.net.network import BREAK, ChannelClosed
+from repro.net.network import BREAK, Channel, ChannelEnd, Host, Network
 from repro.runtime import codec
-from repro.sim import Queue
 
 #: Largest frame body a receiver accepts; a longer length header breaks
 #: the channel before any of the body is buffered.  The largest frame
@@ -184,145 +176,72 @@ class _FrameProtocol(asyncio.BufferedProtocol):
         self._shut()
 
 
-class TcpNetwork:
-    """Registry of TCP hosts plus the crash switchboard."""
+class TcpNetwork(Network):
+    """The state machine over real sockets: a listener per host."""
 
     def __init__(self, runtime):
-        self.runtime = runtime
-        #: protocol code reaches the kernel as ``network.sim`` — keep
-        #: the attribute name so the driver works on either backend
-        self.sim = runtime
+        super().__init__(runtime)
         self.latency = None  # the wire is the latency model here
-        self.hosts: dict[str, TcpHost] = {}
-        self._label_counts: dict[str, int] = {}
+        #: ``sim`` under the name the per-frame methods use
+        self.runtime = runtime
         #: channels awaiting their server-side socket, keyed by hello id
         self._handshakes: dict[int, TcpChannel] = {}
         runtime.add_closer(self._close_all)
 
-    def unique_address(self, prefix: str = "client") -> str:
-        count = self._label_counts.get(prefix, 0)
-        while True:
-            count += 1
-            address = f"{prefix}-{count}"
-            if address not in self.hosts:
-                break
-        self._label_counts[prefix] = count
-        return address
-
-    def register(self, address: str) -> "TcpHost":
-        existing = self.hosts.get(address)
-        if existing is not None and existing.alive:
-            raise ReproError(f"duplicate host address {address!r}")
-        host = TcpHost(self, address)
-        self.hosts[address] = host
-        return host
-
-    def host(self, address: str) -> "TcpHost":
-        return self.hosts[address]
-
     def connect(self, client: "TcpHost", server_address: str) -> "TcpChannel":
-        """Open a duplex channel; the server side lands in ``accept()``.
-
-        Like the simulated network this is synchronous — both ends exist
-        immediately and are usable (sends buffer); the TCP three-way
-        handshake completes in the background.
-        """
-        server = self.hosts.get(server_address)
-        if server is None or not server.alive or not client.alive:
-            raise ChannelClosed(f"cannot connect to {server_address!r}")
-        channel = TcpChannel(self, client, server)
+        channel = super().connect(client, server_address)
         self._handshakes[channel.id] = channel
-        server._pending.put(channel.server_end)
         self.runtime.spawn_task(channel._establish())
         return channel
-
-    def crash(self, address: str) -> None:
-        """Take a host down: break all of its channels, refuse new ones."""
-        host = self.hosts[address]
-        if not host.alive:
-            return
-        host.alive = False
-        if host._server is not None:
-            host._server.close()
-        if not host._port.done():
-            host._port.set_result(None)
-        for channel in list(host.channels):
-            channel._break(crashed=host)
 
     def _close_all(self) -> None:
         """Runtime-stop closer: free every listening socket and transport."""
         for host in list(self.hosts.values()):
-            if host._server is not None:
-                host._server.close()
-                host._server = None
-            if not host._port.done():
-                host._port.set_result(None)
+            host._went_down()
         for host in list(self.hosts.values()):
             for channel in list(host.channels):
                 channel._break()
         self._handshakes.clear()
 
 
-class TcpHost:
+class TcpHost(Host):
     """A network attachment point backed by a loopback listening socket."""
 
     def __init__(self, network: TcpNetwork, address: str):
-        self.network = network
-        self.address = address
-        self.alive = True
-        self.channels: list[TcpChannel] = []
-        self._pending: Queue = Queue(name=f"accept({address})")
+        super().__init__(network, address)
         self._server: Optional[asyncio.base_events.Server] = None
         self._port: asyncio.Future = network.runtime._loop.create_future()
         network.runtime.spawn_task(self._serve())
 
     async def _serve(self) -> None:
-        loop = self.network.runtime._loop
         try:
-            server = await loop.create_server(
+            self._server = await self.network.runtime._loop.create_server(
                 lambda: _FrameProtocol(self), "127.0.0.1", 0
             )
         except OSError:
-            if not self._port.done():
-                self._port.set_result(None)
-            return
-        if not self.alive:
-            server.close()
-            if not self._port.done():
-                self._port.set_result(None)
-            return
-        self._server = server
+            pass
+        if self._server is None or not self.alive or self._port.done():
+            self._went_down()  # no listener, or it came up too late
+        else:
+            self._port.set_result(self._server.sockets[0].getsockname()[1])
+
+    def _went_down(self) -> None:
+        """Close the listener; connects still waiting for its port fail."""
+        if self._server is not None:
+            self._server.close()
+            self._server = None
         if not self._port.done():
-            self._port.set_result(server.sockets[0].getsockname()[1])
-
-    def accept(self):
-        """Awaitable: the server end of the next inbound channel."""
-        return self._pending.get()
-
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "down"
-        return f"<TcpHost {self.address} {state}>"
+            self._port.set_result(None)
 
 
-class TcpChannel:
+class TcpChannel(Channel):
     """Reliable FIFO duplex pipe carried by one loopback TCP connection."""
 
-    _ids = itertools.count()
-
     def __init__(self, network: TcpNetwork, client: TcpHost, server: TcpHost):
-        self.network = network
-        self.id = next(self._ids)
-        self.client_end = TcpChannelEnd(self, client, server)
-        self.server_end = TcpChannelEnd(self, server, client)
-        self.client_end.peer = self.server_end
-        self.server_end.peer = self.client_end
-        #: no further sends accepted (orderly close or crash)
-        self.broken = False
+        super().__init__(network, client, server)
         #: crash teardown: late socket establishment is refused outright
         #: (an orderly close still flushes buffered frames first)
         self._refuse = False
-        client.channels.append(self)
-        server.channels.append(self)
 
     async def _establish(self) -> None:
         client_host = self.client_end.host
@@ -377,11 +296,6 @@ class TcpChannel:
         self.client_end._end_of_stream()
         self.server_end._end_of_stream()
 
-    def _detach_hosts(self) -> None:
-        for end in (self.client_end, self.server_end):
-            if self in end.host.channels:
-                end.host.channels.remove(self)
-
     def _break(self, crashed: Optional[TcpHost] = None) -> None:
         """Crash teardown: FIN attached transports, synthesize the rest.
 
@@ -432,16 +346,12 @@ def _safe_close(transport) -> None:
         pass
 
 
-class TcpChannelEnd:
-    """One direction pair of a channel: ``send`` to peer, ``recv`` from it."""
+class TcpChannelEnd(ChannelEnd):
+    """A channel end whose sends are written to its socket, or buffered
+    until the socket attaches."""
 
     def __init__(self, channel: TcpChannel, host: TcpHost, peer_host: TcpHost):
-        self.channel = channel
-        self.host = host
-        self.peer_host = peer_host
-        self.peer: "TcpChannelEnd" = None  # type: ignore[assignment]
-        self._inbox: Queue = Queue(name=f"chan{channel.id}@{host.address}")
-        self._closed = False
+        super().__init__(channel, host, peer_host)
         self._transport: Optional[asyncio.Transport] = None
         #: frames sent before the transport attached
         self._buffer: Optional[list[bytes]] = []
@@ -484,11 +394,6 @@ class TcpChannelEnd:
 
     # -- receiving ---------------------------------------------------------------
 
-    def _deliver(self, message: Any) -> None:
-        if self._closed or not self.host.alive:
-            return
-        self._inbox.put(message)
-
     def _end_of_stream(self) -> None:
         """Terminal edge of this end: free peer tokens, queue the break."""
         if self._eof:
@@ -498,18 +403,9 @@ class TcpChannelEnd:
         if self.host.alive and not self._closed:
             self._inbox.put(BREAK)
 
-    def recv(self) -> Generator[Any, Any, Any]:
-        """Await the next message; raises :class:`ChannelClosed` at break."""
-        if self._closed:
-            raise ChannelClosed("channel already closed")
-        message = yield self._inbox.get()
-        if message is BREAK:
-            self._closed = True
-            raise ChannelClosed(
-                f"peer {self.peer_host.address!r} closed the channel"
-            )
-        return message
+    # the benchmark's tracer patches this class's own ``recv`` by name
+    recv = ChannelEnd.recv
 
-    @property
-    def closed(self) -> bool:
-        return self._closed or self.channel.broken
+
+TcpNetwork.host_type, TcpNetwork.channel_type = TcpHost, TcpChannel
+TcpChannel.end_type = TcpChannelEnd

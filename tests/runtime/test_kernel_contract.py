@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import ProcessKilled, QueueClosed, SimulationError
+from repro.errors import ProcessKilled, QueueClosed, ReproError, SimulationError
 from repro.net import ChannelClosed
 from repro.runtime import make_runtime
 from repro.sim.kernel import KILLED
@@ -501,9 +501,11 @@ def test_run_does_not_return_while_a_blocking_call_is_pending():
         for index in range(3):
             rt.spawn(proc(index), name=f"p{index}", daemon=True)
         timer = threading.Timer(0.1, release.set)
-        timer.start()
+        # read the clock first: the timer's 0.1 s wait starts in start()
         started = time.monotonic()
+        timer.start()
         rt.run()
+        assert release.is_set()
         assert time.monotonic() - started >= 0.1
         assert sorted(got) == [0, 1, 2]
         timer.join(10.0)
@@ -565,6 +567,19 @@ def test_channel_break_drains_in_flight_then_raises(rt):
     assert rt.run_process(client_proc()) is True
 
 
+def test_register_and_duplicate_address(rt):
+    """A live address is taken; a crashed host's address may be
+    registered again (a recovered replica keeps its identity)."""
+    net = make_network(rt)
+    first = net.register("a")
+    with pytest.raises(ReproError, match="duplicate"):
+        net.register("a")
+    net.crash("a")
+    again = net.register("a")
+    assert again is not first and again.alive and not first.alive
+    assert net.host("a") is again
+
+
 def test_connect_to_crashed_host_raises(rt):
     net = make_network(rt)
     client = net.register("client")
@@ -572,12 +587,81 @@ def test_connect_to_crashed_host_raises(rt):
     net.crash("server")
 
     def client_proc():
-        with pytest.raises(ChannelClosed):
-            net.connect(client, "server")
+        for address in ("server", "nowhere"):
+            with pytest.raises(ChannelClosed):
+                net.connect(client, address)
         yield rt.sleep(0)
         return True
 
     assert rt.run_process(client_proc()) is True
+
+
+def test_send_to_crashed_host_is_dropped(rt):
+    net = make_network(rt)
+    client = net.register("client")
+    server = net.register("server")
+
+    def server_proc():
+        yield server.accept()
+
+    def client_proc():
+        channel = net.connect(client, "server")
+        yield rt.sleep(0.05)
+        net.crash("server")
+        channel.client_end.send("into the void")  # must not raise
+        with pytest.raises(ChannelClosed):
+            yield from channel.client_end.recv()
+        return True
+
+    rt.spawn(server_proc(), name="server")
+    assert rt.run_process(client_proc()) is True
+
+
+def test_recv_after_break_keeps_raising(rt):
+    """The crash lands before the wall runtime has a socket for the
+    channel, so late establishment is refused too."""
+    net = make_network(rt)
+    client = net.register("client")
+    net.register("server")
+
+    def client_proc():
+        channel = net.connect(client, "server")
+        net.crash("server")
+        for _ in range(2):
+            with pytest.raises(ChannelClosed):
+                yield from channel.client_end.recv()
+        return True
+
+    assert rt.run_process(client_proc()) is True
+
+
+def test_local_close_breaks_both_ends(rt):
+    net = make_network(rt)
+    client = net.register("client")
+    server = net.register("server")
+
+    def server_proc():
+        end = yield server.accept()
+        with pytest.raises(ChannelClosed):
+            yield from end.recv()
+        return True
+
+    def client_proc():
+        channel = net.connect(client, "server")
+        yield rt.sleep(0.05)
+        channel.close()
+        assert channel.client_end.closed
+        with pytest.raises(ChannelClosed):
+            yield from channel.client_end.recv()
+        return True
+
+    worker = rt.spawn(server_proc(), name="server")
+    assert rt.run_process(client_proc()) is True
+
+    def waiter():
+        return (yield worker.join())
+
+    assert rt.run_process(waiter()) is True
 
 
 def test_orderly_close_flushes_before_break(rt):
