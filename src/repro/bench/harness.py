@@ -25,7 +25,7 @@ from repro.obs import profile_run, sanitize
 from repro.shard import ShardConfig, ShardedCluster
 from repro.storage.engine import CostModel
 from repro.workloads import ClientPool, ProcClientPool, Workload
-from repro.workloads.stats import Stats
+from repro.workloads.stats import Stats, mean_confidence_interval
 
 
 def _profile_extras(cluster, update_tps: Optional[float]) -> Optional[dict]:
@@ -303,8 +303,6 @@ def run_until_confident(
     LoadPoint whose response times and throughput are seed-averages, and
     the achieved relative half-width.
     """
-    from repro.workloads.stats import mean_confidence_interval
-
     points: list[LoadPoint] = []
     achieved = float("inf")
     for seed in range(max_seeds):

@@ -14,6 +14,7 @@ through the certifier whose state the checkpoint carries.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -124,6 +125,10 @@ class CheckpointStore:
     Like the log, the store outlives replica incarnations (in-memory) and
     optionally persists each checkpoint as ``ckpt-<seq>.json`` on disk so
     cold restart can start from the newest one instead of sequence 1.
+    A file is written under a temporary name, synced, then renamed into
+    place.  A file that still fails to load (torn or corrupt) is skipped
+    and listed in ``unreadable``; the store falls back to the older
+    checkpoints it keeps.
     """
 
     def __init__(self, name: str, keep: int = 2,
@@ -133,22 +138,25 @@ class CheckpointStore:
         self.directory = Path(directory) if directory is not None else None
         self.checkpoints: list[Checkpoint] = []
         self.saved = 0
+        self.unreadable: list[Path] = []
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             for path in sorted(self.directory.glob("ckpt-*.json")):
-                self.checkpoints.append(
-                    Checkpoint.from_json(json.loads(path.read_text()))
-                )
+                try:
+                    checkpoint = Checkpoint.from_json(json.loads(path.read_text()))
+                except (OSError, ValueError, KeyError, TypeError):
+                    self.unreadable.append(path)
+                    continue
+                self.checkpoints.append(checkpoint)
             self.checkpoints.sort(key=lambda cp: cp.seq)
 
     def save(self, checkpoint: Checkpoint) -> None:
         if self.checkpoints and checkpoint.seq <= self.checkpoints[-1].seq:
             return  # no progress since the last one
+        if self.directory is not None:
+            self._write(checkpoint)
         self.checkpoints.append(checkpoint)
         self.saved += 1
-        if self.directory is not None:
-            path = self.directory / f"ckpt-{checkpoint.seq:08d}.json"
-            path.write_text(json.dumps(checkpoint.to_json()))
         while len(self.checkpoints) > self.keep:
             old = self.checkpoints.pop(0)
             if self.directory is not None:
@@ -156,6 +164,20 @@ class CheckpointStore:
                     (self.directory / f"ckpt-{old.seq:08d}.json").unlink()
                 except FileNotFoundError:
                     pass
+
+    def _write(self, checkpoint: Checkpoint) -> None:
+        path = self.directory / f"ckpt-{checkpoint.seq:08d}.json"
+        temp = path.with_name(path.name + ".tmp")
+        with open(temp, "w") as fh:
+            fh.write(json.dumps(checkpoint.to_json()))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def latest(self) -> Optional[Checkpoint]:
         return self.checkpoints[-1] if self.checkpoints else None

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
+from repro.si.graph import DiGraph
 from repro.si.schedule import BEGIN, COMMIT
 
 
@@ -74,7 +75,7 @@ class _Watch:
         self.db = db
         self.cursor = 0
         #: normalized events retained for graph rebuilds after unwatch
-        self.events: list[tuple] = []
+        self.events: list[_Commit] = []
         #: gids installed by durable-log replay before watching started:
         #: committed here, ordered before everything in ``db.history``,
         #: but absent from it (delta recovery re-watch)
@@ -94,6 +95,10 @@ class _Watch:
         self._last_begin: dict[str, tuple[int, float, bool]] = {}
 
 
+#: one commit as ``_apply_event`` hands it on: (watch, gid, readset, writeset)
+_Commit = tuple[_Watch, str, frozenset, frozenset]
+
+
 class OneCopyMonitor:
     """Streaming Def. 3 checker over the live per-replica histories."""
 
@@ -108,10 +113,6 @@ class OneCopyMonitor:
     ):
         if interval <= 0:
             raise ValueError(f"monitor interval must be positive: {interval}")
-        # networkx is imported where the graph is used, so a deployment
-        # without a monitor never loads it
-        import networkx as nx
-
         self.sim = sim
         self.interval = interval
         self.loss_grace = loss_grace
@@ -124,7 +125,7 @@ class OneCopyMonitor:
         self.saturated = False
         self.polls = 0
         self._watches: dict[str, _Watch] = {}
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         #: gid -> writeset / first-commit time / first-begin time
         self._update_ws: dict[str, frozenset] = {}
         self._first_commit: dict[str, float] = {}
@@ -204,7 +205,7 @@ class OneCopyMonitor:
             return []
         before = len(self.violations)
         self.polls += 1
-        new_commits: list[tuple[_Watch, str]] = []
+        new_commits: list[_Commit] = []
         for watch in self._watches.values():
             new_commits.extend(self._ingest(watch))
         if new_commits:
@@ -216,8 +217,8 @@ class OneCopyMonitor:
             self.saturated = True
         return self.violations[before:]
 
-    def _ingest(self, watch: _Watch) -> list[tuple[_Watch, str]]:
-        """Advance one watch's cursor; returns its newly committed gids."""
+    def _ingest(self, watch: _Watch) -> list[_Commit]:
+        """Advance one watch's cursor; returns its new commits."""
         history = watch.db.history
         commits = []
         while watch.cursor < len(history):
@@ -227,7 +228,7 @@ class OneCopyMonitor:
             commits.extend(self._apply_event(watch, entry))
         return commits
 
-    def _apply_event(self, watch: _Watch, entry: tuple) -> list[tuple[_Watch, str]]:
+    def _apply_event(self, watch: _Watch, entry: tuple) -> list[_Commit]:
         position = len(watch.events)  # strictly increasing per watch
         if entry[0] == "begin":
             _kind, gid, _csn, remote, t = entry
@@ -247,9 +248,9 @@ class OneCopyMonitor:
         watch.commit_pos[gid] = position
         watch.commit_t[gid] = t
         watch.committed.add(gid)
-        return [(watch, gid)]
+        return [(watch, gid, frozenset(readset), frozenset(writeset))]
 
-    def _derive(self, new_commits: list[tuple[_Watch, str]]) -> None:
+    def _derive(self, new_commits: list[_Commit]) -> None:
         """Turn this poll's commits into Def. 3 constraint edges.
 
         Ingestion completes for *every* watch before any edge is derived,
@@ -259,8 +260,7 @@ class OneCopyMonitor:
         added_edges = False
         new_writers: list[str] = []
         new_readers: list[str] = []
-        for watch, gid in new_commits:
-            entry_ws = self._writeset_of(watch, gid)
+        for watch, gid, readset, entry_ws in new_commits:
             if entry_ws:
                 known = self._update_ws.get(gid)
                 if known is None:
@@ -276,10 +276,9 @@ class OneCopyMonitor:
                         gids=(gid,),
                     )
                 self._first_commit.setdefault(gid, watch.commit_t[gid])
-            if gid not in self._graph:
-                self._graph.add_edge((BEGIN, gid), (COMMIT, gid), reason="b<c")
+            if (COMMIT, gid) not in self._graph:
+                self._graph.add_edge((BEGIN, gid), (COMMIT, gid))
                 added_edges = True
-            readset = self._readset_of(watch, gid)
             if gid in watch.local and readset and gid not in self._readers:
                 self._readers[gid] = (readset, watch.name)
                 new_readers.append(gid)
@@ -288,24 +287,10 @@ class OneCopyMonitor:
         if added_edges and not self.tripped:
             self._check_cycle()
 
-    @staticmethod
-    def _writeset_of(watch: _Watch, gid: str) -> frozenset:
-        for entry in reversed(watch.events):
-            if entry[0] == "commit" and entry[1] == gid:
-                return frozenset(entry[4])
-        return frozenset()
-
-    @staticmethod
-    def _readset_of(watch: _Watch, gid: str) -> frozenset:
-        for entry in reversed(watch.events):
-            if entry[0] == "commit" and entry[1] == gid:
-                return frozenset(entry[3])
-        return frozenset()
-
-    def _derive_ww(self, new_commits: list[tuple[_Watch, str]]) -> bool:
+    def _derive_ww(self, new_commits: list[_Commit]) -> bool:
         """Def. 3(ii.a): ww-conflicting commit orders must agree."""
         added = False
-        for watch, gid in new_commits:
+        for watch, gid, _readset, _writeset in new_commits:
             ws = self._update_ws.get(gid)
             if not ws:
                 continue
@@ -324,12 +309,8 @@ class OneCopyMonitor:
                 if agreed is None:
                     self._ww_order[pair] = first
                     second = other if first == gid else gid
-                    self._graph.add_edge(
-                        (COMMIT, first), (COMMIT, second), reason="ww"
-                    )
-                    self._graph.add_edge(
-                        (COMMIT, first), (BEGIN, second), reason="ww-noconc"
-                    )
+                    self._graph.add_edge((COMMIT, first), (COMMIT, second))
+                    self._graph.add_edge((COMMIT, first), (BEGIN, second))
                     added = True
                 elif agreed != first and pair not in self._flagged_ww:
                     self._flagged_ww.add(pair)
@@ -376,29 +357,20 @@ class OneCopyMonitor:
             if reader_begin is None:
                 continue
             if writer_commit is not None and writer_commit < reader_begin:
-                self._graph.add_edge(
-                    (COMMIT, writer), (BEGIN, reader), reason="rf"
-                )
+                self._graph.add_edge((COMMIT, writer), (BEGIN, reader))
             elif writer_commit is None and writer in home.covered:
                 # the writer landed during the home replica's log replay:
                 # it committed before the watch (and thus the begin) even
                 # though the history never shows it
-                self._graph.add_edge(
-                    (COMMIT, writer), (BEGIN, reader), reason="rf"
-                )
+                self._graph.add_edge((COMMIT, writer), (BEGIN, reader))
             else:
-                self._graph.add_edge(
-                    (BEGIN, reader), (COMMIT, writer), reason="not-rf"
-                )
+                self._graph.add_edge((BEGIN, reader), (COMMIT, writer))
             added = True
         return added
 
     def _check_cycle(self) -> None:
-        import networkx as nx
-
-        try:
-            cycle = nx.find_cycle(self._graph)
-        except nx.NetworkXNoCycle:
+        cycle = self._graph.find_cycle()
+        if cycle is None:
             return
         self.tripped = True
         nodes = [edge[0] for edge in cycle]
@@ -479,16 +451,14 @@ class OneCopyMonitor:
         Flagged-violation dedup sets and the cycle latch survive, so a
         rebuild never re-emits what was already reported.
         """
-        import networkx as nx
-
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         self._update_ws = {}
         self._first_commit = {}
         self._begin_time = {}
         self._readers = {}
         self._ww_order = {}
         self._rf_done = set()
-        commits: list[tuple[_Watch, str]] = []
+        commits: list[_Commit] = []
         for watch in self._watches.values():
             events = watch.events
             watch.events = []

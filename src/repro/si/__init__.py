@@ -9,6 +9,8 @@
   schedule of every replica, decide whether a global SI-schedule exists
   that all of them are equivalent to, and produce it (or a counterexample
   cycle).
+* :mod:`repro.si.graph` — the constraint digraph Def. 3 reduces to:
+  first cycle by DFS, smallest-first topological order.
 * :mod:`repro.si.recorder` — builds those schedules from live
   :class:`~repro.storage.engine.Database` histories.
 """

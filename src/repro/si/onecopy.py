@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.si.graph import DiGraph
 from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec, Violation
 
 
@@ -142,12 +143,9 @@ def check_one_copy_si(
     transactions = {**update_txns, **readonly_txns}
 
     # -- (ii.a): ww-conflicting commit orders must agree across replicas ----------
-    # imported here: only the audit needs networkx, never a running replica
-    import networkx as nx
-
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for tid in transactions:
-        graph.add_edge((BEGIN, tid), (COMMIT, tid), reason="b<c")
+        graph.add_edge((BEGIN, tid), (COMMIT, tid))
     update_ids = list(update_txns)
     for i, ti in enumerate(update_ids):
         for tj in update_ids[i + 1:]:
@@ -165,8 +163,8 @@ def check_one_copy_si(
                 )
                 continue
             first, second = (ti, tj) if orders.pop() else (tj, ti)
-            graph.add_edge((COMMIT, first), (COMMIT, second), reason="ww")
-            graph.add_edge((COMMIT, first), (BEGIN, second), reason="ww-noconc")
+            graph.add_edge((COMMIT, first), (COMMIT, second))
+            graph.add_edge((COMMIT, first), (BEGIN, second))
     if violations:
         return OneCopyReport(ok=False, violations=violations)
 
@@ -185,15 +183,12 @@ def check_one_copy_si(
             if writer_id == tid or not (writer.writeset & spec.readset):
                 continue
             if schedule.before((COMMIT, writer_id), (BEGIN, tid)):
-                graph.add_edge((COMMIT, writer_id), (BEGIN, tid), reason="rf")
+                graph.add_edge((COMMIT, writer_id), (BEGIN, tid))
             else:
-                graph.add_edge((BEGIN, tid), (COMMIT, writer_id), reason="not-rf")
+                graph.add_edge((BEGIN, tid), (COMMIT, writer_id))
 
     # -- feasibility -----------------------------------------------------------------
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        cycle = None
+    cycle = graph.find_cycle()
     if cycle is not None:
         detail = " -> ".join(f"{k}{t}" for (k, t), _dst in cycle)
         return OneCopyReport(
@@ -201,6 +196,6 @@ def check_one_copy_si(
             violations=[Violation("1-copy-si", f"constraint cycle: {detail}")],
             cycle=[edge[0] for edge in cycle],
         )
-    order = list(nx.lexicographical_topological_sort(graph, key=str))
+    order = graph.topological_order(key=str)
     witness = Schedule(transactions=transactions, events=order)
     return OneCopyReport(ok=True, witness=witness)

@@ -14,6 +14,7 @@ T1 = r(x) w(x), T2 = r(y) r(x) w(y), T3 = w(x)) is used in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, FrozenSet, Iterable
 
 BEGIN = "b"
@@ -67,8 +68,16 @@ class Schedule:
             events.append((kind, tid))
         return cls(transactions=txns, events=events)
 
+    @cached_property
+    def _positions(self) -> dict[tuple[str, str], int]:
+        # built on first use: ``events`` is not mutated once constructed
+        positions: dict[tuple[str, str], int] = {}
+        for index, event in enumerate(self.events):
+            positions.setdefault(event, index)
+        return positions
+
     def position(self, kind: str, tid: str) -> int:
-        return self.events.index((kind, tid))
+        return self._positions[(kind, tid)]
 
     def before(self, first: tuple[str, str], second: tuple[str, str]) -> bool:
         """True iff event ``first`` occurs before ``second``."""

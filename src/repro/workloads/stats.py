@@ -8,29 +8,96 @@ the harness can assert the 5%-of-mean criterion where it matters.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.metrics import quantile
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz
+    method (converges fast for ``x < (a + 1) / (a + b + 2)``)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            break
+    return h
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  For large ``a`` the two huge terms lgamma(a + b)
+    and lgamma(a) would cancel, so their difference comes from
+    Stirling's series instead."""
+    if a < 100.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def stirling_tail(z: float) -> float:
+        return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5)
+
+    log_ratio = (  # lgamma(a + b) - lgamma(a)
+        (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b
+        + stirling_tail(a + b) - stirling_tail(a)
+    )
+    return math.lgamma(b) - log_ratio
+
+
+def _regularized_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def student_t_quantile(p: float, df: float) -> float:
+    """The ``p`` quantile (``0.5 < p < 1``) of Student's t with ``df``
+    degrees of freedom.
+
+    For t > 0, P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2);
+    I_x increases with x, so bisection finds the x where
+    I_x = 2 (1 - p).
+    """
+    two_tails = 2.0 * (1.0 - p)
+    low, high = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        if _regularized_beta(0.5 * df, 0.5, mid) < two_tails:
+            low = mid
+        else:
+            high = mid
+    x = 0.5 * (low + high)
+    return math.sqrt(df * (1.0 - x) / x)
+
+
 def mean_confidence_interval(samples, confidence: float = 0.95):
     """(mean, half_width) of the t-based confidence interval."""
-    # imported here, not at module level: no replica, client or sequencer
-    # computes an interval, so their processes never load numpy or scipy
-    import numpy as np
-    from scipy import stats as scipy_stats
-
-    data = np.asarray(list(samples), dtype=float)
-    if data.size == 0:
+    data = [float(sample) for sample in samples]
+    if not data:
         return (float("nan"), float("nan"))
-    mean = float(data.mean())
-    if data.size == 1:
+    mean = statistics.fmean(data)
+    if len(data) == 1:
         return (mean, float("inf"))
-    sem = float(data.std(ddof=1)) / math.sqrt(data.size)
+    sem = statistics.stdev(data) / math.sqrt(len(data))
     if sem == 0.0:
         return (mean, 0.0)
-    half = sem * float(scipy_stats.t.ppf((1 + confidence) / 2, data.size - 1))
+    half = sem * student_t_quantile((1 + confidence) / 2, len(data) - 1)
     return (mean, half)
 
 

@@ -69,3 +69,22 @@ def test_disk_backed_store_round_trips(tmp_path):
     assert files == ["ckpt-00000005.json", "ckpt-00000009.json"]  # rotated
     reloaded = CheckpointStore("R0", keep=2, directory=tmp_path / "ckpt")
     assert reloaded.latest() == store.latest()
+
+
+def test_torn_newest_checkpoint_falls_back_to_the_older_one(tmp_path):
+    directory = tmp_path / "ckpt"
+    store = CheckpointStore("R0", keep=2, directory=directory)
+    for seq in (5, 9):
+        store.save(make_checkpoint(seq))
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "ckpt-00000005.json", "ckpt-00000009.json",
+    ]  # no temporary file is left behind
+    newest = directory / "ckpt-00000009.json"
+    text = newest.read_text()
+    newest.write_text(text[: len(text) // 2])  # a write torn by a crash
+
+    reloaded = CheckpointStore("R0", keep=2, directory=directory)
+    assert reloaded.latest() == store.checkpoints[0]
+    assert reloaded.unreadable == [newest]
+    reloaded.save(make_checkpoint(12))
+    assert CheckpointStore("R0", directory=directory).latest().seq == 12

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.workloads.stats import Stats, mean_confidence_interval
+from repro.workloads.stats import Stats, mean_confidence_interval, student_t_quantile
 
 
 def test_mean_ci_basics():
@@ -23,6 +23,37 @@ def test_mean_ci_degenerate_cases():
     assert mean == 7.0 and half == float("inf")
     mean, half = mean_confidence_interval([2.0, 2.0, 2.0])
     assert (mean, half) == (2.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "p, df, expected",
+    [
+        (0.975, 1, 12.706204736174694),
+        (0.975, 4, 2.7764451051977934),
+        (0.995, 4, 4.604094871349992),
+        (0.975, 11, 2.200985160091639),
+        (0.975, 1e5, 1.9599877075346095),
+    ],
+)
+def test_student_t_quantile_pinned(p, df, expected):
+    assert student_t_quantile(p, df) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_student_t_quantile_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for df in [*range(1, 40), 50, 100, 300, 1e3, 1e4, 1e5, 1e6]:
+        for p in (0.9, 0.95, 0.975, 0.99, 0.995, 0.9995):
+            expected = float(scipy_stats.t.ppf(p, df))
+            assert student_t_quantile(p, df) == pytest.approx(
+                expected, rel=1e-9, abs=0
+            ), (p, df)
+
+
+def test_mean_ci_half_width_uses_the_t_quantile():
+    samples = [1.0, 2.0, 3.0, 4.0, 5.0]
+    _mean, half = mean_confidence_interval(samples)
+    sem = math.sqrt(2.5) / math.sqrt(5)
+    assert half == pytest.approx(sem * 2.7764451051977934, rel=1e-9, abs=0)
 
 
 def test_categories_and_summary():
