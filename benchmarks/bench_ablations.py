@@ -29,12 +29,12 @@ def test_ablation_hole_sync_cost(benchmark):
         for load, tag in ((50, "light"), (175, "heavy")):
             rep = run_sirep(
                 workload, load,
-                ClusterConfig(n_replicas=5, hole_sync=True, cost_model=MicroCost),
+                ClusterConfig(n_replicas=5, hole_sync=True, cost_model=lambda _i: MicroCost()),
                 duration=6.0, warmup=1.5,
             )
             opt = run_sirep(
                 workload, load,
-                ClusterConfig(n_replicas=5, hole_sync=False, cost_model=MicroCost),
+                ClusterConfig(n_replicas=5, hole_sync=False, cost_model=lambda _i: MicroCost()),
                 duration=6.0, warmup=1.5,
             )
             out[tag] = (rep, opt)
@@ -94,7 +94,7 @@ def test_ablation_commit_latency_breakdown(benchmark):
     def measure(load):
         point = run_sirep(
             micro.make_workload(), load,
-            ClusterConfig(n_replicas=5, seed=1, cost_model=MicroCost),
+            ClusterConfig(n_replicas=5, seed=1, cost_model=lambda _i: MicroCost()),
             duration=6.0, warmup=1.5, n_clients=40, profile=True,
         )
         phases = point.extras["profile"]["updates"]["phases"]
@@ -128,7 +128,8 @@ def test_ablation_tpcw_mix_sensitivity(benchmark):
     cluster outruns a single server: reads fan out, only writesets are
     replicated.  browsing (~5% upd) > shopping (~20%) > ordering (50%)."""
     from repro.bench.costs import TpcwCost
-    from repro.bench.harness import run_centralized
+    from repro.bench.harness import run_comparator
+    from repro.core.baselines import CentralizedSystem
     from repro.workloads import tpcw
 
     def run():
@@ -137,12 +138,10 @@ def test_ablation_tpcw_mix_sensitivity(benchmark):
         # *maximum* throughput — that ratio is the scalability measure
         for mix in ("ordering", "browsing"):
             workload = tpcw.make_workload(mix=mix)
-            rep = run_sirep(
-                workload, 500, ClusterConfig(n_replicas=5, cost_model=TpcwCost),
-                duration=6.0, warmup=1.5,
-            )
-            cen = run_centralized(
-                workload, 500, cost_model=TpcwCost, duration=6.0, warmup=1.5,
+            config = ClusterConfig(n_replicas=5, cost_model=lambda _i: TpcwCost())
+            rep = run_sirep(workload, 500, config, duration=6.0, warmup=1.5)
+            cen = run_comparator(
+                workload, 500, CentralizedSystem(config), duration=6.0, warmup=1.5,
             )
             out[mix] = rep.throughput / max(cen.throughput, 1e-9)
         return out
@@ -161,7 +160,7 @@ def test_ablation_replication_factor_scales_update_throughput(benchmark):
         out = {}
         for n in (2, 5, 8):
             point = run_sirep(
-                workload, 250, ClusterConfig(n_replicas=n, cost_model=MicroCost),
+                workload, 250, ClusterConfig(n_replicas=n, cost_model=lambda _i: MicroCost()),
                 duration=6.0, warmup=1.5,
             )
             out[n] = point.throughput
@@ -211,7 +210,7 @@ def test_ablation_failover_downtime_fig3b_vs_fig3c(benchmark):
     def run():
         cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=5))
         gap_c = commit_gap(cluster, lambda: cluster.crash(0))
-        pb = PrimaryBackupSystem(n_replicas=3, seed=5)
+        pb = PrimaryBackupSystem(ClusterConfig(n_replicas=3, seed=5))
         gap_b = commit_gap(pb, pb.crash_primary)
         return gap_b, gap_c
 

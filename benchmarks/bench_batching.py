@@ -67,7 +67,7 @@ def _config(batch: int, gcs_knobs=None, **knobs) -> ClusterConfig:
     are the GcsConfig / ClusterConfig fields a point varies on top of it."""
     return ClusterConfig(
         n_replicas=N_REPLICAS,
-        cost_model=BatchMicroCost,
+        cost_model=lambda _i: BatchMicroCost(),
         with_disk=True,
         gcs=GcsConfig(
             batch_max_messages=batch,

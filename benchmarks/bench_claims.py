@@ -38,20 +38,18 @@ def test_postgres_r_si_comparison(benchmark):
     SRCA-Rep since their main difference lies in the validation process
     while the principal transaction execution is similar." """
     from repro.bench.costs import MicroCost
-    from repro.bench.harness import run_kernel, run_sirep
-    from repro.core import ClusterConfig
+    from repro.bench.harness import run_comparator, run_sirep
+    from repro.core import ClusterConfig, KernelReplicatedSystem
     from repro.workloads import micro
 
     def run():
         workload = micro.make_workload()
         out = []
         for load in (50, 125):
-            rep = run_sirep(
-                workload, load, ClusterConfig(n_replicas=5, cost_model=MicroCost),
-                duration=6.0, warmup=1.5,
-            )
-            kern = run_kernel(
-                workload, load, n_replicas=5, cost_model=MicroCost,
+            config = ClusterConfig(n_replicas=5, cost_model=lambda _i: MicroCost())
+            rep = run_sirep(workload, load, config, duration=6.0, warmup=1.5)
+            kern = run_comparator(
+                workload, load, KernelReplicatedSystem(config),
                 duration=6.0, warmup=1.5,
             )
             out.append((rep, kern))

@@ -26,7 +26,6 @@ import json
 import pathlib
 
 from repro.bench.costs import MicroCost
-from repro.bench.harness import per_replica_cost
 from repro.client import RoutedDriver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.obs import profile_run
@@ -52,7 +51,7 @@ def _point(read_replicas, duration=DURATION, warmup=WARMUP, profile=False):
         ClusterConfig(
             n_replicas=N_REPLICAS,
             seed=0,
-            cost_model=per_replica_cost(MicroCost),
+            cost_model=lambda _i: MicroCost(),
             read_replicas=read_replicas,
             reader=READER,
             span_trace=profile,

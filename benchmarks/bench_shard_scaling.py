@@ -35,7 +35,7 @@ def _config(n_groups: int) -> ShardConfig:
     return ShardConfig(
         n_groups=n_groups,
         group=ClusterConfig(
-            n_replicas=REPLICAS_PER_GROUP, cost_model=MicroCost, seed=0
+            n_replicas=REPLICAS_PER_GROUP, cost_model=lambda _i: MicroCost(), seed=0
         ),
         partition="explicit",
         table_map=make_table_map(n_groups, TABLES_PER_GROUP),

@@ -8,18 +8,14 @@ regenerates the series.
 
 from repro.bench.harness import (
     LoadPoint,
-    per_replica_cost,
-    run_centralized,
+    run_comparator,
     run_sirep,
-    run_tablelock,
     run_until_confident,
 )
 
 __all__ = [
     "LoadPoint",
-    "per_replica_cost",
     "run_sirep",
-    "run_centralized",
-    "run_tablelock",
+    "run_comparator",
     "run_until_confident",
 ]

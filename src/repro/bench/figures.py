@@ -8,6 +8,7 @@ confidence intervals do not.
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from repro.bench.costs import (
     LargeDbCost,
@@ -16,9 +17,10 @@ from repro.bench.costs import (
     apply_cost_micro,
     full_execution_cost_micro,
 )
-from repro.bench.harness import LoadPoint, run_centralized, run_sirep, run_tablelock
+from repro.bench.harness import LoadPoint, run_comparator, run_sirep
 from repro.bench.tables import render_series
 from repro.core import ClusterConfig
+from repro.core.baselines import CentralizedSystem, TableLockSystem
 from repro.workloads import largedb, micro, tpcw
 
 FIG5_LOADS = (10, 25, 50, 75, 100, 125, 150)
@@ -48,20 +50,16 @@ def fig5_tpcw(
     duration, warmup = _horizon(fast)
     loads = FIG5_LOADS_FAST if fast else FIG5_LOADS
     points: list[LoadPoint] = []
+    config = ClusterConfig(
+        n_replicas=5, cost_model=lambda _i: TpcwCost(), read_replicas=read_replicas
+    )
     for load in loads:
         points.append(
-            run_sirep(
-                workload, load,
-                ClusterConfig(
-                    n_replicas=5, cost_model=TpcwCost,
-                    read_replicas=read_replicas,
-                ),
-                duration=duration, warmup=warmup,
-            )
+            run_sirep(workload, load, config, duration=duration, warmup=warmup)
         )
         points.append(
-            run_centralized(
-                workload, load, cost_model=TpcwCost,
+            run_comparator(
+                workload, load, CentralizedSystem(config),
                 duration=duration, warmup=warmup,
             )
         )
@@ -76,21 +74,15 @@ def fig6_largedb(fast: bool = False, quiet: bool = False) -> list[LoadPoint]:
     duration, warmup = _horizon(fast)
     loads = FIG6_LOADS_FAST if fast else FIG6_LOADS
     points: list[LoadPoint] = []
+    config = ClusterConfig(cost_model=lambda _i: LargeDbCost(), with_disk=True)
     for load in loads:
-        points.append(
-            run_sirep(
-                workload, load,
-                ClusterConfig(n_replicas=5, cost_model=LargeDbCost, with_disk=True),
-                duration=duration, warmup=warmup, label="5 replicas",
+        for n in (5, 10):
+            points.append(
+                run_sirep(
+                    workload, load, replace(config, n_replicas=n),
+                    duration=duration, warmup=warmup, label=f"{n} replicas",
+                )
             )
-        )
-        points.append(
-            run_sirep(
-                workload, load,
-                ClusterConfig(n_replicas=10, cost_model=LargeDbCost, with_disk=True),
-                duration=duration, warmup=warmup, label="10 replicas",
-            )
-        )
     if not quiet:
         print(render_series("Figure 6: large database (1.1 GB-scale, 20/80 mix)", points))
         print(
@@ -104,8 +96,11 @@ def fig6_centralized_reference(fast: bool = False) -> LoadPoint:
     """The §6.2 text claim: a single server maxes out around 4 tps."""
     workload = largedb.make_workload()
     duration, warmup = _horizon(fast)
-    return run_centralized(
-        workload, 8, cost_model=LargeDbCost, with_disk=True,
+    return run_comparator(
+        workload, 8,
+        CentralizedSystem(
+            ClusterConfig(cost_model=lambda _i: LargeDbCost(), with_disk=True)
+        ),
         duration=duration, warmup=warmup,
     )
 
@@ -116,30 +111,24 @@ def fig7_update_intensive(fast: bool = False, quiet: bool = False) -> list[LoadP
     duration, warmup = _horizon(fast)
     loads = FIG7_LOADS_FAST if fast else FIG7_LOADS
     points: list[LoadPoint] = []
+    config = ClusterConfig(n_replicas=5, cost_model=lambda _i: MicroCost())
     for load in loads:
+        for hole_sync in (True, False):
+            points.append(
+                run_sirep(
+                    workload, load, replace(config, hole_sync=hole_sync),
+                    duration=duration, warmup=warmup,
+                )
+            )
         points.append(
-            run_sirep(
-                workload, load,
-                ClusterConfig(n_replicas=5, hole_sync=True, cost_model=MicroCost),
+            run_comparator(
+                workload, load, CentralizedSystem(config),
                 duration=duration, warmup=warmup,
             )
         )
         points.append(
-            run_sirep(
-                workload, load,
-                ClusterConfig(n_replicas=5, hole_sync=False, cost_model=MicroCost),
-                duration=duration, warmup=warmup,
-            )
-        )
-        points.append(
-            run_centralized(
-                workload, load, cost_model=MicroCost,
-                duration=duration, warmup=warmup,
-            )
-        )
-        points.append(
-            run_tablelock(
-                workload, load, n_replicas=5, cost_model=MicroCost,
+            run_comparator(
+                workload, load, TableLockSystem(workload.procedures(), config),
                 duration=duration, warmup=warmup,
             )
         )
@@ -176,7 +165,7 @@ def claim_tpcw_abort_rate(fast: bool = False) -> dict:
     duration, warmup = _horizon(fast)
     point = run_sirep(
         tpcw.make_workload(), 75,
-        ClusterConfig(n_replicas=5, cost_model=TpcwCost),
+        ClusterConfig(n_replicas=5, cost_model=lambda _i: TpcwCost()),
         duration=duration, warmup=warmup,
     )
     return {"abort_rate": point.abort_rate, "load_tps": 75}
@@ -187,7 +176,7 @@ def claim_hole_frequency(fast: bool = False) -> dict:
     duration, warmup = _horizon(fast)
     point = run_sirep(
         micro.make_workload(), 175,
-        ClusterConfig(n_replicas=5, cost_model=MicroCost),
+        ClusterConfig(n_replicas=5, cost_model=lambda _i: MicroCost()),
         duration=duration, warmup=warmup,
     )
     return {

@@ -3,27 +3,22 @@
 The replicated system is described by the config object the deployment
 itself takes — a :class:`~repro.core.cluster.ClusterConfig` or a
 :class:`~repro.shard.ShardConfig` — so every knob a cluster has is
-reachable from a benchmark without the harness re-declaring it.
-
-Cost-model factories: ``ClusterConfig.cost_model`` takes the
-**canonical** per-replica-index signature ``Callable[[int],
-CostModel]`` (heterogeneous replicas need the index).  The ``run_*``
-entry points here accept the friendlier zero-arg ``Callable[[],
-CostModel]`` as well and adapt it via :func:`per_replica_cost`.
+reachable from a benchmark without the harness re-declaring it.  The
+§6 comparators are built from the same :class:`ClusterConfig`, and
+:func:`run_comparator` measures one.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from repro.client import RoutedDriver
 from repro.core import ClusterConfig, SIRepCluster
-from repro.core.baselines import CentralizedSystem, TableLockSystem
+from repro.core.baselines import TableLockSystem
+from repro.core.cluster import Comparator
 from repro.obs import profile_run, sanitize
 from repro.shard import ShardConfig, ShardedCluster
-from repro.storage.engine import CostModel
 from repro.workloads import ClientPool, ProcClientPool, Workload
 from repro.workloads.stats import Stats, mean_confidence_interval
 
@@ -46,27 +41,6 @@ def _profile_extras(cluster, update_tps: Optional[float]) -> Optional[dict]:
         throughput=update_tps or None,
     )
     return report.to_dict()
-
-
-def per_replica_cost(
-    cost_model: Optional[Callable[..., CostModel]],
-) -> Optional[Callable[[int], CostModel]]:
-    """Adapt a cost-model factory to the canonical per-replica-index form.
-
-    Accepts either signature — ``lambda: MicroCost()`` (one model shape
-    for every replica) or ``lambda index: ...`` (per-replica
-    heterogeneity) — and returns the ``Callable[[int], CostModel]`` that
-    :class:`~repro.core.cluster.ClusterConfig` expects.
-    """
-    if cost_model is None:
-        return None
-    try:
-        takes_index = len(inspect.signature(cost_model).parameters) >= 1
-    except (TypeError, ValueError):  # builtins without introspectable sigs
-        takes_index = False
-    if takes_index:
-        return cost_model
-    return lambda _index: cost_model()
 
 
 @dataclass
@@ -135,8 +109,6 @@ def run_sirep(
     SRCA-Opt with ``hole_sync=False``); a :class:`ShardConfig` is
     several behind the router, whose workload must respect the
     single-group-write rule or its transactions surface as aborts.
-    ``config.cost_model`` may be a zero-arg factory (see
-    :func:`per_replica_cost`).
 
     ``runtime="wall"`` runs the same protocol on
     :class:`repro.runtime.AsyncioRuntime` — real timers, real TCP
@@ -161,11 +133,7 @@ def run_sirep(
     """
     sharded = isinstance(config, ShardConfig)
     group = config.group if sharded else config
-    group = replace(
-        group,
-        cost_model=per_replica_cost(group.cost_model),
-        span_trace=group.span_trace or profile,
-    )
+    group = replace(group, span_trace=group.span_trace or profile)
     if sharded:
         cluster = ShardedCluster(replace(config, group=group))
         driver = cluster.router
@@ -238,53 +206,23 @@ def run_sirep(
     return point
 
 
-def run_centralized(
+def run_comparator(
     workload: Workload,
     load: float,
-    cost_model: Optional[Callable[[], CostModel]] = None,
-    with_disk: bool = False,
+    system: Comparator,
+    *,
     duration: float = 10.0,
     warmup: float = 2.0,
-    seed: int = 0,
 ) -> LoadPoint:
-    """Measure the single-database passthrough baseline at one load."""
-    factory = per_replica_cost(cost_model)
-    system = CentralizedSystem(
-        seed=seed,
-        cost_model=factory(0) if factory else None,
-        with_disk=with_disk,
-    )
+    """Measure a §6 comparator, built from its :class:`ClusterConfig`,
+    at one load.  The [20] system serves whole-transaction procedure
+    calls, so its clients are a :class:`ProcClientPool`."""
     workload.install(system)
-    pool = ClientPool(
+    pool = ProcClientPool if isinstance(system, TableLockSystem) else ClientPool
+    stats = pool(
         system, workload, _n_clients(load), load, duration, warmup=warmup
-    )
-    stats = pool.run()
-    return _collect("centralized", load, stats)
-
-
-def run_kernel(
-    workload: Workload,
-    load: float,
-    n_replicas: int = 5,
-    cost_model: Optional[Callable[[], CostModel]] = None,
-    duration: float = 10.0,
-    warmup: float = 2.0,
-    seed: int = 0,
-) -> LoadPoint:
-    """Measure the Postgres-R(SI)-style kernel comparator at one load."""
-    from repro.core.kernel_replication import KernelReplicatedSystem
-
-    system = KernelReplicatedSystem(
-        n_replicas=n_replicas,
-        seed=seed,
-        cost_model=per_replica_cost(cost_model),
-    )
-    workload.install(system)
-    pool = ClientPool(
-        system, workload, _n_clients(load), load, duration, warmup=warmup
-    )
-    stats = pool.run()
-    return _collect("Postgres-R(SI)-style", load, stats)
+    ).run()
+    return _collect(system.label, load, stats)
 
 
 def run_until_confident(
@@ -329,29 +267,3 @@ def run_until_confident(
         extras={"seeds": len(points), "rel_ci": achieved},
     )
     return averaged, achieved
-
-
-def run_tablelock(
-    workload: Workload,
-    load: float,
-    n_replicas: int = 5,
-    cost_model: Optional[Callable[[], CostModel]] = None,
-    with_disk: bool = False,
-    duration: float = 10.0,
-    warmup: float = 2.0,
-    seed: int = 0,
-) -> LoadPoint:
-    """Measure the [20] table-locking protocol at one load."""
-    system = TableLockSystem(
-        workload.procedures(),
-        n_replicas=n_replicas,
-        seed=seed,
-        cost_model=per_replica_cost(cost_model),
-        with_disk=with_disk,
-    )
-    workload.install(system)
-    pool = ProcClientPool(
-        system, workload, _n_clients(load), load, duration, warmup=warmup
-    )
-    stats = pool.run()
-    return _collect("protocol of [20]", load, stats)

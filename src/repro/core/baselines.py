@@ -21,16 +21,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.core import protocol
+from repro.core.cluster import ClusterConfig, Comparator
 from repro.core.session import Session, accept_loop, session_loop
-from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
-from repro.net import LatencyModel, Network
-from repro.sim import Event, Resource, Simulator
+from repro.gcs import Message, ViewChange
+from repro.sim import Event
 from repro.sim.sync import OneShot
-from repro.storage import Database
-from repro.storage.engine import CostModel
 
 
 # ---------------------------------------------------------------------------
@@ -38,49 +36,22 @@ from repro.storage.engine import CostModel
 # ---------------------------------------------------------------------------
 
 
-class CentralizedSystem:
+class CentralizedSystem(Comparator):
     """One database, one passthrough middleware, same client protocol."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        cost_model: Optional[CostModel] = None,
-        with_disk: bool = False,
-        net_base_latency: float = 0.0002,
-        net_jitter: float = 0.0001,
-    ):
+    label = "centralized"
+
+    def __init__(self, config: Optional[ClusterConfig] = None):
+        super().__init__(config)
         self.name = "central"
-        self.sim = Simulator(seed=seed)
-        self.network = Network(
-            self.sim, latency=LatencyModel(base=net_base_latency, jitter=net_jitter)
-        )
-        self.discovery = DiscoveryService(self.sim)
-        cpu = Resource(self.sim, "central.cpu")
-        disk = Resource(self.sim, "central.disk") if with_disk else None
-        self.db = Database(
-            self.sim,
-            name="central",
-            cost_model=cost_model,
-            cpu=cpu if cost_model else None,
-            disk=disk,
-        )
-        self.host = self.network.register("central")
+        self.db = self._node(self.name).db
+        self.host = self.network.register(self.name)
         self.discovery.register(self.host.address)
         self._gids = itertools.count(1)
         self.active_sessions = 0
         self._processes = [
             self.sim.spawn(self._accept_loop(), name="central.accept", daemon=True)
         ]
-
-    def load_schema(self, ddl_statements: Iterable[str]) -> None:
-        for sql in ddl_statements:
-            self.db.run_ddl(sql)
-
-    def bulk_load(self, table: str, rows: list[dict]) -> None:
-        self.db.bulk_load(table, rows)
-
-    def new_client_host(self, name: Optional[str] = None):
-        return self.network.register(name or self.network.unique_address("client"))
 
     _accept_loop = accept_loop
     _session_loop = session_loop
@@ -197,16 +168,7 @@ class _TableLockReplica:
         self.sim = system.sim
         self.index = index
         self.name = f"TL{index}"
-        cpu = Resource(self.sim, f"{self.name}.cpu")
-        disk = Resource(self.sim, f"{self.name}.disk") if system.with_disk else None
-        cost_model = system.cost_model(index) if system.cost_model else None
-        self.db = Database(
-            self.sim,
-            name=self.name,
-            cost_model=cost_model,
-            cpu=cpu if cost_model else None,
-            disk=disk,
-        )
+        self.db = system._node(self.name).db
         self.locks = OrderedTableLocks()
         self.member = system.bus.join(self.name)
         self.host = system.network.register(self.name)
@@ -242,7 +204,9 @@ class _TableLockReplica:
                     name=f"{self.name}.run({rid})",
                     daemon=True,
                 )
-            elif payload.kind == protocol.WS:
+            elif payload.kind == protocol.WS and payload.sender != self.name:
+                # only remote replicas wait for the writeset; the origin
+                # committed it before multicasting
                 event = self._ws_events.setdefault(payload.gid, Event())
                 event.set(payload.writeset)
 
@@ -315,39 +279,20 @@ class _TableLockReplica:
         return rows
 
 
-class TableLockSystem:
+class TableLockSystem(Comparator):
     """The full [20]-style deployment: n replicas over the GCS."""
 
+    label = "protocol of [20]"
+
     def __init__(
-        self,
-        procedures: dict[str, Procedure],
-        n_replicas: int = 3,
-        seed: int = 0,
-        gcs: Optional[GcsConfig] = None,
-        cost_model: Optional[Callable[[int], CostModel]] = None,
-        with_disk: bool = False,
+        self, procedures: dict[str, Procedure], config: Optional[ClusterConfig] = None
     ):
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
-        self.discovery = DiscoveryService(self.sim)
+        super().__init__(config)
         self.procedures = procedures
-        self.cost_model = cost_model
-        self.with_disk = with_disk
         self._rids = itertools.count(1)
-        self.replicas = [_TableLockReplica(self, i) for i in range(n_replicas)]
-
-    def load_schema(self, ddl_statements: Iterable[str]) -> None:
-        for sql in ddl_statements:
-            for replica in self.replicas:
-                replica.db.run_ddl(sql)
-
-    def bulk_load(self, table: str, rows: list[dict]) -> None:
-        for replica in self.replicas:
-            replica.db.bulk_load(table, rows)
-
-    def new_client_host(self, name: Optional[str] = None):
-        return self.network.register(name or self.network.unique_address("client"))
+        self.replicas = [
+            _TableLockReplica(self, i) for i in range(self.config.n_replicas)
+        ]
 
 
 class ProcClient:

@@ -69,11 +69,8 @@ class ClusterConfig:
     gcs: GcsConfig = field(default_factory=GcsConfig)
     net_base_latency: float = 0.0002
     net_jitter: float = 0.0001
-    #: replica index -> CostModel (None = zero-cost, pure correctness).
-    #: This per-replica-index signature is the CANONICAL cost-model factory
-    #: shape (heterogeneous replicas are expressible); the bench harness
-    #: also accepts a zero-arg factory and adapts it via
-    #: :func:`repro.bench.harness.per_replica_cost`.
+    #: replica index -> CostModel (None = zero-cost, pure correctness);
+    #: the index keeps heterogeneous replicas expressible
     cost_model: Optional[Callable[[int], CostModel]] = None
     #: create a disk resource per replica (I/O-bound workloads, Fig. 6)
     with_disk: bool = False
@@ -192,6 +189,81 @@ def build_surface(
     if durability is None and (cfg.durable or durability_cfg is not None):
         durability = DurabilityStore(durability_cfg)
     return Surface(sim, network, obs, tracer, flight, durability)
+
+
+def build_node(
+    sim: Simulator,
+    cfg: ClusterConfig,
+    name: str,
+    cost_index: int,
+    suffix: str = "",
+    with_disk: bool = False,
+) -> ReplicaNode:
+    """One engine with its CPU (and disk) resources; ``cost_index``
+    picks its model from the per-index cost-model factory."""
+    cpu = Resource(sim, f"{name}.cpu{suffix}", servers=cfg.cpu_servers)
+    disk = Resource(sim, f"{name}.disk{suffix}") if with_disk else None
+    cost_model = cfg.cost_model(cost_index) if cfg.cost_model else None
+    db = Database(
+        sim,
+        name=name,
+        conflict_detection="locking",
+        cost_model=cost_model,
+        cpu=cpu if cost_model else None,
+        disk=disk,
+    )
+    return ReplicaNode(name=name, db=db, cpu=cpu, disk=disk)
+
+
+class Comparator:
+    """Base of the §6 comparator systems (centralized, [20],
+    Postgres-R(SI)-style, primary/backup): the same world as
+    :class:`SIRepCluster`, built from the same :class:`ClusterConfig`.
+
+    The clock and LAN come from :func:`build_surface`, the bus is a
+    :class:`GroupBus` over ``config.gcs``, and every engine comes from
+    :func:`build_node`, indexed into ``config.cost_model`` in creation
+    order.  A comparator reads ``n_replicas``, ``seed``, ``gcs``,
+    ``net_base_latency``, ``net_jitter``, ``cost_model``, ``with_disk``
+    and ``cpu_servers``; the SI-Rep fields do not apply to it.  It runs
+    on the simulator only.
+    """
+
+    #: the system's name in a measured load point
+    label = ""
+
+    def __init__(self, config: Optional[ClusterConfig] = None):
+        self.config = cfg = config or ClusterConfig()
+        if cfg.runtime != "sim":
+            raise ValueError(
+                f"{type(self).__name__} is simulator-only, not {cfg.runtime!r}"
+            )
+        surface = build_surface(cfg)
+        self.sim, self.network = surface.sim, surface.network
+        self.bus = GroupBus(self.sim, config=cfg.gcs)
+        self.discovery = DiscoveryService(self.sim)
+        #: every engine, in cost-model index order
+        self.nodes: list[ReplicaNode] = []
+
+    def _node(self, name: str) -> ReplicaNode:
+        node = build_node(
+            self.sim, self.config, name, len(self.nodes),
+            with_disk=self.config.with_disk,
+        )
+        self.nodes.append(node)
+        return node
+
+    def load_schema(self, ddl_statements: Iterable[str]) -> None:
+        for sql in ddl_statements:
+            for node in self.nodes:
+                node.db.run_ddl(sql)
+
+    def bulk_load(self, table: str, rows: list[dict]) -> None:
+        for node in self.nodes:
+            node.db.bulk_load(table, rows)
+
+    def new_client_host(self, name: Optional[str] = None):
+        return self.network.register(name or self.network.unique_address("client"))
 
 
 class SIRepCluster:
@@ -313,7 +385,7 @@ class SIRepCluster:
         or joining) at ``index``."""
         cfg = self.config
         suffix = "" if incarnation == 0 else f"#{incarnation}"
-        node = self._node(name, index, suffix, with_disk=cfg.with_disk)
+        node = build_node(self.sim, cfg, name, index, suffix, with_disk=cfg.with_disk)
         db = node.db
         # salvage owns the fate of blind write-write conflicts: let them
         # reach certification instead of dying at the eager version check
@@ -372,25 +444,6 @@ class SIRepCluster:
         self._register_replica_gauges(replica)
         return replica
 
-    def _node(
-        self, name: str, cost_index: int, suffix: str = "", with_disk: bool = False
-    ) -> ReplicaNode:
-        """One engine with its CPU (and disk) resources; ``cost_index``
-        picks its model from the per-index cost-model factory."""
-        cfg = self.config
-        cpu = Resource(self.sim, f"{name}.cpu{suffix}", servers=cfg.cpu_servers)
-        disk = Resource(self.sim, f"{name}.disk{suffix}") if with_disk else None
-        cost_model = cfg.cost_model(cost_index) if cfg.cost_model else None
-        db = Database(
-            self.sim,
-            name=name,
-            conflict_detection="locking",
-            cost_model=cost_model,
-            cpu=cpu if cost_model else None,
-            disk=disk,
-        )
-        return ReplicaNode(name=name, db=db, cpu=cpu, disk=disk)
-
     def _add_replica(self, index: int) -> None:
         replica = self._spawn_replica(index, f"{self.config.replica_prefix}{index}")
         # cold restart admits everyone once catch-up leveling is done
@@ -407,8 +460,7 @@ class SIRepCluster:
         index = len(self.readers)
         name = f"{self.config.replica_prefix}r{index}"
         # readers index the cost-model factory after the voting replicas
-        # (heterogeneous tiers stay expressible; zero-arg adapters ignore it)
-        node = self._node(name, self.config.n_replicas + index)
+        node = build_node(self.sim, self.config, name, self.config.n_replicas + index)
         host = self.network.register(name)
         reader = ReadReplica(
             self.sim,
@@ -667,9 +719,7 @@ class SIRepCluster:
 
     # ----------------------------------------------------------------- clients
 
-    def new_client_host(self, name: Optional[str] = None):
-        label = name or self.network.unique_address("client")
-        return self.network.register(label)
+    new_client_host = Comparator.new_client_host
 
     # ------------------------------------------------------------------ faults
 

@@ -20,40 +20,28 @@ certifies deterministically in delivery order.  The *kernel* differences:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.core import protocol
-from repro.core.replica import ReplicaManager, ReplicaNode
+from repro.core.cluster import ClusterConfig, Comparator
+from repro.core.replica import ReplicaManager
 from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.errors import TransactionAborted
-from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
-from repro.net import Network
-from repro.sim import Resource, Simulator
+from repro.gcs import Message, ViewChange
 from repro.sim.sync import OneShot
-from repro.storage import Database
-from repro.storage.engine import CostModel
 
 
-class _KernelNode:
+class _KernelReplica:
     """One replicated database process (DB + replication manager)."""
 
     def __init__(self, system: "KernelReplicatedSystem", index: int):
         self.system = system
         self.sim = system.sim
         self.name = f"KR{index}"
-        cpu = Resource(self.sim, f"{self.name}.cpu")
-        model: Optional[CostModel] = (
-            system.cost_model(index) if system.cost_model else None
-        )
-        self.db = Database(
-            self.sim,
-            name=self.name,
-            cost_model=model,
-            cpu=cpu if model else None,
-        )
-        self.node = ReplicaNode(self.name, self.db, cpu=cpu)
+        self.node = system._node(self.name)
+        self.db = self.node.db
         self.manager = ReplicaManager(self.sim, self.node, hole_sync=True)
         self.certifier = Certifier()
         self.member = system.bus.join(self.name)
@@ -163,31 +151,11 @@ class _KernelNode:
         return protocol.CommitResp(request.seq, protocol.COMMITTED, replicated=True)
 
 
-class KernelReplicatedSystem:
+class KernelReplicatedSystem(Comparator):
     """A Postgres-R(SI)-style cluster, driver-compatible."""
 
-    def __init__(
-        self,
-        n_replicas: int = 5,
-        seed: int = 0,
-        gcs: Optional[GcsConfig] = None,
-        cost_model=None,
-    ):
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
-        self.discovery = DiscoveryService(self.sim)
-        self.cost_model = cost_model
-        self.nodes = [_KernelNode(self, i) for i in range(n_replicas)]
+    label = "Postgres-R(SI)-style"
 
-    def load_schema(self, ddl_statements: Iterable[str]) -> None:
-        for sql in ddl_statements:
-            for node in self.nodes:
-                node.db.run_ddl(sql)
-
-    def bulk_load(self, table: str, rows: list[dict]) -> None:
-        for node in self.nodes:
-            node.db.bulk_load(table, rows)
-
-    def new_client_host(self, name: Optional[str] = None):
-        return self.network.register(name or self.network.unique_address("kr-client"))
+    def __init__(self, config: Optional[ClusterConfig] = None):
+        super().__init__(config)
+        self.replicas = [_KernelReplica(self, i) for i in range(self.config.n_replicas)]

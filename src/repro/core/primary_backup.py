@@ -28,19 +28,18 @@ in-doubt inquiry protocol are the same wire protocol.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.core import protocol
-from repro.core.replica import ReplicaManager, ReplicaNode
+from repro.core.cluster import ClusterConfig, Comparator
+from repro.core.replica import ReplicaManager
 from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
-from repro.gcs import DiscoveryService, GcsConfig, GroupBus, Message, ViewChange
-from repro.net import Network
-from repro.sim import Gate, Resource, Simulator, wait_until
+from repro.gcs import Message, ViewChange
+from repro.sim import Gate, wait_until
 from repro.sim.sync import OneShot
 from repro.storage import Database
-from repro.storage.engine import CostModel
 
 
 class _Middleware:
@@ -227,48 +226,20 @@ class _Middleware:
             process.kill()
 
 
-class PrimaryBackupSystem:
+class PrimaryBackupSystem(Comparator):
     """A Fig. 3(b) deployment: n databases, primary + backup middleware."""
 
-    def __init__(
-        self,
-        n_replicas: int = 3,
-        seed: int = 0,
-        gcs: Optional[GcsConfig] = None,
-        cost_model=None,
-    ):
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.bus = GroupBus(self.sim, config=gcs or GcsConfig())
-        self.discovery = DiscoveryService(self.sim)
-        self.nodes: list[ReplicaNode] = []
-        for index in range(n_replicas):
-            cpu = Resource(self.sim, f"pbdb{index}.cpu")
-            model: Optional[CostModel] = cost_model(index) if cost_model else None
-            db = Database(
-                self.sim,
-                name=f"pbdb{index}",
-                cost_model=model,
-                cpu=cpu if model else None,
-            )
-            self.nodes.append(ReplicaNode(name=f"pbdb{index}", db=db, cpu=cpu))
+    label = "primary/backup"
+
+    def __init__(self, config: Optional[ClusterConfig] = None):
+        super().__init__(config)
+        for index in range(self.config.n_replicas):
+            self._node(f"pbdb{index}")
         self.primary_name = "mw-primary"
         self.backup_name = "mw-backup"
         self.active_name = self.primary_name
         self.primary = _Middleware(self, self.primary_name, primary=True)
         self.backup = _Middleware(self, self.backup_name, primary=False)
-
-    def load_schema(self, ddl_statements: Iterable[str]) -> None:
-        for sql in ddl_statements:
-            for node in self.nodes:
-                node.db.run_ddl(sql)
-
-    def bulk_load(self, table: str, rows: list[dict]) -> None:
-        for node in self.nodes:
-            node.db.bulk_load(table, rows)
-
-    def new_client_host(self, name: Optional[str] = None):
-        return self.network.register(name or self.network.unique_address("pb-client"))
 
     def crash_primary(self) -> None:
         """Kill the primary middleware; the databases stay up (their own

@@ -10,9 +10,10 @@ from repro.bench.costs import (
     apply_cost_micro,
     full_execution_cost_micro,
 )
-from repro.bench.harness import LoadPoint, run_centralized, run_sirep, run_tablelock
+from repro.bench.harness import LoadPoint, run_comparator, run_sirep
 from repro.bench.tables import render_series
 from repro.core import ClusterConfig
+from repro.core.baselines import CentralizedSystem, TableLockSystem
 from repro.workloads import micro
 
 
@@ -35,7 +36,7 @@ def test_apply_fraction_is_about_20_percent():
 def test_run_sirep_returns_load_point():
     point = run_sirep(
         micro.make_workload(), 20,
-        ClusterConfig(n_replicas=3, cost_model=MicroCost),
+        ClusterConfig(n_replicas=3, cost_model=lambda _i: MicroCost()),
         duration=3.0, warmup=0.5,
     )
     assert isinstance(point, LoadPoint)
@@ -56,10 +57,16 @@ def test_run_sirep_opt_label():
 
 def test_run_centralized_and_tablelock():
     workload = micro.make_workload()
-    central = run_centralized(workload, 15, cost_model=MicroCost, duration=3.0, warmup=0.5)
+    config = ClusterConfig(n_replicas=3, cost_model=lambda _i: MicroCost())
+    central = run_comparator(
+        workload, 15, CentralizedSystem(config), duration=3.0, warmup=0.5
+    )
     assert central.system == "centralized"
     assert central.throughput > 5
-    tl = run_tablelock(workload, 15, n_replicas=3, cost_model=MicroCost, duration=3.0, warmup=0.5)
+    tl = run_comparator(
+        workload, 15, TableLockSystem(workload.procedures(), config),
+        duration=3.0, warmup=0.5,
+    )
     assert tl.system == "protocol of [20]"
     assert tl.throughput > 5
 

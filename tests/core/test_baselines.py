@@ -1,7 +1,10 @@
 """Baseline systems: centralized passthrough and the [20] protocol."""
 
 
+import pytest
+
 from repro.client import Driver
+from repro.core import ClusterConfig, KernelReplicatedSystem, PrimaryBackupSystem
 from repro.core.baselines import (
     CentralizedSystem,
     OrderedTableLocks,
@@ -69,7 +72,7 @@ def test_ordered_locks_partial_overlap():
 
 
 def make_central():
-    system = CentralizedSystem(seed=1)
+    system = CentralizedSystem(ClusterConfig(seed=1))
     system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     system.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 4)])
     return system, Driver(system.network, system.discovery)
@@ -135,7 +138,7 @@ def procedures():
 
 
 def make_tablelock(n=3):
-    system = TableLockSystem(procedures(), n_replicas=n, seed=2)
+    system = TableLockSystem(procedures(), ClusterConfig(n_replicas=n, seed=2))
     system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     system.bulk_load("kv", [{"k": k, "v": 100} for k in range(1, 4)])
     return system
@@ -204,6 +207,23 @@ def test_tablelock_readonly_runs_locally():
     assert all(replica.db.commits >= 1 for replica in system.replicas[1:2])
 
 
+def test_tablelock_origin_keeps_no_writeset_waiters():
+    """Only the non-origin replicas wait for a writeset; the origin's own
+    delivery of it must not leave a waiter behind (one per transaction)."""
+    system = make_tablelock()
+    sim = system.sim
+
+    def client():
+        proc_client = ProcClient(system, system.new_client_host())
+        yield from proc_client.connect(address="TL0")
+        for _ in range(50):
+            yield from proc_client.call("transfer", (1, 2, 1))
+
+    sim.run_process(client())
+    sim.run(until=sim.now + 2.0)
+    assert [len(replica._ws_events) for replica in system.replicas] == [0, 0, 0]
+
+
 def test_tablelock_one_round_trip_per_transaction():
     """The client exchanges exactly one request/response per transaction
     ([20]'s advantage over SRCA's per-statement round trips)."""
@@ -221,3 +241,21 @@ def test_tablelock_one_round_trip_per_transaction():
     sim.run_process(client())
     # one client round trip + one GCS round trip + execution (zero cost)
     assert latency["value"] < 0.01
+
+
+# -- every comparator ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        CentralizedSystem,
+        lambda config: TableLockSystem(procedures(), config),
+        KernelReplicatedSystem,
+        PrimaryBackupSystem,
+    ],
+    ids=["centralized", "tablelock", "kernel", "primary_backup"],
+)
+def test_comparators_run_on_the_simulator_only(build):
+    with pytest.raises(ValueError, match="simulator-only"):
+        build(ClusterConfig(runtime="wall"))

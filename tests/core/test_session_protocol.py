@@ -70,28 +70,28 @@ def reader():
 
 
 def centralized():
-    system = _loaded(CentralizedSystem(seed=1))
+    system = _loaded(CentralizedSystem(ClusterConfig(seed=1)))
     return Rig(system, system, [system.db],
                {protocol.InquireReq(7, "g", "R0"): protocol.InquireResp,
                 protocol.ProcRequest(9, "read"): protocol.ProcResp})
 
 
 def kernel():
-    system = _loaded(KernelReplicatedSystem(n_replicas=2, seed=1))
-    node = system.nodes[0]
-    return Rig(system, node, [node.db],
+    system = _loaded(KernelReplicatedSystem(ClusterConfig(n_replicas=2, seed=1)))
+    replica = system.replicas[0]
+    return Rig(system, replica, [replica.db],
                {protocol.InquireReq(7, "g", "KR1"): protocol.InquireResp,
                 protocol.ProcRequest(9, "read"): protocol.ProcResp})
 
 
 def primary_backup():
-    system = _loaded(PrimaryBackupSystem(n_replicas=2, seed=1))
+    system = _loaded(PrimaryBackupSystem(ClusterConfig(n_replicas=2, seed=1)))
     return Rig(system, system.primary, [node.db for node in system.nodes],
                {protocol.ProcRequest(7, "read"): protocol.ProcResp})
 
 
 def table_lock():
-    system = _loaded(TableLockSystem(PROCEDURES, n_replicas=2, seed=1))
+    system = _loaded(TableLockSystem(PROCEDURES, ClusterConfig(n_replicas=2, seed=1)))
     replica = system.replicas[0]
     return Rig(system, replica, [replica.db],
                {protocol.ExecuteReq(7, GOOD): protocol.ExecuteResp,

@@ -2,13 +2,14 @@
 
 
 from repro.client import Driver
+from repro.core import ClusterConfig
 from repro.core.kernel_replication import KernelReplicatedSystem
 from repro.errors import TransactionAborted
 from repro.testing import query
 
 
 def make_system(n=3, seed=1):
-    system = KernelReplicatedSystem(n_replicas=n, seed=seed)
+    system = KernelReplicatedSystem(ClusterConfig(n_replicas=n, seed=seed))
     system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     system.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 5)])
     return system, Driver(system.network, system.discovery)
@@ -95,7 +96,7 @@ def test_remote_writeset_kills_conflicting_local_transaction():
     assert log["local"] == "killed"
     # the remote commit did not wait for the local holder's 5s sleep
     assert log["remote_done_at"] < 1.0
-    assert system.nodes[0].local_aborts_by_remote == 1
+    assert system.replicas[0].local_aborts_by_remote == 1
     for node in system.nodes:
         assert query(sim, node.db, "SELECT v FROM kv WHERE k = 2") == [{"v": 7}]
 
@@ -151,3 +152,21 @@ def test_readonly_transactions_unaffected():
         return result.rows
 
     assert sim.run_process(client()) == [{"n": 4}]
+
+
+def test_micro_point_is_pinned():
+    """An exact witness for the comparator: the micro workload at 50 tps
+    on 5 replicas gives these figures, to the last bit, on every run."""
+    from repro.bench.costs import MicroCost
+    from repro.bench.harness import run_comparator
+    from repro.workloads import micro
+
+    config = ClusterConfig(n_replicas=5, cost_model=lambda _i: MicroCost())
+    point = run_comparator(
+        micro.make_workload(), 50, KernelReplicatedSystem(config),
+        duration=3.0, warmup=0.5,
+    )
+    assert point.throughput == 53.437231749495716
+    assert point.mean_rt_ms["update"] == 24.508741140218532
+    assert point.abort_rate == 0.051470588235294115
+    assert point.extras["commits"] == {"update": 129}

@@ -2,13 +2,14 @@
 
 
 from repro.client import Driver
+from repro.core import ClusterConfig
 from repro.core.primary_backup import PrimaryBackupSystem
 from repro.errors import TransactionAborted
 from repro.testing import query
 
 
 def make_system(n=3, seed=1):
-    system = PrimaryBackupSystem(n_replicas=n, seed=seed)
+    system = PrimaryBackupSystem(ClusterConfig(n_replicas=n, seed=seed))
     system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     system.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 5)])
     return system, Driver(system.network, system.discovery)
@@ -110,7 +111,9 @@ def test_takeover_completes_partially_applied_transactions():
         def commit(self, n):
             return (0.0, 0.0)
 
-    system = PrimaryBackupSystem(n_replicas=3, seed=4, cost_model=lambda i: SlowApply())
+    system = PrimaryBackupSystem(
+        ClusterConfig(n_replicas=3, seed=4, cost_model=lambda i: SlowApply())
+    )
     system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     system.bulk_load("kv", [{"k": 1, "v": 0}])
     driver = Driver(system.network, system.discovery)
@@ -172,3 +175,22 @@ def test_orphaned_active_transactions_are_aborted_at_takeover():
     for node in system.nodes:
         assert node.db.active_count == 0
         assert query(sim, node.db, "SELECT v FROM kv WHERE k = 4") == [{"v": 0}]
+
+
+def test_micro_point_is_pinned():
+    """An exact witness for the comparator: 20 closed-loop micro clients
+    offering 30 tps to 3 databases give these figures on every run."""
+    from repro.bench.costs import MicroCost
+    from repro.workloads import ClientPool, micro
+
+    workload = micro.make_workload()
+    system = PrimaryBackupSystem(
+        ClusterConfig(n_replicas=3, cost_model=lambda _i: MicroCost())
+    )
+    workload.install(system)
+    stats = ClientPool(system, workload, 20, 30, 3.0, warmup=0.5).run()
+    updates = stats.categories["update"]
+    assert stats.throughput() == 33.23542671927292
+    assert stats.abort_rate() == 0.03529411764705882
+    assert updates.commits == 82
+    assert updates.percentile_ms(50) == 20.463380742280822

@@ -14,7 +14,7 @@ described by the group's own :class:`ClusterConfig`, never by a copy.
 from dataclasses import fields
 
 from repro.bench.costs import MicroCost
-from repro.bench.harness import per_replica_cost, run_sirep
+from repro.bench.harness import run_sirep
 from repro.core import ClusterConfig
 from repro.core.tocommit import Entry
 from repro.core.validation import WsRecord
@@ -41,7 +41,7 @@ def _config(**group):
 
 def test_shard_client_pool_commits():
     workload = _workload()
-    cluster = ShardedCluster(_config(cost_model=per_replica_cost(MicroCost)))
+    cluster = ShardedCluster(_config(cost_model=lambda _i: MicroCost()))
     workload.install(cluster)
     pool = ClientPool(
         cluster, workload, 20, 100.0, 2.0, warmup=0.5, driver=cluster.router
@@ -56,7 +56,7 @@ def test_run_sirep_measures_a_shard_config():
     point = run_sirep(
         _workload(),
         100.0,
-        _config(cost_model=MicroCost),
+        _config(cost_model=lambda _i: MicroCost()),
         duration=2.0,
         warmup=0.5,
         profile=True,

@@ -39,7 +39,7 @@ def test_all_templates_run_via_driver(module):
 @pytest.mark.parametrize("module", [tpcw, largedb, micro])
 def test_all_templates_run_via_tablelock_procedures(module):
     workload = module.make_workload()
-    system = TableLockSystem(workload.procedures(), n_replicas=2, seed=2)
+    system = TableLockSystem(workload.procedures(), ClusterConfig(n_replicas=2, seed=2))
     workload.install(system)
     sim = system.sim
     rng = random.Random(8)

@@ -122,7 +122,7 @@ def test_proc_client_pool_runs_tablelock_baseline():
     from repro.core.baselines import TableLockSystem
 
     wl = micro.make_workload()
-    system = TableLockSystem(wl.procedures(), n_replicas=3, seed=3)
+    system = TableLockSystem(wl.procedures(), ClusterConfig(n_replicas=3, seed=3))
     wl.install(system)
     pool = ProcClientPool(system, wl, n_clients=10, target_tps=30, duration=10.0, warmup=1.0)
     stats = pool.run()
