@@ -18,6 +18,7 @@ import pathlib
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig
 from repro.obs import profile_run
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -31,7 +32,10 @@ def _run_point(
     db_rows: int, missed: int, mode: str, profile: bool = False
 ) -> dict:
     cluster = SIRepCluster(
-        ClusterConfig(n_replicas=3, seed=17, durable=True, span_trace=profile)
+        ClusterConfig(
+            n_replicas=3, seed=17, durability=DurabilityConfig(),
+            span_trace=profile,
+        )
     )
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, db_rows + 1)])

@@ -22,17 +22,20 @@ Run:  python examples/elastic_join.py
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig
 from repro.testing import query
 
 
 def main() -> None:
-    # durable=True uses DurabilityConfig defaults: in-memory logs, no
-    # automatic checkpoints, conservative truncation.  (Checkpointed
+    # DurabilityConfig defaults: in-memory logs, no automatic
+    # checkpoints (so the logs are never truncated).  (Checkpointed
     # replays restore row *images*, which would drop the rejoiner from
     # the offline audit — pure log replay keeps it auditable, which is
     # what this demo shows off.)
     cluster = SIRepCluster(
-        ClusterConfig(n_replicas=3, seed=11, durable=True, monitor=True)
+        ClusterConfig(
+            n_replicas=3, seed=11, durability=DurabilityConfig(), monitor=True
+        )
     )
     sim = cluster.sim
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])

@@ -119,7 +119,7 @@ class RoutedDriver(Driver):
         network: Network,
         discovery: DiscoveryService,
         reader_config: Optional[ReaderConfig] = None,
-        policy: Optional[str] = None,
+        policy: str = "round-robin",
         discover_ttl: float = 0.25,
         connect_retries: int = 25,
         retry_delay: float = 0.2,
@@ -130,7 +130,7 @@ class RoutedDriver(Driver):
             connect_retries=connect_retries, retry_delay=retry_delay,
         )
         self.config = reader_config or ReaderConfig()
-        self.policy = policy or self.config.routing
+        self.policy = policy
         if self.policy not in ("round-robin", "least-loaded"):
             raise ValueError(f"unknown routing policy {self.policy!r}")
         self.discover_ttl = discover_ttl

@@ -9,7 +9,7 @@ consistency example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -50,21 +50,9 @@ class ClusterConfig:
     #: when every conflicting key was written blindly (never read) and
     #: its dependent readset is unchanged — first-committer-wins stays in
     #: force for read-modify-write keys.  Opt-in; all replicas share it.
+    #: It also turns on blind-write deferral (gated at a to-commit queue
+    #: depth of 16) and commit pipelining (see ReplicaManager).
     salvage: bool = False
-    #: backpressure bound for salvage's blind-write deferral: while the
-    #: local to-commit queue is at most this deep, blind first-updater
-    #: conflicts defer to certification (where salvage re-homes them);
-    #: past it the replica sheds load the classic way — eager aborts —
-    #: so commit latency stays bounded under overload
-    salvage_defer_depth: int = 16
-    #: group-commit pipelining: a conflicting successor starts applying
-    #: once its predecessor's versions are installed, while the
-    #: predecessor's durability force is still batched in the group log
-    #: (the client ack always waits for the force).  ``None`` follows
-    #: ``salvage``: deferral keeps conflicting entries alive in the
-    #: queue, where chained installs would otherwise pay one full force
-    #: per link.
-    commit_pipeline: Optional[bool] = None
     seed: int = 0
     gcs: GcsConfig = field(default_factory=GcsConfig)
     net_base_latency: float = 0.0002
@@ -90,8 +78,6 @@ class ClusterConfig:
     #: commit/begin histories, flagging violations at the sim time they
     #: become observable
     monitor: bool = False
-    #: monitor poll cadence in simulated seconds
-    monitor_interval: float = 0.05
     #: attach a crash flight recorder (repro.obs.flight): a bounded ring
     #: of recent spans/events snapshotted on crash, failed audit, or
     #: monitor violation
@@ -108,19 +94,17 @@ class ClusterConfig:
     #: shared network.
     #: Must not contain ``"."`` or ``":"`` (reserved by the gid format).
     replica_prefix: str = "R"
-    #: attach the durability subsystem (repro.durable): per-replica
-    #: writeset logs + checkpoints, the cluster stability watermark, and
-    #: delta catch-up recovery as the default recovery mode
-    durable: bool = False
-    #: durability knobs (implies ``durable`` when set): log dir,
-    #: checkpoint interval, truncation policy, flush costs
+    #: attach the durability subsystem (repro.durable) when set:
+    #: per-replica writeset logs + checkpoints, the cluster stability
+    #: watermark, and delta catch-up recovery as the default recovery
+    #: mode.  ``DurabilityConfig()`` keeps the logs in memory.
     durability: Optional[DurabilityConfig] = None
     #: read-scaling tier (repro.reader): lazy read-only replicas created
     #: at bootstrap, named ``f"{replica_prefix}r{i}"`` — subscribed to
     #: the certified feed, never group members
     read_replicas: int = 0
-    #: read-tier knobs: staleness bound, fan-out delay, routing policy,
-    #: admission caps (None = defaults)
+    #: read-tier knobs: staleness bound, fan-out delay, admission caps
+    #: (None = defaults)
     reader: Optional[ReaderConfig] = None
     #: execution backend: ``"sim"`` (discrete-event simulator, virtual
     #: time) or ``"wall"`` (AsyncioRuntime: real timers, TCP sockets for
@@ -153,18 +137,10 @@ def build_surface(
     from repro.runtime.api import make_runtime
 
     sim = make_runtime(cfg.runtime, seed=cfg.seed)
-    durability_cfg = cfg.durability
     if sim.clock == "wall":
         from repro.runtime import TcpNetwork
 
         network = TcpNetwork(sim)
-        if (
-            durability_cfg is not None
-            and durability_cfg.log_dir is not None
-            and not durability_cfg.fsync
-        ):
-            # on real hardware a disk-backed log pays for its durability
-            durability_cfg = replace(durability_cfg, fsync=True)
     else:
         network = Network(
             sim,
@@ -186,8 +162,8 @@ def build_surface(
         if cfg.flight
         else None
     )
-    if durability is None and (cfg.durable or durability_cfg is not None):
-        durability = DurabilityStore(durability_cfg)
+    if durability is None and cfg.durability is not None:
+        durability = DurabilityStore(cfg.durability)
     return Surface(sim, network, obs, tracer, flight, durability)
 
 
@@ -343,7 +319,6 @@ class SIRepCluster:
         self.monitor = (
             OneCopyMonitor(
                 self.sim,
-                interval=cfg.monitor_interval,
                 obs=self.obs,
                 on_violation=self._on_monitor_violation,
             )
@@ -421,18 +396,12 @@ class SIRepCluster:
         )
         replica.tracer = self.tracer
         replica.manager.tracer = self.tracer
-        replica.manager.commit_pipeline = (
-            cfg.commit_pipeline
-            if cfg.commit_pipeline is not None
-            else cfg.salvage
-        )
         if cfg.salvage:
-            # deferral stays open only while the to-commit queue is
-            # shallow; past the cap the engine's eager aborts shed load
-            db.defer_gate = (
-                lambda queue=replica.manager.queue,
-                cap=cfg.salvage_defer_depth: len(queue) <= cap
-            )
+            # backpressure: blind first-updater conflicts defer to
+            # certification (where salvage re-homes them) only while the
+            # to-commit queue is at most 16 deep; past that the engine's
+            # eager aborts shed load, so commit latency stays bounded
+            db.defer_gate = lambda queue=replica.manager.queue: len(queue) <= 16
         if index < len(self.replicas):
             self.nodes[index], self.replicas[index] = node, replica
         else:
@@ -479,14 +448,10 @@ class SIRepCluster:
         return reader
 
     def _watch_reader(self, reader: ReadReplica) -> None:
-        """Admit a reader to the online monitor: its bootstrap prefix is
-        covered, and its advertised staleness promise (if any) becomes a
-        per-watch lost-writeset grace."""
+        """Admit a reader to the online monitor, its bootstrap prefix
+        covered."""
         self.monitor.watch(
-            reader.name,
-            reader.db,
-            covered=frozenset(reader.covered_gids),
-            grace=self.reader_config.staleness_grace,
+            reader.name, reader.db, covered=frozenset(reader.covered_gids)
         )
 
     def add_reader(self, donor_index: Optional[int] = None) -> ReadReplica:

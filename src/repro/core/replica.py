@@ -45,6 +45,7 @@ class ReplicaManager:
         strict_serial: bool = False,
         hole_sync: bool = True,
         group_commit: bool = False,
+        commit_pipeline: bool = False,
     ):
         self.sim = sim
         self.node = node
@@ -74,7 +75,10 @@ class ReplicaManager:
         #: group log.  The client ack (``entry.done``) always waits for
         #: the force; recovery replays the writeset log, which was
         #: appended at certification, so durability is unaffected.
-        self.commit_pipeline = False
+        #: SI-Rep turns it on with salvage: deferral keeps conflicting
+        #: entries alive in the queue, where chained installs would
+        #: otherwise pay one full force per link.
+        self.commit_pipeline = commit_pipeline
         #: optional repro.obs Tracer (set by the cluster with the
         #: middleware's); spans are pure bookkeeping — no yields, no RNG
         self.tracer = None

@@ -31,7 +31,6 @@ from repro.net.network import ChannelClosed, Host
 from repro.obs import Observability, TraceContext
 from repro.sim import Gate, Simulator, wait_until
 from repro.sim.sync import OneShot
-from repro.storage.writeset import DELETE as DELETE_OP
 from repro.storage.writeset import UPDATE as UPDATE_OP
 
 
@@ -116,7 +115,7 @@ class MiddlewareReplica:
         self._since_gc = 0
         self.manager = ReplicaManager(
             sim, node, strict_serial=False, hole_sync=hole_sync,
-            group_commit=group_commit,
+            group_commit=group_commit, commit_pipeline=salvage,
         )
         #: gid -> ("committed"|"aborted") decided at global validation;
         #: consulted by in-doubt inquiries after a failover (§5.4).
@@ -191,13 +190,6 @@ class MiddlewareReplica:
                     sim.spawn(
                         self._checkpoint_loop(interval),
                         name=f"{name}.checkpointer", daemon=True,
-                    )
-                )
-            if durable.config.truncation != "none":
-                self._processes.append(
-                    sim.spawn(
-                        self._truncate_loop(durable.config.truncate_interval),
-                        name=f"{name}.log-gc", daemon=True,
                     )
                 )
         if recover_from is None:
@@ -284,9 +276,14 @@ class MiddlewareReplica:
                 self._count("durable.log_flushes")
 
     def _checkpoint_loop(self, interval: float) -> Generator[Any, Any, None]:
+        """Checkpoint every ``interval``, then truncate the log.
+        Truncation never passes the newest checkpoint, so it needs no
+        timer of its own; segments the stability watermark frees later
+        go on the next tick."""
         while True:
             yield self.sim.sleep(interval, weak=True)
             self.take_checkpoint()
+            self._truncate_once()
 
     def take_checkpoint(self) -> Optional[Checkpoint]:
         """Snapshot the engine at the applied log prefix (atomic)."""
@@ -312,11 +309,6 @@ class MiddlewareReplica:
         )
         self._count("durable.checkpoints")
         return checkpoint
-
-    def _truncate_loop(self, interval: float) -> Generator[Any, Any, None]:
-        while True:
-            yield self.sim.sleep(interval, weak=True)
-            self._truncate_once()
 
     def _truncate_once(self) -> int:
         """GC log segments below the stability watermark.
@@ -471,16 +463,10 @@ class MiddlewareReplica:
         certifier; replay continues from checkpoint.seq, with the
         ``(cert_floor, skip_install)`` returned here."""
         self.db.install_snapshot(checkpoint.ddl, checkpoint.rows, checkpoint.csn)
-        certifier = Certifier(salvage=self.salvage)
-        certifier.last_validated_tid = checkpoint.cert_tid
-        certifier._last_writer = dict(checkpoint.cert_last_writer)
-        certifier._deleted = set(checkpoint.cert_deleted)
-        certifier.validated = checkpoint.cert_tid
-        # the checkpointed window was pruned up to this floor; replayed
+        # the checkpointed window was pruned up to its floor; replayed
         # records all sit above it (floor <= stable tid <= any logged
         # suffix), so the restored state stays decision-identical
-        certifier.floor = checkpoint.cert_floor
-        self.certifier = certifier
+        self.certifier = checkpoint.certifier(self.salvage)
         self.outcomes.update(checkpoint.outcomes)
         self._applied_prefix = checkpoint.seq
         self._applied_pending = set(checkpoint.applied_beyond)
@@ -510,20 +496,9 @@ class MiddlewareReplica:
             self._mark_applied(record.seq)
             return
         if record.seq > cert_floor:
-            # certification is deterministic and rejects leave no state
-            # behind, so transitioning on the logged passes alone lands
-            # the certifier in exactly the state it had at this seq
-            self.certifier.last_validated_tid = record.tid
-            for key in record.keys:
-                self.certifier._last_writer[key] = record.tid
-            # tombstones transition exactly as live certification did, so
-            # post-replay salvage decisions match the survivors'
-            for op in record.ops:
-                if op.op == DELETE_OP:
-                    self.certifier._deleted.add(op.key)
-                else:
-                    self.certifier._deleted.discard(op.key)
-            self.certifier.validated += 1
+            # the logged pass lands the certifier (tombstones included)
+            # in exactly the state it had at this seq
+            self.certifier.record_pass(record.tid, record.keys, record.ops)
             self.feed_seq += 1
         if record.seq not in skip_install:
             record.install(self.db)

@@ -135,17 +135,48 @@ class Certifier:
                 self.rejected += 1
                 return False
             self.salvaged += 1
-        self.last_validated_tid += 1
-        record.tid = self.last_validated_tid
-        for key in record.writeset.keys:
-            self._last_writer[key] = record.tid
-        for op in record.writeset.ops:
+        record.tid = self.last_validated_tid + 1
+        self.record_pass(record.tid, record.writeset.keys, record.writeset.ops)
+        return True
+
+    def record_pass(self, tid: int, keys, ops) -> None:
+        """The state transition of a passing validation: ``tid`` becomes
+        the last validated tid and the last writer of every key in
+        ``keys``, and ``ops`` (the writeset's WriteOps) set or clear the
+        tombstones.  Log replay calls it with a logged record's tid:
+        certification is deterministic and a reject leaves no state
+        behind, so replaying the passes alone rebuilds the state."""
+        self.last_validated_tid = tid
+        for key in keys:
+            self._last_writer[key] = tid
+        for op in ops:
             if op.op == DELETE:
                 self._deleted.add(op.key)
             else:
                 self._deleted.discard(op.key)
         self.validated += 1
-        return True
+
+    @property
+    def last_writers(self) -> dict[tuple[str, Any], int]:
+        """(table, pk) -> tid of its last certified writer (read only)."""
+        return self._last_writer
+
+    @property
+    def tombstones(self) -> set[tuple[str, Any]]:
+        """Keys whose last certified write was a DELETE (read only)."""
+        return self._deleted
+
+    @classmethod
+    def resume(cls, salvage: bool, tid: int, last_writers: dict,
+               tombstones, floor: int) -> "Certifier":
+        """A certifier at a captured decision state (a checkpoint's):
+        ``tid`` validated passes, pruned up to ``floor``."""
+        certifier = cls(salvage=salvage)
+        certifier.last_validated_tid = certifier.validated = tid
+        certifier._last_writer = dict(last_writers)
+        certifier._deleted = set(tombstones)
+        certifier.floor = floor
+        return certifier
 
     def validate_batch(self, records: list[WsRecord]) -> list[bool]:
         """Certify a delivered batch as one ordered unit.

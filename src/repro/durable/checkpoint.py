@@ -51,6 +51,9 @@ class Checkpoint:
     def capture(cls, *, seq: int, cert_seq: int, applied_beyond, csn: int,
                 ddl, rows: dict, certifier, outcomes: dict,
                 feed_seq: int = 0) -> "Checkpoint":
+        """Snapshot the inputs; ``certifier`` is a
+        :class:`~repro.core.validation.Certifier`, and :meth:`certifier`
+        is the way back."""
         rows = {table: [dict(r) for r in rs] for table, rs in rows.items()}
         nbytes = len(json.dumps({
             "seq": seq, "csn": csn, "ddl": list(ddl),
@@ -64,14 +67,22 @@ class Checkpoint:
             ddl=tuple(ddl),
             rows=rows,
             cert_tid=certifier.last_validated_tid,
-            cert_last_writer=dict(certifier._last_writer),
+            cert_last_writer=dict(certifier.last_writers),
             outcomes=dict(outcomes),
             nbytes=nbytes,
             feed_seq=feed_seq,
-            cert_deleted=tuple(
-                sorted(getattr(certifier, "_deleted", ()), key=repr)
-            ),
-            cert_floor=getattr(certifier, "floor", 0),
+            cert_deleted=tuple(sorted(certifier.tombstones, key=repr)),
+            cert_floor=certifier.floor,
+        )
+
+    def certifier(self, salvage: bool):
+        """A fresh certifier in the decision state captured here."""
+        # repro.core imports this module: import on use
+        from repro.core.validation import Certifier
+
+        return Certifier.resume(
+            salvage, self.cert_tid, self.cert_last_writer,
+            self.cert_deleted, self.cert_floor,
         )
 
     def to_json(self) -> dict:

@@ -189,15 +189,14 @@ class WritesetLog:
 
     def __init__(self, name: str, segment_records: int = 256,
                  fsync_time: float = 0.0002, byte_time: float = 2e-9,
-                 directory: Optional[Path] = None, fsync: bool = False):
+                 directory: Optional[Path] = None):
         self.name = name
         self.segment_records = max(1, segment_records)
         self.fsync_time = fsync_time
         self.byte_time = byte_time
+        #: segment files live here, and every flushed group is forced
+        #: with ``os.fsync``; None keeps the segments in memory
         self.directory = Path(directory) if directory is not None else None
-        #: call os.fsync on each group-commit flush (real-time runtime:
-        #: durability is paid for, not just accounted); needs ``directory``
-        self.fsync = fsync
         self.fsyncs = 0
         #: segment files opened for appending (one per segment touched
         #: per incarnation, not one per record)
@@ -260,9 +259,8 @@ class WritesetLog:
         written = 0
         if self.directory is not None:
             written = self._write([record])
-            if self.fsync:
-                os.fsync(self._fd)
-                self.fsyncs += 1
+            os.fsync(self._fd)
+            self.fsyncs += 1
         self._commit_flush([record], record.nbytes, written)
 
     # ------------------------------------------------------------------- flush
@@ -299,9 +297,8 @@ class WritesetLog:
             written = 0
             if self.directory is not None:
                 written = self._write(group)
-                if self.fsync:
-                    yield from run_blocking(_force(os.dup(self._fd)))
-                    self.fsyncs += 1
+                yield from run_blocking(_force(os.dup(self._fd)))
+                self.fsyncs += 1
             del self.tail[:group_len]
             self._commit_flush(group, nbytes, written)
             flushed_total += group_len

@@ -27,23 +27,13 @@ class DurabilityConfig:
 
     #: directory for on-disk logs/checkpoints; None = in-memory durability
     log_dir: Optional[Union[str, Path]] = None
-    #: simulated seconds between automatic checkpoints (None = never)
+    #: simulated seconds between automatic checkpoints, each followed by
+    #: a log truncation sweep (None = never: the log keeps every record)
     checkpoint_interval: Optional[float] = None
     #: conservative | aggressive | none — see repro.durable.watermark
     truncation: str = CONSERVATIVE
     #: records per log segment (truncation granularity)
     segment_records: int = 256
-    #: checkpoints retained per replica
-    keep_checkpoints: int = 2
-    #: disk seconds per log flush (the fsync) and per flushed byte
-    log_fsync_time: float = 0.0002
-    log_byte_time: float = 2e-9
-    #: simulated seconds between truncation sweeps
-    truncate_interval: float = 1.0
-    #: really os.fsync each group-commit flush (requires ``log_dir``);
-    #: the wall-clock runtime turns this on so durability is measured,
-    #: not simulated
-    fsync: bool = False
 
     def __post_init__(self):
         if self.truncation not in POLICIES:
@@ -60,14 +50,10 @@ class ReplicaDurability:
         self.log = WritesetLog(
             name,
             segment_records=config.segment_records,
-            fsync_time=config.log_fsync_time,
-            byte_time=config.log_byte_time,
             directory=(base / name / "log") if base is not None else None,
-            fsync=config.fsync and base is not None,
         )
         self.checkpoints = CheckpointStore(
             name,
-            keep=config.keep_checkpoints,
             directory=(base / name / "ckpt") if base is not None else None,
         )
 

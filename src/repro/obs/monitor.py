@@ -67,10 +67,10 @@ class _Watch:
     __slots__ = (
         "name", "db", "cursor", "events", "begin_pos", "begin_t",
         "commit_pos", "commit_t", "committed", "local", "_last_begin",
-        "covered", "grace",
+        "covered",
     )
 
-    def __init__(self, name: str, db, covered=frozenset(), grace=None):
+    def __init__(self, name: str, db, covered=frozenset()):
         self.name = name
         self.db = db
         self.cursor = 0
@@ -80,9 +80,6 @@ class _Watch:
         #: committed here, ordered before everything in ``db.history``,
         #: but absent from it (delta recovery re-watch)
         self.covered: frozenset = frozenset(covered)
-        #: per-watch lost-writeset grace override (read-tier staleness
-        #: bound); None falls back to the monitor-wide ``loss_grace``
-        self.grace: Optional[float] = grace
         self.reset_derived()
 
     def reset_derived(self) -> None:
@@ -166,7 +163,7 @@ class OneCopyMonitor:
             yield self.sim.sleep(self.interval, weak=True)
             self.poll()
 
-    def watch(self, name: str, db, covered=None, grace=None) -> None:
+    def watch(self, name: str, db, covered=None) -> None:
         """Start consuming ``db.history`` under this replica name.
 
         ``covered`` names transactions already committed at this replica
@@ -174,16 +171,8 @@ class OneCopyMonitor:
         event the history will produce but never appear in it, so the
         ROWA and reads-from checks treat them as committed-before-watch
         rather than missing.
-
-        ``grace`` overrides ``loss_grace`` for this watch alone: a lazy
-        read replica advertising a staleness bound is held to it — an
-        update still missing ``grace`` seconds after its first commit is
-        flagged as ``lost-writeset`` even though the monitor-wide grace
-        would tolerate it.
         """
-        self._watches[name] = _Watch(
-            name, db, covered=covered or frozenset(), grace=grace
-        )
+        self._watches[name] = _Watch(name, db, covered=covered or frozenset())
 
     def unwatch(self, name: str) -> None:
         """Stop auditing a replica (crashed / recovered) and rebuild the
@@ -394,18 +383,10 @@ class OneCopyMonitor:
         """An update committed somewhere must reach every watched replica
         within ``loss_grace`` sim-seconds (ROWA)."""
         now = self.sim.now
-        min_grace = min(
-            (w.grace for w in self._watches.values() if w.grace is not None),
-            default=self.loss_grace,
-        )
-        floor = min(self.loss_grace, min_grace)
         for gid, first_t in self._first_commit.items():
-            if now - first_t <= floor:
+            if now - first_t <= self.loss_grace:
                 continue
             for watch in self._watches.values():
-                grace = watch.grace if watch.grace is not None else self.loss_grace
-                if now - first_t <= grace:
-                    continue
                 if gid in watch.committed or gid in watch.covered:
                     continue
                 key = (gid, watch.name)
@@ -415,7 +396,7 @@ class OneCopyMonitor:
                 self._flag(
                     "lost-writeset",
                     f"update {gid} committed at t={first_t:.6f} but still "
-                    f"missing at {watch.name} after {grace:.1f}s",
+                    f"missing at {watch.name} after {self.loss_grace:.1f}s",
                     offending_t=first_t,
                     gids=(gid,),
                 )

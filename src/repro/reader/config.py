@@ -13,19 +13,16 @@ class ReaderConfig:
     The tier's contract is *bounded staleness*: a reader advertises its
     apply watermark and, when ``staleness_bound`` is set, refuses to
     start snapshots (and declines discovery) while it lags the certified
-    tip by more than that many transactions.  ``staleness_grace`` is the
-    same promise expressed in seconds for the online
-    :class:`~repro.obs.monitor.OneCopyMonitor`: a certified update still
-    missing at the reader that long after its first commit is flagged as
-    a ``lost-writeset`` violation.
+    tip by more than that many transactions.  The online
+    :class:`~repro.obs.monitor.OneCopyMonitor` holds a reader to its
+    ``loss_grace`` like any watched replica: a certified update still
+    missing that long after its first commit is a ``lost-writeset``
+    violation.
     """
 
     #: max certified-transactions lag a reader may serve snapshots at;
     #: None = unbounded (pure eventual catch-up)
     staleness_bound: Optional[int] = None
-    #: monitor-side staleness promise in sim-seconds (per-watch
-    #: lost-writeset grace); None = the monitor-wide default
-    staleness_grace: Optional[float] = None
     #: certified-feed fan-out latency, middleware -> reader (one hop)
     fanout_delay: float = 0.0005
     #: extra seconds charged per applied writeset — a fault-injection /
@@ -33,8 +30,6 @@ class ReaderConfig:
     apply_delay: float = 0.0
     #: session cap per reader (declines discovery when full); None = no cap
     max_sessions: Optional[int] = None
-    #: driver routing policy default: "round-robin" | "least-loaded"
-    routing: str = "round-robin"
     #: admission cap: concurrent read transactions per reader before the
     #: driver queues (never aborts) further ones; None = uncapped
     max_read_inflight: Optional[int] = None

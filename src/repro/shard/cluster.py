@@ -38,8 +38,8 @@ class ShardConfig:
 
     n_groups: int = 2
     #: what every group looks like.  Its ``seed``, network latencies,
-    #: ``obs`` / ``span_trace`` / ``flight`` and ``durable`` /
-    #: ``durability`` describe the ONE surface all groups share (one
+    #: ``obs`` / ``span_trace`` / ``flight`` and ``durability``
+    #: describe the ONE surface all groups share (one
     #: registry/sampler/event log, one Tracer so router hops and
     #: per-group branches stitch into a single trace, one store — replica
     #: names are globally unique, so every group's logs coexist under one

@@ -226,11 +226,7 @@ def test_checkpoint_roundtrip_resumes_identically(specs, salvage, data):
         rows={}, certifier=gcd, outcomes={}, feed_seq=cut,
     ).to_json()
     checkpoint = Checkpoint.from_json(blob)
-    restored = Certifier(salvage=salvage)
-    restored.last_validated_tid = checkpoint.cert_tid
-    restored._last_writer = dict(checkpoint.cert_last_writer)
-    restored._deleted = set(checkpoint.cert_deleted)
-    restored.floor = checkpoint.cert_floor
+    restored = checkpoint.certifier(salvage)
     assert restored.floor == gcd.floor
     for i, spec in enumerate(specs[cut:], start=cut):
         r_new = build_record(i, spec, reference.last_validated_tid)

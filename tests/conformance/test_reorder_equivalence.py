@@ -26,6 +26,7 @@ from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.protocol import WritesetMessage
 from repro.core.validation import Certifier, WsRecord
+from repro.durable import DurabilityConfig
 from repro.gcs import GcsConfig
 from repro.gcs.multicast import GroupBus
 from repro.sim import Simulator
@@ -125,7 +126,7 @@ def run_cluster(workload, seed):
             n_replicas=3,
             seed=seed,
             salvage=True,
-            durable=True,
+            durability=DurabilityConfig(),
             gcs=GcsConfig(
                 batch_max_messages=4,
                 batch_window=0.004,

@@ -7,6 +7,7 @@ import pytest
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.validation import Certifier, WsRecord
+from repro.durable import DurabilityConfig
 from repro.durable.checkpoint import Checkpoint
 from repro.gcs import GcsConfig
 from repro.storage.writeset import DELETE, UPDATE, WriteOp, WriteSet
@@ -149,7 +150,7 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
         ClusterConfig(
             n_replicas=3,
             seed=seed,
-            durable=True,
+            durability=DurabilityConfig(),
             salvage=True,
             group_commit=True,
             gcs=GcsConfig(

@@ -149,10 +149,7 @@ def test_checkpoint_roundtrips_tombstones():
     assert set(restored.cert_deleted) == certifier._deleted
     # a certifier rebuilt from the restored checkpoint refuses the same
     # salvage the live one would
-    rebuilt = Certifier(salvage=True)
-    rebuilt.last_validated_tid = restored.cert_tid
-    rebuilt._last_writer = dict(restored.cert_last_writer)
-    rebuilt._deleted = set(restored.cert_deleted)
+    rebuilt = restored.certifier(salvage=True)
     live_probe = blind_record("p", 1, cert=0)
     rebuilt_probe = blind_record("p", 1, cert=0)
     assert certifier.validate(live_probe) == rebuilt.validate(rebuilt_probe)

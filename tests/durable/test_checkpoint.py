@@ -1,12 +1,16 @@
 """Unit tests for checkpoints (repro.durable.checkpoint)."""
 
-from repro.durable import Checkpoint, CheckpointStore
+import shutil
+from pathlib import Path
+
+from repro.core import ClusterConfig, SIRepCluster
+from repro.core.validation import Certifier
+from repro.durable import Checkpoint, CheckpointStore, DurabilityConfig, DurabilityStore
+from repro.testing import query
 
 
-class FakeCertifier:
-    def __init__(self, tid, writers):
-        self.last_validated_tid = tid
-        self._last_writer = writers
+def certifier_at(tid, writers):
+    return Certifier.resume(False, tid, writers, (), 0)
 
 
 def make_checkpoint(seq, tid=None):
@@ -17,7 +21,7 @@ def make_checkpoint(seq, tid=None):
         csn=seq,
         ddl=("CREATE TABLE kv (k INT PRIMARY KEY, v INT)",),
         rows={"kv": [{"k": 1, "v": seq}]},
-        certifier=FakeCertifier(tid if tid is not None else seq, {("kv", 1): seq}),
+        certifier=certifier_at(tid if tid is not None else seq, {("kv", 1): seq}),
         outcomes={f"R0:g{seq}": "committed"},
     )
 
@@ -27,7 +31,7 @@ def test_capture_snapshots_inputs():
     cp = Checkpoint.capture(
         seq=3, cert_seq=4, applied_beyond=[6, 5], csn=3,
         ddl=["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"],
-        rows=rows, certifier=FakeCertifier(4, {("kv", 1): 4}), outcomes={},
+        rows=rows, certifier=certifier_at(4, {("kv", 1): 4}), outcomes={},
     )
     rows["kv"][0]["v"] = 99  # mutating the source must not leak in
     assert cp.rows["kv"][0]["v"] == 0
@@ -88,3 +92,48 @@ def test_torn_newest_checkpoint_falls_back_to_the_older_one(tmp_path):
     assert reloaded.unreadable == [newest]
     reloaded.save(make_checkpoint(12))
     assert CheckpointStore("R0", directory=directory).latest().seq == 12
+
+
+#: two salvage replicas' durable directories, written by an earlier
+#: version of this code: seq 1-2 genesis, seq 3-8 four updates, a
+#: delete of k=3 and an insert, a checkpoint at seq 8 (tombstone
+#: ("kv", 3)), then seq 9-10 above it (an update of k=1, a delete of k=2)
+OLDER_WAL = Path(__file__).parent / "fixtures" / "wal-v1"
+
+
+def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
+    wal = tmp_path / "wal"
+    shutil.copytree(OLDER_WAL, wal)
+    store = CheckpointStore("R0", directory=wal / "R0" / "ckpt")
+    checkpoint = store.latest()
+    assert store.unreadable == [] and checkpoint.seq == 8
+    certifier = checkpoint.certifier(salvage=True)
+    assert certifier.salvage is True
+    assert certifier.last_validated_tid == certifier.validated == 6
+    assert certifier.tombstones == {("kv", 3)}
+    assert certifier.last_writers == {
+        ("kv", 1): 1, ("kv", 2): 2, ("kv", 3): 5, ("kv", 4): 4, ("kv", 5): 6,
+    }
+    # capturing the restored certifier gives the same checkpoint back
+    assert Checkpoint.capture(
+        seq=checkpoint.seq, cert_seq=checkpoint.cert_seq,
+        applied_beyond=checkpoint.applied_beyond, csn=checkpoint.csn,
+        ddl=checkpoint.ddl, rows=checkpoint.rows, certifier=certifier,
+        outcomes=checkpoint.outcomes, feed_seq=checkpoint.feed_seq,
+    ) == checkpoint
+
+    cluster = SIRepCluster.cold_restart(
+        ClusterConfig(n_replicas=2, seed=6, salvage=True),
+        DurabilityStore(DurabilityConfig(log_dir=wal, segment_records=4)),
+    )
+    try:
+        for replica in cluster.replicas:
+            assert replica.recovery_stats == {
+                "mode": "cold", "records": 2, "checkpoint": True,
+            }
+            rows = query(cluster.sim, replica.db, "SELECT k, v FROM kv ORDER BY k")
+            assert rows == [{"k": 1, "v": 11}, {"k": 4, "v": 40}, {"k": 5, "v": 50}]
+            assert replica.certifier.last_validated_tid == 8
+            assert replica.certifier.tombstones == {("kv", 2), ("kv", 3)}
+    finally:
+        cluster.stop()

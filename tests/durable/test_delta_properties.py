@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig
 
 
 def run_recovery(db_rows: int, missed: int, mode: str = "delta") -> dict:
     """One crash/recover cycle; returns the rejoiner's recovery_stats."""
-    cluster = SIRepCluster(ClusterConfig(n_replicas=2, seed=7, durable=True))
+    cluster = SIRepCluster(ClusterConfig(n_replicas=2, seed=7, durability=DurabilityConfig()))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, db_rows + 1)])
     driver = Driver(cluster.network, cluster.discovery)

@@ -1,6 +1,7 @@
 """Unit tests for the segmented writeset log (repro.durable.log)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -201,7 +202,7 @@ class HeldForce:
 
 
 def test_records_staged_before_the_force_share_one_fsync(tmp_path):
-    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", directory=tmp_path / "R0")
     log.append(ws(1))
     log.append(ws(2))
     held = HeldForce()
@@ -215,7 +216,7 @@ def test_records_staged_before_the_force_share_one_fsync(tmp_path):
 
 
 def test_record_appended_during_the_force_lands_in_the_next_group(tmp_path):
-    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", directory=tmp_path / "R0")
     log.append(ws(1))
     log.append(ws(2))
     flush = log.flush(charge_free, HeldForce())
@@ -232,7 +233,7 @@ def test_record_appended_during_the_force_lands_in_the_next_group(tmp_path):
 
 
 def test_durable_seq_waits_for_the_force_to_return(tmp_path):
-    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", directory=tmp_path / "R0")
     log.append(ws(1))
     flush = log.flush(charge_free, HeldForce())
     next(flush)
@@ -248,7 +249,7 @@ def test_durable_seq_waits_for_the_force_to_return(tmp_path):
 
 
 def test_a_failing_force_keeps_the_group_in_the_tail_and_raises(tmp_path):
-    log = WritesetLog("R0", directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", directory=tmp_path / "R0")
     log.append(ws(1))
     log.append(ws(2))
 
@@ -269,8 +270,8 @@ def test_failing_force_aborts_the_run_instead_of_going_on_undurable(tmp_path):
     """The replica's flusher is not a daemon: an fsync error surfaces
     from ``run()`` rather than leaving the replica silently undurable."""
     cluster = SIRepCluster(ClusterConfig(
-        n_replicas=2, seed=3, durable=True,
-        durability=DurabilityConfig(log_dir=tmp_path / "wal", fsync=True),
+        n_replicas=2, seed=3,
+        durability=DurabilityConfig(log_dir=tmp_path / "wal"),
     ))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": 1, "v": 0}])
@@ -295,8 +296,37 @@ def test_failing_force_aborts_the_run_instead_of_going_on_undurable(tmp_path):
     cluster.stop()
 
 
+@pytest.mark.parametrize("store", [False, True], ids=["config", "external-store"])
+def test_a_disk_backed_wall_log_forces_every_group(tmp_path, store):
+    """A log with a directory pays one real fsync per durable group,
+    however the durability store reached the cluster: through
+    ``ClusterConfig.durability`` or handed in, as a cold restart does."""
+    durability = DurabilityConfig(log_dir=tmp_path / "wal")
+    config = ClusterConfig(n_replicas=2, seed=3, runtime="wall")
+    if store:
+        cluster = SIRepCluster(config, durability=DurabilityStore(durability))
+    else:
+        cluster = SIRepCluster(replace(config, durability=durability))
+    try:
+        cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+        cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+        driver = Driver(cluster.network, cluster.discovery)
+
+        def writer():
+            conn = yield from driver.connect(cluster.new_client_host())
+            yield from conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
+            yield from conn.commit()
+
+        cluster.sim.run_process(writer())
+        cluster.sim.run()
+        logs = [replica.wslog for replica in cluster.replicas]
+        assert [(log.durable_seq, log.fsyncs) for log in logs] == [(3, 3), (3, 3)]
+    finally:
+        cluster.stop()
+
+
 def test_segment_files_are_opened_once_per_segment(tmp_path):
-    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0")
     for seq in range(1, 6):
         log.append(ws(seq))
         drain(log.flush(charge_free))  # one record per group
@@ -314,7 +344,7 @@ def test_segment_files_are_opened_once_per_segment(tmp_path):
 
 def test_group_is_capped_at_the_active_segment(tmp_path):
     """A disk-backed group never spans two files: one write, one fsync."""
-    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0", fsync=True)
+    log = WritesetLog("R0", segment_records=2, directory=tmp_path / "R0")
     log.append(ws(1))
     drain(log.flush(charge_free))
     for seq in range(2, 6):
@@ -335,7 +365,7 @@ def test_kill_between_write_and_force_then_reload(tmp_path):
     file, so a reload does not resurrect them under sequence numbers the
     next incarnation appends again."""
     directory = tmp_path / "R0"
-    log = WritesetLog("R0", directory=directory, fsync=True)
+    log = WritesetLog("R0", directory=directory)
     log.append(ws(1))
     log.append(ws(2))
     drain(log.flush(charge_free))
@@ -359,7 +389,7 @@ def test_kill_between_write_and_force_then_reload(tmp_path):
 
 def test_kill_while_forcing_a_new_segment_removes_its_file(tmp_path):
     directory = tmp_path / "R0"
-    log = WritesetLog("R0", segment_records=2, directory=directory, fsync=True)
+    log = WritesetLog("R0", segment_records=2, directory=directory)
     log.append(ws(1))
     log.append(ws(2))
     drain(log.flush(charge_free))  # [1,2] sealed
@@ -414,7 +444,7 @@ def test_a_bad_line_before_the_tail_still_raises(tmp_path):
 def test_cluster_cold_restart_survives_a_torn_log_tail(tmp_path):
     config = DurabilityConfig(log_dir=tmp_path / "wal")
     cluster = SIRepCluster(
-        ClusterConfig(n_replicas=3, seed=5, durable=True),
+        ClusterConfig(n_replicas=3, seed=5),
         durability=DurabilityStore(config),
     )
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
@@ -436,7 +466,7 @@ def test_cluster_cold_restart_survives_a_torn_log_tail(tmp_path):
         fh.write(b'w[99, "R0:')
 
     restarted = SIRepCluster.cold_restart(
-        ClusterConfig(n_replicas=3, seed=6, durable=True),
+        ClusterConfig(n_replicas=3, seed=6),
         DurabilityStore(config),
     )
     rows = {

@@ -19,8 +19,7 @@ def make_cluster(n=3, seed=1, durability=None, store=None, **cfg_kwargs):
     cfg = ClusterConfig(
         n_replicas=n,
         seed=seed,
-        durable=True,
-        durability=durability,
+        durability=durability or DurabilityConfig(),
         monitor=True,
         **cfg_kwargs,
     )
@@ -177,7 +176,6 @@ def test_conservative_watermark_pins_segments_for_the_rejoiner():
     range survives GC no matter how long it stays down."""
     durability = DurabilityConfig(
         checkpoint_interval=0.4,
-        truncate_interval=0.3,
         segment_records=4,
         truncation="conservative",
     )
@@ -205,7 +203,6 @@ def test_aggressive_truncation_falls_back_to_donor_checkpoint():
     the donor then serves its newest checkpoint plus the log above it."""
     durability = DurabilityConfig(
         checkpoint_interval=0.4,
-        truncate_interval=0.3,
         segment_records=4,
         truncation="aggressive",
     )
@@ -235,7 +232,7 @@ def test_truncation_never_cuts_below_own_checkpoint():
     cluster, driver = make_cluster(
         seed=13,
         durability=DurabilityConfig(
-            truncate_interval=0.2, segment_records=2, truncation="conservative"
+            segment_records=2, truncation="conservative"
         ),
     )
     churn(cluster, driver, 12, start_delay=0.1)
@@ -328,7 +325,7 @@ def test_cold_restart_from_memory_store():
     expected, tips = run_traffic_then_stop(store)
     assert tips[0] > 2  # traffic actually reached the logs
 
-    cfg = ClusterConfig(n_replicas=3, seed=32, durable=True, monitor=True)
+    cfg = ClusterConfig(n_replicas=3, seed=32, monitor=True)
     cluster = SIRepCluster.cold_restart(cfg, store)
     states = all_states(cluster)
     assert len(states) == 3
@@ -353,11 +350,12 @@ def test_cold_restart_from_disk(tmp_path):
 
     fresh_store = DurabilityStore(DurabilityConfig(log_dir=tmp_path / "wal"))
     assert fresh_store.names() == ["R0", "R1", "R2"]
-    cfg = ClusterConfig(n_replicas=3, seed=34, durable=True, monitor=True)
+    cfg = ClusterConfig(n_replicas=3, seed=34, monitor=True)
     cluster = SIRepCluster.cold_restart(cfg, fresh_store)
     states = all_states(cluster)
     assert set(states.values()) == {expected}
     assert cluster.one_copy_report().ok
+    assert sorted(cluster.monitor.summary()["watched"]) == ["R0", "R1", "R2"]
 
 
 def test_cold_restart_levels_a_replica_with_a_shorter_log():
@@ -378,7 +376,7 @@ def test_cold_restart_levels_a_replica_with_a_shorter_log():
         removed = r2_log.segments[-1].records.pop()
         r2_log.durable_seq = r2_log.tip_seq = removed.seq - 1
 
-    cfg = ClusterConfig(n_replicas=3, seed=36, durable=True)
+    cfg = ClusterConfig(n_replicas=3, seed=36)
     cluster2 = SIRepCluster.cold_restart(cfg, store)
     states = all_states(cluster2)
     assert set(states.values()) == {expected}
@@ -389,7 +387,7 @@ def test_cold_restart_levels_a_replica_with_a_shorter_log():
 def test_cold_restart_watermark_resumes_where_it_left_off():
     store = DurabilityStore(DurabilityConfig())
     _expected, tips = run_traffic_then_stop(store, seed=37)
-    cfg = ClusterConfig(n_replicas=3, seed=38, durable=True)
+    cfg = ClusterConfig(n_replicas=3, seed=38)
     cluster = SIRepCluster.cold_restart(cfg, store)
     assert cluster.stability.stable_seq() == min(tips)
 

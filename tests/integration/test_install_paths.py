@@ -38,7 +38,7 @@ EXTRA_DDL = "CREATE TABLE extra (id INT PRIMARY KEY, v INT)"
 
 def truncating(policy="conservative"):
     return DurabilityConfig(
-        checkpoint_interval=0.4, truncate_interval=0.3, segment_records=4,
+        checkpoint_interval=0.4, segment_records=4,
         truncation=policy,
     )
 
@@ -98,7 +98,7 @@ def engine_state(node):
 
 
 def delta_recovery():
-    cluster, keys = make_cluster(1, durable=True)
+    cluster, keys = make_cluster(1, durability=DurabilityConfig())
     cluster.sim.call_at(0.2, lambda: cluster.crash(0))
     traffic(cluster, keys, 12, 0.3, ddl=True)
     cluster.sim.call_at(1.5, lambda: cluster.recover_replica(0))
@@ -131,7 +131,7 @@ def full_recovery():
 
 
 def elastic_join(durable):
-    cluster, keys = make_cluster(21, durable=durable)
+    cluster, keys = make_cluster(21, durability=DurabilityConfig() if durable else None)
     traffic(cluster, keys, 12, 0.1, ddl=True)
     cluster.sim.call_at(0.5, lambda: cluster.add_replica())
     traffic(cluster, keys, 6, 1.0)
@@ -147,15 +147,14 @@ def cold_restart(durability, read_replicas=0):
     reference = engine_state(cluster.replicas[1])
     cluster.stop()
     restarted = SIRepCluster.cold_restart(
-        ClusterConfig(n_replicas=3, seed=32, durable=True,
-                      read_replicas=read_replicas),
+        ClusterConfig(n_replicas=3, seed=32, read_replicas=read_replicas),
         store,
     )
     return restarted, [*restarted.replicas, *restarted.readers], reference
 
 
 def reader_join(durable):
-    cluster, keys = make_cluster(13, durable=durable)
+    cluster, keys = make_cluster(13, durability=DurabilityConfig() if durable else None)
     traffic(cluster, keys, 12, 0.1, ddl=True)
     settle(cluster, 1.0)
     cluster.add_reader()
@@ -245,7 +244,7 @@ def test_cold_restart_with_reader_after_log_truncation():
     assert min(r.wslog.start_seq for r in cluster.replicas) > 1  # truncated
     cluster.stop()
     restarted = SIRepCluster.cold_restart(
-        ClusterConfig(n_replicas=3, seed=11, durable=True, read_replicas=1),
+        ClusterConfig(n_replicas=3, seed=11, read_replicas=1),
         store,
     )
     (reader,) = restarted.readers
@@ -428,7 +427,7 @@ def test_genesis_load_record_is_shared_and_replays(tmp_path):
     expected = cluster.replicas[0].db.export_committed()
     cluster.stop()
     restarted = SIRepCluster.cold_restart(
-        ClusterConfig(n_replicas=3, seed=6, durable=True),
+        ClusterConfig(n_replicas=3, seed=6),
         DurabilityStore(store.config),
     )
     for replica in restarted.replicas:

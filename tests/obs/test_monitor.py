@@ -223,7 +223,6 @@ def run_batched_scenario(hole_sync):
             gcs=GcsConfig(batch_max_messages=2, batch_window=0.2),
             cost_model=lambda i: SlowApply(),
             monitor=True,
-            monitor_interval=0.05,
             flight=True,
         )
     )

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import protocol
 from repro.core.validation import Certifier, WsRecord
+from repro.durable import DurabilityConfig
 from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
 from repro.gcs.multicast import Batch, Message, Multicast, ViewChange
@@ -379,21 +380,19 @@ def captured_transfers(**scenario):
 
 
 def durability(truncation):
-    from repro.durable import DurabilityConfig
-
     return DurabilityConfig(
-        checkpoint_interval=0.4, truncate_interval=0.3, segment_records=4,
+        checkpoint_interval=0.4, segment_records=4,
         truncation=truncation,
     )
 
 
 @pytest.mark.parametrize("scenario, kind, with_checkpoint", [
     ({}, protocol.StateTransfer, None),
-    ({"durable": True, "durability": None, "mode": "full"},
+    ({"durability": DurabilityConfig(), "mode": "full"},
      protocol.StateTransfer, None),
-    ({"durable": True, "durability": durability("conservative")},
+    ({"durability": durability("conservative")},
      protocol.DeltaTransfer, False),
-    ({"durable": True, "durability": durability("aggressive")},
+    ({"durability": durability("aggressive")},
      protocol.DeltaTransfer, True),
 ], ids=["full", "full-durable", "delta", "delta-checkpoint"])
 def test_real_recovery_transfers_roundtrip(scenario, kind, with_checkpoint):

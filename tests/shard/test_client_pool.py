@@ -81,20 +81,18 @@ def test_shard_config_redeclares_no_cluster_field():
 def test_every_group_knob_reaches_every_replica():
     """Knobs the field-by-field copy never forwarded (unreachable on a
     sharded deployment before ``ShardConfig.group``)."""
-    cluster = ShardedCluster(
-        _config(salvage=True, salvage_defer_depth=4, commit_pipeline=False)
-    )
+    cluster = ShardedCluster(_config(salvage=True))
     replicas = [r for group in cluster.groups for r in group.replicas]
     assert [r.name for r in replicas] == [
         f"G{g}-R{i}" for g in range(2) for i in range(3)
     ]
     for replica in replicas:
         assert replica.salvage and replica.db.defer_blind_ww
-        assert replica.manager.commit_pipeline is False
-        # blind-write deferral stays open up to salvage_defer_depth entries
+        assert replica.manager.commit_pipeline is True
+        # blind-write deferral stays open up to 16 queued entries
         queue = replica.manager.queue
-        for i in range(5):
-            assert replica.db.defer_gate() == (len(queue) <= 4)
+        for i in range(17):
+            assert replica.db.defer_gate() == (len(queue) <= 16)
             op = WriteOp("t", i, UPDATE, {"k": i})
             queue.append(Entry(WsRecord(f"g{i}", WriteSet([op]), cert=0)))
         assert not replica.db.defer_gate()

@@ -13,7 +13,7 @@ TABLE_MAP = {"kv0": 0, "kv1": 1}
 def build_cluster(seed=1, store=None, cold=False):
     config = ShardConfig(
         n_groups=2,
-        group=ClusterConfig(n_replicas=3, seed=seed, durable=True),
+        group=ClusterConfig(n_replicas=3, seed=seed, durability=DurabilityConfig()),
         partition="explicit",
         table_map=TABLE_MAP,
     )
