@@ -12,16 +12,14 @@ certify them independently but identically (validation in delivery order).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaManager, ReplicaNode
 from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
-from repro.core.validation import Certifier
+from repro.core.validation import Certifier, GcFloor, Prefix
 from repro.durable import log as durable_log
-from repro.durable import watermark as durable_watermark
 from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
 from repro.durable.store import ReplicaDurability
@@ -73,46 +71,11 @@ class MiddlewareReplica:
         #: conflicts); every replica of a deployment must agree on this
         self.salvage = salvage
         self.certifier = Certifier(salvage=salvage)
-        # ----- certifier window GC (see DESIGN.md §4j) -----
-        #: current group membership, tracked from delivered ViewChanges
-        #: (totally ordered, so every replica sees the same sequence)
-        self._group_members: set[str] = set()
-        #: (sender, scount, cert, acked) staged per delivered writeset,
-        #: folded into the floor only at message/batch boundaries (the
-        #: sequencer's conflict-aware reorder shuffles *within* a batch)
-        self._floor_stage: list[tuple[str, int, int, int]] = []
-        #: sender -> delivered (scount, cert) pairs not yet known fully
-        #: sequenced (scount above the sender's acked horizon); typically
-        #: empty or a single in-flight entry
-        self._floor_pending: dict[str, list[tuple[int, int]]] = {}
-        #: sender -> highest acked horizon seen from it: the sender saw
-        #: its own sends up to this scount delivered, so they are
-        #: sequenced before everything it multicasts afterwards
-        self._floor_acked: dict[str, int] = {}
-        #: sender -> max certificate among its delivered writesets at or
-        #: below its acked horizon.  Certificates are monotone per sender
-        #: in send order (read atomically with the multicast), and every
-        #: not-yet-delivered writeset from the sender has scount above
-        #: the horizon, hence a certificate >= this; min() over the
-        #: membership is then a sound lower bound on every in-flight
-        #: certificate
-        self._sender_cert_floor: dict[str, int] = {}
-        #: this replica's own writeset send counter and the contiguous
-        #: prefix of those sends it has seen delivered back (the acked
-        #: horizon stamped on outgoing writesets)
-        self._ws_sends = 0
-        self._ws_acked = 0
-        self._ws_out_of_order: set[int] = set()
-        #: (log seq, tid) of certified writesets, popped against the
-        #: cluster stability watermark to cap the GC floor at the highest
-        #: cluster-durable tid when a writeset log is attached
-        self._tid_by_seq: deque[tuple[int, int]] = deque()
-        self._stable_tid = 0
-        #: run the collect sweep every N deliveries (same delivery
-        #: positions at every replica); sweeps are pure dict work, no
-        #: sim events, so amortisation only bounds the sweep cost
-        self._gc_every = 64
-        self._since_gc = 0
+        #: the certifier-window GC floor (DESIGN.md §4j); the stability
+        #: watermark caps it only when this replica logs
+        self.gc_floor = GcFloor(
+            name, member.bus.stability if durable is not None else None
+        )
         self.manager = ReplicaManager(
             sim, node, strict_serial=False, hole_sync=hole_sync,
             group_commit=group_commit, commit_pipeline=salvage,
@@ -170,9 +133,9 @@ class MiddlewareReplica:
         self.audit_complete = True
         self.recovery_stats: dict[str, Any] = {}
         #: contiguous prefix of log records whose effects are installed
-        #: locally (checkpoints snapshot at this sequence)
-        self._applied_prefix = 0
-        self._applied_pending: set[int] = set()
+        #: locally (checkpoints snapshot at its top); entries commit out
+        #: of log order when non-conflicting
+        self._applied = Prefix()
         self._seq_of_gid: dict[str, int] = {}
         self._flush_gate = Gate(name=f"{name}.log-flush")
         self._from_seq = 0
@@ -231,20 +194,17 @@ class MiddlewareReplica:
         if self.wslog is not None:
             seq = self._seq_of_gid.pop(entry.gid, None)
             if seq is not None:
-                self._mark_applied(seq)
+                self._applied.mark(seq)
+
+    def _note_outcomes(self, outcomes: dict[str, str]) -> None:
+        """Record decided outcomes, evicting the oldest (dicts keep
+        insertion order) beyond ``outcomes_cap``: an in-doubt inquiry
+        concerns a commit in flight at a crash, far newer than those."""
+        self.outcomes.update(outcomes)
+        while len(self.outcomes) > self.outcomes_cap:
+            del self.outcomes[next(iter(self.outcomes))]
 
     # ------------------------------------------------------------- durability
-
-    def _mark_applied(self, seq: int) -> None:
-        """Track the contiguous applied prefix of the log (entries commit
-        out of log order when non-conflicting, hence the pending set)."""
-        if seq == self._applied_prefix + 1:
-            self._applied_prefix = seq
-            while self._applied_prefix + 1 in self._applied_pending:
-                self._applied_pending.discard(self._applied_prefix + 1)
-                self._applied_prefix += 1
-        else:
-            self._applied_pending.add(seq)
 
     def _charge_disk(self, seconds: float) -> Generator[Any, Any, None]:
         if self.node.disk is not None and seconds > 0:
@@ -290,9 +250,9 @@ class MiddlewareReplica:
         if self.wslog is None or self.checkpoints is None:
             return None
         checkpoint = Checkpoint.capture(
-            seq=self._applied_prefix,
+            seq=self._applied.top,
             cert_seq=self.wslog.tip_seq,
-            applied_beyond=self._applied_pending,
+            applied_beyond=self._applied.beyond,
             csn=self.db.csn,
             ddl=self.db.ddl_log,
             rows=self.db.export_committed(),
@@ -317,8 +277,8 @@ class MiddlewareReplica:
         local replay (cold start, delta recovery) rebuilds from, so they
         stay even when cluster-stable.  No checkpoint -> no truncation.
         """
-        tracker = getattr(self.member.bus, "stability", None)
-        if tracker is None or self.wslog is None:
+        tracker = self.gc_floor.stability  # None unless this replica logs
+        if tracker is None:
             return 0
         checkpoint = self.checkpoints.latest() if self.checkpoints else None
         if checkpoint is None:
@@ -330,125 +290,6 @@ class MiddlewareReplica:
             self._count("durable.truncated_records", dropped)
         return dropped
 
-    # ---------------------------------------------------- certifier window GC
-
-    def _note_view(self, view: ViewChange) -> None:
-        """Track membership for the certifier GC floor.
-
-        The floor folds only over CURRENT members: a crashed member's
-        unsequenced traffic died with it and its sequenced traffic was
-        delivered before this (totally ordered) view change, so it has no
-        in-flight certificates left; a joiner (or a rejoining fresh
-        incarnation, whose send counter restarts) pins the floor at 0
-        until its post-join writesets fold (conservative — GC pauses,
-        decisions are unaffected).
-        """
-        previous = self._group_members
-        self._group_members = set(view.members)
-        for sender in previous.symmetric_difference(self._group_members):
-            self._floor_pending.pop(sender, None)
-            self._floor_acked.pop(sender, None)
-            self._sender_cert_floor.pop(sender, None)
-
-    def _note_delivered_cert(
-        self, sender: str, cert: int, scount: int, acked: int
-    ) -> None:
-        """Stage a delivered writeset's ORIGINAL certificate (salvage may
-        refresh ``record.cert`` later; the floor argument needs the value
-        the sender actually read before multicasting), plus the sender's
-        send counter and acked horizon.  Also advances our own acked
-        horizon when the delivery is one of ours coming back."""
-        self._floor_stage.append((sender, cert, scount, acked))
-        if sender == self.name:
-            if scount == self._ws_acked + 1:
-                self._ws_acked = scount
-                while (self._ws_acked + 1) in self._ws_out_of_order:
-                    self._ws_acked += 1
-                    self._ws_out_of_order.discard(self._ws_acked)
-            elif scount > self._ws_acked:
-                self._ws_out_of_order.add(scount)
-
-    def _fold_cert_floor(self) -> None:
-        """Fold the finished delivery's staged certificates into the
-        per-sender floor, then run the amortised collect sweep.
-
-        Soundness: a sender reads its certificate atomically with the
-        multicast, so its certificates are monotone in send order
-        (scount).  A writeset's acked horizon names sends the sender saw
-        delivered before multicasting it — those are sequenced (and at
-        this replica, delivered) before it, so every writeset from the
-        sender still in flight has scount above the horizon and hence a
-        certificate >= any delivered certificate at or below it.
-        Folding only certificates under the horizon therefore keeps
-        min() over the membership a lower bound on every certificate any
-        replica will ever be asked to validate — exactly what
-        Certifier.collect needs.  Certificates above the horizon wait in
-        ``_floor_pending`` (bounded by the sender's in-flight traffic).
-        Staging per delivery and folding at message/batch boundaries
-        keeps the in-batch reorder shuffle invisible.
-        """
-        if self._floor_stage:
-            for sender, cert, scount, acked in self._floor_stage:
-                pending = self._floor_pending.setdefault(sender, [])
-                pending.append((scount, cert))
-                if acked > self._floor_acked.get(sender, 0):
-                    self._floor_acked[sender] = acked
-            self._floor_stage.clear()
-            for sender, pending in self._floor_pending.items():
-                horizon = self._floor_acked.get(sender, 0)
-                if not pending or min(s for s, _c in pending) > horizon:
-                    continue
-                floor = self._sender_cert_floor.get(sender, 0)
-                keep = []
-                for scount, cert in pending:
-                    if scount <= horizon:
-                        if cert > floor:
-                            floor = cert
-                    else:
-                        keep.append((scount, cert))
-                keep.sort()
-                self._floor_pending[sender] = keep
-                self._sender_cert_floor[sender] = floor
-        self._since_gc += 1
-        if self._since_gc >= self._gc_every:
-            self._since_gc = 0
-            self._collect_certifier()
-
-    def _cert_floor(self) -> int:
-        """The tid below which no in-flight certificate can sit.
-
-        Durable replicas additionally cap the floor at the highest tid
-        whose log record is cluster-stable (every member has it durable),
-        so the pruned window never outruns what the stability watermark
-        has confirmed — the checkpointed floor then always describes
-        state a rejoiner can rebuild.
-        """
-        if not self._group_members:
-            return 0
-        floor = min(
-            self._sender_cert_floor.get(m, 0) for m in self._group_members
-        )
-        tracker = getattr(self.member.bus, "stability", None)
-        if (
-            self.wslog is not None
-            and tracker is not None
-            and tracker.policy != durable_watermark.NONE
-        ):
-            stable = tracker.stable_seq()
-            while self._tid_by_seq and self._tid_by_seq[0][0] <= stable:
-                _seq, tid = self._tid_by_seq.popleft()
-                self._stable_tid = tid
-            floor = min(floor, self._stable_tid)
-        return floor
-
-    def _collect_certifier(self) -> None:
-        floor = self._cert_floor()
-        if floor <= self.certifier.floor:
-            return
-        swept = self.certifier.collect(floor)
-        if swept:
-            self._count("validation.gc_swept", swept)
-
     def log_genesis(self, make_record) -> None:
         """Record bootstrap schema or rows so the log is replayable from
         seq 1; ``make_record(seq)`` builds the record at our next seq."""
@@ -456,7 +297,7 @@ class MiddlewareReplica:
             return
         record = make_record(self.wslog.next_seq)
         self.wslog.append_durable(record)
-        self._mark_applied(record.seq)
+        self._applied.mark(record.seq)
 
     def _restore_checkpoint(self, checkpoint: Checkpoint) -> tuple[int, frozenset]:
         """Load a checkpoint into this (fresh) replica's engine and
@@ -467,9 +308,8 @@ class MiddlewareReplica:
         # records all sit above it (floor <= stable tid <= any logged
         # suffix), so the restored state stays decision-identical
         self.certifier = checkpoint.certifier(self.salvage)
-        self.outcomes.update(checkpoint.outcomes)
-        self._applied_prefix = checkpoint.seq
-        self._applied_pending = set(checkpoint.applied_beyond)
+        self._note_outcomes(checkpoint.outcomes)
+        self._applied = Prefix(checkpoint.seq, checkpoint.applied_beyond)
         self.feed_seq = checkpoint.feed_seq
         self.audit_complete = False
         return checkpoint.cert_seq, frozenset(checkpoint.applied_beyond)
@@ -493,7 +333,7 @@ class MiddlewareReplica:
                     # advances the counter silently (the survivors
                     # already published the item)
                     self.feed_seq += 1
-            self._mark_applied(record.seq)
+            self._applied.mark(record.seq)
             return
         if record.seq > cert_floor:
             # the logged pass lands the certifier (tombstones included)
@@ -503,8 +343,8 @@ class MiddlewareReplica:
         if record.seq not in skip_install:
             record.install(self.db)
         self.replayed.append((record.gid, record.keys))
-        self.outcomes[record.gid] = protocol.COMMITTED
-        self._mark_applied(record.seq)
+        self._note_outcomes({record.gid: protocol.COMMITTED})
+        self._applied.mark(record.seq)
 
     def _replay_local(self) -> int:
         """Rebuild from our own durable state: newest checkpoint (if any)
@@ -565,7 +405,7 @@ class MiddlewareReplica:
 
     def _on_view_change(self, view: ViewChange) -> None:
         self.crashed_seen.update(view.crashed)
-        self._note_view(view)
+        self.gc_floor.note_view(view.members)
         self.view_gate.notify_all()
         self._emit(
             "view_change",
@@ -577,15 +417,12 @@ class MiddlewareReplica:
 
     def _handle_item(self, item: Message | Batch) -> None:
         if isinstance(item, Batch):
-            self._on_batch(item)
+            self._on_writesets(item.entries, batched=True)
             return
         assert isinstance(item, Message)
-        self._handle_message(item)
-
-    def _handle_message(self, item: Message) -> None:
         kind = item.payload.kind
         if kind == protocol.WS:
-            self._on_writeset(item)
+            self._on_writesets((item,), batched=False)
         elif kind == protocol.DDL:
             self._on_ddl(item.payload)
         elif kind == protocol.SYNC:
@@ -765,15 +602,14 @@ class MiddlewareReplica:
         """Recovering side: rebuild schema, data, and certification."""
         self.db.install_snapshot(state.ddl, state.rows, state.csn)
         self.certifier = state.certifier
-        self.outcomes.update(state.outcomes)
+        self._note_outcomes(state.outcomes)
         self.feed_seq = state.feed_seq
         if self.wslog is not None:
             # our own log below the donor's tip is superseded by the
             # shipped row images; realign so future appends stay
             # seq-aligned with the cluster
             self.wslog.rebase(state.log_seq)
-            self._applied_prefix = state.log_seq
-            self._applied_pending.clear()
+            self._applied = Prefix(state.log_seq)
             self._seq_of_gid.clear()
         # full-state history arrives as row images, not transactions:
         # this incarnation stays out of the offline audit
@@ -822,7 +658,7 @@ class MiddlewareReplica:
             self._replay_record(record, cert_floor=cert_floor, skip_install=skip)
             transferred += 1
         self._flush_gate.notify_all()
-        self.outcomes.update(delta.outcomes)
+        self._note_outcomes(delta.outcomes)
         nbytes = delta.nbytes()
         self._emit(
             "recovery_delta_installed",
@@ -871,9 +707,8 @@ class MiddlewareReplica:
         """
         gid, sender = payload.gid, payload.sender
         record = payload.to_record()
-        if payload.scount:
-            self._note_delivered_cert(sender, payload.cert, payload.scount, payload.acked)
         ok = self.certifier.validate(record)
+        log_record = None
         if ok and self.wslog is not None:
             # one log record per certified writeset, in validation order;
             # every replica appends the identical record at the same seq
@@ -882,8 +717,8 @@ class MiddlewareReplica:
             )
             self.wslog.append(log_record)
             self._seq_of_gid[gid] = log_record.seq
-            self._tid_by_seq.append((log_record.seq, record.tid))
             self._flush_gate.notify_all()
+        self.gc_floor.stage(payload, log_record)
         if ok:
             # fan the certified item out to the read tier; every replica
             # publishes the identical item at the identical seq, the
@@ -908,11 +743,7 @@ class MiddlewareReplica:
             tid=record.tid,
             salvaged=record.salvaged,
         )
-        if len(self.outcomes) >= self.outcomes_cap:
-            # evict the oldest recorded outcome (dict preserves insertion
-            # order); far older than any plausible in-doubt inquiry
-            self.outcomes.pop(next(iter(self.outcomes)))
-        self.outcomes[gid] = protocol.COMMITTED if ok else protocol.ABORTED
+        self._note_outcomes({gid: protocol.COMMITTED if ok else protocol.ABORTED})
         self.view_gate.notify_all()  # an in-doubt inquiry may be waiting
         if not ok:
             self.commit_gate.notify_all()  # session-consistency waiters
@@ -967,76 +798,47 @@ class MiddlewareReplica:
             return None, None
         now = self.sim.now
         status = "ok" if ok else "aborted"
-        if sender == self.name:
-            gcs_span = self._gcs_spans.pop(gid, None)
+        home = sender == self.name
+        if home:
+            span = self._gcs_spans.pop(gid, None)
             parent = ctx.root_id
-            if sent_at is not None and gcs_span is not None:
-                self.tracer.record(
-                    "gcs_sequencing", gid, start=sent_at, end=sequenced_at,
-                    parent=gcs_span.span_id, replica=self.name,
-                )
-                self.tracer.record(
-                    "gcs_fanout", gid, start=sequenced_at, end=now,
-                    parent=gcs_span.span_id, replica=self.name,
-                )
-            self.tracer.record(
-                "certify", gid, start=now, parent=parent,
-                replica=self.name, status=status, outcome=status,
+        else:
+            span = self.tracer.start(
+                "deliver", gid, link=ctx.span_id, replica=self.name,
+                start=sent_at if sent_at is not None else now, sender=sender,
             )
-            if gcs_span is not None:
-                self.tracer.finish(gcs_span, status=status)
-            if not ok or parent is None:
-                return None, None
-            return TraceContext(gid, parent, root_id=parent), None
-        deliver = self.tracer.start(
-            "deliver", gid, link=ctx.span_id, replica=self.name,
-            start=sent_at if sent_at is not None else now, sender=sender,
-        )
-        if sent_at is not None:
+            parent = span.span_id
+        if sent_at is not None and span is not None:
             self.tracer.record(
                 "gcs_sequencing", gid, start=sent_at, end=sequenced_at,
-                parent=deliver.span_id, replica=self.name,
+                parent=span.span_id, replica=self.name,
             )
             self.tracer.record(
                 "gcs_fanout", gid, start=sequenced_at, end=now,
-                parent=deliver.span_id, replica=self.name,
+                parent=span.span_id, replica=self.name,
             )
         self.tracer.record(
-            "certify", gid, start=now, parent=deliver.span_id,
+            "certify", gid, start=now, parent=parent,
             replica=self.name, status=status, outcome=status,
         )
-        if not ok:
-            self.tracer.finish(deliver, status="aborted")
+        if span is not None and (home or not ok):
+            self.tracer.finish(span, status=status)
+        if not ok or parent is None:
             return None, None
-        return TraceContext(gid, deliver.span_id, root_id=deliver.span_id), deliver
+        return TraceContext(gid, parent, root_id=parent), (None if home else span)
 
-    def _on_writeset(self, message: Message) -> None:
-        entry, waiter = self._certify_writeset(
-            message.payload,
-            sent_at=message.sent_at,
-            sequenced_at=message.sequenced_at,
-        )
-        self._fold_cert_floor()
-        if entry is None:
-            return
-        self.manager.enqueue(entry)
-        if waiter is not None:
-            outcome = (
-                protocol.SALVAGED if entry.record.salvaged else protocol.COMMITTED
-            )
-            waiter.resolve((outcome, entry))
+    def _on_writesets(self, messages, batched: bool) -> None:
+        """Fig. 4 step II for one delivery, a message or a batch: certify
+        each writeset in order, end the delivery for the GC floor,
+        enqueue the passes in one step, then wake their local waiters.
 
-    def _on_batch(self, batch: Batch) -> None:
-        """Validate a delivered batch as an ordered unit and enqueue the
-        surviving entries in one step.
-
-        Validation decisions are exactly those of one-at-a-time delivery
-        of the same messages in the same order; only the queue insertion,
-        the hole registrations, and the committer wakeup are amortised.
+        Decisions are exactly those of one-at-a-time delivery of the same
+        messages in the same order; a batch amortises only the queue
+        insertion, the hole registrations and the committer wakeup.
         """
         entries: list[Entry] = []
         pending: list[tuple[OneShot, Entry]] = []
-        for message in batch.entries:
+        for message in messages:
             assert message.payload.kind == protocol.WS  # only writesets are batchable
             entry, waiter = self._certify_writeset(
                 message.payload,
@@ -1048,8 +850,14 @@ class MiddlewareReplica:
             entries.append(entry)
             if waiter is not None:
                 pending.append((waiter, entry))
-        self._fold_cert_floor()
-        self.manager.enqueue_batch(entries)
+        swept = self.gc_floor.end_delivery(self.certifier)
+        if swept:
+            self._count("validation.gc_swept", swept)
+        if batched:
+            self.manager.enqueue_batch(entries)
+        elif entries:
+            # one message is not a batch: the queue counts batch ingestions
+            self.manager.enqueue(entries[0])
         for waiter, entry in pending:
             outcome = (
                 protocol.SALVAGED if entry.record.salvaged else protocol.COMMITTED
@@ -1065,7 +873,7 @@ class MiddlewareReplica:
         if self.wslog is not None:
             record = LogRecord.ddl(self.wslog.next_seq, sql)
             self.wslog.append(record)
-            self._mark_applied(record.seq)
+            self._applied.mark(record.seq)
             self._flush_gate.notify_all()
         if payload.sender == self.name:
             waiter = self._ddl_pending.pop(payload.ddl_id, None)
@@ -1191,7 +999,7 @@ class MiddlewareReplica:
         yield from ()
         self.db.abort(txn)
         self.stats_aborts += 1
-        self.outcomes[txn.gid] = protocol.ABORTED
+        self._note_outcomes({txn.gid: protocol.ABORTED})
         self._count("validation.local_abort")
         if root_span is not None:
             self.tracer.record(
@@ -1294,12 +1102,12 @@ class MiddlewareReplica:
             ctx = TraceContext(
                 txn.gid, gcs_span.span_id, root_id=root_span.span_id
             )
-        self._ws_sends += 1
+        scount, acked = self.gc_floor.stamp()
         self.member.multicast(
             protocol.WritesetMessage(
                 gid=txn.gid, writeset=writeset, cert=cert, sender=self.name,
                 ctx=ctx, readset=dependent, blind=blind, rehome=rehome,
-                scount=self._ws_sends, acked=self._ws_acked,
+                scount=scount, acked=acked,
             ),
             batchable=True,
         )

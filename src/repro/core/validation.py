@@ -13,6 +13,7 @@ identical to scanning ``ws_list`` but O(|WS|) per validation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Optional
 
@@ -68,10 +69,9 @@ class Certifier:
         self.salvaged = 0
         self.salvage_rejects = 0
         #: window-GC truncation point: every certificate this instance
-        #: will ever be asked to decide is >= floor (the caller proves
-        #: it — see srca_rep's delivered-cert floor), so last-writer
-        #: entries with tid <= floor can never satisfy ``tid > cert``
-        #: again and :meth:`collect` prunes them
+        #: will ever be asked to decide is >= floor (:class:`GcFloor`
+        #: proves it), so last-writer entries with tid <= floor can never
+        #: satisfy ``tid > cert`` again and :meth:`collect` prunes them
         self.floor = 0
         self.gc_runs = 0
         self.gc_collected = 0
@@ -202,8 +202,8 @@ class Certifier:
         """Prune last-writer entries with ``tid <= floor``.
 
         Sound iff every certificate still to be validated is >= ``floor``
-        (the caller's invariant): a pruned entry then can never satisfy
-        the conflict test ``tid > cert`` again, and its absence reads as
+        (what :class:`GcFloor` computes): a pruned entry then can never
+        satisfy the conflict test ``tid > cert`` again, and its absence reads as
         tid 0 — the same decision.  Tombstones are pruned in lockstep:
         salvage only consults ``_deleted`` for *conflicting* keys, whose
         last writer is by definition above the floor and hence retained.
@@ -249,3 +249,151 @@ class Certifier:
         other._last_writer = dict(other._last_writer)
         other._deleted = set(other._deleted)
         return other
+
+
+class Prefix:
+    """The contiguous prefix ``1..top`` of positive ints marked in any
+    order; marks that are not the next one wait in ``beyond``."""
+
+    def __init__(self, top: int = 0, beyond=()) -> None:
+        self.top = top
+        self.beyond = set(beyond)
+
+    def mark(self, n: int) -> None:
+        if n != self.top + 1:
+            self.beyond.add(n)
+            return
+        self.top = n
+        while self.top + 1 in self.beyond:
+            self.top += 1
+            self.beyond.discard(self.top)
+
+
+class GcFloor:
+    """The certifier-window GC floor of one replica: a tid at or below
+    every certificate any replica of the group will still be asked to
+    validate, which is what makes :meth:`Certifier.collect` sound.
+
+    Every writeset a replica multicasts carries its send counter
+    ``scount`` and its acked horizon ``acked`` (:meth:`stamp`): the
+    contiguous prefix of its own sends it has seen delivered back.  A
+    sender reads its certificate atomically with the multicast, so its
+    certificates are monotone in ``scount``; the sends at or below a
+    horizon are sequenced before the writeset carrying it, so every
+    writeset from that sender still in flight has ``scount`` above the
+    horizon and a certificate at least that of any delivered one at or
+    below it.  Folding only those certificates per sender keeps the
+    ``min`` over the current members a lower bound on every in-flight
+    certificate.  Certificates above the horizon wait (bounded by the
+    sender's in-flight traffic).  Staging per writeset and folding at
+    the end of each delivery keeps the sequencer's in-batch reorder
+    invisible.
+
+    Durable replicas also cap the floor at the highest tid whose log
+    record is cluster-stable, so a checkpointed window never outruns
+    what the stability watermark has confirmed a rejoiner can rebuild.
+    """
+
+    #: deliveries between collect sweeps (the same delivery positions
+    #: at every replica); a sweep is pure dict work with no sim events,
+    #: so the cadence only amortises its cost
+    every = 64
+
+    def __init__(self, name: str, stability=None) -> None:
+        self.name = name
+        #: the cluster's StabilityTracker when the replica logs, else None
+        self.stability = stability
+        #: current membership, from delivered (totally ordered) views
+        self.members: set[str] = set()
+        #: (sender, cert, scount, acked) of this delivery's writesets
+        self._stage: list[tuple[str, int, int, int]] = []
+        #: sender -> delivered (scount, cert) above its acked horizon
+        self._pending: dict[str, list[tuple[int, int]]] = {}
+        #: sender -> highest acked horizon seen from it
+        self._acked: dict[str, int] = {}
+        #: sender -> max certificate delivered at or below its horizon
+        self._floors: dict[str, int] = {}
+        self._sends = 0
+        self._own = Prefix()
+        #: (log seq, tid) of logged passes not yet cluster-stable
+        self._tid_by_seq: deque[tuple[int, int]] = deque()
+        self._stable_tid = 0
+        self._since = 0
+
+    def stamp(self) -> tuple[int, int]:
+        """``(scount, acked)`` for the next outgoing writeset."""
+        self._sends += 1
+        return self._sends, self._own.top
+
+    def stage(self, payload, logged=None) -> None:
+        """Stage a delivered writeset's ORIGINAL certificate (salvage may
+        refresh the record's later) and, when ``logged`` (its log
+        record) is given, its tid for the durable cap."""
+        if payload.scount:
+            self._stage.append(
+                (payload.sender, payload.cert, payload.scount, payload.acked)
+            )
+            if payload.sender == self.name:
+                self._own.mark(payload.scount)
+        if logged is not None and self.stability is not None:
+            self._tid_by_seq.append((logged.seq, logged.tid))
+
+    def note_view(self, members) -> None:
+        """Fold only over current members.  A crashed member's sequenced
+        traffic was delivered before this view, and its unsequenced
+        traffic died with it; a joiner (or a fresh incarnation, whose
+        send counter restarts) pins the floor at 0 until its own
+        writesets fold: GC pauses, decisions are unaffected."""
+        previous, self.members = self.members, set(members)
+        for sender in previous.symmetric_difference(self.members):
+            self._pending.pop(sender, None)
+            self._acked.pop(sender, None)
+            self._floors.pop(sender, None)
+
+    def end_delivery(self, certifier: Certifier) -> int:
+        """Fold the delivery's staged certificates; every ``every``
+        deliveries, collect ``certifier`` up to the floor.  Returns the
+        number of keys swept."""
+        if self._stage:
+            self._fold()
+        self._since += 1
+        if self._since < self.every:
+            return 0
+        self._since = 0
+        floor = self.floor()
+        if floor <= certifier.floor:
+            return 0
+        return certifier.collect(floor)
+
+    def _fold(self) -> None:
+        for sender, cert, scount, acked in self._stage:
+            self._pending.setdefault(sender, []).append((scount, cert))
+            if acked > self._acked.get(sender, 0):
+                self._acked[sender] = acked
+        self._stage.clear()
+        for sender, pending in self._pending.items():
+            horizon = self._acked.get(sender, 0)
+            if not pending or min(s for s, _c in pending) > horizon:
+                continue
+            floor = self._floors.get(sender, 0)
+            keep = []
+            for scount, cert in pending:
+                if scount > horizon:
+                    keep.append((scount, cert))
+                elif cert > floor:
+                    floor = cert
+            keep.sort()
+            self._pending[sender] = keep
+            self._floors[sender] = floor
+
+    def floor(self) -> int:
+        """The tid below which no in-flight certificate can sit."""
+        if not self.members:
+            return 0
+        floor = min(self._floors.get(m, 0) for m in self.members)
+        if self.stability is not None:
+            stable = self.stability.stable_seq()
+            while self._tid_by_seq and self._tid_by_seq[0][0] <= stable:
+                self._stable_tid = self._tid_by_seq.popleft()[1]
+            floor = min(floor, self._stable_tid)
+        return floor

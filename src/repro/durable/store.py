@@ -30,7 +30,7 @@ class DurabilityConfig:
     #: simulated seconds between automatic checkpoints, each followed by
     #: a log truncation sweep (None = never: the log keeps every record)
     checkpoint_interval: Optional[float] = None
-    #: conservative | aggressive | none — see repro.durable.watermark
+    #: conservative | aggressive — see repro.durable.watermark
     truncation: str = CONSERVATIVE
     #: records per log segment (truncation granularity)
     segment_records: int = 256

@@ -12,16 +12,16 @@ watermark — the records above it are exactly what the member will ask
 for when it rejoins, so survivors must retain them.  ``aggressive``
 drops the member from the minimum (reclaiming space immediately) and
 relies on checkpoints to serve rejoiners whose delta was truncated away.
-``none`` disables truncation entirely (the watermark stays 0).
+A log that must keep every record takes no checkpoints: truncation runs
+only right after one.
 """
 
 from __future__ import annotations
 
 CONSERVATIVE = "conservative"
 AGGRESSIVE = "aggressive"
-NONE = "none"
 
-POLICIES = (CONSERVATIVE, AGGRESSIVE, NONE)
+POLICIES = (CONSERVATIVE, AGGRESSIVE)
 
 
 class StabilityTracker:
@@ -55,8 +55,6 @@ class StabilityTracker:
             self.pinned[member] = last
 
     def stable_seq(self) -> int:
-        """Highest seq safe to truncate (0 when unknown or disabled)."""
-        if self.policy == NONE:
-            return 0
+        """Highest seq safe to truncate (0 when unknown)."""
         floors = list(self.acks.values()) + list(self.pinned.values())
         return min(floors) if floors else 0

@@ -4,8 +4,8 @@ The SI-Rep protocol code (``core/srca_rep.py``, ``core/replica.py``,
 ``gcs/``, ``net/``, ``durable/``, ``reader/``) never touches scheduler
 internals.  Everything it needs from "the kernel" is the narrow surface
 captured by :class:`Runtime` below: spawn / sleep / now, the FIFO sync
-primitives from :mod:`repro.sim.sync` (``Queue``, ``Event``, ``Mutex``,
-``Gate``, ``OneShot``), channel send/recv with FIFO-then-break crash
+primitives from :mod:`repro.sim.sync` (``Queue``, ``Event``, ``Gate``,
+``OneShot``), channel send/recv with FIFO-then-break crash
 semantics, and timer scheduling (``call_at`` / ``_schedule`` with
 strong/weak accounting).  Any object implementing this surface can run
 the whole protocol:

@@ -16,20 +16,18 @@ Inside a coroutine::
 
     yield sim.sleep(0.5)           # advance virtual time
     yield event.wait()             # block on an Event
-    yield mutex.acquire(); ...; mutex.release()
     item = yield queue.get()
     yield from resource.use(0.002) # hold a FIFO service centre
 """
 
 from repro.sim.kernel import Process, Simulator
 from repro.sim.resources import Resource
-from repro.sim.sync import Event, Gate, Mutex, Queue, wait_until
+from repro.sim.sync import Event, Gate, Queue, wait_until
 
 __all__ = [
     "Simulator",
     "Process",
     "Event",
-    "Mutex",
     "Queue",
     "Gate",
     "wait_until",

@@ -82,76 +82,6 @@ class _EventWait:
             pass
 
 
-class Mutex:
-    """A FIFO mutual-exclusion lock.
-
-    Mirrors the paper's ``wsmutex``/``dbmutex``: short critical sections in
-    the middleware.  Not reentrant; release() may be called by any process
-    (the middleware algorithms hand work between steps).
-    """
-
-    __slots__ = ("_locked", "_waiters", "name")
-
-    def __init__(self, name: str = "mutex"):
-        self._locked = False
-        self._waiters: Deque[Process] = deque()
-        self.name = name
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> "_MutexAcquire":
-        return _MutexAcquire(self)
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"release of unlocked mutex {self.name!r}")
-        if self._waiters:
-            process = self._waiters.popleft()
-            process._schedule_resume(None)
-        else:
-            self._locked = False
-
-    def holding(self) -> Generator[Any, Any, "_MutexContext"]:
-        """``with (yield from mutex.holding()):`` style helper."""
-        yield self.acquire()
-        return _MutexContext(self)
-
-
-class _MutexContext:
-    __slots__ = ("_mutex",)
-
-    def __init__(self, mutex: Mutex):
-        self._mutex = mutex
-
-    def __enter__(self) -> Mutex:
-        return self._mutex
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._mutex.release()
-
-
-class _MutexAcquire:
-    __slots__ = ("mutex",)
-
-    def __init__(self, mutex: Mutex):
-        self.mutex = mutex
-
-    def _block(self, process: Process) -> None:
-        if not self.mutex._locked:
-            self.mutex._locked = True
-            process._schedule_resume(None)
-        else:
-            self.mutex._waiters.append(process)
-
-    def _cancel(self, process: Process) -> None:
-        try:
-            self.mutex._waiters.remove(process)
-        except ValueError:
-            pass
-
-
 class Queue:
     """Unbounded FIFO queue: ``put`` never blocks, ``get`` is awaitable.
 

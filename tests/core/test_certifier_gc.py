@@ -162,7 +162,7 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(keys)])
     if not gc:
         for replica in cluster.replicas:
-            replica._gc_every = 10**9  # never sweep
+            replica.gc_floor.every = 10**9  # never sweep
     sim = cluster.sim
     driver = Driver(cluster.network, cluster.discovery)
     samples = []
@@ -201,7 +201,7 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
 
 def test_certifier_window_plateaus_under_key_churn():
     """With the delivered-cert floor active the last-writer map tracks
-    the sweep cadence (a sawtooth bounded by ``_gc_every`` deliveries),
+    the sweep cadence (a sawtooth bounded by ``GcFloor.every`` deliveries),
     not the distinct keys ever written: 600 updates churn through all
     240 keys, yet the window never reaches the key cardinality and is
     swept back down between peaks."""
@@ -225,6 +225,44 @@ def test_certifier_window_plateaus_under_key_churn():
     assert per_replica["certifier_gc_floor"] == r0.floor
     assert per_replica["certifier_gc_collected"] == r0.gc_collected
     assert per_replica["certifier_floor_aborts"] == 0
+
+
+#: (floor, gc_runs, gc_collected, window_size, floor_aborts) per replica
+#: at the end of each churn run, and replica 0's sampled window size
+_PINNED = {
+    "crash-recover": (
+        {"R0": (72, 1, 72, 197, 0), "R1": (72, 1, 72, 197, 0),
+         "R2": (0, 0, 0, 239, 0)},
+        [9, 18, 27, 36, 45, 54, 63, 72, 78, 84, 90, 96, 102, 108, 114, 120,
+         126, 132, 140, 77, 86, 95, 104, 113, 122, 131, 140, 149, 161, 168,
+         171, 174, 177, 180, 183, 186, 189, 191, 194] + [197] * 60,
+    ),
+    "churn": (
+        {name: (570, 3, 570, 30, 0) for name in ("R0", "R1", "R2")},
+        [9 * i for i in range(1, 22)]
+        + [12 + 9 * i for i in range(21)]
+        + [9, 18, 27, 36] + [48 + 9 * i for i in range(17)]
+        + [9, 18, 27] + [30] * 60,
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED))
+def test_gc_trajectory_is_pinned(run):
+    """The floor, its sweeps and the window it leaves are exact: a
+    refactor of the floor's bookkeeping must not move any of them."""
+    if run == "churn":
+        cluster, samples = _run_churn_cluster(txns_per_client=200)
+    else:
+        cluster, samples = _run_churn_cluster(crash_recover=True)
+    finals, window = _PINNED[run]
+    assert {
+        r.name: (r.certifier.floor, r.certifier.gc_runs,
+                 r.certifier.gc_collected, r.certifier.window_size,
+                 r.certifier.floor_aborts)
+        for r in cluster.replicas
+    } == finals
+    assert samples == window
 
 
 def test_gc_is_decision_invisible_with_crash_and_recovery():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.durable import StabilityTracker
-from repro.durable.watermark import AGGRESSIVE, CONSERVATIVE, NONE
+from repro.durable import DurabilityConfig, StabilityTracker
+from repro.durable.watermark import AGGRESSIVE, CONSERVATIVE, POLICIES
 
 
 def test_stable_seq_is_min_over_members():
@@ -58,13 +58,6 @@ def test_aggressive_policy_forgets_crashed_member():
     assert tracker.stable_seq() == 10  # survivors only
 
 
-def test_none_policy_never_advances():
-    tracker = StabilityTracker(NONE)
-    tracker.register("R0")
-    tracker.ack("R0", 100)
-    assert tracker.stable_seq() == 0
-
-
 def test_register_max_merges_prior_state():
     tracker = StabilityTracker(CONSERVATIVE)
     tracker.register("R0", 7)
@@ -75,3 +68,13 @@ def test_register_max_merges_prior_state():
 def test_bad_policy_rejected():
     with pytest.raises(ValueError):
         StabilityTracker("yolo")
+
+
+def test_durability_config_takes_exactly_two_policies():
+    """A log that keeps every record takes no checkpoints; there is no
+    policy that disables truncation."""
+    assert POLICIES == (CONSERVATIVE, AGGRESSIVE)
+    for policy in POLICIES:
+        assert DurabilityConfig(truncation=policy).truncation == policy
+    with pytest.raises(ValueError):
+        DurabilityConfig(truncation="none")

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.bench.costs import MicroCost
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core import protocol
-from repro.errors import CertificationAborted
+from repro.errors import CertificationAborted, TransactionAborted
 
 
 def make_cluster(n=2, seed=1):
@@ -140,3 +141,39 @@ def test_statistics_counters():
     assert replica.stats_commits == 1
     assert cluster.total_commits() == 2
     assert cluster.total_certification_aborts() == 0
+
+
+def test_outcome_table_stays_within_its_cap():
+    """Regression: only global validation evicted, so local-validation
+    aborts (and replayed or transferred outcomes) grew the in-doubt
+    outcome table past ``outcomes_cap``."""
+    cluster = SIRepCluster(ClusterConfig(
+        n_replicas=2, seed=1, cost_model=lambda _index: MicroCost(),
+    ))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in (1, 2)])
+    driver = Driver(cluster.network, cluster.discovery)
+    for replica in cluster.replicas:
+        replica.outcomes_cap = 5
+    sim = cluster.sim
+
+    def client(cid):
+        conn = yield from driver.connect(
+            cluster.new_client_host(), address=f"R{cid % 2}"
+        )
+        for i in range(10):
+            try:
+                yield from conn.execute(
+                    "UPDATE kv SET v = ? WHERE k = ?", (i, 1 + i % 2)
+                )
+                yield from conn.commit()
+            except TransactionAborted:
+                pass
+
+    for cid in range(8):
+        sim.spawn(client(cid), name=f"c{cid}")
+    sim.run()
+    local_aborts = sum(r.stats_aborts for r in cluster.replicas)
+    assert local_aborts > 5  # the scenario does reach local validation
+    for replica in cluster.replicas:
+        assert len(replica.outcomes) <= replica.outcomes_cap

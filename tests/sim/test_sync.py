@@ -1,9 +1,9 @@
-"""Unit tests for Event / Mutex / Queue / Gate / OneShot."""
+"""Unit tests for Event / Queue / Gate / OneShot."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Event, Gate, Mutex, Queue, Simulator, wait_until
+from repro.sim import Event, Gate, Queue, Simulator, wait_until
 from repro.sim.sync import OneShot
 
 
@@ -71,68 +71,6 @@ def test_event_clear_resets():
     from repro.errors import SimulationStalled
     with pytest.raises(SimulationStalled):
         sim.run_process(stuck())
-
-
-# -- Mutex -------------------------------------------------------------------
-
-def test_mutex_mutual_exclusion_and_fifo():
-    sim = Simulator()
-    mutex = Mutex()
-    log = []
-
-    def critical(name, hold):
-        yield mutex.acquire()
-        log.append(("enter", name, sim.now))
-        yield sim.sleep(hold)
-        log.append(("exit", name, sim.now))
-        mutex.release()
-
-    sim.spawn(critical("a", 2.0), name="a")
-    sim.spawn(critical("b", 1.0), name="b")
-    sim.spawn(critical("c", 1.0), name="c")
-    sim.run()
-    assert log == [
-        ("enter", "a", 0.0),
-        ("exit", "a", 2.0),
-        ("enter", "b", 2.0),
-        ("exit", "b", 3.0),
-        ("enter", "c", 3.0),
-        ("exit", "c", 4.0),
-    ]
-
-
-def test_mutex_release_unlocked_raises():
-    mutex = Mutex("m")
-    with pytest.raises(SimulationError):
-        mutex.release()
-
-
-def test_mutex_holding_context_manager():
-    sim = Simulator()
-    mutex = Mutex()
-
-    def proc():
-        with (yield from mutex.holding()):
-            assert mutex.locked
-            yield sim.sleep(1.0)
-        return mutex.locked
-
-    assert sim.run_process(proc()) is False
-
-
-def test_mutex_holding_releases_on_exception():
-    sim = Simulator()
-    mutex = Mutex()
-
-    def proc():
-        try:
-            with (yield from mutex.holding()):
-                raise RuntimeError("inside")
-        except RuntimeError:
-            pass
-        return mutex.locked
-
-    assert sim.run_process(proc()) is False
 
 
 # -- Queue -------------------------------------------------------------------
