@@ -388,7 +388,7 @@ class SIRepCluster:
             max_sessions=cfg.max_sessions,
             obs=self.obs,
             durable=durable,
-            recovery_mode=mode or ("delta" if durable is not None else "full"),
+            recovery_mode=mode,
             cold_start=self._cold_start and recover_from is None,
             on_recovered=self._on_replica_recovered,
             feed=self.feed,
@@ -665,7 +665,8 @@ class SIRepCluster:
         for sql in ddl_statements:
             for node, replica in zip(self.nodes, self.replicas):
                 node.db.run_ddl(sql)
-                replica.log_genesis(partial(LogRecord.ddl, sql=sql, genesis=True))
+                if replica.log is not None:
+                    replica.log.genesis(partial(LogRecord.ddl, sql=sql, genesis=True))
             for reader in self.readers:
                 # genesis never rides the feed: readers get it directly
                 reader.db.run_ddl(sql)
@@ -678,7 +679,8 @@ class SIRepCluster:
         with collector_paused():
             for node, replica in zip(self.nodes, self.replicas):
                 node.db.bulk_load(table, rows)
-                replica.log_genesis(genesis)
+                if replica.log is not None:
+                    replica.log.genesis(genesis)
             for reader in self.readers:
                 reader.db.bulk_load(table, rows)
 
@@ -769,10 +771,11 @@ class SIRepCluster:
         newest checkpoint) and the donor ships only the log records
         above the rejoiner's durable position — transfer proportional to
         downtime, and the history stays auditable.  ``mode="full"`` (the
-        only mode without durability) ships the donor's entire committed
-        state captured atomically at the sync point.  The donor defaults
-        to the alive replica with the highest durable log / shallowest
-        queue; ``donor_index`` overrides.
+        only mode without durability, and the one a rejoiner whose own
+        state cannot replay falls back to) ships the donor's entire
+        committed state captured atomically at the sync point.  The
+        donor defaults to the alive replica with the highest durable log
+        / shallowest queue; ``donor_index`` overrides.
         """
         old = self.replicas[index]
         if old.alive:
@@ -841,26 +844,30 @@ class SIRepCluster:
 
         Each replica replays its own checkpoint + log; replicas whose
         log ends early (their tail died with them) catch up from the
-        longest log before traffic starts.  Do NOT re-run
-        ``load_schema``/``bulk_load`` — genesis records replay them.
+        longest log before traffic starts, and a replica whose own
+        state cannot replay installs that replica's full state.  Do NOT
+        re-run ``load_schema``/``bulk_load`` — genesis records replay
+        them.
         """
         cluster = cls(config, durability=durability, cold_start=True, **kwargs)
         cluster._level_after_cold_restart()
         return cluster
 
     def _level_after_cold_restart(self) -> None:
-        """Post-cold-start leveling: bring short-logged replicas up to
-        the longest log, then admit everyone to watermark + audits."""
+        """Post-cold-start leveling: bring every replica up to the
+        longest log that can replay — a short log catches up from it, a
+        replica whose own state cannot replay installs its full state, as
+        a reader's snapshot join does — then admit everyone to watermark
+        + audits."""
         best = max(
-            self.replicas,
-            key=lambda r: r.wslog.tip_seq if r.wslog is not None else 0,
+            (r for r in self.replicas if r.log.can_replay()),
+            key=lambda r: r.wslog.tip_seq,
         )
-        if best.wslog is not None:
-            for replica in self.replicas:
-                if replica.wslog.tip_seq < best.wslog.tip_seq:
-                    replica.catch_up(
-                        best.wslog.records_after(replica.wslog.tip_seq)
-                    )
+        for replica in self.replicas:
+            if not replica.log.can_replay():
+                replica.recovery_stats = replica._install_state(best.full_state())
+            elif replica.wslog.tip_seq < best.wslog.tip_seq:
+                replica.log.catch_up(best.wslog.records_after(replica.wslog.tip_seq))
         for replica in self.replicas:
             self._admit(replica)
         # readers restart empty (no durable log of their own): bootstrap
@@ -993,11 +1000,7 @@ class SIRepCluster:
                     "log_flushes": replica.wslog.flushes,
                     "log_fsyncs": replica.wslog.fsyncs,
                     "log_file_opens": replica.wslog.opens,
-                    "checkpoints": (
-                        replica.checkpoints.saved
-                        if replica.checkpoints is not None
-                        else 0
-                    ),
+                    "checkpoints": replica.log.checkpoints.saved,
                 })
             if replica.recovery_stats:
                 per_replica[replica.name]["recovery"] = dict(

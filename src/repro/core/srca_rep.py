@@ -15,12 +15,12 @@ import itertools
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
+from repro.core.recovery import ReplicaLog
 from repro.core.replica import ReplicaManager, ReplicaNode
 from repro.core.session import Session, accept_loop, session_loop
 from repro.core.tocommit import Entry
-from repro.core.validation import Certifier, GcFloor, Prefix
+from repro.core.validation import Certifier, GcFloor
 from repro.durable import log as durable_log
-from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
 from repro.durable.store import ReplicaDurability
 from repro.errors import CertificationAborted
@@ -50,7 +50,7 @@ class MiddlewareReplica:
         max_sessions: Optional[int] = None,
         obs: Optional[Observability] = None,
         durable: Optional[ReplicaDurability] = None,
-        recovery_mode: str = "delta",
+        recovery_mode: Optional[str] = None,
         cold_start: bool = False,
         on_recovered=None,
         feed=None,
@@ -119,11 +119,6 @@ class MiddlewareReplica:
         #: feed attached, so state transfers stay aligned cluster-wide
         self.feed = feed
         self.feed_seq = 0
-        # ----- durability (repro.durable): writeset log + checkpoints -----
-        self.durable = durable
-        self.wslog = durable.log if durable is not None else None
-        self.checkpoints = durable.checkpoints if durable is not None else None
-        self.recovery_mode = recovery_mode
         self.on_recovered = on_recovered
         #: (gid, writeset keys) of log records replayed into this engine;
         #: the cluster synthesizes audit prefix events from these
@@ -132,13 +127,13 @@ class MiddlewareReplica:
         #: (its prefix is then row images, not replayable transactions)
         self.audit_complete = True
         self.recovery_stats: dict[str, Any] = {}
-        #: contiguous prefix of log records whose effects are installed
-        #: locally (checkpoints snapshot at its top); entries commit out
-        #: of log order when non-conflicting
-        self._applied = Prefix()
-        self._seq_of_gid: dict[str, int] = {}
-        self._flush_gate = Gate(name=f"{name}.log-flush")
-        self._from_seq = 0
+        #: the log side (repro.durable's writeset log + checkpoints), only
+        #: when this replica logs; a recovery asks for a delta unless
+        #: ``recovery_mode`` is "full" or our own state cannot replay
+        self.log = (
+            ReplicaLog(self, durable, recovery_mode) if durable is not None else None
+        )
+        self.wslog = durable.log if durable is not None else None
         self._processes = [
             sim.spawn(self._deliver_loop(), name=f"{name}.deliver", daemon=True),
             sim.spawn(self._accept_loop(), name=f"{name}.accept", daemon=True),
@@ -151,34 +146,25 @@ class MiddlewareReplica:
             if interval is not None:
                 self._processes.append(
                     sim.spawn(
-                        self._checkpoint_loop(interval),
+                        self.log.checkpoint_loop(interval),
                         name=f"{name}.checkpointer", daemon=True,
                     )
                 )
         if recover_from is None:
-            if cold_start and self.wslog is not None:
-                self.wslog.drop_tail()
-                from_seq = self._replay_local()
-                self.recovery_stats = {
-                    "mode": "cold",
-                    "records": len(self.replayed),
-                    "checkpoint": from_seq > 0,
-                }
+            if cold_start and self.log is not None:
+                self.log.cold_start()
             if discovery is not None:
                 discovery.register(host.address, accepts_load=self._accepts_load)
         else:
             # ask the donor for a consistent state at a total-order point;
             # discovery registration happens once the state is installed.
-            # Delta mode reports how far our own durable log reaches — the
-            # donor ships only the records after it; the local replay up
-            # to that point is deferred until the transfer arrives.
-            if self.wslog is not None and recovery_mode == "delta":
-                self._from_seq = self.wslog.tip_seq
+            # A delta request reports how far our own durable log reaches —
+            # the donor ships only the records after it; the local replay
+            # up to that point is deferred until the transfer arrives.
             member.multicast(self._sync_payload(recover_from))
 
     def _sync_payload(self, donor: str) -> protocol.SyncMessage:
-        delta = self.wslog is not None and self.recovery_mode == "delta"
-        from_seq = self._from_seq if delta else None
+        from_seq = self.log.sync_from() if self.log is not None else None
         return protocol.SyncMessage(target=self.name, donor=donor, from_seq=from_seq)
 
     def _accepts_load(self) -> bool:
@@ -191,10 +177,8 @@ class MiddlewareReplica:
     def _note_local_commit(self, entry: Entry) -> None:
         self.committed_gids.add(entry.gid)
         self.commit_gate.notify_all()
-        if self.wslog is not None:
-            seq = self._seq_of_gid.pop(entry.gid, None)
-            if seq is not None:
-                self._applied.mark(seq)
+        if self.log is not None:
+            self.log.committed(entry.gid)
 
     def _note_outcomes(self, outcomes: dict[str, str]) -> None:
         """Record decided outcomes, evicting the oldest (dicts keep
@@ -206,170 +190,21 @@ class MiddlewareReplica:
 
     # ------------------------------------------------------------- durability
 
-    def _charge_disk(self, seconds: float) -> Generator[Any, Any, None]:
-        if self.node.disk is not None and seconds > 0:
-            yield from self.node.disk.use(seconds)
-
     def _log_flusher(self) -> Generator[Any, Any, None]:
-        """Make appended log records durable, group-commit style: one
-        disk charge, and on disk one ``write`` + one ``fsync``, per run
-        of records staged when the flush starts.
+        """The log's group flush (:meth:`ReplicaLog.flush_loop`), run as
+        this replica's ``log-flush`` process."""
+        yield from self.log.flush_loop()
 
-        Off the reply path: a commit is acknowledged once certified, and
-        durability travels as the ``durable_seq`` watermark on our next
-        multicast.  The ``fsync`` runs through ``sim.run_blocking`` (the
-        wall runtime's I/O thread), so it does not stall the loop that
-        every other replica and client shares; ``durable_seq`` advances
-        only once it returns.  A failing force kills this process, which
-        is not a daemon, so the run aborts instead of going on without
-        durability.
-        """
-        while True:
-            yield from wait_until(self._flush_gate, lambda: bool(self.wslog.tail))
-            flushed = yield from self.wslog.flush(
-                self._charge_disk, self.sim.run_blocking
-            )
-            if flushed and self.member.alive:
-                # the ack piggybacks on our next multicast and feeds the
-                # stability watermark that gates log truncation
-                self.member.ack_durable(self.wslog.durable_seq)
-                self._count("durable.log_flushes")
-
-    def _checkpoint_loop(self, interval: float) -> Generator[Any, Any, None]:
-        """Checkpoint every ``interval``, then truncate the log.
-        Truncation never passes the newest checkpoint, so it needs no
-        timer of its own; segments the stability watermark frees later
-        go on the next tick."""
-        while True:
-            yield self.sim.sleep(interval, weak=True)
-            self.take_checkpoint()
-            self._truncate_once()
-
-    def take_checkpoint(self) -> Optional[Checkpoint]:
-        """Snapshot the engine at the applied log prefix (atomic)."""
-        if self.wslog is None or self.checkpoints is None:
-            return None
-        checkpoint = Checkpoint.capture(
-            seq=self._applied.top,
-            cert_seq=self.wslog.tip_seq,
-            applied_beyond=self._applied.beyond,
-            csn=self.db.csn,
-            ddl=self.db.ddl_log,
-            rows=self.db.export_committed(),
-            certifier=self.certifier,
-            outcomes=self.outcomes,
-            feed_seq=self.feed_seq,
-        )
-        self.checkpoints.save(checkpoint)
-        self._emit(
-            "checkpoint",
-            seq=checkpoint.seq,
-            csn=checkpoint.csn,
-            nbytes=checkpoint.nbytes,
-        )
-        self._count("durable.checkpoints")
-        return checkpoint
-
-    def _truncate_once(self) -> int:
-        """GC log segments below the stability watermark.
-
-        Capped at our own latest checkpoint: records above it are what a
-        local replay (cold start, delta recovery) rebuilds from, so they
-        stay even when cluster-stable.  No checkpoint -> no truncation.
-        """
-        tracker = self.gc_floor.stability  # None unless this replica logs
-        if tracker is None:
-            return 0
-        checkpoint = self.checkpoints.latest() if self.checkpoints else None
-        if checkpoint is None:
-            return 0
-        floor = min(tracker.stable_seq(), checkpoint.seq)
-        dropped = self.wslog.truncate_to(floor)
-        if dropped:
-            self._emit("log_truncated", floor=floor, dropped=dropped)
-            self._count("durable.truncated_records", dropped)
-        return dropped
-
-    def log_genesis(self, make_record) -> None:
-        """Record bootstrap schema or rows so the log is replayable from
-        seq 1; ``make_record(seq)`` builds the record at our next seq."""
-        if self.wslog is None:
-            return
-        record = make_record(self.wslog.next_seq)
-        self.wslog.append_durable(record)
-        self._applied.mark(record.seq)
-
-    def _restore_checkpoint(self, checkpoint: Checkpoint) -> tuple[int, frozenset]:
-        """Load a checkpoint into this (fresh) replica's engine and
-        certifier; replay continues from checkpoint.seq, with the
-        ``(cert_floor, skip_install)`` returned here."""
-        self.db.install_snapshot(checkpoint.ddl, checkpoint.rows, checkpoint.csn)
-        # the checkpointed window was pruned up to its floor; replayed
-        # records all sit above it (floor <= stable tid <= any logged
-        # suffix), so the restored state stays decision-identical
-        self.certifier = checkpoint.certifier(self.salvage)
-        self._note_outcomes(checkpoint.outcomes)
-        self._applied = Prefix(checkpoint.seq, checkpoint.applied_beyond)
-        self.feed_seq = checkpoint.feed_seq
+    def _restore(self, image, certifier: Certifier) -> None:
+        """The one restore of a state image, a checkpoint or a full state
+        transfer: engine rows and DDL, certifier, outcomes and feed
+        position.  Its history is row images, not transactions, so this
+        incarnation leaves the offline audit."""
+        self.db.install_snapshot(image.ddl, image.rows, image.csn)
+        self.certifier = certifier
+        self._note_outcomes(image.outcomes)
+        self.feed_seq = image.feed_seq
         self.audit_complete = False
-        return checkpoint.cert_seq, frozenset(checkpoint.applied_beyond)
-
-    def _replay_record(
-        self, record: LogRecord, cert_floor: int = 0,
-        skip_install: frozenset = frozenset(),
-    ) -> None:
-        """Re-apply one log record.
-
-        ``cert_floor`` is the log position the current certifier state
-        already covers (a restored checkpoint's cert_seq): records at or
-        below it skip the certifier/DDL transition.  ``skip_install``
-        lists ws seqs whose row images the checkpoint already contains.
-        """
-        if record.kind != durable_log.WS:
-            if record.seq > cert_floor:
-                record.install(self.db)
-                if record.kind == durable_log.DDL and not record.genesis:
-                    # replicated DDL occupies a feed position; replay
-                    # advances the counter silently (the survivors
-                    # already published the item)
-                    self.feed_seq += 1
-            self._applied.mark(record.seq)
-            return
-        if record.seq > cert_floor:
-            # the logged pass lands the certifier (tombstones included)
-            # in exactly the state it had at this seq
-            self.certifier.record_pass(record.tid, record.keys, record.ops)
-            self.feed_seq += 1
-        if record.seq not in skip_install:
-            record.install(self.db)
-        self.replayed.append((record.gid, record.keys))
-        self._note_outcomes({record.gid: protocol.COMMITTED})
-        self._applied.mark(record.seq)
-
-    def _replay_local(self) -> int:
-        """Rebuild from our own durable state: newest checkpoint (if any)
-        plus the log suffix above it.  Returns the replay start seq."""
-        checkpoint = self.checkpoints.latest() if self.checkpoints else None
-        start, cert_floor, skip = 0, 0, frozenset()
-        if checkpoint is not None:
-            cert_floor, skip = self._restore_checkpoint(checkpoint)
-            start = checkpoint.seq
-        for record in self.wslog.records_after(start):
-            self._replay_record(record, cert_floor=cert_floor, skip_install=skip)
-        return start
-
-    def catch_up(self, records) -> int:
-        """Append-and-replay records beyond our tip (cold-restart leveling
-        from a peer whose log reaches further).  Bootstrap path: records
-        go down write-through, like genesis records."""
-        applied = 0
-        for record in records:
-            if record.seq <= self.wslog.tip_seq:
-                continue
-            self.wslog.append_durable(record)
-            self._replay_record(record)
-            applied += 1
-        return applied
 
     # --------------------------------------------------------------- observability
 
@@ -439,6 +274,7 @@ class MiddlewareReplica:
         crash, marker, and state race in one ordered stream).
         """
         donor = self.recover_from
+        sync = self._sync_payload(donor)
         awaiting_state = False
         buffered: list[Message | Batch] = []
         phase_started = self.sim.now
@@ -446,7 +282,7 @@ class MiddlewareReplica:
         if self.tracer is not None:
             recovery_span = self.tracer.start(
                 "recovery", f"{self.gid_prefix}:recovery", replica=self.name,
-                mode=self.recovery_mode if self.wslog is not None else "full",
+                mode="full" if sync.from_seq is None else "delta",
                 donor=donor,
             )
         while True:
@@ -460,21 +296,16 @@ class MiddlewareReplica:
                             parent=recovery_span.span_id, replica=self.name,
                         )
                     if isinstance(item, protocol.DeltaTransfer):
-                        self._install_delta(item)
+                        self._finish_recovery(self.log.install_delta(item))
                     else:
-                        self._install_state(item)
+                        self._finish_recovery(self._install_state(item))
                     if recovery_span is not None:
                         self.tracer.record(
                             "state_apply", f"{self.gid_prefix}:recovery",
                             start=self.sim.now,
                             parent=recovery_span.span_id, replica=self.name,
                         )
-                        self.tracer.finish(
-                            recovery_span, donor=donor, **{
-                                k: v for k, v in self.recovery_stats.items()
-                                if isinstance(v, (int, float, str, bool))
-                            }
-                        )
+                        self.tracer.finish(recovery_span, **self.recovery_stats)
                     for buffered_item in buffered:
                         self._handle_item(buffered_item)
                     return
@@ -487,10 +318,10 @@ class MiddlewareReplica:
                         donor = candidates[0]
                         awaiting_state = False
                         buffered.clear()
-                        # the retarget keeps _from_seq: our durable log
+                        # the retarget keeps from_seq: our durable log
                         # position is unchanged, so the new donor ships
                         # the same delta the crashed one never finished
-                        self.member.multicast(self._sync_payload(donor))
+                        self.member.multicast(sync._replace(donor=donor))
                         self._emit("recovery_retarget", donor=donor)
                 continue
             if isinstance(item, Batch):
@@ -525,8 +356,8 @@ class MiddlewareReplica:
         target = sync.target
         if sync.donor != self.name or target == self.name:
             return
-        if sync.from_seq is not None and self.wslog is not None:
-            state = self._build_delta(sync.from_seq)
+        if sync.from_seq is not None:
+            state = self.log.build_delta(sync.from_seq)
         else:
             state = self.full_state()
         if isinstance(state, protocol.DeltaTransfer):
@@ -566,28 +397,6 @@ class MiddlewareReplica:
             csn=self.db.csn,
         )
 
-    def _build_delta(self, from_seq: int):
-        """Everything the rejoiner misses: our log above ``from_seq``.
-
-        If truncation already dropped that range, fall back to our
-        newest checkpoint plus the log above *it*; with neither
-        available, a full state transfer.
-        """
-        checkpoint = None
-        start = from_seq
-        if not self.wslog.can_serve_from(from_seq):
-            checkpoint = self.checkpoints.latest() if self.checkpoints else None
-            if checkpoint is None or not self.wslog.can_serve_from(checkpoint.seq):
-                return self.full_state()
-            start = checkpoint.seq
-        return protocol.DeltaTransfer(
-            donor=self.name,
-            from_seq=start,
-            records=tuple(self.wslog.records_after(start)),
-            outcomes=dict(self.outcomes),
-            checkpoint=checkpoint,
-        )
-
     def _send_state(self, target: str, state) -> Generator[Any, Any, None]:
         network = self.host.network
         try:
@@ -598,88 +407,26 @@ class MiddlewareReplica:
         yield self.sim.sleep(0.0)
         channel.close()
 
-    def _install_state(self, state) -> None:
-        """Recovering side: rebuild schema, data, and certification."""
-        self.db.install_snapshot(state.ddl, state.rows, state.csn)
-        self.certifier = state.certifier
-        self._note_outcomes(state.outcomes)
-        self.feed_seq = state.feed_seq
-        if self.wslog is not None:
-            # our own log below the donor's tip is superseded by the
-            # shipped row images; realign so future appends stay
-            # seq-aligned with the cluster
-            self.wslog.rebase(state.log_seq)
-            self._applied = Prefix(state.log_seq)
-            self._seq_of_gid.clear()
-        # full-state history arrives as row images, not transactions:
-        # this incarnation stays out of the offline audit
-        self.audit_complete = False
+    def _install_state(self, state: protocol.StateTransfer) -> dict:
+        """Install a donor's whole state — a full-state recovery, or the
+        cold-restart leveling of a replica whose own state cannot replay
+        — and return the recovery stats."""
+        self._restore(state, state.certifier)
+        if self.log is not None:
+            self.log.rebase(state.log_seq)
         for record in state.pending:
             self.manager.enqueue(Entry(record, local_txn=None))
         self._emit(
-            "recovery_state_installed",
-            donor=state.donor,
-            pending=len(state.pending),
-            incarnation=self.incarnation,
+            "recovery_state_installed", donor=state.donor,
+            pending=len(state.pending), incarnation=self.incarnation,
         )
-        self._finish_recovery(
-            mode="full",
-            donor=state.donor,
-            from_seq=state.log_seq,
+        return dict(
+            mode="full", donor=state.donor, from_seq=state.log_seq,
             records=sum(len(rows) for rows in state.rows.values()),
-            bytes=state.nbytes(),
-            checkpoint=False,
+            bytes=state.nbytes(), checkpoint=False,
         )
 
-    def _install_delta(self, delta: protocol.DeltaTransfer) -> None:
-        """Recovering side, delta path: local replay + the shipped tail.
-
-        With no checkpoint in the transfer, our state below
-        ``delta.from_seq`` comes from our *own* durable log — real
-        replayable transactions — and the donor contributes only the
-        records we missed, so the whole history stays auditable.
-        """
-        cert_floor, skip = 0, frozenset()
-        if delta.checkpoint is not None:
-            # our log was outrun by truncation: restart from the donor's
-            # checkpoint instead of our own prefix
-            checkpoint = delta.checkpoint
-            cert_floor, skip = self._restore_checkpoint(checkpoint)
-            self.wslog.rebase(checkpoint.seq)
-            if self.checkpoints is not None:
-                self.checkpoints.save(checkpoint)
-        else:
-            self._replay_local()
-        transferred = 0
-        for record in delta.records:
-            if record.seq <= self.wslog.tip_seq:
-                continue  # duplicate of something we already replayed
-            self.wslog.append(record)
-            self._replay_record(record, cert_floor=cert_floor, skip_install=skip)
-            transferred += 1
-        self._flush_gate.notify_all()
-        self._note_outcomes(delta.outcomes)
-        nbytes = delta.nbytes()
-        self._emit(
-            "recovery_delta_installed",
-            donor=delta.donor,
-            from_seq=delta.from_seq,
-            records=transferred,
-            nbytes=nbytes,
-            checkpoint=delta.checkpoint is not None,
-            incarnation=self.incarnation,
-        )
-        self._count("recovery.delta_records", transferred)
-        self._finish_recovery(
-            mode="delta",
-            donor=delta.donor,
-            from_seq=delta.from_seq,
-            records=transferred,
-            bytes=nbytes,
-            checkpoint=delta.checkpoint is not None,
-        )
-
-    def _finish_recovery(self, **stats) -> None:
+    def _finish_recovery(self, stats: dict) -> None:
         """Both install paths end here: serve clients, answer discovery,
         and let the cluster re-admit this incarnation."""
         self.recovered = True
@@ -709,15 +456,8 @@ class MiddlewareReplica:
         record = payload.to_record()
         ok = self.certifier.validate(record)
         log_record = None
-        if ok and self.wslog is not None:
-            # one log record per certified writeset, in validation order;
-            # every replica appends the identical record at the same seq
-            log_record = LogRecord.ws(
-                self.wslog.next_seq, gid, record.tid, sender, tuple(payload.writeset)
-            )
-            self.wslog.append(log_record)
-            self._seq_of_gid[gid] = log_record.seq
-            self._flush_gate.notify_all()
+        if ok and self.log is not None:
+            log_record = self.log.append_writeset(gid, record.tid, sender, payload.writeset)
         self.gc_floor.stage(payload, log_record)
         if ok:
             # fan the certified item out to the read tier; every replica
@@ -870,11 +610,8 @@ class MiddlewareReplica:
         self.feed_seq += 1
         if self.feed is not None:
             self.feed.publish(LogRecord(self.feed_seq, durable_log.DDL, sql=sql))
-        if self.wslog is not None:
-            record = LogRecord.ddl(self.wslog.next_seq, sql)
-            self.wslog.append(record)
-            self._applied.mark(record.seq)
-            self._flush_gate.notify_all()
+        if self.log is not None:
+            self.log.append_ddl(sql)
         if payload.sender == self.name:
             waiter = self._ddl_pending.pop(payload.ddl_id, None)
             if waiter is not None:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.durable.log import sync_directory
+
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -184,11 +186,7 @@ class CheckpointStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(temp, path)
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        sync_directory(self.directory)
 
     def latest(self) -> Optional[Checkpoint]:
         return self.checkpoints[-1] if self.checkpoints else None

@@ -23,6 +23,11 @@ Durability is two-staged, mirroring a WAL:
   moves only after the force returns.  A crash loses the tail
   (``drop_tail``), never flushed records.
 
+A segment file's directory entry is made durable too: the force of the
+group that created the file also syncs the directory, and unlinked
+segment files (truncation, rebase, a dropped tail's new file) are synced
+away before the next segment file is written.
+
 With ``directory`` set, durable records are additionally written to
 segment files — one line per record, a one-letter kind tag followed by
 the record's JSON text — so a cold restart can rebuild the cluster from
@@ -143,16 +148,29 @@ def _run_inline(fn: Callable[[], Any]) -> Generator[Any, Any, Any]:
     yield  # pragma: no cover - makes this a generator
 
 
-def _force(fd: int) -> Callable[[], None]:
-    """The blocking half of a group flush.  It owns ``fd`` (a duplicate
-    of the log's handle), so the log may close its own handle — seal,
-    rebase, crash, ``close()`` — while the force is still running."""
+def sync_directory(directory: Path) -> None:
+    """``fsync`` a directory: the files created, renamed or unlinked in
+    it so far keep that state across a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _force(fd: int, directory: Optional[Path]) -> Callable[[], None]:
+    """The blocking half of a group flush: ``fsync`` the file, then its
+    ``directory`` when the group created the file.  It owns ``fd`` (a
+    duplicate of the log's handle), so the log may close its own handle
+    — seal, rebase, crash, ``close()`` — while the force is still running."""
 
     def force() -> None:
         try:
             os.fsync(fd)
         finally:
             os.close(fd)
+        if directory is not None:
+            sync_directory(directory)
 
     return force
 
@@ -258,8 +276,8 @@ class WritesetLog:
         self.tail = []
         written = 0
         if self.directory is not None:
-            written = self._write([record])
-            os.fsync(self._fd)
+            written, force = self._write([record])
+            force()
             self.fsyncs += 1
         self._commit_flush([record], record.nbytes, written)
 
@@ -296,8 +314,8 @@ class WritesetLog:
             yield from charge(self.fsync_time + nbytes * self.byte_time)
             written = 0
             if self.directory is not None:
-                written = self._write(group)
-                yield from run_blocking(_force(os.dup(self._fd)))
+                written, force = self._write(group)
+                yield from run_blocking(force)
                 self.fsyncs += 1
             del self.tail[:group_len]
             self._commit_flush(group, nbytes, written)
@@ -311,17 +329,24 @@ class WritesetLog:
         room = self.segment_records - (len(active) if active is not None else 0)
         return min(len(self.tail), room)
 
-    def _write(self, group: list[LogRecord]) -> int:
+    def _write(self, group: list[LogRecord]) -> tuple[int, Callable[[], None]]:
         """Append ``group``'s lines to its segment file with one
-        ``os.write``; returns the bytes written."""
+        ``os.write``; returns the bytes written and the blocking force
+        that makes them durable (with the file's directory entry when
+        this write created the file)."""
+        created = None
         if self._fd is None:
             active = self._active()
-            path = active.path if active is not None else self._segment_path(group[0].seq)
+            if active is None:
+                # a new segment: its file is created here
+                path, created = self._segment_path(group[0].seq), self.directory
+            else:
+                path = active.path
             self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             self.opens += 1
         data = "".join([record.to_line() for record in group]).encode()
         _write_all(self._fd, data)
-        return len(data)
+        return len(data), _force(os.dup(self._fd), created)
 
     def _commit_flush(self, group: list[LogRecord], nbytes: int, written: int) -> None:
         for record in group:
@@ -384,15 +409,16 @@ class WritesetLog:
         any partially-covered one stay), so ``start_seq`` is always a
         segment boundary.  Returns the number of records dropped."""
         dropped = 0
+        gone = []
         while self.segments:
             segment = self.segments[0]
             if not segment.sealed or segment.last_seq > seq:
                 break
             dropped += len(segment)
-            if segment.path is not None:
-                segment.path.unlink(missing_ok=True)
+            gone.append(segment.path)
             self.segments.pop(0)
             self.start_seq = segment.last_seq + 1
+        self._unlink(gone)
         self.truncated_records += dropped
         return dropped
 
@@ -419,9 +445,7 @@ class WritesetLog:
         records the gap).
         """
         self._close_fd()
-        for segment in self.segments:
-            if segment.path is not None:
-                segment.path.unlink(missing_ok=True)
+        self._unlink([segment.path for segment in self.segments])
         self.segments = []
         self.tail = []
         self.start_seq = seq + 1
@@ -441,6 +465,18 @@ class WritesetLog:
             os.close(self._fd)
             self._fd = None
 
+    def _unlink(self, paths: list) -> None:
+        """Unlink segment files and sync their directory, so none of them
+        reappears after a crash: a reappearing pre-``rebase`` segment
+        would splice a gap into a reload."""
+        unlinked = False
+        for path in paths:
+            if path is not None and path.exists():
+                os.unlink(path)
+                unlinked = True
+        if unlinked:
+            sync_directory(self.directory)
+
     def _discard_undurable_bytes(self) -> None:
         """Cut the file a group was written to back to its durable
         length: the active segment's, or nothing for a group that was
@@ -450,7 +486,7 @@ class WritesetLog:
         self._close_fd()
         active = self._active()
         if active is None:
-            self._segment_path(self.durable_seq + 1).unlink(missing_ok=True)
+            self._unlink([self._segment_path(self.durable_seq + 1)])
         else:
             os.truncate(active.path, active.size)
 

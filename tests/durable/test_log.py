@@ -1,13 +1,18 @@
 """Unit tests for the segmented writeset log (repro.durable.log)."""
 
 import json
+import os
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.durable import DurabilityConfig, DurabilityStore, LogRecord, WritesetLog
+from repro.durable import checkpoint as durable_checkpoint
+from repro.durable import log as durable_log
 from repro.errors import ReproError, SimulationError
 from repro.storage.writeset import WriteOp
 from repro.testing import query
@@ -476,3 +481,164 @@ def test_cluster_cold_restart_survives_a_torn_log_tail(tmp_path):
     assert all(result == [{"v": 3}] for result in rows.values())
     assert restarted.one_copy_report().ok
     restarted.stop()
+
+
+# ------------------------------------------------------- directory fsyncs
+
+
+class FsRecorder:
+    """``os`` as :mod:`repro.durable` sees it: records each file it
+    creates, each ``fsync`` (by the path its descriptor was opened on)
+    and each ``unlink``, and whether the call ran inside
+    :meth:`run_blocking` — the runtime's I/O thread on the wall clock."""
+
+    def __init__(self):
+        self.calls = []
+        self.blocking = False
+        self._paths = {}
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, path, flags, *args):
+        created = not os.path.exists(path)
+        fd = os.open(path, flags, *args)
+        self._paths[fd] = Path(path)
+        if created:
+            self.calls.append(("create", Path(path).name, self.blocking))
+        return fd
+
+    def dup(self, fd):
+        copy = os.dup(fd)
+        self._paths[copy] = self._paths.get(fd)
+        return copy
+
+    def fsync(self, fd):
+        os.fsync(fd)
+        path = self._paths.get(fd)
+        self.calls.append(("fsync", path.name if path else None, self.blocking))
+
+    def unlink(self, path):
+        os.unlink(path)
+        self.calls.append(("unlink", Path(path).name, self.blocking))
+
+    def run_blocking(self, fn):
+        self.blocking = True
+        try:
+            return fn()
+        finally:
+            self.blocking = False
+        yield  # pragma: no cover - makes this a generator
+
+    def take(self):
+        calls, self.calls = self.calls, []
+        return calls
+
+
+@pytest.fixture
+def fs(monkeypatch):
+    recorder = FsRecorder()
+    for module in (durable_log, durable_checkpoint):
+        monkeypatch.setattr(module, "os", recorder)
+    return recorder
+
+
+def test_segment_creates_and_unlinks_reach_the_directory(tmp_path, fs):
+    """A new segment file's directory entry is forced with the group
+    that created it, in the blocking force, before ``durable_seq``
+    moves; unlinked segments are synced away before the next file is
+    written, so neither a lost file nor a stale one turns up on reload."""
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", segment_records=2, directory=directory)
+    for seq in (1, 2, 3):
+        log.append(ws(seq))
+    assert drain(log.flush(charge_free, fs.run_blocking)) == 3
+    assert fs.take() == [
+        ("create", "seg-00000001.jsonl", False),
+        ("fsync", "seg-00000001.jsonl", True),
+        ("fsync", "R0", True),
+        ("create", "seg-00000003.jsonl", False),
+        ("fsync", "seg-00000003.jsonl", True),
+        ("fsync", "R0", True),
+    ]
+    # a held force: a group that created its file is written, but it is
+    # not durable until the force, directory sync included, returns
+    log.append(ws(4))
+    log.append(ws(5))
+    flush = log.flush(charge_free, HeldForce())
+    next(flush)  # [4] written to seg-3, forcing
+    next(flush)  # [4] durable; [5] written to a new seg-5, forcing
+    assert log.durable_seq == 4
+    assert fs.take() == [
+        ("fsync", "seg-00000003.jsonl", False),
+        ("create", "seg-00000005.jsonl", False),
+    ]
+    assert drain(flush) == 2
+    assert log.durable_seq == 5
+    assert fs.take() == [
+        ("fsync", "seg-00000005.jsonl", False),
+        ("fsync", "R0", False),
+    ]
+    # the write-through bootstrap append syncs a file it creates too
+    log.append_durable(ws(6))
+    log.append_durable(ws(7))
+    assert fs.take() == [
+        ("fsync", "seg-00000005.jsonl", False),
+        ("create", "seg-00000007.jsonl", False),
+        ("fsync", "seg-00000007.jsonl", False),
+        ("fsync", "R0", False),
+    ]
+    # truncation and rebase sync the directory after their unlinks
+    assert log.truncate_to(4) == 4
+    assert fs.take() == [
+        ("unlink", "seg-00000001.jsonl", False),
+        ("unlink", "seg-00000003.jsonl", False),
+        ("fsync", "R0", False),
+    ]
+    log.rebase(10)
+    assert fs.take() == [
+        ("unlink", "seg-00000005.jsonl", False),
+        ("unlink", "seg-00000007.jsonl", False),
+        ("fsync", "R0", False),
+    ]
+    # a crash while a new segment's group is forcing unlinks its file
+    # and syncs that away too
+    log.append(ws(11))
+    flush = log.flush(charge_free, HeldForce())
+    next(flush)
+    flush.close()
+    log.drop_tail()
+    assert fs.take() == [
+        ("create", "seg-00000011.jsonl", False),
+        ("unlink", "seg-00000011.jsonl", False),
+        ("fsync", "R0", False),
+    ]
+    log.append(ws(11))
+    log.append(ws(12))
+    drain(log.flush(charge_free, fs.run_blocking))
+    log.close()
+    # the bytes on disk are the records' lines, as before
+    assert sorted(p.name for p in directory.iterdir()) == ["seg-00000011.jsonl"]
+    assert (directory / "seg-00000011.jsonl").read_text() == (
+        ws(11).to_line() + ws(12).to_line()
+    )
+    reloaded = WritesetLog("R0", segment_records=2, directory=directory)
+    assert [r.seq for r in reloaded.records_after(10)] == [11, 12]
+
+
+def test_an_earlier_version_log_still_loads_and_extends(tmp_path, fs):
+    wal = tmp_path / "wal"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "wal-v1", wal)
+    directory = wal / "R0" / "log"
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    log = WritesetLog("R0", segment_records=4, directory=directory)
+    assert [r.seq for r in log.records_after(0)] == list(range(1, 11))
+    log.append(ws(11))
+    drain(log.flush(charge_free, fs.run_blocking))
+    log.close()
+    # the partial last segment gets the new line appended; no new file
+    assert fs.take() == [("fsync", "seg-00000009.jsonl", True)]
+    after = {p.name: p.read_bytes() for p in directory.iterdir()}
+    assert after == {**before, "seg-00000009.jsonl": (
+        before["seg-00000009.jsonl"] + ws(11).to_line().encode()
+    )}

@@ -141,7 +141,7 @@ def test_donor_crash_mid_delta_retargets_without_losing_log_position():
     sim.call_at(
         1.0,
         lambda: from_seq_seen.append(
-            cluster.recover_replica(0, donor_index=1)._from_seq
+            cluster.recover_replica(0, donor_index=1).wslog.tip_seq
         ),
     )
     # the chosen donor dies during the handshake
@@ -155,7 +155,7 @@ def test_donor_crash_mid_delta_retargets_without_losing_log_position():
     assert stats["mode"] == "delta"
     assert stats["donor"] in ("R2", "R3")  # re-targeted to a survivor
     # the retarget reused the original durable position: no restart from 0
-    assert stats["from_seq"] == from_seq_seen[0] == recovered._from_seq
+    assert stats["from_seq"] == from_seq_seen[0]
     assert_consistent_and_audited(cluster, expect_n=3)
     assert "R0" in cluster.monitor.summary()["watched"]
 
@@ -240,14 +240,15 @@ def test_truncation_never_cuts_below_own_checkpoint():
     replica = cluster.replicas[0]
     # no checkpoint taken yet -> nothing may be truncated, because the
     # log is the only thing a cold restart could replay
-    assert replica.checkpoints.latest() is None
+    log = replica.log
+    assert log.checkpoints.latest() is None
     assert replica.wslog.truncated_records == 0
     assert replica.wslog.start_seq == 1
     # once a checkpoint exists the sweep may GC up to it
-    replica.take_checkpoint()
-    dropped = replica._truncate_once()
+    log.take_checkpoint()
+    dropped = log.truncate()
     assert dropped > 0
-    assert replica.wslog.start_seq <= replica.checkpoints.latest().seq + 1
+    assert replica.wslog.start_seq <= log.checkpoints.latest().seq + 1
 
 
 # ------------------------------------------------------------ elastic join

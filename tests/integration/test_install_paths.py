@@ -4,10 +4,13 @@ A replica or reader that did not live through the whole run — delta or
 full recovery, an elastic join, a cold restart, a reader joining by log
 or by snapshot — must end with the committed rows, the DDL history and
 the csn (a reader's watermark) of a replica that did, and the offline
-Def. 3 audit must pass.  The two regression tests pin the install-path
-bugs: a full-state joiner whose csn restarted at 0 (so a session-token
-read was never answered), and a cold restart with readers failing once
-a log had been truncated.
+Def. 3 audit must pass.  Each path's durable outcome — recovery stats,
+log bounds, checkpoints, the replayed prefix — is pinned too.  The two
+regression tests pin the install-path bugs: a full-state joiner whose
+csn restarted at 0 (so a session-token read was never answered), and a
+cold restart with readers failing once a log had been truncated; the
+``full-then-*`` paths pin a durable replica that once installed a full
+state, whose own state can no longer replay.
 
 The last group checks what the installer costs: its compiled row
 validator agrees with the per-column check, an install pauses the cyclic
@@ -16,6 +19,7 @@ LOAD record that every replica logs at the same seq.
 """
 
 import enum
+import functools
 import gc
 import itertools
 import json
@@ -163,6 +167,35 @@ def reader_join(durable):
     return cluster, cluster.readers, engine_state(cluster.replicas[1])
 
 
+def full_then(rejoin):
+    """R0 recovers by full state on a durable cluster, so its rebased log
+    has no checkpoint under it; it crashes again, then ``rejoin``s."""
+    store = DurabilityStore(DurabilityConfig())
+    cluster, keys = make_cluster(41, store=store)
+    cluster.sim.call_at(0.2, lambda: cluster.crash(0))
+    traffic(cluster, keys, 12, 0.3, ddl=True)
+    cluster.sim.call_at(1.5, lambda: cluster.recover_replica(0, mode="full"))
+    traffic(cluster, keys, 6, 2.0)
+    settle(cluster)
+    assert cluster.replicas[0].wslog.start_seq > 1
+    cluster.crash(0)
+    traffic(cluster, keys, 6, 0.1)
+    settle(cluster, 1.0)
+    if rejoin == "delta":
+        # the default asks for a delta only when our own state can replay
+        cluster.recover_replica(0)
+        traffic(cluster, keys, 6, 0.5)
+        settle(cluster)
+        assert cluster.replicas[0].recovery_stats["mode"] == "full"
+        return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
+    reference = engine_state(cluster.replicas[1])
+    cluster.stop()
+    restarted = SIRepCluster.cold_restart(ClusterConfig(n_replicas=3, seed=42), store)
+    # leveled by full state from the longest log that can replay
+    assert restarted.replicas[0].recovery_stats["mode"] == "full"
+    return restarted, restarted.replicas, reference
+
+
 PATHS = {
     "delta-recovery": delta_recovery,
     "delta-checkpoint": delta_with_checkpoint,
@@ -175,12 +208,20 @@ PATHS = {
     "reader-join-snapshot": lambda: reader_join(False),
     "cold-restart-reader": lambda: cold_restart(DurabilityConfig(), 1),
     "cold-restart-truncated-reader": lambda: cold_restart(truncating(), 1),
+    "full-then-delta": lambda: full_then("delta"),
+    "full-then-cold-restart": lambda: full_then("cold-restart"),
 }
 
 
-@pytest.mark.parametrize("path", PATHS.values(), ids=PATHS.keys())
-def test_every_install_path_ends_in_the_same_state(path):
-    cluster, joiners, reference = path()
+@functools.cache
+def run_path(name):
+    """Each path runs once per session; both tests below read it."""
+    return PATHS[name]()
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_every_install_path_ends_in_the_same_state(name):
+    cluster, joiners, reference = run_path(name)
     rows, ddl, csn = reference
     assert EXTRA_DDL in ddl and csn > 0
     for node in joiners:
@@ -189,6 +230,174 @@ def test_every_install_path_ends_in_the_same_state(path):
             assert node.watermark == csn
     report = cluster.one_copy_report()
     assert report.ok, [str(v) for v in report.violations]
+
+
+def durable_outcome(cluster):
+    """Per replica: recovery stats, the log's (start, tip, durable,
+    rebased_at) seqs, its checkpoint seqs, the replayed prefix's length
+    and whether the replica stays in the offline audit."""
+    outcome = {}
+    for replica in cluster.replicas:
+        log = checkpoints = None
+        if cluster.durable_store is not None:
+            durable = cluster.durable_store.replica(replica.name)
+            wslog = durable.log
+            log = (wslog.start_seq, wslog.tip_seq, wslog.durable_seq, wslog.rebased_at)
+            checkpoints = [checkpoint.seq for checkpoint in durable.checkpoints.checkpoints]
+        outcome[replica.name] = (
+            replica.recovery_stats, log, checkpoints,
+            len(replica.replayed), replica.audit_complete,
+        )
+    return outcome
+
+
+#: each path"s durable_outcome, recorded at the parent of the change that
+#: added the ``full-then-*`` paths (those two at that change itself)
+PINNED = {
+    "delta-recovery": {
+        "R0": (
+            {"mode": "delta", "donor": "R1", "from_seq": 2,
+             "records": 13, "bytes": 809, "checkpoint": False},
+            (1, 21, 21, None), [], 12, True,
+        ),
+        "R1": ({}, (1, 21, 21, None), [], 0, True),
+        "R2": ({}, (1, 21, 21, None), [], 0, True),
+    },
+    "delta-checkpoint": {
+        "R0": (
+            {"mode": "delta", "donor": "R1", "from_seq": 33,
+             "records": 0, "bytes": 440, "checkpoint": True},
+            (38, 39, 39, 33), [33, 39], 0, False,
+        ),
+        "R1": ({}, (37, 39, 39, None), [33, 39], 0, True),
+        "R2": ({}, (37, 39, 39, None), [33, 39], 0, True),
+    },
+    "full-recovery": {
+        "R0": (
+            {"mode": "full", "donor": "R1", "from_seq": 0,
+             "records": 8, "bytes": 582, "checkpoint": False},
+            None, None, 0, False,
+        ),
+        "R1": ({}, None, None, 0, True),
+        "R2": ({}, None, None, 0, True),
+    },
+    "elastic-join-durable": {
+        "R0": ({}, (1, 21, 21, None), [], 0, True),
+        "R1": ({}, (1, 21, 21, None), [], 0, True),
+        "R2": ({}, (1, 21, 21, None), [], 0, True),
+        "R3": (
+            {"mode": "delta", "donor": "R0", "from_seq": 0,
+             "records": 11, "bytes": 701, "checkpoint": False},
+            (1, 21, 21, None), [], 8, True,
+        ),
+    },
+    "elastic-join": {
+        "R0": ({}, None, None, 0, True),
+        "R1": ({}, None, None, 0, True),
+        "R2": ({}, None, None, 0, True),
+        "R3": (
+            {"mode": "full", "donor": "R0", "from_seq": 0,
+             "records": 7, "bytes": 467, "checkpoint": False},
+            None, None, 0, False,
+        ),
+    },
+    "cold-restart": {
+        "R0": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+        "R1": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+        "R2": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+    },
+    "cold-restart-truncated": {
+        "R0": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+        "R1": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+        "R2": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+    },
+    "reader-join-log": {
+        "R0": ({}, (1, 21, 21, None), [], 0, True),
+        "R1": ({}, (1, 21, 21, None), [], 0, True),
+        "R2": ({}, (1, 21, 21, None), [], 0, True),
+    },
+    "reader-join-snapshot": {
+        "R0": ({}, None, None, 0, True),
+        "R1": ({}, None, None, 0, True),
+        "R2": ({}, None, None, 0, True),
+    },
+    "cold-restart-reader": {
+        "R0": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+        "R1": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+        "R2": (
+            {"mode": "cold", "records": 30, "checkpoint": False},
+            (1, 33, 33, None), [], 30, True,
+        ),
+    },
+    "cold-restart-truncated-reader": {
+        "R0": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+        "R1": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+        "R2": (
+            {"mode": "cold", "records": 0, "checkpoint": True},
+            (33, 33, 33, None), [32, 33], 0, False,
+        ),
+    },
+    "full-then-delta": {
+        "R0": (
+            {"mode": "full", "donor": "R1", "from_seq": 27,
+             "records": 10, "bytes": 899, "checkpoint": False},
+            (28, 33, 33, 27), [], 0, False,
+        ),
+        "R1": ({}, (1, 33, 33, None), [], 0, True),
+        "R2": ({}, (1, 33, 33, None), [], 0, True),
+    },
+    "full-then-cold-restart": {
+        "R0": (
+            {"mode": "full", "donor": "R1", "from_seq": 27,
+             "records": 10, "bytes": 899, "checkpoint": False},
+            (28, 27, 27, 27), [], 0, False,
+        ),
+        "R1": (
+            {"mode": "cold", "records": 24, "checkpoint": False},
+            (1, 27, 27, None), [], 24, True,
+        ),
+        "R2": (
+            {"mode": "cold", "records": 24, "checkpoint": False},
+            (1, 27, 27, None), [], 24, True,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_every_install_path_pins_its_durable_outcome(name):
+    cluster, _joiners, _reference = run_path(name)
+    assert durable_outcome(cluster) == PINNED[name]
 
 
 # -- regression: a full-state joiner's csn --------------------------------------

@@ -170,3 +170,31 @@ def test_shutdown_closes_leftover_spans():
     assert cluster.tracer.open_spans() == []
     leftover = [s for s in cluster.tracer.spans() if s.status == "shutdown"]
     assert leftover
+
+
+def test_a_traced_recovery_completes_and_closes_its_span():
+    """The recovery span closes with the install's stats (mode, donor,
+    sizes), and the replica comes back: finishing the span once raised
+    inside the delivery loop, so a traced recovery never completed."""
+    from repro.durable import DurabilityConfig
+
+    for mode, durability in (("full", None), ("delta", DurabilityConfig())):
+        cluster, driver = make_cluster(seed=4, durability=durability)
+        cluster.sim.call_at(0.1, lambda: cluster.crash(0))
+        cluster.sim.call_at(0.5, lambda: cluster.recover_replica(0))
+
+        def writer():
+            yield cluster.sim.sleep(1.0)
+            conn = yield from driver.connect(cluster.new_client_host(), address="R1")
+            yield from conn.execute("UPDATE kv SET v = 7 WHERE k = 2")
+            yield from conn.commit()
+
+        cluster.sim.spawn(writer(), name="writer")
+        settle(cluster)
+        recovered = cluster.replicas[0]
+        assert recovered.recovered and recovered.recovery_stats["mode"] == mode
+        # it goes on applying what is delivered after its recovery
+        assert recovered.db.csn == cluster.replicas[1].db.csn == 1
+        (span,) = [s for s in cluster.tracer.spans() if s.name == "recovery"]
+        assert not span.open and span.status == "ok"
+        assert span.attrs == recovered.recovery_stats
