@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.core.replica import ReplicaNode
 from repro.core.srca_rep import MiddlewareReplica
@@ -20,13 +20,7 @@ from repro.durable.store import DurabilityConfig, DurabilityStore
 from repro.durable.watermark import StabilityTracker
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus
 from repro.net import LatencyModel, Network
-from repro.obs import (
-    FlightRecorder,
-    Observability,
-    OneCopyMonitor,
-    Tracer,
-    sanitize,
-)
+from repro.obs import Observability, OneCopyMonitor, Tracer, sanitize
 from repro.reader import CertifiedFeed, ReaderConfig, ReadReplica
 from repro.si import check_one_copy_si, recorded_schedules
 from repro.si.onecopy import OneCopyReport
@@ -34,6 +28,9 @@ from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec
 from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel, collector_paused
+
+if TYPE_CHECKING:
+    from repro.obs.flight import FlightRecorder
 
 
 @dataclass
@@ -152,16 +149,18 @@ def build_surface(
         else None
     )
     tracer = Tracer(sim) if cfg.span_trace else None
-    flight = (
-        FlightRecorder(
+    flight = None
+    if cfg.flight:
+        # imported here, not with the package: ``python -m
+        # repro.obs.flight`` imports ``repro`` before it runs the module
+        from repro.obs.flight import FlightRecorder
+
+        flight = FlightRecorder(
             sim,
             tracer=tracer,
             events=obs.events if obs is not None else None,
             directory=cfg.flight_dir,
         )
-        if cfg.flight
-        else None
-    )
     if durability is None and cfg.durability is not None:
         durability = DurabilityStore(cfg.durability)
     return Surface(sim, network, obs, tracer, flight, durability)

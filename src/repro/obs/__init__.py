@@ -18,8 +18,9 @@ without yielding, drawing randomness, or notifying gates.
 
 from __future__ import annotations
 
+import importlib
+
 from repro.obs.events import EventLog
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     PERCENTILES,
     Counter,
@@ -30,14 +31,6 @@ from repro.obs.metrics import (
     sanitize,
 )
 from repro.obs.monitor import MonitorViolation, OneCopyMonitor
-from repro.obs.profile import (
-    PHASES,
-    ProfileReport,
-    TxnProfile,
-    compare_reports,
-    profile_run,
-    profile_spans,
-)
 from repro.obs.sampler import Sampler
 from repro.obs.trace import Span, TraceContext, Tracer
 
@@ -65,6 +58,28 @@ __all__ = [
     "quantile",
     "sanitize",
 ]
+
+#: names of the two modules that are also commands (``python -m
+#: repro.obs.profile`` / ``repro.obs.flight``), imported on first use:
+#: a package that imported them eagerly would have them loaded before
+#: runpy executes them as ``__main__``, which runpy warns about
+_LAZY = {
+    "FlightRecorder": "repro.obs.flight",
+    **dict.fromkeys(
+        ("PHASES", "ProfileReport", "TxnProfile", "compare_reports",
+         "profile_run", "profile_spans"),
+        "repro.obs.profile",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 
 class Observability:

@@ -1,6 +1,6 @@
 """Schemas, tables, and secondary indexes.
 
-Tables are dictionaries of primary key -> version chain.  Secondary
+Tables are dictionaries of primary key -> newest row version.  Secondary
 indexes map a column value to the set of primary keys that *ever* carried
 that value; lookups post-filter by snapshot visibility, which keeps index
 maintenance trivially correct under MVCC.
@@ -9,10 +9,10 @@ maintenance trivially correct under MVCC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import CatalogError, IntegrityError
-from repro.storage.versions import VersionChain
+from repro.storage.versions import Version
 
 #: Supported column type names -> Python types accepted for the column;
 #: the first is the type a stored value has.
@@ -145,7 +145,8 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self.rows: dict[Any, VersionChain] = {}
+        #: pk -> newest committed version (older ones hang off ``prev``)
+        self.rows: dict[Any, Version] = {}
         #: column -> value -> set of pks that ever held that value
         self.indexes: dict[str, dict[Any, set[Any]]] = {}
 
@@ -160,21 +161,49 @@ class Table:
                 f"index on {self.name}.{column} already exists"
             )
         index: dict[Any, set[Any]] = {}
-        for pk, chain in self.rows.items():
-            for version in chain.versions:
+        for pk, head in self.rows.items():
+            for version in head:
                 if version.values is not None:
                     index.setdefault(version.values[column], set()).add(pk)
         self.indexes[column] = index
 
-    def chain(self, pk: Any) -> Optional[VersionChain]:
-        return self.rows.get(pk)
+    def install(self, pk: Any, version: Version) -> None:
+        """Make ``version`` the newest of row ``pk`` and index its values."""
+        head = self.rows.get(pk)
+        if head is not None:
+            if version.csn <= head.csn:
+                raise AssertionError(
+                    f"non-monotonic install: {version.csn} after {head.csn}"
+                )
+            version.prev = head
+        self.rows[pk] = version
+        if version.values is not None and self.indexes:
+            self.index_insert(version.values)
 
-    def ensure_chain(self, pk: Any) -> VersionChain:
-        chain = self.rows.get(pk)
-        if chain is None:
-            chain = VersionChain()
-            self.rows[pk] = chain
-        return chain
+    def prune(self, pk: Any, snapshots: Sequence[int]) -> None:
+        """Keep row ``pk``'s newest version and the one each of
+        ``snapshots`` (descending) reads; unlink every other version.
+
+        With no snapshot left to read it, a row whose newest version is
+        a tombstone leaves the table.  While any snapshot predates the
+        tombstone it stays: a concurrent writer's first-updater check
+        must still see the delete."""
+        head = self.rows[pk]
+        if not snapshots and head.values is None:
+            del self.rows[pk]
+            return
+        kept = head
+        for snapshot in snapshots:
+            if snapshot >= kept.csn:
+                continue  # reads ``kept``, as a newer snapshot does
+            version = kept.prev
+            while version is not None and version.csn > snapshot:
+                version = version.prev
+            kept.prev = version
+            if version is None:
+                return
+            kept = version
+        kept.prev = None
 
     def index_insert(self, values: dict[str, Any]) -> None:
         """Register a new committed version's values in all indexes."""

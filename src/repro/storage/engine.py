@@ -28,7 +28,7 @@ from repro.sim import Simulator
 from repro.sim.resources import Resource
 from repro.storage.catalog import Catalog, Table, TableSchema
 from repro.storage.locks import LockManager
-from repro.storage.versions import Version, VersionChain
+from repro.storage.versions import Version
 from repro.storage.writeset import DELETE, INSERT, UPDATE, WriteOp, WriteSet
 from repro.sql import executor as sql_executor
 from repro.sql.parser import parse_cached
@@ -46,8 +46,8 @@ class collector_paused:
     """Holds CPython's cyclic collector off for one bulk install: a
     ``bulk_load`` or a whole snapshot (``with collector_paused(): ...``).
 
-    An install allocates a row dict, a version and a chain per row and
-    frees nothing, so the collector would run every few hundred rows
+    An install allocates a row dict and a version per row and frees
+    nothing, so the collector would run every few hundred rows
     and re-scan a heap in which nothing can be garbage: installed rows
     hold no reference cycles, and nothing yields inside an install.
     The caller's collector state comes back on the way out, error or
@@ -229,27 +229,22 @@ class Database:
             raise InvalidTransactionState("bulk_load only before first commit")
         return self._install_rows(table_name, rows, 0, "bulk")
 
-    def _install_rows(self, table_name: str, rows: Iterable[dict], csn: int, writer: str) -> int:
-        """Install row images as single versions at ``csn``, labelled
-        ``writer`` (which a duplicate-key error names too)."""
+    def _install_rows(self, table_name: str, rows: Iterable[dict], csn: int, source: str) -> int:
+        """Install row images as single versions at ``csn``; a
+        duplicate-key error names their ``source``."""
         table = self.catalog.table(table_name)
         validate_row = table.schema.validate_row
         pk_column = table.schema.pk_column
-        chains = table.rows
-        index_insert = table.index_insert if table.indexes else None
+        heads = table.rows
+        install = table.install
         count = 0
         with collector_paused():
             for values in rows:
                 row = validate_row(values)
                 pk = row[pk_column]
-                chain = chains.get(pk)
-                if chain is None:
-                    chain = chains[pk] = VersionChain()
-                elif chain.versions:
-                    raise IntegrityError(f"duplicate {writer} key {pk!r} in {table_name!r}")
-                chain.versions.append(Version(csn, row, writer=writer))
-                if index_insert is not None:
-                    index_insert(row)
+                if pk in heads:
+                    raise IntegrityError(f"duplicate {source} key {pk!r} in {table_name!r}")
+                install(pk, Version(csn, row))
                 count += 1
         return count
 
@@ -287,40 +282,13 @@ class Database:
             self.abort(txn)
         return len(victims)
 
-    def vacuum(self) -> int:
-        """Prune row versions no active snapshot can see (PostgreSQL's
-        VACUUM).  Keeps, per row, the version visible at the oldest
-        active snapshot and everything newer.  Returns versions removed.
-        """
-        if self._active:
-            horizon = min(txn.snapshot_csn for txn in self._active)
-        else:
-            horizon = self.csn
-        removed = 0
-        for table in self.catalog.tables.values():
-            for pk in list(table.rows.keys()):
-                chain = table.rows[pk]
-                versions = chain.versions
-                keep_from = 0
-                for i, version in enumerate(versions):
-                    if version.csn <= horizon:
-                        keep_from = i
-                kept = versions[keep_from:]
-                # a tombstone nobody can see anymore frees the whole row
-                if len(kept) == 1 and kept[0].is_delete and kept[0].csn <= horizon:
-                    removed += len(versions)
-                    del table.rows[pk]
-                    continue
-                removed += len(versions) - len(kept)
-                chain.versions = kept
-        return removed
-
     def version_count(self) -> int:
         """Total stored versions across all tables (diagnostics)."""
         return sum(
-            len(chain)
+            1
             for table in self.catalog.tables.values()
-            for chain in table.rows.values()
+            for head in table.rows.values()
+            for _version in head
         )
 
     def export_committed(self) -> dict[str, list[dict]]:
@@ -332,10 +300,9 @@ class Database:
         out: dict[str, list[dict]] = {}
         for name, table in self.catalog.tables.items():
             rows = []
-            for chain in table.rows.values():
-                latest = chain.latest()
-                if latest is not None and latest.values is not None:
-                    rows.append(dict(latest.values))
+            for head in table.rows.values():
+                if head.values is not None:
+                    rows.append(dict(head.values))
             out[name] = rows
         return out
 
@@ -346,9 +313,9 @@ class Database:
         durable log record (replay path — no transaction, no locks, no
         history events, no cost charges).
 
-        Replay happens before the replica serves traffic, so there are no
-        concurrent snapshots to respect: each record bumps the csn and
-        installs its images, exactly as the original commit did.
+        Replay happens before the replica serves traffic: each record
+        bumps the csn and installs and prunes its images, exactly as the
+        original commit did.
         Idempotent per gid, mirroring :meth:`has_committed`.
         """
         if gid in self._committed_gids:
@@ -358,12 +325,7 @@ class Database:
         if ops:
             self.csn += 1
             csn = self.csn
-            for op in ops:
-                table = self.catalog.table(op.table)
-                chain = table.ensure_chain(op.pk)
-                chain.install(Version(csn, op.values, writer=gid))
-                if op.values is not None:
-                    table.index_insert(op.values)
+            self._install(csn, ops)
         self._committed_gids.add(gid)
         self.commits += 1
         return csn
@@ -475,27 +437,19 @@ class Database:
         # From here on: no yields — install is atomic.
         if self.conflict_detection == DEFERRED:
             for key in txn.write_order:
-                table = self.catalog.table(key[0])
-                chain = table.chain(key[1])
-                latest = chain.latest() if chain else None
+                latest = self.catalog.table(key[0]).rows.get(key[1])
                 if latest is not None and latest.csn > txn.snapshot_csn:
                     self.abort(txn)
                     raise SerializationFailure(
                         f"{txn.gid}: commit-time conflict on {key!r}"
                     )
+        txn.status = COMMITTED
+        self._active.discard(txn)
         csn: Optional[int] = None
         if txn.writes:
             self.csn += 1
             csn = self.csn
-            for key in txn.write_order:
-                op = txn.writes[key]
-                table = self.catalog.table(op.table)
-                chain = table.ensure_chain(op.pk)
-                chain.install(Version(csn, op.values, writer=txn.gid))
-                if op.values is not None:
-                    table.index_insert(op.values)
-        txn.status = COMMITTED
-        self._active.discard(txn)
+            self._install(csn, [txn.writes[key] for key in txn.write_order])
         self._committed_gids.add(txn.gid)
         self.history.append(
             (
@@ -570,10 +524,10 @@ class Database:
             if not locating:
                 txn.dependent_reads.add(key)
             return op.values
-        chain = table.chain(pk)
-        if chain is None:
+        head = table.rows.get(pk)
+        if head is None:
             return None
-        values = chain.visible_values(txn.snapshot_csn)
+        values = head.visible_values(txn.snapshot_csn)
         if values is not None:
             txn.readset.add(key)
             if not locating:
@@ -610,7 +564,7 @@ class Database:
         if key in txn.writes and txn.writes[key].values is not None:
             raise IntegrityError(f"duplicate key {pk!r} in {table.name!r}")
         yield from self._lock_and_check(txn, table.name, pk)
-        latest = self._latest(table, pk)
+        latest = table.rows.get(pk)
         if latest is not None and not latest.is_delete:
             self.abort(txn)
             raise IntegrityError(f"duplicate key {pk!r} in {table.name!r}")
@@ -676,9 +630,18 @@ class Database:
 
     # ----------------------------------------------------------- internals
 
-    def _latest(self, table: Table, pk: Any) -> Optional[Version]:
-        chain = table.chain(pk)
-        return chain.latest() if chain else None
+    def _install(self, csn: int, ops: Iterable[WriteOp]) -> None:
+        """Install one commit's after-images at ``csn`` and prune each
+        written row to the versions a snapshot can still read: the
+        newest, which every later transaction reads (it begins at
+        ``csn`` or above), and the one each active transaction's
+        snapshot reads.  Code that reads a past snapshot must therefore
+        hold it as an active transaction (``begin``)."""
+        snapshots = sorted({txn.snapshot_csn for txn in self._active}, reverse=True)
+        for op in ops:
+            table = self.catalog.table(op.table)
+            table.install(op.pk, Version(csn, op.values))
+            table.prune(op.pk, snapshots)
 
     def committed_after_snapshot(self, key: tuple, snapshot_csn: int) -> bool:
         """True iff ``key``'s newest committed version postdates the
@@ -688,7 +651,7 @@ class Database:
         our lifetime, so committing the original local handle in place
         would record an SI-ww anomaly — the commit must re-home."""
         table_name, pk = key
-        latest = self._latest(self.catalog.table(table_name), pk)
+        latest = self.catalog.table(table_name).rows.get(pk)
         return latest is not None and latest.csn > snapshot_csn
 
     def _lock_and_check(
@@ -720,8 +683,7 @@ class Database:
             raise
         if key in txn.writes:
             return  # own earlier write: no re-check
-        table = self.catalog.table(table_name)
-        latest = self._latest(table, pk)
+        latest = self.catalog.table(table_name).rows.get(pk)
         if latest is not None and latest.csn > txn.snapshot_csn:
             self.abort(txn)
             raise SerializationFailure(
@@ -747,10 +709,9 @@ class Database:
     def active_count(self) -> int:
         return len(self._active)
 
-    def table_row_count(self, table: str, snapshot: Optional[int] = None) -> int:
-        """Committed visible rows (diagnostics / tests)."""
-        snap = self.csn if snapshot is None else snapshot
-        t = self.catalog.table(table)
+    def table_row_count(self, table: str) -> int:
+        """Rows the newest committed state holds (diagnostics / tests)."""
         return sum(
-            1 for chain in t.rows.values() if chain.visible_values(snap) is not None
+            1 for head in self.catalog.table(table).rows.values()
+            if head.values is not None
         )

@@ -1,66 +1,56 @@
-"""Row version chains and snapshot visibility.
+"""Row versions and snapshot visibility.
 
 Commit order on one replica is totalised by a **commit sequence number**
 (csn).  A snapshot is just the csn observed at transaction begin: version
 ``v`` is visible to snapshot ``s`` iff ``v.csn <= s``.  A ``None`` values
 payload is a tombstone (the row was deleted by that version).
+
+A row is its newest committed :class:`Version`; each version links to
+the next-older one through ``prev``, so visibility walks newest-first.
+The links point only backwards in time and form no cycles: dropping a
+``prev`` frees everything older by reference counting alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 
-@dataclass(frozen=True, slots=True)
 class Version:
-    """One committed version of a row."""
+    """One committed version of a row, linked to the one it replaced."""
 
-    csn: int
-    values: Optional[dict[str, Any]]  # None => deleted
-    writer: str = ""  # global transaction id of the creator (diagnostics)
+    __slots__ = ("csn", "values", "prev")
+
+    def __init__(
+        self,
+        csn: int,
+        values: Optional[dict[str, Any]],  # None => deleted
+        prev: Optional["Version"] = None,
+    ):
+        self.csn = csn
+        self.values = values
+        self.prev = prev
 
     @property
     def is_delete(self) -> bool:
         return self.values is None
 
-
-class VersionChain:
-    """Committed versions of one row, ascending csn order."""
-
-    __slots__ = ("versions",)
-
-    def __init__(self) -> None:
-        self.versions: list[Version] = []
-
-    def install(self, version: Version) -> None:
-        if self.versions and version.csn <= self.versions[-1].csn:
-            raise AssertionError(
-                f"non-monotonic install: {version.csn} after {self.versions[-1].csn}"
-            )
-        self.versions.append(version)
-
-    def visible(self, snapshot_csn: int) -> Optional[Version]:
-        """Latest version with csn <= snapshot, or None if row unborn.
-
-        Linear scan from the tail: chains are short and recent versions
-        are the common case.
-        """
-        for version in reversed(self.versions):
-            if version.csn <= snapshot_csn:
-                return version
-        return None
-
-    def latest(self) -> Optional[Version]:
-        """The most recently committed version (any snapshot)."""
-        return self.versions[-1] if self.versions else None
+    def visible(self, snapshot_csn: int) -> Optional["Version"]:
+        """The newest version with csn <= snapshot, from this one back;
+        None if the row was unborn at that snapshot."""
+        version: Optional[Version] = self
+        while version is not None and version.csn > snapshot_csn:
+            version = version.prev
+        return version
 
     def visible_values(self, snapshot_csn: int) -> Optional[dict[str, Any]]:
         """Row values under the snapshot; None if absent or deleted."""
         version = self.visible(snapshot_csn)
-        if version is None or version.is_delete:
-            return None
-        return version.values
+        return None if version is None else version.values
 
-    def __len__(self) -> int:
-        return len(self.versions)
+    def __iter__(self) -> Iterator["Version"]:
+        """This version and every older one still kept, newest first."""
+        version: Optional[Version] = self
+        while version is not None:
+            yield version
+            version = version.prev

@@ -627,7 +627,7 @@ def test_genesis_load_record_is_shared_and_replays(tmp_path):
         assert f"l{record.line}\n" in text
     # the engines keep their own row dicts, apart from each other and the log
     images = [
-        [chain.versions[0].values for chain in replica.db.catalog.table("kv").rows.values()]
+        [head.values for head in replica.db.catalog.table("kv").rows.values()]
         for replica in cluster.replicas
     ]
     ids = [id(row) for replica_rows in images for row in replica_rows]

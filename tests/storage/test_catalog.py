@@ -97,9 +97,8 @@ def test_catalog_create_and_lookup():
 
 def test_index_tracks_all_versions_and_backfills():
     table = Table(schema())
-    chain = table.ensure_chain(1)
-    chain.install(Version(1, {"id": 1, "name": "old", "price": None, "active": None}))
-    chain.install(Version(2, {"id": 1, "name": "new", "price": None, "active": None}))
+    table.install(1, Version(1, {"id": 1, "name": "old", "price": None, "active": None}))
+    table.install(1, Version(2, {"id": 1, "name": "new", "price": None, "active": None}))
     table.create_index("name")
     assert table.index_candidates("name", "old") == {1}
     assert table.index_candidates("name", "new") == {1}
@@ -124,8 +123,7 @@ def test_clone_empty_copies_schema_and_indexes_not_data():
     catalog = Catalog()
     table = catalog.create_table(schema())
     table.create_index("name")
-    chain = table.ensure_chain(1)
-    chain.install(Version(1, {"id": 1, "name": "x", "price": None, "active": None}))
+    table.install(1, Version(1, {"id": 1, "name": "x", "price": None, "active": None}))
     clone = catalog.clone_empty()
     cloned = clone.table("t")
     assert cloned.schema == table.schema

@@ -1,61 +1,70 @@
-"""Unit tests for version chains and snapshot visibility."""
+"""Unit tests for row versions and snapshot visibility."""
 
 import pytest
 
-from repro.storage.versions import Version, VersionChain
+from repro.storage.catalog import ColumnDef, Table, TableSchema
+from repro.storage.versions import Version
 
 
-def chain_with(*specs):
-    chain = VersionChain()
+def table_with(*specs):
+    """A one-row table whose row 1 got the ``(csn, values)`` versions
+    in order; returns the table."""
+    table = Table(TableSchema("t", (ColumnDef("v", "TEXT", primary_key=True),)))
     for csn, values in specs:
-        chain.install(Version(csn, values))
-    return chain
+        table.install(1, Version(csn, values))
+    return table
+
+
+def head_with(*specs):
+    return table_with(*specs).rows[1]
 
 
 def test_empty_chain_invisible():
-    chain = VersionChain()
-    assert chain.visible(100) is None
-    assert chain.latest() is None
-    assert chain.visible_values(100) is None
+    assert table_with().rows.get(1) is None
+    unborn = head_with((5, {"v": "a"}))
+    assert unborn.visible(4) is None
+    assert unborn.visible_values(4) is None
 
 
 def test_visibility_respects_snapshot():
-    chain = chain_with((1, {"v": "a"}), (5, {"v": "b"}), (9, {"v": "c"}))
-    assert chain.visible_values(0) is None
-    assert chain.visible_values(1) == {"v": "a"}
-    assert chain.visible_values(4) == {"v": "a"}
-    assert chain.visible_values(5) == {"v": "b"}
-    assert chain.visible_values(8) == {"v": "b"}
-    assert chain.visible_values(9) == {"v": "c"}
-    assert chain.visible_values(1000) == {"v": "c"}
+    head = head_with((1, {"v": "a"}), (5, {"v": "b"}), (9, {"v": "c"}))
+    assert head.visible_values(0) is None
+    assert head.visible_values(1) == {"v": "a"}
+    assert head.visible_values(4) == {"v": "a"}
+    assert head.visible_values(5) == {"v": "b"}
+    assert head.visible_values(8) == {"v": "b"}
+    assert head.visible_values(9) == {"v": "c"}
+    assert head.visible_values(1000) == {"v": "c"}
 
 
 def test_tombstone_hides_row():
-    chain = chain_with((1, {"v": "a"}), (3, None))
-    assert chain.visible_values(2) == {"v": "a"}
-    assert chain.visible_values(3) is None
-    assert chain.visible(3).is_delete
+    head = head_with((1, {"v": "a"}), (3, None))
+    assert head.visible_values(2) == {"v": "a"}
+    assert head.visible_values(3) is None
+    assert head.visible(3).is_delete
 
 
 def test_reinsert_after_delete():
-    chain = chain_with((1, {"v": "a"}), (3, None), (7, {"v": "b"}))
-    assert chain.visible_values(3) is None
-    assert chain.visible_values(7) == {"v": "b"}
+    head = head_with((1, {"v": "a"}), (3, None), (7, {"v": "b"}))
+    assert head.visible_values(3) is None
+    assert head.visible_values(7) == {"v": "b"}
 
 
 def test_latest_ignores_snapshot():
-    chain = chain_with((1, {"v": "a"}), (5, {"v": "b"}))
-    assert chain.latest().csn == 5
+    head = head_with((1, {"v": "a"}), (5, {"v": "b"}))
+    assert head.csn == 5
+    assert head.prev.csn == 1
 
 
 def test_non_monotonic_install_rejected():
-    chain = chain_with((5, {"v": "a"}))
+    table = table_with((5, {"v": "a"}))
     with pytest.raises(AssertionError):
-        chain.install(Version(5, {"v": "b"}))
+        table.install(1, Version(5, {"v": "b"}))
     with pytest.raises(AssertionError):
-        chain.install(Version(3, {"v": "b"}))
+        table.install(1, Version(3, {"v": "b"}))
+    assert [version.csn for version in table.rows[1]] == [5]
 
 
 def test_len_counts_versions():
-    chain = chain_with((1, {"v": "a"}), (2, None), (3, {"v": "c"}))
-    assert len(chain) == 3
+    head = head_with((1, {"v": "a"}), (2, None), (3, {"v": "c"}))
+    assert [version.csn for version in head] == [3, 2, 1]
