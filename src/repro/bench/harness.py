@@ -171,19 +171,16 @@ def run_sirep(
         )
     else:
         name = label or ("SRCA-Rep" if group.hole_sync else "SRCA-Opt")
-        group_logs = [
-            r.manager.group_log for r in cluster.replicas if r.manager.group_log
-        ]
+        statuses = cluster.statuses()
         extras = dict(
             hole_wait_fraction=cluster.hole_wait_fraction(),
             certification_aborts=cluster.total_certification_aborts(),
             gcs_batches=cluster.bus.delivered_batches,
             gcs_mean_batch_size=cluster.bus.mean_batch_size,
+            # 0 / 1 without group commit: every count is then 0
             group_commit_mean_size=(
-                sum(log.synced_entries for log in group_logs)
-                / max(1, sum(log.flushes for log in group_logs))
-                if group_logs
-                else 0.0
+                sum(s.group_commit_synced for s in statuses)
+                / max(1, sum(s.group_commit_flushes for s in statuses))
             ),
             read_tps=split.get("read-only", 0.0),
             update_tps=split.get("update", 0.0),

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
 
+from repro.core.protocol import ReplicaStatus
 from repro.core.replica import ReplicaNode
 from repro.core.srca_rep import MiddlewareReplica
 from repro.durable.log import LogRecord
@@ -241,6 +243,44 @@ class Comparator:
         return self.network.register(name or self.network.unique_address("client"))
 
 
+#: the per-replica ``metrics()`` keys, in order: each is the
+#: :class:`ReplicaStatus` field of that name, except ``db_versions``,
+#: which walks the engine and so is not in the record
+REPLICA_KEYS = (
+    "alive", "recovered", "active_sessions", "update_commits",
+    "readonly_commits", "certification_aborts", "salvaged", "salvage_rejects",
+    "certifier_window", "certifier_gc_floor", "certifier_gc_collected",
+    "certifier_floor_aborts", "tocommit_queue_len", "tocommit_appended",
+    "tocommit_batches", "remote_apply_retries", "group_commit_flushes",
+    "group_commit_mean_size", "hole_wait_fraction", "db_commits", "db_aborts",
+    "db_versions", "cpu_utilization",
+)
+#: the keys a replica that logs adds
+LOG_KEYS = (
+    "log_tip_seq", "log_durable_seq", "log_depth", "log_bytes", "log_flushes",
+    "log_fsyncs", "log_file_opens", "checkpoints",
+)
+#: per-replica gauge -> how it reads the status record, in registration
+#: order; most sample the field of their own name
+REPLICA_GAUGES = {
+    "tocommit_depth": attrgetter("tocommit_queue_len"),
+    **{
+        name: attrgetter(name)
+        for name in (
+            "holes", "oldest_hole_age", "active_sessions", "cpu_utilization",
+            "certifier_window", "certifier_gc_floor", "certifier_gc_collected",
+            "group_commit_mean_size",
+        )
+    },
+}
+#: the gauges a replica that logs adds
+LOG_GAUGES = {
+    "log_depth": attrgetter("log_depth"),
+    "log_durable_seq": attrgetter("log_durable_seq"),
+    "log_tail": lambda status: status.log_tip_seq - status.log_durable_seq,
+}
+
+
 class SIRepCluster:
     """A running SI-Rep deployment on one runtime.
 
@@ -326,10 +366,7 @@ class SIRepCluster:
         )
         if self.monitor is not None:
             self.monitor.start()
-        self.nodes: list[ReplicaNode] = []
         self.replicas: list[MiddlewareReplica] = []
-        self._incarnations: dict[str, int] = {}
-        self._recovered: set[str] = set()
         #: read tier: the certified-stream fan-out and the lazy replicas.
         #: The feed always exists (publishing with no subscribers is a
         #: pure bookkeeping no-op — it schedules nothing, so a run
@@ -402,15 +439,16 @@ class SIRepCluster:
             # eager aborts shed load, so commit latency stays bounded
             db.defer_gate = lambda queue=replica.manager.queue: len(queue) <= 16
         if index < len(self.replicas):
-            self.nodes[index], self.replicas[index] = node, replica
+            self.replicas[index] = replica
         else:
-            self.nodes.append(node)
             self.replicas.append(replica)
-        if recover_from is not None:
-            # out of the audits until its state is installed (see _admit)
-            self._recovered.add(name)
         self._register_replica_gauges(replica)
         return replica
+
+    @property
+    def nodes(self) -> list[ReplicaNode]:
+        """Every replica's engine, in replica order."""
+        return [replica.node for replica in self.replicas]
 
     def _add_replica(self, index: int) -> None:
         replica = self._spawn_replica(index, f"{self.config.replica_prefix}{index}")
@@ -467,7 +505,7 @@ class SIRepCluster:
         out normally, so no certified item is missed or applied twice.
         """
         donor = self._donor(donor_index, exclude=-1)
-        reader = self._spawn_reader(from_seq=donor.feed_seq)
+        reader = self._spawn_reader(from_seq=donor.status().feed_seq)
         self._join_reader(reader, donor)
         if self.monitor is not None:
             self._watch_reader(reader)
@@ -482,8 +520,9 @@ class SIRepCluster:
         """Bootstrap a fresh reader from ``donor``, captured atomically:
         replay the donor's whole log when it still starts at the first
         record, otherwise install the donor's full state."""
-        if donor.wslog is not None and donor.wslog.can_serve_from(0):
-            reader.join_from_log(donor.wslog.records_after(0))
+        wslog = donor.wslog
+        if wslog is not None and wslog.can_serve_from(0):
+            reader.join_from_log(wslog.records_after(0))
         else:
             reader.join_from_state(donor.full_state())
 
@@ -560,12 +599,10 @@ class SIRepCluster:
         pipeline state at any instant, but a hole outliving several batch
         windows is a commit stalled behind conflicts.
         """
-        certifier = next(
-            (r.certifier for r in self.replicas if r.alive), None
-        )
-        if certifier is None:
+        live = [replica.status() for replica in self.alive_replicas()]
+        if not live:
             return self._signal_ema
-        decisions, rejects = certifier.decisions, certifier.rejected
+        decisions, rejects = live[0].certifier_decisions, live[0].certifier_rejected
         prev_decisions, prev_rejects = self._signal_prev
         # recovery can swap in a certifier with reset counters: clamp
         delta_d = max(0, decisions - prev_decisions)
@@ -574,14 +611,7 @@ class SIRepCluster:
         if delta_d:
             fraction = delta_r / delta_d
             self._signal_ema = 0.5 * self._signal_ema + 0.5 * fraction
-        oldest = max(
-            (
-                r.manager.holes.oldest_hole_age(self.sim.now)
-                for r in self.replicas
-                if r.alive
-            ),
-            default=0.0,
-        )
+        oldest = max(status.oldest_hole_age for status in live)
         # saturate when a hole has outlived ~8 base batch windows
         horizon = 8.0 * max(self.config.gcs.batch_window, 1e-6)
         return max(self._signal_ema, min(1.0, oldest / horizon))
@@ -614,43 +644,12 @@ class SIRepCluster:
         if self.obs is None:
             return
         registry = self.obs.registry
-        name = replica.name
-        manager = replica.manager
-        registry.gauge(f"{name}.tocommit_depth", lambda: len(manager.queue))
-        registry.gauge(f"{name}.holes", manager.holes.hole_count)
-        registry.gauge(
-            f"{name}.oldest_hole_age",
-            lambda: manager.holes.oldest_hole_age(self.sim.now),
-        )
-        registry.gauge(
-            f"{name}.active_sessions", lambda: replica.active_sessions
-        )
-        registry.gauge(
-            f"{name}.cpu_utilization", replica.node.cpu.utilization
-        )
-        # read through the replica attribute: recovery swaps the
-        # certifier object when the donor state is installed
-        registry.gauge(
-            f"{name}.certifier_window", lambda: replica.certifier.window_size
-        )
-        registry.gauge(
-            f"{name}.certifier_gc_floor", lambda: replica.certifier.floor
-        )
-        registry.gauge(
-            f"{name}.certifier_gc_collected",
-            lambda: replica.certifier.gc_collected,
-        )
-        registry.gauge(
-            f"{name}.group_commit_mean_size",
-            lambda: manager.group_log.mean_group_size if manager.group_log else 0.0,
-        )
-        if replica.wslog is not None:
-            wslog = replica.wslog
-            registry.gauge(f"{name}.log_depth", lambda: wslog.retained_records)
-            registry.gauge(f"{name}.log_durable_seq", lambda: wslog.durable_seq)
-            registry.gauge(
-                f"{name}.log_tail", lambda: wslog.tip_seq - wslog.durable_seq
-            )
+        status = replica.status
+        gauges = REPLICA_GAUGES
+        if status().log_tip_seq is not None:
+            gauges = {**gauges, **LOG_GAUGES}
+        for gauge, read in gauges.items():
+            registry.gauge(f"{replica.name}.{gauge}", lambda read=read: read(status()))
 
     # ------------------------------------------------------------ data loading
 
@@ -662,8 +661,8 @@ class SIRepCluster:
         rebuilds the schema before it replays any writeset).
         """
         for sql in ddl_statements:
-            for node, replica in zip(self.nodes, self.replicas):
-                node.db.run_ddl(sql)
+            for replica in self.replicas:
+                replica.db.run_ddl(sql)
                 if replica.log is not None:
                     replica.log.genesis(partial(LogRecord.ddl, sql=sql, genesis=True))
             for reader in self.readers:
@@ -676,8 +675,8 @@ class SIRepCluster:
         # same seq, so its row copy and JSON text are built once
         genesis = cache(partial(LogRecord.load, table=table, rows=rows))
         with collector_paused():
-            for node, replica in zip(self.nodes, self.replicas):
-                node.db.bulk_load(table, rows)
+            for replica in self.replicas:
+                replica.db.bulk_load(table, rows)
                 if replica.log is not None:
                     replica.log.genesis(genesis)
             for reader in self.readers:
@@ -732,19 +731,13 @@ class SIRepCluster:
         log (it can serve the longest delta) and, tie-broken, the
         shallowest to-commit queue (least busy applying writesets)."""
         candidates = [
-            i for i, r in enumerate(self.replicas) if r.alive and i != exclude
+            (-(status.log_durable_seq or 0), status.tocommit_queue_len, i)
+            for i, status in enumerate(map(MiddlewareReplica.status, self.replicas))
+            if status.alive and i != exclude
         ]
         if not candidates:
             raise ValueError("no alive donor replica")
-
-        def score(i: int) -> tuple:
-            replica = self.replicas[i]
-            durable_seq = (
-                replica.wslog.durable_seq if replica.wslog is not None else 0
-            )
-            return (-durable_seq, len(replica.manager.queue), i)
-
-        return min(candidates, key=score)
+        return min(candidates)[2]
 
     def _donor(self, donor_index: Optional[int], exclude: int) -> MiddlewareReplica:
         """The named donor, or the best one; it must be alive."""
@@ -780,11 +773,8 @@ class SIRepCluster:
         if old.alive:
             raise ValueError(f"replica {index} is still alive")
         donor = self._donor(donor_index, exclude=index)
-        name = old.name
-        incarnation = self._incarnations.get(name, 0) + 1
-        self._incarnations[name] = incarnation
         return self._spawn_replica(
-            index, name, incarnation=incarnation,
+            index, old.name, incarnation=old.incarnation + 1,
             recover_from=donor.name, mode=mode,
         )
 
@@ -808,21 +798,18 @@ class SIRepCluster:
         self._admit(replica)
         if self.flight is not None:
             self.flight.snapshot(
-                f"recovered:{name}", replica=name, stats=replica.recovery_stats
+                f"recovered:{name}", replica=name, stats=replica.status().recovery
             )
 
     def _admit(self, replica: MiddlewareReplica) -> None:
         """A replica whose state is installed rejoins the stability
         watermark and, if its whole history is made of replayable
         transactions, the audits."""
-        if self.stability is not None and replica.wslog is not None:
-            self.stability.register(replica.name, replica.wslog.durable_seq)
-            replica.member.ack_durable(replica.wslog.durable_seq)
-        if not replica.audit_complete:
-            self._recovered.add(replica.name)
-            return
-        self._recovered.discard(replica.name)
-        if self.monitor is not None:
+        status = replica.status()
+        if self.stability is not None and status.log_durable_seq is not None:
+            self.stability.register(replica.name, status.log_durable_seq)
+            replica.member.ack_durable(status.log_durable_seq)
+        if self.monitor is not None and not status.recovered:
             # the replayed prefix is covered: those gids committed here
             # via log replay, before any event the history will record
             self.monitor.watch(
@@ -858,15 +845,23 @@ class SIRepCluster:
         replica whose own state cannot replay installs its full state, as
         a reader's snapshot join does — then admit everyone to watermark
         + audits."""
-        best = max(
-            (r for r in self.replicas if r.log.can_replay()),
-            key=lambda r: r.wslog.tip_seq,
+        statuses = [(replica, replica.status()) for replica in self.replicas]
+        best, best_status = max(
+            ((r, s) for r, s in statuses if s.can_replay),
+            key=lambda pair: pair[1].log_tip_seq,
         )
-        for replica in self.replicas:
-            if not replica.log.can_replay():
+        for replica, status in statuses:
+            if status.checkpoints_unreadable and self.flight is not None:
+                self.flight.snapshot(
+                    f"checkpoint-unreadable:{replica.name}", replica=replica.name,
+                    files=list(status.checkpoints_unreadable),
+                )
+            if not status.can_replay:
                 replica.recovery_stats = replica._install_state(best.full_state())
-            elif replica.wslog.tip_seq < best.wslog.tip_seq:
-                replica.log.catch_up(best.wslog.records_after(replica.wslog.tip_seq))
+            elif status.log_tip_seq < best_status.log_tip_seq:
+                replica.log.catch_up(best.wslog.records_after(status.log_tip_seq))
+            # gids issued from here on must not repeat an earlier life's
+            replica.resume_incarnation()
         for replica in self.replicas:
             self._admit(replica)
         # readers restart empty (no durable log of their own): bootstrap
@@ -887,11 +882,7 @@ class SIRepCluster:
         arrived via state transfer, not as begin/commit events — so the
         audit covers the continuously-alive replicas.
         """
-        audited = [
-            r
-            for r in self.replicas
-            if r.alive and r.name not in self._recovered
-        ]
+        audited = [r for r in self.alive_replicas() if not r.status().recovered]
         # lazy read replicas are full members of the audit: their applied
         # stream is real remote transactions in certification order, and
         # their local read-only snapshots must embed into the 1-copy-SI
@@ -906,8 +897,6 @@ class SIRepCluster:
         # everything else — so the checker sees the same transaction set
         # at every replica instead of flagging the prefix as divergence.
         for replica in audited:
-            if not replica.replayed:
-                continue
             schedule = schedules[replica.name]
             prefix_txns = {}
             prefix_events = []
@@ -943,68 +932,35 @@ class SIRepCluster:
 
     # ------------------------------------------------------------------- stats
 
+    def statuses(self) -> list[ReplicaStatus]:
+        """Every replica's status record, in replica order."""
+        return [replica.status() for replica in self.replicas]
+
     def total_commits(self) -> int:
-        return sum(r.stats_commits + r.stats_readonly_commits for r in self.replicas)
+        return sum(s.update_commits + s.readonly_commits for s in self.statuses())
 
     def total_certification_aborts(self) -> int:
-        return sum(r.stats_aborts for r in self.replicas)
+        return sum(s.certification_aborts for s in self.statuses())
 
     def hole_wait_fraction(self) -> float:
-        attempts = sum(r.manager.holes.start_attempts for r in self.replicas)
-        waits = sum(r.manager.holes.start_waits for r in self.replicas)
+        statuses = self.statuses()
+        attempts = sum(s.hole_start_attempts for s in statuses)
+        waits = sum(s.hole_start_waits for s in statuses)
         return waits / attempts if attempts else 0.0
 
     def metrics(self) -> dict:
         """Operational snapshot across replicas (monitoring surface)."""
+        statuses = self.statuses()
         per_replica = {}
-        for replica in self.replicas:
-            manager = replica.manager
-            per_replica[replica.name] = {
-                "alive": replica.alive,
-                "recovered": replica.name in self._recovered,
-                "active_sessions": replica.active_sessions,
-                "update_commits": replica.stats_commits,
-                "readonly_commits": replica.stats_readonly_commits,
-                "certification_aborts": replica.stats_aborts,
-                "salvaged": replica.certifier.salvaged,
-                "salvage_rejects": replica.certifier.salvage_rejects,
-                "certifier_window": replica.certifier.window_size,
-                "certifier_gc_floor": replica.certifier.floor,
-                "certifier_gc_collected": replica.certifier.gc_collected,
-                "certifier_floor_aborts": replica.certifier.floor_aborts,
-                "tocommit_queue_len": len(manager.queue),
-                "tocommit_appended": manager.queue.appended_total,
-                "tocommit_batches": manager.queue.appended_batches,
-                "remote_apply_retries": manager.remote_apply_retries,
-                "group_commit_flushes": (
-                    manager.group_log.flushes if manager.group_log else 0
-                ),
-                "group_commit_mean_size": (
-                    manager.group_log.mean_group_size if manager.group_log else 0.0
-                ),
-                "hole_wait_fraction": manager.holes.hole_wait_fraction,
-                "db_commits": replica.node.db.commits,
-                "db_aborts": replica.node.db.aborts,
-                "db_versions": replica.node.db.version_count(),
-                "cpu_utilization": (
-                    replica.node.cpu.utilization() if replica.node.cpu else 0.0
-                ),
-            }
-            if replica.wslog is not None:
-                per_replica[replica.name].update({
-                    "log_tip_seq": replica.wslog.tip_seq,
-                    "log_durable_seq": replica.wslog.durable_seq,
-                    "log_depth": replica.wslog.retained_records,
-                    "log_bytes": replica.wslog.durable_bytes,
-                    "log_flushes": replica.wslog.flushes,
-                    "log_fsyncs": replica.wslog.fsyncs,
-                    "log_file_opens": replica.wslog.opens,
-                    "checkpoints": replica.log.checkpoints.saved,
-                })
-            if replica.recovery_stats:
-                per_replica[replica.name]["recovery"] = dict(
-                    replica.recovery_stats
-                )
+        for replica, status in zip(self.replicas, statuses):
+            fields = status._asdict()
+            fields["db_versions"] = replica.node.db.version_count()
+            row = {key: fields[key] for key in REPLICA_KEYS}
+            if status.log_tip_seq is not None:
+                row.update((key, fields[key]) for key in LOG_KEYS)
+            if status.recovery:
+                row["recovery"] = dict(status.recovery)
+            per_replica[replica.name] = row
         out = {
             "now": self.sim.now,
             # which clock produced these numbers — sim seconds and wall
@@ -1019,15 +975,11 @@ class SIRepCluster:
             # and identical everywhere, so the cluster-level salvage
             # totals are the max over replicas, not the sum
             "reordered_total": self.bus.reordered_entries,
-            "salvaged_total": max(
-                (r.certifier.salvaged for r in self.replicas), default=0
-            ),
-            "salvage_rejects": max(
-                (r.certifier.salvage_rejects for r in self.replicas), default=0
-            ),
+            "salvaged_total": max((s.salvaged for s in statuses), default=0),
+            "salvage_rejects": max((s.salvage_rejects for s in statuses), default=0),
             # per-replica engine counter (blind stages that skipped the
             # eager first-updater check): a sum, unlike the cert totals
-            "deferred_ww_total": sum(r.db.deferred_ww for r in self.replicas),
+            "deferred_ww_total": sum(s.deferred_ww for s in statuses),
             "batch_window": self.bus.current_window,
             "replicas": per_replica,
         }

@@ -260,6 +260,70 @@ class ProcMessage(NamedTuple):
     origin: str = ""
 
 
+# -- control plane: what a replica reports to the deployment around it -------
+
+
+class ReplicaStatus(NamedTuple):
+    """One replica's state as its cluster sees it, built by
+    :meth:`MiddlewareReplica.status` in one step.  Every field has a
+    reader in the cluster; a field named like a ``metrics()`` per-replica
+    key is that key's value.  The log fields are None when the replica
+    does not log."""
+
+    alive: bool
+    #: out of the offline audit: a recovery that has not installed yet,
+    #: or a history that holds row images (checkpoint, full state)
+    recovered: bool
+    active_sessions: int
+    update_commits: int
+    readonly_commits: int
+    certification_aborts: int
+    salvaged: int
+    salvage_rejects: int
+    certifier_window: int
+    certifier_gc_floor: int
+    certifier_gc_collected: int
+    certifier_floor_aborts: int
+    tocommit_queue_len: int
+    tocommit_appended: int
+    tocommit_batches: int
+    remote_apply_retries: int
+    group_commit_flushes: int
+    group_commit_mean_size: float
+    hole_wait_fraction: float
+    db_commits: int
+    db_aborts: int
+    cpu_utilization: float
+    #: the recovery stats of this incarnation ({} if it did not recover)
+    recovery: dict
+    #: the adaptive batch window's contention signal
+    certifier_decisions: int
+    certifier_rejected: int
+    oldest_hole_age: float
+    #: the sampler's hole gauge and the cluster's hole-wait fraction
+    holes: int
+    hole_start_attempts: int
+    hole_start_waits: int
+    #: group-commit amortisation across replicas (bench harness)
+    group_commit_synced: int
+    #: blind stages that skipped the engine's eager first-updater check
+    deferred_ww: int
+    #: certified-feed position a joining reader subscribes from
+    feed_seq: int
+    log_tip_seq: Optional[int] = None
+    log_durable_seq: Optional[int] = None
+    log_depth: Optional[int] = None
+    log_bytes: Optional[int] = None
+    log_flushes: Optional[int] = None
+    log_fsyncs: Optional[int] = None
+    log_file_opens: Optional[int] = None
+    checkpoints: Optional[int] = None
+    #: can our own checkpoint + log rebuild us (cold-restart leveling)
+    can_replay: Optional[bool] = None
+    #: checkpoint files that failed to load and were skipped
+    checkpoints_unreadable: Optional[tuple[str, ...]] = None
+
+
 #: exception class registry for (de)marshalling errors across the channel
 _ERROR_CLASSES = {
     name: getattr(errors, name)

@@ -46,6 +46,8 @@ class ReplicaLog:
         #: the ws seqs in ``_skip`` are in its row images
         self._cert_floor = 0
         self._skip: frozenset = frozenset()
+        for path in self.checkpoints.unreadable:
+            replica._emit("checkpoint_unreadable", path=str(path))
 
     def can_replay(self) -> bool:
         """Can our own durable state rebuild us: does the log still reach

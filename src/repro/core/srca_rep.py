@@ -163,6 +163,60 @@ class MiddlewareReplica:
             # up to that point is deferred until the transfer arrives.
             member.multicast(self._sync_payload(recover_from))
 
+    def status(self) -> protocol.ReplicaStatus:
+        """What the cluster reads about this replica, in one record built
+        in one step (no yield).  Nothing here grows with the database.
+        The values are in the record's field order (positional: this runs
+        on every adaptive-window tick)."""
+        certifier, manager, db = self.certifier, self.manager, self.db
+        queue, holes, group_log = manager.queue, manager.holes, manager.group_log
+        logged = (None,) * 10
+        if self.log is not None:
+            wslog, checkpoints = self.wslog, self.log.checkpoints
+            logged = (
+                wslog.tip_seq, wslog.durable_seq, wslog.retained_records,
+                wslog.durable_bytes, wslog.flushes, wslog.fsyncs, wslog.opens,
+                checkpoints.saved, self.log.can_replay(),
+                tuple(map(str, checkpoints.unreadable)),
+            )
+        return protocol.ReplicaStatus._make((
+            self.alive,
+            # out of the audit: still recovering, or holding row images
+            (self.recover_from is not None and not self.recovered)
+            or not self.audit_complete,
+            self.active_sessions,
+            self.stats_commits,
+            self.stats_readonly_commits,
+            self.stats_aborts,
+            certifier.salvaged,
+            certifier.salvage_rejects,
+            certifier.window_size,
+            certifier.floor,
+            certifier.gc_collected,
+            certifier.floor_aborts,
+            len(queue),
+            queue.appended_total,
+            queue.appended_batches,
+            manager.remote_apply_retries,
+            group_log.flushes if group_log else 0,
+            group_log.mean_group_size if group_log else 0.0,
+            holes.hole_wait_fraction,
+            db.commits,
+            db.aborts,
+            self.node.cpu.utilization() if self.node.cpu else 0.0,
+            self.recovery_stats,
+            certifier.decisions,
+            certifier.rejected,
+            holes.oldest_hole_age(self.sim.now),
+            holes.hole_count(),
+            holes.start_attempts,
+            holes.start_waits,
+            group_log.synced_entries if group_log else 0,
+            db.deferred_ww,
+            self.feed_seq,
+            *logged,
+        ))
+
     def _sync_payload(self, donor: str) -> protocol.SyncMessage:
         from_seq = self.log.sync_from() if self.log is not None else None
         return protocol.SyncMessage(target=self.name, donor=donor, from_seq=from_seq)
@@ -205,6 +259,20 @@ class MiddlewareReplica:
         self._note_outcomes(image.outcomes)
         self.feed_seq = image.feed_seq
         self.audit_complete = False
+
+    def resume_incarnation(self) -> None:
+        """After a cold restart, issue gids above every incarnation of
+        ours whose gids we hold (replayed records, restored outcomes), so
+        no gid an earlier life certified is issued again.  Gids of
+        read-only or locally aborted transactions leave no trace; their
+        reuse is harmless."""
+        held = itertools.chain((gid for gid, _keys in self.replayed), self.outcomes)
+        homes = (gid.split(":", 1)[0].partition(".") for gid in held)
+        self.incarnation = 1 + max(
+            (int(number or 0) for home, _dot, number in homes if home == self.name),
+            default=0,
+        )
+        self.gid_prefix = f"{self.name}.{self.incarnation}"
 
     # --------------------------------------------------------------- observability
 

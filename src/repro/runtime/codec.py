@@ -60,6 +60,7 @@ from repro.core.protocol import (
     ProcMessage,
     ProcRequest,
     ProcResp,
+    ReplicaStatus,
     RollbackReq,
     RollbackResp,
     StateTransfer,
@@ -107,6 +108,8 @@ WIRE_TYPES: dict[type, tuple[int, tuple]] = {
     SyncMessage: (25, ()),
     DdlMessage: (26, ()),
     ProcMessage: (27, ()),
+    # the control plane: what a replica reports (core/protocol.py)
+    ReplicaStatus: (28, ()),
     # inside payloads
     WriteSet: (30, (WriteSet.to_wire, WriteSet.from_wire)),
     WriteOp: (31, ()),

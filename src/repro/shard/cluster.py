@@ -297,9 +297,9 @@ class ShardedCluster:
 
     def total_update_commits(self) -> int:
         return sum(
-            replica.stats_commits
+            status.update_commits
             for group in self.groups
-            for replica in group.replicas
+            for status in group.statuses()
         )
 
     def total_certification_aborts(self) -> int:

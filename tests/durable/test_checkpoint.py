@@ -137,3 +137,57 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
             assert replica.certifier.tombstones == {("kv", 2), ("kv", 3)}
     finally:
         cluster.stop()
+
+
+def test_an_unreadable_checkpoint_is_reported_at_cold_restart(tmp_path):
+    from repro.client import Driver
+
+    config = DurabilityConfig(log_dir=tmp_path / "wal")
+    cluster = SIRepCluster(ClusterConfig(n_replicas=2, seed=7, durability=config))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 4)])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def write(k, v):
+        def proc():
+            conn = yield from driver.connect(cluster.new_client_host())
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (v, k))
+            yield from conn.commit()
+
+        cluster.sim.run_process(proc())
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+
+    # two checkpoints per replica, with log records above each
+    for round_ in (1, 2):
+        write(1, 10 * round_)
+        for replica in cluster.replicas:
+            replica.log.take_checkpoint()
+    write(2, 99)
+    expected = query(cluster.sim, cluster.replicas[0].db, "SELECT k, v FROM kv ORDER BY k")
+    cluster.stop()
+    newest = sorted((tmp_path / "wal" / "R0" / "ckpt").glob("ckpt-*.json"))[-1]
+    text = newest.read_text()
+    newest.write_text(text[: len(text) // 2])
+
+    restarted = SIRepCluster.cold_restart(
+        ClusterConfig(n_replicas=2, seed=8, obs=True, flight=True),
+        DurabilityStore(config),
+    )
+    try:
+        events = restarted.obs.events.of_kind("checkpoint_unreadable")
+        assert [(e["replica"], e["path"]) for e in events] == [("R0", str(newest))]
+        snapshots = [
+            snap for snap in restarted.flight.snapshots
+            if snap["reason"] == "checkpoint-unreadable:R0"
+        ]
+        assert len(snapshots) == 1
+        assert snapshots[0]["context"]["files"] == [str(newest)]
+        assert restarted.replicas[0].status().checkpoints_unreadable == (str(newest),)
+        assert restarted.replicas[1].status().checkpoints_unreadable == ()
+        # R0 rebuilt from its older checkpoint plus the log above it
+        assert restarted.replicas[0].recovery_stats["checkpoint"] is True
+        for replica in restarted.replicas:
+            rows = query(restarted.sim, replica.db, "SELECT k, v FROM kv ORDER BY k")
+            assert rows == expected
+    finally:
+        restarted.stop()

@@ -87,7 +87,7 @@ def test_delta_recovery_ships_only_the_missed_tail():
     assert stats["from_seq"] == 2  # its durable tip: the genesis records
     # delta recovery keeps the history replayable: back in the audit...
     assert recovered.audit_complete
-    assert "R0" not in cluster._recovered
+    assert not cluster.metrics()["replicas"]["R0"]["recovered"]
     assert_consistent_and_audited(cluster, expect_n=3)
     # ...and re-watched by the online monitor
     assert "R0" in cluster.monitor.summary()["watched"]
@@ -107,7 +107,7 @@ def test_full_mode_still_available_on_a_durable_cluster():
     assert recovered.recovery_stats["mode"] == "full"
     # row images are not replayable transactions: stays out of the audit
     assert not recovered.audit_complete
-    assert "R0" in cluster._recovered
+    assert cluster.metrics()["replicas"]["R0"]["recovered"]
     states = all_states(cluster)
     assert len(set(states.values())) == 1
     assert cluster.one_copy_report().ok  # over the continuously-alive pair
@@ -391,6 +391,53 @@ def test_cold_restart_watermark_resumes_where_it_left_off():
     cfg = ClusterConfig(n_replicas=3, seed=38)
     cluster = SIRepCluster.cold_restart(cfg, store)
     assert cluster.stability.stable_seq() == min(tips)
+
+
+def logged_gids(replica):
+    return [record.gid for record in replica.wslog.records_after(0) if record.gid]
+
+
+def writes_around_a_recovery_of_r1(cluster, driver, value):
+    """Three writes on R1, then R1 crashes and recovers, then three more."""
+    sim = cluster.sim
+    start = sim.now
+    for i in range(3):
+        spawn_writer(cluster, driver, 1 + i, value + i, 0.1 + 0.1 * i)
+    sim.call_at(start + 0.6, lambda: cluster.crash(1))
+    sim.call_at(start + 0.8, lambda: cluster.recover_replica(1))
+    for i in range(3):
+        spawn_writer(cluster, driver, 1 + i, value + 10 + i, 1.5 + 0.1 * i)
+    settle(cluster, 3.0)
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_cold_restart_issues_no_gid_an_earlier_life_certified(tmp_path, on_disk):
+    config = DurabilityConfig(log_dir=tmp_path / "wal" if on_disk else None)
+    store = DurabilityStore(config)
+    cluster, driver = make_cluster(seed=31, store=store)
+    writes_around_a_recovery_of_r1(cluster, driver, 100)
+    before = logged_gids(cluster.replicas[0])
+    old_prefixes = {gid.split(":")[0] for gid in before}
+    assert old_prefixes == {"R1", "R1.1"}
+    cluster.stop()
+
+    if on_disk:
+        store = DurabilityStore(config)
+    cfg = ClusterConfig(n_replicas=3, seed=32, monitor=True)
+    cluster = SIRepCluster.cold_restart(cfg, store)
+    driver = Driver(cluster.network, cluster.discovery)
+    writes_around_a_recovery_of_r1(cluster, driver, 200)
+
+    for replica in cluster.alive_replicas():
+        gids = logged_gids(replica)
+        assert len(gids) == len(set(gids)), replica.name
+    new = logged_gids(cluster.replicas[0])[len(before):]
+    assert len(new) == 6
+    new_prefixes = {gid.split(":")[0] for gid in new}
+    assert not new_prefixes & old_prefixes
+    # one above the highest incarnation held, then one more per recovery
+    assert new_prefixes == {"R1.2", "R1.3"}
+    assert cluster.one_copy_report().ok
 
 
 # ------------------------------------------------------------------ misc

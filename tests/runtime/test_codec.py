@@ -182,6 +182,19 @@ proc_messages = st.builds(
     protocol.ProcMessage, rid=names, proc=names,
     params=st.lists(scalars, max_size=3).map(tuple), origin=names,
 )
+#: the control plane's status record: builtins only
+replica_statuses = st.builds(protocol.ReplicaStatus, **{
+    **dict.fromkeys(protocol.ReplicaStatus._fields, st.integers()),
+    **dict.fromkeys(("alive", "recovered"), st.booleans()),
+    **dict.fromkeys(
+        ("group_commit_mean_size", "hole_wait_fraction", "cpu_utilization",
+         "oldest_hole_age"),
+        st.floats(allow_nan=False),
+    ),
+    "recovery": st.dictionaries(names, scalars, max_size=3),
+    "can_replay": st.none() | st.booleans(),
+    "checkpoints_unreadable": st.none() | st.lists(names, max_size=2).map(tuple),
+})
 #: what a multicast payload may hold: builtins, and wire types in tuples
 payloads = st.recursive(
     builtins | writesets | trace_contexts | writeset_messages | sync_messages
@@ -244,6 +257,7 @@ WIRE_STRATEGIES = {
     protocol.SyncMessage: sync_messages,
     protocol.DdlMessage: ddl_messages,
     protocol.ProcMessage: proc_messages,
+    protocol.ReplicaStatus: replica_statuses,
     Multicast: st.builds(
         Multicast, payloads, st.booleans(), st.floats(allow_nan=False)
     ),
