@@ -373,7 +373,7 @@ class SIRepCluster:
         #: without readers is event-identical to one predating the tier)
         self.reader_config = cfg.reader or ReaderConfig()
         self.feed = CertifiedFeed(
-            self.sim, fanout_delay=self.reader_config.fanout_delay
+            self.sim, self._feed_floor, fanout_delay=self.reader_config.fanout_delay
         )
         self.readers: list[ReadReplica] = []
         for index in range(cfg.n_replicas):
@@ -483,6 +483,12 @@ class SIRepCluster:
         self.readers.append(reader)
         self._register_reader_gauges(reader)
         return reader
+
+    def _feed_floor(self) -> int:
+        """The lowest position a reader can join from: the lowest live
+        full replica's ``feed_seq``.  Runs on every feed publish, so it
+        reads the attribute, not the status record."""
+        return min((r.feed_seq for r in self.replicas if r.alive), default=0)
 
     def _watch_reader(self, reader: ReadReplica) -> None:
         """Admit a reader to the online monitor, its bootstrap prefix
@@ -664,7 +670,7 @@ class SIRepCluster:
             for replica in self.replicas:
                 replica.db.run_ddl(sql)
                 if replica.log is not None:
-                    replica.log.genesis(partial(LogRecord.ddl, sql=sql, genesis=True))
+                    replica.log.genesis(partial(LogRecord.ddl, sql=sql))
             for reader in self.readers:
                 # genesis never rides the feed: readers get it directly
                 reader.db.run_ddl(sql)
@@ -727,25 +733,31 @@ class SIRepCluster:
         return [r for r in self.replicas if r.alive]
 
     def _pick_donor(self, exclude: int) -> int:
-        """Best recovery donor: the alive replica with the most durable
-        log (it can serve the longest delta) and, tie-broken, the
-        shallowest to-commit queue (least busy applying writesets)."""
+        """Best recovery donor: the alive, installed replica with the
+        most durable log (it can serve the longest delta) and,
+        tie-broken, the shallowest to-commit queue (least busy applying
+        writesets)."""
         candidates = [
             (-(status.log_durable_seq or 0), status.tocommit_queue_len, i)
             for i, status in enumerate(map(MiddlewareReplica.status, self.replicas))
-            if status.alive and i != exclude
+            if status.alive and status.installed and i != exclude
         ]
         if not candidates:
             raise ValueError("no alive donor replica")
         return min(candidates)[2]
 
     def _donor(self, donor_index: Optional[int], exclude: int) -> MiddlewareReplica:
-        """The named donor, or the best one; it must be alive."""
+        """The named donor, or the best one; it must be alive and hold an
+        installed state (a recovery still waiting for its own donor's
+        state has nothing to give)."""
         if donor_index is None:
             donor_index = self._pick_donor(exclude=exclude)
         donor = self.replicas[donor_index]
-        if not donor.alive:
+        status = donor.status()
+        if not status.alive:
             raise ValueError(f"donor replica {donor_index} is not alive")
+        if not status.installed:
+            raise ValueError(f"donor replica {donor_index} is still recovering")
         return donor
 
     def recover_replica(

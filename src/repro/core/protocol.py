@@ -151,9 +151,6 @@ class StateTransfer:
     #: donor's writeset-log tip at the sync point, so a durable rejoiner
     #: can realign (rebase) its own log after a full-state install
     log_seq: int = 0
-    #: donor's certified-feed position at the sync point, so the new
-    #: incarnation's publishes stay seq-aligned with the read tier
-    feed_seq: int = 0
     #: donor's engine csn, captured with ``rows``: the joiner's engine
     #: resumes from it, so its csn keeps counting certified commits
     #: (a session token names a certification tid)
@@ -274,6 +271,9 @@ class ReplicaStatus(NamedTuple):
     #: out of the offline audit: a recovery that has not installed yet,
     #: or a history that holds row images (checkpoint, full state)
     recovered: bool
+    #: holds a state to serve from: not a recovery still waiting for its
+    #: donor's state (what a donor must be)
+    installed: bool
     active_sessions: int
     update_commits: int
     readonly_commits: int
@@ -308,7 +308,8 @@ class ReplicaStatus(NamedTuple):
     group_commit_synced: int
     #: blind stages that skipped the engine's eager first-updater check
     deferred_ww: int
-    #: certified-feed position a joining reader subscribes from
+    #: total-order seq of the last delivery this replica's state covers:
+    #: where a reader joining from it subscribes
     feed_seq: int
     log_tip_seq: Optional[int] = None
     log_durable_seq: Optional[int] = None

@@ -24,7 +24,7 @@ from repro.sim import Gate, wait_until
 class ReplicaLog:
     """One replica's writeset log, checkpoints, replay and delta
     transfers; ``replica`` is the :class:`MiddlewareReplica` whose
-    engine, certifier, outcomes and feed position they rebuild."""
+    engine, certifier and outcomes they rebuild."""
 
     def __init__(self, replica, durable: ReplicaDurability, mode: Optional[str]):
         self.replica = replica
@@ -142,7 +142,6 @@ class ReplicaLog:
             applied_beyond=self.applied.beyond,
             csn=db.csn, ddl=db.ddl_log, rows=db.export_committed(),
             certifier=replica.certifier, outcomes=replica.outcomes,
-            feed_seq=replica.feed_seq,
         )
         self.checkpoints.save(checkpoint)
         replica._emit(
@@ -196,18 +195,12 @@ class ReplicaLog:
         if record.kind != durable_log.WS:
             if record.seq > self._cert_floor:
                 record.install(replica.db)
-                if record.kind == durable_log.DDL and not record.genesis:
-                    # replicated DDL occupies a feed position; replay
-                    # advances the counter silently (the survivors
-                    # already published the item)
-                    replica.feed_seq += 1
             self.applied.mark(record.seq)
             return
         if record.seq > self._cert_floor:
             # the logged pass lands the certifier (tombstones included)
             # in exactly the state it had at this seq
             replica.certifier.record_pass(record.tid, record.keys, record.ops)
-            replica.feed_seq += 1
         if record.seq not in self._skip:
             record.install(replica.db)
         replica.replayed.append((record.gid, record.keys))

@@ -42,6 +42,7 @@ class MiddlewareReplica:
         node: ReplicaNode,
         member: GroupMember,
         host: Host,
+        feed,
         hole_sync: bool = True,
         group_commit: bool = False,
         discovery: Optional[DiscoveryService] = None,
@@ -53,7 +54,6 @@ class MiddlewareReplica:
         recovery_mode: Optional[str] = None,
         cold_start: bool = False,
         on_recovered=None,
-        feed=None,
         salvage: bool = False,
     ):
         self.sim = sim
@@ -114,9 +114,9 @@ class MiddlewareReplica:
         self.committed_gids: set[str] = set()
         self.commit_gate = Gate(name=f"{name}.commit-notify")
         self.manager.on_commit = self._note_local_commit
-        #: certified-stream fan-out to the read tier (repro.reader); the
-        #: seq counter advances on every replicated item even with no
-        #: feed attached, so state transfers stay aligned cluster-wide
+        #: certified-stream fan-out to the read tier (repro.reader), and
+        #: the total-order seq of the last delivery our state covers: a
+        #: publish sets it, and so does our own sync marker
         self.feed = feed
         self.feed_seq = 0
         self.on_recovered = on_recovered
@@ -171,6 +171,7 @@ class MiddlewareReplica:
         certifier, manager, db = self.certifier, self.manager, self.db
         queue, holes, group_log = manager.queue, manager.holes, manager.group_log
         logged = (None,) * 10
+        installed = self.recover_from is None or self.recovered
         if self.log is not None:
             wslog, checkpoints = self.wslog, self.log.checkpoints
             logged = (
@@ -182,8 +183,8 @@ class MiddlewareReplica:
         return protocol.ReplicaStatus._make((
             self.alive,
             # out of the audit: still recovering, or holding row images
-            (self.recover_from is not None and not self.recovered)
-            or not self.audit_complete,
+            not installed or not self.audit_complete,
+            installed,
             self.active_sessions,
             self.stats_commits,
             self.stats_readonly_commits,
@@ -251,13 +252,12 @@ class MiddlewareReplica:
 
     def _restore(self, image, certifier: Certifier) -> None:
         """The one restore of a state image, a checkpoint or a full state
-        transfer: engine rows and DDL, certifier, outcomes and feed
-        position.  Its history is row images, not transactions, so this
-        incarnation leaves the offline audit."""
+        transfer: engine rows and DDL, certifier and outcomes.  Its
+        history is row images, not transactions, so this incarnation
+        leaves the offline audit."""
         self.db.install_snapshot(image.ddl, image.rows, image.csn)
         self.certifier = certifier
         self._note_outcomes(image.outcomes)
-        self.feed_seq = image.feed_seq
         self.audit_complete = False
 
     def resume_incarnation(self) -> None:
@@ -327,7 +327,7 @@ class MiddlewareReplica:
         if kind == protocol.WS:
             self._on_writesets((item,), batched=False)
         elif kind == protocol.DDL:
-            self._on_ddl(item.payload)
+            self._on_ddl(item)
         elif kind == protocol.SYNC:
             self._on_sync_request(item.payload)
 
@@ -406,6 +406,8 @@ class MiddlewareReplica:
                 and payload.target == self.name
                 and payload.donor == donor
             ):
+                # the donor's state covers every delivery before this one
+                self.feed_seq = item.seq
                 awaiting_state = True
                 continue
             if awaiting_state:
@@ -461,7 +463,6 @@ class MiddlewareReplica:
             pending=tuple(entry.record for entry in self.manager.queue),
             outcomes=dict(self.outcomes),
             log_seq=self.wslog.tip_seq if self.wslog is not None else 0,
-            feed_seq=self.feed_seq,
             csn=self.db.csn,
         )
 
@@ -505,21 +506,18 @@ class MiddlewareReplica:
             self.on_recovered(self)
 
     def _certify_writeset(
-        self,
-        payload: protocol.WritesetMessage,
-        sent_at: Optional[float] = None,
-        sequenced_at: Optional[float] = None,
+        self, message: Message
     ) -> tuple[Optional[Entry], Optional[OneShot]]:
-        """Validate one writeset in delivery order — the shared core of the
-        per-message and batched paths, so both reach identical decisions.
+        """Validate one writeset delivery in delivery order — the shared
+        core of the per-message and batched paths, so both reach
+        identical decisions (its GCS timestamps only enrich traces).
 
-        ``sent_at``/``sequenced_at`` are the delivery's GCS timestamps
-        (trace enrichment only — they play no role in the decision).
         Returns ``(entry, local_waiter)``: the queue entry for a pass
         (``None`` for an abort, whose local waiter is resolved here) and
         the local commit waiter still to be resolved *after* the entry is
         enqueued.
         """
+        payload = message.payload
         gid, sender = payload.gid, payload.sender
         record = payload.to_record()
         ok = self.certifier.validate(record)
@@ -528,17 +526,16 @@ class MiddlewareReplica:
             log_record = self.log.append_writeset(gid, record.tid, sender, payload.writeset)
         self.gc_floor.stage(payload, log_record)
         if ok:
-            # fan the certified item out to the read tier; every replica
-            # publishes the identical item at the identical seq, the
-            # feed keeps the first and drops the rest
-            self.feed_seq += 1
-            if self.feed is not None:
-                self.feed.publish(LogRecord(
-                    self.feed_seq, durable_log.WS, gid=gid, tid=record.tid,
-                    sender=sender, ops=tuple(payload.writeset),
-                ))
+            # fan the certified item out to the read tier at its
+            # delivery's seq; every replica publishes the identical item,
+            # the feed keeps the first and drops the rest
+            self.feed_seq = message.seq
+            self.feed.publish(LogRecord(
+                message.seq, durable_log.WS, gid=gid, tid=record.tid,
+                sender=sender, ops=tuple(payload.writeset),
+            ))
         entry_ctx, deliver_span = self._trace_delivery(
-            gid, sender, payload.ctx, ok, sent_at, sequenced_at
+            gid, sender, payload.ctx, ok, message.sent_at, message.sequenced_at
         )
         self._count("validation.pass" if ok else "validation.abort")
         if ok and record.salvaged:
@@ -648,11 +645,7 @@ class MiddlewareReplica:
         pending: list[tuple[OneShot, Entry]] = []
         for message in messages:
             assert message.payload.kind == protocol.WS  # only writesets are batchable
-            entry, waiter = self._certify_writeset(
-                message.payload,
-                sent_at=message.sent_at,
-                sequenced_at=message.sequenced_at,
-            )
+            entry, waiter = self._certify_writeset(message)
             if entry is None:
                 continue
             entries.append(entry)
@@ -672,12 +665,12 @@ class MiddlewareReplica:
             )
             waiter.resolve((outcome, entry))
 
-    def _on_ddl(self, payload: protocol.DdlMessage) -> None:
+    def _on_ddl(self, message: Message) -> None:
+        payload = message.payload
         sql = payload.sql
         self.db.run_ddl(sql)
-        self.feed_seq += 1
-        if self.feed is not None:
-            self.feed.publish(LogRecord(self.feed_seq, durable_log.DDL, sql=sql))
+        self.feed_seq = message.seq
+        self.feed.publish(LogRecord(message.seq, durable_log.DDL, sql=sql))
         if self.log is not None:
             self.log.append_ddl(sql)
         if payload.sender == self.name:

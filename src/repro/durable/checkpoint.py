@@ -36,9 +36,6 @@ class Checkpoint:
     cert_last_writer: dict  # (table, pk) -> tid
     outcomes: dict  # gid -> committed/aborted (in-doubt inquiries)
     nbytes: int
-    #: certified-feed position at capture (replicated records only), so a
-    #: restored incarnation keeps publishing at read-tier-aligned seqs
-    feed_seq: int = 0
     #: certifier tombstones ((table, pk) whose last certified write was a
     #: DELETE) — restored so future salvage decisions stay deterministic
     #: across the checkpoint boundary
@@ -51,8 +48,7 @@ class Checkpoint:
 
     @classmethod
     def capture(cls, *, seq: int, cert_seq: int, applied_beyond, csn: int,
-                ddl, rows: dict, certifier, outcomes: dict,
-                feed_seq: int = 0) -> "Checkpoint":
+                ddl, rows: dict, certifier, outcomes: dict) -> "Checkpoint":
         """Snapshot the inputs; ``certifier`` is a
         :class:`~repro.core.validation.Certifier`, and :meth:`certifier`
         is the way back."""
@@ -72,7 +68,6 @@ class Checkpoint:
             cert_last_writer=dict(certifier.last_writers),
             outcomes=dict(outcomes),
             nbytes=nbytes,
-            feed_seq=feed_seq,
             cert_deleted=tuple(sorted(certifier.tombstones, key=repr)),
             cert_floor=certifier.floor,
         )
@@ -103,7 +98,6 @@ class Checkpoint:
             ],
             "outcomes": self.outcomes,
             "nbytes": self.nbytes,
-            "feed_seq": self.feed_seq,
             "cert_deleted": [[table, pk] for table, pk in self.cert_deleted],
             "cert_floor": self.cert_floor,
         }
@@ -124,7 +118,6 @@ class Checkpoint:
             },
             outcomes=dict(data["outcomes"]),
             nbytes=data["nbytes"],
-            feed_seq=data.get("feed_seq", 0),
             cert_deleted=tuple(
                 (table, pk) for table, pk in data.get("cert_deleted", ())
             ),

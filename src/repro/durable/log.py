@@ -50,8 +50,8 @@ WS = "ws"
 DDL = "ddl"
 LOAD = "load"
 
-#: segment-file line tag of a genesis DDL record (the other kinds are
-#: tagged by their first letter)
+#: segment-file line tag earlier versions wrote for genesis DDL; read as
+#: DDL (a record's tag is its kind's first letter)
 _GENESIS_DDL_TAG = "g"
 
 
@@ -75,11 +75,6 @@ class LogRecord:
     table: str = ""  # load: bulk-loaded table
     rows: tuple = ()  # load: bulk-loaded row dicts
     nbytes: int = 0
-    #: True for bootstrap records appended outside the replicated stream
-    #: (genesis schema/load).  Replay distinguishes them because only
-    #: *replicated* records advance the certified-feed position that the
-    #: read tier subscribes at.
-    genesis: bool = False
     line: str = field(default="", compare=False, repr=False)
 
     @classmethod
@@ -90,17 +85,16 @@ class LogRecord:
                    ops=ops, nbytes=len(line), line=line)
 
     @classmethod
-    def ddl(cls, seq: int, sql: str, genesis: bool = False) -> "LogRecord":
+    def ddl(cls, seq: int, sql: str) -> "LogRecord":
         line = json.dumps([seq, sql])
-        return cls(seq=seq, kind=DDL, sql=sql, genesis=genesis,
-                   nbytes=len(line), line=line)
+        return cls(seq=seq, kind=DDL, sql=sql, nbytes=len(line), line=line)
 
     @classmethod
     def load(cls, seq: int, table: str, rows) -> "LogRecord":
         rows = tuple(dict(row) for row in rows)
         line = json.dumps([seq, table, list(rows)])
         return cls(seq=seq, kind=LOAD, table=table, rows=rows,
-                   nbytes=len(line), line=line, genesis=True)
+                   nbytes=len(line), line=line)
 
     @property
     def keys(self) -> frozenset:
@@ -120,8 +114,7 @@ class LogRecord:
 
     def to_line(self) -> str:
         """The segment-file line: kind tag, JSON text, newline."""
-        tag = _GENESIS_DDL_TAG if self.genesis and self.kind == DDL else self.kind[0]
-        return f"{tag}{self.line}\n"
+        return f"{self.kind[0]}{self.line}\n"
 
     @classmethod
     def from_line(cls, text: str) -> "LogRecord":
@@ -131,7 +124,7 @@ class LogRecord:
             return cls.ws(seq, gid, tid, sender, (WriteOp(*op) for op in ops))
         if tag in (DDL[0], _GENESIS_DDL_TAG):
             seq, sql = data
-            return cls.ddl(seq, sql, genesis=tag == _GENESIS_DDL_TAG)
+            return cls.ddl(seq, sql)
         if tag == LOAD[0]:
             seq, table, rows = data
             return cls.load(seq, table, rows)

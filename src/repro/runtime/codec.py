@@ -76,7 +76,7 @@ from repro.storage.writeset import WriteOp, WriteSet
 
 #: format version carried by every frame; bump it when a tag or a
 #: type's fields change
-VERSION = 3
+VERSION = 4
 #: tag of a plain tuple
 TUPLE = 0
 

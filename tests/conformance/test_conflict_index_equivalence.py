@@ -223,7 +223,7 @@ def test_checkpoint_roundtrip_resumes_identically(specs, salvage, data):
         gcd.collect(min(certs[i + 1:], default=gcd.last_validated_tid))
     blob = Checkpoint.capture(
         seq=cut, cert_seq=cut, applied_beyond=(), csn=cut, ddl=(),
-        rows={}, certifier=gcd, outcomes={}, feed_seq=cut,
+        rows={}, certifier=gcd, outcomes={},
     ).to_json()
     checkpoint = Checkpoint.from_json(blob)
     restored = checkpoint.certifier(salvage)

@@ -127,7 +127,7 @@ def test_checkpoint_roundtrips_cert_floor():
     certifier.collect(1)
     checkpoint = Checkpoint.capture(
         seq=2, cert_seq=2, applied_beyond=(), csn=2, ddl=(),
-        rows={}, certifier=certifier, outcomes={}, feed_seq=2,
+        rows={}, certifier=certifier, outcomes={},
     )
     assert checkpoint.cert_floor == 1
     restored = Checkpoint.from_json(checkpoint.to_json())

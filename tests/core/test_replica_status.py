@@ -129,6 +129,7 @@ SOURCES = {
     "alive": lambda r: r.alive,
     "recovered": lambda r: not r.audit_complete
     or (r.recover_from is not None and not r.recovered),
+    "installed": lambda r: r.recover_from is None or r.recovered,
     "active_sessions": lambda r: r.active_sessions,
     "update_commits": lambda r: r.stats_commits,
     "readonly_commits": lambda r: r.stats_readonly_commits,

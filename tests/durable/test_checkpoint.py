@@ -119,7 +119,7 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
         seq=checkpoint.seq, cert_seq=checkpoint.cert_seq,
         applied_beyond=checkpoint.applied_beyond, csn=checkpoint.csn,
         ddl=checkpoint.ddl, rows=checkpoint.rows, certifier=certifier,
-        outcomes=checkpoint.outcomes, feed_seq=checkpoint.feed_seq,
+        outcomes=checkpoint.outcomes,
     ) == checkpoint
 
     cluster = SIRepCluster.cold_restart(
@@ -135,6 +135,23 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
             assert rows == [{"k": 1, "v": 11}, {"k": 4, "v": 40}, {"k": 5, "v": 50}]
             assert replica.certifier.last_validated_tid == 8
             assert replica.certifier.tombstones == {("kv", 2), ("kv", 3)}
+    finally:
+        cluster.stop()
+
+
+def test_a_cold_restart_from_an_earlier_version_serves_a_reader_join(tmp_path):
+    wal = tmp_path / "wal"
+    shutil.copytree(OLDER_WAL, wal)
+    cluster = SIRepCluster.cold_restart(
+        ClusterConfig(n_replicas=2, seed=6, salvage=True),
+        DurabilityStore(DurabilityConfig(log_dir=wal, segment_records=4)),
+    )
+    try:
+        reader = cluster.add_reader()
+        cluster.sim.run()
+        assert reader.db.export_committed() == cluster.replicas[0].db.export_committed()
+        assert reader.db.ddl_log == cluster.replicas[0].db.ddl_log
+        assert reader.watermark == cluster.replicas[0].certifier.last_validated_tid
     finally:
         cluster.stop()
 

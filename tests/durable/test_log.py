@@ -169,10 +169,35 @@ def test_record_json_round_trip():
     assert again == record
     ddl = LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY)")
     assert LogRecord.from_line(ddl.to_line()) == ddl
-    genesis = LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY)", genesis=True)
-    assert LogRecord.from_line(genesis.to_line()).genesis
+    # earlier versions tagged genesis DDL "g": it still reads as DDL
+    assert LogRecord.from_line("g" + ddl.to_line()[1:]) == ddl
     load = LogRecord.load(2, "t", [{"id": 1, "v": "x"}])
     assert LogRecord.from_line(load.to_line()) == load
+
+
+def test_a_written_log_tags_every_ddl_d(tmp_path):
+    """Genesis and replicated DDL alike are written as ``d`` lines."""
+    config = DurabilityConfig(log_dir=tmp_path / "wal")
+    cluster = SIRepCluster(ClusterConfig(n_replicas=2, seed=3, durability=config))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def proc():
+        conn = yield from driver.connect(cluster.new_client_host())
+        yield from conn.execute("CREATE TABLE t2 (k INT PRIMARY KEY)")
+        yield from conn.execute("UPDATE kv SET v = 5 WHERE k = 1")
+        yield from conn.commit()
+
+    cluster.sim.run_process(proc())
+    cluster.sim.run()
+    cluster.stop()
+    for replica in ("R0", "R1"):
+        lines = [
+            line for path in sorted((tmp_path / "wal" / replica / "log").glob("seg-*"))
+            for line in path.read_text().splitlines()
+        ]
+        assert [line[0] for line in lines] == ["d", "l", "d", "w"]
 
 
 def test_each_record_is_encoded_once_and_nbytes_is_that_line():

@@ -145,7 +145,7 @@ json_write_ops = st.builds(
 log_records = st.one_of(
     st.builds(LogRecord.ws, st.integers(), names, st.integers(), names,
               st.lists(json_write_ops, max_size=4)),
-    st.builds(LogRecord.ddl, st.integers(), st.text(max_size=20), st.booleans()),
+    st.builds(LogRecord.ddl, st.integers(), st.text(max_size=20)),
     st.builds(LogRecord.load, st.integers(), names, st.lists(rows, max_size=3)),
 )
 checkpoints = st.builds(
@@ -160,7 +160,6 @@ checkpoints = st.builds(
     cert_last_writer=st.dictionaries(keys, st.integers(), max_size=3),
     outcomes=st.dictionaries(names, st.sampled_from(["committed", "aborted"])),
     nbytes=st.integers(min_value=0),
-    feed_seq=st.integers(),
     cert_deleted=st.lists(keys, max_size=2).map(tuple),
     cert_floor=st.integers(),
 )
@@ -246,7 +245,6 @@ WIRE_STRATEGIES = {
         max_size=2).map(tuple), st.dictionaries(names, st.lists(rows, max_size=2),
         max_size=2), certifiers(), st.lists(ws_records, max_size=2).map(tuple),
         st.dictionaries(names, names, max_size=2), st.integers(), st.integers(),
-        st.integers(),
     ),
     protocol.DeltaTransfer: st.builds(
         protocol.DeltaTransfer, names, st.integers(),
@@ -610,6 +608,16 @@ def test_a_global_breaks_the_channel_unresolved(rt, monkeypatch, kind):
 ], ids=["unknown-tag", "unknown-version", "empty"])
 def test_unknown_tag_or_version_breaks_the_channel(rt, monkeypatch, body):
     assert deliver_raw(rt, monkeypatch, with_header(body)) == []
+
+
+def test_a_frame_of_the_previous_version_is_refused():
+    """Version 4 dropped ``StateTransfer.feed_seq``; a version-3 frame is
+    refused by its version byte before anything is decoded."""
+    state = protocol.StateTransfer("R0", (), {}, Certifier(), (), {})
+    body = codec.frame(state)[4:]
+    assert codec.VERSION == 4 and body[0] == 4
+    with pytest.raises(ValueError, match="unknown codec version"):
+        codec.unframe(bytes([3]) + body[1:])
 
 
 REPLICATION_TYPES = [
