@@ -397,10 +397,6 @@ class SIRepCluster:
         cfg = self.config
         suffix = "" if incarnation == 0 else f"#{incarnation}"
         node = build_node(self.sim, cfg, name, index, suffix, with_disk=cfg.with_disk)
-        db = node.db
-        # salvage owns the fate of blind write-write conflicts: let them
-        # reach certification instead of dying at the eager version check
-        db.defer_blind_ww = cfg.salvage
         member = self.bus.join(name)
         # The network address IS the replica name, so view changes and
         # driver-side crash observations speak about the same identifier.
@@ -429,15 +425,8 @@ class SIRepCluster:
             on_recovered=self._on_replica_recovered,
             feed=self.feed,
             salvage=cfg.salvage,
+            tracer=self.tracer,
         )
-        replica.tracer = self.tracer
-        replica.manager.tracer = self.tracer
-        if cfg.salvage:
-            # backpressure: blind first-updater conflicts defer to
-            # certification (where salvage re-homes them) only while the
-            # to-commit queue is at most 16 deep; past that the engine's
-            # eager aborts shed load, so commit latency stays bounded
-            db.defer_gate = lambda queue=replica.manager.queue: len(queue) <= 16
         if index < len(self.replicas):
             self.replicas[index] = replica
         else:

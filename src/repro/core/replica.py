@@ -46,6 +46,7 @@ class ReplicaManager:
         hole_sync: bool = True,
         group_commit: bool = False,
         commit_pipeline: bool = False,
+        tracer=None,
     ):
         self.sim = sim
         self.node = node
@@ -79,9 +80,9 @@ class ReplicaManager:
         #: entries alive in the queue, where chained installs would
         #: otherwise pay one full force per link.
         self.commit_pipeline = commit_pipeline
-        #: optional repro.obs Tracer (set by the cluster with the
-        #: middleware's); spans are pure bookkeeping — no yields, no RNG
-        self.tracer = None
+        #: optional repro.obs Tracer (the middleware's); spans are pure
+        #: bookkeeping — no yields, no RNG
+        self.tracer = tracer
         #: entry -> its open commit_queue span (entries hash by identity)
         self._entry_spans: dict[Entry, object] = {}
         self._process = sim.spawn(

@@ -55,11 +55,15 @@ class MiddlewareReplica:
         cold_start: bool = False,
         on_recovered=None,
         salvage: bool = False,
+        tracer=None,
     ):
         self.sim = sim
         self.name = name
         self.node = node
         self.db = node.db
+        # salvage owns the fate of blind write-write conflicts: let them
+        # reach certification instead of dying at the eager version check
+        self.db.defer_blind_ww = salvage
         self.member = member
         self.host = host
         self.hole_sync = hole_sync
@@ -78,8 +82,14 @@ class MiddlewareReplica:
         )
         self.manager = ReplicaManager(
             sim, node, strict_serial=False, hole_sync=hole_sync,
-            group_commit=group_commit, commit_pipeline=salvage,
+            group_commit=group_commit, commit_pipeline=salvage, tracer=tracer,
         )
+        if salvage:
+            # backpressure: blind first-updater conflicts defer to
+            # certification (where salvage re-homes them) only while the
+            # to-commit queue is at most 16 deep; past that the engine's
+            # eager aborts shed load, so commit latency stays bounded
+            self.db.defer_gate = lambda queue=self.manager.queue: len(queue) <= 16
         #: gid -> ("committed"|"aborted") decided at global validation;
         #: consulted by in-doubt inquiries after a failover (§5.4).
         #: Bounded: an inquiry always concerns a transaction whose commit
@@ -95,8 +105,8 @@ class MiddlewareReplica:
         self.crashed_seen: set[str] = set()
         self.view_gate = Gate(name=f"{name}.view-gate")
         self.alive = True
-        #: optional causal-span Tracer (repro.obs.trace), set by the cluster
-        self.tracer = None
+        #: optional causal-span Tracer (repro.obs.trace)
+        self.tracer = tracer
         #: gid -> the open "gcs" span of an in-flight local commit, closed
         #: by the delivery loop when the writeset is certified (the
         #: session may be gone by then — e.g. crash-during-commit)

@@ -3,12 +3,15 @@
 The SI-Rep protocol code (``core/srca_rep.py``, ``core/replica.py``,
 ``gcs/``, ``net/``, ``durable/``, ``reader/``) never touches scheduler
 internals.  Everything it needs from "the kernel" is the narrow surface
-captured by :class:`Runtime` below: spawn / sleep / now, the FIFO sync
+of :class:`repro.sim.kernel.Runtime`: spawn / sleep / now, the FIFO sync
 primitives from :mod:`repro.sim.sync` (``Queue``, ``Event``, ``Gate``,
-``OneShot``), channel send/recv with FIFO-then-break crash
-semantics, and timer scheduling (``call_at`` / ``_schedule`` with
-strong/weak accounting).  Any object implementing this surface can run
-the whole protocol:
+``OneShot``), channel send/recv with FIFO-then-break crash semantics,
+and timer scheduling (``call_at`` / ``_schedule`` with strong/weak
+accounting).  ``Runtime`` is the base of both schedulers and owns what
+they share: the seeded RNG streams, ``sleep``, ``spawn``, failure
+recording and raising, and ``run_process``'s outcome.  Each keeps only
+what its clock makes different: ``now``, ``_schedule``, ``call_at``,
+the ``run`` / ``run_process`` loops, ``stop`` and ``run_blocking``:
 
 * :class:`repro.sim.Simulator` — the discrete-event backend.  Virtual
   time, deterministic heap order, seeded RNG streams; ``clock == "sim"``.
@@ -19,15 +22,18 @@ the whole protocol:
   (:mod:`repro.runtime.tcpbus`), and the durable writeset log fsyncs
   real files; ``clock == "wall"``.
 
-Both backends reuse ``repro.sim.kernel.Process`` and ``Delay`` and the
-whole of ``repro.sim.sync`` verbatim — those are written purely against
-``sim._schedule`` / ``process._schedule_resume``, which is exactly the
-point: the kernel boundary is the scheduler, not the primitives.
+Both reuse ``Process``, ``Delay`` and the whole of ``repro.sim.sync``
+verbatim: those are written purely against ``sim._schedule``, so the
+kernel boundary is the scheduler, not the primitives.
 
 Behavioral contract (pinned by ``tests/runtime/test_kernel_contract.py``):
 
 * ``spawn(gen)`` rejects non-generator iterators; non-daemon failures
-  abort ``run()`` with :class:`~repro.errors.SimulationError`.
+  abort ``run()`` with :class:`~repro.errors.SimulationError` naming the
+  process, with the error as its ``__cause__``.
+* ``run_process`` raises :class:`~repro.errors.ProcessKilled` if its
+  process is killed, and :class:`~repro.errors.SimulationStalled` if it
+  is blocked with no pending work left.
 * ``kill()`` while blocked cancels the awaitable (no ghost resumption)
   and resumes joiners with :class:`~repro.errors.ProcessKilled`.
 * Weak timers (``sleep(d, weak=True)``) never keep ``run()`` alive.
@@ -52,46 +58,11 @@ raises :class:`~repro.errors.SimulationError` naming the callback
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Protocol, runtime_checkable
-
 from repro.errors import ReproError
+from repro.sim.kernel import Runtime
 
 
-@runtime_checkable
-class Runtime(Protocol):
-    """Structural type of a protocol scheduler (see module docstring)."""
-
-    #: ``"sim"`` (virtual time) or ``"wall"`` (real time); metrics and
-    #: bench envelopes carry this tag so the two are never conflated.
-    clock: str
-
-    @property
-    def now(self) -> float: ...
-
-    def rng(self, stream: str): ...
-
-    def sleep(self, duration: float, weak: bool = False): ...
-
-    def call_at(self, time: float, callback: Callable[[], None]) -> None: ...
-
-    def spawn(self, gen, name: str = "?", daemon: bool = False): ...
-
-    def run(self, until: Optional[float] = None) -> None: ...
-
-    def run_process(self, gen, name: str = "main") -> Any: ...
-
-    def stop(self) -> None: ...
-
-    def run_blocking(self, fn: Callable[[], Any]) -> Generator[Any, Any, Any]: ...
-
-    def _schedule(
-        self, delay: float, callback: Callable, arg: Any, weak: bool = False
-    ) -> None: ...
-
-    def _record_failure(self, process, exc: BaseException) -> None: ...
-
-
-def make_runtime(kind: str, seed: int = 0):
+def make_runtime(kind: str, seed: int = 0) -> Runtime:
     """Build a runtime by name: ``"sim"`` or ``"wall"``.
 
     ``seed`` feeds the named RNG streams identically on both backends
@@ -102,7 +73,7 @@ def make_runtime(kind: str, seed: int = 0):
         from repro.sim import Simulator
 
         return Simulator(seed=seed)
-    if kind in ("wall", "asyncio"):
+    if kind == "wall":
         from repro.runtime.asyncio_rt import AsyncioRuntime
 
         return AsyncioRuntime(seed=seed)

@@ -1,7 +1,7 @@
 """The real-time runtime: the protocol kernel on an asyncio event loop.
 
-:class:`AsyncioRuntime` implements the :mod:`repro.runtime.api` surface
-on wall-clock time.  The same generator :class:`~repro.sim.kernel.Process`
+:class:`AsyncioRuntime` is the :class:`~repro.sim.kernel.Runtime` on
+wall-clock time.  The same generator :class:`~repro.sim.kernel.Process`
 objects and FIFO sync primitives run unchanged; only the scheduler
 differs — ``_schedule`` maps to the loop instead of a heap push, and
 ``now`` is real elapsed seconds since the runtime was built.  A timed
@@ -46,18 +46,12 @@ is resolved (or failed with the call's exception).
 from __future__ import annotations
 
 import asyncio
-import random
 import threading
 from collections import deque
-from typing import Any, Callable, Generator, Iterator, Optional
+from typing import Any, Callable, Generator, Optional
 
-from repro.errors import (
-    ProcessKilled,
-    RuntimeStopped,
-    SimulationError,
-    SimulationStalled,
-)
-from repro.sim.kernel import ALIVE, DONE, FAILED, KILLED, Delay, Process
+from repro.errors import RuntimeStopped, SimulationError
+from repro.sim.kernel import ALIVE, Process, Runtime, _call
 from repro.sim.sync import OneShot
 
 #: Safety-net poll while parked in ``run_until_complete`` — every wake
@@ -93,24 +87,14 @@ class _Timer:
         rt._check_wake()
 
 
-def _call(callback: Callable[[], None]) -> None:
-    """What ``call_at`` schedules: its argument is the user's callback."""
-    callback()
-
-
-class _TimerProcess:
-    """Stand-in giving a raw callback a ``name`` for failure reports."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
 class _Process(Process):
-    """A process that leaves its runtime's live set when it ends."""
+    """A process in its runtime's live set from spawn until it ends."""
 
     __slots__ = ()
+
+    def __init__(self, sim: "AsyncioRuntime", gen, name: str, daemon: bool):
+        super().__init__(sim, gen, name, daemon)
+        sim.processes[self] = None
 
     def _finish(self, state, result=None, exception=None) -> None:
         self.sim.processes.pop(self, None)
@@ -121,17 +105,16 @@ class _Process(Process):
         self.sim.processes.pop(self, None)
 
 
-class AsyncioRuntime:
-    """Wall-clock implementation of the protocol kernel interface."""
+class AsyncioRuntime(Runtime):
+    """The protocol kernel on wall-clock time."""
 
     clock = "wall"
+    process_class = _Process
 
     def __init__(self, seed: int = 0):
+        super().__init__(seed)
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
-        self._seed = seed
-        self._rngs: dict[str, random.Random] = {}
-        self._failure: Optional[tuple[Any, BaseException]] = None
         #: the live processes, in spawn order (a dict used as an ordered
         #: set): ``stop()`` sweeps them, and each leaves as it ends
         self.processes: dict[Process, None] = {}
@@ -154,24 +137,15 @@ class AsyncioRuntime:
         self._io_thread: Optional[threading.Thread] = None
         self._io_closing = False
 
-    # -- time & randomness ---------------------------------------------------
+    # bound here, not only inherited: the e2e benchmark's tracer wraps
+    # each scheduler's own ``vars(...)`` entry
+    spawn = Runtime.spawn
+    sleep = Runtime.sleep
 
     @property
     def now(self) -> float:
         """Seconds of real time elapsed since the runtime was created."""
         return self._loop.time() - self._t0
-
-    def rng(self, stream: str) -> random.Random:
-        """Identical derivation to the simulator: ``Random(f"{seed}/{stream}")``.
-
-        Cross-runtime conformance depends on this — the same stream
-        yields the same draw sequence under either scheduler.
-        """
-        rng = self._rngs.get(stream)
-        if rng is None:
-            rng = random.Random(f"{self._seed}/{stream}")
-            self._rngs[stream] = rng
-        return rng
 
     # -- scheduling ----------------------------------------------------------
 
@@ -224,7 +198,7 @@ class AsyncioRuntime:
             if callback is _call:  # name call_at's callback, not its wrapper
                 callback = arg
             name = f"timer:{getattr(callback, '__qualname__', callback)!r}"
-            self._failure = (_TimerProcess(name), err)
+            self._failure = (name, err)
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute runtime ``time``.
@@ -238,13 +212,8 @@ class AsyncioRuntime:
         """
         self._schedule(max(0.0, time - self.now), _call, callback)
 
-    def sleep(self, duration: float, weak: bool = False) -> Delay:
-        """Awaitable: resume after ``duration`` real seconds."""
-        return Delay(duration, weak=weak)
-
     def _record_failure(self, process: Process, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = (process, exc)
+        super()._record_failure(process, exc)
         self._check_wake()
 
     # -- I/O tokens (see module docstring) -----------------------------------
@@ -348,25 +317,6 @@ class AsyncioRuntime:
         finally:
             self._wake = None
 
-    def _raise_failure(self) -> None:
-        if self._failure is not None:
-            process, exc = self._failure
-            self._failure = None
-            raise SimulationError(
-                f"process {process.name!r} failed at t={self.now:.6f}"
-            ) from exc
-
-    # -- processes -----------------------------------------------------------
-
-    def spawn(self, gen, name: str = "?", daemon: bool = False) -> Process:
-        """Create a process and schedule its first step immediately."""
-        if isinstance(gen, Iterator) and not isinstance(gen, Generator):
-            raise SimulationError(f"spawn needs a generator, got {type(gen)!r}")
-        process = _Process(self, gen, name, daemon)
-        self.processes[process] = None
-        self._schedule(0.0, process._step_if_alive, None)
-        return process
-
     # -- running -------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
@@ -380,7 +330,8 @@ class AsyncioRuntime:
         if self._stopped:
             raise SimulationError("runtime already stopped")
         while True:
-            self._raise_failure()
+            if self._failure is not None:
+                self._raise_failure()
             if until is None:
                 if self._strong == 0:
                     return
@@ -390,7 +341,6 @@ class AsyncioRuntime:
                 if remaining <= 0:
                     return
                 self._turn(min(_POLL, remaining))
-            self._raise_failure()
 
     def run_process(self, gen, name: str = "main") -> Any:
         """Spawn ``gen`` and drive the loop until it finishes."""
@@ -401,19 +351,11 @@ class AsyncioRuntime:
         try:
             while process.state == ALIVE and self._strong:
                 self._turn(_POLL)
-                self._raise_failure()
+                if self._failure is not None:
+                    self._raise_failure()
         finally:
             self._watch = previous_watch
-        if process.state == DONE:
-            return process.result
-        if process.state == FAILED:
-            raise process.exception  # type: ignore[misc]
-        if process.state == KILLED:
-            raise ProcessKilled(f"process {name!r} was killed")
-        raise SimulationStalled(
-            f"no pending work at t={self.now:.6f} while {name!r} "
-            f"was still blocked on {process._waiting_on!r}"
-        )
+        return self._outcome(process, "no pending work")
 
     # -- shutdown ------------------------------------------------------------
 

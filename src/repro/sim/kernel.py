@@ -45,11 +45,11 @@ class Delay:
 
     def _block(self, process: "Process") -> None:
         process.sim._schedule(
-            self.duration, process._resume_if_alive, None, weak=self.weak
+            self.duration, process._step_if_alive, None, weak=self.weak
         )
 
     def _cancel(self, process: "Process") -> None:
-        # The timer will fire but _resume_if_alive ignores dead processes.
+        # The timer will fire but _step_if_alive ignores dead processes.
         pass
 
 
@@ -80,7 +80,7 @@ class Process:
         "_joiners",
     )
 
-    def __init__(self, sim: "Simulator", gen: Coroutine, name: str, daemon: bool):
+    def __init__(self, sim: "Runtime", gen: Coroutine, name: str, daemon: bool):
         self.sim = sim
         self.gen = gen
         self.name = name
@@ -151,10 +151,6 @@ class Process:
     def _schedule_throw(self, exc: BaseException) -> None:
         self.sim._schedule(0.0, self._throw_if_alive, exc)
 
-    def _resume_if_alive(self, value: Any) -> None:
-        if self.state == ALIVE:
-            self._step(value)
-
     def _step_if_alive(self, value: Any) -> None:
         if self.state == ALIVE:
             self._step(value)
@@ -219,44 +215,115 @@ class _Join:
             self.target._joiners.remove(process)
 
 
-class Simulator:
-    """Deterministic discrete-event loop with named random streams."""
+def _call(callback: Callable[[], None]) -> None:
+    """What ``call_at`` schedules: its argument is the user's callback."""
+    callback()
+
+
+class Runtime:
+    """The rules both schedulers share; :class:`Simulator` and
+    :class:`repro.runtime.AsyncioRuntime` add their clock (the split and
+    the contract are in :mod:`repro.runtime.api`)."""
 
     #: Which clock this runtime advances: ``"sim"`` (virtual time) or
     #: ``"wall"`` (real time).  Metrics and bench envelopes are tagged
     #: with it so wall-clock numbers never compare against sim baselines.
-    clock = "sim"
+    clock: str
+    #: what :meth:`spawn` builds
+    process_class = Process
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
-        self._heap: list[tuple[float, int, Callable, Any, bool]] = []
-        self._seq = 0
-        #: heap entries that are NOT weak monitoring timers; when this
-        #: hits zero the simulation has no real work left
-        self._strong = 0
         self._seed = seed
         self._rngs: dict[str, random.Random] = {}
-        self._failure: Optional[tuple[Process, BaseException]] = None
-
-    # -- time & randomness ---------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        #: the first non-daemon failure: (process name, error)
+        self._failure: Optional[tuple[str, BaseException]] = None
 
     def rng(self, stream: str) -> random.Random:
-        """A dedicated RNG for ``stream``, derived from the simulator seed.
+        """A dedicated RNG for ``stream``, derived from the seed.
 
         Distinct streams are statistically independent and insensitive to
         draw order in other streams, which keeps experiments comparable
-        when one component changes.
+        when one component changes, and a stream draws the same sequence
+        under either scheduler.
         """
         rng = self._rngs.get(stream)
         if rng is None:
             rng = random.Random(f"{self._seed}/{stream}")
             self._rngs[stream] = rng
         return rng
+
+    def sleep(self, duration: float, weak: bool = False) -> Delay:
+        """Awaitable: resume after ``duration`` seconds of this clock.
+
+        ``weak=True`` marks a monitoring tick that must not keep the
+        run alive by itself (see :class:`Delay`).
+        """
+        return Delay(duration, weak=weak)
+
+    def spawn(self, gen: Coroutine, name: str = "?", daemon: bool = False) -> Process:
+        """Create a process and schedule its first step immediately.
+
+        Non-daemon processes that die with an uncaught exception abort the
+        whole run (the exception propagates out of ``run``); daemons
+        merely record it.
+        """
+        if isinstance(gen, Iterator) and not isinstance(gen, Generator):
+            raise SimulationError(f"spawn needs a generator, got {type(gen)!r}")
+        process = self.process_class(self, gen, name, daemon)
+        self._schedule(0.0, process._step_if_alive, None)
+        return process
+
+    def _record_failure(self, process: Process, exc: BaseException) -> None:
+        if self._failure is None:
+            self._failure = (process.name, exc)
+
+    def _raise_failure(self) -> None:
+        """Raise the recorded failure (the caller checked there is one)."""
+        name, exc = self._failure
+        self._failure = None
+        raise SimulationError(
+            f"process {name!r} failed at t={self.now:.6f}"
+        ) from exc
+
+    def _outcome(self, process: Process, stalled: str) -> Any:
+        """What ``run_process`` returns or raises once its loop has ended:
+        the result, the process's own error, :class:`ProcessKilled`, or
+        :class:`SimulationStalled` (``stalled`` says what ran out)."""
+        if process.state == DONE:
+            return process.result
+        if process.state == FAILED:
+            raise process.exception  # type: ignore[misc]
+        if process.state == KILLED:
+            raise ProcessKilled(f"process {process.name!r} was killed")
+        raise SimulationStalled(
+            f"{stalled} at t={self.now:.6f} while {process.name!r} "
+            f"was still blocked on {process._waiting_on!r}"
+        )
+
+
+class Simulator(Runtime):
+    """Deterministic discrete-event loop with named random streams."""
+
+    clock = "sim"
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed)
+        self._now = 0.0
+        self._heap: list[tuple[float, int, Callable, Any, bool]] = []
+        self._seq = 0
+        #: heap entries that are NOT weak monitoring timers; when this
+        #: hits zero the simulation has no real work left
+        self._strong = 0
+
+    # bound here, not only inherited: the e2e benchmark's tracer wraps
+    # each scheduler's own ``vars(...)`` entry
+    spawn = Runtime.spawn
+    sleep = Runtime.sleep
+
+    @property
+    def now(self) -> float:
+        """Current virtual time in seconds."""
+        return self._now
 
     # -- scheduling ------------------------------------------------------------
 
@@ -283,36 +350,7 @@ class Simulator:
             raise SimulationError(f"call_at in the past: {time} < {self._now}")
         self._seq += 1
         self._strong += 1
-        heapq.heappush(
-            self._heap, (time, self._seq, lambda _arg: callback(), None, False)
-        )
-
-    def sleep(self, duration: float, weak: bool = False) -> Delay:
-        """Awaitable: resume after ``duration`` virtual seconds.
-
-        ``weak=True`` marks a monitoring tick that must not keep the
-        simulation alive by itself (see :class:`Delay`).
-        """
-        return Delay(duration, weak=weak)
-
-    def _record_failure(self, process: Process, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = (process, exc)
-
-    # -- processes -------------------------------------------------------------
-
-    def spawn(self, gen: Coroutine, name: str = "?", daemon: bool = False) -> Process:
-        """Create a process and schedule its first step immediately.
-
-        Non-daemon processes that die with an uncaught exception abort the
-        whole run (the exception propagates out of :meth:`run`); daemons
-        merely record it.
-        """
-        if isinstance(gen, Iterator) and not isinstance(gen, Generator):
-            raise SimulationError(f"spawn needs a generator, got {type(gen)!r}")
-        process = Process(self, gen, name, daemon)
-        self._schedule(0.0, process._step_if_alive, None)
-        return process
+        heapq.heappush(self._heap, (time, self._seq, _call, callback, False))
 
     # -- running ---------------------------------------------------------------
 
@@ -338,11 +376,7 @@ class Simulator:
             self._now = time
             callback(arg)
             if self._failure is not None:
-                process, exc = self._failure
-                self._failure = None
-                raise SimulationError(
-                    f"process {process.name!r} failed at t={self._now:.6f}"
-                ) from exc
+                self._raise_failure()
 
     def stop(self) -> None:
         """Release external resources held by the runtime.
@@ -379,18 +413,5 @@ class Simulator:
             self._now = time
             callback(arg)
             if self._failure is not None:
-                proc, exc = self._failure
-                self._failure = None
-                raise SimulationError(
-                    f"process {proc.name!r} failed at t={self._now:.6f}"
-                ) from exc
-        if process.state == DONE:
-            return process.result
-        if process.state == FAILED:
-            raise process.exception  # type: ignore[misc]
-        if process.state == KILLED:
-            raise ProcessKilled(f"process {name!r} was killed")
-        raise SimulationStalled(
-            f"event heap drained at t={self._now:.6f} while {name!r} "
-            f"was still blocked on {process._waiting_on!r}"
-        )
+                self._raise_failure()
+        return self._outcome(process, "event heap drained")

@@ -60,19 +60,9 @@ class Resource:
 
     # -- metrics ---------------------------------------------------------------
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def utilization(self) -> float:
         """Mean fraction of server capacity busy since accounting start."""
         elapsed = self.sim.now - self._accounting_start
         if elapsed <= 0:
             return 0.0
         return self.total_service_time / (elapsed * self.servers)
-
-    def reset_accounting(self) -> None:
-        """Restart utilization statistics (used after warm-up periods)."""
-        self.total_service_time = 0.0
-        self.jobs_served = 0
-        self._accounting_start = self.sim.now

@@ -215,29 +215,23 @@ def wait_until(gate: Gate, predicate, on_wait=None) -> Generator[Any, Any, None]
         yield gate.wait()
 
 
-class OneShot:
+class OneShot(Event):
     """Single-waiter completion slot used for request/response pairs.
 
-    Like :class:`Event` but errors if two processes wait simultaneously,
+    An :class:`Event` that errors if two processes wait simultaneously,
     making protocol bugs loud.
     """
 
-    __slots__ = ("_event",)
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self._event = Event()
-
-    def resolve(self, value: Any = None) -> None:
-        self._event.set(value)
-
-    def fail(self, exc: BaseException) -> None:
-        self._event.throw(exc)
+    resolve = Event.set
+    fail = Event.throw
 
     def wait(self) -> _EventWait:
-        if self._event._waiters:
+        if self._waiters:
             raise SimulationError("OneShot already has a waiter")
-        return self._event.wait()
+        return _EventWait(self)
 
     @property
     def resolved(self) -> bool:
-        return self._event.is_set
+        return self._is_set

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import RuntimeStopped
-from repro.runtime import AsyncioRuntime, make_runtime
+from repro.runtime import AsyncioRuntime, Runtime, make_runtime
 from repro.sim.sync import OneShot, Queue
 
 
@@ -30,6 +30,8 @@ def test_make_runtime_kinds():
     assert isinstance(make_runtime("sim"), Simulator)
     wall = make_runtime("wall")
     assert isinstance(wall, AsyncioRuntime)
+    # one nominal base, exported where the structural type used to be
+    assert issubclass(Simulator, Runtime) and isinstance(wall, Runtime)
     wall.stop()
     with pytest.raises(ReproError):
         make_runtime("quantum")

@@ -12,7 +12,13 @@ import time
 
 import pytest
 
-from repro.errors import ProcessKilled, QueueClosed, ReproError, SimulationError
+from repro.errors import (
+    ProcessKilled,
+    QueueClosed,
+    ReproError,
+    SimulationError,
+    SimulationStalled,
+)
 from repro.net import ChannelClosed
 from repro.runtime import make_runtime
 from repro.sim.kernel import KILLED
@@ -38,6 +44,52 @@ def make_network(runtime):
 
 
 # ------------------------------------------------------------------ processes
+
+
+def test_spawn_rejects_a_non_generator_iterator(rt):
+    with pytest.raises(SimulationError, match="needs a generator"):
+        rt.spawn(iter([1, 2]), name="not-a-generator")
+
+
+def test_non_daemon_failure_aborts_run_naming_the_process(rt):
+    def crasher():
+        yield rt.sleep(0.01)
+        raise ValueError("bad")
+
+    rt.spawn(crasher(), name="crasher")
+    with pytest.raises(SimulationError, match="process 'crasher' failed") as info:
+        rt.run()
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_run_process_of_a_killed_process_raises_process_killed(rt, monkeypatch):
+    spawned = []
+    spawn = rt.spawn
+
+    def recording_spawn(gen, name="?", daemon=False):
+        spawned.append(spawn(gen, name=name, daemon=daemon))
+        return spawned[-1]
+
+    monkeypatch.setattr(rt, "spawn", recording_spawn)
+
+    def killer():
+        yield rt.sleep(0.01)
+        spawned[-1].kill()  # run_process's own process, spawned after us
+
+    def victim():
+        yield Event().wait()
+
+    rt.spawn(killer(), name="killer")
+    with pytest.raises(ProcessKilled, match="'victim' was killed"):
+        rt.run_process(victim(), name="victim")
+
+
+def test_blocked_process_with_no_pending_work_stalls(rt):
+    def stuck():
+        yield Event().wait()
+
+    with pytest.raises(SimulationStalled, match="while 'stuck' was still blocked"):
+        rt.run_process(stuck(), name="stuck")
 
 
 def test_spawn_run_and_return_value(rt):

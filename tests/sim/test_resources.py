@@ -80,20 +80,6 @@ def test_utilization_accounting():
     assert cpu.jobs_served == 1
 
 
-def test_reset_accounting():
-    sim = Simulator()
-    cpu = Resource(sim, "cpu")
-
-    def job():
-        yield from cpu.use(1.0)
-
-    sim.spawn(job(), name="job")
-    sim.run()
-    cpu.reset_accounting()
-    assert cpu.jobs_served == 0
-    assert cpu.utilization() == 0.0
-
-
 def test_invalid_server_count():
     with pytest.raises(SimulationError):
         Resource(Simulator(), "bad", servers=0)
