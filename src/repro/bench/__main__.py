@@ -23,44 +23,18 @@ def main(argv=None) -> int:
         action="store_true",
         help="short sweep/horizon (shapes only, not CI-quality)",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also dump the measured points as JSON (for plotting)",
-    )
     args = parser.parse_args(argv)
-    collected: dict = {}
     if args.target in ("fig5", "all"):
-        collected["fig5"] = figures.fig5_tpcw(fast=args.fast)
+        figures.fig5_tpcw(fast=args.fast)
         print()
     if args.target in ("fig6", "all"):
-        collected["fig6"] = figures.fig6_largedb(fast=args.fast)
+        figures.fig6_largedb(fast=args.fast)
         print()
     if args.target in ("fig7", "all"):
-        collected["fig7"] = figures.fig7_update_intensive(fast=args.fast)
+        figures.fig7_update_intensive(fast=args.fast)
         print()
     if args.target in ("claims", "all"):
-        collected["claims"] = figures.claims(fast=args.fast)
-    if args.json:
-        import dataclasses
-        import json
-
-        def to_plain(value):
-            if dataclasses.is_dataclass(value):
-                return dataclasses.asdict(value)
-            if isinstance(value, list):
-                return [to_plain(v) for v in value]
-            return value
-
-        with open(args.json, "w") as handle:
-            json.dump(
-                {key: to_plain(value) for key, value in collected.items()},
-                handle,
-                indent=2,
-                default=str,
-            )
-        print(f"\nwrote {args.json}")
+        figures.claims(fast=args.fast)
     return 0
 
 

@@ -95,9 +95,6 @@ class KeyIndex:
                     break
         return best
 
-    def __len__(self) -> int:
-        return len(self._postings)
-
 
 def conflict_degrees(keysets: list[frozenset]) -> list[int]:
     """In-batch conflict degree of each keyset: |{j != i : Ki ∩ Kj ≠ ∅}|.

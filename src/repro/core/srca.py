@@ -153,10 +153,7 @@ class SRCA:
         self.commits += 1
         return COMMITTED
 
-    def abort(self, stxn: SrcaTxn) -> None:
-        self.managers[stxn.replica].db.abort(stxn.txn)
-
-    # -- convenience / shutdown -----------------------------------------------------
+    # -- convenience ----------------------------------------------------------------
 
     def drain(self) -> Generator[Any, Any, None]:
         """Wait until every to-commit queue is empty (test helper)."""
@@ -164,7 +161,3 @@ class SRCA:
             while len(manager.queue):
                 entry = manager.queue.entries[0]
                 yield entry.done.wait()
-
-    def stop(self) -> None:
-        for manager in self.managers:
-            manager.stop()

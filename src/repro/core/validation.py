@@ -42,9 +42,6 @@ class WsRecord:
     #: set by the certifier when the record committed via cert refresh
     salvaged: bool = False
 
-    def conflicts_with(self, other: "WsRecord") -> bool:
-        return self.writeset.conflicts_with(other.writeset)
-
 
 class Certifier:
     """Deterministic certification state.

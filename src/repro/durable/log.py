@@ -198,13 +198,14 @@ class Segment:
 class WritesetLog:
     """Per-replica segmented append-only log of certified writesets."""
 
+    #: virtual seconds a flushed group is charged: one force plus its bytes
+    fsync_time = 0.0002
+    byte_time = 2e-9
+
     def __init__(self, name: str, segment_records: int = 256,
-                 fsync_time: float = 0.0002, byte_time: float = 2e-9,
                  directory: Optional[Path] = None):
         self.name = name
         self.segment_records = max(1, segment_records)
-        self.fsync_time = fsync_time
-        self.byte_time = byte_time
         #: segment files live here, and every flushed group is forced
         #: with ``os.fsync``; None keeps the segments in memory
         self.directory = Path(directory) if directory is not None else None

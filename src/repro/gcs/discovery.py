@@ -19,9 +19,11 @@ from repro.sim import Simulator
 class DiscoveryService:
     """The well-known multicast rendezvous for the whole middleware."""
 
-    def __init__(self, sim: Simulator, round_trip: float = 0.001):
+    #: sim-seconds one discovery multicast and its answers take
+    round_trip = 0.001
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.round_trip = round_trip
         self._responders: dict[str, tuple[Callable[[], bool], str]] = {}
 
     def register(self, address: str,

@@ -121,10 +121,6 @@ class Batch:
     #: when the batch was sequenced (flushed)
     sequenced_at: float
 
-    @property
-    def seq(self) -> int:
-        return self.entries[0].seq
-
     def __len__(self) -> int:
         return len(self.entries)
 

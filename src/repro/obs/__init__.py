@@ -4,8 +4,8 @@ One :class:`Observability` instance per deployment (shared across the
 groups of a sharded one) bundles the three surfaces every later
 perf/robustness change reads its numbers from:
 
-* :class:`MetricsRegistry` — counters, callback gauges, histograms with
-  the p50/p95/p99 quantile code shared with the commit-latency trace;
+* :class:`MetricsRegistry` — counters and callback gauges, next to the
+  quantile code shared with the commit-latency trace;
 * :class:`Sampler` — a sim-time daemon probing per-replica gauges
   (to-commit depth, hole count/age, sessions, certifier window, GCS
   buffer occupancy, group-commit group size) into a bounded time-series;
@@ -21,15 +21,7 @@ from __future__ import annotations
 import importlib
 
 from repro.obs.events import EventLog
-from repro.obs.metrics import (
-    PERCENTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    quantile,
-    sanitize,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, quantile, sanitize
 from repro.obs.monitor import MonitorViolation, OneCopyMonitor
 from repro.obs.sampler import Sampler
 from repro.obs.trace import Span, TraceContext, Tracer
@@ -39,12 +31,10 @@ __all__ = [
     "EventLog",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MonitorViolation",
     "Observability",
     "OneCopyMonitor",
-    "PERCENTILES",
     "PHASES",
     "ProfileReport",
     "Sampler",
@@ -85,32 +75,12 @@ def __getattr__(name: str):
 class Observability:
     """Registry + sampler + event log wired to one simulator."""
 
-    def __init__(
-        self,
-        sim,
-        sampler_interval: float = 0.25,
-        sampler_max_samples: int = 4096,
-        event_capacity: int = 10_000,
-        autostart: bool = True,
-        histogram_max_samples: int = 8192,
-    ):
+    def __init__(self, sim, sampler_interval: float = 0.25):
         self.sim = sim
-        # every histogram created through the deployment surface is
-        # retention-bounded: a long run's registry plateaus instead of
-        # holding every latency sample ever observed (count/sum/recent
-        # quantiles survive; pass None to keep exact full-run quantiles)
-        self.registry = MetricsRegistry(
-            histogram_max_samples=histogram_max_samples
-        )
-        self.events = EventLog(sim, capacity=event_capacity)
-        self.sampler = Sampler(
-            sim,
-            self.registry,
-            interval=sampler_interval,
-            max_samples=sampler_max_samples,
-        )
-        if autostart:
-            self.sampler.start()
+        self.registry = MetricsRegistry()
+        self.events = EventLog(sim)
+        self.sampler = Sampler(sim, self.registry, interval=sampler_interval)
+        self.sampler.start()
 
     def snapshot(self) -> dict:
         """JSON-safe dump: instruments + event totals + gauge series."""

@@ -27,10 +27,12 @@ from repro.obs.metrics import sanitize
 class EventLog:
     """Bounded, sim-time-stamped log of protocol milestones."""
 
-    def __init__(self, sim, capacity: int = 10_000):
+    #: events kept in the ring; older ones age out
+    capacity = 10_000
+
+    def __init__(self, sim):
         self.sim = sim
-        self.capacity = capacity
-        self._ring: deque[dict] = deque(maxlen=capacity)
+        self._ring: deque[dict] = deque(maxlen=self.capacity)
         #: per-kind totals over the whole run (eviction-proof)
         self.counts: dict[str, int] = {}
         self.emitted = 0

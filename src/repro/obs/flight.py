@@ -31,22 +31,22 @@ FORMAT_VERSION = 1
 class FlightRecorder:
     """Bounded black box over a tracer and an event log."""
 
+    #: finished spans and event-log rows one snapshot keeps, newest last
+    max_spans = 2000
+    max_events = 2000
+    #: in-memory snapshots kept, oldest dropped first
+    max_snapshots = 16
+
     def __init__(
         self,
         sim,
         tracer=None,
         events=None,
-        max_spans: int = 2000,
-        max_events: int = 2000,
-        max_snapshots: int = 16,
         directory: Optional[str] = None,
     ):
         self.sim = sim
         self.tracer = tracer
         self.events = events
-        self.max_spans = max_spans
-        self.max_events = max_events
-        self.max_snapshots = max_snapshots
         self.directory = directory
         #: in-memory snapshots, oldest dropped past ``max_snapshots``
         self.snapshots: list[dict] = []

@@ -1,12 +1,12 @@
-"""Metric primitives: counters, gauges, histograms, and their registry.
+"""Metric primitives: counters, gauges, and their registry.
 
 The paper's §6 evaluation reasons about *where time goes* — execution vs
 communication vs certification-queue waits vs hole-induced stalls — and
 Cecchet et al. note that middleware replication prototypes rarely expose
 the metrics surface a deployment needs.  This module is that surface's
 foundation: a :class:`MetricsRegistry` every component hangs its
-instruments on, with one quantile implementation shared by histograms,
-the workload statistics and the phase profiler.
+instruments on, with one quantile implementation shared by the
+workload statistics and the phase profiler.
 
 All instruments are plain in-process objects — reading them never blocks
 and never perturbs the simulation (no yields, no RNG draws), so a run
@@ -16,9 +16,7 @@ with metrics enabled is event-for-event identical to one without.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
-
-PERCENTILES = ((50, "p50"), (95, "p95"), (99, "p99"))
+from typing import Any, Callable
 
 
 def quantile(ordered: list[float], q: float) -> float:
@@ -96,55 +94,6 @@ class Gauge:
         return f"<Gauge {self.name}>"
 
 
-class Histogram:
-    """A sample distribution with mean and p50/p95/p99 quantiles.
-
-    Samples are retained exactly (sorted lazily); ``max_samples`` bounds
-    retention for long runs by dropping the *oldest* half once the cap
-    is hit — recent behaviour is what dashboards read, and the count/sum
-    aggregates stay exact regardless.
-    """
-
-    __slots__ = ("name", "count", "total", "_samples", "_sorted", "max_samples")
-
-    def __init__(self, name: str, max_samples: Optional[int] = None):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self._samples: list[float] = []
-        self._sorted = True
-        self.max_samples = max_samples
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self._samples.append(value)
-        self._sorted = False
-        if self.max_samples is not None and len(self._samples) > self.max_samples:
-            self._samples = self._samples[len(self._samples) // 2 :]
-
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def _ordered(self) -> list[float]:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-        return self._samples
-
-    def quantile(self, q: float) -> float:
-        return quantile(self._ordered(), q)
-
-    def summary(self) -> dict[str, float]:
-        out = {"n": float(self.count), "mean": self.mean()}
-        for percent, suffix in PERCENTILES:
-            out[suffix] = self.quantile(percent / 100.0)
-        return out
-
-    def __repr__(self) -> str:
-        return f"<Histogram {self.name} n={self.count}>"
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument of one deployment.
 
@@ -156,11 +105,9 @@ class MetricsRegistry:
     recovery needs (the new incarnation takes over the old name).
     """
 
-    def __init__(self, histogram_max_samples: Optional[int] = None):
+    def __init__(self):
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.histogram_max_samples = histogram_max_samples
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -174,19 +121,12 @@ class MetricsRegistry:
         self.gauges[name] = gauge
         return gauge
 
-    def histogram(self, name: str) -> Histogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = Histogram(name, max_samples=self.histogram_max_samples)
-            self.histograms[name] = histogram
-        return histogram
-
     def unregister(self, name: str) -> bool:
         """Drop one gauge (crashed component teardown).
 
         A gauge whose component died would otherwise be probed as NaN by
-        the sampler forever.  Counters and histograms are *not*
-        unregistered: they hold accumulated run data, not live callbacks.
+        the sampler forever.  Counters are *not* unregistered: they
+        hold accumulated run data, not live callbacks.
         Returns whether the gauge existed.
         """
         return self.gauges.pop(name, None) is not None
@@ -212,8 +152,5 @@ class MetricsRegistry:
             {
                 "counters": {name: c.value for name, c in self.counters.items()},
                 "gauges": self.read_gauges(),
-                "histograms": {
-                    name: h.summary() for name, h in self.histograms.items()
-                },
             }
         )

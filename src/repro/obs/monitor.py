@@ -99,12 +99,15 @@ _Commit = tuple[_Watch, str, frozenset, frozenset]
 class OneCopyMonitor:
     """Streaming Def. 3 checker over the live per-replica histories."""
 
+    #: sim-seconds an update may be missing at a watched replica
+    loss_grace = 5.0
+    #: updates tracked before the graph is saturated and checking stops
+    max_txns = 20_000
+
     def __init__(
         self,
         sim,
         interval: float = 0.05,
-        loss_grace: float = 5.0,
-        max_txns: int = 20_000,
         obs=None,
         on_violation: Optional[Callable[[MonitorViolation], None]] = None,
     ):
@@ -112,8 +115,6 @@ class OneCopyMonitor:
             raise ValueError(f"monitor interval must be positive: {interval}")
         self.sim = sim
         self.interval = interval
-        self.loss_grace = loss_grace
-        self.max_txns = max_txns
         self.obs = obs
         self.on_violation = on_violation
         self.violations: list[MonitorViolation] = []

@@ -202,23 +202,6 @@ class TxnProfile:
             return 0.0
         return abs(sum(self.phases.values()) - self.total) / self.total
 
-    def to_dict(self) -> dict:
-        return sanitize(
-            {
-                "trace_id": self.trace_id,
-                "kind": self.kind,
-                "replica": self.replica,
-                "start": self.start,
-                "end": self.end,
-                "status": self.status,
-                "total_ms": self.total * 1e3,
-                "phases_ms": {
-                    phase: seconds * 1e3 for phase, seconds in self.phases.items()
-                },
-                "replicated": self.replicated,
-            }
-        )
-
     def render(self, width: int = 56) -> str:
         """ASCII critical path: one bar segment per attributed phase."""
         lines = [

@@ -15,7 +15,7 @@ sampler cannot change what the simulated system does — only record it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.obs.metrics import MetricsRegistry, sanitize
 
@@ -23,20 +23,16 @@ from repro.obs.metrics import MetricsRegistry, sanitize
 class Sampler:
     """Probes a registry's gauges every ``interval`` simulated seconds."""
 
-    def __init__(
-        self,
-        sim,
-        registry: MetricsRegistry,
-        interval: float = 0.25,
-        max_samples: int = 4096,
-    ):
+    #: rows kept; the oldest fall off first on long runs
+    max_samples = 4096
+
+    def __init__(self, sim, registry: MetricsRegistry, interval: float = 0.25):
         if interval <= 0:
             raise ValueError(f"sampler interval must be positive: {interval}")
         self.sim = sim
         self.registry = registry
         self.interval = interval
-        #: bounded retention: oldest rows fall off first on long runs
-        self.rows: deque[dict[str, float]] = deque(maxlen=max_samples)
+        self.rows: deque[dict[str, float]] = deque(maxlen=self.max_samples)
         self._process = None
 
     @property

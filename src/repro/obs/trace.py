@@ -121,14 +121,17 @@ class Span:
 class Tracer:
     """Collects spans; bounded retention of finished ones."""
 
-    def __init__(self, sim, max_spans: int = 100_000):
+    #: finished spans kept, oldest dropped first
+    max_spans = 100_000
+
+    def __init__(self, sim):
         self.sim = sim
         #: which clock the timestamps come from ("sim" or "wall") —
         #: exported with every span so wall traces are never mistaken
         #: for deterministic sim traces
         self.clock = getattr(sim, "clock", "sim")
         #: finished spans in finish order (oldest fall off first)
-        self._finished: deque[Span] = deque(maxlen=max_spans)
+        self._finished: deque[Span] = deque(maxlen=self.max_spans)
         #: span_id -> still-open span
         self._open: dict[int, Span] = {}
         self._ids = 0

@@ -151,22 +151,37 @@ class AsyncioRuntime(Runtime):
 
     def _schedule(
         self, delay: float, callback: Callable, arg: Any, weak: bool = False
-    ) -> None:
+    ) -> Optional[_Timer]:
+        """Run ``callback(arg)`` after ``delay``; a timed callback returns
+        its :class:`_Timer`, the handle :meth:`_cancel` takes."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         if self._loop.is_closed():
-            return  # post-stop stragglers (joiner resumes, etc.) are moot
+            return None  # post-stop stragglers (joiner resumes, etc.) are moot
         if not weak:
             self._strong += 1
         if delay:
             timer = _Timer(self, callback, arg, weak)
             timer.handle = self._loop.call_later(delay, timer.fire)
             self._timers.add(timer)
-            return
+            return timer
         self._ready.append((callback, arg, weak))
         if not self._ready_armed:
             self._ready_armed = True
             self._loop.call_soon(self._run_ready)
+        return None
+
+    def _cancel(self, timer: Optional[_Timer]) -> None:
+        """Drop a pending timer so it stops counting as work.  A
+        zero-delay callback has no handle: it runs on the next drain."""
+        if timer is None:
+            return
+        timer.handle.cancel()
+        timer.handle = None
+        self._timers.discard(timer)
+        if not timer.weak:
+            self._strong -= 1
+            self._check_wake()
 
     def _run_ready(self) -> None:
         """Run the zero-delay callbacks queued when this drain started.

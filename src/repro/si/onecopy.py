@@ -48,9 +48,6 @@ class OneCopyReport:
     witness: Optional[Schedule] = None  # a global SI-schedule when ok
     cycle: Optional[list] = None  # offending event cycle when not ok
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def __str__(self) -> str:
         if self.ok:
             return f"1-copy-SI OK; witness: {self.witness}"

@@ -35,7 +35,7 @@ class Delay:
     a non-terminating one.
     """
 
-    __slots__ = ("duration", "weak")
+    __slots__ = ("duration", "weak", "_handle")
 
     def __init__(self, duration: float, weak: bool = False):
         if duration < 0:
@@ -44,13 +44,13 @@ class Delay:
         self.weak = weak
 
     def _block(self, process: "Process") -> None:
-        process.sim._schedule(
+        self._handle = process.sim._schedule(
             self.duration, process._step_if_alive, None, weak=self.weak
         )
 
     def _cancel(self, process: "Process") -> None:
-        # The timer will fire but _step_if_alive ignores dead processes.
-        pass
+        # a killed sleeper's timer must not keep the run alive
+        process.sim._cancel(self._handle)
 
 
 class Process:
@@ -314,6 +314,8 @@ class Simulator(Runtime):
         #: heap entries that are NOT weak monitoring timers; when this
         #: hits zero the simulation has no real work left
         self._strong = 0
+        #: seqs of heap entries that were cancelled: skipped when popped
+        self._cancelled: set[int] = set()
 
     # bound here, not only inherited: the e2e benchmark's tracer wraps
     # each scheduler's own ``vars(...)`` entry
@@ -329,15 +331,24 @@ class Simulator(Runtime):
 
     def _schedule(
         self, delay: float, callback: Callable, arg: Any, weak: bool = False
-    ) -> None:
+    ) -> tuple:
+        """Push ``callback(arg)`` at ``now + delay``; the heap entry is
+        the handle :meth:`_cancel` takes."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._seq += 1
         if not weak:
             self._strong += 1
-        heapq.heappush(
-            self._heap, (self._now + delay, self._seq, callback, arg, weak)
-        )
+        entry = (self._now + delay, self._seq, callback, arg, weak)
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def _cancel(self, entry: tuple) -> None:
+        """Drop a pending entry: it stops counting as work, and the loops
+        pop it without running it or moving ``now``."""
+        if not entry[4]:
+            self._strong -= 1
+        self._cancelled.add(entry[1])
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute virtual time ``time``.
@@ -363,14 +374,18 @@ class Simulator(Runtime):
         fire (that is how ``run(until=now + x)`` keeps collecting gauge
         samples while a test lets a cluster settle).
         """
+        cancelled = self._cancelled
         while self._heap:
             if until is None and self._strong == 0:
                 break
-            time, _seq, callback, arg, weak = self._heap[0]
+            time, seq, callback, arg, weak = self._heap[0]
             if until is not None and time > until:
                 self._now = until
                 break
             heapq.heappop(self._heap)
+            if cancelled and seq in cancelled:
+                cancelled.remove(seq)
+                continue
             if not weak:
                 self._strong -= 1
             self._now = time
@@ -406,8 +421,12 @@ class Simulator(Runtime):
         process is still blocked (a real deadlock among processes).
         """
         process = self.spawn(gen, name=name, daemon=True)
+        cancelled = self._cancelled
         while self._heap and self._strong and process.state == ALIVE:
-            time, _seq, callback, arg, weak = heapq.heappop(self._heap)
+            time, seq, callback, arg, weak = heapq.heappop(self._heap)
+            if cancelled and seq in cancelled:
+                cancelled.remove(seq)
+                continue
             if not weak:
                 self._strong -= 1
             self._now = time

@@ -31,10 +31,6 @@ class Event:
     def is_set(self) -> bool:
         return self._is_set
 
-    @property
-    def value(self) -> Any:
-        return self._value
-
     def set(self, value: Any = None) -> None:
         """Fire the event, waking all waiters with ``value``."""
         self._is_set = True
@@ -100,10 +96,6 @@ class Queue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed_exc is not None
 
     def put(self, item: Any) -> None:
         if self._closed_exc is not None:
@@ -231,7 +223,3 @@ class OneShot(Event):
         if self._waiters:
             raise SimulationError("OneShot already has a waiter")
         return _EventWait(self)
-
-    @property
-    def resolved(self) -> bool:
-        return self._is_set

@@ -48,9 +48,6 @@ class LockManager:
         lock = self._locks.get(key)
         return lock.holder if lock else None
 
-    def holds(self, owner: Any, key: Hashable) -> bool:
-        return self.holder(key) is owner
-
     def _blockers(self, txn: Any) -> list[Any]:
         """Transactions ``txn`` currently waits behind (holder + earlier
         waiters of the key it's blocked on)."""

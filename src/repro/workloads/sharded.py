@@ -6,10 +6,6 @@ deployment: each replication group owns ``tables_per_group`` tables
 and touches only that group's tables — so update certification load
 splits cleanly across groups and aggregate update capacity should scale
 near-linearly with the group count.
-
-An optional fraction of **cross-shard read-only** transactions reads one
-row from one table of *every* group through the router's scatter-gather
-path, exercising the snapshot-vector machinery under load.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ def make_partitioned_workload(
     n_groups: int,
     tables_per_group: int = 4,
     rows_per_table: int = ROWS_PER_TABLE,
-    readonly_fraction: float = 0.0,
 ) -> Workload:
     """Build the workload (pair it with ``make_table_map`` for placement)."""
     if tables_per_group < TABLES_PER_TXN:
@@ -90,38 +85,9 @@ def make_partitioned_workload(
             table_name(params[0], index) for index in params[1]
         ),
     )
-    mix = [(update, 1.0 - readonly_fraction)]
-
-    if readonly_fraction > 0.0:
-
-        def _ro_params(rng):
-            return (
-                tuple(rng.randrange(tables_per_group) for _g in range(n_groups)),
-                rng.randint(1, rows_per_table),
-            )
-
-        def _ro_stmts(params):
-            indices, key = params
-            return [
-                (
-                    f"SELECT v FROM {table_name(group, index)} WHERE k = ?",
-                    (key,),
-                )
-                for group, index in enumerate(indices)
-            ]
-
-        cross_read = TxnTemplate(
-            "cross_shard_read",
-            tuple(names),
-            _ro_params,
-            _ro_stmts,
-            readonly=True,
-        )
-        mix.append((cross_read, readonly_fraction))
-
     return Workload(
         name=f"partitioned-micro-x{n_groups}",
         ddl=ddl,
         tables=tables,
-        mix=mix,
+        mix=[(update, 1.0)],
     )

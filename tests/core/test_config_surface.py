@@ -1,16 +1,30 @@
 """The deployment's knobs, pinned.
 
-Every field of the four config dataclasses is listed here, so adding,
-renaming or dropping a knob is a deliberate, reviewed edit of this file
-(the rule for keeping one: ROADMAP 8b).
+Every field of the four config dataclasses, and the parameters of the
+constructors the deployment builds its parts with, are listed here, so
+adding, renaming or dropping a knob is a deliberate, reviewed edit of
+this file (the rule for keeping one: ROADMAP 8b).
 """
 
+import inspect
 from dataclasses import fields
 
 from repro.core import ClusterConfig
 from repro.durable import DurabilityConfig
+from repro.durable.log import WritesetLog
 from repro.gcs import GcsConfig
+from repro.gcs.discovery import DiscoveryService
+from repro.obs import (
+    EventLog,
+    FlightRecorder,
+    MetricsRegistry,
+    Observability,
+    OneCopyMonitor,
+    Sampler,
+    Tracer,
+)
 from repro.reader import ReaderConfig
+from repro.workloads.sharded import make_partitioned_workload
 
 
 def test_config_fields_are_pinned():
@@ -42,3 +56,26 @@ def test_config_fields_are_pinned():
         },
     }
     assert sum(map(len, surface.values())) == 44
+
+
+def test_constructor_parameters_are_pinned():
+    surface = {
+        target.__name__: list(inspect.signature(target).parameters)
+        for target in (
+            Observability, MetricsRegistry, Sampler, EventLog, Tracer,
+            WritesetLog, OneCopyMonitor, FlightRecorder, DiscoveryService,
+            make_partitioned_workload,
+        )
+    }
+    assert surface == {
+        "Observability": ["sim", "sampler_interval"],
+        "MetricsRegistry": [],
+        "Sampler": ["sim", "registry", "interval"],
+        "EventLog": ["sim"],
+        "Tracer": ["sim"],
+        "WritesetLog": ["name", "segment_records", "directory"],
+        "OneCopyMonitor": ["sim", "interval", "obs", "on_violation"],
+        "FlightRecorder": ["sim", "tracer", "events", "directory"],
+        "DiscoveryService": ["sim"],
+        "make_partitioned_workload": ["n_groups", "tables_per_group", "rows_per_table"],
+    }

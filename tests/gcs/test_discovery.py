@@ -46,7 +46,8 @@ def test_overloaded_replica_declines():
 
 def test_discovery_costs_a_round_trip():
     sim = Simulator()
-    service = DiscoveryService(sim, round_trip=0.005)
+    service = DiscoveryService(sim)
+    service.round_trip = 0.005
     service.register("a")
 
     def proc():

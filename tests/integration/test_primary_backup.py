@@ -156,6 +156,56 @@ def test_in_doubt_commit_resolved_by_backup():
     assert set(states.values()) == {((1, 0), (2, 0), (3, 5), (4, 0))}
 
 
+def test_commit_in_flight_at_primary_crash_is_resolved_by_an_inquiry():
+    """§5.4 case 3 on primary/backup: the primary dies while the home
+    database is still committing a certified writeset, so the driver
+    asks the backup for the gid's outcome, and it answers committed."""
+    from repro.storage.engine import CostModel
+
+    class SlowCommit(CostModel):
+        def statement(self, kind, a, b, c):
+            return (0.0, 0.0)
+
+        def writeset_apply(self, n):
+            return (0.0, 0.0)
+
+        def commit(self, n):
+            return (1.0, 0.0)  # the home commit outlives the primary
+
+    system = PrimaryBackupSystem(
+        ClusterConfig(n_replicas=3, seed=5, cost_model=lambda i: SlowCommit())
+    )
+    system.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    system.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 5)])
+    driver = Driver(system.network, system.discovery)
+    sim = system.sim
+    inquiries = []
+    inquire = system.backup._inquire
+
+    def recording_inquire(gid, crashed):
+        outcome = yield from inquire(gid, crashed)
+        inquiries.append((gid, crashed, outcome))
+        return outcome
+
+    system.backup._inquire = recording_inquire
+    log = {}
+
+    def client():
+        conn = yield from driver.connect(system.new_client_host())
+        yield from conn.execute("UPDATE kv SET v = 5 WHERE k = 3")
+        sim.call_at(sim.now + 0.5, system.crash_primary)
+        yield from conn.commit()  # transparent: the inquiry says committed
+        log["ok"] = True
+
+    sim.spawn(client(), name="client")
+    sim.run()
+    settle(system, 5.0)
+    assert log["ok"]
+    assert inquiries == [("mw-primary:g1", "mw-primary", "committed")]
+    states = db_states(system)
+    assert set(states.values()) == {((1, 0), (2, 0), (3, 5), (4, 0))}
+
+
 def test_orphaned_active_transactions_are_aborted_at_takeover():
     system, driver = make_system(seed=6)
     sim = system.sim

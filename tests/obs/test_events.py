@@ -7,9 +7,9 @@ from repro.obs import EventLog
 from repro.sim import Simulator
 
 
-def make(capacity=10_000):
+def make():
     sim = Simulator(seed=0)
-    return sim, EventLog(sim, capacity=capacity)
+    return sim, EventLog(sim)
 
 
 def test_emit_stamps_sim_time_and_fields():
@@ -26,8 +26,9 @@ def test_emit_stamps_sim_time_and_fields():
     assert log.counts == {"validation": 1}
 
 
-def test_ring_eviction_keeps_counts_exact():
-    sim, log = make(capacity=5)
+def test_ring_eviction_keeps_counts_exact(monkeypatch):
+    monkeypatch.setattr(EventLog, "capacity", 5)
+    sim, log = make()
     for i in range(8):
         log.emit("view_change", view=i)
     assert len(log) == 5  # ring bounded

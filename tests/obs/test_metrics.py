@@ -6,7 +6,6 @@ import math
 from repro.obs import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     quantile,
     sanitize,
@@ -70,34 +69,9 @@ def test_gauge_reads_callback_and_maps_errors_to_nan():
     assert math.isnan(Gauge("dead", dead).read())
 
 
-def test_histogram_summary():
-    histogram = Histogram("h")
-    assert math.isnan(histogram.mean())
-    for value in (1.0, 2.0, 3.0, 4.0):
-        histogram.observe(value)
-    summary = histogram.summary()
-    assert summary["n"] == 4.0
-    assert summary["mean"] == 2.5
-    assert summary["p50"] == 2.5
-    assert set(summary) == {"n", "mean", "p50", "p95", "p99"}
-
-
-def test_histogram_bounded_retention_keeps_aggregates_exact():
-    histogram = Histogram("h", max_samples=10)
-    for value in range(100):
-        histogram.observe(float(value))
-    # count/total are exact over the whole run...
-    assert histogram.count == 100
-    assert histogram.mean() == sum(range(100)) / 100
-    # ...while the retained sample window is bounded and recent
-    assert len(histogram._samples) <= 10
-    assert histogram.quantile(0.0) >= 90.0
-
-
 def test_registry_get_or_create_identity():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
-    assert registry.histogram("h") is registry.histogram("h")
 
 
 def test_registry_gauge_reregistration_replaces_callback():
@@ -113,11 +87,9 @@ def test_registry_snapshot_is_json_safe():
     registry = MetricsRegistry()
     registry.counter("commits").inc(2)
     registry.gauge("dead", lambda: float("nan"))
-    registry.histogram("lat").observe(1.0)
     snapshot = registry.snapshot()
     assert snapshot["counters"] == {"commits": 2}
     assert snapshot["gauges"]["dead"] is None
-    assert snapshot["histograms"]["lat"]["n"] == 1.0
     json.dumps(snapshot, allow_nan=False)
 
 
@@ -140,24 +112,13 @@ def test_registry_unregister_prefix_is_dot_exact():
     assert registry.unregister_prefix("R1.") == 0
 
 
-def test_unregister_keeps_counters_and_histograms():
-    # counters/histograms hold accumulated run data, not live callbacks:
+def test_unregister_keeps_counters():
+    # counters hold accumulated run data, not live callbacks:
     # a crashed replica's totals must survive its gauge teardown
     registry = MetricsRegistry()
     registry.counter("R1.commits").inc(7)
-    registry.histogram("R1.lat").observe(1.0)
     registry.gauge("R1.depth", lambda: 0.0)
     registry.unregister_prefix("R1.")
     snapshot = registry.snapshot()
     assert snapshot["counters"] == {"R1.commits": 7}
-    assert snapshot["histograms"]["R1.lat"]["n"] == 1.0
     assert snapshot["gauges"] == {}
-
-
-def test_registry_histogram_max_samples_propagates():
-    registry = MetricsRegistry(histogram_max_samples=4)
-    histogram = registry.histogram("h")
-    for value in range(20):
-        histogram.observe(float(value))
-    assert len(histogram._samples) <= 4
-    assert histogram.count == 20

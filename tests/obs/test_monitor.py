@@ -38,7 +38,7 @@ def commit(gid, t, readset=(), writeset=(), csn=1):
 @pytest.fixture
 def env():
     sim = FakeSim()
-    monitor = OneCopyMonitor(sim, loss_grace=5.0)
+    monitor = OneCopyMonitor(sim)
     dbs = {name: FakeDb() for name in ("R0", "R1")}
     for name, db in dbs.items():
         monitor.watch(name, db)

@@ -6,10 +6,10 @@ from repro.obs import MetricsRegistry, Sampler
 from repro.sim import Simulator
 
 
-def make(interval=0.25, max_samples=4096):
+def make(interval=0.25):
     sim = Simulator(seed=0)
     registry = MetricsRegistry()
-    sampler = Sampler(sim, registry, interval=interval, max_samples=max_samples)
+    sampler = Sampler(sim, registry, interval=interval)
     return sim, registry, sampler
 
 
@@ -45,8 +45,9 @@ def test_sampler_probes_on_cadence():
     assert values[3:] == [7.0] * 5
 
 
-def test_sampler_retention_is_bounded():
-    sim, registry, sampler = make(interval=0.1, max_samples=5)
+def test_sampler_retention_is_bounded(monkeypatch):
+    monkeypatch.setattr(Sampler, "max_samples", 5)
+    sim, registry, sampler = make(interval=0.1)
     registry.gauge("g", lambda: 1.0)
     sampler.start()
 

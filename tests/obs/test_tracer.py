@@ -88,8 +88,9 @@ def test_trace_collects_finished_and_open_sorted(sim):
     assert spans == [early, late]
 
 
-def test_bounded_retention_drops_oldest_finished(sim):
-    tracer = Tracer(sim, max_spans=3)
+def test_bounded_retention_drops_oldest_finished(sim, monkeypatch):
+    monkeypatch.setattr(Tracer, "max_spans", 3)
+    tracer = Tracer(sim)
     for i in range(5):
         tracer.record(f"s{i}", "g", start=float(i))
     names = [s.name for s in tracer.spans()]

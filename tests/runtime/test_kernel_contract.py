@@ -146,6 +146,58 @@ def test_kill_while_blocked_on_sleep(rt):
     assert time.monotonic() - started < 30.0
 
 
+def test_run_does_not_wait_out_a_killed_sleepers_timer(rt):
+    """Killing a process in a strong ``sleep`` cancels its timer: ``run()``
+    ends at the kill instead of when the 3 s sleep would have ended."""
+
+    def sleeper():
+        yield rt.sleep(3.0)
+
+    victim = rt.spawn(sleeper(), name="sleeper")
+
+    def killer():
+        yield rt.sleep(0.01)
+        victim.kill()
+
+    rt.spawn(killer(), name="killer")
+    started = time.monotonic()
+    rt.run()
+    assert victim.state == KILLED
+    assert time.monotonic() - started < 1.0
+    if rt.clock == "sim":
+        assert rt.now == 0.01
+
+
+def test_process_killed_in_join_leaves_the_targets_joiners(rt):
+    """A process killed while blocked in ``join()`` is taken off the
+    target's joiners, so the target finishing does not resume it."""
+    release = Event()
+    log = []
+
+    def target():
+        yield release.wait()
+        return "result"
+
+    def joiner():
+        log.append((yield target_process.join()))
+
+    target_process = rt.spawn(target(), name="target")
+    joining = rt.spawn(joiner(), name="joiner")
+
+    def killer():
+        yield rt.sleep(0.01)
+        assert target_process._joiners == [joining]
+        joining.kill()
+        assert target_process._joiners == []
+        release.set()
+
+    rt.spawn(killer(), name="killer")
+    rt.run()
+    assert target_process.result == "result"
+    assert joining.state == KILLED
+    assert log == []
+
+
 @pytest.mark.parametrize("kind", ["sim", "wall"])
 def test_ended_processes_are_not_retained(kind):
     """Every update transaction spawns processes that end with it (one

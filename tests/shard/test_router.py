@@ -6,6 +6,7 @@ from repro.core import ClusterConfig
 from repro.errors import (
     CrossShardStatementError,
     CrossShardWriteError,
+    DatabaseError,
     PlacementError,
     SQLError,
 )
@@ -216,3 +217,22 @@ def test_per_group_consistency_under_concurrent_writes():
     report = cluster.one_copy_report()
     assert report.ok, str(report)
     assert cluster.router.stats_cross_shard_readonly >= 20
+
+
+def test_close_closes_every_branch_and_the_connection():
+    cluster = make_cluster()
+
+    def scenario():
+        conn = yield from cluster.connect(cluster.new_client_host())
+        yield from conn.execute("SELECT v FROM x0 WHERE k = 1")
+        yield from conn.execute("SELECT v FROM x1 WHERE k = 1")
+        yield from conn.commit()
+        branches = list(conn._branches.values())
+        conn.close()
+        with pytest.raises(DatabaseError, match="closed"):
+            yield from conn.execute("SELECT v FROM x0 WHERE k = 1")
+        return branches
+
+    branches = run(cluster, scenario())
+    assert len(branches) == 2
+    assert all(branch.closed for branch in branches)

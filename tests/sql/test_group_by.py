@@ -88,6 +88,23 @@ def test_having_with_count_comparison(env):
     assert rows == [{"region": "east"}, {"region": "west"}]
 
 
+def test_having_reads_a_grouped_column(env):
+    sim, db = env
+    selected = query(
+        sim, db,
+        "SELECT region, SUM(amount) AS total FROM sales GROUP BY region "
+        "HAVING region = 'west'",
+    )
+    assert selected == [{"region": "west", "total": 65}]
+    # a grouped column the select list leaves out is read from the group
+    unselected = query(
+        sim, db,
+        "SELECT SUM(amount) AS total FROM sales GROUP BY region "
+        "HAVING region = 'east'",
+    )
+    assert unselected == [{"total": 40}]
+
+
 def test_group_by_without_aggregates_is_distinct(env):
     sim, db = env
     rows = query(sim, db, "SELECT product FROM sales GROUP BY product ORDER BY product")
