@@ -15,8 +15,9 @@ that cap.  Sweep batch_max_messages; everything else fixed.
 The sweep runs with the repro.obs surface attached (metrics registry,
 gauge sampler, event log): each measured point carries queue-depth and
 hole-age time-series in ``extras["metrics"]["obs"]["series"]``, also
-written standalone to ``results/batching_series.json`` (the CI
-artifact).  Monitoring only *reads* simulator state, so the
+written standalone to ``results/generated/batching_series.json``
+(gitignored, like ``results/generated/batching.json``: a run leaves the
+checkout clean).  Monitoring only *reads* simulator state, so the
 measured throughput is identical with and without it — asserted below
 against a metrics-off control run at batch 8.
 """
@@ -31,6 +32,8 @@ from repro.gcs import GcsConfig
 from repro.workloads.micro import make_mixed_workload
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+#: the sweep's own output, regenerated by every run (gitignored)
+GENERATED = RESULTS / "generated"
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
 N_REPLICAS = 5
@@ -120,8 +123,8 @@ def test_batching_throughput(benchmark):
             f"mean commit group {p.extras['group_commit_mean_size']:.2f}"
         )
 
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "batching.json").write_text(
+    GENERATED.mkdir(parents=True, exist_ok=True)
+    (GENERATED / "batching.json").write_text(
         json.dumps(
             {
                 "offered_tps": OFFERED_TPS,
@@ -149,7 +152,7 @@ def test_batching_throughput(benchmark):
     )
     # standalone time-series export: gauge curves per batch size (the CI
     # artifact a dashboard can plot without parsing the whole result)
-    (RESULTS / "batching_series.json").write_text(
+    (GENERATED / "batching_series.json").write_text(
         json.dumps(
             {
                 str(b): points[b].extras["metrics"]["obs"]["series"]
@@ -262,12 +265,12 @@ def run_contention(duration: float = 6.0, warmup: float = 1.5) -> dict:
     after = _contention_summary(_run_contention_point(True, duration, warmup))
 
     anchor = None
-    batching = RESULTS / "batching.json"
+    batching = GENERATED / "batching.json"
     if batching.exists():
         b8 = json.loads(batching.read_text())["points"].get("8")
         if b8 is not None:
             anchor = {
-                "source": "results/batching.json point 8 (1-core replicas)",
+                "source": "results/generated/batching.json point 8 (1-core replicas)",
                 "abort_rate": b8["abort_rate"],
                 "update_p95_ms": b8["extras"]["p95_ms"].get("update"),
                 "certification_aborts": b8["extras"]["metrics"].get(

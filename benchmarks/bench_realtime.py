@@ -3,8 +3,8 @@
 Every other bench in the suite measures *virtual* seconds on the
 discrete-event kernel — deterministic, machine-independent, and by
 construction unable to lie about scheduling.  This bench runs the same
-protocol, byte for byte, on :class:`repro.runtime.AsyncioRuntime`: real
-``loop.call_later`` timers, real TCP frames between clients, replicas
+protocol, byte for byte, on :class:`repro.runtime.WallRuntime`: real
+monotonic-clock timers, real TCP frames between clients, replicas
 and the GCS sequencer, real ``os.fsync`` behind the durable writeset
 log.  The numbers are genuine elapsed time on whatever machine runs
 them, so:

@@ -22,7 +22,8 @@ from repro.core import ClusterConfig
 from repro.shard import ShardConfig
 from repro.workloads.sharded import make_partitioned_workload, make_table_map
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+#: regenerated by every run (gitignored)
+GENERATED = pathlib.Path(__file__).resolve().parent.parent / "results" / "generated"
 
 GROUP_COUNTS = (1, 2, 4)
 REPLICAS_PER_GROUP = 3
@@ -68,8 +69,8 @@ def test_shard_scaling(benchmark):
             f"(x{ratios[g]:.2f}), abort rate {p.abort_rate:.3f}"
         )
 
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "shard_scaling.json").write_text(
+    GENERATED.mkdir(parents=True, exist_ok=True)
+    (GENERATED / "shard_scaling.json").write_text(
         json.dumps(
             {
                 "offered_tps": OFFERED_TPS,

@@ -3,9 +3,10 @@
 Everything in ``quickstart.py`` runs on the discrete-event simulator —
 virtual time, deterministic, finished in milliseconds.  This script runs
 the *identical protocol code* on the wall-clock runtime instead:
-``ClusterConfig(runtime="wall")`` swaps the scheduler for a real asyncio
-event loop, the in-sim LAN for TCP sockets on 127.0.0.1, and (with a log
-directory) the accounted log flush for genuine ``os.fsync``.  Sleeps
+``ClusterConfig(runtime="wall")`` swaps the scheduler for the runtime's
+own selector loop on the monotonic clock, the in-sim LAN for
+non-blocking TCP sockets on 127.0.0.1, and (with a log directory) the
+accounted log flush for genuine ``os.fsync``.  Sleeps
 take real seconds; the printed timestamps are honest elapsed time.
 
 Run:  python examples/realtime_quickstart.py
@@ -30,7 +31,7 @@ def main() -> None:
                 durability=DurabilityConfig(log_dir=wal_dir),
             )
         )
-        sim = cluster.sim  # an AsyncioRuntime; same interface, real clock
+        sim = cluster.sim  # a WallRuntime; same interface, real clock
         print(f"runtime: {sim.clock} (fsync-backed WAL in {wal_dir})")
         cluster.load_schema(
             [

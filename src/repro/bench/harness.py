@@ -111,7 +111,7 @@ def run_sirep(
     single-group-write rule or its transactions surface as aborts.
 
     ``runtime="wall"`` runs the same protocol on
-    :class:`repro.runtime.AsyncioRuntime` — real timers, real TCP
+    :class:`repro.runtime.WallRuntime` — real timers, real TCP
     sockets, real elapsed seconds; ``extras["metrics"]["runtime"]``
     carries the tag so downstream tooling never compares the two clocks
     against each other.  With ``obs`` the point's

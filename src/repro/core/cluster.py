@@ -106,7 +106,7 @@ class ClusterConfig:
     #: (None = defaults)
     reader: Optional[ReaderConfig] = None
     #: execution backend: ``"sim"`` (discrete-event simulator, virtual
-    #: time) or ``"wall"`` (AsyncioRuntime: real timers, TCP sockets for
+    #: time) or ``"wall"`` (WallRuntime: real timers, TCP sockets for
     #: client and GCS traffic, fsync-backed durable logs).  See
     #: :mod:`repro.runtime.api`.
     runtime: str = "sim"

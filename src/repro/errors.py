@@ -45,7 +45,7 @@ class RuntimeStopped(SimulationError):
     """The runtime was stopped while a process was still blocked.
 
     Raised into pending ``OneShot``/``Event`` waiters by
-    ``AsyncioRuntime.stop()`` so an aborted wall-clock run unwinds
+    ``WallRuntime.stop()`` so an aborted wall-clock run unwinds
     instead of leaking blocked coroutines.
     """
 

@@ -15,12 +15,13 @@ the ``run`` / ``run_process`` loops, ``stop`` and ``run_blocking``:
 
 * :class:`repro.sim.Simulator` — the discrete-event backend.  Virtual
   time, deterministic heap order, seeded RNG streams; ``clock == "sim"``.
-* :class:`repro.runtime.AsyncioRuntime` — the real-time backend.  An
-  asyncio event loop drives wall-clock timers; the same generator
-  processes and sync primitives run unchanged on top of it, TCP sockets
-  implement the channels (:mod:`repro.runtime.tcpnet`) and the GCS
-  (:mod:`repro.runtime.tcpbus`), and the durable writeset log fsyncs
-  real files; ``clock == "wall"``.
+* :class:`repro.runtime.WallRuntime` — the real-time backend.  The
+  simulator's timer heap on the monotonic clock, with a selector loop
+  that blocks until the next timer or socket event; the same generator
+  processes and sync primitives run unchanged on top of it, non-blocking
+  TCP sockets implement the channels (:mod:`repro.runtime.tcpnet`) and
+  the GCS (:mod:`repro.runtime.tcpbus`), and the durable writeset log
+  fsyncs real files; ``clock == "wall"``.
 
 Both reuse ``Process``, ``Delay`` and the whole of ``repro.sim.sync``
 verbatim: those are written purely against ``sim._schedule``, so the
@@ -74,7 +75,7 @@ def make_runtime(kind: str, seed: int = 0) -> Runtime:
 
         return Simulator(seed=seed)
     if kind == "wall":
-        from repro.runtime.asyncio_rt import AsyncioRuntime
+        from repro.runtime.wall import WallRuntime
 
-        return AsyncioRuntime(seed=seed)
+        return WallRuntime(seed=seed)
     raise ReproError(f"unknown runtime {kind!r} (expected 'sim' or 'wall')")

@@ -222,7 +222,7 @@ def _call(callback: Callable[[], None]) -> None:
 
 class Runtime:
     """The rules both schedulers share; :class:`Simulator` and
-    :class:`repro.runtime.AsyncioRuntime` add their clock (the split and
+    :class:`repro.runtime.WallRuntime` add their clock (the split and
     the contract are in :mod:`repro.runtime.api`)."""
 
     #: Which clock this runtime advances: ``"sim"`` (virtual time) or

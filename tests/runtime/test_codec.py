@@ -33,7 +33,7 @@ from repro.durable.log import LogRecord
 from repro.gcs.multicast import Batch, Message, Multicast, ViewChange
 from repro.net import ChannelClosed
 from repro.obs.trace import TraceContext
-from repro.runtime import AsyncioRuntime, TcpGroupBus, TcpNetwork, codec, tcpnet
+from repro.runtime import TcpGroupBus, TcpNetwork, WallRuntime, codec, tcpnet
 from repro.storage.writeset import WriteOp, WriteSet
 
 WATCHDOG_S = 10.0
@@ -425,7 +425,7 @@ def test_real_recovery_transfers_roundtrip(scenario, kind, with_checkpoint):
 
 @pytest.fixture
 def rt():
-    runtime = AsyncioRuntime(seed=0)
+    runtime = WallRuntime(seed=0)
     yield runtime
     runtime.stop()
 
@@ -466,7 +466,9 @@ def deliver_raw(rt, monkeypatch, frame: bytes) -> list:
         tcpnet, "_frame", lambda obj: frame if obj == "raw" else codec.frame(obj)
     )
     raised = []
-    rt._loop.set_exception_handler(lambda _loop, context: raised.append(context))
+    monkeypatch.setattr(
+        rt, "_callback_failed", lambda callback, arg, err: raised.append(err)
+    )
     channel, server = open_channel(rt)
     watchdog(rt)
     channel.client_end.send("raw")
@@ -556,7 +558,7 @@ def test_mutated_bodies_decode_to_wire_values_or_raise(body):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=mutants())
 def test_mutated_frames_decode_or_break_the_channel(monkeypatch, body):
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     try:
         got = deliver_raw(rt, monkeypatch, with_header(body))
     finally:

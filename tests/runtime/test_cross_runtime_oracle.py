@@ -4,7 +4,7 @@ A deterministic *outcome* workload — disjoint key ranges per client,
 deterministic values, retry-until-commit — must leave the cluster in an
 identical committed state no matter which scheduler ran it.  The oracle
 drives the same workload through the discrete-event :class:`Simulator`
-and the wall-clock :class:`AsyncioRuntime` (real TCP sockets, real
+and the wall-clock :class:`WallRuntime` (real TCP sockets, real
 timers, fsync-backed logs) and demands:
 
 * identical committed-state fingerprints, across runtimes AND across

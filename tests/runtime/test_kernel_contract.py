@@ -1,7 +1,7 @@
 """The kernel contract, enforced against BOTH runtimes.
 
 Every test here runs once under the deterministic :class:`Simulator`
-and once under :class:`AsyncioRuntime` — the whole point of the runtime
+and once under :class:`WallRuntime` — the whole point of the runtime
 API is that protocol code cannot tell which scheduler is underneath, so
 the contract tests must not be able to either.  Timings use small wall
 delays; assertions are about *ordering and semantics*, never latency.
@@ -413,35 +413,28 @@ def test_resumes_scheduled_while_draining_run_after_those_queued(rt):
 
 def test_zero_delay_schedule_skips_the_timer_heap(monkeypatch):
     """On the wall runtime a resume (``_schedule`` with delay 0) goes on
-    the runtime's ready queue, never through ``loop.call_later``, and the
-    loop is asked for one ``call_soon`` per drain, not one per resume."""
-    from repro.runtime import AsyncioRuntime
+    the runtime's ready queue, never onto the timer heap, and each loop
+    turn drains that queue once, not once per resume."""
+    from repro.runtime import WallRuntime, wall
 
-    rt = AsyncioRuntime(seed=0)
-    delays, resumes, arms, drains = [], [], [], []
-    call_later, call_soon = rt._loop.call_later, rt._loop.call_soon
-    schedule, run_ready = rt._schedule, rt._run_ready
+    rt = WallRuntime(seed=0)
+    delays, resumes, drains = [], [], []
+    push, schedule, run_ready = wall.heappush, rt._schedule, rt._run_ready
 
-    def spy_later(delay, *args, **kwargs):
-        delays.append(delay)
-        return call_later(delay, *args, **kwargs)
-
-    def spy_soon(callback, *args, **kwargs):
-        if callback is counted_drain:
-            arms.append(callback)
-        return call_soon(callback, *args, **kwargs)
+    def spy_push(heap, entry):
+        delays.append(entry[0] - wall._monotonic())
+        push(heap, entry)
 
     def counted_schedule(delay, callback, arg, weak=False):
         if not delay:
             resumes.append(callback)
-        schedule(delay, callback, arg, weak)
+        return schedule(delay, callback, arg, weak)
 
     def counted_drain():
         drains.append(len(rt._ready))
         run_ready()
 
-    monkeypatch.setattr(rt._loop, "call_later", spy_later)
-    monkeypatch.setattr(rt._loop, "call_soon", spy_soon)
+    monkeypatch.setattr(wall, "heappush", spy_push)
     monkeypatch.setattr(rt, "_schedule", counted_schedule)
     monkeypatch.setattr(rt, "_run_ready", counted_drain)
     inbox = Queue("inbox")
@@ -460,14 +453,15 @@ def test_zero_delay_schedule_skips_the_timer_heap(monkeypatch):
         return (yield worker.join())
 
     try:
+        turns = rt.turns
         assert rt.run_process(main()) == [0, 1, 2]
-        assert all(delay > 0 for delay in delays)
+        assert delays == []
         # resumes: main's spawn, consumer's spawn, the clamped call_at,
         # three gets, main's join; main's first step queues the next
-        # two together, so six drains each armed once
+        # two together, so six drains, one per turn
         assert len(resumes) == 7
         assert drains == [1, 2, 1, 1, 1, 1]
-        assert len(arms) == len(drains)
+        assert rt.turns - turns == len(drains)
     finally:
         rt.stop()
 
@@ -477,9 +471,9 @@ def test_spinning_process_does_not_starve_a_channel_round_trip():
     still polls its sockets between the resumes of a process looping on
     ``sleep(0)`` (the simulator would spin forever: virtual time never
     advances past the spinner's next step)."""
-    from repro.runtime import AsyncioRuntime, TcpNetwork
+    from repro.runtime import TcpNetwork, WallRuntime
 
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     net = TcpNetwork(rt)
     client = net.register("client")
     server = net.register("server")
@@ -516,9 +510,9 @@ def test_stop_drops_queued_resumes():
     strong work is left counted and nothing runs again — not a process
     looping on ``sleep(0)``, and not a raw callback that re-schedules
     itself, which no kill ends."""
-    from repro.runtime import AsyncioRuntime
+    from repro.runtime import WallRuntime
 
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     steps, ticks = [], []
 
     def spinner():
@@ -590,9 +584,9 @@ def test_run_does_not_return_while_a_blocking_call_is_pending():
     I/O token, so ``run()`` cannot mistake the wait for quiescence."""
     import threading
 
-    from repro.runtime import AsyncioRuntime
+    from repro.runtime import WallRuntime
 
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     release = threading.Event()
     got = []
 

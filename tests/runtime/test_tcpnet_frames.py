@@ -1,7 +1,7 @@
 """The TCP frame parser: whole frames in order, bad frames fail closed.
 
-Every socket of a :class:`TcpNetwork` is parsed in the loop's receive
-callback.  These tests drive it with well-formed frames split and
+Every socket of a :class:`TcpNetwork` is parsed in its connection
+object's read handler.  These tests drive it with well-formed frames split and
 coalesced every way TCP may deliver them, and with frames a decoder must
 refuse: a pickle naming a class that does not exist, bytes that are not
 a pickle at all, and a length header past :data:`MAX_FRAME_BYTES`.  A
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import ChannelClosed
-from repro.runtime import AsyncioRuntime, TcpNetwork, tcpnet
+from repro.runtime import TcpNetwork, WallRuntime, tcpnet
 
 #: seconds before a hung exchange fails the test
 WATCHDOG_S = 10.0
@@ -31,7 +31,7 @@ WATCHDOG_S = 10.0
 
 @pytest.fixture
 def rt():
-    runtime = AsyncioRuntime(seed=0)
+    runtime = WallRuntime(seed=0)
     yield runtime
     runtime.stop()
 
@@ -131,18 +131,16 @@ def test_sender_sees_the_break_too(rt, monkeypatch):
 
 
 def write_raw(rt, channel, pieces):
-    """Process: once the client socket is up, write ``pieces`` straight
-    to it (a loop turn after each), then close that socket — a FIN from
-    the client side, as a peer process exiting would send."""
+    """Process: write ``pieces`` straight to the client socket (a loop
+    turn after each), then close that socket — a FIN from the client
+    side, as a peer process exiting would send."""
 
     def writer():
-        while channel.client_end._transport is None:
-            yield rt.sleep(0.001)
-        transport = channel.client_end._transport
+        connection = channel.client_end._conn
         for piece in pieces:
-            transport.write(piece)
+            connection.write(piece)
             yield rt.sleep(0)
-        transport.close()
+        channel.client_end._hang_up()
 
     rt.spawn(writer(), name="writer")
 
@@ -180,8 +178,8 @@ BUFFER_BYTES = tcpnet.BUFFER_BYTES
 
 
 def receiver_of(end):
-    """The protocol that parses what ``end``'s socket receives."""
-    return end._transport.get_protocol()
+    """The connection object that parses what ``end``'s socket receives."""
+    return end._conn
 
 
 def test_one_mib_frame_arrives_whole_and_the_buffer_shrinks_back(rt):
@@ -250,16 +248,16 @@ class Inbox:
 
 
 def feed(receiver, data: bytes, cuts) -> None:
-    """Hand ``data`` to ``receiver`` as the socket transport does, cut
-    into writes at ``cuts``: each write is read into the buffer's free
-    tail, in as many reads as it takes."""
+    """Hand ``data`` to ``receiver`` as its socket reads do, cut into
+    writes at ``cuts``: each write is read into the buffer's free tail,
+    in as many reads as it takes."""
     pos = 0
     for stop in [*sorted(cuts), len(data)]:
         while pos < stop:
-            free = receiver.get_buffer(-1)
+            free = receiver._buf[receiver._end:]
             n = min(len(free), stop - pos)
             free[:n] = data[pos:pos + n]
-            receiver.buffer_updated(n)
+            receiver._parse(n)
             pos += n
 
 
@@ -274,7 +272,7 @@ def parse(messages, cuts=()):
     """Feed the frames of ``messages`` to a fresh receiver; returns it,
     what it delivered, and whether each ``_make_room`` call kept the base
     buffer."""
-    receiver = tcpnet._FrameProtocol(None, Inbox())
+    receiver = tcpnet._Connection(None, None, Inbox())
     moves = []
     make_room = receiver._make_room
 

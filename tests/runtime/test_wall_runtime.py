@@ -1,4 +1,4 @@
-"""AsyncioRuntime-specific behavior: graceful shutdown and resource hygiene.
+"""WallRuntime-specific behavior: graceful shutdown and resource hygiene.
 
 The contract tests prove the wall runtime schedules like the simulator;
 these prove it *cleans up* like a real server — ``stop()`` fails blocked
@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import RuntimeStopped
-from repro.runtime import AsyncioRuntime, Runtime, make_runtime
+from repro.runtime import Runtime, WallRuntime, make_runtime
 from repro.sim.sync import OneShot, Queue
 
 
@@ -29,7 +29,7 @@ def test_make_runtime_kinds():
 
     assert isinstance(make_runtime("sim"), Simulator)
     wall = make_runtime("wall")
-    assert isinstance(wall, AsyncioRuntime)
+    assert isinstance(wall, WallRuntime)
     # one nominal base, exported where the structural type used to be
     assert issubclass(Simulator, Runtime) and isinstance(wall, Runtime)
     wall.stop()
@@ -38,7 +38,7 @@ def test_make_runtime_kinds():
 
 
 def test_wall_clock_actually_elapses():
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     try:
         started = time.monotonic()
 
@@ -60,7 +60,7 @@ def test_rng_streams_match_simulator():
     from repro.sim import Simulator
 
     sim = Simulator(seed=7)
-    rt = AsyncioRuntime(seed=7)
+    rt = WallRuntime(seed=7)
     try:
         for stream in ("net", "gcs", "wl"):
             assert [rt.rng(stream).random() for _ in range(5)] == [
@@ -74,7 +74,7 @@ def test_stop_fails_pending_one_shot_waiters():
     """The shutdown sweep throws :class:`RuntimeStopped` into every
     process still blocked on an event — the OneShot ``fail`` path — so
     nothing is silently abandoned mid-request."""
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     slot = OneShot()
     log = []
 
@@ -97,7 +97,7 @@ def test_stop_fails_pending_one_shot_waiters():
 
 
 def test_stop_is_idempotent_and_cancels_timers():
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     fired = []
 
     def proc():
@@ -108,7 +108,7 @@ def test_stop_is_idempotent_and_cancels_timers():
     rt.stop()
     rt.stop()  # second stop must be a no-op, not an error
     assert not fired
-    assert not rt._timers
+    assert not rt._heap
 
 
 def test_twenty_cluster_cycles_leak_nothing(tmp_path):
@@ -162,7 +162,7 @@ def test_blocking_calls_survive_thread_switch_stress():
     switches threads as often as it can: no call is lost, none runs
     twice, and no wake-up is missed (a lost one would hang until the
     watchdog fires)."""
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     results = []
 
     def worker(index):
@@ -191,16 +191,22 @@ def test_blocking_calls_survive_thread_switch_stress():
 def test_scheduling_makes_no_cyclic_garbage():
     """Resumes, a timed sleep and TCP round trips are freed by
     refcounting alone: with the collector off and every unreachable
-    object saved, a collection finds no timer, asyncio handle or process
-    — none of them sits in a reference cycle."""
-    import asyncio
+    object saved, a collection finds no heap entry, connection object
+    or process — none of them sits in a reference cycle."""
     import gc
 
     from repro.runtime import TcpNetwork
-    from repro.runtime.asyncio_rt import _Timer
+    from repro.runtime.tcpnet import _Connection
     from repro.sim.kernel import Process
 
-    rt = AsyncioRuntime(seed=0)
+    def heap_entry(obj):
+        # ``(when, seq, callback, arg, weak)``, as ``_schedule`` pushes it
+        return (
+            type(obj) is tuple and len(obj) == 5 and type(obj[0]) is float
+            and type(obj[1]) is int and callable(obj[2]) and type(obj[4]) is bool
+        )
+
+    rt = WallRuntime(seed=0)
     net = TcpNetwork(rt)
     client = net.register("client")
     server = net.register("server")
@@ -237,7 +243,7 @@ def test_scheduling_makes_no_cyclic_garbage():
         cyclic = [
             type(obj).__name__
             for obj in gc.garbage
-            if isinstance(obj, (_Timer, asyncio.Handle, Process))
+            if heap_entry(obj) or isinstance(obj, (_Connection, Process))
         ]
     finally:
         gc.set_debug(0)
@@ -250,7 +256,7 @@ def test_scheduling_makes_no_cyclic_garbage():
 def test_queue_survives_stop_without_leak_warnings():
     """Processes blocked on queues at stop() are killed cleanly; a
     subsequent fresh runtime in the same process is unaffected."""
-    rt = AsyncioRuntime(seed=0)
+    rt = WallRuntime(seed=0)
     q = Queue("q")
 
     def consumer():
@@ -265,7 +271,7 @@ def test_queue_survives_stop_without_leak_warnings():
     rt.run_process(settle())
     rt.stop()
 
-    rt2 = AsyncioRuntime(seed=0)
+    rt2 = WallRuntime(seed=0)
     try:
         def proc():
             yield rt2.sleep(0.01)
@@ -274,3 +280,146 @@ def test_queue_survives_stop_without_leak_warnings():
         assert rt2.run_process(proc()) == "fresh"
     finally:
         rt2.stop()
+
+
+#: run in a fresh interpreter by the test below: build, commit, stop, and
+#: report what is imported and what is still open
+_FRESH_PROCESS_SCRIPT = r'''
+import json, os, sys
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+def listening_sockets():
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[8:-1])
+    count = 0
+    for table in ("/proc/self/net/tcp", "/proc/self/net/tcp6"):
+        with open(table) as fh:
+            for row in fh.read().splitlines()[1:]:
+                cols = row.split()
+                count += cols[3] == "0A" and cols[9] in inodes
+    return count
+
+kind = sys.argv[1]
+from repro.client import Driver
+from repro.core import ClusterConfig, SIRepCluster
+from repro.runtime import make_runtime
+
+fds, listening = open_fds(), listening_sockets()
+if kind == "sim":
+    runtime = make_runtime("sim")
+    runtime.run()
+    runtime.stop()
+else:
+    cluster = SIRepCluster(ClusterConfig(n_replicas=3, runtime="wall"))
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def one_commit():
+        conn = yield from driver.connect(cluster.new_client_host())
+        yield from conn.execute("UPDATE kv SET v = 1 WHERE k = 1")
+        yield from conn.commit()
+        return True
+
+    assert cluster.sim.run_process(one_commit()) is True
+    cluster.sim.run()
+    cluster.stop()
+print(json.dumps({
+    "asyncio": "asyncio" in sys.modules,
+    "leaked_fds": sorted(open_fds() - fds),
+    "listening": listening_sockets() - listening,
+}))
+'''
+
+
+@pytest.mark.parametrize("kind", ["wall", "sim"])
+def test_a_fresh_process_imports_no_asyncio_and_leaves_nothing_open(kind):
+    """A 3-replica wall cluster commits a transaction and stops — or a
+    simulator is made and stopped — in an interpreter of its own: asyncio
+    was never imported, and no fd or listening socket is left open."""
+    import json
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_SCRIPT, kind],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"asyncio": False, "leaked_fds": [], "listening": 0}
+
+
+def test_only_the_loop_thread_schedules_or_touches_the_selector(tmp_path, monkeypatch):
+    """A wall episode whose writeset logs fsync on the I/O thread: every
+    ``_schedule`` and every selector register / modify / unregister runs
+    on the thread that drives the loop (the I/O thread only appends to
+    the completion deque and writes to the wake-up socket), and
+    ``stop()`` leaves no socket for the collector to warn about."""
+    import gc
+    import selectors
+    import warnings
+
+    from repro.client import Driver
+    from repro.core import ClusterConfig, SIRepCluster
+    from repro.durable import DurabilityConfig
+
+    callers = []
+
+    def on_caller(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            callers.append((name, threading.get_ident()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    on_caller(WallRuntime, "_schedule")
+    for name in ("register", "modify", "unregister"):
+        on_caller(selectors.DefaultSelector, name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        cluster = SIRepCluster(
+            ClusterConfig(
+                n_replicas=3, runtime="wall",
+                durability=DurabilityConfig(log_dir=tmp_path / "wal"),
+            )
+        )
+        try:
+            cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+            cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(4)])
+            driver = Driver(cluster.network, cluster.discovery)
+
+            def client(k):
+                conn = yield from driver.connect(cluster.new_client_host())
+                for value in range(5):
+                    yield from conn.execute(
+                        "UPDATE kv SET v = ? WHERE k = ?", (value, k)
+                    )
+                    yield from conn.commit()
+
+            for k in range(4):
+                cluster.sim.spawn(client(k), name=f"client-{k}")
+            cluster.sim.run()
+            assert all(
+                r.wslog.durable_seq == r.wslog.tip_seq > 0 for r in cluster.replicas
+            )
+            assert cluster.sim._io_thread is not None  # the fsyncs ran off the loop
+        finally:
+            cluster.stop()
+        gc.collect()
+    names = {name for name, _ in callers}
+    assert {"_schedule", "register", "modify", "unregister"} <= names
+    assert {ident for _, ident in callers} == {threading.get_ident()}
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
