@@ -33,6 +33,14 @@ segment files — one line per record, a one-letter kind tag followed by
 the record's JSON text — so a cold restart can rebuild the cluster from
 disk; without it the segments live in memory and survive replica
 incarnations through the owning :class:`repro.durable.store.DurabilityStore`.
+
+A disk-backed log keeps in memory only the tail and the active segment
+(at most ``segment_records`` durable records): once a segment is sealed
+and its last group forced, its records leave memory, and
+:meth:`WritesetLog.records_after` — which only recovery calls: a delta
+transfer, a reader join, a cold restart — reads them back from the
+segment file.  A cold restart parses every file but keeps only the
+active segment's records.
 """
 
 from __future__ import annotations
@@ -175,24 +183,54 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 class Segment:
-    """A run of consecutive durable records (one file when disk-backed)."""
+    """A run of consecutive durable records (one file when disk-backed).
 
-    __slots__ = ("base_seq", "records", "sealed", "path", "size")
+    A disk-backed segment that is sealed and forced holds no records in
+    memory (``records`` is None): its file has them all, in its first
+    ``size`` bytes, and :meth:`WritesetLog.records_after` reads them
+    back from there.  ``count`` and ``last_seq`` describe the segment
+    either way."""
+
+    __slots__ = ("base_seq", "records", "count", "last_seq", "sealed", "path", "size")
 
     def __init__(self, base_seq: int, path: Optional[Path] = None):
         self.base_seq = base_seq
-        self.records: list[LogRecord] = []
+        self.records: Optional[list[LogRecord]] = []
+        self.count = 0
+        self.last_seq = base_seq - 1
         self.sealed = False
         self.path = path
         #: bytes of the segment file that hold durable records
         self.size = 0
 
-    @property
-    def last_seq(self) -> int:
-        return self.records[-1].seq if self.records else self.base_seq - 1
-
     def __len__(self) -> int:
-        return len(self.records)
+        return self.count
+
+    def add(self, record: LogRecord) -> None:
+        self.records.append(record)
+        self.count += 1
+        self.last_seq = record.seq
+
+    def read(self) -> list[LogRecord]:
+        """The segment's records: from memory, or from its file when the
+        segment dropped them."""
+        if self.records is not None:
+            return self.records
+        with open(self.path, "rb") as fh:
+            return _parse_segment(self.path, fh.read(self.size))
+
+
+def _parse_segment(path: Path, data: bytes) -> list[LogRecord]:
+    """The records of a segment file's durable bytes, one per line."""
+    records = []
+    for number, line in enumerate(data.decode().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(LogRecord.from_line(line))
+        except (ValueError, TypeError) as err:
+            raise ReproError(f"{path}:{number}: corrupt log record") from err
+    return records
 
 
 class WritesetLog:
@@ -345,13 +383,15 @@ class WritesetLog:
     def _commit_flush(self, group: list[LogRecord], nbytes: int, written: int) -> None:
         for record in group:
             segment = self._active_segment(record.seq)
-            segment.records.append(record)
+            segment.add(record)
             if len(segment) >= self.segment_records:
                 segment.sealed = True
         # a disk-backed group is one file: the segment it filled
         segment.size += written
-        if segment.sealed:
+        if segment.sealed and self.directory is not None:
+            # sealed and forced: the file holds every record from now on
             self._close_fd()
+            segment.records = None
         self.durable_seq = group[-1].seq
         self.durable_bytes += nbytes
         self.flushes += 1
@@ -377,7 +417,9 @@ class WritesetLog:
 
     def records_after(self, seq: int) -> list[LogRecord]:
         """All appended records with ``record.seq > seq`` in order
-        (durable segments first, then the tail)."""
+        (durable segments first, then the tail).  A sealed disk-backed
+        segment is read from its file, synchronously: recovery paths
+        only."""
         if seq + 1 < self.start_seq:
             raise AssertionError(
                 f"{self.name}: records after {seq} requested but log starts "
@@ -387,7 +429,7 @@ class WritesetLog:
         for segment in self.segments:
             if segment.last_seq <= seq:
                 continue
-            out.extend(r for r in segment.records if r.seq > seq)
+            out.extend(r for r in segment.read() if r.seq > seq)
         out.extend(r for r in self.tail if r.seq > seq)
         return out
 
@@ -487,6 +529,9 @@ class WritesetLog:
     # -------------------------------------------------------------------- disk
 
     def _load_from_disk(self) -> None:
+        """Rebuild the log from its segment files.  Every line is parsed
+        (a corrupt one raises); a sealed segment then keeps only its
+        count, as if its last group had just been forced."""
         paths = sorted(self.directory.glob("seg-*.jsonl"))
         for path in paths:
             data = path.read_bytes()
@@ -496,27 +541,19 @@ class WritesetLog:
                 # the final record short: it was never durable, drop it
                 size = data.rfind(b"\n") + 1
                 os.truncate(path, size)
-            records = []
-            for number, line in enumerate(data[:size].decode().splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(LogRecord.from_line(line))
-                except (ValueError, TypeError) as err:
-                    raise ReproError(
-                        f"{path}:{number}: corrupt log record"
-                    ) from err
+            records = _parse_segment(path, data[:size])
             if not records:
                 continue
             segment = Segment(base_seq=records[0].seq, path=path)
-            segment.records = records
+            for record in records:
+                segment.add(record)
+                self.durable_bytes += record.nbytes
             segment.size = size
-            segment.sealed = len(records) >= self.segment_records
+            segment.sealed = len(segment) >= self.segment_records
+            if segment.sealed:
+                segment.records = None
             self.segments.append(segment)
         if self.segments:
             self.start_seq = self.segments[0].base_seq
             self.durable_seq = self.segments[-1].last_seq
             self.tip_seq = self.durable_seq
-            self.durable_bytes = sum(
-                r.nbytes for s in self.segments for r in s.records
-            )

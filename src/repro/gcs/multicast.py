@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.conflictindex import conflict_degrees
 from repro.errors import GcsError, NotAMember
@@ -51,7 +51,9 @@ class GcsConfig:
 
     sender_to_bus: float = 0.0008
     bus_to_member: float = 0.0007
-    jitter: float = 0.0002
+    #: a constant, not a knob: no deployment sets it (tests override it
+    #: on the class)
+    jitter: ClassVar[float] = 0.0002
     crash_detection: float = 0.5
     #: >1 enables writeset batching; a batch never exceeds this many entries
     batch_max_messages: int = 1

@@ -177,9 +177,9 @@ def test_crash_prefix_of_batches_equals_prefix_of_messages(
 
 def _run_cluster(batching: bool):
     gcs = (
-        GcsConfig(batch_max_messages=4, batch_window=0.004, jitter=0.0)
+        GcsConfig(batch_max_messages=4, batch_window=0.004)
         if batching
-        else GcsConfig(jitter=0.0)
+        else GcsConfig()
     )
     cluster = SIRepCluster(
         ClusterConfig(
@@ -223,7 +223,8 @@ def _run_cluster(batching: bool):
     return outcomes, states.pop(), report
 
 
-def test_cluster_level_outcomes_match_unbatched():
+def test_cluster_level_outcomes_match_unbatched(monkeypatch):
+    monkeypatch.setattr(GcsConfig, "jitter", 0.0)
     unbatched = _run_cluster(batching=False)
     batched = _run_cluster(batching=True)
     assert batched[0] == unbatched[0]  # every transaction committed in both

@@ -21,12 +21,18 @@ from repro.testing import query
 # both writesets reach the sequencer ~t=0.101, the 0.5 s window flushes
 # the 2-entry batch ~t=0.601, members deliver at flush + 0.02.
 GCS = GcsConfig(
-    jitter=0.0,
     batch_window=0.5,
     batch_max_messages=8,
     bus_to_member=0.02,
     crash_detection=0.3,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_jitter(monkeypatch):
+    monkeypatch.setattr(GcsConfig, "jitter", 0.0)
+
+
 AFTER_FLUSH = 0.615  # sequenced, but not yet delivered to anyone
 BEFORE_FLUSH = 0.3  # writesets still buffered at the sequencer
 

@@ -42,7 +42,7 @@ def test_config_fields_are_pinned():
             "runtime",
         },
         "GcsConfig": {
-            "sender_to_bus", "bus_to_member", "jitter", "crash_detection",
+            "sender_to_bus", "bus_to_member", "crash_detection",
             "batch_max_messages", "batch_window", "bus_service_time",
             "reorder", "adaptive_window", "batch_window_min",
             "batch_window_max",
@@ -55,7 +55,7 @@ def test_config_fields_are_pinned():
             "log_dir", "checkpoint_interval", "truncation", "segment_records",
         },
     }
-    assert sum(map(len, surface.values())) == 44
+    assert sum(map(len, surface.values())) == 43
 
 
 def test_constructor_parameters_are_pinned():

@@ -3,17 +3,19 @@
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.core.protocol import DeltaTransfer
 from repro.durable import DurabilityConfig, DurabilityStore, LogRecord, WritesetLog
 from repro.durable import checkpoint as durable_checkpoint
 from repro.durable import log as durable_log
 from repro.errors import ReproError, SimulationError
+from repro.runtime import codec
 from repro.storage.writeset import WriteOp
 from repro.testing import query
 
@@ -213,6 +215,101 @@ def test_each_record_is_encoded_once_and_nbytes_is_that_line():
     assert ddl.nbytes == len(json.dumps([1, "CREATE TABLE t (id INT PRIMARY KEY)"]))
     load = LogRecord.load(2, "t", [{"id": 1}])
     assert load.nbytes == len(json.dumps([2, "t", [{"id": 1}]]))
+
+
+# --------------------------------------------- sealed segments on disk only
+
+
+def in_memory_records(log):
+    """Durable records the log holds in memory (the tail not included)."""
+    return sum(len(s.records) for s in log.segments if s.records is not None)
+
+
+def field_by_field(record):
+    """Every field of a record, ``line`` included, as its repr: a value
+    that changes type on the way through JSON (int for float, list for
+    tuple) shows up even where ``==`` would let it pass."""
+    return [(f.name, repr(getattr(record, f.name))) for f in fields(LogRecord)]
+
+
+MIXED_RECORDS = [
+    LogRecord.ddl(1, "CREATE TABLE t (id INT PRIMARY KEY, v FLOAT, s TEXT)"),
+    LogRecord.load(2, "t", [
+        {"id": 1, "v": 0.5, "s": "x"},
+        {"id": 2, "v": None, "s": "caf\u00e9 \"quoted\"\n"},
+    ]),
+    LogRecord.ws(3, "R0:g1", 1, "R0", (
+        WriteOp("t", 1, "update", {"id": 1, "v": 2.0, "s": None}),
+        WriteOp("t", 2, "delete", None),
+        WriteOp("t", 3, "insert", {"id": 3, "v": -1e-07, "s": ""}),
+    )),
+    LogRecord.ddl(4, "CREATE TABLE u (k INT PRIMARY KEY)"),
+    LogRecord.load(5, "u", [{"k": 10 ** 12}]),
+    LogRecord.ws(6, "R1:g1", 2, "R1", (
+        WriteOp("u", 10 ** 12, "update", {"k": 10 ** 12}),
+    )),
+]
+
+
+def test_a_sealed_forced_segment_is_read_back_from_its_file(tmp_path):
+    """A disk-backed log drops a sealed segment's records once its last
+    group is forced; ``records_after`` returns them from the file, every
+    field (``line`` and ``nbytes`` too) as appended, and a delta built
+    from them is the same transfer, byte for byte, as an in-memory
+    donor's."""
+    disk = WritesetLog("R0", segment_records=4, directory=tmp_path / "R0")
+    memory = WritesetLog("R0", segment_records=4)
+    for log in (disk, memory):
+        for record in MIXED_RECORDS:
+            log.append(record)
+        drain(log.flush(charge_free))
+    sealed, active = disk.segments
+    assert sealed.sealed and sealed.records is None
+    assert (len(sealed), sealed.last_seq, len(active)) == (4, 4, 2)
+    assert in_memory_records(disk) == 2
+    assert in_memory_records(memory) == disk.retained_records == 6
+    back = disk.records_after(0)
+    assert back == MIXED_RECORDS
+    assert [field_by_field(r) for r in back] == [
+        field_by_field(r) for r in MIXED_RECORDS
+    ]
+    assert [r.seq for r in disk.records_after(2)] == [3, 4, 5, 6]
+    deltas = [
+        DeltaTransfer(donor="R0", from_seq=0, records=tuple(log.records_after(0)),
+                      outcomes={"R0:g1": "committed"})
+        for log in (disk, memory)
+    ]
+    assert deltas[0].nbytes() == deltas[1].nbytes()
+    assert codec.frame(deltas[0]) == codec.frame(deltas[1])
+    disk.close()
+
+
+def test_a_cold_restart_keeps_only_the_active_segment_in_memory(tmp_path):
+    directory = tmp_path / "R0"
+    log = WritesetLog("R0", segment_records=3, directory=directory)
+    log.append_durable(LogRecord.ddl(1, "CREATE TABLE kv (k INT PRIMARY KEY, v INT)"))
+    log.append_durable(LogRecord.load(2, "kv", [{"k": k, "v": 0} for k in range(5)]))
+    for seq in range(3, 12):
+        log.append(ws(seq, key=seq % 5))
+    drain(log.flush(charge_free))
+    log.close()
+    assert [len(s) for s in log.segments] == [3, 3, 3, 2]
+    assert in_memory_records(log) == 2
+    reloaded = WritesetLog("R0", segment_records=3, directory=directory)
+    assert [len(s) for s in reloaded.segments] == [3, 3, 3, 2]
+    assert in_memory_records(reloaded) <= reloaded.segment_records
+    assert reloaded.retained_records == log.retained_records == 11
+    assert (reloaded.durable_bytes, reloaded.durable_seq) == (
+        log.durable_bytes, log.durable_seq,
+    )
+    assert reloaded.records_after(0) == log.records_after(0) == [
+        LogRecord.from_line(line)
+        for path in sorted(directory.glob("seg-*.jsonl"))
+        for line in path.read_text().splitlines()
+    ]
+    # truncation drops whole segments whether or not they are in memory
+    assert reloaded.truncate_to(7) == 6
+    assert [r.seq for r in reloaded.records_after(6)] == [7, 8, 9, 10, 11]
 
 
 # -------------------------------------------------------------- group commit

@@ -3,15 +3,21 @@ triggers), ordering against unbatchable traffic and view changes, the
 serial-sequencer service time, and entry-granular delivery metrics.
 """
 
+import pytest
+
 from repro.core.protocol import WritesetMessage
 from repro.gcs import Batch, GcsConfig, GroupBus, Message, ViewChange
 from repro.sim import Simulator
 from repro.storage.writeset import UPDATE, WriteOp, WriteSet
 
 
-def build_group(n, seed=1, **config):
+@pytest.fixture(autouse=True)
+def no_jitter(monkeypatch):
     # deterministic hop timing: these tests assert exact formation order
-    config.setdefault("jitter", 0.0)
+    monkeypatch.setattr(GcsConfig, "jitter", 0.0)
+
+
+def build_group(n, seed=1, **config):
     sim = Simulator(seed=seed)
     bus = GroupBus(sim, config=GcsConfig(**config))
     members = [bus.join(f"m{i}") for i in range(n)]
@@ -231,7 +237,7 @@ def test_dead_sender_entries_dropped_at_flush():
 def test_serial_sequencer_spaces_fanouts():
     """With bus_service_time set the sequencer is a serial server: two
     back-to-back unbatched messages fan out one service apart."""
-    sim, bus, members = build_group(2, jitter=0.0, bus_service_time=0.01)
+    sim, bus, members = build_group(2, bus_service_time=0.01)
     stamps = []
 
     def collector():
@@ -257,7 +263,7 @@ def test_batch_occupies_sequencer_once():
     """A k-entry batch pays one service, not k — the amortisation that
     raises the bus's writesets/second ceiling by the batch factor."""
     sim_b, bus_b, members_b = build_group(
-        2, jitter=0.0, bus_service_time=0.01, batch_max_messages=4,
+        2, bus_service_time=0.01, batch_max_messages=4,
         batch_window=0.001,
     )
     done = []

@@ -39,8 +39,9 @@ def test_join_announces_views_in_order():
     assert isinstance(out[0], ViewChange)
 
 
-def test_total_order_same_everywhere():
-    sim, bus, members = build_group(3, seed=7, jitter=0.001)
+def test_total_order_same_everywhere(monkeypatch):
+    monkeypatch.setattr(GcsConfig, "jitter", 0.001)
+    sim, bus, members = build_group(3, seed=7)
     inboxes = []
 
     def sender(member, tag):

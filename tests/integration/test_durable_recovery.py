@@ -374,7 +374,10 @@ def test_cold_restart_levels_a_replica_with_a_shorter_log():
     # artificially shorten R2's durable log to force catch-up leveling
     r2_log = store.replica("R2").log
     if r2_log.segments and len(r2_log.segments[-1].records) > 1:
-        removed = r2_log.segments[-1].records.pop()
+        segment = r2_log.segments[-1]
+        removed = segment.records.pop()
+        segment.count -= 1
+        segment.last_seq = removed.seq - 1
         r2_log.durable_seq = r2_log.tip_seq = removed.seq - 1
 
     cfg = ClusterConfig(n_replicas=3, seed=36)

@@ -571,6 +571,24 @@ def test_mutated_frames_decode_or_break_the_channel(monkeypatch, body):
     assert all(map(same, got, expected))
 
 
+#: a bit-flipped ``ExecuteResp`` frame body the mutation fuzz once drew:
+#: the pickle memo reference ``h\x01`` makes ``rows[0]["k"]`` the ``rows``
+#: list itself, a cycle no wire type declares
+CYCLIC_EXECUTE_RESP = (
+    b"\x04\x80\x05\x95)\x00\x00\x00\x00\x00\x00\x00(K\x02K\x01\x88\x8c\x05R0:g1"
+    b"\x94]\x94}\x94(\x8c\x01k\x94h\x01\x8c\x01v\x94K\x02ua)K\x01NNt\x94."
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the decoder accepts any shape pickle can express (ROADMAP 18a)",
+)
+def test_a_cyclic_frame_body_is_refused():
+    with pytest.raises(Exception):  # any decode error breaks the channel
+        codec.unframe(CYCLIC_EXECUTE_RESP)
+
+
 # -- (d) globals ------------------------------------------------------------------
 
 
