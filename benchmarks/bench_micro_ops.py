@@ -202,38 +202,3 @@ def test_writeset_apply_speed(benchmark):
         sim.run_process(body())
 
     benchmark(apply_once)
-
-
-# ---------------------------------------------------------------------------
-# Canonical point for the unified suite runner (repro.bench.suite)
-# ---------------------------------------------------------------------------
-
-
-def canonical_point(quick: bool = True) -> dict:
-    """Micro-ops anchor: dispatch cost flatness of the key-indexed queue.
-
-    These are real wall-clock numbers — machine-dependent, so the suite
-    holds only the depth-flatness *ratio* to a meaningful band and gives
-    the raw microsecond figures very wide ones.
-    """
-    iters, repeats = (500, 3) if quick else (2000, 5)
-    depths = (1, 256)
-    indexed = {
-        d: _dispatch_cost_us(ToCommitQueue, d, iters=iters, repeats=repeats)
-        for d in depths
-    }
-    return {
-        "config": {
-            "iters": iters,
-            "repeats": repeats,
-            "depths": list(depths),
-            "wall_clock": True,
-            "seed": None,
-        },
-        "metrics": {
-            "indexed_us_depth1": indexed[1],
-            "indexed_us_depth256": indexed[256],
-            "indexed_flatness_256_over_1": indexed[256] / indexed[1],
-        },
-        "profile": None,
-    }

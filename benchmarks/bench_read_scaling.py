@@ -33,7 +33,8 @@ from repro.reader import ReaderConfig
 from repro.workloads import ClientPool
 from repro.workloads.micro import make_mixed_workload, make_workload
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+#: the sweep's output, regenerated by every run (gitignored)
+GENERATED = pathlib.Path(__file__).resolve().parent.parent / "results" / "generated"
 
 READER_COUNTS = (0, 2, 4)
 N_REPLICAS = 3
@@ -113,8 +114,8 @@ def test_read_scaling(benchmark):
             f"update p95 {p['update_p95_ms']:.1f} ms"
         )
 
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "read_scaling.json").write_text(
+    GENERATED.mkdir(parents=True, exist_ok=True)
+    (GENERATED / "read_scaling.json").write_text(
         json.dumps(
             {
                 "offered_update_tps": UPDATE_TPS,

@@ -10,7 +10,8 @@ finish sooner — than shipping the donor's whole committed state.
 Sweep: database size x missed-transaction count, each recovered once in
 ``delta`` mode and once in ``full`` mode on otherwise identical
 clusters.  Results (plus the per-point recovery latency in simulated
-seconds) go to ``results/recovery.json`` (the CI artifact).
+seconds) go to the gitignored ``results/generated/recovery.json`` (the CI
+artifact).
 """
 
 import json
@@ -21,7 +22,8 @@ from repro.core import ClusterConfig, SIRepCluster
 from repro.durable import DurabilityConfig
 from repro.obs import profile_run
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+#: the sweep's output, regenerated by every run (gitignored)
+GENERATED = pathlib.Path(__file__).resolve().parent.parent / "results" / "generated"
 
 DB_SIZES = (100, 400, 1600)
 DOWNTIME_TXNS = (5, 20)
@@ -138,8 +140,8 @@ def test_delta_recovery_beats_full_state_transfer(benchmark):
             f"{p['recovery_seconds']:.4f}s"
         )
 
-    RESULTS.mkdir(exist_ok=True)
-    with open(RESULTS / "recovery.json", "w") as fh:
+    GENERATED.mkdir(parents=True, exist_ok=True)
+    with open(GENERATED / "recovery.json", "w") as fh:
         json.dump({"points": points}, fh, indent=2)
 
 

@@ -1,24 +1,18 @@
-"""Unified benchmark suite runner — one entrypoint for every benchmark.
+"""Unified benchmark suite runner: one entrypoint, one rule.
 
 ``python -m repro.bench.suite --quick`` executes each benchmark's
 canonical point (batching, contention, read_scaling, shard_scaling,
-recovery, micro_ops), stamps the result with config/seed/git metadata,
-and writes one strict-JSON ``BENCH_<name>.json`` per benchmark at the
-repo root (gitignored scratch; ``results/`` stays the curated artifact
-directory).  Against a committed baseline under
-``benchmarks/baselines/`` every numeric metric is compared with a
-per-metric tolerance band; ``--check`` turns any out-of-band metric,
-missing baseline, or structurally invalid result into a non-zero exit
-for the CI perf-trajectory lane.  ``--update-baselines`` re-stamps the
-baselines from the current run (review the diff before committing).
-
-The simulated benchmarks are deterministic given their seeds, so their
-bands are drift *allowances* for intentional code changes, not noise
-margins — an unexplained band trip means the change moved the protocol's
-measured behaviour and either the change or the baseline must be fixed.
-``micro_ops`` measures real wall-clock: its raw microsecond figures get
-bands wide enough for machine variance, and only the depth-flatness
-ratio is held to a meaningful one.
+recovery), stamps the result with config/seed/git metadata, and writes
+one strict-JSON ``BENCH_<name>.json`` per benchmark at the repo root
+(gitignored scratch).  Every point runs on the discrete-event simulator
+and is deterministic given its seeds, so the comparison against the
+committed baseline under ``benchmarks/baselines/`` is equality: with
+the ``git`` stamp left out, the envelope (metrics, config, mode and the
+full profile) must equal the baseline value for value.  ``--check``
+turns any difference, a missing baseline or a structurally invalid
+result into a non-zero exit.  ``--update-baselines`` re-stamps the
+baselines from the current run; a change that means to move the
+measured behaviour says so and commits the new files with it.
 
 Each ``BENCH_<name>.json`` carries::
 
@@ -39,7 +33,6 @@ import json
 import math
 import pathlib
 import subprocess
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -59,79 +52,6 @@ BENCHES: dict[str, tuple[str, str]] = {
     "read_scaling": ("bench_read_scaling", "canonical_point"),
     "shard_scaling": ("bench_shard_scaling", "canonical_point"),
     "recovery": ("bench_recovery", "canonical_point"),
-    "micro_ops": ("bench_micro_ops", "canonical_point"),
-    "realtime": ("bench_realtime", "canonical_point"),
-}
-
-#: benches measuring real elapsed time on the wall-clock runtime.  They
-#: are excluded from the default sweep (the sim perf-trajectory lane
-#: must stay deterministic) and run via ``--only`` in the CI realtime
-#: lane; their envelopes carry ``runtime: "wall"`` and are only ever
-#: compared against wall baselines.
-WALL_BENCHES: frozenset[str] = frozenset({"realtime"})
-
-
-@dataclass(frozen=True)
-class Tol:
-    """Tolerance band: pass iff |current - baseline| <= rel*|baseline| + abs."""
-
-    rel: float = 0.15
-    abs: float = 1e-9
-
-
-DEFAULT_TOL = Tol()
-
-#: per-bench, per-metric overrides; "*" is the bench-wide default.
-#: Counters sampled over a few simulated seconds (aborts, salvages) get
-#: absolute floors so a handful of events can't trip a relative band.
-TOLERANCES: dict[str, dict[str, Tol]] = {
-    "batching": {
-        "update_p50_ms": Tol(rel=0.25),
-        "update_p95_ms": Tol(rel=0.25),
-        "read_p95_ms": Tol(rel=0.25),
-        "abort_rate": Tol(rel=0.5, abs=0.01),
-    },
-    "contention": {
-        "update_p50_ms": Tol(rel=0.25),
-        "update_p95_ms": Tol(rel=0.25),
-        "abort_rate": Tol(rel=0.5, abs=0.01),
-        "certification_aborts": Tol(rel=0.5, abs=3.0),
-        "salvaged_total": Tol(rel=0.5, abs=3.0),
-        "salvage_rejects": Tol(rel=1.0, abs=3.0),
-        "reordered_total": Tol(rel=0.5, abs=3.0),
-        "deferred_ww_total": Tol(rel=0.5, abs=3.0),
-        "batch_window": Tol(rel=0.5, abs=1e-3),
-    },
-    "read_scaling": {
-        "read_p95_ms": Tol(rel=0.25),
-        "update_p95_ms": Tol(rel=0.25),
-        "admission_queued": Tol(rel=0.5, abs=5.0),
-    },
-    "shard_scaling": {
-        "update_rt_ms": Tol(rel=0.25),
-        "abort_rate": Tol(rel=0.5, abs=0.01),
-        # the partitioned workload must never attempt a cross-shard write
-        "rejected_cross_shard_writes": Tol(rel=0.0, abs=0.0),
-    },
-    "recovery": {
-        "delta_recovery_seconds": Tol(rel=0.25, abs=0.05),
-        "full_recovery_seconds": Tol(rel=0.25, abs=0.05),
-    },
-    "micro_ops": {
-        # raw microseconds are machine-dependent: informational only,
-        # the band exists to catch order-of-magnitude implementation
-        # regressions.  The flatness *ratio* is machine-robust and is
-        # the metric this bench actually defends.
-        "*": Tol(rel=9.0, abs=10.0),
-        "indexed_flatness_256_over_1": Tol(rel=1.0, abs=1.0),
-    },
-    "realtime": {
-        # genuine wall-clock numbers on shared CI hardware: very wide
-        # timing-noise bands.  The bench defends liveness (non-zero
-        # throughput, bounded aborts), not a latency trajectory.
-        "*": Tol(rel=3.0, abs=50.0),
-        "abort_rate": Tol(rel=1.0, abs=0.25),
-    },
 }
 
 _MODULES: dict[str, object] = {}
@@ -193,16 +113,13 @@ def run_bench(
         "seed": config.get("seed"),
         "config": config,
         "git": git_meta(),
-        # which clock produced the numbers; wall results never compare
-        # against sim baselines (compare_result enforces this)
-        "runtime": payload.get("runtime", "sim"),
         "metrics": dict(payload.get("metrics", {})),
         "profile": payload.get("profile"),
     }
 
 
 def _is_number(value) -> bool:
-    """Finite number: NaN/inf metrics are unusable for band comparison."""
+    """Finite number: a NaN/inf metric is not a measurement."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
@@ -244,61 +161,43 @@ def validate_result(result: dict) -> list[str]:
     return errors
 
 
-def compare_result(name: str, result: dict, baseline: dict) -> list[dict]:
-    """Per-metric tolerance-band comparison against a baseline envelope."""
-    if bool(baseline.get("quick")) != bool(result.get("quick")):
-        return [
-            {
-                "metric": None,
-                "kind": "mode_mismatch",
-                "baseline": baseline.get("quick"),
-                "current": result.get("quick"),
-            }
-        ]
-    # sim seconds and wall seconds are different units; a baseline from
-    # one runtime must never band-check a result from the other
-    if baseline.get("runtime", "sim") != result.get("runtime", "sim"):
-        return [
-            {
-                "metric": None,
-                "kind": "runtime_mismatch",
-                "baseline": baseline.get("runtime", "sim"),
-                "current": result.get("runtime", "sim"),
-            }
-        ]
-    violations = []
-    tols = TOLERANCES.get(name, {})
-    default = tols.get("*", DEFAULT_TOL)
-    current = result.get("metrics") or {}
-    for metric in sorted(baseline.get("metrics") or {}):
-        base = baseline["metrics"][metric]
-        if not _is_number(base):
-            continue
-        cur = current.get(metric)
-        if not _is_number(cur):
-            violations.append(
-                {
-                    "metric": metric,
-                    "kind": "missing",
-                    "baseline": base,
-                    "current": cur,
-                }
-            )
-            continue
-        tol = tols.get(metric, default)
-        band = tol.rel * abs(base) + tol.abs
-        if abs(cur - base) > band:
-            violations.append(
-                {
-                    "metric": metric,
-                    "kind": "out_of_band",
-                    "baseline": base,
-                    "current": cur,
-                    "band": band,
-                    "delta": cur - base,
-                }
-            )
-    return violations
+#: what a difference report shows for a key one side does not have
+MISSING = "<missing>"
+
+
+def _differences(base, cur, path: str = ""):
+    """``(dotted path, baseline, current)`` for every leaf that differs.
+
+    Leaves compare by their JSON text, so ``1`` and ``1.0`` differ as
+    they would in the files; a key on one side only is reported with
+    :data:`MISSING` on the other.
+    """
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for key in sorted(set(base) | set(cur)):
+            sub = f"{path}.{key}" if path else key
+            if key in base and key in cur:
+                yield from _differences(base[key], cur[key], sub)
+            else:
+                yield sub, base.get(key, MISSING), cur.get(key, MISSING)
+    elif json.dumps(base, sort_keys=True) != json.dumps(cur, sort_keys=True):
+        yield path, base, cur
+
+
+def compare_result(result: dict, baseline: dict) -> list[dict]:
+    """Every value in which ``result`` differs from ``baseline``.
+
+    The canonical points are deterministic, so the rule is equality:
+    the whole envelope but its ``git`` stamp, after the same JSON round
+    trip the files take.  Empty means the point reproduced its baseline.
+    """
+    current = json.loads(_dump(result))
+    return [
+        {"path": path, "baseline": base, "current": cur}
+        for path, base, cur in _differences(
+            {k: v for k, v in baseline.items() if k != "git"},
+            {k: v for k, v in current.items() if k != "git"},
+        )
+    ]
 
 
 def _dump(payload: dict) -> str:
@@ -312,22 +211,10 @@ def run_suite(
     bench_dir: pathlib.Path = DEFAULT_BENCH_DIR,
     baseline_dir: pathlib.Path = DEFAULT_BASELINE_DIR,
     update_baselines: bool = False,
-    inject_slowdown: Optional[Iterable[str]] = None,
 ) -> dict:
-    """Run the canonical points, emit BENCH files, compare to baselines.
-
-    ``inject_slowdown`` multiplies the named benches' metrics by 10 after
-    measurement — the CI negative test proving the bands actually trip.
-
-    Without explicit ``names`` the sweep covers the deterministic sim
-    benches only; wall-clock benches (:data:`WALL_BENCHES`) opt in via
-    ``names``/``--only`` so the perf-trajectory lane stays reproducible.
-    """
-    names = list(names) if names else [n for n in BENCHES if n not in WALL_BENCHES]
-    inject = set(inject_slowdown or ())
-    unknown = [n for n in names if n not in BENCHES] + [
-        n for n in inject if n not in BENCHES
-    ]
+    """Run the canonical points, emit BENCH files, compare to baselines."""
+    names = list(names) if names else list(BENCHES)
+    unknown = [n for n in names if n not in BENCHES]
     if unknown:
         raise KeyError(f"unknown bench(es): {sorted(set(unknown))}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,22 +222,16 @@ def run_suite(
     results = {}
     for name in names:
         result = run_bench(name, quick=quick, bench_dir=bench_dir)
-        if name in inject:
-            result["metrics"] = {
-                k: v * 10.0 if _is_number(v) else v
-                for k, v in result["metrics"].items()
-            }
-            result["config"]["injected_slowdown"] = 10.0
         out_path = out_dir / f"BENCH_{name}.json"
         out_path.write_text(_dump(result))
 
         errors = validate_result(result)
         baseline_path = baseline_dir / f"BENCH_{name}.json"
-        violations: list[dict] = []
+        differences: list[dict] = []
         has_baseline = baseline_path.exists()
         if has_baseline:
             baseline = json.loads(baseline_path.read_text())
-            violations = compare_result(name, result, baseline)
+            differences = compare_result(result, baseline)
         if update_baselines:
             baseline_dir.mkdir(parents=True, exist_ok=True)
             baseline_path.write_text(_dump(result))
@@ -358,12 +239,12 @@ def run_suite(
             "file": str(out_path),
             "errors": errors,
             "baseline": str(baseline_path) if has_baseline else None,
-            "violations": violations,
+            "differences": differences,
             "metrics": result["metrics"],
         }
 
     ok = all(
-        not entry["errors"] and not entry["violations"]
+        not entry["errors"] and not entry["differences"]
         for entry in results.values()
     )
     return {"schema": SCHEMA, "quick": quick, "ok": ok, "results": results}
@@ -375,25 +256,20 @@ def _render_report(report: dict, strict_baseline: bool) -> tuple[str, bool]:
     passed = True
     for name, entry in report["results"].items():
         problems = list(entry["errors"])
-        for v in entry["violations"]:
-            if v["kind"] == "out_of_band":
-                problems.append(
-                    f"{v['metric']}: {v['current']:.4g} vs baseline "
-                    f"{v['baseline']:.4g} (band +/-{v['band']:.4g})"
-                )
-            elif v["kind"] == "missing":
-                problems.append(f"{v['metric']}: missing from current run")
-            else:
-                problems.append(
-                    f"{v['kind']}: baseline={v['baseline']!r} "
-                    f"current={v['current']!r}"
-                )
+        # repr, not a rounded format: a one-ulp move must be visible
+        problems.extend(
+            f"{d['path']}: {d['current']!r} vs baseline {d['baseline']!r}"
+            for d in entry["differences"]
+        )
         if entry["baseline"] is None:
             note = "no baseline"
             if strict_baseline:
                 problems.append("no committed baseline")
+        elif entry["differences"]:
+            keys = sorted({d["path"].split(".")[0] for d in entry["differences"]})
+            note = "baseline differs in " + ", ".join(keys)
         else:
-            note = "baseline ok" if not entry["violations"] else "baseline FAIL"
+            note = "equals baseline"
         verdict = "ok" if not problems else "FAIL"
         passed = passed and not problems
         n_metrics = sum(1 for v in entry["metrics"].values() if _is_number(v))
@@ -425,21 +301,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--check",
         action="store_true",
         help=(
-            "exit non-zero on invalid results, band violations, or a "
-            "missing committed baseline"
+            "exit non-zero on an invalid result, any difference from the "
+            "baseline, or a missing committed baseline"
         ),
     )
     parser.add_argument(
         "--update-baselines",
         action="store_true",
         help="re-stamp benchmarks/baselines/ from this run",
-    )
-    parser.add_argument(
-        "--inject-slowdown",
-        action="append",
-        metavar="BENCH",
-        choices=sorted(BENCHES),
-        help="multiply BENCH's metrics x10 after measurement (negative test)",
     )
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT_DIR)
     parser.add_argument(
@@ -458,12 +327,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{name:<14} {stem}.{fn}")
         return 0
 
-    # preserve the canonical BENCHES ordering whatever --only order was;
-    # wall-clock benches run only when explicitly named with --only
-    if args.only is not None:
-        names = [n for n in BENCHES if n in args.only]
-    else:
-        names = [n for n in BENCHES if n not in WALL_BENCHES]
+    # preserve the canonical BENCHES ordering whatever --only order was
+    names = [n for n in BENCHES if args.only is None or n in args.only]
     report = run_suite(
         names,
         quick=args.quick,
@@ -471,7 +336,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         bench_dir=args.bench_dir,
         baseline_dir=args.baseline_dir,
         update_baselines=args.update_baselines,
-        inject_slowdown=args.inject_slowdown,
     )
     (args.out / "bench_suite_report.json").write_text(_dump(report))
     rendered, passed = _render_report(report, strict_baseline=args.check)

@@ -1,13 +1,19 @@
-"""Unified suite runner: envelope validation, tolerance bands, CLI.
+"""Unified suite runner: envelope validation, the exact gate, CLI.
 
-Band/validation logic is unit-tested on synthetic envelopes (no sim
-runs); one real canonical point (micro_ops, the cheapest) exercises the
-benchmarks/-loading path end to end.  The negative test — an injected
-synthetic slowdown must trip the bands — runs through ``run_suite``
-with a stubbed measurement, exactly the path the CI lane drives.
+Validation and comparison are unit-tested on synthetic envelopes (no
+sim runs).  The negative test (a baseline moved by one ulp must fail
+``--check`` and be named) runs through ``main`` with a stubbed
+measurement.  Two real canonical points, each run under two hash seeds
+in subprocesses, exercise the benchmarks/-loading path end to end and
+guard the premise of the exact gate: a point is a function of its
+config and seeds, not of the interpreter's hash seed.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +22,6 @@ from repro.bench.suite import (
     BENCHES,
     compare_result,
     git_meta,
-    run_bench,
     run_suite,
     validate_result,
 )
@@ -78,54 +83,59 @@ def test_validate_enforces_attribution_error_bound():
     )
 
 
-# ---------------------------------------------------------------------- bands
+# ------------------------------------------------------------------ the gate
 
 
 def test_compare_within_band_passes():
+    """The band is zero wide: an envelope equal to its baseline in every
+    value but the ``git`` stamp passes."""
     base = envelope(metrics={"throughput_tps": 100.0})
-    cur = envelope(metrics={"throughput_tps": 108.0})  # +8% < 15%
-    assert compare_result("batching", cur, base) == []
+    cur = envelope(
+        metrics={"throughput_tps": 100.0},
+        git={"commit": "def", "branch": "topic", "dirty": True},
+    )
+    assert compare_result(cur, base) == []
 
 
 def test_compare_flags_out_of_band_both_directions():
+    """Any move is out of band, up or down, however small, and the
+    report carries both values."""
     base = envelope(metrics={"throughput_tps": 100.0})
-    for moved in (50.0, 200.0):  # regression AND "improvement" both flag
-        violations = compare_result(
-            "batching", envelope(metrics={"throughput_tps": moved}), base
+    for moved in (math.nextafter(100.0, 0.0), math.nextafter(100.0, 200.0)):
+        differences = compare_result(
+            envelope(metrics={"throughput_tps": moved}), base
         )
-        assert [v["kind"] for v in violations] == ["out_of_band"]
+        assert differences == [
+            {
+                "path": "metrics.throughput_tps",
+                "baseline": 100.0,
+                "current": moved,
+            }
+        ]
+    # an int that became a float is a change in the files too
+    as_float = compare_result(
+        envelope(metrics={"n": 3.0}), envelope(metrics={"n": 3})
+    )
+    assert [d["path"] for d in as_float] == ["metrics.n"]
 
 
 def test_compare_flags_missing_metric_and_mode_mismatch():
     base = envelope(metrics={"throughput_tps": 100.0, "p95_ms": 20.0})
     cur = envelope(metrics={"throughput_tps": 100.0})
-    kinds = {v["kind"] for v in compare_result("batching", cur, base)}
-    assert kinds == {"missing"}
-    full_run = envelope(quick=False)
-    assert [v["kind"] for v in compare_result("batching", full_run, base)] == [
-        "mode_mismatch"
+    assert compare_result(cur, base) == [
+        {"path": "metrics.p95_ms", "baseline": 20.0, "current": suite.MISSING}
     ]
+    full_run = envelope(quick=False)
+    assert [d["path"] for d in compare_result(full_run, base)] == ["quick"]
 
 
 def test_compare_flags_runtime_mismatch():
-    """Wall seconds and sim seconds are different units: a result from
-    one runtime never band-checks against a baseline from the other."""
-    base = envelope(metrics={"throughput_tps": 100.0})  # implicit sim
-    wall = envelope(metrics={"throughput_tps": 100.0})
-    wall["runtime"] = "wall"
-    assert [v["kind"] for v in compare_result("batching", wall, base)] == [
-        "runtime_mismatch"
+    """A point run differently (another runtime, another window) differs
+    in its ``config`` and is named by that key."""
+    wall = envelope(config={"seed": 0, "runtime": "wall"})
+    assert compare_result(wall, envelope()) == [
+        {"path": "config.runtime", "baseline": suite.MISSING, "current": "wall"}
     ]
-    # and a legacy baseline with no runtime key means sim
-    sim_result = envelope(metrics={"throughput_tps": 100.0})
-    sim_result["runtime"] = "sim"
-    assert compare_result("batching", sim_result, base) == []
-
-
-def test_micro_ops_wall_clock_band_is_wide():
-    base = envelope(metrics={"indexed_us_depth1": 2.0})
-    cur = envelope(metrics={"indexed_us_depth1": 7.0})  # 3.5x: machine noise
-    assert compare_result("micro_ops", cur, base) == []
 
 
 # ------------------------------------------------------------- orchestration
@@ -170,29 +180,43 @@ def test_run_suite_flags_drift_against_baseline(tmp_path, stub_bench):
         ["batching"], out_dir=tmp_path, baseline_dir=tmp_path / "baselines"
     )
     assert not report["ok"]
-    violations = report["results"]["batching"]["violations"]
-    assert violations and violations[0]["metric"] == "throughput_tps"
+    differences = report["results"]["batching"]["differences"]
+    assert [d["path"] for d in differences] == ["metrics.throughput_tps"]
 
 
-def test_injected_slowdown_trips_the_bands(tmp_path, stub_bench):
-    """The CI negative test: x10 metrics must violate every band."""
-    run_suite(
-        ["batching"],
-        out_dir=tmp_path,
-        baseline_dir=tmp_path / "baselines",
-        update_baselines=True,
-    )
-    report = run_suite(
-        ["batching"],
-        out_dir=tmp_path,
-        baseline_dir=tmp_path / "baselines",
-        inject_slowdown=["batching"],
-    )
-    assert not report["ok"]
-    flagged = {v["metric"] for v in report["results"]["batching"]["violations"]}
-    assert flagged == {"throughput_tps", "p95_ms"}
-    emitted = json.loads((tmp_path / "BENCH_batching.json").read_text())
-    assert emitted["config"]["injected_slowdown"] == 10.0
+def test_a_value_moved_by_one_ulp_fails_the_check(tmp_path, stub_bench, capsys):
+    """The negative test: a baseline in which one metric, or separately
+    one profile value, is one ulp off fails ``--check``, and the report
+    names the value with both figures."""
+    args = [
+        "--quick",
+        "--only",
+        "batching",
+        "--out",
+        str(tmp_path),
+        "--baseline-dir",
+        str(tmp_path / "baselines"),
+    ]
+    assert suite.main(args + ["--update-baselines"]) == 0
+    path = tmp_path / "baselines" / "BENCH_batching.json"
+    pristine = path.read_text()
+    for keys in (("metrics", "p95_ms"), ("profile", "updates", "total_ms", "p95")):
+        baseline = json.loads(pristine)
+        node = baseline
+        for key in keys[:-1]:
+            node = node[key]
+        measured = node[keys[-1]]
+        node[keys[-1]] = math.nextafter(measured, math.inf)
+        path.write_text(json.dumps(baseline))
+        capsys.readouterr()
+        assert suite.main(args + ["--check"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            f"{'.'.join(keys)}: {measured!r} vs baseline "
+            f"{node[keys[-1]]!r}" in out
+        ), out
+    path.write_text(pristine)
+    assert suite.main(args + ["--check"]) == 0
 
 
 def test_run_suite_rejects_unknown_bench(tmp_path):
@@ -229,13 +253,31 @@ def test_git_meta_stamps_commit():
     assert meta["commit"] is None or len(meta["commit"]) == 40
 
 
-def test_micro_ops_canonical_point_for_real():
-    """Cheapest real bench: loads benchmarks/bench_micro_ops.py by path."""
-    result = run_bench("micro_ops", quick=True)
-    assert result["bench"] == "micro_ops"
-    assert validate_result(result) == []
-    assert result["metrics"]["indexed_flatness_256_over_1"] > 0
-    assert result["profile"] is None
+def test_canonical_points_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two real points, loaded from benchmarks/ by path, run by the CLI
+    under two ``PYTHONHASHSEED`` values: the envelopes are valid and,
+    ``git`` aside, equal."""
+    names = ("read_scaling", "recovery")
+    runs = []
+    for seed in ("1", "7"):
+        out = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.bench.suite", "--quick", "--out", str(out)]
+            + [arg for name in names for arg in ("--only", name)],
+            capture_output=True,
+            text=True,
+            cwd=suite.REPO_ROOT,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = json.loads((out / "bench_suite_report.json").read_text())
+        assert [report["results"][n]["errors"] for n in names] == [[], []]
+        runs.append(
+            {n: json.loads((out / f"BENCH_{n}.json").read_text()) for n in names}
+        )
+    for name in names:
+        assert compare_result(runs[1][name], runs[0][name]) == [], name
 
 
 def test_run_sirep_profile_extras():
@@ -259,21 +301,12 @@ def test_run_sirep_profile_extras():
 
 
 def test_bench_registry_names_match_issue():
-    assert set(BENCHES) == {
+    """The suite is the five simulated points; wall-clock numbers are
+    the repo benchmark's (benchmarks/e2e), not the exact gate's."""
+    assert list(BENCHES) == [
         "batching",
         "contention",
         "read_scaling",
         "shard_scaling",
         "recovery",
-        "micro_ops",
-        "realtime",
-    }
-
-
-def test_wall_benches_excluded_from_default_sweep():
-    """The default (no ``names``) sweep is the deterministic sim set;
-    wall-clock benches only run when explicitly requested."""
-    from repro.bench.suite import WALL_BENCHES
-
-    assert WALL_BENCHES == {"realtime"}
-    assert WALL_BENCHES < set(BENCHES)
+    ]

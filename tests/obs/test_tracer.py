@@ -173,3 +173,50 @@ def test_span_to_dict_roundtrips(sim):
     assert isinstance(span, Span)
     assert data["name"] == "s" and data["attrs"] == {"k": 1}
     json.dumps(data, allow_nan=False)
+
+
+def test_a_traced_cluster_exports_nested_chrome_spans():
+    """End to end on a small traced cluster: the Chrome export is strict
+    JSON, every span lies inside its parent (1 us of rounding slack), and
+    the commit path's span kinds are all there."""
+    from repro.client import Driver
+    from repro.core import ClusterConfig, SIRepCluster
+
+    cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=42, span_trace=True))
+    sim = cluster.sim
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 9)])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def client(cid):
+        conn = yield from driver.connect(cluster.new_client_host())
+        for i in range(3):
+            yield from conn.execute(
+                "UPDATE kv SET v = v + 1 WHERE k = ?", (cid * 2 + 1 + i % 2,)
+            )
+            yield from conn.commit()
+        conn.close()
+
+    for cid in range(3):
+        sim.spawn(client(cid), name=f"client{cid}")
+    sim.run()
+    chrome = json.loads(json.dumps(cluster.tracer.to_chrome(), allow_nan=False))
+    cluster.stop()
+
+    events = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+    by_id = {e["args"]["span_id"]: e for e in events}
+    nested = 0
+    for event in events:
+        parent = by_id.get(event["args"].get("parent_id"))
+        if parent is None:
+            continue
+        nested += 1
+        assert parent["ts"] - 1 <= event["ts"], (event, parent)
+        assert event["ts"] + event["dur"] <= parent["ts"] + parent["dur"] + 1, (
+            event,
+            parent,
+        )
+    assert nested > 0
+    assert {"txn", "gcs", "certify", "commit", "deliver"} <= {
+        e["name"] for e in events
+    }
