@@ -74,12 +74,12 @@ def main() -> None:
     sim.run()
     sim.run(until=sim.now + 5.0)
 
-    joined = cluster.replicas[3]
-    print(f"\nR3 join: mode={joined.recovery_stats['mode']} "
-          f"records={joined.recovery_stats['records']} "
-          f"bytes={joined.recovery_stats['bytes']}")
+    joined = cluster.replicas[3].status().recovery
+    print(f"\nR3 join: mode={joined['mode']} "
+          f"records={joined['records']} "
+          f"bytes={joined['bytes']}")
     rejoined = cluster.replicas[1]
-    stats = rejoined.recovery_stats
+    stats = rejoined.status().recovery
     print(f"R1 delta rejoin: donor={stats['donor']} from_seq={stats['from_seq']} "
           f"records={stats['records']} bytes={stats['bytes']} "
           f"(vs {rejoined.wslog.tip_seq} records in the full log)")

@@ -57,7 +57,7 @@ def main() -> None:
     sim.run(until=sim.now + 5.0)
 
     recovered = cluster.replicas[0]
-    print(f"recovery complete: R0.recovered = {recovered.recovered} "
+    print(f"recovery complete: R0 installed = {recovered.status().installed} "
           f"(incarnation {recovered.incarnation})")
 
     states = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, NamedTuple, Optional
 
 from repro.core.protocol import ReplicaStatus
 from repro.core.replica import ReplicaNode
@@ -54,8 +54,10 @@ class ClusterConfig:
     salvage: bool = False
     seed: int = 0
     gcs: GcsConfig = field(default_factory=GcsConfig)
-    net_base_latency: float = 0.0002
-    net_jitter: float = 0.0001
+    #: constants, not knobs: no deployment sets them (tests override
+    #: them on the class)
+    net_base_latency: ClassVar[float] = 0.0002
+    net_jitter: ClassVar[float] = 0.0001
     #: replica index -> CostModel (None = zero-cost, pure correctness);
     #: the index keeps heterogeneous replicas expressible
     cost_model: Optional[Callable[[int], CostModel]] = None
@@ -85,8 +87,9 @@ class ClusterConfig:
     #: in memory only, retrievable via ``cluster.flight.snapshots``)
     flight_dir: Optional[str] = None
     #: §8 load balancing: per-replica session cap (None = unbounded);
-    #: a replica at its cap declines discovery until a session closes
-    max_sessions: Optional[int] = None
+    #: a replica at its cap declines discovery until a session closes.
+    #: A constant like the two above
+    max_sessions: ClassVar[Optional[int]] = None
     #: replica names are ``f"{replica_prefix}{index}"``; a sharded
     #: deployment (``ShardConfig.group``) overrides this per group
     #: (``"G1-R"``) so hosts, GCS members, and gids stay unique on the
@@ -201,9 +204,8 @@ class Comparator:
     :class:`GroupBus` over ``config.gcs``, and every engine comes from
     :func:`build_node`, indexed into ``config.cost_model`` in creation
     order.  A comparator reads ``n_replicas``, ``seed``, ``gcs``,
-    ``net_base_latency``, ``net_jitter``, ``cost_model``, ``with_disk``
-    and ``cpu_servers``; the SI-Rep fields do not apply to it.  It runs
-    on the simulator only.
+    ``cost_model``, ``with_disk`` and ``cpu_servers``; the SI-Rep
+    fields do not apply to it.  It runs on the simulator only.
     """
 
     #: the system's name in a measured load point
@@ -477,7 +479,7 @@ class SIRepCluster:
         """The lowest position a reader can join from: the lowest live
         full replica's ``feed_seq``.  Runs on every feed publish, so it
         reads the attribute, not the status record."""
-        return min((r.feed_seq for r in self.replicas if r.alive), default=0)
+        return min((r.validation.feed_seq for r in self.replicas if r.alive), default=0)
 
     def _watch_reader(self, reader: ReadReplica) -> None:
         """Admit a reader to the online monitor, its bootstrap prefix
@@ -519,7 +521,7 @@ class SIRepCluster:
         if wslog is not None and wslog.can_serve_from(0):
             reader.join_from_log(wslog.records_after(0))
         else:
-            reader.join_from_state(donor.full_state())
+            reader.join_from_state(donor.recovery.full_state())
 
     def _teardown_reader(self, reader: ReadReplica) -> None:
         self.discovery.unregister(reader.host.address)
@@ -816,7 +818,7 @@ class SIRepCluster:
             self.monitor.watch(
                 replica.name,
                 replica.db,
-                covered=frozenset(gid for gid, _keys in replica.replayed),
+                covered=frozenset(gid for gid, _keys in replica.recovery.replayed),
             )
 
     @classmethod
@@ -858,11 +860,11 @@ class SIRepCluster:
                     files=list(status.checkpoints_unreadable),
                 )
             if not status.can_replay:
-                replica.recovery_stats = replica._install_state(best.full_state())
+                replica.recovery.install_state(best.recovery.full_state())
             elif status.log_tip_seq < best_status.log_tip_seq:
                 replica.log.catch_up(best.wslog.records_after(status.log_tip_seq))
             # gids issued from here on must not repeat an earlier life's
-            replica.resume_incarnation()
+            replica.recovery.resume_incarnation()
         for replica in self.replicas:
             self._admit(replica)
         # readers restart empty (no durable log of their own): bootstrap
@@ -883,25 +885,27 @@ class SIRepCluster:
         arrived via state transfer, not as begin/commit events — so the
         audit covers the continuously-alive replicas.
         """
-        audited = [r for r in self.alive_replicas() if not r.status().recovered]
+        audited = [
+            (r, r.recovery.replayed) for r in self.alive_replicas() if not r.status().recovered
+        ]
         # lazy read replicas are full members of the audit: their applied
         # stream is real remote transactions in certification order, and
         # their local read-only snapshots must embed into the 1-copy-SI
         # order like anyone else's.  Snapshot-joined readers (row images,
         # audit_complete=False) are excluded like full-state recoveries.
-        audited += [r for r in self.readers if r.alive and r.audit_complete]
-        databases = {r.name: r.node.db for r in audited}
+        audited += [(r, r.replayed) for r in self.readers if r.alive and r.audit_complete]
+        databases = {r.name: r.node.db for r, _replayed in audited}
         schedules, locality = recorded_schedules(databases)
         # A log-replayed prefix (delta recovery, cold restart) committed
         # before the recorded history began, so it produced no events.
         # Synthesise writes-only transactions for it — positioned before
         # everything else — so the checker sees the same transaction set
         # at every replica instead of flagging the prefix as divergence.
-        for replica in audited:
+        for replica, replayed in audited:
             schedule = schedules[replica.name]
             prefix_txns = {}
             prefix_events = []
-            for gid, keys in replica.replayed:
+            for gid, keys in replayed:
                 if gid in schedule.transactions or gid in prefix_txns:
                     continue
                 prefix_txns[gid] = TxnSpec(gid, frozenset(), keys)

@@ -25,7 +25,7 @@ from typing import Any, Generator, Optional
 from repro.core import protocol
 from repro.core.cluster import ClusterConfig, Comparator
 from repro.core.replica import ReplicaManager
-from repro.core.session import Session, accept_loop, session_loop
+from repro.core.session import Session, accept_loop, execute_reply, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.errors import TransactionAborted
@@ -113,11 +113,7 @@ class _KernelReplica:
             session.txn = self.db.begin(gid=f"{self.name}:g{next(self._gids)}")
         txn = session.txn
         result = yield from self.db.execute(txn, request.sql, request.params)
-        return protocol.ExecuteResp(
-            request.seq, ok=True, gid=txn.gid,
-            rows=result.rows, columns=result.columns,
-            rowcount=result.rowcount,
-        )
+        return execute_reply(request, txn.gid, result)
 
     def _commit(
         self, session: Session, request: protocol.CommitReq

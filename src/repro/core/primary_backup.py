@@ -33,11 +33,10 @@ from typing import Any, Generator, Optional
 from repro.core import protocol
 from repro.core.cluster import ClusterConfig, Comparator
 from repro.core.replica import ReplicaManager
-from repro.core.session import Session, accept_loop, session_loop
+from repro.core.session import InDoubt, Session, accept_loop, execute_reply, session_loop
 from repro.core.tocommit import Entry
 from repro.core.validation import Certifier, WsRecord
 from repro.gcs import Message, ViewChange
-from repro.sim import Gate, wait_until
 from repro.sim.sync import OneShot
 from repro.storage import Database
 
@@ -66,12 +65,11 @@ class _Middleware:
         #: every database (a watermark the passive backup lacks in this
         #: minimal protocol).
         self.certified: list[WsRecord] = []
-        self.outcomes: dict[str, str] = {}
+        self.in_doubt = InDoubt(name)
+        self._inquire = self.in_doubt.inquire
         self._local_pending: dict[str, tuple[Any, OneShot]] = {}
         self._gids = itertools.count(1)
         self._next_db = 0
-        self.crashed_seen: set[str] = set()
-        self.view_gate = Gate(name=f"{name}.view-gate")
         self.member = system.bus.join(name)
         self.host = system.network.register(name)
         self.active_sessions = 0
@@ -88,8 +86,7 @@ class _Middleware:
         while True:
             item = yield self.member.deliver()
             if isinstance(item, ViewChange):
-                self.crashed_seen.update(item.crashed)
-                self.view_gate.notify_all()
+                self.in_doubt.view(item.crashed)
                 if (
                     not self.is_primary
                     and not self.active
@@ -104,8 +101,7 @@ class _Middleware:
     def _on_writeset(self, payload: protocol.WritesetMessage) -> None:
         record = payload.to_record()
         ok = self.certifier.validate(record)
-        self.outcomes[record.gid] = protocol.COMMITTED if ok else protocol.ABORTED
-        self.view_gate.notify_all()
+        self.in_doubt.decide(record.gid, protocol.COMMITTED if ok else protocol.ABORTED)
         if ok:
             self.certified.append(record)
         local = self._local_pending.pop(record.gid, None)
@@ -158,14 +154,7 @@ class _Middleware:
             session.txn = db.begin(gid=f"{self.name}:g{next(self._gids)}")
         txn = session.txn
         result = yield from txn.db.execute(txn, request.sql, request.params)
-        return protocol.ExecuteResp(
-            request.seq,
-            ok=True,
-            gid=txn.gid,
-            rows=result.rows,
-            columns=result.columns,
-            rowcount=result.rowcount,
-        )
+        return execute_reply(request, txn.gid, result)
 
     def _pick_db(self) -> Database:
         db = self.system.nodes[self._next_db % len(self.system.nodes)].db
@@ -188,7 +177,7 @@ class _Middleware:
         manager = self._manager_of(txn.db)
         if manager.queue.overlaps(writeset):
             txn.db.abort(txn)
-            self.outcomes[txn.gid] = protocol.ABORTED
+            self.in_doubt.note({txn.gid: protocol.ABORTED})
             return protocol.CommitResp(
                 request.seq, protocol.ABORTED,
                 error=("CertificationAborted", "local validation failed"),
@@ -208,13 +197,6 @@ class _Middleware:
             )
         yield entry.done.wait()
         return protocol.CommitResp(request.seq, protocol.COMMITTED, replicated=True)
-
-    def _inquire(self, gid: str, crashed: str) -> Generator[Any, Any, str]:
-        yield from wait_until(
-            self.view_gate,
-            lambda: gid in self.outcomes or crashed in self.crashed_seen,
-        )
-        return self.outcomes.get(gid, protocol.ABORTED)
 
     # --------------------------------------------------------------- control
 

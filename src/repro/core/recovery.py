@@ -1,32 +1,41 @@
-"""The log side of one durable middleware replica (DESIGN.md §4g).
+"""Recovery of one middleware replica (§5.4, online as in §8; DESIGN.md §4g).
 
-A replica rebuilds from its own durable state — its newest checkpoint
-plus the writeset log above it — and asks a donor only for what that
-state lacks.  :class:`ReplicaLog` owns that rule and what it rests on:
+:class:`Recovery` is the handshake, both sides: a joiner installs a
+donor's state at a total-order point, and a donor captures and ships it
+(:meth:`Recovery.transfer` is the one choice between a delta and a full
+state).  A replica rebuilds from its own durable state — its newest
+checkpoint plus the writeset log above it — and asks a donor only for
+what that state lacks.  :class:`ReplicaLog` owns what that rests on:
 the records Fig. 4's validation stage appends, the group flush,
-checkpoints and truncation, local replay, and both sides of a delta
-transfer.  A replica has one only when it logs.
+checkpoints and truncation, local replay, and installing a delta.  A
+replica has one only when it logs.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
+from repro.core.tocommit import Entry
 from repro.core.validation import Prefix
 from repro.durable import log as durable_log
 from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
 from repro.durable.store import ReplicaDurability
+from repro.gcs import Batch, Message, ViewChange
+from repro.net.network import ChannelClosed
 from repro.sim import Gate, wait_until
+
+TRANSFERS = (protocol.StateTransfer, protocol.DeltaTransfer)
 
 
 class ReplicaLog:
     """One replica's writeset log, checkpoints, replay and delta
-    transfers; ``replica`` is the :class:`MiddlewareReplica` whose
+    installs; ``replica`` is the :class:`MiddlewareReplica` whose
     engine, certifier and outcomes they rebuild."""
 
-    def __init__(self, replica, durable: ReplicaDurability, mode: Optional[str]):
+    def __init__(self, replica, durable: ReplicaDurability):
         self.replica = replica
         self.wslog = durable.log
         self.checkpoints = durable.checkpoints
@@ -36,11 +45,6 @@ class ReplicaLog:
         self.applied = Prefix()
         self.seq_of_gid: dict[str, int] = {}
         self.flush_gate = Gate(name=f"{replica.name}.log-flush")
-        #: the install path a recovery asks for, decided once: a delta
-        #: (the default) only while our own state can replay
-        self.recovery_mode = (
-            "delta" if mode in (None, "delta") and self.can_replay() else "full"
-        )
         #: what a restored checkpoint already covers: records at or below
         #: ``_cert_floor`` (its log tip) went through its certifier, and
         #: the ws seqs in ``_skip`` are in its row images
@@ -54,11 +58,6 @@ class ReplicaLog:
         down to our newest checkpoint (with none, to its first record)?"""
         checkpoint = self.checkpoints.latest()
         return self.wslog.can_serve_from(checkpoint.seq if checkpoint else 0)
-
-    def sync_from(self) -> Optional[int]:
-        """The sync marker's ``from_seq``: our log tip for a delta (it
-        cannot move while we recover), None for a full state."""
-        return self.wslog.tip_seq if self.recovery_mode == "delta" else None
 
     # ------------------------------------------------------------ appends
 
@@ -141,7 +140,7 @@ class ReplicaLog:
             seq=self.applied.top, cert_seq=self.wslog.tip_seq,
             applied_beyond=self.applied.beyond,
             csn=db.csn, ddl=db.ddl_log, rows=db.export_committed(),
-            certifier=replica.certifier, outcomes=replica.outcomes,
+            certifier=replica.validation.certifier, outcomes=replica.in_doubt.outcomes,
         )
         self.checkpoints.save(checkpoint)
         replica._emit(
@@ -160,7 +159,7 @@ class ReplicaLog:
         checkpoint = self.checkpoints.latest()
         if checkpoint is None:
             return 0
-        stable = self.replica.gc_floor.stability.stable_seq()
+        stable = self.replica.validation.gc_floor.stability.stable_seq()
         floor = min(stable, checkpoint.seq)
         dropped = self.wslog.truncate_to(floor)
         if dropped:
@@ -183,7 +182,7 @@ class ReplicaLog:
         records all sit above it (floor <= stable tid <= any logged
         suffix), so the restored state stays decision-identical."""
         replica = self.replica
-        replica._restore(checkpoint, checkpoint.certifier(replica.salvage))
+        replica.recovery.restore(checkpoint, checkpoint.certifier(replica.salvage))
         self.applied = Prefix(checkpoint.seq, checkpoint.applied_beyond)
         self._cert_floor = checkpoint.cert_seq
         self._skip = frozenset(checkpoint.applied_beyond)
@@ -200,11 +199,11 @@ class ReplicaLog:
         if record.seq > self._cert_floor:
             # the logged pass lands the certifier (tombstones included)
             # in exactly the state it had at this seq
-            replica.certifier.record_pass(record.tid, record.keys, record.ops)
+            replica.validation.certifier.record_pass(record.tid, record.keys, record.ops)
         if record.seq not in self._skip:
             record.install(replica.db)
-        replica.replayed.append((record.gid, record.keys))
-        replica._note_outcomes({record.gid: protocol.COMMITTED})
+        replica.recovery.replayed.append((record.gid, record.keys))
+        replica.in_doubt.note({record.gid: protocol.COMMITTED})
         self.applied.mark(record.seq)
 
     def _replay(self, records, append=None) -> int:
@@ -240,9 +239,10 @@ class ReplicaLog:
         self.wslog.drop_tail()
         if self.can_replay():
             start = self.replay_local()
-            self.replica.recovery_stats = {
+            recovery = self.replica.recovery
+            recovery.stats = {
                 "mode": "cold",
-                "records": len(self.replica.replayed),
+                "records": len(recovery.replayed),
                 "checkpoint": start > 0,
             }
 
@@ -251,27 +251,6 @@ class ReplicaLog:
         from a peer whose log reaches further).  Bootstrap path: records
         go down write-through, like genesis records."""
         return self._replay(records, self.wslog.append_durable)
-
-    # ---------------------------------------------------------- delta transfer
-
-    def build_delta(self, from_seq: int):
-        """Donor side: everything the rejoiner misses, our log above
-        ``from_seq``.  If truncation already dropped that range, fall
-        back to our newest checkpoint plus the log above *it*; with
-        neither available, a full state transfer."""
-        checkpoint = None
-        if not self.wslog.can_serve_from(from_seq):
-            if not self.can_replay():
-                return self.replica.full_state()
-            checkpoint = self.checkpoints.latest()
-            from_seq = checkpoint.seq
-        return protocol.DeltaTransfer(
-            donor=self.replica.name,
-            from_seq=from_seq,
-            records=tuple(self.wslog.records_after(from_seq)),
-            outcomes=dict(self.replica.outcomes),
-            checkpoint=checkpoint,
-        )
 
     def install_delta(self, delta: protocol.DeltaTransfer) -> dict:
         """Recovering side: local replay + the shipped tail; returns the
@@ -294,7 +273,7 @@ class ReplicaLog:
             self._restore_checkpoint(checkpoint)
         transferred = self._replay(delta.records, self.wslog.append)
         self.flush_gate.notify_all()
-        replica._note_outcomes(delta.outcomes)
+        replica.in_doubt.note(delta.outcomes)
         nbytes = delta.nbytes()
         replica._emit(
             "recovery_delta_installed", donor=delta.donor, from_seq=delta.from_seq,
@@ -306,3 +285,257 @@ class ReplicaLog:
             mode="delta", donor=delta.donor, from_seq=delta.from_seq,
             records=transferred, bytes=nbytes, checkpoint=checkpoint is not None,
         )
+
+
+class Recovery:
+    """The recovery handshake of one middleware replica, both sides, and
+    what only it and the offline audit read: whether our state is
+    installed, what a recovery or cold start replayed, and its stats."""
+
+    def __init__(self, replica, recover_from: Optional[str], mode: Optional[str], on_recovered):
+        self.replica = replica
+        self.recover_from = recover_from
+        self.on_recovered = on_recovered
+        #: False while a recovery waits for its donor's state
+        self.installed = recover_from is None
+        self.stats: dict[str, Any] = {}
+        #: (gid, writeset keys) of log records replayed into this engine;
+        #: the cluster synthesizes audit prefix events from these
+        self.replayed: list[tuple[str, frozenset]] = []
+        #: False once any checkpoint or full state contributed to this
+        #: replica's state (its prefix is then row images, not transactions)
+        self.audit_complete = True
+        #: our sync marker.  It asks for a delta above our log tip (which
+        #: cannot move while we recover) unless ``mode`` is "full" or our
+        #: own state cannot replay; without ``from_seq``, a full state
+        self.sync = None
+        if recover_from is not None:
+            log = replica.log
+            delta = log is not None and mode in (None, "delta") and log.can_replay()
+            self.sync = protocol.SyncMessage(
+                target=replica.name, donor=recover_from,
+                from_seq=log.wslog.tip_seq if delta else None,
+            )
+
+    # ------------------------------------------------------------- joiner
+
+    def phase(self) -> Generator[Any, Any, None]:
+        """Synchronize with a donor at a total-order point.
+
+        Deliveries up to our sync marker are covered by the donor's
+        snapshot; deliveries after it are buffered and replayed once the
+        state is installed.  If the donor crashes mid-handshake, the
+        view change names the survivors and the handshake restarts with
+        a new donor (the state transfer arrives through the GCS inbox so
+        crash, marker, and state race in one ordered stream).  The new
+        donor is never a member whose own sync marker we saw: it may be
+        waiting for a state itself, perhaps from us.
+        """
+        replica, sync = self.replica, self.sync
+        donor, tracer = sync.donor, replica.tracer
+        awaiting_state = False
+        buffered: list[Message | Batch] = []
+        recovering: set[str] = set()
+        phase_started = replica.sim.now
+        trace_id = f"{replica.gid_prefix}:recovery"
+        span = None
+        if tracer is not None:
+            span = tracer.start(
+                "recovery", trace_id, replica=replica.name,
+                mode="full" if sync.from_seq is None else "delta", donor=donor,
+            )
+        while True:
+            item = yield replica.member.deliver()
+            if isinstance(item, TRANSFERS):
+                if awaiting_state and item.donor == donor:
+                    if span is not None:
+                        tracer.record(
+                            "transfer_wait", trace_id, start=phase_started,
+                            end=replica.sim.now, parent=span.span_id, replica=replica.name,
+                        )
+                    if isinstance(item, protocol.DeltaTransfer):
+                        self.stats = replica.log.install_delta(item)
+                    else:
+                        self.install_state(item)
+                    self._finish()
+                    if span is not None:
+                        tracer.record(
+                            "state_apply", trace_id, start=replica.sim.now,
+                            parent=span.span_id, replica=replica.name,
+                        )
+                        tracer.finish(span, **self.stats)
+                    for buffered_item in buffered:
+                        replica.validation.handle(buffered_item)
+                    return
+                continue  # stale transfer from an abandoned handshake
+            if isinstance(item, ViewChange):
+                replica._on_view_change(item)
+                if donor in item.crashed:
+                    candidates = [
+                        m for m in item.members
+                        if m != replica.name and m not in recovering
+                    ]
+                    if candidates:
+                        donor = candidates[0]
+                        awaiting_state = False
+                        buffered.clear()
+                        # the retarget keeps from_seq: our durable log
+                        # position is unchanged, so the new donor ships
+                        # the same delta the crashed one never finished
+                        replica.member.multicast(sync._replace(donor=donor))
+                        replica._emit("recovery_retarget", donor=donor)
+                continue
+            if isinstance(item, Batch):
+                # batches carry only writesets (sync markers are never
+                # batched), so placement vs our sync point is all that
+                # matters: before it → covered by the donor snapshot
+                if awaiting_state:
+                    buffered.append(item)
+                continue
+            payload = item.payload
+            if payload.kind == protocol.SYNC:
+                if payload.target != replica.name:
+                    recovering.add(payload.target)
+                elif payload.donor == donor:
+                    # the donor's state covers every delivery before this one
+                    replica.validation.feed_seq = item.seq
+                    awaiting_state = True
+                    continue
+            if awaiting_state:
+                # ordered after our sync point: ours to process once the
+                # snapshot is installed
+                buffered.append(item)
+            # else: ordered before the sync point — in the donor snapshot
+
+    def restore(self, image, certifier) -> None:
+        """The one restore of a state image, a checkpoint or a full state
+        transfer: engine rows and DDL, certifier and outcomes.  Its
+        history is row images, not transactions, so this incarnation
+        leaves the offline audit."""
+        replica = self.replica
+        replica.db.install_snapshot(image.ddl, image.rows, image.csn)
+        replica.validation.certifier = certifier
+        replica.in_doubt.note(image.outcomes)
+        self.audit_complete = False
+
+    def install_state(self, state: protocol.StateTransfer) -> None:
+        """Install a donor's whole state — a full-state recovery, or the
+        cold-restart leveling of a replica whose own state cannot replay."""
+        replica = self.replica
+        self.restore(state, state.certifier)
+        if replica.log is not None:
+            replica.log.rebase(state.log_seq)
+        for record in state.pending:
+            replica.manager.enqueue(Entry(record, local_txn=None))
+        replica._emit(
+            "recovery_state_installed", donor=state.donor,
+            pending=len(state.pending), incarnation=replica.incarnation,
+        )
+        self.stats = dict(
+            mode="full", donor=state.donor, from_seq=state.log_seq,
+            records=sum(len(rows) for rows in state.rows.values()),
+            bytes=state.nbytes(), checkpoint=False,
+        )
+
+    def _finish(self) -> None:
+        """Both install paths end here: serve clients, answer discovery,
+        and let the cluster re-admit this incarnation."""
+        replica = self.replica
+        self.installed = True
+        if replica.discovery is not None:
+            replica.discovery.register(replica.host.address, accepts_load=replica._accepts_load)
+        if self.on_recovered is not None:
+            self.on_recovered(replica)
+
+    def resume_incarnation(self) -> None:
+        """After a cold restart, issue gids above every incarnation of
+        ours whose gids we hold (replayed records, restored outcomes), so
+        no gid an earlier life certified is issued again.  Gids of
+        read-only or locally aborted transactions leave no trace; their
+        reuse is harmless."""
+        replica = self.replica
+        held = itertools.chain(
+            (gid for gid, _keys in self.replayed), replica.in_doubt.outcomes
+        )
+        homes = (gid.split(":", 1)[0].partition(".") for gid in held)
+        replica.incarnation = 1 + max(
+            (int(number or 0) for home, _dot, number in homes if home == replica.name),
+            default=0,
+        )
+        replica.gid_prefix = f"{replica.name}.{replica.incarnation}"
+
+    # -------------------------------------------------------------- donor
+
+    def on_sync_request(self, sync: protocol.SyncMessage) -> None:
+        """Capture the state a sync marker asks of us at this total-order
+        point and ship it to the recovering replica (atomic: no yields)."""
+        replica = self.replica
+        target = sync.target
+        if sync.donor != replica.name or target == replica.name:
+            return
+        state = self.transfer(sync.from_seq)
+        if isinstance(state, protocol.DeltaTransfer):
+            replica._emit(
+                "recovery_delta_sent", target=target, from_seq=state.from_seq,
+                records=len(state.records), nbytes=state.nbytes(),
+                checkpoint=state.checkpoint is not None,
+            )
+        else:
+            replica._emit(
+                "recovery_state_sent", target=target,
+                pending=len(state.pending), ddl=len(state.ddl),
+            )
+        replica.sim.spawn(
+            self._send_state(target, state), name=f"{replica.name}.state-transfer",
+            daemon=True,
+        )
+
+    def transfer(self, from_seq: Optional[int]):
+        """The one choice between a delta and a full state.  A marker's
+        ``from_seq`` (the joiner's log tip) asks for our log above it; if
+        truncation already dropped that range, our newest checkpoint
+        plus the log above *it*; with neither, or no ``from_seq``, our
+        full state."""
+        replica, log = self.replica, self.replica.log
+        checkpoint = None
+        if from_seq is not None and not log.wslog.can_serve_from(from_seq):
+            if log.can_replay():
+                checkpoint = log.checkpoints.latest()
+                from_seq = checkpoint.seq
+            else:
+                from_seq = None
+        if from_seq is None:
+            return self.full_state()
+        return protocol.DeltaTransfer(
+            donor=replica.name,
+            from_seq=from_seq,
+            records=tuple(log.wslog.records_after(from_seq)),
+            outcomes=dict(replica.in_doubt.outcomes),
+            checkpoint=checkpoint,
+        )
+
+    def full_state(self) -> protocol.StateTransfer:
+        """Our whole state, captured atomically (no yields): what a
+        full-state joiner or a snapshot-joined reader installs."""
+        replica = self.replica
+        db = replica.db
+        return protocol.StateTransfer(
+            donor=replica.name,
+            ddl=tuple(db.ddl_log),
+            rows=db.export_committed(),
+            certifier=replica.validation.certifier.clone(),
+            pending=tuple(entry.record for entry in replica.manager.queue),
+            outcomes=dict(replica.in_doubt.outcomes),
+            log_seq=replica.wslog.tip_seq if replica.wslog is not None else 0,
+            csn=db.csn,
+        )
+
+    def _send_state(self, target: str, state) -> Generator[Any, Any, None]:
+        replica = self.replica
+        try:
+            channel = replica.host.network.connect(replica.host, target)
+        except ChannelClosed:
+            return  # recovering replica died again; a later attempt will retry
+        channel.client_end.send(state)
+        yield replica.sim.sleep(0.0)
+        channel.close()

@@ -26,7 +26,15 @@ state transfer   ``_accept_transfer(state)``
 
 ``RollbackReq`` is served here.  A request whose handler the server does
 not define fails like any other request and gets the same typed error
-response; the loop never asks which server it is serving.
+response; the loop never asks which server it is serving.  A handler
+may be a bound method of another object (the SRCA-Rep replica binds its
+validation stages' methods), so the loop makes no extra call.
+
+What the handlers share lives here too: :func:`execute_reply` builds the
+answer to a statement the engine ran, :func:`note_staleness_wait`
+records a snapshot held back by a session token, and :class:`InDoubt` is
+the §5.4 inquiry every server that answers ``InquireReq`` binds as
+``_inquire``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import Any, Generator, Optional
 from repro.core import protocol
 from repro.errors import ReproError
 from repro.net.network import ChannelClosed
+from repro.sim import Gate, wait_until
 
 
 @dataclass
@@ -49,6 +58,86 @@ class Session:
     #: only a server with a ``tracer`` ever opens them
     root_span: Any = None
     exec_span: Any = None
+
+
+class InDoubt:
+    """§5.4 in-doubt resolution: the decided outcomes a failed-over
+    client asks about, and the one rule that answers it.
+
+    ``outcomes`` is bounded: an inquiry concerns a commit in flight at a
+    crash, far newer than the oldest decisions, which are evicted (dicts
+    keep insertion order) beyond ``outcomes_cap``.
+    """
+
+    outcomes_cap = 50_000
+
+    def __init__(self, name: str, tracer=None, obs=None):
+        self.name = name
+        self.tracer = tracer
+        self.obs = obs
+        #: gid -> COMMITTED | ABORTED, decided at validation
+        self.outcomes: dict[str, str] = {}
+        self.crashed_seen: set[str] = set()
+        self.gate = Gate(name=f"{name}.view-gate")
+
+    def note(self, outcomes: dict[str, str]) -> None:
+        self.outcomes.update(outcomes)
+        while len(self.outcomes) > self.outcomes_cap:
+            del self.outcomes[next(iter(self.outcomes))]
+
+    def decide(self, gid: str, outcome: str) -> None:
+        """A delivered writeset's decision: note it (one entry, so at
+        most one eviction) and wake the inquiries."""
+        outcomes = self.outcomes
+        outcomes[gid] = outcome
+        if len(outcomes) > self.outcomes_cap:
+            del outcomes[next(iter(outcomes))]
+        self.gate.notify_all()
+
+    def view(self, crashed) -> None:
+        self.crashed_seen.update(crashed)
+        self.gate.notify_all()
+
+    def inquire(self, gid: str, crashed: str) -> Generator[Any, Any, str]:
+        """Answer only once we either saw the writeset's decision or the
+        view change reporting the old replica's crash: a writeset not
+        delivered by then was never sequenced, so it is aborted."""
+        span = None
+        if self.tracer is not None:
+            # the gid doubles as the trace id, so the inquiry lands in the
+            # same trace as the in-doubt transaction it resolves
+            span = self.tracer.start("inquiry", gid, replica=self.name, crashed=crashed)
+        yield from wait_until(
+            self.gate, lambda: gid in self.outcomes or crashed in self.crashed_seen
+        )
+        outcome = self.outcomes.get(gid, protocol.ABORTED)
+        if span is not None:
+            self.tracer.finish(span, outcome=outcome)
+        if self.obs is not None:
+            self.obs.events.emit(
+                "inquiry", replica=self.name, gid=gid, crashed=crashed, outcome=outcome
+            )
+            self.obs.registry.counter("failover.inquiries").inc(1)
+        return outcome
+
+
+def execute_reply(request, gid, result, snapshot_csn=None) -> protocol.ExecuteResp:
+    """The answer to a statement the engine ran: ``result``'s rows."""
+    return protocol.ExecuteResp(
+        request.seq, ok=True, gid=gid, rows=result.rows, columns=result.columns,
+        rowcount=result.rowcount, snapshot_csn=snapshot_csn,
+    )
+
+
+def note_staleness_wait(server, request, started: float) -> None:
+    """A new snapshot waited since ``started`` for the session token (or
+    a reader's staleness bound): record it on the client's read path,
+    linked to the routed driver's span (the server is not its home)."""
+    if server.tracer is not None and request.ctx is not None and server.sim.now > started:
+        server.tracer.record(
+            "staleness_wait", request.ctx.trace_id, start=started,
+            link=request.ctx.span_id, replica=server.name, min_csn=request.min_csn,
+        )
 
 
 def accept_loop(server) -> Generator[Any, Any, None]:

@@ -175,15 +175,6 @@ class Certifier:
         certifier.floor = floor
         return certifier
 
-    def validate_batch(self, records: list[WsRecord]) -> list[bool]:
-        """Certify a delivered batch as one ordered unit.
-
-        Entries stay individually ordered: each validates against the
-        state left by its in-batch predecessors, so the decisions are
-        identical to delivering the same records one message at a time.
-        """
-        return [self.validate(record) for record in records]
-
     @property
     def decisions(self) -> int:
         return self.validated + self.rejected

@@ -32,15 +32,6 @@ class ProcessKilled(SimulationError):
     """Raised by `Process.join` when the joined process was killed."""
 
 
-class QueueClosed(SimulationError):
-    """``get()`` on a closed :class:`repro.sim.sync.Queue`.
-
-    Pending items queued before the close are still delivered; only
-    getters that would block forever (and later ``put``/``get`` calls)
-    fail.
-    """
-
-
 class RuntimeStopped(SimulationError):
     """The runtime was stopped while a process was still blocked.
 

@@ -121,21 +121,12 @@ class MetricsRegistry:
         self.gauges[name] = gauge
         return gauge
 
-    def unregister(self, name: str) -> bool:
-        """Drop one gauge (crashed component teardown).
-
-        A gauge whose component died would otherwise be probed as NaN by
-        the sampler forever.  Counters are *not* unregistered: they
-        hold accumulated run data, not live callbacks.
-        Returns whether the gauge existed.
-        """
-        return self.gauges.pop(name, None) is not None
-
     def unregister_prefix(self, prefix: str) -> int:
         """Drop every gauge under a component prefix (e.g. ``"R1."``).
 
         Callers pass dot-terminated prefixes so ``"R1."`` cannot match
-        ``"R10.holes"``.  Returns how many gauges were removed.
+        ``"R10.holes"``.  Counters stay: they hold accumulated run data,
+        not live callbacks.  Returns how many gauges were removed.
         """
         doomed = [name for name in self.gauges if name.startswith(prefix)]
         for name in doomed:

@@ -27,7 +27,13 @@ from typing import Any, Generator, Optional
 
 from repro.core import protocol
 from repro.core.replica import ReplicaNode
-from repro.core.session import Session, accept_loop, session_loop
+from repro.core.session import (
+    Session,
+    accept_loop,
+    execute_reply,
+    note_staleness_wait,
+    session_loop,
+)
 from repro.durable import log as durable_log
 from repro.errors import ReadOnlyViolation
 from repro.gcs import DiscoveryService
@@ -220,33 +226,11 @@ class ReadReplica:
             bound = self.config.staleness_bound
             if bound is not None and self.lag > bound:
                 yield from wait_until(self.apply_gate, lambda: self.lag <= bound)
-            if (
-                self.tracer is not None
-                and request.ctx is not None
-                and self.sim.now > wait_started
-            ):
-                # the client blocked here: attribute the watermark wait
-                # to its read_txn critical path
-                self.tracer.record(
-                    "staleness_wait",
-                    request.ctx.trace_id,
-                    start=wait_started,
-                    link=request.ctx.span_id,
-                    replica=self.name,
-                    min_csn=request.min_csn,
-                )
+            note_staleness_wait(self, request, wait_started)
             session.gid = f"{self.name}:g{next(self._gids)}"
             session.txn = self.db.begin(gid=session.gid)
         result = yield from self.db.execute(session.txn, request.sql, request.params)
-        return protocol.ExecuteResp(
-            request.seq,
-            ok=True,
-            gid=session.gid,
-            rows=result.rows,
-            columns=result.columns,
-            rowcount=result.rowcount,
-            snapshot_csn=session.txn.snapshot_csn,
-        )
+        return execute_reply(request, session.gid, result, session.txn.snapshot_csn)
 
     def _commit(
         self, session: Session, request: protocol.CommitReq

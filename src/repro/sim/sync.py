@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator
 
-from repro.errors import QueueClosed, SimulationError
+from repro.errors import SimulationError
 from repro.sim.kernel import Process
 
 
@@ -47,10 +47,6 @@ class Event:
         for process in waiters:
             process._schedule_throw(exc)
 
-    def clear(self) -> None:
-        self._is_set = False
-        self._value = None
-
     def wait(self) -> "_EventWait":
         return _EventWait(self)
 
@@ -79,27 +75,19 @@ class _EventWait:
 
 
 class Queue:
-    """Unbounded FIFO queue: ``put`` never blocks, ``get`` is awaitable.
+    """Unbounded FIFO queue: ``put`` never blocks, ``get`` is awaitable."""
 
-    :meth:`close` drains the queue gracefully: items already queued are
-    still handed to getters, but a ``get`` that would block forever — and
-    any later ``put`` or ``get`` — raises :class:`QueueClosed` instead.
-    """
-
-    __slots__ = ("_items", "_getters", "name", "_closed_exc")
+    __slots__ = ("_items", "_getters", "name")
 
     def __init__(self, name: str = "queue"):
         self._items: Deque[Any] = deque()
         self._getters: Deque[Process] = deque()
         self.name = name
-        self._closed_exc: Any = None
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        if self._closed_exc is not None:
-            raise self._closed_exc
         if self._getters:
             process = self._getters.popleft()
             process._schedule_resume(item)
@@ -108,21 +96,6 @@ class Queue:
 
     def get(self) -> "_QueueGet":
         return _QueueGet(self)
-
-    def close(self, exc: BaseException | None = None) -> None:
-        """Close the queue, failing blocked getters with ``exc``.
-
-        Items still queued remain retrievable (FIFO-then-fail, matching
-        channel break semantics); only blocking is refused.  Idempotent.
-        """
-        if self._closed_exc is not None:
-            return
-        self._closed_exc = exc if exc is not None else QueueClosed(
-            f"queue {self.name!r} closed"
-        )
-        getters, self._getters = self._getters, deque()
-        for process in getters:
-            process._schedule_throw(self._closed_exc)
 
     def peek_all(self) -> list[Any]:
         """Snapshot of queued items (diagnostics only)."""
@@ -138,8 +111,6 @@ class _QueueGet:
     def _block(self, process: Process) -> None:
         if self.queue._items:
             process._schedule_resume(self.queue._items.popleft())
-        elif self.queue._closed_exc is not None:
-            process._schedule_throw(self.queue._closed_exc)
         else:
             self.queue._getters.append(process)
 

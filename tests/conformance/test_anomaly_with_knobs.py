@@ -86,7 +86,7 @@ def test_knobs_do_not_mask_the_batched_anomaly():
     cluster, reads = run_batched_scenario(hole_sync=False)
     assert reads["Ta"] == {1: 11, 2: 0}
     assert reads["Tb"] == {1: 0, 2: 22}
-    assert cluster.replicas[0].certifier.salvaged == 0
+    assert cluster.replicas[0].validation.certifier.salvaged == 0
     report = cluster.one_copy_report()
     assert not report.ok
     assert report.cycle is not None

@@ -65,7 +65,7 @@ def run_component(specs, batch_size, batched, group_commit=False, n_batches=None
 
     The stream is chunked into groups of ``batch_size``; each group is
     delivered at its own instant.  ``batched=True`` delivers a group as
-    one unit (validate_batch + enqueue_batch); ``batched=False``
+    one unit (certified in order, then enqueue_batch); ``batched=False``
     delivers its messages one at a time, back to back, at the same
     instant — the per-message protocol under identical delivery timing.
     ``n_batches`` truncates delivery after that many groups (the crash
@@ -95,7 +95,7 @@ def run_component(specs, batch_size, batched, group_commit=False, n_batches=None
     def feeder():
         for batch in batches:
             if batched:
-                oks = certifier.validate_batch(batch)
+                oks = [certifier.validate(record) for record in batch]
                 decisions.extend(oks)
                 manager.enqueue_batch(
                     [Entry(r) for r, ok in zip(batch, oks) if ok]
@@ -187,7 +187,6 @@ def _run_cluster(batching: bool):
             seed=11,
             gcs=gcs,
             group_commit=batching,
-            net_jitter=0.0,
         )
     )
     sim = cluster.sim
@@ -225,6 +224,7 @@ def _run_cluster(batching: bool):
 
 def test_cluster_level_outcomes_match_unbatched(monkeypatch):
     monkeypatch.setattr(GcsConfig, "jitter", 0.0)
+    monkeypatch.setattr(ClusterConfig, "net_jitter", 0.0)
     unbatched = _run_cluster(batching=False)
     batched = _run_cluster(batching=True)
     assert batched[0] == unbatched[0]  # every transaction committed in both

@@ -31,6 +31,7 @@ GCS = GcsConfig(
 @pytest.fixture(autouse=True)
 def no_jitter(monkeypatch):
     monkeypatch.setattr(GcsConfig, "jitter", 0.0)
+    monkeypatch.setattr(ClusterConfig, "net_jitter", 0.0)
 
 
 AFTER_FLUSH = 0.615  # sequenced, but not yet delivered to anyone
@@ -39,7 +40,7 @@ BEFORE_FLUSH = 0.3  # writesets still buffered at the sequencer
 
 def run_scenario(crash_at):
     cluster = SIRepCluster(
-        ClusterConfig(n_replicas=3, seed=5, gcs=GCS, net_jitter=0.0)
+        ClusterConfig(n_replicas=3, seed=5, gcs=GCS)
     )
     sim = cluster.sim
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])

@@ -99,7 +99,7 @@ def test_permuted_batch_equals_serial_delivery(specs, salvage):
     as_batch = sorted(make_records(specs), key=lambda r: order[r.gid])
     serial = sorted(make_records(specs), key=lambda r: order[r.gid])
     cert_a, cert_b = Certifier(salvage=salvage), Certifier(salvage=salvage)
-    decisions_batch = cert_a.validate_batch(as_batch)
+    decisions_batch = [cert_a.validate(record) for record in as_batch]
     decisions_serial = [cert_b.validate(record) for record in serial]
     assert decisions_batch == decisions_serial
     assert [r.tid for r in as_batch] == [r.tid for r in serial]
@@ -174,10 +174,10 @@ def run_cluster(workload, seed):
     }
     decisions = {
         (
-            rep.certifier.validated,
-            rep.certifier.rejected,
-            rep.certifier.salvaged,
-            rep.certifier.last_validated_tid,
+            rep.validation.certifier.validated,
+            rep.validation.certifier.rejected,
+            rep.validation.certifier.salvaged,
+            rep.validation.certifier.last_validated_tid,
         )
         for rep in cluster.replicas
     }

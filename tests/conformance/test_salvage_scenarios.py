@@ -89,7 +89,7 @@ def test_blind_race_same_batch_salvages_loser():
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 1)),
     ])
     assert list(results.values()) == ["committed", "committed"]
-    assert cluster.replicas[0].certifier.salvaged == 1
+    assert cluster.replicas[0].validation.certifier.salvaged == 1
     assert final_rows(cluster)[0] == (1, 22)  # later tid wins
     assert cluster.one_copy_report().ok
 
@@ -104,7 +104,7 @@ def test_blind_race_across_batch_boundary_salvages_loser():
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 1)),
     ])
     assert list(results.values()) == ["committed", "committed"]
-    assert cluster.replicas[0].certifier.salvaged == 1
+    assert cluster.replicas[0].validation.certifier.salvaged == 1
     assert cluster.bus.sequenced_batches >= 2
     assert final_rows(cluster)[0] == (1, 22)
     assert cluster.one_copy_report().ok
@@ -119,7 +119,7 @@ def test_rmw_race_still_aborts_loser():
         ("UPDATE kv SET v = v + 1 WHERE k = ?", (1,)),
     ])
     assert sorted(results.values()) == ["CertificationAborted", "committed"]
-    cert = cluster.replicas[0].certifier
+    cert = cluster.replicas[0].validation.certifier
     assert cert.salvaged == 0
     assert cert.salvage_rejects == 1
     assert final_rows(cluster)[0] == (1, 1)  # exactly one increment
@@ -138,7 +138,7 @@ def test_select_then_update_still_aborts_loser():
         ),
     ])
     assert sorted(results.values()) == ["CertificationAborted", "committed"]
-    assert cluster.replicas[0].certifier.salvaged == 0
+    assert cluster.replicas[0].validation.certifier.salvaged == 0
     assert final_rows(cluster)[0] == (1, 11)
     assert cluster.one_copy_report().ok
 
@@ -150,7 +150,7 @@ def test_disjoint_keys_need_no_salvage():
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 2)),
     ])
     assert list(results.values()) == ["committed", "committed"]
-    assert cluster.replicas[0].certifier.salvaged == 0
+    assert cluster.replicas[0].validation.certifier.salvaged == 0
     assert final_rows(cluster) == ((1, 11), (2, 22))
 
 
@@ -181,7 +181,7 @@ def test_closed_gate_disables_deferral_but_not_salvage():
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 1)),
     ])
     assert list(results.values()) == ["committed", "committed"]
-    assert cluster.replicas[0].certifier.salvaged == 1
+    assert cluster.replicas[0].validation.certifier.salvaged == 1
     assert cluster.metrics()["deferred_ww_total"] == 0
     assert final_rows(cluster)[0] == (1, 22)
     assert cluster.one_copy_report().ok
@@ -205,12 +205,12 @@ def test_recovered_replica_carries_salvage_state():
     recovered = cluster.replicas[2]
     donor = cluster.replicas[0]
     assert recovered.alive
-    assert recovered.certifier.salvage is True
-    assert recovered.certifier._deleted == donor.certifier._deleted
-    assert recovered.certifier._last_writer == donor.certifier._last_writer
+    assert recovered.validation.certifier.salvage is True
+    assert recovered.validation.certifier._deleted == donor.validation.certifier._deleted
+    assert recovered.validation.certifier._last_writer == donor.validation.certifier._last_writer
     assert (
-        recovered.certifier.last_validated_tid
-        == donor.certifier.last_validated_tid
+        recovered.validation.certifier.last_validated_tid
+        == donor.validation.certifier.last_validated_tid
     )
     # a fresh blind race after recovery: every incarnation, old and new,
     # reaches the same salvage decision
@@ -219,7 +219,7 @@ def test_recovered_replica_carries_salvage_state():
         ("UPDATE kv SET v = ? WHERE k = ?", (44, 2)),
     ])
     assert list(results.values()) == ["committed", "committed"]
-    tids = {r.certifier.last_validated_tid for r in cluster.replicas}
+    tids = {r.validation.certifier.last_validated_tid for r in cluster.replicas}
     assert len(tids) == 1
     assert final_rows(cluster)[1] == (2, 44)
     assert cluster.one_copy_report().ok

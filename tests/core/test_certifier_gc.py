@@ -162,7 +162,7 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(keys)])
     if not gc:
         for replica in cluster.replicas:
-            replica.gc_floor.every = 10**9  # never sweep
+            replica.validation.gc_floor.every = 10**9  # never sweep
     sim = cluster.sim
     driver = Driver(cluster.network, cluster.discovery)
     samples = []
@@ -188,7 +188,7 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
     def sampler():
         while True:
             yield sim.sleep(0.05, weak=True)  # monitoring-only timer
-            samples.append(cluster.replicas[0].certifier.window_size)
+            samples.append(cluster.replicas[0].validation.certifier.window_size)
 
     sim.spawn(sampler(), name="window-sampler", daemon=True)
     if crash_recover:
@@ -207,7 +207,7 @@ def test_certifier_window_plateaus_under_key_churn():
     swept back down between peaks."""
     keys = 240
     cluster, samples = _run_churn_cluster(keys=keys, txns_per_client=200)
-    r0 = cluster.replicas[0].certifier
+    r0 = cluster.replicas[0].validation.certifier
     assert r0.validated >= 550  # all three clients' updates certified
     assert r0.floor > 0, "the GC floor never advanced"
     assert r0.gc_collected > 0
@@ -219,7 +219,7 @@ def test_certifier_window_plateaus_under_key_churn():
     assert min(samples[len(samples) // 2:]) < 60
     # quiesced replicas hold only the post-floor tail
     for replica in cluster.replicas:
-        assert replica.certifier.window_size < keys / 2
+        assert replica.validation.certifier.window_size < keys / 2
     # the GC surfaces in the metrics dict for dashboards
     per_replica = cluster.metrics()["replicas"]["R0"]
     assert per_replica["certifier_gc_floor"] == r0.floor
@@ -257,9 +257,9 @@ def test_gc_trajectory_is_pinned(run):
         cluster, samples = _run_churn_cluster(crash_recover=True)
     finals, window = _PINNED[run]
     assert {
-        r.name: (r.certifier.floor, r.certifier.gc_runs,
-                 r.certifier.gc_collected, r.certifier.window_size,
-                 r.certifier.floor_aborts)
+        r.name: (r.validation.certifier.floor, r.validation.certifier.gc_runs,
+                 r.validation.certifier.gc_collected, r.validation.certifier.window_size,
+                 r.validation.certifier.floor_aborts)
         for r in cluster.replicas
     } == finals
     assert samples == window
@@ -280,10 +280,10 @@ def test_gc_is_decision_invisible_with_crash_and_recovery():
             for name, replica in ((r.name, r) for r in cluster.replicas)
         }
         return {
-            "outcomes": dict(r0.outcomes),
-            "decisions": (r0.certifier.validated, r0.certifier.rejected,
-                          r0.certifier.salvaged),
-            "tid": r0.certifier.last_validated_tid,
+            "outcomes": dict(r0.in_doubt.outcomes),
+            "decisions": (r0.validation.certifier.validated, r0.validation.certifier.rejected,
+                          r0.validation.certifier.salvaged),
+            "tid": r0.validation.certifier.last_validated_tid,
             "rows": rows,
         }
 

@@ -35,11 +35,10 @@ def test_config_fields_are_pinned():
     assert surface == {
         "ClusterConfig": {
             "n_replicas", "hole_sync", "group_commit", "salvage", "seed",
-            "gcs", "net_base_latency", "net_jitter", "cost_model",
-            "with_disk", "cpu_servers", "obs", "sampler_interval",
-            "span_trace", "monitor", "flight", "flight_dir", "max_sessions",
-            "replica_prefix", "durability", "read_replicas", "reader",
-            "runtime",
+            "gcs", "cost_model", "with_disk", "cpu_servers", "obs",
+            "sampler_interval", "span_trace", "monitor", "flight",
+            "flight_dir", "replica_prefix", "durability", "read_replicas",
+            "reader", "runtime",
         },
         "GcsConfig": {
             "sender_to_bus", "bus_to_member", "crash_detection",
@@ -55,7 +54,7 @@ def test_config_fields_are_pinned():
             "log_dir", "checkpoint_interval", "truncation", "segment_records",
         },
     }
-    assert sum(map(len, surface.values())) == 43
+    assert sum(map(len, surface.values())) == 40
 
 
 def test_constructor_parameters_are_pinned():

@@ -127,19 +127,18 @@ def test_per_replica_metrics_are_the_record_by_name():
 #: every record field and where the replica keeps it
 SOURCES = {
     "alive": lambda r: r.alive,
-    "recovered": lambda r: not r.audit_complete
-    or (r.recover_from is not None and not r.recovered),
-    "installed": lambda r: r.recover_from is None or r.recovered,
+    "recovered": lambda r: not r.recovery.audit_complete or not r.recovery.installed,
+    "installed": lambda r: r.recovery.installed,
     "active_sessions": lambda r: r.active_sessions,
-    "update_commits": lambda r: r.stats_commits,
-    "readonly_commits": lambda r: r.stats_readonly_commits,
-    "certification_aborts": lambda r: r.stats_aborts,
-    "salvaged": lambda r: r.certifier.salvaged,
-    "salvage_rejects": lambda r: r.certifier.salvage_rejects,
-    "certifier_window": lambda r: r.certifier.window_size,
-    "certifier_gc_floor": lambda r: r.certifier.floor,
-    "certifier_gc_collected": lambda r: r.certifier.gc_collected,
-    "certifier_floor_aborts": lambda r: r.certifier.floor_aborts,
+    "update_commits": lambda r: r.local.commits,
+    "readonly_commits": lambda r: r.local.readonly_commits,
+    "certification_aborts": lambda r: r.local.aborts,
+    "salvaged": lambda r: r.validation.certifier.salvaged,
+    "salvage_rejects": lambda r: r.validation.certifier.salvage_rejects,
+    "certifier_window": lambda r: r.validation.certifier.window_size,
+    "certifier_gc_floor": lambda r: r.validation.certifier.floor,
+    "certifier_gc_collected": lambda r: r.validation.certifier.gc_collected,
+    "certifier_floor_aborts": lambda r: r.validation.certifier.floor_aborts,
     "tocommit_queue_len": lambda r: len(r.manager.queue),
     "tocommit_appended": lambda r: r.manager.queue.appended_total,
     "tocommit_batches": lambda r: r.manager.queue.appended_batches,
@@ -150,16 +149,16 @@ SOURCES = {
     "db_commits": lambda r: r.db.commits,
     "db_aborts": lambda r: r.db.aborts,
     "cpu_utilization": lambda r: r.node.cpu.utilization(),
-    "recovery": lambda r: r.recovery_stats,
-    "certifier_decisions": lambda r: r.certifier.decisions,
-    "certifier_rejected": lambda r: r.certifier.rejected,
+    "recovery": lambda r: r.recovery.stats,
+    "certifier_decisions": lambda r: r.validation.certifier.decisions,
+    "certifier_rejected": lambda r: r.validation.certifier.rejected,
     "oldest_hole_age": lambda r: r.manager.holes.oldest_hole_age(r.sim.now),
     "holes": lambda r: r.manager.holes.hole_count(),
     "hole_start_attempts": lambda r: r.manager.holes.start_attempts,
     "hole_start_waits": lambda r: r.manager.holes.start_waits,
     "group_commit_synced": lambda r: r.manager.group_log.synced_entries,
     "deferred_ww": lambda r: r.db.deferred_ww,
-    "feed_seq": lambda r: r.feed_seq,
+    "feed_seq": lambda r: r.validation.feed_seq,
     "log_tip_seq": lambda r: r.wslog.tip_seq,
     "log_durable_seq": lambda r: r.wslog.durable_seq,
     "log_depth": lambda r: r.wslog.retained_records,
@@ -216,7 +215,7 @@ def test_a_recovery_not_yet_installed(monkeypatch):
 def test_delta_recovery(monkeypatch):
     cluster = build(durable=True)
     crash_write_recover(cluster)
-    assert cluster.replicas[0].recovery_stats["mode"] == "delta"
+    assert cluster.replicas[0].recovery.stats["mode"] == "delta"
     assert membership(cluster, monkeypatch) == (
         {"R0": False, "R1": False, "R2": False}, {"R0", "R1", "R2"},
     )
@@ -225,7 +224,7 @@ def test_delta_recovery(monkeypatch):
 def test_full_recovery(monkeypatch):
     cluster = build()
     crash_write_recover(cluster)
-    assert cluster.replicas[0].recovery_stats["mode"] == "full"
+    assert cluster.replicas[0].recovery.stats["mode"] == "full"
     assert membership(cluster, monkeypatch) == (
         {"R0": True, "R1": False, "R2": False}, {"R1", "R2"},
     )
@@ -246,7 +245,7 @@ def test_elastic_join(monkeypatch, durable, mode, flags, audited):
     write(cluster, 1, 11)
     cluster.add_replica()
     settle(cluster, 2.0)
-    assert cluster.replicas[3].recovery_stats["mode"] == mode
+    assert cluster.replicas[3].recovery.stats["mode"] == mode
     assert membership(cluster, monkeypatch) == (flags, audited)
 
 

@@ -128,13 +128,13 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
     )
     try:
         for replica in cluster.replicas:
-            assert replica.recovery_stats == {
+            assert replica.recovery.stats == {
                 "mode": "cold", "records": 2, "checkpoint": True,
             }
             rows = query(cluster.sim, replica.db, "SELECT k, v FROM kv ORDER BY k")
             assert rows == [{"k": 1, "v": 11}, {"k": 4, "v": 40}, {"k": 5, "v": 50}]
-            assert replica.certifier.last_validated_tid == 8
-            assert replica.certifier.tombstones == {("kv", 2), ("kv", 3)}
+            assert replica.validation.certifier.last_validated_tid == 8
+            assert replica.validation.certifier.tombstones == {("kv", 2), ("kv", 3)}
     finally:
         cluster.stop()
 
@@ -151,7 +151,7 @@ def test_a_cold_restart_from_an_earlier_version_serves_a_reader_join(tmp_path):
         cluster.sim.run()
         assert reader.db.export_committed() == cluster.replicas[0].db.export_committed()
         assert reader.db.ddl_log == cluster.replicas[0].db.ddl_log
-        assert reader.watermark == cluster.replicas[0].certifier.last_validated_tid
+        assert reader.watermark == cluster.replicas[0].validation.certifier.last_validated_tid
     finally:
         cluster.stop()
 
@@ -202,7 +202,7 @@ def test_an_unreadable_checkpoint_is_reported_at_cold_restart(tmp_path):
         assert restarted.replicas[0].status().checkpoints_unreadable == (str(newest),)
         assert restarted.replicas[1].status().checkpoints_unreadable == ()
         # R0 rebuilt from its older checkpoint plus the log above it
-        assert restarted.replicas[0].recovery_stats["checkpoint"] is True
+        assert restarted.replicas[0].recovery.stats["checkpoint"] is True
         for replica in restarted.replicas:
             rows = query(restarted.sim, replica.db, "SELECT k, v FROM kv ORDER BY k")
             assert rows == expected

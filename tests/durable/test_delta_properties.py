@@ -16,7 +16,7 @@ from repro.durable import DurabilityConfig
 
 
 def run_recovery(db_rows: int, missed: int, mode: str = "delta") -> dict:
-    """One crash/recover cycle; returns the rejoiner's recovery_stats."""
+    """One crash/recover cycle; returns the rejoiner's recovery stats."""
     cluster = SIRepCluster(ClusterConfig(n_replicas=2, seed=7, durability=DurabilityConfig()))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, db_rows + 1)])
@@ -38,8 +38,8 @@ def run_recovery(db_rows: int, missed: int, mode: str = "delta") -> dict:
     sim.call_at(3.0, lambda: cluster.recover_replica(0, mode=mode))
     sim.run()
     sim.run(until=sim.now + 4.0)
-    stats = dict(cluster.replicas[0].recovery_stats)
-    assert cluster.replicas[0].recovered
+    stats = dict(cluster.replicas[0].recovery.stats)
+    assert cluster.replicas[0].recovery.installed
     return stats
 
 

@@ -79,14 +79,14 @@ def test_delta_recovery_ships_only_the_missed_tail():
     settle(cluster)
 
     recovered = cluster.replicas[0]
-    stats = recovered.recovery_stats
+    stats = recovered.recovery.stats
     assert stats["mode"] == "delta"
     assert stats["checkpoint"] is False
     # exactly the two writesets certified while R0 was down
     assert stats["records"] == 2
     assert stats["from_seq"] == 2  # its durable tip: the genesis records
     # delta recovery keeps the history replayable: back in the audit...
-    assert recovered.audit_complete
+    assert recovered.recovery.audit_complete
     assert not cluster.metrics()["replicas"]["R0"]["recovered"]
     assert_consistent_and_audited(cluster, expect_n=3)
     # ...and re-watched by the online monitor
@@ -103,10 +103,10 @@ def test_full_mode_still_available_on_a_durable_cluster():
     settle(cluster)
 
     recovered = cluster.replicas[0]
-    assert recovered.recovered
-    assert recovered.recovery_stats["mode"] == "full"
+    assert recovered.recovery.installed
+    assert recovered.recovery.stats["mode"] == "full"
     # row images are not replayable transactions: stays out of the audit
-    assert not recovered.audit_complete
+    assert not recovered.recovery.audit_complete
     assert cluster.metrics()["replicas"]["R0"]["recovered"]
     states = all_states(cluster)
     assert len(set(states.values())) == 1
@@ -150,14 +150,38 @@ def test_donor_crash_mid_delta_retargets_without_losing_log_position():
     settle(cluster, 8.0)
 
     recovered = cluster.replicas[0]
-    assert recovered.recovered
-    stats = recovered.recovery_stats
+    assert recovered.recovery.installed
+    stats = recovered.recovery.stats
     assert stats["mode"] == "delta"
     assert stats["donor"] in ("R2", "R3")  # re-targeted to a survivor
     # the retarget reused the original durable position: no restart from 0
     assert stats["from_seq"] == from_seq_seen[0]
     assert_consistent_and_audited(cluster, expect_n=3)
     assert "R0" in cluster.monitor.summary()["watched"]
+
+
+@pytest.mark.parametrize("donor_crash", [1.0, 1.0005, 1.001])
+def test_concurrent_delta_recoveries_never_retarget_to_each_other(donor_crash):
+    """Regression: two delta recoveries whose donor crashed retargeted to
+    each other (neither holds an installed state) and waited forever;
+    both now retarget to the survivor and keep their log positions."""
+    cluster, driver = make_cluster(n=4, seed=8)
+    sim = cluster.sim
+    sim.call_at(0.2, lambda: cluster.crash(1))
+    sim.call_at(0.3, lambda: cluster.crash(2))
+    spawn_writer(cluster, driver, 1, 11, 0.5, address="R3")
+    sim.call_at(1.0, lambda: cluster.recover_replica(1, donor_index=0))
+    sim.call_at(1.0, lambda: cluster.recover_replica(2, donor_index=0))
+    sim.call_at(donor_crash, lambda: cluster.crash(0))
+    spawn_writer(cluster, driver, 2, 22, 3.0, address="R3")
+    settle(cluster, 8.0)
+
+    for recovered in cluster.replicas[1:3]:
+        assert recovered.status().installed
+        assert recovered.recovery.stats["mode"] == "delta"
+        assert recovered.recovery.stats["donor"] == "R3"
+    assert_consistent_and_audited(cluster, expect_n=3)
+    assert all_states(cluster)["R1"][:2] == ((1, 11), (2, 22))
 
 
 # ------------------------------------------------- truncation vs rejoiners
@@ -187,13 +211,13 @@ def test_conservative_watermark_pins_segments_for_the_rejoiner():
     settle(cluster, 8.0)
 
     recovered = cluster.replicas[0]
-    stats = recovered.recovery_stats
+    stats = recovered.recovery.stats
     assert stats["mode"] == "delta"
     # the donor could still serve the full range: pure log delta, no
     # checkpoint fallback, so the rejoiner stays audit-complete
     assert stats["checkpoint"] is False
     assert stats["records"] == 30
-    assert recovered.audit_complete
+    assert recovered.recovery.audit_complete
     assert_consistent_and_audited(cluster, expect_n=3)
     assert "R0" in cluster.monitor.summary()["watched"]
 
@@ -216,15 +240,15 @@ def test_aggressive_truncation_falls_back_to_donor_checkpoint():
     donor_log = cluster.replicas[1].wslog
     assert donor_log.truncated_records > 0  # GC actually ran past R0
     recovered = cluster.replicas[0]
-    stats = recovered.recovery_stats
+    stats = recovered.recovery.stats
     assert stats["mode"] == "delta"
     assert stats["checkpoint"] is True  # log alone couldn't serve it
-    assert recovered.recovered
+    assert recovered.recovery.installed
     states = all_states(cluster)
     assert len(set(states.values())) == 1
     # checkpoint rows are images, not transactions: out of the audit,
     # but the continuously-alive replicas still pass
-    assert not recovered.audit_complete
+    assert not recovered.recovery.audit_complete
     assert cluster.one_copy_report().ok
 
 
@@ -263,8 +287,8 @@ def test_elastic_join_under_live_traffic():
 
     joined = cluster.replicas[3]
     assert joined.name == "R3"
-    assert joined.recovered
-    assert joined.recovery_stats["mode"] == "delta"
+    assert joined.recovery.installed
+    assert joined.recovery.stats["mode"] == "delta"
     assert_consistent_and_audited(cluster, expect_n=4)
     assert "R3" in cluster.monitor.summary()["watched"]
     # the new member participates in the watermark
@@ -300,8 +324,8 @@ def test_elastic_join_without_durability_uses_full_transfer():
     cluster.sim.call_at(0.2, lambda: cluster.add_replica())
     settle(cluster, 3.0)
     joined = cluster.replicas[3]
-    assert joined.recovered
-    assert joined.recovery_stats["mode"] == "full"
+    assert joined.recovery.installed
+    assert joined.recovery.stats["mode"] == "full"
     driver = Driver(cluster.network, cluster.discovery)
     spawn_writer(cluster, driver, 1, 42, 0.1, address="R3")
     settle(cluster, 3.0)

@@ -108,7 +108,7 @@ def delta_recovery():
     cluster.sim.call_at(1.5, lambda: cluster.recover_replica(0))
     traffic(cluster, keys, 6, 2.0)
     settle(cluster)
-    assert cluster.replicas[0].recovery_stats["checkpoint"] is False
+    assert cluster.replicas[0].recovery.stats["checkpoint"] is False
     return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
 
 
@@ -119,7 +119,7 @@ def delta_with_checkpoint():
     cluster.sim.call_at(4.0, lambda: cluster.recover_replica(0))
     traffic(cluster, keys, 6, 4.5)
     settle(cluster, 8.0)
-    assert cluster.replicas[0].recovery_stats["checkpoint"] is True
+    assert cluster.replicas[0].recovery.stats["checkpoint"] is True
     return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
 
 
@@ -130,7 +130,7 @@ def full_recovery():
     cluster.sim.call_at(1.5, lambda: cluster.recover_replica(0, mode="full"))
     traffic(cluster, keys, 6, 1.5)
     settle(cluster)
-    assert cluster.replicas[0].recovery_stats["mode"] == "full"
+    assert cluster.replicas[0].recovery.stats["mode"] == "full"
     return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
 
 
@@ -186,13 +186,13 @@ def full_then(rejoin):
         cluster.recover_replica(0)
         traffic(cluster, keys, 6, 0.5)
         settle(cluster)
-        assert cluster.replicas[0].recovery_stats["mode"] == "full"
+        assert cluster.replicas[0].recovery.stats["mode"] == "full"
         return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
     reference = engine_state(cluster.replicas[1])
     cluster.stop()
     restarted = SIRepCluster.cold_restart(ClusterConfig(n_replicas=3, seed=42), store)
     # leveled by full state from the longest log that can replay
-    assert restarted.replicas[0].recovery_stats["mode"] == "full"
+    assert restarted.replicas[0].recovery.stats["mode"] == "full"
     return restarted, restarted.replicas, reference
 
 
@@ -245,8 +245,8 @@ def durable_outcome(cluster):
             log = (wslog.start_seq, wslog.tip_seq, wslog.durable_seq, wslog.rebased_at)
             checkpoints = [checkpoint.seq for checkpoint in durable.checkpoints.checkpoints]
         outcome[replica.name] = (
-            replica.recovery_stats, log, checkpoints,
-            len(replica.replayed), replica.audit_complete,
+            replica.recovery.stats, log, checkpoints,
+            len(replica.recovery.replayed), replica.recovery.audit_complete,
         )
     return outcome
 
@@ -436,8 +436,8 @@ def test_full_state_joiner_csn_counts_certified_commits(how):
     traffic(cluster, keys, 5, 2.0)
     settle(cluster)
     joiner = cluster.replicas[index]
-    assert joiner.recovery_stats["mode"] == "full"
-    tip = cluster.replicas[1].certifier.last_validated_tid
+    assert joiner.recovery.stats["mode"] == "full"
+    tip = cluster.replicas[1].validation.certifier.last_validated_tid
     assert {r.db.csn for r in cluster.alive_replicas()} == {tip}
     assert token_read_answered(cluster, joiner, tip)
 

@@ -58,7 +58,7 @@ def test_gid_format_and_outcomes_tracking():
     assert gid.startswith("R0:g")
     sim.run(until=sim.now + 2.0)
     for replica in cluster.replicas:
-        assert replica.outcomes[gid] == protocol.COMMITTED
+        assert replica.in_doubt.outcomes[gid] == protocol.COMMITTED
 
 
 def test_aborted_outcome_recorded_on_both_replicas():
@@ -83,8 +83,8 @@ def test_aborted_outcome_recorded_on_both_replicas():
     winner = "a" if gids["a-outcome"] == "committed" else "b"
     loser = "b" if winner == "a" else "a"
     for replica in cluster.replicas:
-        assert replica.outcomes[gids[winner]] == protocol.COMMITTED
-        assert replica.outcomes[gids[loser]] == protocol.ABORTED
+        assert replica.in_doubt.outcomes[gids[winner]] == protocol.COMMITTED
+        assert replica.in_doubt.outcomes[gids[loser]] == protocol.ABORTED
 
 
 def test_ddl_log_grows_identically_on_all_replicas():
@@ -137,8 +137,8 @@ def test_statistics_counters():
     sim.run_process(client())
     sim.run(until=sim.now + 2.0)
     replica = cluster.replicas[0]
-    assert replica.stats_readonly_commits == 1
-    assert replica.stats_commits == 1
+    assert replica.local.readonly_commits == 1
+    assert replica.local.commits == 1
     assert cluster.total_commits() == 2
     assert cluster.total_certification_aborts() == 0
 
@@ -154,7 +154,7 @@ def test_outcome_table_stays_within_its_cap():
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in (1, 2)])
     driver = Driver(cluster.network, cluster.discovery)
     for replica in cluster.replicas:
-        replica.outcomes_cap = 5
+        replica.in_doubt.outcomes_cap = 5
     sim = cluster.sim
 
     def client(cid):
@@ -173,7 +173,7 @@ def test_outcome_table_stays_within_its_cap():
     for cid in range(8):
         sim.spawn(client(cid), name=f"c{cid}")
     sim.run()
-    local_aborts = sum(r.stats_aborts for r in cluster.replicas)
+    local_aborts = sum(r.local.aborts for r in cluster.replicas)
     assert local_aborts > 5  # the scenario does reach local validation
     for replica in cluster.replicas:
-        assert len(replica.outcomes) <= replica.outcomes_cap
+        assert len(replica.in_doubt.outcomes) <= replica.in_doubt.outcomes_cap

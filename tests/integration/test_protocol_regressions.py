@@ -92,7 +92,7 @@ def test_session_processes_are_reaped_under_churn():
     sim.spawn(churn(), name="churn")
     sim.run()
     assert log["done"]
-    assert replica.stats_readonly_commits == rounds
+    assert replica.local.readonly_commits == rounds
     # every session was tracked, but the handles of finished ones were
     # reaped along the way instead of accumulating one per connection
     assert len(replica._processes) <= baseline + 2

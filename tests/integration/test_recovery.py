@@ -76,7 +76,7 @@ def test_recovery_transfers_schema_created_after_crash():
     sim.run()
     settle(cluster, 5.0)
     recovered = cluster.replicas[0]
-    assert recovered.recovered
+    assert recovered.recovery.installed
     assert query(sim, recovered.node.db, "SELECT x FROM late WHERE id = 1") == [
         {"x": 7}
     ]
@@ -165,9 +165,9 @@ def test_recovering_replica_rejects_clients_until_synced():
     # but assert the flag is consistent with the outcome
     outcome = sim.run_process(eager_client())
     if outcome == "rejected":
-        assert not recovered.recovered or True
+        assert not recovered.recovery.installed or True
     settle(cluster, 3.0)
-    assert recovered.recovered
+    assert recovered.recovery.installed
 
 
 def test_donor_crash_mid_recovery_switches_donor():
@@ -193,7 +193,7 @@ def test_donor_crash_mid_recovery_switches_donor():
     sim.run()
     settle(cluster, 8.0)
     recovered = cluster.replicas[0]
-    assert recovered.recovered
+    assert recovered.recovery.installed
     states = all_states(cluster)
     assert len(states) == 3  # R0 back, R1 gone
     assert len(set(states.values())) == 1
@@ -224,6 +224,40 @@ def test_two_replicas_recover_simultaneously():
     assert len(states) == 4
     assert len(set(states.values())) == 1
     assert states["R0"][:2] == ((1, 11), (2, 22))
+
+
+@pytest.mark.parametrize("donor_crash", [1.0, 1.0005, 1.001])
+def test_concurrent_recoveries_never_retarget_to_each_other(donor_crash):
+    """Regression: when the donor of two concurrent recoveries crashed,
+    each joiner retargeted to the first other member of the view — the
+    other joiner, which had no state to give — and both waited forever.
+    A retarget skips every member whose sync marker it saw."""
+    cluster, driver = make_cluster(n=4, seed=8)
+    sim = cluster.sim
+
+    def writer(key, value, delay):
+        def proc():
+            yield sim.sleep(delay)
+            conn = yield from driver.connect(cluster.new_client_host(), address="R3")
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (value, key))
+            yield from conn.commit()
+        sim.spawn(proc(), name=f"w{key}")
+
+    sim.call_at(0.2, lambda: cluster.crash(1))
+    sim.call_at(0.3, lambda: cluster.crash(2))
+    writer(1, 11, 0.5)
+    sim.call_at(1.0, lambda: cluster.recover_replica(1, donor_index=0))
+    sim.call_at(1.0, lambda: cluster.recover_replica(2, donor_index=0))
+    sim.call_at(donor_crash, lambda: cluster.crash(0))
+    writer(2, 22, 3.0)
+    sim.run()
+    settle(cluster, 8.0)
+    assert [r.status().installed for r in cluster.alive_replicas()] == [True] * 3
+    assert [r.recovery.stats["donor"] for r in cluster.replicas[1:3]] == ["R3", "R3"]
+    states = all_states(cluster)
+    assert len(states) == 3
+    assert len(set(states.values())) == 1
+    assert states["R1"][:2] == ((1, 11), (2, 22))
 
 
 def test_crash_during_recovery_then_recover_again():
@@ -336,7 +370,7 @@ def test_recovered_certifier_stats_match_donor():
 
     joiner = cluster.replicas[0]
     donor = cluster.replicas[1]
-    assert joiner.recovered
+    assert joiner.recovery.installed
     stats = lambda c: {  # noqa: E731 - local comparison helper
         attr: getattr(c, attr)
         for attr in (
@@ -344,7 +378,7 @@ def test_recovered_certifier_stats_match_donor():
             "salvage_rejects", "floor", "window_size",
         )
     }
-    assert stats(joiner.certifier) == stats(donor.certifier)
-    assert joiner.certifier.validated >= 5
-    assert joiner.certifier.rejected >= 1  # the racing writer lost
+    assert stats(joiner.validation.certifier) == stats(donor.validation.certifier)
+    assert joiner.validation.certifier.validated >= 5
+    assert joiner.validation.certifier.rejected >= 1  # the racing writer lost
     assert len(set(all_states(cluster).values())) == 1

@@ -93,14 +93,6 @@ def test_registry_snapshot_is_json_safe():
     json.dumps(snapshot, allow_nan=False)
 
 
-def test_registry_unregister_gauge():
-    registry = MetricsRegistry()
-    registry.gauge("R0.depth", lambda: 1.0)
-    assert registry.unregister("R0.depth") is True
-    assert registry.unregister("R0.depth") is False  # already gone
-    assert registry.read_gauges() == {}
-
-
 def test_registry_unregister_prefix_is_dot_exact():
     # crash teardown drops "R1."'s gauges; "R10." is a different replica
     registry = MetricsRegistry()

@@ -110,12 +110,10 @@ def test_sharded_deployment_shares_one_surface():
     cluster.stop()
 
 
-def test_session_cap_accounting_across_crash_and_failover():
+def test_session_cap_accounting_across_crash_and_failover(monkeypatch):
+    monkeypatch.setattr(ClusterConfig, "max_sessions", 1)
     cluster = SIRepCluster(
-        ClusterConfig(
-            n_replicas=2, seed=7, max_sessions=1, obs=True,
-            sampler_interval=0.1,
-        )
+        ClusterConfig(n_replicas=2, seed=7, obs=True, sampler_interval=0.1)
     )
     sim = cluster.sim
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])

@@ -192,9 +192,9 @@ def test_a_traced_recovery_completes_and_closes_its_span():
         cluster.sim.spawn(writer(), name="writer")
         settle(cluster)
         recovered = cluster.replicas[0]
-        assert recovered.recovered and recovered.recovery_stats["mode"] == mode
+        assert recovered.recovery.installed and recovered.recovery.stats["mode"] == mode
         # it goes on applying what is delivered after its recovery
         assert recovered.db.csn == cluster.replicas[1].db.csn == 1
         (span,) = [s for s in cluster.tracer.spans() if s.name == "recovery"]
         assert not span.open and span.status == "ok"
-        assert span.attrs == recovered.recovery_stats
+        assert span.attrs == recovered.recovery.stats

@@ -78,7 +78,7 @@ def test_a_replica_still_recovering_is_never_a_donor(durable):
     assert not recovering.status().installed
     cluster.crash(2)
     # a replica's own recovery does not pick the recovering one either
-    assert cluster.recover_replica(2).recover_from == "R1"
+    assert cluster.recover_replica(2).recovery.recover_from == "R1"
     sim.run()
     assert recovering.status().installed
     assert_joined_cleanly(reader, cluster.replicas[1])

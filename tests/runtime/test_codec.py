@@ -356,7 +356,7 @@ def captured_transfers(**scenario):
     recovers replica 0 (``scenario`` configures the cluster)."""
     from repro.client import Driver
     from repro.core import ClusterConfig, SIRepCluster
-    from repro.core.srca_rep import MiddlewareReplica
+    from repro.core.recovery import Recovery
 
     mode = scenario.pop("mode", None)
     cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=12, **scenario))
@@ -365,7 +365,7 @@ def captured_transfers(**scenario):
     driver = Driver(cluster.network, cluster.discovery)
     sim = cluster.sim
     shipped = []
-    send_state = MiddlewareReplica._send_state
+    send_state = Recovery._send_state
 
     def spy(self, target, state):
         shipped.append(state)
@@ -377,7 +377,7 @@ def captured_transfers(**scenario):
         yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (100 + i, 1 + i % 5))
         yield from conn.commit()
 
-    MiddlewareReplica._send_state = spy
+    Recovery._send_state = spy
     try:
         sim.call_at(0.2, lambda: cluster.crash(0))
         for i in range(30):
@@ -386,8 +386,8 @@ def captured_transfers(**scenario):
         sim.run()
         sim.run(until=sim.now + 4.0)
     finally:
-        MiddlewareReplica._send_state = send_state
-    assert cluster.replicas[0].recovered
+        Recovery._send_state = send_state
+    assert cluster.replicas[0].recovery.installed
     return shipped
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import (
     ProcessKilled,
-    QueueClosed,
     ReproError,
     SimulationError,
     SimulationStalled,
@@ -310,49 +309,6 @@ def test_raising_call_at_callback_surfaces_from_run(rt, delay):
 
 
 # -------------------------------------------------------------------- queues
-
-
-def test_queue_close_drains_fifo_then_fails(rt):
-    """Items queued before ``close`` still reach getters (FIFO), only
-    then does ``get`` raise :class:`QueueClosed`."""
-    q = Queue("q")
-    q.put("a")
-    q.put("b")
-    q.close()
-
-    def consumer():
-        items = []
-        try:
-            while True:
-                items.append((yield q.get()))
-        except QueueClosed:
-            items.append("closed")
-        return items
-
-    assert rt.run_process(consumer()) == ["a", "b", "closed"]
-    with pytest.raises(QueueClosed):
-        q.put("late")
-
-
-def test_queue_close_wakes_blocked_getter(rt):
-    q = Queue("q")
-    got = []
-
-    def consumer():
-        try:
-            yield q.get()
-        except QueueClosed:
-            got.append("closed-while-blocked")
-
-    rt.spawn(consumer(), name="consumer", daemon=True)
-
-    def closer():
-        yield rt.sleep(0.01)
-        q.close()
-        yield rt.sleep(0.01)
-
-    rt.run_process(closer())
-    assert got == ["closed-while-blocked"]
 
 
 @pytest.mark.parametrize("primitive", ["event", "queue", "gate"])

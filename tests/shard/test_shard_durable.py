@@ -78,8 +78,8 @@ def test_delta_recovery_within_one_group():
     sim.run()
     sim.run(until=sim.now + 5.0)
     recovered = cluster.groups[0].replicas[0]
-    assert recovered.recovered
-    assert recovered.recovery_stats["mode"] == "delta"
+    assert recovered.recovery.installed
+    assert recovered.recovery.stats["mode"] == "delta"
     states = group_states(cluster, 0, "kv0")
     assert len(states) == 3
     assert len(set(states.values())) == 1
@@ -97,7 +97,7 @@ def test_elastic_join_grows_one_group():
     sim.run(until=sim.now + 5.0)
     joined = cluster.groups[group1].replicas[3]
     assert joined.name == f"G{group1}-R3"
-    assert joined.recovered
+    assert joined.recovery.installed
     states = group_states(cluster, group1, "kv1")
     assert len(states) == 4
     assert len(set(states.values())) == 1

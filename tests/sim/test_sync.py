@@ -58,21 +58,6 @@ def test_event_throw_fails_waiters():
         sim.run_process(waiter())
 
 
-def test_event_clear_resets():
-    sim = Simulator()
-    ev = Event()
-    ev.set(1)
-    ev.clear()
-    assert not ev.is_set
-
-    def stuck():
-        yield ev.wait()
-
-    from repro.errors import SimulationStalled
-    with pytest.raises(SimulationStalled):
-        sim.run_process(stuck())
-
-
 # -- Queue -------------------------------------------------------------------
 
 def test_queue_put_then_get():
