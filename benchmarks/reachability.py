@@ -16,7 +16,8 @@ reached by an entry point, reached only by tests, or reached by
 nothing.  The last two are printed by file, with line counts.
 
 ``--check ALLOWLIST`` exits 1 when a function in either list has no
-allow-list line in that list's section giving a reason::
+allow-list line in that list's section giving a reason, or when an
+allow-list line covers no function (a stale reason)::
 
     [reached by nothing]
     src/repro/obs/trace.py::Span.__repr__   a repr, for debugging
@@ -259,7 +260,8 @@ def check(lists: dict, allowlist: dict) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", metavar="ALLOWLIST", type=Path, default=None,
-                        help="exit 1 on a listed function the allow-list gives no reason for")
+                        help="exit 1 on a listed function the allow-list gives no reason "
+                             "for, or on an allow-list line that covers nothing")
     runs = parser.add_mutually_exclusive_group()
     runs.add_argument("--out", metavar="DIR", type=Path, default=None,
                       help="keep the per-process records here")
@@ -281,8 +283,11 @@ def main(argv=None) -> int:
         print(f"allow-list line covers nothing (drop it): {line}")
     for line in missing:
         print(f"not allow-listed: {line}")
-    print(f"--check: {len(missing)} functions without an allow-list reason")
-    return 1 if missing else 0
+    print(
+        f"--check: {len(missing)} functions without an allow-list reason, "
+        f"{len(unused)} allow-list lines covering nothing"
+    )
+    return 1 if missing or unused else 0
 
 
 if __name__ == "__main__":

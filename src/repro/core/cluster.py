@@ -24,9 +24,7 @@ from repro.gcs import DiscoveryService, GcsConfig, GroupBus
 from repro.net import LatencyModel, Network
 from repro.obs import Observability, OneCopyMonitor, Tracer, sanitize
 from repro.reader import CertifiedFeed, ReaderConfig, ReadReplica
-from repro.si import check_one_copy_si, recorded_schedules
-from repro.si.onecopy import OneCopyReport
-from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec
+from repro.si.onecopy import KeyedAudit, OneCopyReport
 from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel, collector_paused
@@ -485,7 +483,7 @@ class SIRepCluster:
         """Admit a reader to the online monitor, its bootstrap prefix
         covered."""
         self.monitor.watch(
-            reader.name, reader.db, covered=frozenset(reader.covered_gids)
+            reader.name, reader.db, prefix=reader.replayed, covered=reader.covered_gids
         )
 
     def add_reader(self, donor_index: Optional[int] = None) -> ReadReplica:
@@ -813,13 +811,9 @@ class SIRepCluster:
             self.stability.register(replica.name, status.log_durable_seq)
             replica.member.ack_durable(status.log_durable_seq)
         if self.monitor is not None and not status.recovered:
-            # the replayed prefix is covered: those gids committed here
-            # via log replay, before any event the history will record
-            self.monitor.watch(
-                replica.name,
-                replica.db,
-                covered=frozenset(gid for gid, _keys in replica.recovery.replayed),
-            )
+            # the replayed prefix committed here via log replay, before
+            # any event the history will record
+            self.monitor.watch(replica.name, replica.db, prefix=replica.recovery.replayed)
 
     @classmethod
     def cold_restart(
@@ -894,35 +888,14 @@ class SIRepCluster:
         # order like anyone else's.  Snapshot-joined readers (row images,
         # audit_complete=False) are excluded like full-state recoveries.
         audited += [(r, r.replayed) for r in self.readers if r.alive and r.audit_complete]
-        databases = {r.name: r.node.db for r, _replayed in audited}
-        schedules, locality = recorded_schedules(databases)
-        # A log-replayed prefix (delta recovery, cold restart) committed
-        # before the recorded history began, so it produced no events.
-        # Synthesise writes-only transactions for it — positioned before
-        # everything else — so the checker sees the same transaction set
-        # at every replica instead of flagging the prefix as divergence.
+        audit = KeyedAudit()
         for replica, replayed in audited:
-            schedule = schedules[replica.name]
-            prefix_txns = {}
-            prefix_events = []
-            for gid, keys in replayed:
-                if gid in schedule.transactions or gid in prefix_txns:
-                    continue
-                prefix_txns[gid] = TxnSpec(gid, frozenset(), keys)
-                prefix_events.append((BEGIN, gid))
-                prefix_events.append((COMMIT, gid))
-            if prefix_txns:
-                schedules[replica.name] = Schedule(
-                    transactions={**prefix_txns, **schedule.transactions},
-                    events=prefix_events + list(schedule.events),
-                )
-        # Transactions whose local replica crashed before commit do not
-        # appear anywhere; transactions recorded at survivors keep their
-        # locality mapping even if the home replica died mid-run.
-        for name, schedule in schedules.items():
-            for gid in schedule.transactions:
-                locality.setdefault(gid, self._home_of(gid))
-        report = check_one_copy_si(schedules, locality)
+            # A log-replayed prefix (delta recovery, cold restart)
+            # committed before the recorded history began, so it produced
+            # no events: it goes in as writes-only transactions ahead of
+            # the history, so every replica shows the same transactions.
+            audit.feed_history(replica.name, replica.node.db.history, replayed)
+        report = audit.report()
         if not report.ok and self.flight is not None:
             self.flight.snapshot(
                 "audit-failed",
@@ -930,10 +903,6 @@ class SIRepCluster:
                 cycle=[str(event) for event in (report.cycle or [])],
             )
         return report
-
-    def _home_of(self, gid: str) -> str:
-        # gid format: "<replica>[.<incarnation>]:g<n>"
-        return gid.split(":", 1)[0].split(".", 1)[0]
 
     # ------------------------------------------------------------------- stats
 

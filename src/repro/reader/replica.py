@@ -87,8 +87,8 @@ class ReadReplica:
         #: False when bootstrap installed row images instead of
         #: replayable transactions (snapshot join without a durable log)
         self.audit_complete = True
-        #: gids committed at bootstrap, for the online monitor's
-        #: ``covered`` set when this reader joins mid-run
+        #: gids a snapshot join installed as row images, for the online
+        #: monitor's ``covered`` set (a log join's are in ``replayed``)
         self.covered_gids: set[str] = set()
         self.apply_gate = Gate(name=f"{name}.apply")
         self.active_sessions = 0
@@ -152,7 +152,6 @@ class ReadReplica:
             record.install(self.db)
             if record.kind == durable_log.WS:
                 self.replayed.append((record.gid, record.keys))
-                self.covered_gids.add(record.gid)
                 self.watermark = record.tid
         self.last_apply_t = self.sim.now
 

@@ -1,9 +1,9 @@
-"""The constraint digraph both Def. 3 checkers reduce 1-copy-SI to.
+"""The constraint digraph the Def. 3 audit reduces 1-copy-SI to.
 
-``si/onecopy.py`` (offline) and ``obs/monitor.py`` (online) each build a
-digraph over begin/commit events and ask two questions of it: is there
-a cycle (a counterexample), and if not, which topological order is the
-witness schedule.  Nodes and each node's successors are kept in
+``si/onecopy.py::KeyedAudit`` (fed offline by ``one_copy_report()`` and
+online by ``obs/monitor.py``) builds a digraph over begin/commit events
+and asks two questions of it: is there a cycle (a counterexample), and
+if not, which topological order is the witness schedule.  Nodes and each node's successors are kept in
 insertion order, so both answers are deterministic for a given
 sequence of ``add_edge`` calls.
 """
@@ -29,9 +29,6 @@ class DiGraph:
         if target not in succ:
             succ[target] = {}
         succ[source][target] = None
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._succ
 
     def find_cycle(self) -> Optional[list[tuple[Hashable, Hashable]]]:
         """The edges of the first cycle a depth-first search closes, or

@@ -29,14 +29,6 @@ class TxnSpec:
     readset: FrozenSet[Any] = frozenset()
     writeset: FrozenSet[Any] = frozenset()
 
-    @property
-    def is_readonly(self) -> bool:
-        return not self.writeset
-
-    def conflicts_with(self, other: "TxnSpec") -> bool:
-        """Write/write conflict (the only conflicts SI cares about)."""
-        return bool(self.writeset & other.writeset)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -44,6 +36,8 @@ class Violation:
 
     rule: str
     detail: str
+    #: the transactions it names (a ww pair sorted, or one gid)
+    gids: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.detail}"
@@ -76,12 +70,9 @@ class Schedule:
             positions.setdefault(event, index)
         return positions
 
-    def position(self, kind: str, tid: str) -> int:
-        return self._positions[(kind, tid)]
-
     def before(self, first: tuple[str, str], second: tuple[str, str]) -> bool:
         """True iff event ``first`` occurs before ``second``."""
-        return self.position(*first) < self.position(*second)
+        return self._positions[first] < self._positions[second]
 
     # -- Definition 1 ---------------------------------------------------------
 
@@ -112,23 +103,28 @@ class Schedule:
                 )
         if problems:
             return problems
-        # (ii): concurrent ww-conflicting transactions must not both commit.
-        tids = list(self.transactions)
-        for i, ti in enumerate(tids):
-            for tj in tids[i + 1:]:
-                spec_i, spec_j = self.transactions[ti], self.transactions[tj]
-                if not spec_i.conflicts_with(spec_j):
-                    continue
-                b_i, c_i = seen[(BEGIN, ti)], seen[(COMMIT, ti)]
-                b_j, c_j = seen[(BEGIN, tj)], seen[(COMMIT, tj)]
-                if b_i < c_j < c_i or b_j < c_i < c_j:
-                    problems.append(
-                        Violation(
-                            "si-ww",
-                            f"concurrent ww-conflicting txns {ti},{tj} on "
-                            f"{sorted(spec_i.writeset & spec_j.writeset)}",
-                        )
-                    )
+        # (ii): concurrent ww-conflicting transactions must not both
+        # commit.  Per key it is enough to check each writer against the
+        # writer that committed just before it on that key: if
+        # b_i < c_j < c_i for any earlier writer j of the key, the writer
+        # just before i also commits inside (b_i, c_i).
+        last_writer: dict[Any, str] = {}
+        clashes: dict[tuple[str, str], list] = {}
+        for kind, tid in self.events:
+            if kind != COMMIT:
+                continue
+            for key in self.transactions[tid].writeset:
+                prev = last_writer.get(key)
+                if prev is not None and seen[(BEGIN, tid)] < seen[(COMMIT, prev)]:
+                    clashes.setdefault((prev, tid), []).append(key)
+                last_writer[key] = tid
+        for (prev, tid), keys in clashes.items():
+            problems.append(
+                Violation(
+                    "si-ww",
+                    f"concurrent ww-conflicting txns {prev},{tid} on {sorted(keys)}",
+                )
+            )
         return problems
 
     def is_si_schedule(self) -> bool:

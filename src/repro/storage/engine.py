@@ -174,7 +174,7 @@ class Database:
         #: every CREATE this engine ran, in order: the schema a checkpoint
         #: or a state transfer carries to a fresh engine
         self.ddl_log: list[str] = []
-        #: ordered begin/commit event log consumed by repro.si.recorder
+        #: ordered begin/commit event log consumed by repro.si.onecopy.KeyedAudit
         self.history: list[tuple] = []
         self.commits = 0
         self.aborts = 0

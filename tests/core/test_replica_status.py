@@ -74,13 +74,13 @@ def crash_write_recover(cluster, index=0, **recover):
 def membership(cluster, monkeypatch):
     """(the recovered flag per replica, the set the audit reads)."""
     audited = set()
-    recorded = cluster_module.recorded_schedules
 
-    def spy(databases):
-        audited.update(databases)
-        return recorded(databases)
+    class Spy(cluster_module.KeyedAudit):
+        def watch(self, name, *args, **kwargs):
+            audited.add(name)
+            return super().watch(name, *args, **kwargs)
 
-    monkeypatch.setattr(cluster_module, "recorded_schedules", spy)
+    monkeypatch.setattr(cluster_module, "KeyedAudit", Spy)
     assert cluster.one_copy_report().ok
     flags = {
         name: row["recovered"] for name, row in cluster.metrics()["replicas"].items()

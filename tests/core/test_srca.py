@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.replica import ReplicaNode
 from repro.core.srca import ABORTED, BASIC, COMMITTED, FULL, OPT, SRCA
-from repro.si import check_one_copy_si, recorded_schedules
+from repro.si import KeyedAudit
 from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel, DEFERRED, LOCKING
@@ -55,10 +55,10 @@ def one_copy_report(srca):
         node.db.history = [
             e for e in node.db.history if not str(e[1]).startswith("setup-")
         ]
-    schedules, locality = recorded_schedules(
-        {node.name: node.db for node in srca.nodes}
-    )
-    return check_one_copy_si(schedules, locality)
+    audit = KeyedAudit()
+    for node in srca.nodes:
+        audit.feed_history(node.name, node.db.history)
+    return audit.report()
 
 
 def txn_once(sim, srca, statements, replica=None):

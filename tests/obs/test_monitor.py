@@ -176,6 +176,39 @@ def test_retried_remote_apply_uses_last_begin(env):
     assert monitor.ok
 
 
+def test_replayed_prefix_and_snapshot_cover_count_as_committed_first():
+    """R1 was watched after a log replay of g1 (its ordered ``prefix``),
+    two readers after a snapshot join holding g1 (``covered``), one
+    before g1 was known and one after.  A local reader at each, beginning
+    after g2, read g1's k1 and g2's k2: every edge points into its
+    begin, so there is no cycle, and g1 is not lost."""
+    sim = FakeSim()
+    monitor = OneCopyMonitor(sim)
+    k1, k2 = ("kv", 1), ("kv", 2)
+    full, replayed, early, late = FakeDb(), FakeDb(), FakeDb(), FakeDb()
+    full.history += [
+        begin("g1", remote=False, t=0.0),
+        commit("g1", 0.1, writeset={k1, k2}),
+        begin("g2", remote=False, t=0.2),
+        commit("g2", 0.3, writeset={k2}),
+    ]
+    monitor.watch("R0", full)
+    monitor.watch("Rr0", early, covered={"g1"})
+    monitor.watch("R1", replayed, prefix=[("g1", frozenset({k1, k2}))])
+    monitor.watch("Rr1", late, covered={"g1"})
+    for db, reader in ((replayed, "q1"), (early, "q2"), (late, "q3")):
+        db.history += [
+            begin("g2", remote=True, t=0.4),
+            commit("g2", 0.5, writeset={k2}),
+            begin(reader, remote=False, t=0.6),
+            commit(reader, 0.7, readset={k1, k2}),
+        ]
+    sim.now = 10.0
+    assert monitor.poll() == []
+    assert monitor.ok and not monitor.tripped
+    assert monitor.summary()["transactions"] == 2
+
+
 def test_saturation_stops_checking(env):
     sim, monitor, dbs = env
     monitor.max_txns = 2

@@ -5,9 +5,10 @@ definition declares irrelevant."""
 import random
 
 from hypothesis import given, settings
+from equivalence import equivalent
 from hypothesis import strategies as st
 
-from repro.si import Schedule, TxnSpec, equivalent
+from repro.si import Schedule, TxnSpec
 from repro.si.schedule import BEGIN, COMMIT
 
 N_OBJECTS = 4

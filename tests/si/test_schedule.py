@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.si import Schedule, TxnSpec, equivalent
-from repro.si.equivalence import equivalence_violations
+from equivalence import equivalence_violations, equivalent
+
+from repro.si import Schedule, TxnSpec
 
 # The paper's running transactions:
 # T1 = (b1, r1(x), w1(x), c1); T2 = (b2, r2(y), r2(x), w2(y), c2);
