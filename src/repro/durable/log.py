@@ -443,10 +443,14 @@ class WritesetLog:
         """Drop sealed segments wholly covered by the stability watermark
         ``seq``.  Only whole sealed segments go (the active segment and
         any partially-covered one stay), so ``start_seq`` is always a
-        segment boundary.  Returns the number of records dropped."""
+        segment boundary.  A disk-backed log keeps its last segment, sealed
+        or not: its files are all a reload has to place the log, and an
+        emptied directory would reload as a log at seq 1, below the
+        checkpoints it restores.  Returns the number of records dropped."""
         dropped = 0
         gone = []
-        while self.segments:
+        keep = 1 if self.directory is not None else 0
+        while len(self.segments) > keep:
             segment = self.segments[0]
             if not segment.sealed or segment.last_seq > seq:
                 break

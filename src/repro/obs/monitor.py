@@ -108,6 +108,9 @@ class OneCopyMonitor:
         self._audit = KeyedAudit()
         #: update gid -> sim time of its first commit in a watched history
         self._first_commit: dict[str, float] = {}
+        #: the same for the updates some watch may still miss, which the
+        #: lost-writeset check visits; rebuilt when the watches change
+        self._missing: dict[str, float] = {}
         #: (kind, gids) already flagged, so a persistent condition is
         #: flagged exactly once
         self._flagged: set[tuple] = set()
@@ -150,6 +153,7 @@ class OneCopyMonitor:
         """
         watch = self._watches[name] = _Watch(name, db, prefix, covered)
         self._admit(watch)
+        self._missing = dict(self._first_commit)
 
     def unwatch(self, name: str) -> None:
         """Stop auditing a replica (crashed / recovered) and rebuild the
@@ -160,6 +164,7 @@ class OneCopyMonitor:
             return
         self._audit = KeyedAudit()
         self._first_commit = {}
+        self._missing = {}
         for watch in self._watches.values():
             self._admit(watch)
             history = watch.db.history
@@ -203,8 +208,8 @@ class OneCopyMonitor:
     def _feed(self, watch: _Watch, entry: tuple) -> None:
         for v in self._audit.feed(watch.name, entry):
             self._flag(v.rule, v.detail, entry[-1], v.gids)
-        if entry[0] == "commit" and entry[4]:
-            self._first_commit.setdefault(entry[1], entry[-1])
+        if entry[0] == "commit" and entry[4] and entry[1] not in self._first_commit:
+            self._first_commit[entry[1]] = self._missing[entry[1]] = entry[-1]
 
     def _check_cycle(self) -> None:
         cycle = self._audit.graph.find_cycle()
@@ -229,23 +234,30 @@ class OneCopyMonitor:
 
     def _check_lost(self) -> None:
         """An update committed somewhere must reach every watched replica
-        within ``loss_grace`` sim-seconds (ROWA)."""
+        within ``loss_grace`` sim-seconds (ROWA).  An update every watch
+        holds or covers is not visited again."""
         now = self.sim.now
         replicas = self._audit.replicas
-        for gid, first_t in self._first_commit.items():
-            if now - first_t <= self.loss_grace:
-                continue
-            for watch in self._watches.values():
-                if gid in replicas[watch.name].committed or gid in watch.covered:
-                    continue
-                self._flag(
-                    "lost-writeset",
-                    f"update {gid} committed at t={first_t:.6f} but still "
-                    f"missing at {watch.name} after {self.loss_grace:.1f}s",
-                    offending_t=first_t,
-                    gids=(gid,),
-                    key=(gid, watch.name),
-                )
+        held = []
+        for gid, first_t in self._missing.items():
+            missing = [
+                watch for watch in self._watches.values()
+                if gid not in replicas[watch.name].committed and gid not in watch.covered
+            ]
+            if not missing:
+                held.append(gid)
+            elif now - first_t > self.loss_grace:
+                for watch in missing:
+                    self._flag(
+                        "lost-writeset",
+                        f"update {gid} committed at t={first_t:.6f} but still "
+                        f"missing at {watch.name} after {self.loss_grace:.1f}s",
+                        offending_t=first_t,
+                        gids=(gid,),
+                        key=(gid, watch.name),
+                    )
+        for gid in held:
+            del self._missing[gid]
 
     # -- plumbing ----------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator, Iterable, Optional
 
+from repro.core import membership
 from repro.core.cluster import ClusterConfig, SIRepCluster, build_surface
 from repro.durable.store import DurabilityStore
 from repro.errors import PlacementError, SQLError
@@ -92,6 +93,13 @@ class ShardedReport:
         return "; ".join(parts)
 
 
+class ShardGroup(SIRepCluster):
+    """One replication group of a sharded deployment.  It runs on the
+    deployment's surface, which the deployment reports and stops."""
+
+    _owns_surface = False
+
+
 class ShardedCluster:
     """A sharded SI-Rep deployment: groups + partitioner + router."""
 
@@ -108,10 +116,9 @@ class ShardedCluster:
             raise ValueError(
                 f"a sharded deployment is simulator-only, not {cfg.group.runtime!r}"
             )
-        shared = build_surface(cfg.group, durability)
-        self.sim, self.network, self.obs = shared.sim, shared.network, shared.obs
-        self.tracer, self.flight = shared.tracer, shared.flight
-        self.durable_store = shared.durability
+        self.surface = build_surface(cfg.group, durability)
+        (self.sim, self.network, self.obs, self.tracer, self.flight,
+         self.durable_store) = self.surface
         self.partitioner = Partitioner(
             cfg.n_groups,
             policy=cfg.partition,
@@ -119,14 +126,14 @@ class ShardedCluster:
             seed=cfg.group.seed,
         )
         self.groups: list[SIRepCluster] = [
-            SIRepCluster(
+            ShardGroup(
                 replace(cfg.group, replica_prefix=f"G{index}-R"),
+                surface=self.surface,
                 bus=GroupBus(
                     self.sim, config=cfg.group.gcs, rng_stream=f"gcs-G{index}"
                 ),
                 discovery=DiscoveryService(self.sim),
                 cold_start=cold_start,
-                **shared._asdict(),
             )
             for index in range(cfg.n_groups)
         ]
@@ -143,7 +150,7 @@ class ShardedCluster:
         genesis records replay them group by group."""
         cluster = cls(config, durability=durability, cold_start=True)
         for group in cluster.groups:
-            group._level_after_cold_restart()
+            membership.level_after_cold_restart(group)
         return cluster
 
     # ------------------------------------------------------------ data loading
@@ -322,21 +329,12 @@ class ShardedCluster:
                 f"G{index}": group.metrics()
                 for index, group in enumerate(self.groups)
             },
+            **self.surface.span_report(),
+            **self.surface.obs_report(),
         }
-        if self.tracer is not None:
-            out["span_trace"] = {
-                "started": self.tracer.started,
-                "finished": self.tracer.finished_count,
-                "open": len(self.tracer.open_spans()),
-            }
-        if self.obs is not None:
-            # the shared surface: gauges of every group's replicas (the
-            # per-group prefix disambiguates), one event log, one sampler
-            out["obs"] = self.obs.snapshot()
         return sanitize(out)
 
     def stop(self) -> None:
         for group in self.groups:
             group.stop()
-        if self.tracer is not None:
-            self.tracer.close_open(status="shutdown")
+        self.surface.stop()

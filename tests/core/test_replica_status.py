@@ -12,7 +12,8 @@ import pytest
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
-from repro.core import cluster as cluster_module
+from repro.core import report as report_module
+from repro.core.cluster import build_surface
 from repro.core.protocol import ReplicaStatus
 from repro.durable import DurabilityConfig, DurabilityStore
 
@@ -42,7 +43,7 @@ def build(durable=False, store=None, n=3, **kwargs):
         n_replicas=n, seed=3,
         durability=DurabilityConfig() if durable else None, **kwargs,
     )
-    cluster = SIRepCluster(cfg, durability=store)
+    cluster = SIRepCluster(cfg, surface=build_surface(cfg, store))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 6)])
     return cluster
@@ -75,12 +76,12 @@ def membership(cluster, monkeypatch):
     """(the recovered flag per replica, the set the audit reads)."""
     audited = set()
 
-    class Spy(cluster_module.KeyedAudit):
+    class Spy(report_module.KeyedAudit):
         def watch(self, name, *args, **kwargs):
             audited.add(name)
             return super().watch(name, *args, **kwargs)
 
-    monkeypatch.setattr(cluster_module, "KeyedAudit", Spy)
+    monkeypatch.setattr(report_module, "KeyedAudit", Spy)
     assert cluster.one_copy_report().ok
     flags = {
         name: row["recovered"] for name, row in cluster.metrics()["replicas"].items()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.core.cluster import build_surface
 from repro.core.protocol import DeltaTransfer
 from repro.durable import DurabilityConfig, DurabilityStore, LogRecord, WritesetLog
 from repro.durable import checkpoint as durable_checkpoint
@@ -431,7 +432,7 @@ def test_a_disk_backed_wall_log_forces_every_group(tmp_path, store):
     durability = DurabilityConfig(log_dir=tmp_path / "wal")
     config = ClusterConfig(n_replicas=2, seed=3, runtime="wall")
     if store:
-        cluster = SIRepCluster(config, durability=DurabilityStore(durability))
+        cluster = SIRepCluster(config, surface=build_surface(config, DurabilityStore(durability)))
     else:
         cluster = SIRepCluster(replace(config, durability=durability))
     try:
@@ -570,9 +571,9 @@ def test_a_bad_line_before_the_tail_still_raises(tmp_path):
 
 def test_cluster_cold_restart_survives_a_torn_log_tail(tmp_path):
     config = DurabilityConfig(log_dir=tmp_path / "wal")
+    cluster_config = ClusterConfig(n_replicas=3, seed=5)
     cluster = SIRepCluster(
-        ClusterConfig(n_replicas=3, seed=5),
-        durability=DurabilityStore(config),
+        cluster_config, surface=build_surface(cluster_config, DurabilityStore(config))
     )
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 4)])

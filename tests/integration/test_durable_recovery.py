@@ -7,11 +7,16 @@ replicas *included* — their whole history is replayable transactions),
 and the online monitor re-watches the rejoiner.
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.client import Driver
-from repro.core import ClusterConfig, SIRepCluster
+from repro.core import ClusterConfig, SIRepCluster, membership
+from repro.core.cluster import build_surface
 from repro.durable import DurabilityConfig, DurabilityStore
+from repro.errors import ReproError
 from repro.testing import query
 
 
@@ -23,7 +28,7 @@ def make_cluster(n=3, seed=1, durability=None, store=None, **cfg_kwargs):
         monitor=True,
         **cfg_kwargs,
     )
-    cluster = SIRepCluster(cfg, durability=store)
+    cluster = SIRepCluster(cfg, surface=build_surface(cfg, store))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 6)])
     return cluster, Driver(cluster.network, cluster.discovery)
@@ -127,9 +132,9 @@ def test_donor_choice_prefers_highest_durable_log():
     # hold back R1's durable progress artificially: the picker must
     # then choose R2 even though R1 has the lower index
     cluster.replicas[1].wslog.durable_seq -= 1
-    assert cluster._pick_donor(exclude=0) == 2
+    assert membership.pick_donor(cluster, exclude=0) == 2
     cluster.replicas[1].wslog.durable_seq += 1
-    assert cluster._pick_donor(exclude=0) == 1  # tie -> lowest index
+    assert membership.pick_donor(cluster, exclude=0) == 1  # tie -> lowest index
 
 
 def test_donor_crash_mid_delta_retargets_without_losing_log_position():
@@ -418,6 +423,70 @@ def test_cold_restart_watermark_resumes_where_it_left_off():
     cfg = ClusterConfig(n_replicas=3, seed=38)
     cluster = SIRepCluster.cold_restart(cfg, store)
     assert cluster.stability.stable_seq() == min(tips)
+
+
+def run_updates_on_r0(cluster, values, until):
+    """Single-row updates on R0, 0.05 s apart; idle to ``until``, stop."""
+    driver = Driver(cluster.network, cluster.discovery)
+    sim = cluster.sim
+
+    def client():
+        conn = yield from driver.connect(cluster.new_client_host(), address="R0")
+        for value in values:
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (value, value % 5))
+            yield from conn.commit()
+            yield sim.sleep(0.05)
+
+    sim.spawn(client())
+    sim.run(until=until)
+    cluster.stop()
+
+
+def truncated_to_nothing(tmp_path):
+    """A disk store whose every checkpoint covers its whole log, so each
+    sweep after a checkpoint finds every segment stable and sealed."""
+    config = DurabilityConfig(
+        log_dir=tmp_path / "wal", checkpoint_interval=0.3, segment_records=2
+    )
+    cfg = ClusterConfig(n_replicas=2, seed=1, durability=config)
+    cluster = SIRepCluster(cfg)
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(5)])
+    run_updates_on_r0(cluster, range(40), until=4.0)
+    return cfg, config
+
+
+def test_two_cold_restarts_after_a_full_truncation_keep_every_commit(tmp_path):
+    cfg, config = truncated_to_nothing(tmp_path)
+    cluster = SIRepCluster.cold_restart(cfg, DurabilityStore(config))
+    for replica in cluster.replicas:
+        # the log resumes where the restored checkpoint ends: 2 genesis
+        # records + 40 writesets
+        assert replica.wslog.tip_seq == replica.log.applied.top == 42, replica.name
+    run_updates_on_r0(cluster, range(100, 105), until=cluster.sim.now + 4.0)
+
+    cluster = SIRepCluster.cold_restart(cfg, DurabilityStore(config))
+    assert set(all_states(cluster).values()) == {tuple((k, 100 + k) for k in range(5))}
+    cluster.stop()
+
+
+def test_a_cold_restart_no_replica_can_replay_names_the_unreadable_checkpoints(tmp_path):
+    cfg, config = truncated_to_nothing(tmp_path)
+    torn = {}
+    for name in ("R0", "R1"):
+        paths = sorted((tmp_path / "wal" / name / "ckpt").glob("ckpt-*.json"))
+        for path in paths:
+            path.write_text(path.read_text()[:40])
+        torn[name] = [str(path) for path in paths]
+    flight_dir = tmp_path / "flight"
+    with pytest.raises(ReproError, match="no replica can replay") as raised:
+        SIRepCluster.cold_restart(
+            replace(cfg, flight=True, flight_dir=str(flight_dir)), DurabilityStore(config)
+        )
+    for name, paths in torn.items():
+        assert f"{name}: {', '.join(paths)}" in str(raised.value)
+    dumped = [json.loads(path.read_text())["reason"] for path in sorted(flight_dir.iterdir())]
+    assert sorted(dumped) == ["checkpoint-unreadable:R0", "checkpoint-unreadable:R1"]
 
 
 def logged_gids(replica):

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster, protocol
+from repro.core.cluster import build_surface
 from repro.durable import DurabilityConfig, DurabilityStore
 from repro.durable.log import LOAD, LogRecord
 from repro.errors import CatalogError, IntegrityError
@@ -48,8 +49,8 @@ def truncating(policy="conservative"):
 
 
 def make_cluster(seed, store=None, **kwargs):
-    cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=seed, **kwargs),
-                           durability=store)
+    config = ClusterConfig(n_replicas=3, seed=seed, **kwargs)
+    cluster = SIRepCluster(config, surface=build_surface(config, store))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 6)])
     return cluster, itertools.count(1000)
@@ -574,7 +575,8 @@ def test_install_gives_the_collector_back(collector, enabled):
 
 def durable_kv_cluster(log_dir=None, seed=5):
     store = DurabilityStore(DurabilityConfig(log_dir=log_dir))
-    cluster = SIRepCluster(ClusterConfig(n_replicas=3, seed=seed), durability=store)
+    config = ClusterConfig(n_replicas=3, seed=seed)
+    cluster = SIRepCluster(config, surface=build_surface(config, store))
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
     return cluster, store
 

@@ -111,6 +111,37 @@ def test_lost_writeset_after_grace_window(env):
     assert monitor.poll() == []  # deduped per (gid, replica)
 
 
+class CountingDict(dict):
+    """A ``committed`` map that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        CountingDict.lookups += 1
+        return super().__contains__(key)
+
+
+def test_lost_check_visits_only_updates_some_watch_misses(env):
+    sim, monitor, dbs = env
+    for db in dbs.values():
+        db.history += [commit(f"g{i}", 0.01 * i, writeset={("kv", i)}) for i in range(50)]
+    dbs["R0"].history.append(commit("lost", 0.6, writeset={("kv", 99)}))
+    sim.now = 10.0  # every update is past its grace
+    assert [v.gids for v in monitor.poll()] == [("lost",)]
+    for replica in monitor._audit.replicas.values():
+        replica.committed = CountingDict(replica.committed)
+    CountingDict.lookups = 0
+    assert monitor.poll() == []
+    # the 50 updates both replicas hold are not looked up again; only
+    # the one R1 still misses is (once per watch)
+    assert CountingDict.lookups == 2
+    # a new watch misses everything: every update is visited again
+    monitor.watch("R2", FakeDb())
+    sim.now = 11.0
+    flagged = {v.gids[0] for v in monitor.poll()}
+    assert flagged == {f"g{i}" for i in range(50)} | {"lost"}
+
+
 def test_constraint_cycle_trips_one_copy_si(env):
     """The §4.3.2 shape, hand-fed: each replica commits its own writer
     first, and each local reader begins in the window where only the
