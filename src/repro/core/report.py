@@ -93,7 +93,7 @@ def register_replica_gauges(cluster, replica) -> None:
     if cluster.obs is None:
         return
     registry = cluster.obs.registry
-    status = replica.status
+    status = partial(_status, cluster, replica)
     gauges = REPLICA_GAUGES
     if status().log_tip_seq is not None:
         gauges = {**gauges, **LOG_GAUGES}
@@ -174,17 +174,29 @@ def one_copy_report(cluster) -> OneCopyReport:
     return report
 
 
+def _status(cluster, replica) -> ReplicaStatus:
+    """``replica.status()``, built once per replica within one probe of
+    the gauges or one ``metrics()`` call."""
+    if cluster.obs is None:
+        return replica.status()
+    return cluster.obs.registry.once(replica, replica.status)
+
+
 def statuses(cluster) -> list[ReplicaStatus]:
     """Every replica's status record, in replica order."""
-    return [replica.status() for replica in cluster.replicas]
+    return [_status(cluster, replica) for replica in cluster.replicas]
 
 
-def total_commits(cluster) -> int:
-    return sum(s.update_commits + s.readonly_commits for s in statuses(cluster))
+def total_commits(cluster, records=None) -> int:
+    """Commits across replicas; ``records`` are their status records
+    when the caller has them already."""
+    records = statuses(cluster) if records is None else records
+    return sum(s.update_commits + s.readonly_commits for s in records)
 
 
-def total_certification_aborts(cluster) -> int:
-    return sum(s.certification_aborts for s in statuses(cluster))
+def total_certification_aborts(cluster, records=None) -> int:
+    records = statuses(cluster) if records is None else records
+    return sum(s.certification_aborts for s in records)
 
 
 def hole_wait_fraction(cluster) -> float:
@@ -195,7 +207,16 @@ def hole_wait_fraction(cluster) -> float:
 
 
 def metrics(cluster) -> dict:
-    """Operational snapshot across replicas (monitoring surface)."""
+    """Operational snapshot across replicas (monitoring surface): one
+    sweep, so each replica's status record is built once, the gauges in
+    the embedded ``obs`` snapshot included."""
+    if cluster.obs is None:
+        return _metrics(cluster)
+    with cluster.obs.registry.sweep():
+        return _metrics(cluster)
+
+
+def _metrics(cluster) -> dict:
     records = statuses(cluster)
     per_replica = {}
     for replica, status in zip(cluster.replicas, records):
@@ -213,8 +234,8 @@ def metrics(cluster) -> dict:
         # which clock produced these numbers — sim seconds and wall
         # seconds must never be compared against each other
         "runtime": cluster.clock,
-        "commits": total_commits(cluster),
-        "certification_aborts": total_certification_aborts(cluster),
+        "commits": total_commits(cluster, records),
+        "certification_aborts": total_certification_aborts(cluster, records),
         "gcs_deliveries": bus.delivered_count,
         "gcs_batches": bus.delivered_batches,
         "gcs_mean_batch_size": bus.mean_batch_size,

@@ -482,7 +482,9 @@ class WritesetLog:
         shipped checkpoint: its own history below ``seq`` is superseded
         and future appends must stay seq-aligned with the cluster.  The
         discarded prefix is unavailable locally afterwards (``rebased_at``
-        records the gap).
+        records the gap).  A disk-backed log keeps its position on disk:
+        an empty segment file for ``seq + 1``, which the next record goes
+        to, so that a reload resumes at ``seq`` even before one arrives.
         """
         self._close_fd()
         self._unlink([segment.path for segment in self.segments])
@@ -492,6 +494,11 @@ class WritesetLog:
         self.durable_seq = seq
         self.tip_seq = seq
         self.rebased_at = seq
+        if self.directory is not None:
+            segment = Segment(base_seq=seq + 1, path=self._segment_path(seq + 1))
+            os.close(os.open(segment.path, os.O_WRONLY | os.O_CREAT, 0o644))
+            sync_directory(self.directory)
+            self.segments.append(segment)
 
     def close(self) -> None:
         """Release the segment file handle; the next write reopens it.
@@ -546,9 +553,11 @@ class WritesetLog:
                 size = data.rfind(b"\n") + 1
                 os.truncate(path, size)
             records = _parse_segment(path, data[:size])
-            if not records:
+            if not records and path != paths[-1]:
                 continue
-            segment = Segment(base_seq=records[0].seq, path=path)
+            # an empty last file holds the position a rebase left
+            base_seq = records[0].seq if records else int(path.stem.split("-")[1])
+            segment = Segment(base_seq=base_seq, path=path)
             for record in records:
                 segment.add(record)
                 self.durable_bytes += record.nbytes

@@ -16,7 +16,8 @@ with metrics enabled is event-for-event identical to one without.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Optional
 
 
 def quantile(ordered: list[float], q: float) -> float:
@@ -108,6 +109,8 @@ class MetricsRegistry:
     def __init__(self):
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
+        #: what :meth:`once` computed in the current sweep, else None
+        self._memo: Optional[dict] = None
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -133,9 +136,34 @@ class MetricsRegistry:
             del self.gauges[name]
         return len(doomed)
 
+    @contextmanager
+    def sweep(self) -> Iterator[None]:
+        """One probe: inside it :meth:`once` computes each key once, so
+        that gauges reading one record (a replica's status) build it once.
+        A sweep inside another shares the outer one."""
+        if self._memo is not None:
+            yield
+            return
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
+    def once(self, key: Any, fn: Callable[[], Any]) -> Any:
+        """``fn()``, computed once per ``key`` within a sweep (afresh
+        outside one)."""
+        memo = self._memo
+        if memo is None:
+            return fn()
+        if key not in memo:
+            memo[key] = fn()
+        return memo[key]
+
     def read_gauges(self) -> dict[str, float]:
         """One probe across every registered gauge (the sampler's tick)."""
-        return {name: gauge.read() for name, gauge in self.gauges.items()}
+        with self.sweep():
+            return {name: gauge.read() for name, gauge in self.gauges.items()}
 
     def snapshot(self) -> dict:
         """JSON-safe dump of every instrument's current state."""

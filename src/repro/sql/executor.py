@@ -12,12 +12,11 @@ index/pk inner lookup when available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.expressions import compile_expr, evaluate
-from repro.sql.plan import Plan, build_plan, column_matcher, plan_for
+from repro.sql.plan import Plan, RowProbe, build_plan, column_matcher, plan_for
 
 
 @dataclass
@@ -235,32 +234,29 @@ def _candidate_rows(db, txn, table, plan: Plan, params, locating=False):
     yield from db.scan(txn, table)
 
 
-def _single_table_matches(db, txn, table, plan: Plan, params, locating=False):
-    """Materialise matching (pk, values) pairs of one table.
+def _matches(db, txn, table, plan: Plan, params) -> list:
+    """Materialise the (pk, values) pairs of one table that satisfy WHERE.
 
-    With ``locating`` set, a residual predicate that examines a non-pk
-    column value demotes that row back to a dependent read: the match
-    decision then hinges on row content, so the write is not blind.
+    A covering UPDATE (``plan.covers``) locates its rows: a pk lookup is
+    then no value dependency (see :meth:`Database.read_row`), and its
+    WHERE reads a :class:`RowProbe`, so that a residual predicate that
+    examines a non-pk column value demotes that row back to a dependent
+    read: the match decision then hinges on row content, so the write is
+    not blind.
     """
+    rows = _candidate_rows(db, txn, table, plan, params, locating=plan.covers)
     where = plan.where
-    rows = _candidate_rows(db, txn, table, plan, params, locating=locating)
     if where is None:
         return list(rows)
-    match = plan.match
-    pk_column = plan.pk_column
+    if not plan.covers:
+        return [(pk, values) for pk, values in rows if where(values, params)]
     matches = []
     for pk, values in rows:
-
-        def lookup(col: ast.Column, _pk=pk, _values=values) -> Any:
-            name = match(col)
-            if name is None:
-                raise SQLError(f"unknown column {col.display!r}")
-            if locating and name != pk_column:
-                txn.dependent_reads.add((table.name, _pk))
-            return _values[name]
-
-        if where(lookup, params):
+        probe = RowProbe(values)
+        if where(probe, params):
             matches.append((pk, values))
+        if probe.read:
+            txn.dependent_reads.add((table.name, pk))
     return matches
 
 
@@ -270,14 +266,17 @@ def _single_table_matches(db, txn, table, plan: Plan, params, locating=False):
 
 
 class _JoinedRow:
-    """Namespace mapping (alias or table) -> row dict for joined scans."""
+    """Namespace mapping (alias or table) -> row dict for joined scans.
+
+    Calling it looks a column up, which is how the plan's closures read
+    it (the default column hook of ``compile_expr``)."""
 
     __slots__ = ("frames",)
 
     def __init__(self, frames: dict[str, dict]):
         self.frames = frames
 
-    def lookup(self, col: ast.Column) -> Any:
+    def __call__(self, col: ast.Column) -> Any:
         if col.table is not None:
             frame = self.frames.get(col.table)
             if frame is None:
@@ -294,33 +293,31 @@ class _JoinedRow:
 
 
 def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) -> Result:
-    base_key = statement.alias or statement.table
-
+    """A single-table SELECT works on the stored row dicts, a join on
+    ``_JoinedRow`` objects; the plan's closures read either."""
     if not statement.joins:
-        joined = [
-            _JoinedRow({base_key: values})
-            for _pk, values in _single_table_matches(db, txn, table, plan, params)
-        ]
+        rows = [values for _pk, values in _matches(db, txn, table, plan, params)]
     else:
+        base_key = statement.alias or statement.table
         # Equality conjuncts on the base table narrow the scan; they give
         # a superset of the matches, and the full WHERE filters after the
         # joins.
-        joined = [
+        rows = [
             _JoinedRow({base_key: values})
             for _pk, values in _candidate_rows(db, txn, table, plan, params)
         ]
         for join in statement.joins:
-            joined = _apply_join(db, txn, joined, join)
+            rows = _apply_join(db, txn, rows, join)
         if plan.where is not None:
-            joined = [row for row in joined if plan.where(row.lookup, params)]
+            rows = [row for row in rows if plan.where(row, params)]
 
-    if plan.aggregates is not None:
-        return _aggregate(statement, plan, joined, params)
+    if plan.fold is not None:
+        return _aggregate(statement, plan, rows, params)
 
     if statement.distinct:
         # SQL semantics: project, dedupe, then ORDER BY (on output
         # columns) and LIMIT.
-        columns, rows = _project(plan, joined, params)
+        columns, rows = _project(statement, plan, rows, params)
         seen = set()
         unique = []
         for row in rows:
@@ -335,33 +332,34 @@ def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) ->
                 raise SQLError(
                     f"ORDER BY column {name!r} must be in the DISTINCT output"
                 )
-            rows.sort(key=lambda r, n=name: _sort_key(r[n]), reverse=item.descending)
-        if statement.limit is not None:
-            limit = evaluate(statement.limit, _no_row, params)
-            rows = rows[: int(limit)]
+            rows = _ordered(rows, [row[name] for row in rows], item.descending)
+        if plan.limit is not None:
+            rows = rows[: int(plan.limit(None, params))]
         return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
 
-    if statement.order_by:
-        for item in reversed(statement.order_by):
-            joined.sort(
-                key=lambda row, col=item.column: _sort_key(row.lookup(col)),
-                reverse=item.descending,
-            )
-    if statement.limit is not None:
-        limit = evaluate(statement.limit, _no_row, params)
-        joined = joined[: int(limit)]
+    for fn, descending in reversed(plan.order):
+        rows = _ordered(rows, [fn(row, params) for row in rows], descending)
+    if plan.limit is not None:
+        rows = rows[: int(plan.limit(None, params))]
 
-    columns, rows = _project(plan, joined, params)
+    columns, rows = _project(statement, plan, rows, params)
     return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
 
 
-def _no_row(col: ast.Column) -> Any:
-    """Row lookup for expressions evaluated without a row (LIMIT, VALUES)."""
-    return None
+def _ordered(rows: list, keys: list, descending: bool) -> list:
+    """``rows`` stably sorted by ``keys`` (one per row) as ORDER BY
+    sorts: NULLs last on ascending order, and mixed types grouped by
+    type name.  Keys of one type and no NULL order the same by value
+    alone, so they are compared as they are."""
+    kind = type(keys[0]) if keys else None
+    if kind is not type(None) and all(type(key) is kind for key in keys):
+        by = keys.__getitem__
+    else:
+        by = [_sort_key(key) for key in keys].__getitem__
+    return [rows[i] for i in sorted(range(len(rows)), key=by, reverse=descending)]
 
 
 def _sort_key(value: Any) -> tuple:
-    # NULLs last on ascending order, and mixed types grouped by type name.
     return (value is None, type(value).__name__, value if value is not None else 0)
 
 
@@ -381,7 +379,7 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     use_pk = inner_name == inner.schema.pk_column
     null_frame = dict.fromkeys(inner.schema.column_names)
     for row in joined:
-        value = row.lookup(outer_col)
+        value = row(outer_col)
         if value is None:
             matches = []
         elif use_pk:
@@ -404,97 +402,59 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     return out
 
 
-def _project(plan: Plan, joined: list, params: tuple):
+def _project(statement: ast.Select, plan: Plan, rows: list, params: tuple):
     if plan.projection is None:
-        rows = []
-        for row in joined:
-            flat: dict = {}
-            for frame in row.frames.values():
-                for name, value in frame.items():
-                    flat.setdefault(name, value)
-            rows.append(flat)
-        columns = tuple(rows[0].keys()) if rows else ()
-        return columns, rows
+        if not statement.joins:
+            out = [dict(values) for values in rows]
+        else:
+            out = []
+            for row in rows:
+                flat: dict = {}
+                for frame in row.frames.values():
+                    for name, value in frame.items():
+                        flat.setdefault(name, value)
+                out.append(flat)
+        columns = tuple(out[0].keys()) if out else ()
+        return columns, out
     projection = plan.projection
-    rows = [
-        {name: fn(row.lookup, params) for name, fn in projection} for row in joined
-    ]
-    return plan.columns, rows
+    out = [{name: fn(row, params) for name, fn in projection} for row in rows]
+    return plan.columns, out
 
 
-def _eval_aggregate(
-    expr: ast.Aggregate, arg: Callable, members: list, params: tuple
-) -> Any:
-    """``expr`` over ``members``; ``arg`` is its compiled argument."""
-    if expr.func == "COUNT" and expr.arg is None:
-        return len(members)
-    samples = [arg(row.lookup, params) for row in members]
-    samples = [s for s in samples if s is not None]
-    if expr.func == "COUNT":
-        return len(samples)
-    if not samples:
-        return None
-    if expr.func == "SUM":
-        return sum(samples)
-    if expr.func == "AVG":
-        return sum(samples) / len(samples)
-    if expr.func == "MIN":
-        return min(samples)
-    if expr.func == "MAX":
-        return max(samples)
-    raise SQLError(f"unknown aggregate {expr.func!r}")
-
-
-def _fold_aggregates(expr: Any, members: list, params: tuple) -> Any:
-    """Replace Aggregate nodes by their computed value (for HAVING)."""
-    if isinstance(expr, ast.Aggregate):
-        arg = compile_expr(expr.arg)
-        return ast.Literal(_eval_aggregate(expr, arg, members, params))
-    if isinstance(expr, ast.BinOp):
-        return ast.BinOp(
-            expr.op,
-            _fold_aggregates(expr.left, members, params),
-            _fold_aggregates(expr.right, members, params),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _fold_aggregates(expr.operand, members, params))
-    return expr
-
-
-def _aggregate(statement: ast.Select, plan: Plan, joined: list, params: tuple) -> Result:
-    """Aggregates, with or without GROUP BY, plus HAVING/ORDER BY/LIMIT."""
-    if statement.group_by:
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for row in joined:
-            key = tuple(row.lookup(col) for col in statement.group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        grouped = [(key, groups[key]) for key in order]
+def _aggregate(statement: ast.Select, plan: Plan, rows: list, params: tuple) -> Result:
+    """Aggregates, with or without GROUP BY, plus HAVING/ORDER BY/LIMIT:
+    one pass folds every row into its group's state (:class:`Fold`)."""
+    fold = plan.fold
+    key_of = fold.key
+    start = fold.start
+    steps = fold.steps
+    groups: dict = {}
+    if key_of is None:
+        state = groups[()] = start(None)
+        for row in rows:
+            state[1] += 1
+            for step in steps:
+                step(state, row, params)
     else:
-        grouped = [((), joined)]
+        for row in rows:
+            key = key_of(row)
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = start(row)
+            state[1] += 1
+            for step in steps:
+                step(state, row, params)
 
-    rows = []
-    for _key, members in grouped:
-        out: dict = {}
-        for name, expr, fn in plan.aggregates:
-            if isinstance(expr, ast.Aggregate):
-                out[name] = _eval_aggregate(expr, fn, members, params)
-            else:
-                out[name] = fn(members[0].lookup, params)
-        if statement.having is not None:
-            folded = _fold_aggregates(statement.having, members, params)
-
-            def lookup(col: ast.Column, _out=out, _members=members) -> Any:
-                if col.name in _out:
-                    return _out[col.name]
-                return _members[0].lookup(col)
-
-            if not evaluate(folded, lookup, params):
+    out_rows = []
+    having = fold.having
+    for state in groups.values():
+        out = {name: fn(state) for name, fn in fold.outputs}
+        if having is not None:
+            folded = [final(state) for final in fold.having_values]
+            if not having((out, state, folded), params):
                 continue
-        rows.append(out)
+        out_rows.append(out)
+    rows = out_rows
 
     if statement.order_by:
         for item in reversed(statement.order_by):
@@ -503,10 +463,9 @@ def _aggregate(statement: ast.Select, plan: Plan, joined: list, params: tuple) -
                 raise SQLError(
                     f"ORDER BY column {name!r} is not in the grouped output"
                 )
-            rows.sort(key=lambda r, n=name: _sort_key(r[n]), reverse=item.descending)
-    if statement.limit is not None:
-        limit = evaluate(statement.limit, _no_row, params)
-        rows = rows[: int(limit)]
+            rows = _ordered(rows, [row[name] for row in rows], item.descending)
+    if plan.limit is not None:
+        rows = rows[: int(plan.limit(None, params))]
     return Result(kind="select", rows=rows, columns=plan.columns, rowcount=len(rows))
 
 
@@ -518,7 +477,7 @@ def _aggregate(statement: ast.Select, plan: Plan, joined: list, params: tuple) -
 def _insert(db, txn, table, plan: Plan, params: tuple):
     written = 0
     for row in plan.rows:
-        values = {column: fn(_no_row, params) for column, fn in row}
+        values = {column: fn(None, params) for column, fn in row}
         yield from db.stage_insert(txn, table, values)
         written += 1
     return Result(kind="insert", rowcount=written, rows_written=written)
@@ -528,40 +487,29 @@ def _update(db, txn, table, plan: Plan, params: tuple):
     # A write is *blind* when the after image owes nothing to the row:
     # every non-pk column assigned (no old values survive into it —
     # ``plan.covers``), the target reachable without examining values
-    # (pk path — checked by _candidate_rows), and no assignment
-    # expression reading the row (checked per row below).  Blind keys
-    # stay out of dependent_reads, which is what certification salvage
-    # keys off.  Assigning the primary key is refused when the plan is
-    # built.
+    # (pk path — checked by _matches), and no assignment expression
+    # reading the row (the probe, per row below).  Blind keys stay out
+    # of dependent_reads, which is what certification salvage keys off.
+    # Assigning the primary key is refused when the plan is built.
     covers = plan.covers
-    matches = _single_table_matches(db, txn, table, plan, params, locating=covers)
     written = 0
-    for pk, values in matches:
-        reads_row = False
-
-        def lookup(col: ast.Column, _values=values) -> Any:
-            nonlocal reads_row
-            if col.name not in _values:
-                raise SQLError(f"unknown column {col.display!r}")
-            reads_row = True
-            return _values[col.name]
-
+    for pk, values in _matches(db, txn, table, plan, params):
+        probe = RowProbe(values)
         new_values = dict(values)
         for column, fn in plan.assignments:
-            new_values[column] = fn(lookup, params)
-        if reads_row and covers:
+            new_values[column] = fn(probe, params)
+        if probe.read and covers:
             txn.dependent_reads.add((table.name, pk))
         yield from db.stage_update(
-            txn, table, pk, new_values, blind=covers and not reads_row
+            txn, table, pk, new_values, blind=covers and not probe.read
         )
         written += 1
     return Result(kind="update", rowcount=written, rows_written=written)
 
 
 def _delete(db, txn, table, plan: Plan, params: tuple):
-    matches = _single_table_matches(db, txn, table, plan, params)
     written = 0
-    for pk, _values in matches:
+    for pk, _values in _matches(db, txn, table, plan, params):
         yield from db.stage_delete(txn, table, pk)
         written += 1
     return Result(kind="delete", rowcount=written, rows_written=written)

@@ -5,11 +5,13 @@ Comparisons involving NULL are false; arithmetic with NULL yields NULL;
 simplification of SQL's three-valued logic, sufficient for the workloads.
 
 :func:`compile_expr` turns an expression tree into one closure
-``fn(lookup, params)`` and is the only implementation of these
-semantics.  Statement plans (:mod:`repro.sql.plan`) compile each
-expression once; :func:`evaluate` compiles and calls, for the cold paths
-that meet a tree once (HAVING after aggregate folding, LIMIT, statements
-rewritten by subquery binding).
+``fn(row, params)`` and is the only implementation of these semantics.
+What ``row`` is belongs to the caller: the ``column`` hook compiles each
+column reference to a closure reading it.  Statement plans
+(:mod:`repro.sql.plan`) resolve every column at plan time, so a
+single-table row is read as a plain dict; the default hook calls
+``row(column)``, for rows that look their columns up themselves (a
+join's rows).
 """
 
 from __future__ import annotations
@@ -21,48 +23,57 @@ from typing import Any, Callable, Iterator, Optional
 from repro.errors import SQLError
 from repro.sql import ast
 
-RowLookup = Callable[[ast.Column], Any]
-Compiled = Callable[[RowLookup, tuple], Any]
+Compiled = Callable[[Any, tuple], Any]
+ColumnCompiler = Callable[[ast.Column], Compiled]
 
 
-def evaluate(expr: Any, lookup: RowLookup, params: tuple) -> Any:
-    """Evaluate ``expr`` against one row (via ``lookup``) and parameters."""
-    return compile_expr(expr)(lookup, params)
+def lookup_column(col: ast.Column) -> Compiled:
+    """The default column hook: ``row`` is a function of the column."""
+
+    def column(row, params):
+        return row(col)
+
+    return column
 
 
-def compile_expr(expr: Any) -> Compiled:
-    """Compile ``expr`` to ``fn(lookup, params)``.
+def compile_expr(expr: Any, column: ColumnCompiler = lookup_column) -> Compiled:
+    """Compile ``expr`` to ``fn(row, params)``; ``column`` compiles its
+    column references.
 
     Never raises: a node that cannot be evaluated compiles to a closure
     raising the evaluation-time error, so errors surface exactly when a
     row (or the parameters) reach the node.
     """
+    if type(expr) is ast.Column:
+        return column(expr)
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
-        return _cannot_evaluate(expr)
-    return compiler(expr)
+        return raising(f"cannot evaluate expression {expr!r}")
+    return compiler(expr, column)
 
 
-def _cannot_evaluate(expr: Any) -> Compiled:
-    def cannot_evaluate(lookup, params):
-        raise SQLError(f"cannot evaluate expression {expr!r}")
+def raising(message: str) -> Compiled:
+    """A closure that raises ``SQLError(message)`` when it is evaluated."""
 
-    return cannot_evaluate
+    def raise_error(row, params):
+        raise SQLError(message)
+
+    return raise_error
 
 
-def _literal(expr: ast.Literal) -> Compiled:
+def _literal(expr: ast.Literal, column: ColumnCompiler) -> Compiled:
     value = expr.value
 
-    def literal(lookup, params):
+    def literal(row, params):
         return value
 
     return literal
 
 
-def _param(expr: ast.Param) -> Compiled:
+def _param(expr: ast.Param, column: ColumnCompiler) -> Compiled:
     index = expr.index
 
-    def param(lookup, params):
+    def param(row, params):
         if index >= len(params):
             raise SQLError(
                 f"statement has parameter ?{index} but only "
@@ -71,13 +82,6 @@ def _param(expr: ast.Param) -> Compiled:
         return params[index]
 
     return param
-
-
-def _column(expr: ast.Column) -> Compiled:
-    def column(lookup, params):
-        return lookup(expr)
-
-    return column
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -91,27 +95,27 @@ _COMPARISONS = {
 }
 
 
-def _binop(expr: ast.BinOp) -> Compiled:
+def _binop(expr: ast.BinOp, column: ColumnCompiler) -> Compiled:
     op = expr.op
-    left = compile_expr(expr.left)
-    right = compile_expr(expr.right)
+    left = compile_expr(expr.left, column)
+    right = compile_expr(expr.right, column)
     if op == "AND":
 
-        def conjunction(lookup, params):
-            return bool(left(lookup, params)) and bool(right(lookup, params))
+        def conjunction(row, params):
+            return bool(left(row, params)) and bool(right(row, params))
 
         return conjunction
     if op == "OR":
 
-        def disjunction(lookup, params):
-            return bool(left(lookup, params)) or bool(right(lookup, params))
+        def disjunction(row, params):
+            return bool(left(row, params)) or bool(right(row, params))
 
         return disjunction
     if op == "/":
 
-        def divide(lookup, params):
-            lhs = left(lookup, params)
-            rhs = right(lookup, params)
+        def divide(row, params):
+            lhs = left(row, params)
+            rhs = right(row, params)
             if lhs is None or rhs is None:
                 return None
             if rhs == 0:
@@ -122,9 +126,9 @@ def _binop(expr: ast.BinOp) -> Compiled:
     arithmetic = _ARITHMETIC.get(op)
     if arithmetic is not None:
 
-        def arithmetic_op(lookup, params):
-            lhs = left(lookup, params)
-            rhs = right(lookup, params)
+        def arithmetic_op(row, params):
+            lhs = left(row, params)
+            rhs = right(row, params)
             if lhs is None or rhs is None:
                 return None
             return arithmetic(lhs, rhs)
@@ -133,18 +137,18 @@ def _binop(expr: ast.BinOp) -> Compiled:
     compare = _COMPARISONS.get(op)
     if compare is None:
 
-        def unknown(lookup, params):
-            lhs = left(lookup, params)
-            rhs = right(lookup, params)
+        def unknown(row, params):
+            lhs = left(row, params)
+            rhs = right(row, params)
             if lhs is None or rhs is None:
                 return False
             raise SQLError(f"unknown operator {op!r}")
 
         return unknown
 
-    def comparison(lookup, params):
-        lhs = left(lookup, params)
-        rhs = right(lookup, params)
+    def comparison(row, params):
+        lhs = left(row, params)
+        rhs = right(row, params)
         if lhs is None or rhs is None:
             return False
         try:
@@ -155,55 +159,55 @@ def _binop(expr: ast.BinOp) -> Compiled:
     return comparison
 
 
-def _unary(expr: ast.UnaryOp) -> Compiled:
+def _unary(expr: ast.UnaryOp, column: ColumnCompiler) -> Compiled:
     op = expr.op
-    operand = compile_expr(expr.operand)
+    operand = compile_expr(expr.operand, column)
     if op == "NOT":
 
-        def negation(lookup, params):
-            return not bool(operand(lookup, params))
+        def negation(row, params):
+            return not bool(operand(row, params))
 
         return negation
     if op == "NEG":
 
-        def minus(lookup, params):
-            value = operand(lookup, params)
+        def minus(row, params):
+            value = operand(row, params)
             return None if value is None else -value
 
         return minus
 
-    def unknown(lookup, params):
-        operand(lookup, params)
+    def unknown(row, params):
+        operand(row, params)
         raise SQLError(f"unknown unary op {op!r}")
 
     return unknown
 
 
-def _in_list(expr: ast.InList) -> Compiled:
-    subject = compile_expr(expr.expr)
-    items = tuple(compile_expr(item) for item in expr.items)
+def _in_list(expr: ast.InList, column: ColumnCompiler) -> Compiled:
+    subject = compile_expr(expr.expr, column)
+    items = tuple(compile_expr(item, column) for item in expr.items)
     negated = expr.negated
 
-    def in_list(lookup, params):
-        value = subject(lookup, params)
+    def in_list(row, params):
+        value = subject(row, params)
         if value is None:
             return False
-        result = value in [item(lookup, params) for item in items]
+        result = value in [item(row, params) for item in items]
         return not result if negated else result
 
     return in_list
 
 
-def _between(expr: ast.Between) -> Compiled:
-    subject = compile_expr(expr.expr)
-    low = compile_expr(expr.low)
-    high = compile_expr(expr.high)
+def _between(expr: ast.Between, column: ColumnCompiler) -> Compiled:
+    subject = compile_expr(expr.expr, column)
+    low = compile_expr(expr.low, column)
+    high = compile_expr(expr.high, column)
     negated = expr.negated
 
-    def between(lookup, params):
-        value = subject(lookup, params)
-        lo = low(lookup, params)
-        hi = high(lookup, params)
+    def between(row, params):
+        value = subject(row, params)
+        lo = low(row, params)
+        hi = high(row, params)
         if value is None or lo is None or hi is None:
             return False
         result = lo <= value <= hi
@@ -212,25 +216,25 @@ def _between(expr: ast.Between) -> Compiled:
     return between
 
 
-def _is_null(expr: ast.IsNull) -> Compiled:
-    subject = compile_expr(expr.expr)
+def _is_null(expr: ast.IsNull, column: ColumnCompiler) -> Compiled:
+    subject = compile_expr(expr.expr, column)
     negated = expr.negated
 
-    def is_null(lookup, params):
-        result = subject(lookup, params) is None
+    def is_null(row, params):
+        result = subject(row, params) is None
         return not result if negated else result
 
     return is_null
 
 
-def _like(expr: ast.Like) -> Compiled:
-    subject = compile_expr(expr.expr)
-    pattern_of = compile_expr(expr.pattern)
+def _like(expr: ast.Like, column: ColumnCompiler) -> Compiled:
+    subject = compile_expr(expr.expr, column)
+    pattern_of = compile_expr(expr.pattern, column)
     negated = expr.negated
 
-    def like(lookup, params):
-        value = subject(lookup, params)
-        pattern = pattern_of(lookup, params)
+    def like(row, params):
+        value = subject(row, params)
+        pattern = pattern_of(row, params)
         if value is None or pattern is None:
             return False
         result = bool(_like_regex(pattern).match(str(value)))
@@ -239,10 +243,9 @@ def _like(expr: ast.Like) -> Compiled:
     return like
 
 
-_COMPILERS: dict[type, Callable[[Any], Compiled]] = {
+_COMPILERS: dict[type, Callable[[Any, ColumnCompiler], Compiled]] = {
     ast.Literal: _literal,
     ast.Param: _param,
-    ast.Column: _column,
     ast.BinOp: _binop,
     ast.UnaryOp: _unary,
     ast.InList: _in_list,

@@ -1,11 +1,26 @@
 """Statement plans: each parsed statement compiled once per table schema.
 
 A :class:`Plan` holds everything the executor would otherwise re-derive
-from the AST on every execution: the primary-key column and column
-matcher of the target table, the WHERE clause's equality terms (so only
-:func:`~repro.sql.expressions.constant_value` runs per execution), the
-WHERE / SET / projection / INSERT-value expressions compiled to
-closures, the UPDATE blind-write test, and the parameter count.
+from the AST on every execution: the primary-key column of the target
+table, the WHERE clause's equality terms (so only
+:func:`~repro.sql.expressions.constant_value` runs per execution), every
+expression compiled to a closure, the GROUP BY fold, the UPDATE
+blind-write test, and the parameter count.
+
+Every column reference is resolved here, so the closures read a row
+without looking anything up.  What a row is depends on the statement:
+
+* a single-table statement reads the stored row dict itself.  WHERE
+  accepts the table's name or alias as a qualifier; projection, ORDER
+  BY, GROUP BY and aggregate arguments accept only the name the row is
+  known by (its alias, if it has one);
+* a join reads a :class:`~repro.sql.executor._JoinedRow`, a function
+  of the column that resolves it against every joined table;
+* a covering UPDATE reads a :class:`RowProbe`, which notes whether an
+  expression read a value the write then depends on.
+
+A reference that does not resolve compiles to a closure raising the
+error, so an unknown column still fails only when a row reaches it.
 
 A plan holds nothing DDL can change: schemas are immutable, and the
 choice between an index probe and a scan stays a runtime
@@ -25,15 +40,66 @@ never stored.
 from __future__ import annotations
 
 import dataclasses
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SQLError
 from repro.sql import ast, parser
-from repro.sql.expressions import Compiled, compile_expr, conjuncts, constant_value
+from repro.sql.expressions import (
+    Compiled,
+    ColumnCompiler,
+    compile_expr,
+    conjuncts,
+    constant_value,
+    lookup_column,
+    raising,
+)
 
 #: a statement's slot holds one plan per schema it ran against; a full
 #: slot is emptied, so schemas of discarded databases do not pile up
 _PLANS_PER_STATEMENT = 64
+
+#: qualifier of the columns HAVING reads its folded aggregates through;
+#: the lexer admits no ``#`` in a name, so no statement can write one
+_FOLDED = "#folded"
+
+
+class RowProbe:
+    """A row of a covering UPDATE as its WHERE and SET closures read it:
+    ``read`` turns true when one of them read a value the write then
+    depends on (the blind-write test, DESIGN §4m)."""
+
+    __slots__ = ("values", "read")
+
+    def __init__(self, values: dict):
+        self.values = values
+        self.read = False
+
+
+class Fold:
+    """GROUP BY (or a whole-table aggregate) as one pass over the rows.
+
+    A group's state is the list ``[first_row, row_count, slot, ...]``:
+    one slot per aggregate the SELECT list and HAVING name.
+    COUNT(x) counts, MIN and MAX keep the running value, and SUM and AVG
+    keep the non-NULL argument values so that the builtin ``sum`` adds
+    them exactly as before.  ``key`` maps a row to its group (None
+    without GROUP BY: one group, present even with no rows), ``steps``
+    fold one row into a state, ``outputs`` are ``((name, fn(state)),
+    ...)``, and ``having`` reads ``(output_row, state, folded)``, where
+    ``folded`` lists the values of the aggregates it names, in
+    ``having_values`` order.
+    """
+
+    __slots__ = ("key", "start", "steps", "outputs", "having", "having_values")
+
+    def __init__(self):
+        self.key: Optional[Compiled] = None
+        self.start: Callable[[Any], list] = list
+        self.steps: tuple = ()
+        self.outputs: tuple = ()
+        self.having: Optional[Compiled] = None
+        self.having_values: tuple = ()
 
 
 class Plan:
@@ -42,7 +108,6 @@ class Plan:
     __slots__ = (
         "kind",
         "pk_column",
-        "match",
         "terms",
         "where",
         "n_params",
@@ -51,7 +116,9 @@ class Plan:
         "assignments",
         "columns",
         "projection",
-        "aggregates",
+        "order",
+        "limit",
+        "fold",
         "rows",
     )
 
@@ -59,22 +126,23 @@ class Plan:
         self.kind = kind
         self.pk_column = pk_column
         self.n_params = n_params
-        #: maps an AST column to its name if it refers to the target table
-        self.match: Optional[Callable[[ast.Column], Optional[str]]] = None
         #: per WHERE conjunct: ("=", column, expr) or ("in", column, items)
         self.terms: tuple = ()
         self.where: Optional[Compiled] = None
         self.binds_subqueries = False
-        #: UPDATE: every non-pk column assigned (the blind-write test)
+        #: UPDATE: every non-pk column assigned (the blind-write test);
+        #: its WHERE and SET then read a RowProbe
         self.covers = False
         #: UPDATE: ((column, fn), ...)
         self.assignments: tuple = ()
         #: SELECT output names; projection is ((name, fn), ...) or None for *
         self.columns: tuple = ()
         self.projection: Optional[tuple] = None
-        #: aggregate SELECT: ((name, expr, fn), ...); expr is an Aggregate
-        #: or a grouped Column, fn its argument / the column, compiled
-        self.aggregates: Optional[tuple] = None
+        #: SELECT without aggregates: ((fn, descending), ...)
+        self.order: tuple = ()
+        self.limit: Optional[Compiled] = None
+        #: aggregate SELECT
+        self.fold: Optional[Fold] = None
         #: INSERT: one ((column, fn), ...) per VALUES row
         self.rows: tuple = ()
 
@@ -142,30 +210,49 @@ def build_plan(statement: Any, schema: Any) -> Plan:
     if statement.kind == "insert":
         plan.rows = tuple(
             tuple(
-                (column, compile_expr(expr))
+                (column, compile_expr(expr, _no_row))
                 for column, expr in zip(statement.columns, row)
             )
             for row in statement.rows
         )
         return plan
     where = statement.where
-    plan.match = column_matcher(schema, getattr(statement, "alias", None))
-    plan.terms = _equality_terms(where, plan.match)
-    plan.where = None if where is None else compile_expr(where)
+    match = column_matcher(schema, getattr(statement, "alias", None))
+    plan.terms = _equality_terms(where, match)
     plan.binds_subqueries = any(isinstance(n, ast.Subquery) for n in _nodes(where))
+    where_column = _where_column(match)
     if statement.kind == "update":
         assigned = {column for column, _expr in statement.assignments}
         if plan.pk_column in assigned:
             raise SQLError("updating the primary key is not supported")
         plan.covers = assigned >= schema.column_set - {plan.pk_column}
+        if plan.covers:
+            where_column = _probe_where_column(match, plan.pk_column)
+        assigned_column = _probe_column(schema.column_set)
         plan.assignments = tuple(
-            (column, compile_expr(expr)) for column, expr in statement.assignments
+            (column, compile_expr(expr, assigned_column))
+            for column, expr in statement.assignments
         )
     elif statement.kind == "select":
+        if statement.joins:
+            # a joined row resolves each reference itself
+            where_column = row_column = lookup_column
+            resolve = _unresolved
+        else:
+            base_key = statement.alias or statement.table
+            row_column = _frame_column(base_key, schema.column_set)
+            resolve = _frame_name(base_key, schema.column_set)
+        if statement.limit is not None:
+            plan.limit = compile_expr(statement.limit, _no_row)
         if statement.is_aggregate or statement.group_by:
-            _plan_aggregates(plan, statement)
-        elif statement.columns != ("*",):
-            _plan_projection(plan, statement)
+            _plan_fold(plan, statement, row_column, resolve)
+        else:
+            if statement.columns != ("*",):
+                _plan_projection(plan, statement, row_column)
+            plan.order = tuple(
+                (row_column(item.column), item.descending) for item in statement.order_by
+            )
+    plan.where = None if where is None else compile_expr(where, where_column)
     return plan
 
 
@@ -198,7 +285,118 @@ def _equality_terms(where: Optional[Any], match) -> tuple:
     return tuple(terms)
 
 
-def _plan_projection(plan: Plan, statement: ast.Select) -> None:
+# ---------------------------------------------------------------------------
+# Column hooks: how each kind of row is read
+# ---------------------------------------------------------------------------
+
+
+def _item(name: str) -> Compiled:
+    def item(row, params):
+        return row[name]
+
+    return item
+
+
+def _where_column(match) -> ColumnCompiler:
+    """WHERE on one table's row dict: the table's name or alias qualifies."""
+
+    def column(col: ast.Column) -> Compiled:
+        name = match(col)
+        if name is None:
+            return raising(f"unknown column {col.display!r}")
+        return _item(name)
+
+    return column
+
+
+def _frame_column(base_key: str, names: frozenset) -> ColumnCompiler:
+    """Projection, ORDER BY and GROUP BY on one table's row dict: only
+    the name the row is known by (``base_key``) qualifies."""
+
+    def column(col: ast.Column) -> Compiled:
+        if col.table is not None and col.table != base_key:
+            return raising(f"unknown table qualifier {col.table!r}")
+        if col.name not in names:
+            return raising(f"unknown column {col.display!r}")
+        return _item(col.name)
+
+    return column
+
+
+def _frame_name(base_key: str, names: frozenset) -> Callable[[ast.Column], Optional[str]]:
+    """The row-dict key ``_frame_column`` resolves a column to, or None
+    where it compiles an error."""
+
+    def name(col: ast.Column) -> Optional[str]:
+        if (col.table is None or col.table == base_key) and col.name in names:
+            return col.name
+        return None
+
+    return name
+
+
+def _unresolved(col: ast.Column) -> None:
+    """A join's rows resolve their columns themselves."""
+    return None
+
+
+def _no_row(col: ast.Column) -> Compiled:
+    """Expressions evaluated without a row (LIMIT, VALUES): NULL."""
+
+    def null(row, params):
+        return None
+
+    return null
+
+
+def _probe_where_column(match, pk_column: str) -> ColumnCompiler:
+    """A covering UPDATE's WHERE: a non-pk value it examines makes the
+    row a dependent read."""
+
+    def column(col: ast.Column) -> Compiled:
+        name = match(col)
+        if name is None:
+            return raising(f"unknown column {col.display!r}")
+        if name == pk_column:
+
+            def key(probe, params):
+                return probe.values[name]
+
+            return key
+
+        def value(probe, params):
+            probe.read = True
+            return probe.values[name]
+
+        return value
+
+    return column
+
+
+def _probe_column(names: frozenset) -> ColumnCompiler:
+    """UPDATE's SET: any column it reads makes the write depend on the
+    row; a qualifier is not checked."""
+
+    def column(col: ast.Column) -> Compiled:
+        name = col.name
+        if name not in names:
+            return raising(f"unknown column {col.display!r}")
+
+        def value(probe, params):
+            probe.read = True
+            return probe.values[name]
+
+        return value
+
+    return column
+
+
+# ---------------------------------------------------------------------------
+# SELECT lists
+# ---------------------------------------------------------------------------
+
+
+def _plan_projection(plan: Plan, statement: ast.Select, row_column: ColumnCompiler) -> None:
     columns = []
     for clause in statement.columns:
         if clause.alias:
@@ -209,27 +407,161 @@ def _plan_projection(plan: Plan, statement: ast.Select) -> None:
             columns.append(f"col{len(columns)}")
     plan.columns = tuple(columns)
     plan.projection = tuple(
-        (name, compile_expr(clause.expr))
+        (name, compile_expr(clause.expr, row_column))
         for name, clause in zip(columns, statement.columns)
     )
 
 
-def _plan_aggregates(plan: Plan, statement: ast.Select) -> None:
+def _plan_fold(plan: Plan, statement: ast.Select, row_column: ColumnCompiler, resolve) -> None:
     grouped_names = {col.name for col in statement.group_by}
-    specs = []
+    fold = Fold()
+    kinds: list = []  # per slot: its initial value, or list for a fresh list
+    steps: list = []
+
+    def final(expr: ast.Aggregate) -> Callable[[list], Any]:
+        return _accumulator(expr, 2 + len(kinds), row_column, kinds, steps)
+
+    outputs = []
     for i, clause in enumerate(statement.columns):
         expr = clause.expr
         if isinstance(expr, ast.Aggregate):
             name = clause.alias or f"{expr.func.lower()}{i}"
-            specs.append((name, expr, compile_expr(expr.arg)))
+            outputs.append((name, final(expr)))
         elif isinstance(expr, ast.Column):
             if expr.name not in grouped_names:
                 raise SQLError(
                     f"column {expr.display!r} must appear in GROUP BY "
                     "or be inside an aggregate"
                 )
-            specs.append((clause.alias or expr.name, expr, compile_expr(expr)))
+            outputs.append(
+                (clause.alias or expr.name, _of_first_row(expr, row_column, resolve))
+            )
         else:
             raise SQLError("projection must be a column or an aggregate here")
-    plan.columns = tuple(name for name, _expr, _fn in specs)
-    plan.aggregates = tuple(specs)
+    plan.columns = tuple(name for name, _fn in outputs)
+    fold.outputs = tuple(outputs)
+
+    if statement.group_by:
+        names = [resolve(col) for col in statement.group_by]
+        if None not in names:
+            # one column: its value; several: their tuple
+            fold.key = itemgetter(*names)
+        else:
+            keys = tuple(row_column(col) for col in statement.group_by)
+
+            def key(row):
+                values = tuple([fn(row, None) for fn in keys])
+                return values[0] if len(values) == 1 else values
+
+            fold.key = key
+
+    if statement.having is not None:
+        values: list = []
+        having = _fold_having(statement.having, final, values)
+        fold.having = compile_expr(having, _having_column(plan.columns, row_column))
+        fold.having_values = tuple(values)
+
+    fold.steps = tuple(steps)
+    initial = tuple(None if kind is list else kind for kind in kinds)
+    fresh = tuple(2 + i for i, kind in enumerate(kinds) if kind is list)
+
+    def start(row) -> list:
+        state = [row, 0, *initial]
+        for index in fresh:
+            state[index] = []
+        return state
+
+    fold.start = start
+    plan.fold = fold
+
+
+def _of_first_row(col: ast.Column, row_column: ColumnCompiler, resolve) -> Callable[[list], Any]:
+    """A grouped column's output: its value in the group's first row."""
+    name = resolve(col)
+    if name is not None:
+        return lambda state: state[0][name]
+    fn = row_column(col)
+    return lambda state: fn(state[0], None)
+
+
+def _accumulator(expr: ast.Aggregate, index: int, row_column, kinds: list, steps: list):
+    """Register the state slot ``index`` of ``expr`` (its initial value in
+    ``kinds``, its per-row step in ``steps``); returns its final value as
+    a function of the group state."""
+    func = expr.func
+    if func == "COUNT" and expr.arg is None:
+        return _row_count
+    if func not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+        raise SQLError(f"unknown aggregate {func!r}")
+    arg = compile_expr(expr.arg, row_column)
+    if func == "COUNT":
+        kinds.append(0)
+
+        def count(state, row, params):
+            if arg(row, params) is not None:
+                state[index] += 1
+
+        steps.append(count)
+        return lambda state: state[index]
+    if func in ("MIN", "MAX"):
+        kinds.append(None)
+        lower = func == "MIN"
+
+        def extreme(state, row, params):
+            value = arg(row, params)
+            if value is not None:
+                best = state[index]
+                if best is None or (value < best if lower else value > best):
+                    state[index] = value
+
+        steps.append(extreme)
+        return lambda state: state[index]
+    kinds.append(list)
+
+    def sample(state, row, params):
+        value = arg(row, params)
+        if value is not None:
+            state[index].append(value)
+
+    steps.append(sample)
+    if func == "SUM":
+        return lambda state: sum(state[index]) if state[index] else None
+    return lambda state: (
+        sum(state[index]) / len(state[index]) if state[index] else None
+    )
+
+
+def _row_count(state: list) -> int:
+    return state[1]
+
+
+def _fold_having(expr: Any, final, values: list) -> Any:
+    """HAVING with each aggregate under AND/OR/NOT/arithmetic/comparison
+    replaced by a column of the group's ``values`` (appended in tree
+    order).  An aggregate anywhere else stays, and cannot be evaluated."""
+    if isinstance(expr, ast.Aggregate):
+        values.append(final(expr))
+        return ast.Column(str(len(values) - 1), _FOLDED)
+    if isinstance(expr, ast.BinOp):
+        left = _fold_having(expr.left, final, values)
+        return ast.BinOp(expr.op, left, _fold_having(expr.right, final, values))
+    if isinstance(expr, ast.UnaryOp):
+        return ast.UnaryOp(expr.op, _fold_having(expr.operand, final, values))
+    return expr
+
+
+def _having_column(outputs: tuple, row_column: ColumnCompiler) -> ColumnCompiler:
+    """HAVING reads ``(output_row, state, folded)``: a folded aggregate,
+    an output column by name, else the group's first row."""
+
+    def column(col: ast.Column) -> Compiled:
+        if col.table == _FOLDED:
+            index = int(col.name)
+            return lambda group, params: group[2][index]
+        if col.name in outputs:
+            name = col.name
+            return lambda group, params: group[0][name]
+        fn = row_column(col)
+        return lambda group, params: fn(group[1][0], params)
+
+    return column

@@ -537,21 +537,40 @@ class Database:
     def scan(
         self, txn: Transaction, table: Table, candidates: Optional[Iterable[Any]] = None
     ) -> Iterator[tuple[Any, dict[str, Any]]]:
-        """Iterate visible rows (candidate pks, or the whole table)."""
+        """Iterate visible rows (candidate pks, or the whole table: its
+        rows in table order, then the ones this transaction inserted).
+
+        Each pk counts as examined.  Its values are the transaction's
+        own write, or the version the snapshot reads, found by walking
+        the row's version chain here rather than through a
+        :meth:`read_row` call per pk; a row read joins ``readset`` and
+        ``dependent_reads`` as :meth:`read_row` would have it.
+        """
+        name = table.name
+        heads = table.rows
+        own = {key[1]: op for key, op in txn.writes.items() if key[0] == name}
         if candidates is None:
-            pks: Iterable[Any] = list(table.rows.keys())
-            own = [
-                op.pk
-                for key, op in txn.writes.items()
-                if key[0] == table.name and key[1] not in table.rows
-            ]
+            pairs: list[tuple[Any, Optional[Version]]] = list(heads.items())
             if own:
-                pks = list(pks) + own
+                pairs += [(pk, None) for pk in own if pk not in heads]
         else:
-            pks = candidates
-        for pk in pks:
+            pairs = [(pk, heads.get(pk)) for pk in candidates]
+        snapshot = txn.snapshot_csn
+        readset = txn.readset
+        dependent = txn.dependent_reads
+        for pk, version in pairs:
             txn.rows_examined += 1
-            values = self.read_row(txn, table, pk)
+            if pk in own:
+                values = own[pk].values
+            else:
+                while version is not None and version.csn > snapshot:
+                    version = version.prev
+                if version is None or version.values is None:
+                    continue
+                values = version.values
+            key = (name, pk)
+            readset.add(key)
+            dependent.add(key)
             if values is not None:
                 yield pk, values
 

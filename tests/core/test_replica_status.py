@@ -15,6 +15,7 @@ from repro.core import ClusterConfig, SIRepCluster
 from repro.core import report as report_module
 from repro.core.cluster import build_surface
 from repro.core.protocol import ReplicaStatus
+from repro.core.srca_rep import MiddlewareReplica
 from repro.durable import DurabilityConfig, DurabilityStore
 
 REPLICA_KEYS = [
@@ -110,6 +111,28 @@ def test_per_replica_gauge_names_are_pinned():
         cluster = build(durable=durable, obs=True)
         names = [g for g in cluster.obs.registry.gauges if g.startswith("R1.")]
         assert names == [f"R1.{gauge}" for gauge in expected]
+
+
+@pytest.mark.parametrize("obs", [True, False], ids=["gauges", "no-gauges"])
+def test_one_status_record_per_replica_per_probe_and_per_metrics_call(monkeypatch, obs):
+    cluster = build(durable=True, obs=obs)
+    write(cluster, 1, 5)
+    calls = []
+    status = MiddlewareReplica.status
+
+    def counted(replica):
+        calls.append(replica.name)
+        return status(replica)
+
+    monkeypatch.setattr(MiddlewareReplica, "status", counted)
+    if obs:
+        sample = cluster.obs.registry.read_gauges()
+        assert sorted(calls) == ["R0", "R1", "R2"]
+        assert sample["R1.log_tail"] == 0 and sample["R1.log_durable_seq"] > 0
+        calls.clear()
+    # the gauge probe metrics() embeds shares its records
+    assert ("obs" in cluster.metrics()) == obs
+    assert sorted(calls) == ["R0", "R1", "R2"]
 
 
 def test_per_replica_metrics_are_the_record_by_name():

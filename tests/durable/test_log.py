@@ -718,24 +718,26 @@ def test_segment_creates_and_unlinks_reach_the_directory(tmp_path, fs):
         ("unlink", "seg-00000003.jsonl", False),
         ("fsync", "R0", False),
     ]
+    # a rebase keeps its position on disk: an empty file for the segment
+    # the next record goes to, its directory entry synced too
     log.rebase(10)
     assert fs.take() == [
         ("unlink", "seg-00000005.jsonl", False),
         ("unlink", "seg-00000007.jsonl", False),
         ("fsync", "R0", False),
+        ("create", "seg-00000011.jsonl", False),
+        ("fsync", "R0", False),
     ]
-    # a crash while a new segment's group is forcing unlinks its file
-    # and syncs that away too
+    # a crash while that segment's first group is forcing cuts the file
+    # back to empty: it stays, and with it the position
     log.append(ws(11))
     flush = log.flush(charge_free, HeldForce())
     next(flush)
     flush.close()
     log.drop_tail()
-    assert fs.take() == [
-        ("create", "seg-00000011.jsonl", False),
-        ("unlink", "seg-00000011.jsonl", False),
-        ("fsync", "R0", False),
-    ]
+    assert fs.take() == []
+    assert (directory / "seg-00000011.jsonl").read_bytes() == b""
+    assert WritesetLog("R0", segment_records=2, directory=directory).tip_seq == 10
     log.append(ws(11))
     log.append(ws(12))
     drain(log.flush(charge_free, fs.run_blocking))

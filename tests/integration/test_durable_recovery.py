@@ -565,3 +565,31 @@ def test_recover_requires_live_donor_and_crashed_target():
     cluster.crash(2)
     with pytest.raises(ValueError, match="no alive donor"):
         cluster.recover_replica(0)
+
+
+def test_a_full_state_recovery_cold_restarts_at_the_restored_position(tmp_path):
+    """A full-state install rebases the log; the rebase position must
+    survive on disk even when no record was appended above it, or a cold
+    restart places the log at seq 0, below the checkpoint it restores,
+    and asks R0 (whose log is truncated) for records it no longer has."""
+    config = DurabilityConfig(
+        log_dir=tmp_path / "wal", checkpoint_interval=0.3, segment_records=2
+    )
+    cfg = ClusterConfig(n_replicas=2, seed=1, durability=config)
+    cluster = SIRepCluster(cfg)
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(5)])
+    cluster.sim.call_at(0.3, lambda: cluster.crash(1))
+    cluster.sim.call_at(1.5, lambda: cluster.recover_replica(1, mode="full"))
+    run_updates_on_r0(cluster, range(20), until=3.0)
+    assert cluster.replicas[1].recovery.stats["mode"] == "full"
+
+    cluster = SIRepCluster.cold_restart(cfg, DurabilityStore(config))
+    r1 = cluster.replicas[1]
+    assert r1.wslog.tip_seq == r1.log.applied.top == 22
+    run_updates_on_r0(cluster, range(100, 103), until=cluster.sim.now + 2.0)
+    cluster = SIRepCluster.cold_restart(cfg, DurabilityStore(config))
+    assert set(all_states(cluster).values()) == {
+        tuple((k, 100 + k if k < 3 else 15 + k) for k in range(5))
+    }
+    cluster.stop()

@@ -1,8 +1,9 @@
 """Differential fuzzing: the SQL executor vs a naive Python oracle.
 
 Random single-table queries (predicates, projection, order, limit,
-aggregates) run both through the engine and through a direct Python
-evaluation over the same rows; results must match exactly.
+aggregates, GROUP BY with HAVING) run both through the engine and
+through a direct Python evaluation over the same rows; results must
+match exactly.
 """
 
 import random
@@ -17,7 +18,7 @@ from repro.testing import query, run_txn
 N_ROWS = 40
 
 
-def build_db(seed):
+def build_db(seed, null_vals=False):
     sim = Simulator(seed=seed)
     db = Database(sim, name="fuzz")
     db.run_ddl(
@@ -29,7 +30,7 @@ def build_db(seed):
         {
             "id": i,
             "grp": rng.randint(0, 5),
-            "val": rng.randint(-50, 50),
+            "val": None if null_vals and rng.random() < 0.2 else rng.randint(-50, 50),
             "name": rng.choice(["ant", "bee", "cat", "dog", None]),
         }
         for i in range(1, N_ROWS + 1)
@@ -139,4 +140,73 @@ def test_update_then_read_matches_oracle(seed, key, value):
         {"id": r["id"], "val": value if r["id"] == key else r["val"]}
         for r in rows
     ]
+    assert got == expected
+
+
+#: HAVING clause -> the same test over one oracle output row
+HAVING = [
+    (None, lambda row: True),
+    ("COUNT(*) >= 3", lambda row: row["n"] >= 3),
+    ("SUM(val) > 10", lambda row: row["s"] is not None and row["s"] > 10),
+    ("MAX(val) - MIN(val) >= 20", lambda row: row["hi"] is not None and row["hi"] - row["lo"] >= 20),
+    ("AVG(val) < 0 OR COUNT(val) = 0", lambda row: row["cv"] == 0 or row["a"] < 0),
+    ("NOT (cv = n)", lambda row: row["cv"] != row["n"]),
+]
+AGGREGATE_OUTPUTS = ("n", "cv", "s", "lo", "hi", "a")
+
+
+def _sort_key(value):
+    # NULLs sort last ascending, first descending
+    return (value is None, type(value).__name__, value if value is not None else 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    column=st.sampled_from(["grp", "name"]),
+    cut=st.integers(0, N_ROWS),
+    having=st.integers(0, len(HAVING) - 1),
+    order=st.sampled_from(AGGREGATE_OUTPUTS),
+    descending=st.booleans(),
+    limit=st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_group_by_having_order_limit_matches_oracle(
+    seed, column, cut, having, order, descending, limit
+):
+    sim, db, rows = build_db(seed, null_vals=True)
+    having_sql, keep = HAVING[having]
+    sql = (
+        f"SELECT {column}, COUNT(*) AS n, COUNT(val) AS cv, SUM(val) AS s, "
+        f"MIN(val) AS lo, MAX(val) AS hi, AVG(val) AS a FROM t WHERE id > {cut} "
+        f"GROUP BY {column}"
+    )
+    if having_sql:
+        sql += f" HAVING {having_sql}"
+    sql += f" ORDER BY {order}" + (" DESC" if descending else "") + f", {column}"
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    got = query(sim, db, sql)
+
+    groups: dict = {}
+    for r in rows:
+        if r["id"] > cut:
+            groups.setdefault(r[column], []).append(r)
+    expected = []
+    for key, members in groups.items():
+        vals = [m["val"] for m in members if m["val"] is not None]
+        row = {
+            column: key,
+            "n": len(members),
+            "cv": len(vals),
+            "s": sum(vals) if vals else None,
+            "lo": min(vals) if vals else None,
+            "hi": max(vals) if vals else None,
+            "a": sum(vals) / len(vals) if vals else None,
+        }
+        if keep(row):
+            expected.append(row)
+    expected.sort(key=lambda r: _sort_key(r[column]))
+    expected.sort(key=lambda r: _sort_key(r[order]), reverse=descending)
+    if limit is not None:
+        expected = expected[:limit]
     assert got == expected

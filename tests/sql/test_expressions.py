@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SQLError
 from repro.sql import ast
-from repro.sql.expressions import conjuncts, constant_value, evaluate
+from repro.sql.expressions import compile_expr, conjuncts, constant_value
 from repro.sql.parser import parse
 from repro.sql.plan import build_plan
 from repro.storage.catalog import ColumnDef, TableSchema
@@ -31,7 +31,7 @@ def ev(sql_where, row=None, params=()):
             raise SQLError(f"unknown {col.name}")
         return row[col.name]
 
-    return evaluate(where_of(sql_where), lookup, params)
+    return compile_expr(where_of(sql_where))(lookup, params)
 
 
 def test_arithmetic():
