@@ -314,7 +314,7 @@ class SIRepCluster:
         self._cold_start = cold_start
         self.stability: Optional[StabilityTracker] = None
         if self.durable_store is not None:
-            self.stability = StabilityTracker(self.durable_store.config.truncation)
+            self.stability = StabilityTracker()
             self.bus.stability = self.stability
         # the contention estimate, the bus gauges and ``self.monitor``
         report.attach(self)

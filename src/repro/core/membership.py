@@ -159,7 +159,7 @@ def level_after_cold_restart(cluster) -> None:
         if best is None:
             continue
         if not status.can_replay:
-            replica.recovery.install_state(best.recovery.full_state())
+            replica.recovery.install(best.recovery.transfer(None))
         elif status.log_tip_seq < best_status.log_tip_seq:
             replica.log.catch_up(best.wslog.records_after(status.log_tip_seq))
         # gids issued from here on must not repeat an earlier life's
@@ -219,7 +219,7 @@ def _join_reader(reader: ReadReplica, donor: MiddlewareReplica) -> None:
     if wslog is not None and wslog.can_serve_from(0):
         reader.join_from_log(wslog.records_after(0))
     else:
-        reader.join_from_state(donor.recovery.full_state())
+        reader.join_from_state(donor.recovery.transfer(None))
 
 
 def crash_reader(cluster, index: int) -> None:

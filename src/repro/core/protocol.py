@@ -137,54 +137,35 @@ class ProcResp:
 
 
 @dataclass(frozen=True)
-class StateTransfer:
-    """Recovery payload a donor ships to a recovering replica (§5.4 /
-    §8's online-recovery extension): everything needed to resume
-    validation and transaction processing from the sync point."""
+class Transfer:
+    """What a donor ships a recovering or joining replica (§5.4 / §8's
+    online recovery): the log records it missed, ``(from_seq, donor
+    tip]``, over a state ``image`` (a :class:`~repro.durable.checkpoint.Checkpoint`).
+
+    Three shapes.  A delta (``image`` None) rests on the joiner's own
+    durable log below ``from_seq``.  When the donor's log no longer
+    reaches back that far (truncated), ``image`` is the donor's newest
+    checkpoint and ``from_seq`` its seq.  A full transfer has
+    ``from_seq`` None, as a :class:`SyncMessage` asking for one has: no
+    records, the donor's whole state as ``image`` at its log tip, and
+    ``pending``, the certified writesets still in the donor's to-commit
+    queue.  ``outcomes`` are the donor's in-doubt outcomes that
+    ``image`` does not carry already.  A delta's size is proportional to
+    downtime, not database size (§8).
+    """
 
     donor: str
-    ddl: tuple[str, ...]
-    rows: dict  # table -> list of committed row dicts
-    certifier: Any  # Certifier clone
+    from_seq: Optional[int]  # records start strictly after this
+    records: tuple  # LogRecords, ascending seq
+    image: Any  # Checkpoint, or None for a pure delta
     pending: tuple  # WsRecords still in the donor's to-commit queue
     outcomes: dict  # gid -> committed/aborted (for in-doubt inquiries)
-    #: donor's writeset-log tip at the sync point, so a durable rejoiner
-    #: can realign (rebase) its own log after a full-state install
-    log_seq: int = 0
-    #: donor's engine csn, captured with ``rows``: the joiner's engine
-    #: resumes from it, so its csn keeps counting certified commits
-    #: (a session token names a certification tid)
-    csn: int = 0
 
     def nbytes(self) -> int:
         """Approximate transfer size (recovery accounting / benchmarks)."""
-        import json
-
-        return len(json.dumps({
-            "ddl": list(self.ddl),
-            "rows": self.rows,
-            "tid": getattr(self.certifier, "last_validated_tid", 0),
-            "outcomes": self.outcomes,
-        }))
-
-
-@dataclass(frozen=True)
-class DeltaTransfer:
-    """Delta catch-up payload: only the log records the rejoiner missed,
-    ``(from_seq, donor tip]``, plus — when the donor's log no longer
-    reaches back to ``from_seq`` (truncated) — a checkpoint to restart
-    replay from.  Proportional to downtime, not database size (§8)."""
-
-    donor: str
-    from_seq: int  # records start strictly after this sequence
-    records: tuple  # LogRecords, ascending seq
-    outcomes: dict  # gid -> committed/aborted (for in-doubt inquiries)
-    checkpoint: Any = None  # Checkpoint, when the delta alone is not enough
-
-    def nbytes(self) -> int:
         size = sum(record.nbytes for record in self.records)
-        if self.checkpoint is not None:
-            size += self.checkpoint.nbytes
+        if self.image is not None:
+            size += self.image.nbytes
         return size
 
 

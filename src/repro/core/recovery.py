@@ -3,12 +3,14 @@
 :class:`Recovery` is the handshake, both sides: a joiner installs a
 donor's state at a total-order point, and a donor captures and ships it
 (:meth:`Recovery.transfer` is the one choice between a delta and a full
-state).  A replica rebuilds from its own durable state — its newest
-checkpoint plus the writeset log above it — and asks a donor only for
-what that state lacks.  :class:`ReplicaLog` owns what that rests on:
-the records Fig. 4's validation stage appends, the group flush,
-checkpoints and truncation, local replay, and installing a delta.  A
-replica has one only when it logs.
+state, and :meth:`Recovery.install` the one way a transfer goes in).
+Every state image is a :class:`Checkpoint`: a replica's own, a donor's,
+or a donor's full state.  A replica rebuilds from its own durable state
+— its newest checkpoint plus the writeset log above it — and asks a
+donor only for what that state lacks.  :class:`ReplicaLog` owns what
+that rests on: the records Fig. 4's validation stage appends, the group
+flush, checkpoints and truncation, and replay.  A replica has one only
+when it logs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Generator, Optional
 
 from repro.core import protocol
 from repro.core.tocommit import Entry
-from repro.core.validation import Prefix
+from repro.core.validation import Certifier, Prefix
 from repro.durable import log as durable_log
 from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
@@ -27,13 +29,11 @@ from repro.gcs import Batch, Message, ViewChange
 from repro.net.network import ChannelClosed
 from repro.sim import Gate, wait_until
 
-TRANSFERS = (protocol.StateTransfer, protocol.DeltaTransfer)
-
 
 class ReplicaLog:
-    """One replica's writeset log, checkpoints, replay and delta
-    installs; ``replica`` is the :class:`MiddlewareReplica` whose
-    engine, certifier and outcomes they rebuild."""
+    """One replica's writeset log, checkpoints and replay; ``replica``
+    is the :class:`MiddlewareReplica` whose engine, certifier and
+    outcomes they rebuild."""
 
     def __init__(self, replica, durable: ReplicaDurability):
         self.replica = replica
@@ -45,7 +45,7 @@ class ReplicaLog:
         self.applied = Prefix()
         self.seq_of_gid: dict[str, int] = {}
         self.flush_gate = Gate(name=f"{replica.name}.log-flush")
-        #: what a restored checkpoint already covers: records at or below
+        #: what a restored image already covers: records at or below
         #: ``_cert_floor`` (its log tip) went through its certifier, and
         #: the ws seqs in ``_skip`` are in its row images
         self._cert_floor = 0
@@ -135,13 +135,7 @@ class ReplicaLog:
     def take_checkpoint(self) -> Checkpoint:
         """Snapshot the engine at the applied log prefix (atomic)."""
         replica = self.replica
-        db = replica.db
-        checkpoint = Checkpoint.capture(
-            seq=self.applied.top, cert_seq=self.wslog.tip_seq,
-            applied_beyond=self.applied.beyond,
-            csn=db.csn, ddl=db.ddl_log, rows=db.export_committed(),
-            certifier=replica.validation.certifier, outcomes=replica.in_doubt.outcomes,
-        )
+        checkpoint = replica.recovery.image(self.applied.top, self.applied.beyond)
         self.checkpoints.save(checkpoint)
         replica._emit(
             "checkpoint", seq=checkpoint.seq, csn=checkpoint.csn, nbytes=checkpoint.nbytes
@@ -169,23 +163,21 @@ class ReplicaLog:
 
     # ----------------------------------------------------------------- replay
 
-    def rebase(self, seq: int) -> None:
-        """Our log below ``seq`` is superseded by row images (a full
-        state, a donor's checkpoint): realign it so future appends stay
-        seq-aligned with the cluster."""
-        self.wslog.rebase(seq)
-        self.applied = Prefix(seq)
+    def rebase(self, image: Checkpoint) -> None:
+        """Our log below ``image.seq`` is superseded by a donor's row
+        images (its full state or its checkpoint): realign it so future
+        appends stay seq-aligned with the cluster."""
+        self.wslog.rebase(image.seq)
+        self.resume_at(image)
 
-    def _restore_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Load a checkpoint; replay continues above ``checkpoint.seq``.
-        The checkpointed window was pruned up to its floor; replayed
-        records all sit above it (floor <= stable tid <= any logged
-        suffix), so the restored state stays decision-identical."""
-        replica = self.replica
-        replica.recovery.restore(checkpoint, checkpoint.certifier(replica.salvage))
-        self.applied = Prefix(checkpoint.seq, checkpoint.applied_beyond)
-        self._cert_floor = checkpoint.cert_seq
-        self._skip = frozenset(checkpoint.applied_beyond)
+    def resume_at(self, image: Checkpoint) -> None:
+        """Replay continues above a restored ``image``.  Its certifier
+        window was pruned up to its floor; replayed records all sit
+        above it (floor <= stable tid <= any logged suffix), so the
+        restored state stays decision-identical."""
+        self.applied = Prefix(image.seq, image.applied_beyond)
+        self._cert_floor = image.cert_seq
+        self._skip = frozenset(image.applied_beyond)
 
     def _replay_record(self, record: LogRecord) -> None:
         """Re-apply one log record, minus what a restored checkpoint
@@ -206,7 +198,7 @@ class ReplicaLog:
         replica.in_doubt.note({record.gid: protocol.COMMITTED})
         self.applied.mark(record.seq)
 
-    def _replay(self, records, append=None) -> int:
+    def replay(self, records, append=None) -> int:
         """The one replay loop.  Records from our own log just replay;
         with ``append``, records at or below our tip are skipped (we
         already hold them) and the rest are logged by ``append`` first.
@@ -227,9 +219,10 @@ class ReplicaLog:
         checkpoint = self.checkpoints.latest()
         start = 0
         if checkpoint is not None:
-            self._restore_checkpoint(checkpoint)
+            self.replica.recovery.restore(checkpoint)
+            self.resume_at(checkpoint)
             start = checkpoint.seq
-        self._replay(self.wslog.records_after(start))
+        self.replay(self.wslog.records_after(start))
         return start
 
     def cold_start(self) -> None:
@@ -250,41 +243,7 @@ class ReplicaLog:
         """Append-and-replay records beyond our tip (cold-restart leveling
         from a peer whose log reaches further).  Bootstrap path: records
         go down write-through, like genesis records."""
-        return self._replay(records, self.wslog.append_durable)
-
-    def install_delta(self, delta: protocol.DeltaTransfer) -> dict:
-        """Recovering side: local replay + the shipped tail; returns the
-        recovery stats.
-
-        With no checkpoint in the transfer, our state below
-        ``delta.from_seq`` comes from our *own* durable log — real
-        replayable transactions — and the donor contributes only the
-        records we missed, so the whole history stays auditable.
-        """
-        replica = self.replica
-        checkpoint = delta.checkpoint
-        if checkpoint is None:
-            self.replay_local()
-        else:
-            # our log was outrun by truncation: restart from the donor's
-            # checkpoint instead of our own prefix
-            self.rebase(checkpoint.seq)
-            self.checkpoints.save(checkpoint)
-            self._restore_checkpoint(checkpoint)
-        transferred = self._replay(delta.records, self.wslog.append)
-        self.flush_gate.notify_all()
-        replica.in_doubt.note(delta.outcomes)
-        nbytes = delta.nbytes()
-        replica._emit(
-            "recovery_delta_installed", donor=delta.donor, from_seq=delta.from_seq,
-            records=transferred, nbytes=nbytes, checkpoint=checkpoint is not None,
-            incarnation=replica.incarnation,
-        )
-        replica._count("recovery.delta_records", transferred)
-        return dict(
-            mode="delta", donor=delta.donor, from_seq=delta.from_seq,
-            records=transferred, bytes=nbytes, checkpoint=checkpoint is not None,
-        )
+        return self.replay(records, self.wslog.append_durable)
 
 
 class Recovery:
@@ -346,17 +305,14 @@ class Recovery:
             )
         while True:
             item = yield replica.member.deliver()
-            if isinstance(item, TRANSFERS):
+            if isinstance(item, protocol.Transfer):
                 if awaiting_state and item.donor == donor:
                     if span is not None:
                         tracer.record(
                             "transfer_wait", trace_id, start=phase_started,
                             end=replica.sim.now, parent=span.span_id, replica=replica.name,
                         )
-                    if isinstance(item, protocol.DeltaTransfer):
-                        self.stats = replica.log.install_delta(item)
-                    else:
-                        self.install_state(item)
+                    self.install(item)
                     self._finish()
                     if span is not None:
                         tracer.record(
@@ -407,34 +363,71 @@ class Recovery:
                 buffered.append(item)
             # else: ordered before the sync point — in the donor snapshot
 
-    def restore(self, image, certifier) -> None:
-        """The one restore of a state image, a checkpoint or a full state
-        transfer: engine rows and DDL, certifier and outcomes.  Its
-        history is row images, not transactions, so this incarnation
-        leaves the offline audit."""
+    def restore(self, image: Checkpoint) -> None:
+        """The one restore of a state image: engine rows and DDL,
+        certifier (its salvage mode ours) and outcomes.  Its history is
+        row images, not transactions, so this incarnation leaves the
+        offline audit."""
         replica = self.replica
         replica.db.install_snapshot(image.ddl, image.rows, image.csn)
+        certifier = Certifier.from_wire(image.certifier_state)
+        certifier.salvage = replica.salvage
         replica.validation.certifier = certifier
         replica.in_doubt.note(image.outcomes)
         self.audit_complete = False
 
-    def install_state(self, state: protocol.StateTransfer) -> None:
-        """Install a donor's whole state — a full-state recovery, or the
-        cold-restart leveling of a replica whose own state cannot replay."""
-        replica = self.replica
-        self.restore(state, state.certifier)
-        if replica.log is not None:
-            replica.log.rebase(state.log_seq)
-        for record in state.pending:
+    def install(self, transfer: protocol.Transfer) -> None:
+        """Install a donor's transfer and set our recovery stats: a full
+        or delta recovery, or the cold-restart leveling of a replica
+        whose own state cannot replay (a full transfer).
+
+        A delta without an image rests on our *own* durable log below
+        ``from_seq`` — real replayable transactions — and the donor
+        contributes only the records we missed, so the whole history
+        stays auditable.  An image replaces our log below its seq.  A
+        donor's checkpoint (our log was outrun by truncation) becomes
+        our own restart point; a full image does not, since its pending
+        writesets, which enter through the to-commit queue, are not in
+        its rows.
+        """
+        replica, log, image = self.replica, self.replica.log, transfer.image
+        full = transfer.from_seq is None
+        if image is None:
+            log.replay_local()
+        else:
+            self.restore(image)
+            if log is not None:
+                log.rebase(image)
+                if not full:
+                    log.checkpoints.save(image)
+        for record in transfer.pending:
             replica.manager.enqueue(Entry(record, local_txn=None))
+        transferred = 0
+        if not full:
+            transferred = log.replay(transfer.records, log.wslog.append)
+            log.flush_gate.notify_all()
+        replica.in_doubt.note(transfer.outcomes)
+        nbytes = transfer.nbytes()
+        if full:
+            replica._emit(
+                "recovery_state_installed", donor=transfer.donor,
+                pending=len(transfer.pending), incarnation=replica.incarnation,
+            )
+            self.stats = dict(
+                mode="full", donor=transfer.donor, from_seq=image.seq,
+                records=sum(len(rows) for rows in image.rows.values()),
+                bytes=nbytes, checkpoint=False,
+            )
+            return
         replica._emit(
-            "recovery_state_installed", donor=state.donor,
-            pending=len(state.pending), incarnation=replica.incarnation,
+            "recovery_delta_installed", donor=transfer.donor, from_seq=transfer.from_seq,
+            records=transferred, nbytes=nbytes, checkpoint=image is not None,
+            incarnation=replica.incarnation,
         )
+        replica._count("recovery.delta_records", transferred)
         self.stats = dict(
-            mode="full", donor=state.donor, from_seq=state.log_seq,
-            records=sum(len(rows) for rows in state.rows.values()),
-            bytes=state.nbytes(), checkpoint=False,
+            mode="delta", donor=transfer.donor, from_seq=transfer.from_seq,
+            records=transferred, bytes=nbytes, checkpoint=image is not None,
         )
 
     def _finish(self) -> None:
@@ -473,69 +466,76 @@ class Recovery:
         target = sync.target
         if sync.donor != replica.name or target == replica.name:
             return
-        state = self.transfer(sync.from_seq)
-        if isinstance(state, protocol.DeltaTransfer):
+        transfer = self.transfer(sync.from_seq)
+        if transfer.from_seq is None:
             replica._emit(
-                "recovery_delta_sent", target=target, from_seq=state.from_seq,
-                records=len(state.records), nbytes=state.nbytes(),
-                checkpoint=state.checkpoint is not None,
+                "recovery_state_sent", target=target,
+                pending=len(transfer.pending), ddl=len(transfer.image.ddl),
             )
         else:
             replica._emit(
-                "recovery_state_sent", target=target,
-                pending=len(state.pending), ddl=len(state.ddl),
+                "recovery_delta_sent", target=target, from_seq=transfer.from_seq,
+                records=len(transfer.records), nbytes=transfer.nbytes(),
+                checkpoint=transfer.image is not None,
             )
         replica.sim.spawn(
-            self._send_state(target, state), name=f"{replica.name}.state-transfer",
+            self._send_state(target, transfer), name=f"{replica.name}.state-transfer",
             daemon=True,
         )
 
-    def transfer(self, from_seq: Optional[int]):
+    def transfer(self, from_seq: Optional[int]) -> protocol.Transfer:
         """The one choice between a delta and a full state.  A marker's
         ``from_seq`` (the joiner's log tip) asks for our log above it; if
         truncation already dropped that range, our newest checkpoint
         plus the log above *it*; with neither, or no ``from_seq``, our
-        full state."""
+        full state: the image at our log tip plus our to-commit queue."""
         replica, log = self.replica, self.replica.log
-        checkpoint = None
+        image = None
         if from_seq is not None and not log.wslog.can_serve_from(from_seq):
             if log.can_replay():
-                checkpoint = log.checkpoints.latest()
-                from_seq = checkpoint.seq
+                image = log.checkpoints.latest()
+                from_seq = image.seq
             else:
                 from_seq = None
+        outcomes = replica.in_doubt.outcomes
         if from_seq is None:
-            return self.full_state()
-        return protocol.DeltaTransfer(
-            donor=replica.name,
-            from_seq=from_seq,
+            return protocol.Transfer(
+                donor=replica.name, from_seq=None, records=(), image=self.image(),
+                pending=tuple(entry.record for entry in replica.manager.queue),
+                outcomes={},
+            )
+        if image is not None:
+            outcomes = {
+                gid: outcome for gid, outcome in outcomes.items()
+                if image.outcomes.get(gid) != outcome
+            }
+        return protocol.Transfer(
+            donor=replica.name, from_seq=from_seq,
             records=tuple(log.wslog.records_after(from_seq)),
-            outcomes=dict(replica.in_doubt.outcomes),
-            checkpoint=checkpoint,
+            image=image, pending=(), outcomes=dict(outcomes),
         )
 
-    def full_state(self) -> protocol.StateTransfer:
-        """Our whole state, captured atomically (no yields): what a
-        full-state joiner or a snapshot-joined reader installs."""
+    def image(self, seq: Optional[int] = None, applied_beyond=()) -> Checkpoint:
+        """Our state at applied log position ``seq``, captured atomically
+        (no yields): a checkpoint, or without ``seq`` the full image at
+        our log tip (0 without a log) that a joiner or a snapshot-joined
+        reader installs."""
         replica = self.replica
-        db = replica.db
-        return protocol.StateTransfer(
-            donor=replica.name,
-            ddl=tuple(db.ddl_log),
-            rows=db.export_committed(),
-            certifier=replica.validation.certifier.clone(),
-            pending=tuple(entry.record for entry in replica.manager.queue),
-            outcomes=dict(replica.in_doubt.outcomes),
-            log_seq=replica.wslog.tip_seq if replica.wslog is not None else 0,
-            csn=db.csn,
+        db, wslog = replica.db, replica.wslog
+        tip = wslog.tip_seq if wslog is not None else 0
+        return Checkpoint.capture(
+            seq=tip if seq is None else seq, cert_seq=tip,
+            applied_beyond=applied_beyond, csn=db.csn, ddl=db.ddl_log,
+            rows=db.export_committed(), certifier=replica.validation.certifier,
+            outcomes=replica.in_doubt.outcomes,
         )
 
-    def _send_state(self, target: str, state) -> Generator[Any, Any, None]:
+    def _send_state(self, target: str, transfer) -> Generator[Any, Any, None]:
         replica = self.replica
         try:
             channel = replica.host.network.connect(replica.host, target)
         except ChannelClosed:
             return  # recovering replica died again; a later attempt will retry
-        channel.client_end.send(state)
+        channel.client_end.send(transfer)
         yield replica.sim.sleep(0.0)
         channel.close()

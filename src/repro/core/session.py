@@ -166,7 +166,7 @@ def session_loop(server, chan) -> Generator[Any, Any, None]:
             except ChannelClosed:
                 _abort_open(server, session, "lost-session")
                 return
-            if isinstance(request, (protocol.StateTransfer, protocol.DeltaTransfer)):
+            if isinstance(request, protocol.Transfer):
                 # inbound recovery state from a donor, not a client
                 server._accept_transfer(request)
                 return

@@ -21,7 +21,7 @@ import itertools
 from typing import Any, Generator, Optional
 
 from repro.core import protocol
-from repro.core.recovery import TRANSFERS, Recovery, ReplicaLog
+from repro.core.recovery import Recovery, ReplicaLog
 from repro.core.replica import ReplicaManager, ReplicaNode
 from repro.core.session import (
     InDoubt,
@@ -705,7 +705,7 @@ class MiddlewareReplica:
             if isinstance(item, ViewChange):
                 self._on_view_change(item)
                 continue
-            if isinstance(item, TRANSFERS):
+            if isinstance(item, protocol.Transfer):
                 continue  # late transfer from an abandoned donor
             handle(item)
 

@@ -163,18 +163,6 @@ class Certifier:
         """Keys whose last certified write was a DELETE (read only)."""
         return self._deleted
 
-    @classmethod
-    def resume(cls, salvage: bool, tid: int, last_writers: dict,
-               tombstones, floor: int) -> "Certifier":
-        """A certifier at a captured decision state (a checkpoint's):
-        ``tid`` validated passes, pruned up to ``floor``."""
-        certifier = cls(salvage=salvage)
-        certifier.last_validated_tid = certifier.validated = tid
-        certifier._last_writer = dict(last_writers)
-        certifier._deleted = set(tombstones)
-        certifier.floor = floor
-        return certifier
-
     @property
     def decisions(self) -> int:
         return self.validated + self.rejected
@@ -208,34 +196,32 @@ class Certifier:
         self.gc_collected += len(dead)
         return len(dead)
 
-    #: everything :meth:`clone` copies, in :meth:`to_wire` order
+    #: the decision state, in :meth:`to_wire` order
     _STATE = (
         "salvage", "last_validated_tid", "_last_writer", "_deleted",
         "floor", "validated", "rejected", "salvaged", "salvage_rejects",
         "gc_runs", "gc_collected", "floor_aborts",
     )
 
-    def clone(self) -> "Certifier":
-        """Snapshot for recovery state transfer: a recovering replica
-        resumes certification from the donor's exact decision state —
-        including the tombstone set, salvage mode, the GC floor, and the
-        decision counters, so its future salvage decisions AND its
-        reported certification metrics match the donor's (a joiner that
-        zeroed ``validated``/``rejected`` would diverge from every peer's
-        monitoring surface)."""
-        return Certifier.from_wire(self.to_wire())
-
     def to_wire(self) -> tuple:
-        """The decision state as builtins (the wire codec's form)."""
-        return tuple(getattr(self, name) for name in self._STATE)
+        """The whole decision state as JSON-ready builtins — the tombstone
+        set, salvage mode, GC floor and decision counters included — in
+        the one form both the wire codec and a checkpoint image carry:
+        last writers as ``[table, pk, tid]`` lists, tombstones as sorted
+        ``[table, pk]`` lists.  A replica restored from it decides and
+        reports exactly as the one that captured it."""
+        state = [getattr(self, name) for name in self._STATE]
+        state[2] = [[table, pk, tid] for (table, pk), tid in self._last_writer.items()]
+        state[3] = [[table, pk] for table, pk in sorted(self._deleted, key=repr)]
+        return tuple(state)
 
     @classmethod
-    def from_wire(cls, state: tuple) -> "Certifier":
+    def from_wire(cls, state) -> "Certifier":
         other = cls()
         for name, value in zip(cls._STATE, state, strict=True):
             setattr(other, name, value)
-        other._last_writer = dict(other._last_writer)
-        other._deleted = set(other._deleted)
+        other._last_writer = {(table, pk): tid for table, pk, tid in other._last_writer}
+        other._deleted = {(table, pk) for table, pk in other._deleted}
         return other
 
 

@@ -1,14 +1,19 @@
-"""Checkpoints: storage-engine snapshots that bound log replay.
+"""Checkpoints: the one image of a replica's state at a log position.
 
 A checkpoint captures, atomically, everything a replica needs to resume
 from log position ``seq`` without replaying the records at or below it:
-the committed row images at that point, the DDL already applied, and the
-certifier decision state.  ``applied_beyond`` lists records *above*
-``seq`` whose writesets are already installed (the replica applies
-certified writesets out of log order when they don't conflict), so
-replay after restore can skip re-installing them; ``cert_seq`` is the
-log tip at capture time — every record at or below it has already gone
-through the certifier whose state the checkpoint carries.
+the committed row images at that point, the DDL already applied, the
+certifier decision state and the in-doubt outcomes.  ``applied_beyond``
+lists records *above* ``seq`` whose writesets are already installed (the
+replica applies certified writesets out of log order when they don't
+conflict), so replay after restore can skip re-installing them;
+``cert_seq`` is the log tip at capture time — every record at or below
+it has already gone through the certifier whose state the checkpoint
+carries.
+
+The same image is what a donor ships for a full-state recovery, a
+cold-restart leveling or a reader's snapshot join: captured at its log
+tip (0 without a log), with nothing applied beyond it.
 """
 
 from __future__ import annotations
@@ -32,55 +37,43 @@ class Checkpoint:
     csn: int  # storage engine commit sequence number
     ddl: tuple  # CREATE statements applied, in order
     rows: dict  # table -> list of latest committed row dicts
-    cert_tid: int  # certifier.last_validated_tid
-    cert_last_writer: dict  # (table, pk) -> tid
+    #: the certifier's decision state, ``Certifier.to_wire()``; a
+    #: restore takes salvage from its own replica's config
+    certifier_state: tuple
     outcomes: dict  # gid -> committed/aborted (in-doubt inquiries)
+    #: approximate size: the JSON of ddl, rows, tid and outcomes
     nbytes: int
-    #: certifier tombstones ((table, pk) whose last certified write was a
-    #: DELETE) — restored so future salvage decisions stay deterministic
-    #: across the checkpoint boundary
-    cert_deleted: tuple = ()
-    #: certifier window-GC truncation point at capture:
-    #: ``cert_last_writer`` carries no entries with tid <= this, and a
-    #: restore must carry it so the rebuilt certifier's conservative
-    #: floor guard matches the capturing replica's
-    cert_floor: int = 0
 
     @classmethod
     def capture(cls, *, seq: int, cert_seq: int, applied_beyond, csn: int,
                 ddl, rows: dict, certifier, outcomes: dict) -> "Checkpoint":
         """Snapshot the inputs; ``certifier`` is a
-        :class:`~repro.core.validation.Certifier`, and :meth:`certifier`
-        is the way back."""
+        :class:`~repro.core.validation.Certifier`, and
+        ``Certifier.from_wire(checkpoint.certifier_state)`` is the way
+        back."""
         rows = {table: [dict(r) for r in rs] for table, rs in rows.items()}
+        ddl = tuple(ddl)
+        outcomes = dict(outcomes)
         nbytes = len(json.dumps({
-            "seq": seq, "csn": csn, "ddl": list(ddl),
-            "rows": rows, "tid": certifier.last_validated_tid,
+            "ddl": list(ddl), "rows": rows,
+            "tid": certifier.last_validated_tid, "outcomes": outcomes,
         }))
         return cls(
             seq=seq,
             cert_seq=cert_seq,
             applied_beyond=tuple(sorted(applied_beyond)),
             csn=csn,
-            ddl=tuple(ddl),
+            ddl=ddl,
             rows=rows,
-            cert_tid=certifier.last_validated_tid,
-            cert_last_writer=dict(certifier.last_writers),
-            outcomes=dict(outcomes),
+            certifier_state=certifier.to_wire(),
+            outcomes=outcomes,
             nbytes=nbytes,
-            cert_deleted=tuple(sorted(certifier.tombstones, key=repr)),
-            cert_floor=certifier.floor,
         )
 
-    def certifier(self, salvage: bool):
-        """A fresh certifier in the decision state captured here."""
-        # repro.core imports this module: import on use
-        from repro.core.validation import Certifier
-
-        return Certifier.resume(
-            salvage, self.cert_tid, self.cert_last_writer,
-            self.cert_deleted, self.cert_floor,
-        )
+    @property
+    def tid(self) -> int:
+        """The captured certifier's last validated tid."""
+        return self.certifier_state[1]  # Certifier.to_wire() order
 
     def to_json(self) -> dict:
         return {
@@ -90,20 +83,28 @@ class Checkpoint:
             "csn": self.csn,
             "ddl": list(self.ddl),
             "rows": self.rows,
-            "cert_tid": self.cert_tid,
-            # (table, pk) tuple keys flattened for JSON
-            "cert_last_writer": [
-                [table, pk, tid]
-                for (table, pk), tid in self.cert_last_writer.items()
-            ],
+            "certifier": list(self.certifier_state),
             "outcomes": self.outcomes,
             "nbytes": self.nbytes,
-            "cert_deleted": [[table, pk] for table, pk in self.cert_deleted],
-            "cert_floor": self.cert_floor,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Checkpoint":
+        if "cert_tid" in data:
+            # written before images carried Certifier.to_wire(): a
+            # flattened certifier that restores with validated = tid and
+            # every other counter 0
+            from repro.core.validation import Certifier  # repro.core imports us
+
+            tid = data["cert_tid"]
+            state = {
+                **dict.fromkeys(Certifier._STATE, 0),
+                "salvage": False, "last_validated_tid": tid, "validated": tid,
+                "_last_writer": data["cert_last_writer"],
+                "_deleted": data.get("cert_deleted", []),
+                "floor": data.get("cert_floor", 0),
+            }
+            data = {**data, "certifier": [state[name] for name in Certifier._STATE]}
         return cls(
             seq=data["seq"],
             cert_seq=data["cert_seq"],
@@ -111,17 +112,9 @@ class Checkpoint:
             csn=data["csn"],
             ddl=tuple(data["ddl"]),
             rows=data["rows"],
-            cert_tid=data["cert_tid"],
-            cert_last_writer={
-                (table, pk): tid
-                for table, pk, tid in data["cert_last_writer"]
-            },
+            certifier_state=tuple(data["certifier"]),
             outcomes=dict(data["outcomes"]),
             nbytes=data["nbytes"],
-            cert_deleted=tuple(
-                (table, pk) for table, pk in data.get("cert_deleted", ())
-            ),
-            cert_floor=data.get("cert_floor", 0),
         )
 
 

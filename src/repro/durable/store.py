@@ -18,7 +18,6 @@ from typing import Optional, Union
 
 from repro.durable.checkpoint import CheckpointStore
 from repro.durable.log import WritesetLog
-from repro.durable.watermark import CONSERVATIVE, POLICIES
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,8 @@ class DurabilityConfig:
     #: simulated seconds between automatic checkpoints, each followed by
     #: a log truncation sweep (None = never: the log keeps every record)
     checkpoint_interval: Optional[float] = None
-    #: conservative | aggressive — see repro.durable.watermark
-    truncation: str = CONSERVATIVE
     #: records per log segment (truncation granularity)
     segment_records: int = 256
-
-    def __post_init__(self):
-        if self.truncation not in POLICIES:
-            raise ValueError(f"bad truncation policy {self.truncation!r}")
 
 
 class ReplicaDurability:

@@ -6,17 +6,20 @@ delta from **any** donor.  Each member piggybacks its durable log
 sequence on outgoing GCS traffic (no extra messages); the tracker keeps
 the per-member maxima and exposes their minimum.
 
-Crashed members are the interesting case.  Under the default
-``conservative`` policy a crashed member's last known ack *pins* the
-watermark — the records above it are exactly what the member will ask
-for when it rejoins, so survivors must retain them.  ``aggressive``
+Crashed members are the interesting case.  Under the ``conservative``
+policy, the one a deployment runs, a crashed member's last known ack
+*pins* the watermark — the records above it are exactly what the member
+will ask for when it rejoins, so survivors must retain them.  ``aggressive``
 drops the member from the minimum (reclaiming space immediately) and
-relies on checkpoints to serve rejoiners whose delta was truncated away.
+relies on checkpoints to serve rejoiners whose delta was truncated away;
+only tests select it, by setting :attr:`StabilityTracker.policy`.
 A log that must keep every record takes no checkpoints: truncation runs
 only right after one.
 """
 
 from __future__ import annotations
+
+from typing import ClassVar
 
 CONSERVATIVE = "conservative"
 AGGRESSIVE = "aggressive"
@@ -27,10 +30,13 @@ POLICIES = (CONSERVATIVE, AGGRESSIVE)
 class StabilityTracker:
     """Min-durable-seq watermark over the members of one GCS group."""
 
-    def __init__(self, policy: str = CONSERVATIVE):
-        if policy not in POLICIES:
-            raise ValueError(f"bad truncation policy {policy!r}")
-        self.policy = policy
+    #: what a crash does to the member's ack (see the module docstring);
+    #: a class constant that tests override with ``monkeypatch``
+    policy: ClassVar[str] = CONSERVATIVE
+
+    def __init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError(f"bad truncation policy {self.policy!r}")
         #: live members' highest acked durable seq
         self.acks: dict[str, int] = {}
         #: crashed members' last ack (conservative policy only)

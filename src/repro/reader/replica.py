@@ -155,24 +155,26 @@ class ReadReplica:
                 self.watermark = record.tid
         self.last_apply_t = self.sim.now
 
-    def join_from_state(self, state: protocol.StateTransfer) -> None:
-        """Join from a donor's full state (no replayable log): its row
-        images plus the certified-but-uncommitted pending writesets.
+    def join_from_state(self, transfer: protocol.Transfer) -> None:
+        """Join from a donor's full transfer (no replayable log): its
+        image's row images plus the certified-but-uncommitted pending
+        writesets.
 
         Row images are not replayable transactions, so this incarnation
         stays out of the offline audit (``audit_complete=False``); the
         online monitor covers the pre-join prefix via ``covered_gids``.
         """
+        image = transfer.image
         self.db.install_snapshot(
-            state.ddl, state.rows, state.csn,
-            [(record.gid, record.writeset) for record in state.pending],
+            image.ddl, image.rows, image.csn,
+            [(record.gid, record.writeset) for record in transfer.pending],
         )
-        self.covered_gids.update(record.gid for record in state.pending)
+        self.covered_gids.update(record.gid for record in transfer.pending)
         self.covered_gids.update(
-            gid for gid, outcome in state.outcomes.items()
+            gid for gid, outcome in image.outcomes.items()
             if outcome == protocol.COMMITTED
         )
-        self.watermark = state.certifier.last_validated_tid
+        self.watermark = image.tid
         self.audit_complete = False
         self.last_apply_t = self.sim.now
 

@@ -52,7 +52,6 @@ from repro.core.protocol import (
     CommitReq,
     CommitResp,
     DdlMessage,
-    DeltaTransfer,
     ExecuteReq,
     ExecuteResp,
     InquireReq,
@@ -63,8 +62,8 @@ from repro.core.protocol import (
     ReplicaStatus,
     RollbackReq,
     RollbackResp,
-    StateTransfer,
     SyncMessage,
+    Transfer,
     WritesetMessage,
 )
 from repro.core.validation import Certifier, WsRecord
@@ -76,7 +75,7 @@ from repro.storage.writeset import WriteOp, WriteSet
 
 #: format version carried by every frame; bump it when a tag or a
 #: type's fields change
-VERSION = 4
+VERSION = 5
 #: tag of a plain tuple
 TUPLE = 0
 
@@ -96,8 +95,7 @@ WIRE_TYPES: dict[type, tuple[int, tuple]] = {
     InquireResp: (8, ()),
     ProcRequest: (9, ()),
     ProcResp: (10, ()),
-    StateTransfer: (11, ("certifier", "pending")),
-    DeltaTransfer: (12, ("records", "checkpoint")),
+    Transfer: (12, ("records", "image", "pending")),  # 11 retired in version 5
     # group communication: member -> bus, and the ordered items back
     Multicast: (20, ("payload",)),
     Message: (21, ("payload",)),

@@ -242,20 +242,21 @@ def _matches(db, txn, table, plan: Plan, params) -> list:
     WHERE reads a :class:`RowProbe`, so that a residual predicate that
     examines a non-pk column value demotes that row back to a dependent
     read: the match decision then hinges on row content, so the write is
-    not blind.
+    not blind.  Its pairs are (pk, probe): the SET closures go on reading
+    the probe of the row's WHERE.
     """
     rows = _candidate_rows(db, txn, table, plan, params, locating=plan.covers)
     where = plan.where
-    if where is None:
-        return list(rows)
     if not plan.covers:
+        if where is None:
+            return list(rows)
         return [(pk, values) for pk, values in rows if where(values, params)]
     matches = []
     for pk, values in rows:
         probe = RowProbe(values)
-        if where(probe, params):
-            matches.append((pk, values))
-        if probe.read:
+        if where is None or where(probe, params):
+            matches.append((pk, probe))
+        elif probe.read:
             txn.dependent_reads.add((table.name, pk))
     return matches
 
@@ -487,15 +488,16 @@ def _update(db, txn, table, plan: Plan, params: tuple):
     # A write is *blind* when the after image owes nothing to the row:
     # every non-pk column assigned (no old values survive into it —
     # ``plan.covers``), the target reachable without examining values
-    # (pk path — checked by _matches), and no assignment expression
-    # reading the row (the probe, per row below).  Blind keys stay out
-    # of dependent_reads, which is what certification salvage keys off.
-    # Assigning the primary key is refused when the plan is built.
+    # (pk path, and a WHERE that read no value of the row — the probe
+    # _matches hands over), and no assignment expression reading the
+    # row (the same probe).  Blind keys stay out of dependent_reads,
+    # which is what certification salvage keys off.  Assigning the
+    # primary key is refused when the plan is built.
     covers = plan.covers
     written = 0
-    for pk, values in _matches(db, txn, table, plan, params):
-        probe = RowProbe(values)
-        new_values = dict(values)
+    for pk, row in _matches(db, txn, table, plan, params):
+        probe = row if covers else RowProbe(row)
+        new_values = dict(probe.values)
         for column, fn in plan.assignments:
             new_values[column] = fn(probe, params)
         if probe.read and covers:

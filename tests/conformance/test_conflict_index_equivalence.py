@@ -190,7 +190,7 @@ def test_certifier_gc_matches_unbounded_reference(specs, salvage, data):
             assert f_gc.validate(fr_gc) == f_ref.validate(fr_ref)
             assert fr_gc.tid == fr_ref.tid
         if fork_at == i:
-            forks = (gcd.clone(), reference.clone())
+            forks = (Certifier.from_wire(gcd.to_wire()), reference.clone())
         # a floor is valid iff no future (original) cert sits below it
         if data.draw(st.booleans(), label="collect?"):
             bound = min(certs[i + 1:], default=gcd.last_validated_tid)
@@ -226,7 +226,8 @@ def test_checkpoint_roundtrip_resumes_identically(specs, salvage, data):
         rows={}, certifier=gcd, outcomes={},
     ).to_json()
     checkpoint = Checkpoint.from_json(blob)
-    restored = checkpoint.certifier(salvage)
+    restored = Certifier.from_wire(checkpoint.certifier_state)
+    assert restored.salvage is salvage
     assert restored.floor == gcd.floor
     for i, spec in enumerate(specs[cut:], start=cut):
         r_new = build_record(i, spec, reference.last_validated_tid)

@@ -143,6 +143,25 @@ def test_select_then_update_still_aborts_loser():
     assert cluster.one_copy_report().ok
 
 
+def test_a_where_that_reads_the_row_makes_the_race_first_committer_wins():
+    """``AND v >= 0`` reads row 3's value, so neither write is blind:
+    the engine does not defer it, local validation does not re-home it,
+    certification does not salvage it, and the loser aborts."""
+    cluster = build(obs=True)
+    cluster.bulk_load("kv", [{"k": 3, "v": 0}])
+    results = race(cluster, [
+        ("UPDATE kv SET v = ? WHERE k = ? AND v >= 0", (11, 3)),
+        ("UPDATE kv SET v = ? WHERE k = ? AND v >= 0", (22, 3)),
+    ])
+    assert sorted(results.values()) == ["CertificationAborted", "committed"]
+    assert all(r.validation.certifier.salvaged == 0 for r in cluster.replicas)
+    assert cluster.obs.registry.counter("validation.local_deferred").value == 0
+    assert cluster.metrics()["deferred_ww_total"] == 0
+    winner = 11 if results["T0"] == "committed" else 22
+    assert final_rows(cluster)[2] == (3, winner)
+    assert cluster.one_copy_report().ok
+
+
 def test_disjoint_keys_need_no_salvage():
     cluster = build()
     results = race(cluster, [

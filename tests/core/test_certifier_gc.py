@@ -105,7 +105,7 @@ def test_clone_carries_counters_and_floor():
     assert not certifier.validate(rec("g2", 0, 1))  # reject (rmw conflict)
     assert certifier.validate(rec("g3", 0, 1, blind=(1,)))  # salvaged
     certifier.collect(certifier.last_validated_tid - 1)
-    clone = certifier.clone()
+    clone = Certifier.from_wire(certifier.to_wire())
     for attr in (
         "last_validated_tid", "validated", "rejected", "salvaged",
         "salvage_rejects", "floor", "gc_runs", "gc_collected",
@@ -129,14 +129,18 @@ def test_checkpoint_roundtrips_cert_floor():
         seq=2, cert_seq=2, applied_beyond=(), csn=2, ddl=(),
         rows={}, certifier=certifier, outcomes={},
     )
-    assert checkpoint.cert_floor == 1
-    restored = Checkpoint.from_json(checkpoint.to_json())
-    assert restored.cert_floor == 1
-    assert restored.cert_last_writer == {("t", 2): 2}
+    restored = Certifier.from_wire(
+        Checkpoint.from_json(checkpoint.to_json()).certifier_state
+    )
+    assert restored.floor == 1
+    assert restored.last_writers == {("t", 2): 2}
     # pre-floor checkpoint blobs (older format) default to floor 0
-    legacy = checkpoint.to_json()
-    del legacy["cert_floor"]
-    assert Checkpoint.from_json(legacy).cert_floor == 0
+    legacy = {
+        "seq": 2, "cert_seq": 2, "applied_beyond": [], "csn": 2, "ddl": [],
+        "rows": {}, "cert_tid": 2, "cert_last_writer": [["t", 2, 2]],
+        "outcomes": {}, "nbytes": 0,
+    }
+    assert Certifier.from_wire(Checkpoint.from_json(legacy).certifier_state).floor == 0
 
 
 # --------------------------------------------------- cluster-level behaviour

@@ -51,10 +51,10 @@ def test_config_fields_are_pinned():
             "max_read_inflight", "writer_read_inflight",
         },
         "DurabilityConfig": {
-            "log_dir", "checkpoint_interval", "truncation", "segment_records",
+            "log_dir", "checkpoint_interval", "segment_records",
         },
     }
-    assert sum(map(len, surface.values())) == 40
+    assert sum(map(len, surface.values())) == 39
 
 
 def test_constructor_parameters_are_pinned():

@@ -1,5 +1,7 @@
 """Unit tests for checkpoints (repro.durable.checkpoint)."""
 
+import dataclasses
+import json
 import shutil
 from pathlib import Path
 
@@ -10,7 +12,11 @@ from repro.testing import query
 
 
 def certifier_at(tid, writers):
-    return Certifier.resume(False, tid, writers, (), 0)
+    certifier = Certifier()
+    for key, writer in writers.items():
+        certifier.record_pass(writer, (key,), ())
+    certifier.last_validated_tid = tid
+    return certifier
 
 
 def make_checkpoint(seq, tid=None):
@@ -36,7 +42,7 @@ def test_capture_snapshots_inputs():
     rows["kv"][0]["v"] = 99  # mutating the source must not leak in
     assert cp.rows["kv"][0]["v"] == 0
     assert cp.applied_beyond == (5, 6)  # sorted
-    assert cp.cert_tid == 4
+    assert cp.tid == 4
     assert cp.nbytes > 0
 
 
@@ -44,7 +50,7 @@ def test_json_round_trip_preserves_tuple_keys():
     cp = make_checkpoint(5)
     again = Checkpoint.from_json(cp.to_json())
     assert again == cp
-    assert ("kv", 1) in again.cert_last_writer
+    assert ("kv", 1) in Certifier.from_wire(again.certifier_state).last_writers
 
 
 def test_store_keeps_latest_and_rotates():
@@ -107,20 +113,23 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
     store = CheckpointStore("R0", directory=wal / "R0" / "ckpt")
     checkpoint = store.latest()
     assert store.unreadable == [] and checkpoint.seq == 8
-    certifier = checkpoint.certifier(salvage=True)
-    assert certifier.salvage is True
+    certifier = Certifier.from_wire(checkpoint.certifier_state)
+    assert certifier.salvage is False  # a restore takes its replica's mode
     assert certifier.last_validated_tid == certifier.validated == 6
+    assert (certifier.rejected, certifier.salvaged, certifier.gc_runs) == (0, 0, 0)
     assert certifier.tombstones == {("kv", 3)}
     assert certifier.last_writers == {
         ("kv", 1): 1, ("kv", 2): 2, ("kv", 3): 5, ("kv", 4): 4, ("kv", 5): 6,
     }
-    # capturing the restored certifier gives the same checkpoint back
-    assert Checkpoint.capture(
+    # capturing the restored certifier gives the same checkpoint back,
+    # but for the size, whose formula is the full image's now
+    again = Checkpoint.capture(
         seq=checkpoint.seq, cert_seq=checkpoint.cert_seq,
         applied_beyond=checkpoint.applied_beyond, csn=checkpoint.csn,
         ddl=checkpoint.ddl, rows=checkpoint.rows, certifier=certifier,
         outcomes=checkpoint.outcomes,
-    ) == checkpoint
+    )
+    assert again == dataclasses.replace(checkpoint, nbytes=again.nbytes)
 
     cluster = SIRepCluster.cold_restart(
         ClusterConfig(n_replicas=2, seed=6, salvage=True),
@@ -133,7 +142,9 @@ def test_a_checkpoint_written_by_an_earlier_version_restores(tmp_path):
             }
             rows = query(cluster.sim, replica.db, "SELECT k, v FROM kv ORDER BY k")
             assert rows == [{"k": 1, "v": 11}, {"k": 4, "v": 40}, {"k": 5, "v": 50}]
+            assert replica.validation.certifier.salvage is True
             assert replica.validation.certifier.last_validated_tid == 8
+            assert replica.validation.certifier.validated == 8
             assert replica.validation.certifier.tombstones == {("kv", 2), ("kv", 3)}
     finally:
         cluster.stop()
@@ -208,3 +219,42 @@ def test_an_unreadable_checkpoint_is_reported_at_cold_restart(tmp_path):
             assert rows == expected
     finally:
         restarted.stop()
+
+
+def test_a_checkpoint_and_a_full_image_of_a_quiescent_replica_are_one_image():
+    """A checkpoint and the full image a donor ships are captured by one
+    ``Checkpoint.capture``: once every certified writeset has applied,
+    the two are equal, and each round-trips through its JSON file form
+    and through the wire codec unchanged."""
+    from repro.client import Driver
+    from repro.runtime import codec
+
+    config = ClusterConfig(n_replicas=2, seed=4, salvage=True, durability=DurabilityConfig())
+    cluster = SIRepCluster(config)
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 4)])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def writes():
+        conn = yield from driver.connect(cluster.new_client_host())
+        for sql, params in [
+            ("UPDATE kv SET v = ? WHERE k = ?", (7, 1)),
+            ("DELETE FROM kv WHERE k = ?", (2,)),
+            ("INSERT INTO kv (k, v) VALUES (?, ?)", (9, 9)),
+        ]:
+            yield from conn.execute(sql, params)
+            yield from conn.commit()
+
+    cluster.sim.run_process(writes())
+    cluster.sim.run(until=cluster.sim.now + 1.0)
+    replica = cluster.replicas[0]
+    assert replica.log.applied.beyond == set() and not replica.manager.queue
+    checkpoint = replica.log.take_checkpoint()
+    transfer = replica.recovery.transfer(None)
+    assert transfer.image == checkpoint
+    assert checkpoint.seq == checkpoint.cert_seq == replica.wslog.tip_seq
+    assert checkpoint.tid == replica.validation.certifier.last_validated_tid == 3
+    assert transfer.nbytes() == checkpoint.nbytes
+    for image in (checkpoint, transfer.image):
+        assert Checkpoint.from_json(json.loads(json.dumps(image.to_json()))) == image
+        assert codec.unframe(codec.frame(image)[4:]) == image

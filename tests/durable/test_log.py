@@ -11,7 +11,7 @@ import pytest
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.cluster import build_surface
-from repro.core.protocol import DeltaTransfer
+from repro.core.protocol import Transfer
 from repro.durable import DurabilityConfig, DurabilityStore, LogRecord, WritesetLog
 from repro.durable import checkpoint as durable_checkpoint
 from repro.durable import log as durable_log
@@ -276,8 +276,8 @@ def test_a_sealed_forced_segment_is_read_back_from_its_file(tmp_path):
     ]
     assert [r.seq for r in disk.records_after(2)] == [3, 4, 5, 6]
     deltas = [
-        DeltaTransfer(donor="R0", from_seq=0, records=tuple(log.records_after(0)),
-                      outcomes={"R0:g1": "committed"})
+        Transfer(donor="R0", from_seq=0, records=tuple(log.records_after(0)),
+                 image=None, pending=(), outcomes={"R0:g1": "committed"})
         for log in (disk, memory)
     ]
     assert deltas[0].nbytes() == deltas[1].nbytes()

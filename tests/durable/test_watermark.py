@@ -1,13 +1,20 @@
 """Unit tests for the cluster stability watermark (repro.durable.watermark)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.durable import DurabilityConfig, StabilityTracker
 from repro.durable.watermark import AGGRESSIVE, CONSERVATIVE, POLICIES
 
 
+def tracker_with(monkeypatch, policy):
+    monkeypatch.setattr(StabilityTracker, "policy", policy)
+    return StabilityTracker()
+
+
 def test_stable_seq_is_min_over_members():
-    tracker = StabilityTracker(CONSERVATIVE)
+    tracker = StabilityTracker()
     tracker.register("R0")
     tracker.register("R1")
     tracker.register("R2")
@@ -21,7 +28,7 @@ def test_stable_seq_is_min_over_members():
 
 
 def test_acks_are_monotonic_and_unregistered_ignored():
-    tracker = StabilityTracker(CONSERVATIVE)
+    tracker = StabilityTracker()
     tracker.register("R0")
     tracker.ack("R0", 5)
     tracker.ack("R0", 2)  # stale ack must not move the mark backwards
@@ -31,7 +38,7 @@ def test_acks_are_monotonic_and_unregistered_ignored():
 
 
 def test_conservative_policy_pins_crashed_member():
-    tracker = StabilityTracker(CONSERVATIVE)
+    tracker = StabilityTracker()
     tracker.register("R0")
     tracker.register("R1")
     tracker.ack("R0", 4)
@@ -48,8 +55,8 @@ def test_conservative_policy_pins_crashed_member():
     assert tracker.stable_seq() == 20
 
 
-def test_aggressive_policy_forgets_crashed_member():
-    tracker = StabilityTracker(AGGRESSIVE)
+def test_aggressive_policy_forgets_crashed_member(monkeypatch):
+    tracker = tracker_with(monkeypatch, AGGRESSIVE)
     tracker.register("R0")
     tracker.register("R1")
     tracker.ack("R0", 4)
@@ -59,22 +66,26 @@ def test_aggressive_policy_forgets_crashed_member():
 
 
 def test_register_max_merges_prior_state():
-    tracker = StabilityTracker(CONSERVATIVE)
+    tracker = StabilityTracker()
     tracker.register("R0", 7)
     tracker.register("R0", 3)  # a stale re-register must not regress
     assert tracker.stable_seq() == 7
 
 
-def test_bad_policy_rejected():
+def test_bad_policy_rejected(monkeypatch):
     with pytest.raises(ValueError):
-        StabilityTracker("yolo")
+        tracker_with(monkeypatch, "yolo")
 
 
-def test_durability_config_takes_exactly_two_policies():
+def test_durability_config_takes_exactly_two_policies(monkeypatch):
     """A log that keeps every record takes no checkpoints; there is no
-    policy that disables truncation."""
+    policy that disables truncation.  The policy is no config field: a
+    deployment runs the conservative one, and tests set the class
+    constant."""
     assert POLICIES == (CONSERVATIVE, AGGRESSIVE)
+    assert StabilityTracker.policy == CONSERVATIVE
+    assert "truncation" not in {f.name for f in fields(DurabilityConfig)}
     for policy in POLICIES:
-        assert DurabilityConfig(truncation=policy).truncation == policy
+        assert tracker_with(monkeypatch, policy).policy == policy
     with pytest.raises(ValueError):
-        DurabilityConfig(truncation="none")
+        tracker_with(monkeypatch, "none")

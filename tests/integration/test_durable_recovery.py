@@ -15,7 +15,8 @@ import pytest
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster, membership
 from repro.core.cluster import build_surface
-from repro.durable import DurabilityConfig, DurabilityStore
+from repro.durable import DurabilityConfig, DurabilityStore, StabilityTracker
+from repro.durable.watermark import AGGRESSIVE
 from repro.errors import ReproError
 from repro.testing import query
 
@@ -203,11 +204,7 @@ def churn(cluster, driver, n, start_delay=0.3, spacing=0.05, address="R1"):
 def test_conservative_watermark_pins_segments_for_the_rejoiner():
     """A crashed member's last ack holds the watermark, so its delta
     range survives GC no matter how long it stays down."""
-    durability = DurabilityConfig(
-        checkpoint_interval=0.4,
-        segment_records=4,
-        truncation="conservative",
-    )
+    durability = DurabilityConfig(checkpoint_interval=0.4, segment_records=4)
     cluster, driver = make_cluster(seed=11, durability=durability)
     sim = cluster.sim
     sim.call_at(0.2, lambda: cluster.crash(0))
@@ -227,14 +224,11 @@ def test_conservative_watermark_pins_segments_for_the_rejoiner():
     assert "R0" in cluster.monitor.summary()["watched"]
 
 
-def test_aggressive_truncation_falls_back_to_donor_checkpoint():
+def test_aggressive_truncation_falls_back_to_donor_checkpoint(monkeypatch):
     """Under the aggressive policy survivors GC past the crashed member;
     the donor then serves its newest checkpoint plus the log above it."""
-    durability = DurabilityConfig(
-        checkpoint_interval=0.4,
-        segment_records=4,
-        truncation="aggressive",
-    )
+    monkeypatch.setattr(StabilityTracker, "policy", AGGRESSIVE)
+    durability = DurabilityConfig(checkpoint_interval=0.4, segment_records=4)
     cluster, driver = make_cluster(seed=12, durability=durability)
     sim = cluster.sim
     sim.call_at(0.2, lambda: cluster.crash(0))
@@ -260,9 +254,7 @@ def test_aggressive_truncation_falls_back_to_donor_checkpoint():
 def test_truncation_never_cuts_below_own_checkpoint():
     cluster, driver = make_cluster(
         seed=13,
-        durability=DurabilityConfig(
-            segment_records=2, truncation="conservative"
-        ),
+        durability=DurabilityConfig(segment_records=2),
     )
     churn(cluster, driver, 12, start_delay=0.1)
     settle(cluster, 3.0)

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster, protocol
 from repro.core.cluster import build_surface
-from repro.durable import DurabilityConfig, DurabilityStore
+from repro.durable import DurabilityConfig, DurabilityStore, StabilityTracker
+from repro.durable.watermark import AGGRESSIVE
 from repro.durable.log import LOAD, LogRecord
 from repro.errors import CatalogError, IntegrityError
 from repro.sim import Simulator
@@ -41,11 +42,8 @@ from repro.storage.catalog import COLUMN_TYPES, ColumnDef, TableSchema
 EXTRA_DDL = "CREATE TABLE extra (id INT PRIMARY KEY, v INT)"
 
 
-def truncating(policy="conservative"):
-    return DurabilityConfig(
-        checkpoint_interval=0.4, segment_records=4,
-        truncation=policy,
-    )
+def truncating():
+    return DurabilityConfig(checkpoint_interval=0.4, segment_records=4)
 
 
 def make_cluster(seed, store=None, **kwargs):
@@ -114,12 +112,15 @@ def delta_recovery():
 
 
 def delta_with_checkpoint():
-    cluster, keys = make_cluster(12, durability=truncating("aggressive"))
-    cluster.sim.call_at(0.2, lambda: cluster.crash(0))
-    traffic(cluster, keys, 30, 0.3, ddl=True)
-    cluster.sim.call_at(4.0, lambda: cluster.recover_replica(0))
-    traffic(cluster, keys, 6, 4.5)
-    settle(cluster, 8.0)
+    with pytest.MonkeyPatch.context() as patch:
+        # survivors truncate past the crashed R0
+        patch.setattr(StabilityTracker, "policy", AGGRESSIVE)
+        cluster, keys = make_cluster(12, durability=truncating())
+        cluster.sim.call_at(0.2, lambda: cluster.crash(0))
+        traffic(cluster, keys, 30, 0.3, ddl=True)
+        cluster.sim.call_at(4.0, lambda: cluster.recover_replica(0))
+        traffic(cluster, keys, 6, 4.5)
+        settle(cluster, 8.0)
     assert cluster.replicas[0].recovery.stats["checkpoint"] is True
     return cluster, [cluster.replicas[0]], engine_state(cluster.replicas[1])
 
@@ -267,7 +268,7 @@ PINNED = {
     "delta-checkpoint": {
         "R0": (
             {"mode": "delta", "donor": "R1", "from_seq": 33,
-             "records": 0, "bytes": 440, "checkpoint": True},
+             "records": 0, "bytes": 1113, "checkpoint": True},
             (38, 39, 39, 33), [33, 39], 0, False,
         ),
         "R1": ({}, (37, 39, 39, None), [33, 39], 0, True),

@@ -9,6 +9,8 @@ import pytest
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig, StabilityTracker
+from repro.durable.watermark import AGGRESSIVE
 from repro.testing import query
 
 
@@ -327,15 +329,20 @@ def test_double_crash_and_recover_cycles():
     assert states["R0"][:3] == ((1, 1), (2, 2), (3, 3))
 
 
-def test_recovered_certifier_stats_match_donor():
-    """Regression: ``Certifier.clone()`` used to drop the decision
-    counters, so a joiner resumed with ``validated == 0`` while its
-    donor reported the full history — the two replicas' certification
-    metrics diverged forever after a recovery.  The clone now carries
-    validated/rejected/salvaged/salvage_rejects (and the GC floor), so
-    after the joiner catches up and both certify the same tail, the
-    stats surfaces must be identical."""
-    cluster, driver = make_cluster(seed=12)
+def certifier_stats(certifier):
+    return {
+        attr: getattr(certifier, attr)
+        for attr in (
+            "last_validated_tid", "validated", "rejected", "salvaged",
+            "salvage_rejects", "floor", "window_size",
+        )
+    }
+
+
+def recover_after_a_rejection(cluster, driver, before_recovery=None):
+    """History with a certification reject before R0 crashes, one write
+    R0 misses, ``before_recovery()`` while it is down, then R0's
+    recovery and one write both certify live; returns (joiner, donor)."""
     sim = cluster.sim
 
     def writer(key, value, delay, address="R1"):
@@ -357,28 +364,69 @@ def test_recovered_certifier_stats_match_donor():
     writer(1, 10, 0.05)
     writer(2, 20, 0.1)
     # two racing writers on one key: one of them must be rejected at
-    # certification, giving the cloned ``rejected`` counter something
+    # certification, giving the carried ``rejected`` counter something
     # to disagree about if it were dropped
     writer(3, 31, 0.3, address="R1")
     writer(3, 32, 0.3, address="R2")
     sim.call_at(0.6, lambda: cluster.crash(0))
     writer(4, 40, 1.0)  # missed by R0, replayed through recovery
+    if before_recovery is not None:
+        sim.call_at(1.4, before_recovery)
     sim.call_at(1.5, lambda: cluster.recover_replica(0))
     writer(5, 50, 3.0)  # certified live by donor AND joiner
     sim.run()
     settle(cluster, 5.0)
-
     joiner = cluster.replicas[0]
-    donor = cluster.replicas[1]
     assert joiner.recovery.installed
-    stats = lambda c: {  # noqa: E731 - local comparison helper
-        attr: getattr(c, attr)
-        for attr in (
-            "last_validated_tid", "validated", "rejected", "salvaged",
-            "salvage_rejects", "floor", "window_size",
-        )
-    }
-    assert stats(joiner.validation.certifier) == stats(donor.validation.certifier)
+    assert len(set(all_states(cluster).values())) == 1
+    donor = next(r for r in cluster.replicas if r.name == joiner.recovery.stats["donor"])
+    return joiner, donor
+
+
+def test_recovered_certifier_stats_match_donor():
+    """Regression: ``Certifier.clone()`` used to drop the decision
+    counters, so a joiner resumed with ``validated == 0`` while its
+    donor reported the full history — the two replicas' certification
+    metrics diverged forever after a recovery.  A full image carries
+    validated/rejected/salvaged/salvage_rejects (and the GC floor), so
+    after the joiner catches up and both certify the same tail, the
+    stats surfaces must be identical."""
+    joiner, donor = recover_after_a_rejection(*make_cluster(seed=12))
+    assert joiner.recovery.stats["mode"] == "full"
+    assert certifier_stats(joiner.validation.certifier) == certifier_stats(
+        donor.validation.certifier
+    )
     assert joiner.validation.certifier.validated >= 5
     assert joiner.validation.certifier.rejected >= 1  # the racing writer lost
-    assert len(set(all_states(cluster).values())) == 1
+
+
+def test_a_checkpoint_restore_carries_the_donor_counters(monkeypatch):
+    """The same regression through a checkpoint: the donors truncate
+    their logs past the crashed R0, so it restores the donor's
+    checkpoint and replays the log above it.  The checkpoint carries
+    the decision counters it was captured with (an older file restored
+    validated = tid and every other counter 0)."""
+    monkeypatch.setattr(StabilityTracker, "policy", AGGRESSIVE)
+    config = ClusterConfig(
+        n_replicas=3, seed=12, durability=DurabilityConfig(segment_records=2)
+    )
+    cluster = SIRepCluster(config)
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(1, 6)])
+
+    def checkpoint_and_truncate():
+        for replica in cluster.alive_replicas():
+            replica.log.take_checkpoint()
+            assert replica.log.truncate() > 0
+
+    joiner, donor = recover_after_a_rejection(
+        cluster, Driver(cluster.network, cluster.discovery), checkpoint_and_truncate
+    )
+    assert joiner.recovery.stats["mode"] == "delta"
+    assert joiner.recovery.stats["checkpoint"] is True
+    assert not joiner.recovery.audit_complete
+    joined, donating = (
+        certifier_stats(r.validation.certifier) for r in (joiner, donor)
+    )
+    assert joined == donating
+    assert joined["rejected"] >= 1  # the racing writer lost before the checkpoint

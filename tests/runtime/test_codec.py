@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 
 from repro.core import protocol
 from repro.core.validation import Certifier, WsRecord
-from repro.durable import DurabilityConfig
+from repro.durable import DurabilityConfig, StabilityTracker
 from repro.durable.checkpoint import Checkpoint
 from repro.durable.log import LogRecord
+from repro.durable.watermark import AGGRESSIVE, CONSERVATIVE
 from repro.gcs.multicast import Batch, Message, Multicast, ViewChange
 from repro.net import ChannelClosed
 from repro.obs.trace import TraceContext
@@ -156,12 +157,9 @@ checkpoints = st.builds(
     csn=st.integers(),
     ddl=st.lists(st.text(max_size=20), max_size=2).map(tuple),
     rows=st.dictionaries(names, st.lists(rows, max_size=3), max_size=2),
-    cert_tid=st.integers(),
-    cert_last_writer=st.dictionaries(keys, st.integers(), max_size=3),
+    certifier_state=certifiers().map(Certifier.to_wire),
     outcomes=st.dictionaries(names, st.sampled_from(["committed", "aborted"])),
     nbytes=st.integers(min_value=0),
-    cert_deleted=st.lists(keys, max_size=2).map(tuple),
-    cert_floor=st.integers(),
 )
 #: the replication messages (core/protocol.py), one strategy per type
 writeset_messages = st.builds(
@@ -240,16 +238,11 @@ WIRE_STRATEGIES = {
         protocol.ProcResp, st.integers(), names,
         st.none() | st.lists(rows, max_size=2), errors,
     ),
-    protocol.StateTransfer: st.builds(
-        protocol.StateTransfer, names, st.lists(st.text(max_size=20),
-        max_size=2).map(tuple), st.dictionaries(names, st.lists(rows, max_size=2),
-        max_size=2), certifiers(), st.lists(ws_records, max_size=2).map(tuple),
-        st.dictionaries(names, names, max_size=2), st.integers(), st.integers(),
-    ),
-    protocol.DeltaTransfer: st.builds(
-        protocol.DeltaTransfer, names, st.integers(),
-        st.lists(log_records, max_size=3).map(tuple),
-        st.dictionaries(names, names, max_size=2), st.none() | checkpoints,
+    protocol.Transfer: st.builds(
+        protocol.Transfer, names, st.none() | st.integers(),
+        st.lists(log_records, max_size=3).map(tuple), st.none() | checkpoints,
+        st.lists(ws_records, max_size=2).map(tuple),
+        st.dictionaries(names, names, max_size=2),
     ),
     protocol.WritesetMessage: writeset_messages,
     protocol.SyncMessage: sync_messages,
@@ -391,33 +384,28 @@ def captured_transfers(**scenario):
     return shipped
 
 
-def durability(truncation):
-    return DurabilityConfig(
-        checkpoint_interval=0.4, segment_records=4,
-        truncation=truncation,
-    )
+CHECKPOINTING = DurabilityConfig(checkpoint_interval=0.4, segment_records=4)
 
 
-@pytest.mark.parametrize("scenario, kind, with_checkpoint", [
-    ({}, protocol.StateTransfer, None),
-    ({"durability": DurabilityConfig(), "mode": "full"},
-     protocol.StateTransfer, None),
-    ({"durability": durability("conservative")},
-     protocol.DeltaTransfer, False),
-    ({"durability": durability("aggressive")},
-     protocol.DeltaTransfer, True),
+@pytest.mark.parametrize("scenario, policy, shape", [
+    ({}, CONSERVATIVE, "full"),
+    ({"durability": DurabilityConfig(), "mode": "full"}, CONSERVATIVE, "full"),
+    ({"durability": CHECKPOINTING}, CONSERVATIVE, "delta"),
+    ({"durability": CHECKPOINTING}, AGGRESSIVE, "delta-checkpoint"),
 ], ids=["full", "full-durable", "delta", "delta-checkpoint"])
-def test_real_recovery_transfers_roundtrip(scenario, kind, with_checkpoint):
-    (state,) = captured_transfers(**scenario)
-    assert type(state) is kind
-    if with_checkpoint is not None:
-        assert (state.checkpoint is not None) is with_checkpoint
-        assert state.records or with_checkpoint
+def test_real_recovery_transfers_roundtrip(monkeypatch, scenario, policy, shape):
+    monkeypatch.setattr(StabilityTracker, "policy", policy)
+    (transfer,) = captured_transfers(**scenario)
+    assert type(transfer) is protocol.Transfer
+    if shape == "full":
+        assert transfer.from_seq is None and transfer.records == ()
+        assert transfer.image.rows and transfer.outcomes == {}
     else:
-        assert state.rows
-    decoded = roundtrip(state)
-    assert same(decoded, state)
-    assert decoded.nbytes() == state.nbytes()
+        assert (transfer.image is not None) is (shape == "delta-checkpoint")
+        assert transfer.records or transfer.image is not None
+    decoded = roundtrip(transfer)
+    assert same(decoded, transfer)
+    assert decoded.nbytes() == transfer.nbytes()
 
 
 # -- channel helpers ------------------------------------------------------------------
@@ -573,9 +561,10 @@ def test_mutated_frames_decode_or_break_the_channel(monkeypatch, body):
 
 #: a bit-flipped ``ExecuteResp`` frame body the mutation fuzz once drew:
 #: the pickle memo reference ``h\x01`` makes ``rows[0]["k"]`` the ``rows``
-#: list itself, a cycle no wire type declares
-CYCLIC_EXECUTE_RESP = (
-    b"\x04\x80\x05\x95)\x00\x00\x00\x00\x00\x00\x00(K\x02K\x01\x88\x8c\x05R0:g1"
+#: list itself, a cycle no wire type declares (behind the current
+#: version byte: the record has not changed since the fuzz drew it)
+CYCLIC_EXECUTE_RESP = bytes([codec.VERSION]) + (
+    b"\x80\x05\x95)\x00\x00\x00\x00\x00\x00\x00(K\x02K\x01\x88\x8c\x05R0:g1"
     b"\x94]\x94}\x94(\x8c\x01k\x94h\x01\x8c\x01v\x94K\x02ua)K\x01NNt\x94."
 )
 
@@ -631,13 +620,15 @@ def test_unknown_tag_or_version_breaks_the_channel(rt, monkeypatch, body):
 
 
 def test_a_frame_of_the_previous_version_is_refused():
-    """Version 4 dropped ``StateTransfer.feed_seq``; a version-3 frame is
-    refused by its version byte before anything is decoded."""
-    state = protocol.StateTransfer("R0", (), {}, Certifier(), (), {})
-    body = codec.frame(state)[4:]
-    assert codec.VERSION == 4 and body[0] == 4
+    """Version 5 folded the full-state transfer (tag 11) into
+    ``Transfer``; a version-4 frame is refused by its version byte
+    before anything is decoded."""
+    transfer = protocol.Transfer("R0", None, (), None, (), {})
+    body = codec.frame(transfer)[4:]
+    assert codec.VERSION == 5 and body[0] == 5
     with pytest.raises(ValueError, match="unknown codec version"):
-        codec.unframe(bytes([3]) + body[1:])
+        codec.unframe(bytes([4]) + body[1:])
+    assert 11 not in {tag for tag, _fields in codec.WIRE_TYPES.values()}
 
 
 REPLICATION_TYPES = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SQLError
+from repro.errors import SerializationFailure, SQLError
 from repro.sim import Simulator
 from repro.storage import Database
 from repro.testing import commit_sync, execute_sync, query, run_txn
@@ -242,3 +242,34 @@ def test_scalar_helper(env):
     result = execute_sync(sim, db, txn, "SELECT COUNT(*) AS n FROM item")
     assert result.scalar() == 4
     commit_sync(sim, db, txn)
+
+
+@pytest.mark.parametrize("where, blind", [
+    ("id = 3", True),
+    ("id = 3 AND val > 0", False),
+])
+def test_an_update_whose_where_reads_a_value_is_not_blind(where, blind):
+    """A covering UPDATE is blind only if neither its SET nor its WHERE
+    read a value of the row.  ``AND val > 0`` makes the write depend on
+    row 3, so under ``defer_blind_ww`` it keeps the first-updater check:
+    a concurrent committed writer fails it at the statement, and it is
+    no deferred write-write conflict."""
+    sim = Simulator(seed=1)
+    db = Database(sim, name="db")
+    db.defer_blind_ww = True
+    run_txn(sim, db, [
+        ("CREATE TABLE t (id INT PRIMARY KEY, val INT, name TEXT)",),
+        ("INSERT INTO t (id, val, name) VALUES (3, 5, 'a')",),
+    ])
+    txn = db.begin()
+    run_txn(sim, db, [("UPDATE t SET val = 6, name = 'b' WHERE id = 3",)])
+    deferred = db.deferred_ww
+    statement = f"UPDATE t SET val = 7, name = 'c' WHERE {where}"
+    if blind:
+        execute_sync(sim, db, txn, statement)
+        assert ("t", 3) not in txn.dependent_reads
+    else:
+        with pytest.raises(SerializationFailure, match="concurrent committed"):
+            execute_sync(sim, db, txn, statement)
+        assert ("t", 3) in txn.dependent_reads
+    assert db.deferred_ww - deferred == int(blind)
