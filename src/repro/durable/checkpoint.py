@@ -50,8 +50,11 @@ class Checkpoint:
         """Snapshot the inputs; ``certifier`` is a
         :class:`~repro.core.validation.Certifier`, and
         ``Certifier.from_wire(checkpoint.certifier_state)`` is the way
-        back."""
-        rows = {table: [dict(r) for r in rs] for table, rs in rows.items()}
+        back.
+
+        The checkpoint takes ``rows`` as it is, without a copy: the
+        caller hands over row dicts nothing else holds, such as a fresh
+        ``Database.export_committed()``."""
         ddl = tuple(ddl)
         outcomes = dict(outcomes)
         nbytes = len(json.dumps({

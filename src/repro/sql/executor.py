@@ -267,48 +267,61 @@ def _matches(db, txn, table, plan: Plan, params) -> list:
 
 
 class _JoinedRow:
-    """Namespace mapping (alias or table) -> row dict for joined scans.
+    """Namespace mapping (alias or table) -> row tuple for joined scans;
+    ``layout`` maps the same keys to their schema's column positions
+    (``TableSchema.positions``), one dict shared by every row of one
+    join step.
 
     Calling it looks a column up, which is how the plan's closures read
     it (the default column hook of ``compile_expr``)."""
 
-    __slots__ = ("frames",)
+    __slots__ = ("frames", "layout")
 
-    def __init__(self, frames: dict[str, dict]):
+    def __init__(self, frames: dict[str, tuple], layout: dict[str, dict]):
         self.frames = frames
+        self.layout = layout
 
     def __call__(self, col: ast.Column) -> Any:
         if col.table is not None:
             frame = self.frames.get(col.table)
             if frame is None:
                 raise SQLError(f"unknown table qualifier {col.table!r}")
-            if col.name not in frame:
+            position = self.layout[col.table].get(col.name)
+            if position is None:
                 raise SQLError(f"unknown column {col.display!r}")
-            return frame[col.name]
-        hits = [frame for frame in self.frames.values() if col.name in frame]
+            return frame[position]
+        hits = []
+        layout = self.layout
+        for key, frame in self.frames.items():
+            position = layout[key].get(col.name)
+            if position is not None:
+                hits.append(frame[position])
         if not hits:
             raise SQLError(f"unknown column {col.name!r}")
         if len(hits) > 1:
             raise SQLError(f"ambiguous column {col.name!r}")
-        return hits[0][col.name]
+        return hits[0]
 
 
 def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) -> Result:
-    """A single-table SELECT works on the stored row dicts, a join on
+    """A single-table SELECT works on the stored row tuples, a join on
     ``_JoinedRow`` objects; the plan's closures read either."""
     if not statement.joins:
         rows = [values for _pk, values in _matches(db, txn, table, plan, params)]
     else:
         base_key = statement.alias or statement.table
+        layout = {base_key: table.schema.positions}
         # Equality conjuncts on the base table narrow the scan; they give
         # a superset of the matches, and the full WHERE filters after the
         # joins.
         rows = [
-            _JoinedRow({base_key: values})
+            _JoinedRow({base_key: values}, layout)
             for _pk, values in _candidate_rows(db, txn, table, plan, params)
         ]
         for join in statement.joins:
-            rows = _apply_join(db, txn, rows, join)
+            inner = db.catalog.table(join.table)
+            layout = {**layout, join.alias or join.table: inner.schema.positions}
+            rows = _apply_join(db, txn, rows, join, inner, layout)
         if plan.where is not None:
             rows = [row for row in rows if plan.where(row, params)]
 
@@ -318,7 +331,7 @@ def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) ->
     if statement.distinct:
         # SQL semantics: project, dedupe, then ORDER BY (on output
         # columns) and LIMIT.
-        columns, rows = _project(statement, plan, rows, params)
+        columns, rows = _project(statement, plan, table, rows, params)
         seen = set()
         unique = []
         for row in rows:
@@ -343,7 +356,7 @@ def _select(db, txn, table, statement: ast.Select, plan: Plan, params: tuple) ->
     if plan.limit is not None:
         rows = rows[: int(plan.limit(None, params))]
 
-    columns, rows = _project(statement, plan, rows, params)
+    columns, rows = _project(statement, plan, table, rows, params)
     return Result(kind="select", rows=rows, columns=columns, rowcount=len(rows))
 
 
@@ -364,8 +377,9 @@ def _sort_key(value: Any) -> tuple:
     return (value is None, type(value).__name__, value if value is not None else 0)
 
 
-def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
-    inner = db.catalog.table(join.table)
+def _apply_join(db, txn, joined: list, join: ast.Join, inner, layout: dict) -> list:
+    """Extend each joined row with its matches in ``inner``; the rows
+    it returns read their frames through ``layout``."""
     inner_key = join.alias or join.table
     inner_matcher = column_matcher(inner.schema, join.alias)
     # Decide which side of ON refers to the inner table.
@@ -376,9 +390,10 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
     else:
         raise SQLError(f"join ON does not reference {join.table!r}")
     inner_name = inner_matcher(inner_col)
+    inner_position = inner.schema.positions[inner_name]
     out = []
     use_pk = inner_name == inner.schema.pk_column
-    null_frame = dict.fromkeys(inner.schema.column_names)
+    null_frame = (None,) * len(inner.schema.column_names)
     for row in joined:
         value = row(outer_col)
         if value is None:
@@ -392,27 +407,31 @@ def _apply_join(db, txn, joined: list, join: ast.Join) -> list:
             matches = [
                 vals
                 for _pk, vals in db.scan(txn, inner, candidates=candidates)
-                if vals[inner_name] == value
+                if vals[inner_position] == value
             ]
         if not matches and join.left_outer:
             matches = [null_frame]
         for values in matches:
             frames = dict(row.frames)
             frames[inner_key] = values
-            out.append(_JoinedRow(frames))
+            out.append(_JoinedRow(frames, layout))
     return out
 
 
-def _project(statement: ast.Select, plan: Plan, rows: list, params: tuple):
+def _project(statement: ast.Select, plan: Plan, table, rows: list, params: tuple):
+    """The client's result rows: one dict per row, in output order."""
     if plan.projection is None:
         if not statement.joins:
-            out = [dict(values) for values in rows]
+            image = table.schema.image
+            out = [image(values) for values in rows]
         else:
             out = []
             for row in rows:
                 flat: dict = {}
-                for frame in row.frames.values():
-                    for name, value in frame.items():
+                layout = row.layout
+                for key, frame in row.frames.items():
+                    # a positions dict iterates its names in schema order
+                    for name, value in zip(layout[key], frame):
                         flat.setdefault(name, value)
                 out.append(flat)
         columns = tuple(out[0].keys()) if out else ()
@@ -497,7 +516,7 @@ def _update(db, txn, table, plan: Plan, params: tuple):
     written = 0
     for pk, row in _matches(db, txn, table, plan, params):
         probe = row if covers else RowProbe(row)
-        new_values = dict(probe.values)
+        new_values = table.schema.image(probe.values)
         for column, fn in plan.assignments:
             new_values[column] = fn(probe, params)
         if probe.read and covers:

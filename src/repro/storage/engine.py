@@ -46,7 +46,7 @@ class collector_paused:
     """Holds CPython's cyclic collector off for one bulk install: a
     ``bulk_load`` or a whole snapshot (``with collector_paused(): ...``).
 
-    An install allocates a row dict and a version per row and frees
+    An install allocates a row tuple and a version per row and frees
     nothing, so the collector would run every few hundred rows
     and re-scan a heap in which nothing can be garbage: installed rows
     hold no reference cycles, and nothing yields inside an install.
@@ -234,14 +234,14 @@ class Database:
         duplicate-key error names their ``source``."""
         table = self.catalog.table(table_name)
         validate_row = table.schema.validate_row
-        pk_column = table.schema.pk_column
+        pk_position = table.schema.pk_position
         heads = table.rows
         install = table.install
         count = 0
         with collector_paused():
             for values in rows:
                 row = validate_row(values)
-                pk = row[pk_column]
+                pk = row[pk_position]
                 if pk in heads:
                     raise IntegrityError(f"duplicate {source} key {pk!r} in {table_name!r}")
                 install(pk, Version(csn, row))
@@ -299,11 +299,11 @@ class Database:
         """
         out: dict[str, list[dict]] = {}
         for name, table in self.catalog.tables.items():
-            rows = []
-            for head in table.rows.values():
-                if head.values is not None:
-                    rows.append(dict(head.values))
-            out[name] = rows
+            image = table.schema.image
+            out[name] = [
+                image(head.values) for head in table.rows.values()
+                if head.values is not None
+            ]
         return out
 
     # ------------------------------------------------------------- recovery
@@ -509,8 +509,9 @@ class Database:
 
     def read_row(
         self, txn: Transaction, table: Table, pk: Any, locating: bool = False
-    ) -> Optional[dict[str, Any]]:
-        """Snapshot read of one row (plus read-your-own-writes).
+    ) -> Optional[tuple]:
+        """Snapshot read of one row (plus read-your-own-writes), as the
+        stored row tuple; an own staged write reads in the same form.
 
         ``locating`` marks reads done only to *find* a write's target row
         (UPDATE/DELETE row lookup): they join ``readset`` (the SI audit
@@ -519,11 +520,11 @@ class Database:
         """
         key = (table.name, pk)
         if key in txn.writes:
-            op = txn.writes[key]
+            image = txn.writes[key].values
             txn.readset.add(key)
             if not locating:
                 txn.dependent_reads.add(key)
-            return op.values
+            return None if image is None else table.schema.row_of(image)
         head = table.rows.get(pk)
         if head is None:
             return None
@@ -536,11 +537,11 @@ class Database:
 
     def scan(
         self, txn: Transaction, table: Table, candidates: Optional[Iterable[Any]] = None
-    ) -> Iterator[tuple[Any, dict[str, Any]]]:
+    ) -> Iterator[tuple[Any, tuple]]:
         """Iterate visible rows (candidate pks, or the whole table: its
         rows in table order, then the ones this transaction inserted).
 
-        Each pk counts as examined.  Its values are the transaction's
+        Each pk counts as examined.  Its row tuple is the transaction's
         own write, or the version the snapshot reads, found by walking
         the row's version chain here rather than through a
         :meth:`read_row` call per pk; a row read joins ``readset`` and
@@ -562,6 +563,8 @@ class Database:
             txn.rows_examined += 1
             if pk in own:
                 values = own[pk].values
+                if values is not None:
+                    values = table.schema.row_of(values)
             else:
                 while version is not None and version.csn > snapshot:
                     version = version.prev
@@ -577,8 +580,9 @@ class Database:
     def stage_insert(
         self, txn: Transaction, table: Table, values: dict[str, Any]
     ) -> Generator[Any, Any, None]:
-        row = table.schema.validate_row(values)
-        pk = row[table.schema.pk_column]
+        schema = table.schema
+        row = schema.validate_row(values)
+        pk = row[schema.pk_position]
         key = (table.name, pk)
         if key in txn.writes and txn.writes[key].values is not None:
             raise IntegrityError(f"duplicate key {pk!r} in {table.name!r}")
@@ -588,7 +592,7 @@ class Database:
             self.abort(txn)
             raise IntegrityError(f"duplicate key {pk!r} in {table.name!r}")
         self._check_foreign_keys(txn, table, row)
-        self._stage(txn, WriteOp(table.name, pk, INSERT, row))
+        self._stage(txn, WriteOp(table.name, pk, INSERT, schema.image(row)))
 
     def stage_update(
         self, txn: Transaction, table: Table, pk: Any,
@@ -599,7 +603,7 @@ class Database:
         self._check_foreign_keys(txn, table, row)
         previous = txn.writes.get((table.name, pk))
         op = INSERT if previous is not None and previous.op == INSERT else UPDATE
-        self._stage(txn, WriteOp(table.name, pk, op, row))
+        self._stage(txn, WriteOp(table.name, pk, op, table.schema.image(row)))
 
     def stage_delete(
         self, txn: Transaction, table: Table, pk: Any
@@ -609,7 +613,7 @@ class Database:
         self._stage(txn, WriteOp(table.name, pk, DELETE, None))
 
     def _check_foreign_keys(
-        self, txn: Transaction, table: Table, row: dict[str, Any]
+        self, txn: Transaction, table: Table, row: tuple
     ) -> None:
         """Child-side FK check: every non-NULL reference must resolve.
 
@@ -619,8 +623,9 @@ class Database:
         delete/insert race on a parent row is not detected — the paper's
         "only conflicts between write operations are detected" caveat.
         """
+        positions = table.schema.positions
         for column, parent_name in table.schema.foreign_keys:
-            value = row[column]
+            value = row[positions[column]]
             if value is None:
                 continue
             parent = self.catalog.table(parent_name)
@@ -638,9 +643,10 @@ class Database:
         visible child row still references it."""
         for child_name, column in self.catalog.referencers.get(table.name, ()):
             child = self.catalog.table(child_name)
+            position = child.schema.positions[column]
             candidates = child.index_candidates(column, pk)
             for _child_pk, values in self.scan(txn, child, candidates=candidates):
-                if values[column] == pk:
+                if values[position] == pk:
                     self.abort(txn)
                     raise IntegrityError(
                         f"cannot delete {table.name}[{pk!r}]: referenced by "
@@ -655,11 +661,14 @@ class Database:
         newest, which every later transaction reads (it begins at
         ``csn`` or above), and the one each active transaction's
         snapshot reads.  Code that reads a past snapshot must therefore
-        hold it as an active transaction (``begin``)."""
+        hold it as an active transaction (``begin``).  The after-image
+        dicts are stored as row tuples."""
         snapshots = sorted({txn.snapshot_csn for txn in self._active}, reverse=True)
         for op in ops:
             table = self.catalog.table(op.table)
-            table.install(op.pk, Version(csn, op.values))
+            image = op.values
+            row = None if image is None else table.schema.row_of(image)
+            table.install(op.pk, Version(csn, row))
             table.prune(op.pk, snapshots)
 
     def committed_after_snapshot(self, key: tuple, snapshot_csn: int) -> bool:

@@ -2,8 +2,12 @@
 
 Commit order on one replica is totalised by a **commit sequence number**
 (csn).  A snapshot is just the csn observed at transaction begin: version
-``v`` is visible to snapshot ``s`` iff ``v.csn <= s``.  A ``None`` values
-payload is a tombstone (the row was deleted by that version).
+``v`` is visible to snapshot ``s`` iff ``v.csn <= s``.  A version's
+``values`` is the row as a tuple in its schema's column order
+(:class:`~repro.storage.catalog.TableSchema` converts to and from the
+dicts outside the engine); ``None`` is a tombstone (the row was deleted
+by that version).  A tuple cannot be assigned into, so a row that
+readers share cannot change under them.
 
 A row is its newest committed :class:`Version`; each version links to
 the next-older one through ``prev``, so visibility walks newest-first.
@@ -13,7 +17,7 @@ The links point only backwards in time and form no cycles: dropping a
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class Version:
@@ -24,7 +28,7 @@ class Version:
     def __init__(
         self,
         csn: int,
-        values: Optional[dict[str, Any]],  # None => deleted
+        values: Optional[tuple],  # None => deleted
         prev: Optional["Version"] = None,
     ):
         self.csn = csn
@@ -43,7 +47,7 @@ class Version:
             version = version.prev
         return version
 
-    def visible_values(self, snapshot_csn: int) -> Optional[dict[str, Any]]:
+    def visible_values(self, snapshot_csn: int) -> Optional[tuple]:
         """Row values under the snapshot; None if absent or deleted."""
         version = self.visible(snapshot_csn)
         return None if version is None else version.values

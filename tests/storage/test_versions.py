@@ -21,50 +21,50 @@ def head_with(*specs):
 
 def test_empty_chain_invisible():
     assert table_with().rows.get(1) is None
-    unborn = head_with((5, {"v": "a"}))
+    unborn = head_with((5, ("a",)))
     assert unborn.visible(4) is None
     assert unborn.visible_values(4) is None
 
 
 def test_visibility_respects_snapshot():
-    head = head_with((1, {"v": "a"}), (5, {"v": "b"}), (9, {"v": "c"}))
+    head = head_with((1, ("a",)), (5, ("b",)), (9, ("c",)))
     assert head.visible_values(0) is None
-    assert head.visible_values(1) == {"v": "a"}
-    assert head.visible_values(4) == {"v": "a"}
-    assert head.visible_values(5) == {"v": "b"}
-    assert head.visible_values(8) == {"v": "b"}
-    assert head.visible_values(9) == {"v": "c"}
-    assert head.visible_values(1000) == {"v": "c"}
+    assert head.visible_values(1) == ("a",)
+    assert head.visible_values(4) == ("a",)
+    assert head.visible_values(5) == ("b",)
+    assert head.visible_values(8) == ("b",)
+    assert head.visible_values(9) == ("c",)
+    assert head.visible_values(1000) == ("c",)
 
 
 def test_tombstone_hides_row():
-    head = head_with((1, {"v": "a"}), (3, None))
-    assert head.visible_values(2) == {"v": "a"}
+    head = head_with((1, ("a",)), (3, None))
+    assert head.visible_values(2) == ("a",)
     assert head.visible_values(3) is None
     assert head.visible(3).is_delete
 
 
 def test_reinsert_after_delete():
-    head = head_with((1, {"v": "a"}), (3, None), (7, {"v": "b"}))
+    head = head_with((1, ("a",)), (3, None), (7, ("b",)))
     assert head.visible_values(3) is None
-    assert head.visible_values(7) == {"v": "b"}
+    assert head.visible_values(7) == ("b",)
 
 
 def test_latest_ignores_snapshot():
-    head = head_with((1, {"v": "a"}), (5, {"v": "b"}))
+    head = head_with((1, ("a",)), (5, ("b",)))
     assert head.csn == 5
     assert head.prev.csn == 1
 
 
 def test_non_monotonic_install_rejected():
-    table = table_with((5, {"v": "a"}))
+    table = table_with((5, ("a",)))
     with pytest.raises(AssertionError):
-        table.install(1, Version(5, {"v": "b"}))
+        table.install(1, Version(5, ("b",)))
     with pytest.raises(AssertionError):
-        table.install(1, Version(3, {"v": "b"}))
+        table.install(1, Version(3, ("b",)))
     assert [version.csn for version in table.rows[1]] == [5]
 
 
 def test_len_counts_versions():
-    head = head_with((1, {"v": "a"}), (2, None), (3, {"v": "c"}))
+    head = head_with((1, ("a",)), (2, None), (3, ("c",)))
     assert [version.csn for version in head] == [3, 2, 1]
