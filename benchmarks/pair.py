@@ -1,6 +1,6 @@
 """Paired end-to-end runs: this checkout against a base revision.
 
-    python3 benchmarks/pair.py [--base REV] [--workload NAME ...]
+    python3 benchmarks/pair.py [--base REV] [--workload NAME [NAME ...]]
         [--pairs N] [--seed S] [--smoke]
 
 The base revision's files are exported (``git archive``) into
@@ -117,16 +117,22 @@ def report(workload: str, seeds: range, rows: list, pairs: list) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in contract["workloads"]]
+def parse_args(argv, names: list) -> argparse.Namespace:
+    """The command line; ``names`` are the workloads ``--workload`` may
+    name (one or more per flag, and the flag may repeat)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--workload", nargs="+", action="extend", choices=names)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     parser.add_argument("--smoke", action="store_true", help="tiny episodes (a dry run)")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in contract["workloads"]]
+    args = parse_args(argv, names)
     base = export(args.base)
     seeds = range(args.seed, args.seed + args.pairs)
     failed = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, NamedTuple, Optional
 
 from repro.core import membership, report
@@ -19,6 +20,7 @@ from repro.core.srca_rep import MiddlewareReplica
 from repro.durable.log import LogRecord
 from repro.durable.store import DurabilityConfig, DurabilityStore
 from repro.durable.watermark import StabilityTracker
+from repro.errors import CatalogError, IntegrityError, InvalidTransactionState
 from repro.gcs import DiscoveryService, GcsConfig, GroupBus
 from repro.net import LatencyModel, Network
 from repro.obs import Observability, Tracer
@@ -212,6 +214,37 @@ def build_node(
     return ReplicaNode(name=name, db=db, cpu=cpu, disk=disk)
 
 
+def pack_load(dbs: list[Database], table: str, rows: Iterable[dict]) -> list[tuple]:
+    """Validate and pack a bulk load of ``table`` once for all of
+    ``dbs``: the row tuples every engine then stores and shares.
+
+    Everything that would stop an engine's install is checked first,
+    so a bad load raises before any engine holds a row of it: a schema
+    that differs between engines, an engine past its first commit, a
+    row the schema rejects, and a key that repeats within ``rows`` or
+    is already stored."""
+    tables = [db.catalog.table(table) for db in dbs]
+    schema = tables[0].schema
+    for db, stored in zip(dbs, tables):
+        if stored.schema != schema:
+            raise CatalogError(f"{db.name} defines {table!r} unlike {dbs[0].name}")
+        if db.csn != 0:
+            raise InvalidTransactionState("bulk_load only before first commit")
+    packed = list(map(schema.validate_row, rows))
+    pk_of = itemgetter(schema.pk_position)
+    keys = set(map(pk_of, packed))
+    if len(keys) < len(packed):
+        seen: set = set()
+        # the first key met twice (``seen.add`` returns None)
+        pk = next(pk for pk in map(pk_of, packed) if pk in seen or seen.add(pk))
+        raise IntegrityError(f"duplicate bulk key {pk!r} in {table!r}")
+    for stored in tables:
+        if not keys.isdisjoint(stored.rows):
+            pk = next(pk for pk in stored.rows if pk in keys)
+            raise IntegrityError(f"duplicate bulk key {pk!r} in {table!r}")
+    return packed
+
+
 class Comparator:
     """Base of the §6 comparator systems (centralized, [20],
     Postgres-R(SI)-style, primary/backup): the same world as
@@ -255,8 +288,13 @@ class Comparator:
                 node.db.run_ddl(sql)
 
     def bulk_load(self, table: str, rows: list[dict]) -> None:
-        for node in self.nodes:
-            node.db.bulk_load(table, rows)
+        """Seed identical initial data on every engine: validated once,
+        and every engine stores the same row tuples."""
+        dbs = [node.db for node in self.nodes]
+        with collector_paused():
+            packed = pack_load(dbs, table, rows)
+            for db in dbs:
+                db.bulk_install(table, packed)
 
     def new_client_host(self, name: Optional[str] = None):
         return self.network.register(name or self.network.unique_address("client"))
@@ -429,29 +467,38 @@ class SIRepCluster:
 
         With durability on, each statement also becomes a genesis log
         record so the log is replayable from sequence 1 (cold restart
-        rebuilds the schema before it replays any writeset).
+        rebuilds the schema before it replays any writeset); a replica
+        writes and forces a call's records together.
         """
-        for sql in ddl_statements:
-            for replica in self.replicas:
+        statements = list(ddl_statements)
+        for replica in self.replicas:
+            for sql in statements:
                 replica.db.run_ddl(sql)
-                if replica.log is not None:
-                    replica.log.genesis(partial(LogRecord.ddl, sql=sql))
-            for reader in self.readers:
-                # genesis never rides the feed: readers get it directly
+            if replica.log is not None:
+                replica.log.genesis(*(partial(LogRecord.ddl, sql=sql) for sql in statements))
+        for reader in self.readers:
+            # genesis never rides the feed: readers get it directly
+            for sql in statements:
                 reader.db.run_ddl(sql)
 
     def bulk_load(self, table: str, rows: list[dict]) -> None:
-        """Seed identical initial data on every replica (csn-0 versions)."""
+        """Seed identical initial data on every replica (csn-0 versions).
+
+        The rows are validated and packed once (:func:`pack_load`), and
+        every replica and reader stores the same tuples; a load that
+        fails leaves every engine and log as it was."""
         # one record for every replica's log: they all append it at the
         # same seq, so its row copy and JSON text are built once
         genesis = cache(partial(LogRecord.load, table=table, rows=rows))
         with collector_paused():
+            engines = [node.db for node in (*self.replicas, *self.readers)]
+            packed = pack_load(engines, table, rows)
             for replica in self.replicas:
-                replica.db.bulk_load(table, rows)
+                replica.db.bulk_install(table, packed)
                 if replica.log is not None:
                     replica.log.genesis(genesis)
             for reader in self.readers:
-                reader.db.bulk_load(table, rows)
+                reader.db.bulk_install(table, packed)
 
     new_client_host = Comparator.new_client_host
 

@@ -82,12 +82,15 @@ class ReplicaLog:
         if seq is not None:
             self.applied.mark(seq)
 
-    def genesis(self, make_record) -> None:
+    def genesis(self, *makers) -> None:
         """Record bootstrap schema or rows so the log is replayable from
-        seq 1; ``make_record(seq)`` builds the record at our next seq."""
-        record = make_record(self.wslog.next_seq)
-        self.wslog.append_durable(record)
-        self.applied.mark(record.seq)
+        seq 1; each ``make_record(seq)`` of ``makers`` builds its record
+        at our next seq, and all of them are written and forced together."""
+        first = self.wslog.next_seq
+        records = [make_record(seq) for seq, make_record in enumerate(makers, first)]
+        self.wslog.append_durable(*records)
+        for record in records:
+            self.applied.mark(record.seq)
 
     # ----------------------------------------------------- flush, checkpoints
 
@@ -191,7 +194,7 @@ class ReplicaLog:
         if record.seq > self._cert_floor:
             # the logged pass lands the certifier (tombstones included)
             # in exactly the state it had at this seq
-            replica.validation.certifier.record_pass(record.tid, record.keys, record.ops)
+            replica.validation.certifier.record_pass(record.tid, record.ops)
         if record.seq not in self._skip:
             record.install(replica.db)
         replica.recovery.replayed.append((record.gid, record.keys))
@@ -242,8 +245,11 @@ class ReplicaLog:
     def catch_up(self, records) -> int:
         """Append-and-replay records beyond our tip (cold-restart leveling
         from a peer whose log reaches further).  Bootstrap path: records
-        go down write-through, like genesis records."""
-        return self.replay(records, self.wslog.append_durable)
+        go down write-through, like genesis records, all in one write
+        and one force per segment file."""
+        records = [record for record in records if record.seq > self.wslog.tip_seq]
+        self.wslog.append_durable(*records)
+        return self.replay(records)
 
 
 class Recovery:

@@ -133,24 +133,27 @@ class Certifier:
                 return False
             self.salvaged += 1
         record.tid = self.last_validated_tid + 1
-        self.record_pass(record.tid, record.writeset.keys, record.writeset.ops)
+        self.record_pass(record.tid, record.writeset.ops)
         return True
 
-    def record_pass(self, tid: int, keys, ops) -> None:
+    def record_pass(self, tid: int, ops) -> None:
         """The state transition of a passing validation: ``tid`` becomes
-        the last validated tid and the last writer of every key in
-        ``keys``, and ``ops`` (the writeset's WriteOps) set or clear the
-        tombstones.  Log replay calls it with a logged record's tid:
+        the last validated tid and the last writer of every key ``ops``
+        (the writeset's WriteOps) write, and they set or clear the
+        tombstones.  Keys enter the last-writer map in write order, so
+        its order (and :meth:`to_wire`'s) does not depend on string
+        hashing.  Log replay calls it with a logged record's tid:
         certification is deterministic and a reject leaves no state
         behind, so replaying the passes alone rebuilds the state."""
         self.last_validated_tid = tid
-        for key in keys:
-            self._last_writer[key] = tid
+        last_writer, deleted = self._last_writer, self._deleted
         for op in ops:
+            key = op.key
+            last_writer[key] = tid
             if op.op == DELETE:
-                self._deleted.add(op.key)
+                deleted.add(key)
             else:
-                self._deleted.discard(op.key)
+                deleted.discard(key)
         self.validated += 1
 
     @property

@@ -149,6 +149,12 @@ def _run_inline(fn: Callable[[], Any]) -> Generator[Any, Any, Any]:
     yield  # pragma: no cover - makes this a generator
 
 
+def _no_charge(seconds: float) -> Generator[Any, Any, None]:
+    """``charge`` for bootstrap writes, which take no simulated time."""
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
 def sync_directory(directory: Path) -> None:
     """``fsync`` a directory: the files created, renamed or unlinked in
     it so far keep that state across a crash."""
@@ -296,22 +302,20 @@ class WritesetLog:
         self.tip_seq = record.seq
         self.appended += 1
 
-    def append_durable(self, record: LogRecord) -> None:
-        """Append write-through, bypassing the costed flush path.
+    def append_durable(self, *records: LogRecord) -> None:
+        """Append ``records`` write-through, bypassing the costed flush
+        path: a flush that charges nothing and forces inline, so one
+        ``write`` and one ``fsync`` per segment file they land in.
 
         Bootstrap only: genesis schema/load records and cold-restart
         catch-up happen outside simulated time, before traffic starts.
         """
         if self.tail:
             raise AssertionError(f"{self.name}: durable append behind a tail")
-        self.append(record)
-        self.tail = []
-        written = 0
-        if self.directory is not None:
-            written, force = self._write([record])
-            force()
-            self.fsyncs += 1
-        self._commit_flush([record], record.nbytes, written)
+        for record in records:
+            self.append(record)
+        for _ in self.flush(_no_charge):
+            raise AssertionError(f"{self.name}: a write-through flush waited")
 
     # ------------------------------------------------------------------- flush
 

@@ -225,22 +225,28 @@ class Database:
         before the first commit, so replicas can be seeded identically
         without polluting the recorded schedule history.
         """
+        validate_row = self.catalog.table(table_name).schema.validate_row
+        return self.bulk_install(table_name, map(validate_row, rows))
+
+    def bulk_install(self, table_name: str, rows: Iterable[tuple]) -> int:
+        """:meth:`bulk_load` of rows the table's schema already packed
+        (``validate_row``).  A deployment validates its rows once and
+        gives every engine the same tuples: a stored row is immutable,
+        so engines can share it."""
         if self.csn != 0:
             raise InvalidTransactionState("bulk_load only before first commit")
         return self._install_rows(table_name, rows, 0, "bulk")
 
-    def _install_rows(self, table_name: str, rows: Iterable[dict], csn: int, source: str) -> int:
-        """Install row images as single versions at ``csn``; a
+    def _install_rows(self, table_name: str, rows: Iterable[tuple], csn: int, source: str) -> int:
+        """Install packed rows as single versions at ``csn``; a
         duplicate-key error names their ``source``."""
         table = self.catalog.table(table_name)
-        validate_row = table.schema.validate_row
         pk_position = table.schema.pk_position
         heads = table.rows
         install = table.install
         count = 0
         with collector_paused():
-            for values in rows:
-                row = validate_row(values)
+            for row in rows:
                 pk = row[pk_position]
                 if pk in heads:
                     raise IntegrityError(f"duplicate {source} key {pk!r} in {table_name!r}")
@@ -343,7 +349,8 @@ class Database:
                 "load_checkpoint only into a fresh database"
             )
         for table_name, table_rows in rows.items():
-            self._install_rows(table_name, table_rows, csn, "checkpoint")
+            validate_row = self.catalog.table(table_name).schema.validate_row
+            self._install_rows(table_name, map(validate_row, table_rows), csn, "checkpoint")
         self.csn = csn
 
     def install_snapshot(self, ddl: Iterable[str], rows: dict, csn: int, writesets=()) -> None:

@@ -8,13 +8,14 @@ from pathlib import Path
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.validation import Certifier
 from repro.durable import Checkpoint, CheckpointStore, DurabilityConfig, DurabilityStore
+from repro.storage.writeset import UPDATE, WriteOp
 from repro.testing import query
 
 
 def certifier_at(tid, writers):
     certifier = Certifier()
-    for key, writer in writers.items():
-        certifier.record_pass(writer, (key,), ())
+    for (table, pk), writer in writers.items():
+        certifier.record_pass(writer, (WriteOp(table, pk, UPDATE, {}),))
     certifier.last_validated_tid = tid
     return certifier
 

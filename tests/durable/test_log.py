@@ -751,6 +751,101 @@ def test_segment_creates_and_unlinks_reach_the_directory(tmp_path, fs):
     assert [r.seq for r in reloaded.records_after(10)] == [11, 12]
 
 
+GENESIS_DDL = [
+    "CREATE TABLE kv (k INT PRIMARY KEY, v INT)",
+    "CREATE TABLE other (id INT PRIMARY KEY, kv INT REFERENCES kv)",
+    "CREATE INDEX i_other_kv ON other (kv)",
+]
+
+
+def test_genesis_ddl_is_one_write_and_one_force_per_replica(tmp_path, fs):
+    """``load_schema`` hands a replica's DDL records to its log together:
+    one ``write`` and one ``fsync`` of the segment (with the directory's,
+    as the write creates the file) per replica, however many statements."""
+    cluster = SIRepCluster(ClusterConfig(
+        n_replicas=2, durability=DurabilityConfig(log_dir=tmp_path)
+    ))
+    try:
+        cluster.load_schema(GENESIS_DDL)
+        assert fs.take() == [
+            ("create", "seg-00000001.jsonl", False),
+            ("fsync", "seg-00000001.jsonl", False),
+            ("fsync", "log", False),
+        ] * 2
+        for replica in cluster.replicas:
+            assert replica.wslog.fsyncs == 1
+            assert replica.log.applied.top == 3
+    finally:
+        cluster.stop()
+
+
+@pytest.mark.parametrize("segment_records", [2, 256])
+def test_genesis_ddl_written_together_is_the_same_log(tmp_path, segment_records):
+    """The segment files hold the bytes one write-through append per
+    record wrote (a group never crosses a segment file), and a cold
+    restart replays them."""
+    config = ClusterConfig(n_replicas=2, durability=DurabilityConfig(
+        log_dir=tmp_path / "wal", segment_records=segment_records,
+    ))
+    cluster = SIRepCluster(config)
+    cluster.load_schema(GENESIS_DDL)
+    cluster.bulk_load("kv", [{"k": k, "v": k} for k in range(3)])
+    cluster.stop()
+    one_by_one = WritesetLog("R0", segment_records, directory=tmp_path / "one")
+    for seq, sql in enumerate(GENESIS_DDL, 1):
+        one_by_one.append_durable(LogRecord.ddl(seq, sql))
+    one_by_one.append_durable(LogRecord.load(4, "kv", [{"k": k, "v": k} for k in range(3)]))
+    one_by_one.close()
+    expected = {p.name: p.read_bytes() for p in (tmp_path / "one").iterdir()}
+    assert len(expected) == (2 if segment_records == 2 else 1)
+    for replica in ("R0", "R1"):
+        log_dir = tmp_path / "wal" / replica / "log"
+        assert {p.name: p.read_bytes() for p in log_dir.iterdir()} == expected
+    restarted = SIRepCluster.cold_restart(config, DurabilityStore(config.durability))
+    try:
+        for replica in restarted.replicas:
+            assert replica.db.ddl_log == GENESIS_DDL
+            assert query(restarted.sim, replica.db, "SELECT k FROM kv ORDER BY k") == [
+                {"k": 0}, {"k": 1}, {"k": 2},
+            ]
+            assert replica.recovery.stats["mode"] == "cold"
+    finally:
+        restarted.stop()
+
+
+def test_cold_restart_catch_up_is_one_write_and_one_force(tmp_path, fs):
+    """A replica whose log ends early is levelled from the longest log
+    with the records it lacks written and forced together, not one
+    ``fsync`` per record."""
+    config = ClusterConfig(n_replicas=2, durability=DurabilityConfig(log_dir=tmp_path))
+    cluster = SIRepCluster(config)
+    cluster.load_schema(GENESIS_DDL[:1])
+    cluster.bulk_load("kv", [{"k": k, "v": 0} for k in range(5)])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def updates():
+        conn = yield from driver.connect(cluster.new_client_host(), address="R0")
+        for i in range(12):
+            yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (i, i % 5))
+            yield from conn.commit()
+        conn.close()
+
+    cluster.crash(1)
+    cluster.sim.run_process(updates())
+    cluster.sim.run(until=cluster.sim.now + 1)
+    cluster.stop()
+    fs.take()
+    restarted = SIRepCluster.cold_restart(config, DurabilityStore(config.durability))
+    try:
+        assert fs.take() == [("fsync", "seg-00000001.jsonl", False)]
+        assert [r.wslog.tip_seq for r in restarted.replicas] == [14, 14]
+        assert restarted.replicas[1].db.export_committed() == (
+            restarted.replicas[0].db.export_committed()
+        )
+    finally:
+        restarted.stop()
+
+
 def test_an_earlier_version_log_still_loads_and_extends(tmp_path, fs):
     wal = tmp_path / "wal"
     shutil.copytree(Path(__file__).parent / "fixtures" / "wal-v1", wal)

@@ -628,13 +628,15 @@ def test_genesis_load_record_is_shared_and_replays(tmp_path):
             path.read_text() for path in sorted((tmp_path / replica.name / "log").glob("seg-*"))
         )
         assert f"l{record.line}\n" in text
-    # the engines keep their own rows, apart from each other and the log
+    # the engines share one immutable tuple per row, apart from the
+    # log's row dicts
     images = [
         [head.values for head in replica.db.catalog.table("kv").rows.values()]
         for replica in cluster.replicas
     ]
-    ids = [id(row) for replica_rows in images for row in replica_rows]
-    ids += [id(row) for row in record.rows]
+    for image in images[1:]:
+        assert all(row is first for row, first in zip(image, images[0], strict=True))
+    ids = [id(row) for row in images[0]] + [id(row) for row in record.rows]
     assert len(set(ids)) == len(ids)
     expected = cluster.replicas[0].db.export_committed()
     cluster.stop()

@@ -15,6 +15,8 @@ Re-record (only for a change meant to move results):
 
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -273,8 +275,8 @@ def boundary():
     cluster = history_cluster()
     donor = cluster.replicas[1]
     image = wire(donor.recovery.image().to_json())
-    # the certifier's maps are in the order a writeset's key set
-    # iterates, which moves with the string hash seed
+    # the fixture holds the certifier's maps sorted: it was recorded
+    # when their order still moved with the string hash seed
     image["certifier"] = [
         sorted(field) if isinstance(field, list) else field
         for field in image["certifier"]
@@ -301,6 +303,31 @@ def test_full_transfer_and_reader_join_store_tuples_and_pinned_images(pinned):
         assert_compact(node.db)
         assert node.db.export_committed() == reference, node.name
     assert cluster.one_copy_report().ok
+
+
+CAPTURE = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location("row_images", {str(Path(__file__))!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(module.history_cluster().replicas[1].recovery.image().to_json()))
+"""
+
+
+def test_an_image_does_not_depend_on_the_hash_seed():
+    """The same seeded run captures byte-identical checkpoint JSON under
+    two string hash seeds: the certifier's last writers are listed in
+    the order they were written, not in a key set's iteration order."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    images = [
+        subprocess.run(
+            [sys.executable, "-c", CAPTURE], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert json.loads(images[0])["certifier"][2]  # it lists last writers
+    assert images[0] == images[1]
 
 
 # -- the memory guard ----------------------------------------------------------
